@@ -21,7 +21,6 @@ from .lp import strict_feasible
 from .fan import (
     MarkedFan,
     StarData,
-    enumerate_cones,
     is_unpinched,
     point_fan,
     product_fan,

@@ -1,9 +1,10 @@
 """Command-line interface.
 
 Exit codes: 0 verdict computed (even a negative one), 2 input error,
-3 precondition failure, 4 internal invariant breach.  The one exception is
-`validate`, which exits 3 when the fan fails validation, per the documented
-contract.  Randomized subcommands require an explicit --seed.
+3 precondition failure, 4 internal invariant breach or any other unexpected
+error.  The one exception is `validate`, which exits 3 when the fan fails
+validation, per the documented contract.  Randomized subcommands require an
+explicit --seed.
 """
 
 from __future__ import annotations
@@ -205,12 +206,6 @@ def build_parser() -> argparse.ArgumentParser:
         "Lorentzian verdicts, Alexandrov-Fenchel reports, and mixed volumes.",
     )
     parser.add_argument("--out", help="write the JSON report here instead of stdout")
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="upper bound on worker count (computation is sequential today)",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, fn, **flags):
@@ -274,6 +269,10 @@ def main(argv=None) -> int:
     except (PreconditionError, LorfanError) as exc:
         print(f"precondition failure: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
+    except Exception as exc:  # anything else is a bug; report it in one line
+        message = " ".join(str(exc).split())
+        print(f"internal error: {type(exc).__name__}: {message}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

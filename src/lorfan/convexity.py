@@ -10,66 +10,18 @@ every feasibility block is small and equality-free.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Optional
 
 from .errors import InternalError, PreconditionError
-from .fan import Cone, MarkedFan
-from .linalg import Vec, ZERO, ONE, dot, mat, rank, rref, solve_linear, vec
+from .fan import Cone, MarkedFan, neighborhood_rays
+from .linalg import Vec, ZERO, ONE, dot, mat, rank, vec
 from .lp import linear_feasible, strict_feasible
 
 VERDICT_NONE = "none"
 VERDICT_CONVEX = "convex"
 VERDICT_STRICT = "strictly-convex"
-
-
-def neighborhood_rays(fan: MarkedFan, tau: Cone) -> tuple[int, ...]:
-    """Rays of all maximal cones containing tau, minus tau's own rays."""
-    incident = [c for c in fan.maximal_cones if set(tau) <= set(c)]
-    return tuple(sorted(set(itertools.chain.from_iterable(incident)) - set(tau)))
-
-
-@lru_cache(maxsize=None)
-def _block_data(fan: MarkedFan, tau: Cone):
-    """Functional bookkeeping for matching divisor values on tau's rays.
-
-    Returns (particulars, annihilators): particulars[r] is the functional
-    taking value one on tau's r-th mark, zero on the others, and zero on all
-    non-pivot coordinates; the annihilator rows span the functionals that
-    vanish on the whole cone span.  Every functional matching z on tau is
-    sum(z_r * particulars[r]) plus a combination of annihilator rows.
-    """
-    n = fan.ambient_dim
-    if not tau:
-        identity = tuple(
-            tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n)
-        )
-        return (), identity
-    marks = [fan.rays[i] for i in tau]
-    reduced, pivots = rref(mat(marks))
-    if len(pivots) != len(tau):
-        raise PreconditionError(f"cone {tau} has dependent marks")
-    square = mat([[m[p] for p in pivots] for m in marks])
-    particulars = []
-    for r in range(len(tau)):
-        unit = vec([ONE if i == r else ZERO for i in range(len(tau))])
-        coeffs = solve_linear(square, unit)
-        psi = [ZERO] * n
-        for p, c in zip(pivots, coeffs):
-            psi[p] = c
-        particulars.append(tuple(psi))
-    free_cols = [j for j in range(n) if j not in pivots]
-    annihilators = []
-    for j in free_cols:
-        row = [ZERO] * n
-        row[j] = ONE
-        for r_idx, p in enumerate(pivots):
-            row[p] -= reduced[r_idx][j]
-        annihilators.append(tuple(row))
-    return tuple(particulars), tuple(annihilators)
 
 
 @dataclass(frozen=True)
@@ -97,32 +49,19 @@ class ConvexityCertificate:
         return self.verdict == VERDICT_STRICT
 
 
-def _assemble(particulars, z_on_tau, annihilators, w) -> Vec:
-    n = len(annihilators[0]) if annihilators else len(particulars[0])
-    phi = [ZERO] * n
-    for zv, psi in zip(z_on_tau, particulars):
-        for j in range(n):
-            phi[j] += zv * psi[j]
-    for wv, row in zip(w, annihilators):
-        for j in range(n):
-            phi[j] += wv * row[j]
-    return tuple(phi)
-
-
 def _witness_at_cone(fan: MarkedFan, z, tau: Cone, strict: bool) -> ConeWitness:
-    particulars, annihilators = _block_data(fan, tau)
+    q = fan.quotient(tau)
     z_on_tau = [Fraction(z[i]) for i in tau]
+    base = q.functional(z_on_tau)
     neighbors = neighborhood_rays(fan, tau)
     if not neighbors:
-        phi = _assemble(particulars, z_on_tau, annihilators, [ZERO] * len(annihilators))
-        return ConeWitness(tau, phi, strict, True)
-    base = _assemble(particulars, z_on_tau, annihilators, [ZERO] * len(annihilators))
+        return ConeWitness(tau, base, strict, True)
     rows = []
     for eta in neighbors:
         u = fan.rays[eta]
-        coeffs = vec([dot(vec(row), u) for row in annihilators])
+        coeffs = tuple(dot(row, u) for row in q.annihilators)
         rows.append((coeffs, Fraction(z[eta]) - dot(base, u)))
-    dim = len(annihilators)
+    dim = len(q.annihilators)
     if strict:
         res = strict_feasible([], rows, dim=dim)
         w = res.witness
@@ -130,7 +69,7 @@ def _witness_at_cone(fan: MarkedFan, z, tau: Cone, strict: bool) -> ConeWitness:
         w = linear_feasible([], rows, dim)
     if w is None:
         return ConeWitness(tau, None, strict, False)
-    phi = _assemble(particulars, z_on_tau, annihilators, w)
+    phi = q.functional(z_on_tau, w)
     for i in tau:
         if dot(phi, fan.rays[i]) != z[i]:
             raise InternalError("reconstructed witness misses a matching value")
@@ -210,22 +149,21 @@ def strict_convexity_program(fan: MarkedFan):
     offsets = {}
     dim = nrays
     for tau, _ in blocks:
-        _, annihilators = _block_data(fan, tau)
-        offsets[tau] = (dim, len(annihilators))
-        dim += len(annihilators)
+        offsets[tau] = dim
+        dim += len(fan.quotient(tau).annihilators)
 
     strict_rows = []
     for tau, neighbors in blocks:
-        particulars, annihilators = _block_data(fan, tau)
-        base, width = offsets[tau]
+        q = fan.quotient(tau)
+        base = offsets[tau]
         for eta in neighbors:
             u = fan.rays[eta]
             row = [ZERO] * dim
             # phi(u_eta) - z_eta < 0 with phi = sum z_r psi_r + w.annihilators
-            for ray_idx, psi in zip(tau, particulars):
-                row[ray_idx] += dot(vec(psi), u)
-            for k in range(width):
-                row[base + k] += dot(vec(annihilators[k]), u)
+            for ray_idx, psi in zip(tau, q.particulars):
+                row[ray_idx] += dot(psi, u)
+            for k, a in enumerate(q.annihilators):
+                row[base + k] += dot(a, u)
             row[eta] -= ONE
             strict_rows.append((vec(row), ZERO))
 

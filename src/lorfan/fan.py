@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Optional
 
 from .errors import DimensionError, InternalError, PreconditionError
@@ -17,11 +18,12 @@ from .linalg import (
     Vec,
     ZERO,
     ONE,
+    dot,
+    identity,
     mat,
     mat_vec,
     rank,
     rref,
-    solve_linear,
     vec,
 )
 from .lp import linear_feasible
@@ -34,7 +36,74 @@ def cone_key(indices: Iterable[int]) -> Cone:
 
 
 @dataclass(frozen=True)
+class Quotient:
+    """Coordinates for the quotient by the span of one cone.
+
+    Row reduction of the cone's marks picks the pivot columns; the quotient
+    coordinates are the other columns, which makes star fans reproducible
+    bit for bit.  `particulars[r]` is the functional that is one on the r-th
+    mark, zero on the other marks and zero off the pivot columns.  The
+    annihilator rows, one per non-pivot column, span the functionals that
+    vanish on the cone; as a matrix they project onto the quotient.
+    """
+
+    pivots: tuple[int, ...]
+    particulars: Mat
+    annihilators: Mat
+
+    def functional(self, on_cone, w=()) -> Vec:
+        """sum(on_cone[r] * particulars[r]) + sum(w[j] * annihilators[j]).
+
+        Every functional taking the values `on_cone` on the cone's marks has
+        this form for exactly one w.
+        """
+        phi = [ZERO] * (len(self.pivots) + len(self.annihilators))
+        for coeff, row in itertools.chain(zip(on_cone, self.particulars), zip(w, self.annihilators)):
+            for j, x in enumerate(row):
+                phi[j] += coeff * x
+        return tuple(phi)
+
+    def coordinates(self, point: Vec) -> Optional[Vec]:
+        """Coordinates of a point in the cone's mark basis, or None off its span."""
+        if any(dot(row, point) for row in self.annihilators):
+            return None
+        return tuple(dot(psi, point) for psi in self.particulars)
+
+
+def _quotient(fan: MarkedFan, cone: Cone) -> Quotient:
+    """One reduction of [marks | identity]: the left block is the reduced
+    echelon form of the marks, and the right block inverts the marks on the
+    pivot columns, which gives the particular functionals."""
+    n, k = fan.ambient_dim, len(cone)
+    unit = identity(k)
+    reduced, pivots = rref(mat(tuple(fan.rays[i]) + unit[r] for r, i in enumerate(cone)))
+    if len(pivots) != k or (pivots and pivots[-1] >= n):
+        raise PreconditionError(f"cone {cone} has dependent marks")
+    particulars = [[ZERO] * n for _ in range(k)]
+    for row, p in zip(reduced, pivots):
+        for r in range(k):
+            particulars[r][p] = row[n + r]
+    annihilators = []
+    for j in range(n):
+        if j in pivots:
+            continue
+        row = [ZERO] * n
+        row[j] = ONE
+        for r_idx, p in enumerate(pivots):
+            row[p] -= reduced[r_idx][j]
+        annihilators.append(tuple(row))
+    return Quotient(pivots, tuple(map(tuple, particulars)), tuple(annihilators))
+
+
+@dataclass(frozen=True)
 class MarkedFan:
+    """A simplicial fan: ray marks and maximal cones as sorted ray-index tuples.
+
+    The cone index (`cones`, `incident`, `cofaces`) and the per-cone quotient
+    records are computed on first use and kept on the instance, so they are
+    shared by every computation on the fan and freed with it.
+    """
+
     ambient_dim: int
     rays: tuple[Vec, ...]
     maximal_cones: tuple[Cone, ...]
@@ -58,50 +127,74 @@ class MarkedFan:
         if not self.maximal_cones:
             raise PreconditionError("a fan needs at least one maximal cone (possibly the origin)")
 
-    @property
+    @cached_property
     def dimension(self) -> int:
         return max(len(c) for c in self.maximal_cones)
 
+    @cached_property
+    def incident(self) -> dict[Cone, tuple[Cone, ...]]:
+        """Every cone, mapped to the maximal cones containing it (in
+        maximal_cones order)."""
+        out = {}
+        for c in self.maximal_cones:
+            for k in range(len(c) + 1):
+                for face in itertools.combinations(c, k):
+                    out.setdefault(face, []).append(c)
+        return {face: tuple(cs) for face, cs in out.items()}
+
+    @cached_property
+    def _cones_by_dim(self) -> tuple[tuple[Cone, ...], ...]:
+        by_dim = [[] for _ in range(self.dimension + 1)]
+        for face in self.incident:
+            by_dim[len(face)].append(face)
+        return tuple(tuple(sorted(faces)) for faces in by_dim)
+
+    @cached_property
+    def cofaces(self) -> dict[Cone, tuple[tuple[Cone, int], ...]]:
+        """Every cone, mapped to the sorted cones one dimension up that contain
+        it, each paired with its ray opposite the cone."""
+        out = {face: [] for face in self.incident}
+        for cones in self._cones_by_dim[1:]:
+            for sigma in cones:
+                for pos, ray in enumerate(sigma):
+                    out[sigma[:pos] + sigma[pos + 1:]].append((sigma, ray))
+        return {face: tuple(up) for face, up in out.items()}
+
+    @cached_property
+    def _quotients(self) -> dict[Cone, Quotient]:
+        return {}
+
+    def quotient(self, cone: Cone) -> Quotient:
+        """The quotient record of a cone's span, computed on first use."""
+        q = self._quotients.get(cone)
+        if q is None:
+            q = self._quotients[cone] = _quotient(self, cone)
+        return q
+
     def cones(self, k: int) -> tuple[Cone, ...]:
-        """All k-dimensional cones, i.e. k-subsets of maximal cones, deduplicated."""
+        """All k-dimensional cones, i.e. k-subsets of maximal cones, sorted."""
         if k < 0 or k > self.dimension:
             raise PreconditionError(f"cone dimension {k} out of range 0..{self.dimension}")
-        out = set()
-        for c in self.maximal_cones:
-            if len(c) >= k:
-                out.update(itertools.combinations(c, k))
-        return tuple(sorted(out))
+        return self._cones_by_dim[k]
 
     def all_cones(self) -> tuple[Cone, ...]:
-        out = []
-        for k in range(self.dimension + 1):
-            out.extend(self.cones(k))
-        return tuple(out)
-
-    def cone_matrix(self, cone: Cone) -> Mat:
-        """Marks of the cone's rays as matrix columns."""
-        return tuple(zip(*(self.rays[i] for i in cone))) if cone else ((),) * self.ambient_dim
+        return tuple(itertools.chain.from_iterable(self._cones_by_dim))
 
     def cone_coordinates(self, cone: Cone, point: Vec) -> Optional[Vec]:
         """Coordinates of a point in the cone's mark basis, or None if outside the span."""
-        if not cone:
-            return () if all(x == 0 for x in point) else None
-        cols = mat(self.cone_matrix(cone))
-        return solve_linear(cols, point)
+        return self.quotient(cone).coordinates(point)
 
     def cone_contains(self, cone: Cone, point: Vec) -> bool:
         coords = self.cone_coordinates(cone, point)
         return coords is not None and all(c >= 0 for c in coords)
 
-    def supporting_cones(self, point: Vec) -> tuple[Cone, ...]:
-        return tuple(c for c in self.maximal_cones if self.cone_contains(c, point))
-
     def in_support(self, point: Vec) -> bool:
         return any(self.cone_contains(c, point) for c in self.maximal_cones)
 
 
-def enumerate_cones(fan: MarkedFan, k: int) -> tuple[Cone, ...]:
-    return fan.cones(k)
+def neighborhood_rays(fan: MarkedFan, tau: Cone) -> tuple[int, ...]:
+    """Rays of all maximal cones containing tau, minus tau's own rays."""
+    return tuple(sorted(set(itertools.chain.from_iterable(fan.incident[tau])) - set(tau)))
 
 
 # ---------------------------------------------------------------------------
@@ -199,49 +292,28 @@ def validate(fan: MarkedFan, check_pairwise: bool = True) -> ValidationReport:
 class StarData:
     """Quotient of a fan by the span of one of its cones.
 
-    The quotient coordinates are the non-pivot coordinates left after
-    eliminating the apex span, which makes star fans reproducible
-    bit-for-bit.  `lift[i]` is the parent ray index of star ray i.
+    The quotient coordinates are those of the apex's quotient record on the
+    parent fan.  `lift[i]` is the parent ray index of star ray i.
     """
 
     parent: MarkedFan
     apex: Cone
     fan: MarkedFan
     lift: tuple[int, ...]
-    projection: Mat
-    pivot_cols: tuple[int, ...]
+
+    @property
+    def projection(self) -> Mat:
+        return self.parent.quotient(self.apex).annihilators
 
 
 def star(fan: MarkedFan, apex: Cone) -> StarData:
     apex = cone_key(apex)
-    if apex not in set(fan.cones(len(apex))):
+    if apex not in fan.incident:
         raise PreconditionError(f"{apex} is not a cone of the fan")
-    n = fan.ambient_dim
     if not apex:
-        return StarData(
-            parent=fan,
-            apex=apex,
-            fan=fan,
-            lift=tuple(range(len(fan.rays))),
-            projection=mat([[1 if i == j else 0 for j in range(n)] for i in range(n)]),
-            pivot_cols=(),
-        )
-
-    reduced, pivots = rref(mat([fan.rays[i] for i in apex]))
-    if len(pivots) != len(apex):
-        raise PreconditionError("apex cone has dependent marks")
-    free_cols = [j for j in range(n) if j not in pivots]
-    proj_rows = []
-    for j in free_cols:
-        row = [ZERO] * n
-        row[j] = ONE
-        for r_idx, p in enumerate(pivots):
-            row[p] -= reduced[r_idx][j]
-        proj_rows.append(row)
-    projection = mat(proj_rows)
-
-    incident = [c for c in fan.maximal_cones if set(apex) <= set(c)]
-    neighbor_rays = sorted(set(itertools.chain.from_iterable(incident)) - set(apex))
+        return StarData(parent=fan, apex=apex, fan=fan, lift=tuple(range(len(fan.rays))))
+    projection = fan.quotient(apex).annihilators
+    neighbor_rays = neighborhood_rays(fan, apex)
     index_of = {parent: i for i, parent in enumerate(neighbor_rays)}
     marks = []
     for parent_ray in neighbor_rays:
@@ -249,22 +321,13 @@ def star(fan: MarkedFan, apex: Cone) -> StarData:
         if all(x == 0 for x in image):
             raise InternalError("a neighborhood ray projects to zero; fan is degenerate at the apex")
         marks.append(image)
-    star_cones = tuple(
-        cone_key(index_of[i] for i in c if i not in apex) for c in incident
-    )
+    star_cones = {cone_key(index_of[i] for i in c if i not in apex) for c in fan.incident[apex]}
     quotient = MarkedFan(
-        ambient_dim=n - len(apex),
+        ambient_dim=fan.ambient_dim - len(apex),
         rays=tuple(marks),
-        maximal_cones=tuple(sorted(set(star_cones))),
+        maximal_cones=tuple(sorted(star_cones)),
     )
-    return StarData(
-        parent=fan,
-        apex=apex,
-        fan=quotient,
-        lift=tuple(neighbor_rays),
-        projection=projection,
-        pivot_cols=pivots,
-    )
+    return StarData(parent=fan, apex=apex, fan=quotient, lift=neighbor_rays)
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +351,7 @@ def is_unpinched(fan: MarkedFan) -> PinchReport:
     pinched = []
     for k in range(0, max(d - 1, 0)):
         for tau in fan.cones(k):
-            incident = [c for c in fan.maximal_cones if set(tau) <= set(c)]
+            incident = fan.incident[tau]
             if len(incident) <= 1:
                 continue
             adj = {i: set() for i in range(len(incident))}
@@ -320,10 +383,6 @@ class StellarSubdivision:
     containment: dict
     ray_map: dict
     new_ray: int
-
-    def __iter__(self):
-        yield self.fan
-        yield self.containment
 
 
 def stellar_subdivide(fan: MarkedFan, v: Vec) -> StellarSubdivision:

@@ -9,6 +9,7 @@ equal objects.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 from typing import Optional
 
@@ -25,11 +26,33 @@ def rat_to_str(x: Fraction) -> str:
     return str(Fraction(x))
 
 
+_RATIONAL = re.compile(r"\s*[+-]?[0-9]+(/[0-9]+)?\s*")
+
+
 def str_to_rat(s) -> Fraction:
-    try:
-        return Fraction(str(s))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise InputError(f"bad rational {s!r}: {exc}") from None
+    """A rational from a string "p/q" or "p", or from a JSON integer.
+
+    Decimal and exponent forms are refused: "1e999999999" would otherwise
+    build a billion-digit integer.
+    """
+    if type(s) is int or (isinstance(s, str) and _RATIONAL.fullmatch(s)):
+        try:
+            return Fraction(s)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise InputError(f"bad rational {s!r}: {exc}") from None
+    raise InputError(f'bad rational {s!r:.40}: expected a string "p/q" or "p", or an integer')
+
+
+def _list(x, what: str) -> list:
+    if not isinstance(x, list):
+        raise InputError(f"{what} must be a JSON list, not {x!r:.40}")
+    return x
+
+
+def _int(x, what: str) -> int:
+    if type(x) is not int:  # bool is a subclass of int
+        raise InputError(f"{what} must be a JSON integer, not {x!r:.40}")
+    return x
 
 
 def cone_to_key(cone) -> str:
@@ -61,14 +84,19 @@ def fan_to_json(fan: MarkedFan, weight: Optional[MinkowskiWeight] = None) -> dic
 
 def fan_from_json(data) -> tuple[MarkedFan, Optional[MinkowskiWeight]]:
     try:
-        ambient = int(data["ambient_dim"])
-        rays = tuple(tuple(str_to_rat(x) for x in u) for u in data["rays"])
-        cones = tuple(sorted(cone_key(c) for c in data["maximal_cones"]))
+        ambient = _int(data["ambient_dim"], "ambient_dim")
+        rays = tuple(tuple(str_to_rat(x) for x in _list(u, "a ray")) for u in _list(data["rays"], "rays"))
+        cones = tuple(sorted(
+            cone_key(_int(i, "a ray index") for i in _list(c, "a cone"))
+            for c in _list(data["maximal_cones"], "maximal_cones")
+        ))
     except (KeyError, TypeError) as exc:
         raise InputError(f"malformed fan: {exc}") from None
     fan = MarkedFan(ambient_dim=ambient, rays=rays, maximal_cones=cones)
     weight = None
     if "weights" in data and data["weights"] is not None:
+        if not isinstance(data["weights"], dict):
+            raise InputError("weights must be a JSON object from cone keys to rationals")
         values = {key_to_cone(k): str_to_rat(v) for k, v in data["weights"].items()}
         if values:
             degrees = {len(c) for c in values}
@@ -97,7 +125,7 @@ def divisor_to_json(z: Divisor) -> dict:
 
 def divisor_from_json(data) -> Divisor:
     try:
-        return tuple(str_to_rat(v) for v in data["values"])
+        return tuple(str_to_rat(v) for v in _list(data["values"], "divisor values"))
     except (KeyError, TypeError) as exc:
         raise InputError(f"malformed divisor: {exc}") from None
 
@@ -105,22 +133,27 @@ def divisor_from_json(data) -> Divisor:
 def divisors_from_json(data) -> list[Divisor]:
     if isinstance(data, list):
         return [divisor_from_json(d) for d in data]
-    if "divisors" in data:
-        return [divisor_from_json(d) for d in data["divisors"]]
+    if isinstance(data, dict) and "divisors" in data:
+        return [divisor_from_json(d) for d in _list(data["divisors"], "divisors")]
     return [divisor_from_json(data)]
 
 
 def matroid_from_json(data) -> Matroid:
     try:
-        return matroid_from_bases(int(data["n"]), [tuple(b) for b in data["bases"]])
+        n = _int(data["n"], "n")
+        bases = [
+            tuple(_int(e, "a basis element") for e in _list(b, "a basis"))
+            for b in _list(data["bases"], "bases")
+        ]
     except (KeyError, TypeError) as exc:
         raise InputError(f"malformed matroid: {exc}") from None
+    return matroid_from_bases(n, bases)
 
 
 def polytope_from_json(data) -> tuple[MarkedFan, tuple[Fraction, ...]]:
     try:
         fan, _ = fan_from_json(data["fan"])
-        rhs = tuple(str_to_rat(v) for v in data["rhs"])
+        rhs = tuple(str_to_rat(v) for v in _list(data["rhs"], "rhs"))
     except (KeyError, TypeError) as exc:
         raise InputError(f"malformed polytope: {exc}") from None
     return fan, rhs

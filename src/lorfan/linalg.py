@@ -30,28 +30,8 @@ def mat(rows: Iterable[Iterable]) -> Mat:
     return m
 
 
-def zeros(n: int) -> Vec:
-    return (ZERO,) * n
-
-
 def identity(n: int) -> Mat:
     return tuple(tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n))
-
-
-def vec_add(a: Vec, b: Vec) -> Vec:
-    if len(a) != len(b):
-        raise DimensionError("vector length mismatch")
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def vec_sub(a: Vec, b: Vec) -> Vec:
-    if len(a) != len(b):
-        raise DimensionError("vector length mismatch")
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def vec_scale(c: Fraction, a: Vec) -> Vec:
-    return tuple(c * x for x in a)
 
 
 def dot(a: Vec, b: Vec) -> Fraction:

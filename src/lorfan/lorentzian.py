@@ -27,6 +27,7 @@ from .linalg import Inertia, ZERO, ONE, inertia, mat
 from .weights import (
     Divisor,
     TropicalFan,
+    _action_at,
     divisor_action,
     indicator_divisor,
     mixed_degree,
@@ -72,19 +73,12 @@ def volume_poly_2d(tf: TropicalFan, provenance: Cone = ()) -> QuadraticVolumeFor
         w = tf.weight[sigma]
         entries[r1][r2] = w
         entries[r2][r1] = w
-    for rho in range(nrays):
-        total = [ZERO] * fan.ambient_dim
-        for sigma in fan.cones(2):
-            if rho in sigma:
-                (other,) = set(sigma) - {rho}
-                for j, x in enumerate(fan.rays[other]):
-                    total[j] += tf.weight[sigma] * x
-        u = fan.rays[rho]
-        pivot = next((j for j, x in enumerate(u) if x != 0))
-        a = total[pivot] / u[pivot]
-        if any(t != a * x for t, x in zip(total, u)):
+    for (rho,) in fan.cones(1):
+        # the indicator of rho acts at rho by -a, with a as in the docstring
+        diagonal = _action_at(fan, tf.weight, (rho,), indicator_divisor(fan, rho))
+        if diagonal is None:
             raise BalancingError(f"weight is unbalanced at ray {rho}")
-        entries[rho][rho] = -a
+        entries[rho][rho] = diagonal
     return QuadraticVolumeForm(
         matrix=tuple(tuple(row) for row in entries),
         provenance=provenance,
@@ -129,33 +123,6 @@ def volume_polynomial(tf: TropicalFan) -> Polynomial:
             multi //= math.factorial(e)
         poly[tuple(expo)] = multi * degree
     return poly
-
-
-def poly_eval(poly: Polynomial, values: Sequence[Fraction]) -> Fraction:
-    total = ZERO
-    for expo, coeff in poly.items():
-        term = coeff
-        for v, e in zip(values, expo):
-            term *= Fraction(v) ** e
-        total += term
-    return total
-
-
-def hessian_of_quadratic(poly: Polynomial, nrays: int):
-    """Symmetric matrix H with poly(z) = z.H.z for a homogeneous quadratic."""
-    entries = [[ZERO] * nrays for _ in range(nrays)]
-    for expo, coeff in poly.items():
-        support = [i for i, e in enumerate(expo) if e]
-        if sum(expo) != 2:
-            raise PreconditionError("not a quadratic polynomial")
-        if len(support) == 1:
-            i = support[0]
-            entries[i][i] = coeff
-        else:
-            i, j = support
-            entries[i][j] = coeff / 2
-            entries[j][i] = coeff / 2
-    return tuple(tuple(row) for row in entries)
 
 
 # ---------------------------------------------------------------------------

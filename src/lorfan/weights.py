@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 
 from .errors import BalancingError, DimensionError, PreconditionError
 from .fan import Cone, MarkedFan, StarData, cone_key, star
-from .linalg import Vec, ZERO, ONE, det, dot, mat, solve_linear, vec
+from .linalg import Vec, ZERO, ONE, det, dot, mat, vec
 
 Divisor = tuple[Fraction, ...]
 
@@ -81,15 +81,24 @@ class TropicalFan:
         return self.fan.dimension
 
 
-def _balancing_defect(fan: MarkedFan, w: MinkowskiWeight, tau: Cone, k: int):
-    """Weighted sum of opposite marks at tau, and its coordinates in tau's span."""
-    total = (ZERO,) * fan.ambient_dim
-    for sigma in fan.cones(k):
-        if set(tau) <= set(sigma):
-            (extra,) = set(sigma) - set(tau)
-            total = tuple(t + w[sigma] * u for t, u in zip(total, fan.rays[extra]))
-    coords = fan.cone_coordinates(tau, total)
-    return total, coords
+def _action_at(fan: MarkedFan, w: MinkowskiWeight, tau: Cone, z) -> Optional[Fraction]:
+    """Value at tau of z acting on w, or None when w is unbalanced at tau.
+
+    One pass over tau's cofaces sums w(sigma) times the opposite ray's mark
+    and its value of z; the mark sum must lie in tau's span, and the linear
+    function matching z on tau's rays is subtracted at it.
+    """
+    total = [ZERO] * fan.ambient_dim
+    linear_part = ZERO
+    for sigma, eta in fan.cofaces[tau]:
+        ws = w[sigma]
+        linear_part += ws * z[eta]
+        for j, x in enumerate(fan.rays[eta]):
+            total[j] += ws * x
+    coords = fan.cone_coordinates(tau, tuple(total))
+    if coords is None:
+        return None
+    return linear_part - sum((c * z[i] for c, i in zip(coords, tau)), ZERO)
 
 
 def check_balancing(fan: MarkedFan, w: MinkowskiWeight) -> tuple[Cone, ...]:
@@ -99,12 +108,8 @@ def check_balancing(fan: MarkedFan, w: MinkowskiWeight) -> tuple[Cone, ...]:
         return ()
     for sigma in fan.cones(k):
         w[sigma]
-    failing = []
-    for tau in fan.cones(k - 1):
-        _, coords = _balancing_defect(fan, w, tau, k)
-        if coords is None:
-            failing.append(tau)
-    return tuple(failing)
+    zero = (ZERO,) * len(fan.rays)
+    return tuple(tau for tau in fan.cones(k - 1) if _action_at(fan, w, tau, zero) is None)
 
 
 def divisor_action(fan: MarkedFan, w: MinkowskiWeight, z: Divisor) -> MinkowskiWeight:
@@ -121,16 +126,10 @@ def divisor_action(fan: MarkedFan, w: MinkowskiWeight, z: Divisor) -> MinkowskiW
         raise DimensionError("divisor has one value per ray")
     out = {}
     for tau in fan.cones(k - 1):
-        linear_part = ZERO
-        for sigma in fan.cones(k):
-            if set(tau) <= set(sigma):
-                (extra,) = set(sigma) - set(tau)
-                linear_part += w[sigma] * z[extra]
-        _, coords = _balancing_defect(fan, w, tau, k)
-        if coords is None:
+        value = _action_at(fan, w, tau, z)
+        if value is None:
             raise BalancingError(f"weight is unbalanced at cone {tau}")
-        correction = sum((c * z[i] for c, i in zip(coords, tau)), ZERO)
-        out[tau] = linear_part - correction
+        out[tau] = value
     return MinkowskiWeight(k - 1, out)
 
 
@@ -172,18 +171,7 @@ def push_divisor_to_star(sd: StarData, z: Divisor) -> Divisor:
     fan = sd.parent
     if len(z) != len(fan.rays):
         raise DimensionError("divisor has one value per ray")
-    if not sd.apex:
-        return tuple(z)
-    k = len(sd.apex)
-    rows = mat([[fan.rays[i][p] for p in sd.pivot_cols] for i in sd.apex])
-    rhs = vec([z[i] for i in sd.apex])
-    psi_pivot = solve_linear(rows, rhs)
-    if psi_pivot is None:
-        raise DimensionError("apex marks are degenerate")
-    psi = [ZERO] * fan.ambient_dim
-    for p, val in zip(sd.pivot_cols, psi_pivot):
-        psi[p] = val
-    psi = vec(psi)
+    psi = fan.quotient(sd.apex).functional([z[i] for i in sd.apex])
     return tuple(z[parent] - dot(psi, fan.rays[parent]) for parent in sd.lift)
 
 

@@ -5,11 +5,13 @@ vertex lists) rather than through the package's own degree machinery, so the
 tests compare two genuinely different routes to the same numbers.
 """
 
+import itertools
 import math
 import random
 from fractions import Fraction
 
 from lorfan.fan import MarkedFan
+from lorfan.linalg import mat, rref, solve_linear, vec
 from lorfan.weights import MinkowskiWeight, TropicalFan
 
 
@@ -108,3 +110,94 @@ def shoelace_of_vertex_list(fan: MarkedFan, verts: dict) -> Fraction:
         x2, y2 = verts[ordered[(k + 1) % len(ordered)]]
         total += x1 * y2 - x2 * y1
     return abs(total) / 2
+
+
+# ---------------------------------------------------------------------------
+# polynomials
+
+
+def poly_eval(poly: dict, values) -> Fraction:
+    """Value of an exponent-tuple -> coefficient polynomial at a point."""
+    total = Fraction(0)
+    for expo, coeff in poly.items():
+        term = coeff
+        for v, e in zip(values, expo):
+            term *= Fraction(v) ** e
+        total += term
+    return total
+
+
+def hessian_of_quadratic(poly: dict, nrays: int):
+    """Symmetric matrix H with poly(z) = z.H.z for a homogeneous quadratic."""
+    entries = [[Fraction(0)] * nrays for _ in range(nrays)]
+    for expo, coeff in poly.items():
+        support = [i for i, e in enumerate(expo) if e]
+        assert sum(expo) == 2, "not a quadratic polynomial"
+        if len(support) == 1:
+            i = support[0]
+            entries[i][i] = coeff
+        else:
+            i, j = support
+            entries[i][j] = coeff / 2
+            entries[j][i] = coeff / 2
+    return tuple(tuple(row) for row in entries)
+
+
+# ---------------------------------------------------------------------------
+# brute-force scans of a fan, the oracles for its cone index
+
+
+def scan_cones(fan: MarkedFan, k: int):
+    """All k-subsets of maximal cones, deduplicated and sorted."""
+    out = set()
+    for c in fan.maximal_cones:
+        if len(c) >= k:
+            out.update(itertools.combinations(c, k))
+    return tuple(sorted(out))
+
+
+def scan_incident(fan: MarkedFan, tau):
+    return tuple(c for c in fan.maximal_cones if set(tau) <= set(c))
+
+
+def scan_cofaces(fan: MarkedFan, tau):
+    out = []
+    for sigma in scan_cones(fan, len(tau) + 1) if len(tau) < fan.dimension else ():
+        if set(tau) <= set(sigma):
+            (extra,) = set(sigma) - set(tau)
+            out.append((sigma, extra))
+    return tuple(out)
+
+
+def scan_neighborhood(fan: MarkedFan, tau):
+    return tuple(sorted(set(itertools.chain.from_iterable(scan_incident(fan, tau))) - set(tau)))
+
+
+def rref_quotient(fan: MarkedFan, tau):
+    """(pivots, particulars, annihilators) of tau's span, by row reduction of
+    its marks and one linear solve per particular functional."""
+    n = fan.ambient_dim
+    if not tau:
+        identity = tuple(tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n))
+        return (), (), identity
+    marks = [fan.rays[i] for i in tau]
+    reduced, pivots = rref(mat(marks))
+    assert len(pivots) == len(tau), "dependent marks"
+    square = mat([[m[p] for p in pivots] for m in marks])
+    particulars = []
+    for r in range(len(tau)):
+        coeffs = solve_linear(square, vec(int(i == r) for i in range(len(tau))))
+        psi = [Fraction(0)] * n
+        for p, c in zip(pivots, coeffs):
+            psi[p] = c
+        particulars.append(tuple(psi))
+    annihilators = []
+    for j in range(n):
+        if j in pivots:
+            continue
+        row = [Fraction(0)] * n
+        row[j] = Fraction(1)
+        for r_idx, p in enumerate(pivots):
+            row[p] -= reduced[r_idx][j]
+        annihilators.append(tuple(row))
+    return pivots, tuple(particulars), tuple(annihilators)

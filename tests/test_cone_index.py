@@ -1,0 +1,61 @@
+"""The cone index and quotient records of a fan against brute-force scans."""
+
+import random
+
+import pytest
+
+from lorfan import fixtures
+from lorfan.fan import neighborhood_rays, point_fan, star
+from lorfan.matroids import bergman_fan, complete_graph_matroid, fano_matroid, uniform_matroid
+from lorfan.weights import push_divisor_to_star
+
+from helpers import (
+    random_balanced_2fan,
+    rref_quotient,
+    scan_cofaces,
+    scan_cones,
+    scan_incident,
+    scan_neighborhood,
+)
+
+FANS = {
+    "triangle": lambda: fixtures.triangle_fan().fan,
+    "line": lambda: fixtures.line_fan().fan,
+    "skeleton": lambda: fixtures.coordinate_skeleton_fan().fan,
+    "triangle_x_line": lambda: fixtures.triangle_times_line().fan,
+    "two_triangles": lambda: fixtures.two_disjoint_triangles().fan,
+    "spindle": lambda: fixtures.spindle_fan().fan,
+    "origin": lambda: fixtures.origin_fan(2).fan,
+    "point": lambda: point_fan(0),
+    "twisted_prism": lambda: fixtures.twisted_prism_fan().fan,
+    "M(K4)": lambda: bergman_fan(complete_graph_matroid(4)).fan,
+    "Fano": lambda: bergman_fan(fano_matroid()).fan,
+    "U(3,5)": lambda: bergman_fan(uniform_matroid(3, 5)).fan,
+}
+FANS.update({
+    f"planar-{seed}": (lambda seed=seed: random_balanced_2fan(random.Random(seed)).fan)
+    for seed in range(6)
+})
+
+
+@pytest.mark.parametrize("name", sorted(FANS))
+def test_index_and_quotients_match_scans(name):
+    fan = FANS[name]()
+    for k in range(fan.dimension + 1):
+        assert fan.cones(k) == scan_cones(fan, k)
+    assert set(fan.incident) == set(fan.all_cones())
+    rng = random.Random(name)
+    z = tuple(rng.randint(-5, 5) for _ in fan.rays)
+    for tau in fan.all_cones():
+        assert fan.incident[tau] == scan_incident(fan, tau)
+        assert fan.cofaces[tau] == scan_cofaces(fan, tau)
+        assert neighborhood_rays(fan, tau) == scan_neighborhood(fan, tau)
+        q = fan.quotient(tau)
+        pivots, particulars, annihilators = rref_quotient(fan, tau)
+        assert (q.pivots, q.particulars, q.annihilators) == (pivots, particulars, annihilators)
+        sd = star(fan, tau)
+        assert sd.projection == annihilators
+        # the divisor pushed to the star is z minus the particular matching z on tau
+        psi = [sum(z[i] * p[j] for i, p in zip(tau, particulars)) for j in range(fan.ambient_dim)]
+        expected = tuple(z[r] - sum(a * b for a, b in zip(psi, fan.rays[r])) for r in sd.lift)
+        assert push_divisor_to_star(sd, z) == expected

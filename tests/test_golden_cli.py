@@ -1,0 +1,177 @@
+"""Golden CLI reports.
+
+Every case runs one `lorfan` command through `cli.main` on input files stored
+under `tests/golden/inputs/` and compares what it prints, byte for byte, with
+`tests/golden/<case>.json`.  The reports include the per-cone witnesses, the
+strictly convex witness and the star records, so any change to a cone index,
+a quotient convention or an LP row order shows up here.
+
+To rewrite the stored inputs and reports (only when a report is meant to
+change), run from the repository root:
+
+    PYTHONPATH=src python tests/test_golden_cli.py
+"""
+
+import contextlib
+import io
+import json
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+from lorfan.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+INPUTS = GOLDEN / "inputs"
+
+STOCK = {
+    "triangle": "triangle_fan",
+    "line": "line_fan",
+    "skeleton": "coordinate_skeleton_fan",
+    "triangle_x_line": "triangle_times_line",
+    "spindle": "spindle_fan",
+    "two_triangles": "two_disjoint_triangles",
+    "origin": "origin_fan",
+    "twisted_prism": "twisted_prism_fan",
+}
+MATROIDS = {"mk4": "M(K4)", "fano": "Fano", "u35": "U(3,5)"}
+FANS = tuple(STOCK) + tuple(MATROIDS)
+
+DIM = {
+    "triangle": 2, "line": 1, "skeleton": 2, "triangle_x_line": 3, "spindle": 2,
+    "two_triangles": 2, "origin": 0, "twisted_prism": 3, "mk4": 2, "fano": 2, "u35": 2,
+}
+# fans with a strictly convex divisor
+CONVEX = [f for f in FANS if f != "twisted_prism"]
+# pairwise validation takes over a second on each larger matroid fan
+VALIDATE = [f for f in FANS if f not in ("fano", "u35")]
+
+
+def _cases():
+    """(case name, argv) pairs; "@name" stands for tests/golden/inputs/name.json."""
+    cases = []
+    for f in FANS:
+        fan = f"@{f}"
+        cases += [
+            (f"lorentzian-{f}", ["lorentzian", "--fan", fan]),
+            (f"volpoly-{f}", ["volpoly", "--fan", fan]),
+            (f"balance-{f}", ["balance", "--fan", fan]),
+            (f"star-{f}-apex", ["star", "--fan", fan, "--cone", ""]),
+        ]
+        if DIM[f] >= 1:
+            cases.append((f"star-{f}-ray0", ["star", "--fan", fan, "--cone", "0"]))
+            cases.append((f"stellar-{f}", ["stellar", "--fan", fan, "--point", f"@{f}-point"]))
+    cases += [(f"validate-{f}", ["validate", "--fan", f"@{f}"]) for f in VALIDATE]
+    cases.append(("star-triangle_x_line-cone01", ["star", "--fan", "@triangle_x_line", "--cone", "0,1"]))
+    cases.append(("stellar-triangle-on-ray", ["stellar", "--fan", "@triangle", "--point", "3,0"]))
+    for f in CONVEX:
+        fan = f"@{f}"
+        cases.append((f"degree-{f}", ["degree", "--fan", fan, "--divisors", f"@{f}-degree"]))
+        if DIM[f] == 0:
+            continue
+        for z in ("c", "neg"):
+            cases.append((f"convexity-{f}-{z}", ["convexity", "--fan", fan, "--divisor", f"@{f}-{z}", "--strict"]))
+        cases.append((f"modify-{f}", ["modify", "--fan", fan, "--divisor", f"@{f}-c"]))
+        cases.append((f"act-{f}", ["act", "--fan", fan, "--divisor", f"@{f}-c"]))
+        if DIM[f] >= 2:
+            argv = ["af", "--fan", fan, "--d1", f"@{f}-c", "--d2", f"@{f}-c2"]
+            if DIM[f] > 2:
+                argv += ["--aux", f"@{f}-aux"]
+            cases.append((f"af-{f}", argv))
+    for a, b in (("triangle", "line"), ("line", "line"), ("mk4", "line"), ("origin", "spindle")):
+        cases.append((f"product-{a}-{b}", ["product", "--fan", f"@{a}", "--fan2", f"@{b}"]))
+    return cases
+
+
+CASES = _cases()
+
+
+def _resolve(argv):
+    """Input references become paths; a point reference becomes its text."""
+    out = []
+    for arg in argv:
+        if arg.startswith("@"):
+            path = INPUTS / f"{arg[1:]}.json"
+            arg = json.loads(path.read_text())["point"] if arg.endswith("-point") else str(path)
+        out.append(arg)
+    return out
+
+
+def _report(argv):
+    """Exit code and printed report of one CLI run."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(_resolve(argv))
+    return code, out.getvalue()
+
+
+@pytest.mark.parametrize("name,argv", CASES, ids=[name for name, _ in CASES])
+def test_golden_report(name, argv):
+    code, out = _report(argv)
+    assert code == 0
+    assert out == (GOLDEN / f"{name}.json").read_text()
+
+
+# ---------------------------------------------------------------------------
+# regeneration
+
+
+def _write(path: Path, obj) -> None:
+    from lorfan.io import dumps
+
+    path.write_text(dumps(obj) + "\n")
+
+
+def write_inputs() -> None:
+    """Fans from the stock fixtures and Bergman fans; divisors per fan.
+
+    `c` is strictly convex: c_F = |F|(n-|F|) on the proper flats of a Bergman
+    fan, the joint-LP witness on a stock fixture.  `c2` = 2c, `neg` = -c, and
+    the degree case pairs c with c2.  The stellar point is the sum of the marks
+    of the first maximal cone, an interior point of that cone.
+    """
+    from lorfan import fixtures, matroids
+    from lorfan import io as lio
+    from lorfan.convexity import find_strictly_convex
+
+    INPUTS.mkdir(parents=True, exist_ok=True)
+    for f in FANS:
+        if f in STOCK:
+            tf = getattr(fixtures, STOCK[f])()
+            c = find_strictly_convex(tf.fan)
+        else:
+            m = {"M(K4)": matroids.complete_graph_matroid(4), "Fano": matroids.fano_matroid(),
+                 "U(3,5)": matroids.uniform_matroid(3, 5)}[MATROIDS[f]]
+            tf = matroids.bergman_fan(m)
+            c = tuple(Fraction(len(F) * (m.n - len(F))) for F in m.proper_flats())
+        _write(INPUTS / f"{f}.json", lio.tropical_to_json(tf))
+        d = tf.dimension
+        if d >= 1:
+            sigma = tf.fan.maximal_cones[0]
+            point = [sum(tf.fan.rays[i][j] for i in sigma) for j in range(tf.fan.ambient_dim)]
+            _write(INPUTS / f"{f}-point.json", {"point": ",".join(lio.rat_to_str(x) for x in point)})
+        if c is None:
+            continue
+        c2 = tuple(2 * v for v in c)
+        _write(INPUTS / f"{f}-c.json", lio.divisor_to_json(c))
+        _write(INPUTS / f"{f}-c2.json", lio.divisor_to_json(c2))
+        _write(INPUTS / f"{f}-neg.json", lio.divisor_to_json(tuple(-v for v in c)))
+        degree = [c, c2] + [c] * (d - 2) if d >= 2 else [c] * d
+        _write(INPUTS / f"{f}-degree.json", {"divisors": [lio.divisor_to_json(z) for z in degree]})
+        if d > 2:
+            _write(INPUTS / f"{f}-aux.json", {"divisors": [lio.divisor_to_json(c)] * (d - 2)})
+
+
+def regenerate() -> None:
+    write_inputs()
+    for name, argv in CASES:
+        code, out = _report(argv)
+        if code != 0:
+            raise SystemExit(f"{name}: exit code {code}")
+        (GOLDEN / f"{name}.json").write_text(out)
+    print(f"wrote {len(CASES)} reports to {GOLDEN}")
+
+
+if __name__ == "__main__":
+    regenerate()

@@ -1,10 +1,12 @@
 import json
+import time
 from fractions import Fraction
 
 import pytest
 
-from lorfan import io
+from lorfan import cli, io
 from lorfan.cli import main
+from lorfan.errors import InputError
 from lorfan.fixtures import (
     coordinate_skeleton_fan,
     line_fan,
@@ -210,3 +212,94 @@ def test_cli_stellar_accepts_negative_points(tmp_path, capsys):
     assert code == 0
     payload = json.loads(out)
     assert ["-1", "-1"] in payload["rays"]
+
+
+# ---------------------------------------------------------------------------
+# the input boundary: badly typed JSON exits 2, anything unexpected exits 4
+
+
+def _fan_json(**changes):
+    payload = io.tropical_to_json(triangle_fan())
+    payload.update(changes)
+    return payload
+
+
+def test_divisor_string_values_rejected(tmp_path, capsys):
+    fan_file = write(tmp_path, "fan.json", _fan_json())
+    div_file = write(tmp_path, "d.json", {"values": "111"})
+    code, _, err = run(capsys, "convexity", "--fan", fan_file, "--divisor", div_file)
+    assert code == 2
+    assert "list" in err
+
+
+def test_string_ray_rejected(tmp_path, capsys):
+    fan_file = write(tmp_path, "fan.json", _fan_json(rays=["10", ["0", "1"], ["-1", "-1"]]))
+    code, _, err = run(capsys, "balance", "--fan", fan_file)
+    assert code == 2
+    assert "list" in err
+
+
+def test_ambient_dim_must_be_an_integer(tmp_path, capsys):
+    with pytest.raises(InputError):
+        io.fan_from_json(_fan_json(ambient_dim="two"))
+    fan_file = write(tmp_path, "fan.json", _fan_json(ambient_dim="two"))
+    code, _, err = run(capsys, "validate", "--fan", fan_file)
+    assert code == 2
+    assert "Traceback" not in err
+
+
+def test_matroid_size_must_be_an_integer(tmp_path, capsys):
+    m_file = write(tmp_path, "m.json", {"n": "x", "bases": [[0, 1]]})
+    code, _, _ = run(capsys, "bergman", "--matroid", m_file)
+    assert code == 2
+
+
+@pytest.mark.parametrize("where", ["ambient_dim", "ray", "cone", "weight", "divisor", "matroid"])
+def test_booleans_rejected(tmp_path, capsys, where):
+    fan = _fan_json()
+    divisor = {"values": ["1", "1", "1"]}
+    if where == "ambient_dim":
+        fan["ambient_dim"] = True
+    elif where == "ray":
+        fan["rays"][0][0] = True
+    elif where == "cone":
+        fan["maximal_cones"][0] = [False, True]
+    elif where == "weight":
+        fan["weights"]["0,1"] = True
+    elif where == "divisor":
+        divisor["values"][0] = True
+    if where == "matroid":
+        m_file = write(tmp_path, "m.json", {"n": 3, "bases": [[0, True]]})
+        code, _, _ = run(capsys, "bergman", "--matroid", m_file)
+    else:
+        fan_file = write(tmp_path, "fan.json", fan)
+        div_file = write(tmp_path, "d.json", divisor)
+        code, _, _ = run(capsys, "convexity", "--fan", fan_file, "--divisor", div_file)
+    assert code == 2
+
+
+def test_exponent_and_decimal_rationals_refused():
+    start = time.perf_counter()
+    for text in ("1e999999999", "1E5", "0.5", "1/2e3", "inf", "nan", ""):
+        with pytest.raises(InputError):
+            io.str_to_rat(text)
+    assert time.perf_counter() - start < 0.5
+    assert io.str_to_rat(" -3/6") == Fraction(-1, 2)
+    assert io.str_to_rat(4) == 4
+
+
+def test_unexpected_error_exits_4_in_one_line(tmp_path, capsys, monkeypatch):
+    def broken(fan, **_):
+        raise KeyError("first line\nsecond line")
+
+    monkeypatch.setattr(cli, "validate", broken)
+    fan_file = write(tmp_path, "fan.json", _fan_json())
+    code, _, err = run(capsys, "validate", "--fan", fan_file)
+    assert code == 4
+    assert len(err.strip().splitlines()) == 1
+    assert "KeyError" in err
+
+
+def test_jobs_flag_removed(capsys):
+    with pytest.raises(SystemExit):
+        main(["--jobs", "2", "validate", "--fan", "x.json"])

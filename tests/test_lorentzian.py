@@ -16,14 +16,14 @@ from lorfan.fixtures import (
     two_disjoint_triangles,
 )
 from lorfan.linalg import vec
+
+from helpers import hessian_of_quadratic, poly_eval
 from lorfan.lorentzian import (
     af_report,
     definition_sample_check,
-    hessian_of_quadratic,
     is_log_concave,
     is_lorentzian,
     is_unimodal,
-    poly_eval,
     volume_poly_2d,
     volume_polynomial,
 )
