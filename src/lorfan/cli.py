@@ -98,7 +98,7 @@ def cmd_lorentzian(args):
         if args.seed is None:
             raise InputError("--samples requires an explicit --seed")
         payload["sampling"] = io.samples_to_json(
-            definition_sample_check(tf, samples=args.samples, seed=args.seed)
+            definition_sample_check(tf, cert.witness, samples=args.samples, seed=args.seed)
         )
     _emit(args, payload)
     return EXIT_OK

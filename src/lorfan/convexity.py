@@ -16,7 +16,7 @@ from typing import Optional
 
 from .errors import InternalError, PreconditionError
 from .fan import Cone, MarkedFan, neighborhood_rays
-from .linalg import Vec, ZERO, ONE, dot, mat, rank, vec
+from .linalg import Vec, ZERO, ONE, dot, rref, transpose, vec
 from .lp import linear_feasible, strict_feasible
 
 VERDICT_NONE = "none"
@@ -108,12 +108,9 @@ def classify_convexity(fan: MarkedFan, z, strict: bool = False) -> ConvexityCert
 
 
 def spanning_rays(fan: MarkedFan) -> tuple[int, ...]:
-    """First ray subset (by index) whose marks form a basis of the mark span."""
-    chosen = []
-    for i in range(len(fan.rays)):
-        if rank(mat([fan.rays[j] for j in chosen + [i]])) == len(chosen) + 1:
-            chosen.append(i)
-    return tuple(chosen)
+    """First ray subset (by index) whose marks form a basis of the mark span:
+    the pivot columns of the matrix whose columns are the marks."""
+    return rref(transpose(fan.rays))[1]
 
 
 def find_strictly_convex(fan: MarkedFan) -> Optional[tuple]:

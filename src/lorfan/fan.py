@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional
 
-from .errors import DimensionError, InternalError, PreconditionError
+from .errors import DimensionError, PreconditionError
 from .linalg import (
     Mat,
     Vec,
@@ -26,7 +26,7 @@ from .linalg import (
     rref,
     vec,
 )
-from .lp import linear_feasible
+from .lp import strict_feasible
 
 Cone = tuple[int, ...]
 
@@ -214,42 +214,27 @@ class ValidationReport:
         return self.simplicial and self.pure and self.fan_condition and self.all_rays_used
 
 
-def _overlap_witness(fan: MarkedFan, c1: Cone, c2: Cone) -> bool:
-    """True when cone(c1) meets cone(c2) outside the cone on their shared rays.
+def _meet_in_shared_face(fan: MarkedFan, c1: Cone, c2: Cone) -> bool:
+    """True when cone(c1) and cone(c2) meet exactly in the cone on their shared rays.
 
-    Decided exactly: a point of the intersection with a positive coefficient
-    on a non-shared ray exists iff the corresponding linear system with sign
-    constraints is feasible.
+    Two simplicial cones meet in that common face iff some functional h
+    vanishes on the shared marks, is positive on the other marks of c1 and
+    negative on the other marks of c2 (the separation lemma, cf. De Loera,
+    Rambau and Santos, Triangulations, 2010, section 2.1).  strict_feasible
+    checks the functional it finds, or its certificate that none exists,
+    before it returns.
     """
     shared = set(c1) & set(c2)
-    n = fan.ambient_dim
-    k1, k2 = len(c1), len(c2)
-    dim = k1 + k2
-    for side, cone_a in ((0, c1), (1, c2)):
-        for pos, idx in enumerate(cone_a):
-            if idx in shared:
-                continue
-            var = pos if side == 0 else k1 + pos
-            eqs = []
-            for coord in range(n):
-                row = [fan.rays[i][coord] for i in c1] + [-fan.rays[i][coord] for i in c2]
-                eqs.append((vec(row), ZERO))
-            pin = [ZERO] * dim
-            pin[var] = ONE
-            eqs.append((vec(pin), ONE))
-            ineqs = []
-            for j in range(dim):
-                row = [ZERO] * dim
-                row[j] = -ONE
-                ineqs.append((vec(row), ZERO))
-            if linear_feasible(eqs, ineqs, dim) is not None:
-                return True
-    return False
+    equalities = [(fan.rays[s], ZERO) for s in c1 if s in shared]
+    strict = [(tuple(-x for x in fan.rays[i]), ZERO) for i in c1 if i not in shared]
+    strict += [(fan.rays[j], ZERO) for j in c2 if j not in shared]
+    return strict_feasible(equalities, strict, dim=fan.ambient_dim).feasible
 
 
-def validate(fan: MarkedFan, check_pairwise: bool = True) -> ValidationReport:
-    """Structural report: simpliciality, purity, ray usage, and the pairwise
-    cone-intersection condition (the expensive part, on by default)."""
+def validate(fan: MarkedFan) -> ValidationReport:
+    """Structural report: simpliciality, purity, ray usage, and the fan
+    condition, decided by one separating-functional LP per pair of maximal
+    cones."""
     failures = []
 
     simplicial = True
@@ -269,9 +254,9 @@ def validate(fan: MarkedFan, check_pairwise: bool = True) -> ValidationReport:
         failures.append("some rays belong to no maximal cone")
 
     fan_condition = True
-    if check_pairwise and simplicial:
+    if simplicial:
         for c1, c2 in itertools.combinations(fan.maximal_cones, 2):
-            if _overlap_witness(fan, c1, c2):
+            if not _meet_in_shared_face(fan, c1, c2):
                 fan_condition = False
                 failures.append(f"cones {c1} and {c2} overlap beyond their shared face")
 
@@ -319,7 +304,7 @@ def star(fan: MarkedFan, apex: Cone) -> StarData:
     for parent_ray in neighbor_rays:
         image = mat_vec(projection, fan.rays[parent_ray])
         if all(x == 0 for x in image):
-            raise InternalError("a neighborhood ray projects to zero; fan is degenerate at the apex")
+            raise PreconditionError(f"ray {parent_ray} lies in the span of {apex}: not simplicial")
         marks.append(image)
     star_cones = {cone_key(index_of[i] for i in c if i not in apex) for c in fan.incident[apex]}
     quotient = MarkedFan(

@@ -263,12 +263,11 @@ def af_report(
 # definition-level sampling
 
 
-def sample_strictly_convex(
-    fan: MarkedFan,
-    witness: Divisor,
-    rng: random.Random,
-    max_halvings: int = 14,
-) -> Divisor:
+# halvings of the random bump before sampling gives up
+_MAX_HALVINGS = 14
+
+
+def sample_strictly_convex(fan: MarkedFan, witness: Divisor, rng: random.Random) -> Divisor:
     """A random strictly convex divisor: the witness plus a shrinking random
     nonnegative combination of ray indicators, re-certified before use."""
     if not witness:
@@ -277,7 +276,7 @@ def sample_strictly_convex(
     base = tuple(scale * v for v in witness)
     bump = tuple(Fraction(rng.randint(0, 12), 4) for _ in range(len(fan.rays)))
     eps = ONE
-    for _ in range(max_halvings):
+    for _ in range(_MAX_HALVINGS):
         candidate = tuple(b + eps * p for b, p in zip(base, bump))
         if classify_convexity(fan, candidate, strict=True).strictly_convex:
             return candidate
@@ -306,18 +305,23 @@ class SampleCheckReport:
         )
 
 
-def definition_sample_check(tf: TropicalFan, samples: int, seed: int) -> SampleCheckReport:
+def definition_sample_check(
+    tf: TropicalFan, witness: Optional[Divisor], samples: int, seed: int
+) -> SampleCheckReport:
     """Necessary-condition sampling straight from the defining property.
 
     For each star of dimension at least two and random strictly convex
     auxiliary divisors, the bilinear mixed-degree form on the ray basis must
     show exactly one positive eigenvalue, and sampled top degrees must be
-    positive.  Complements the exact decision procedure.
+    positive.  Complements the exact decision procedure.  The samples are
+    drawn around `witness`, a strictly convex divisor on the fan, such as the
+    witness of the fan's Lorentzian certificate.
     """
     fan = tf.fan
-    witness = find_strictly_convex(fan)
     if witness is None:
         raise PreconditionError("sampling requires a quasiprojective fan")
+    if not classify_convexity(fan, witness, strict=True).strictly_convex:
+        raise PreconditionError("sampling requires a strictly convex witness")
     rng = random.Random(seed)
     records = []
     for tau in sorted(fan.all_cones()):

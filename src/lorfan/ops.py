@@ -11,7 +11,7 @@ from typing import Sequence
 
 from .convexity import classify_convexity
 from .errors import ConvexityError, PreconditionError
-from .fan import MarkedFan, cone_key, product_fan
+from .fan import MarkedFan, cone_key, product_fan, validate
 from .linalg import Vec, ZERO, ONE, mat, solve_linear, vec
 from .weights import (
     Divisor,
@@ -200,12 +200,16 @@ class MixedVolumeResult:
 def polytope_bridge(fan: MarkedFan, rhs_list: Sequence[Sequence[Fraction]]) -> MixedVolumeResult:
     """Mixed degree of the divisors of polytopes sharing this complete normal fan.
 
-    Requires the unit weight to balance on the fan (part of sharing a normal
-    fan structure with integral volume bookkeeping).
+    Requires a valid fan, since completeness is read off wall counts, and the
+    unit weight to balance on it (part of sharing a normal fan structure with
+    integral volume bookkeeping).
     """
     d = fan.dimension
     if len(rhs_list) != d:
         raise PreconditionError(f"need {d} polytopes, got {len(rhs_list)}")
+    report = validate(fan)
+    if not report.valid:
+        raise PreconditionError(f"mixed volumes need a fan: {report.failures[0]}")
     if not is_complete(fan):
         raise PreconditionError("mixed volumes need a complete fan")
     unit = MinkowskiWeight(d, {c: ONE for c in fan.cones(d)})

@@ -11,7 +11,8 @@ import random
 from fractions import Fraction
 
 from lorfan.fan import MarkedFan
-from lorfan.linalg import mat, rref, solve_linear, vec
+from lorfan.linalg import ONE, ZERO, mat, rank, rref, solve_linear, vec
+from lorfan.lp import linear_feasible
 from lorfan.weights import MinkowskiWeight, TropicalFan
 
 
@@ -201,3 +202,75 @@ def rref_quotient(fan: MarkedFan, tau):
             row[p] -= reduced[r_idx][j]
         annihilators.append(tuple(row))
     return pivots, tuple(particulars), tuple(annihilators)
+
+
+# ---------------------------------------------------------------------------
+# fan condition and spanning rays, by the definitions
+
+
+def overlap_witness(fan: MarkedFan, c1, c2) -> bool:
+    """True when cone(c1) meets cone(c2) outside the cone on their shared rays.
+
+    One LP per non-shared ray over the k1 + k2 cone coefficients: is there a
+    point of both cones whose coefficient on that ray is one?
+    """
+    shared = set(c1) & set(c2)
+    n = fan.ambient_dim
+    k1, k2 = len(c1), len(c2)
+    dim = k1 + k2
+    for side, cone_a in ((0, c1), (1, c2)):
+        for pos, idx in enumerate(cone_a):
+            if idx in shared:
+                continue
+            var = pos if side == 0 else k1 + pos
+            eqs = []
+            for coord in range(n):
+                row = [fan.rays[i][coord] for i in c1] + [-fan.rays[i][coord] for i in c2]
+                eqs.append((vec(row), ZERO))
+            pin = [ZERO] * dim
+            pin[var] = ONE
+            eqs.append((vec(pin), ONE))
+            ineqs = []
+            for j in range(dim):
+                row = [ZERO] * dim
+                row[j] = -ONE
+                ineqs.append((vec(row), ZERO))
+            if linear_feasible(eqs, ineqs, dim) is not None:
+                return True
+    return False
+
+
+def greedy_spanning_rays(fan: MarkedFan):
+    """Rays taken in index order whenever they raise the rank of those taken."""
+    chosen = []
+    for i in range(len(fan.rays)):
+        if rank(mat([fan.rays[j] for j in chosen + [i]])) == len(chosen) + 1:
+            chosen.append(i)
+    return tuple(chosen)
+
+
+def triangle_double_cover() -> MarkedFan:
+    """The triangle's three rays listed twice, with six cones winding twice
+    round the plane.  Cones on the same marks under different ray indices
+    overlap, so this is not a fan; wall counts cannot tell."""
+    rays = tuple(vec(u) for u in ((1, 0), (0, 1), (-1, -1))) * 2
+    cones = ((0, 1), (1, 5), (3, 5), (3, 4), (2, 4), (0, 2))
+    return MarkedFan(ambient_dim=2, rays=rays, maximal_cones=tuple(sorted(cones)))
+
+
+def random_simplicial_fan(rng: random.Random, n: int) -> MarkedFan:
+    """A few random full-dimensional simplicial cones in R^n on small integer
+    rays; they may overlap, so the result need not be a fan."""
+    rays = []
+    cones = set()
+    count = rng.randint(2, 4)
+    while len(cones) < count:
+        cone = []
+        while len(cone) < n:
+            u = vec(rng.randint(-2, 2) for _ in range(n))
+            if any(u) and rank(mat([rays[i] for i in cone] + [u])) == len(cone) + 1:
+                if u not in rays:
+                    rays.append(u)
+                cone.append(rays.index(u))
+        cones.add(tuple(sorted(cone)))
+    return MarkedFan(ambient_dim=n, rays=tuple(rays), maximal_cones=tuple(sorted(cones)))

@@ -57,7 +57,7 @@ def test_validate_reports_purity_and_ray_usage():
         rays=(vec([1, 0]), vec([0, 1]), vec([-1, 0])),
         maximal_cones=((0, 1), (2,)),
     )
-    report = validate(fan, check_pairwise=False)
+    report = validate(fan)
     assert not report.pure
     fan2 = MarkedFan(
         ambient_dim=2,

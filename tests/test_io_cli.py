@@ -15,6 +15,8 @@ from lorfan.fixtures import (
 )
 from lorfan.matroids import complete_graph_matroid
 
+from helpers import triangle_double_cover
+
 
 def write(tmp_path, name, payload):
     path = tmp_path / name
@@ -188,6 +190,26 @@ def test_cli_mixedvol_and_volpoly(tmp_path, capsys):
     payload = json.loads(out)
     assert payload["inertia"] == [1, 0, 2]
     assert payload["polynomial"]["1,1,0"] == "2"
+
+
+def test_cli_mixedvol_refuses_double_cover(tmp_path, capsys):
+    fan_json = io.fan_to_json(triangle_double_cover())
+    p_file = write(tmp_path, "p.json", {"fan": fan_json, "rhs": ["1"] * 6})
+    code, out, err = run(capsys, "mixedvol", "--polytope", p_file, "--polytope", p_file)
+    assert code == 3
+    assert out == ""
+    assert "overlap" in err
+
+
+def test_cli_star_refuses_dependent_marks_at_apex(tmp_path, capsys):
+    # ray 0 moved onto the line of ray 2: cone (0, 2) is no longer simplicial
+    payload = io.tropical_to_json(triangle_fan())
+    payload["rays"][0] = ["1", "1"]
+    fan_file = write(tmp_path, "fan.json", payload)
+    code, out, err = run(capsys, "star", "--fan", fan_file, "--cone", "0")
+    assert code == 3
+    assert out == ""
+    assert "not simplicial" in err
 
 
 def test_cli_out_file(tmp_path, capsys):

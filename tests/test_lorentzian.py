@@ -191,7 +191,7 @@ def test_sequence_shape_helpers():
 
 def test_definition_sample_check_skeleton():
     tf = coordinate_skeleton_fan()
-    report = definition_sample_check(tf, samples=2, seed=9)
+    report = definition_sample_check(tf, find_strictly_convex(tf.fan), samples=2, seed=9)
     assert report.all_lorentzian_signs
     # with no auxiliary divisors the origin record is the volume form itself
     origin = next(r for r in report.records if r.cone == ())
@@ -200,7 +200,7 @@ def test_definition_sample_check_skeleton():
 
 def test_definition_sample_check_product():
     tf = triangle_times_line()
-    report = definition_sample_check(tf, samples=2, seed=10)
+    report = definition_sample_check(tf, find_strictly_convex(tf.fan), samples=2, seed=10)
     assert report.all_lorentzian_signs
 
 
@@ -208,24 +208,33 @@ def test_definition_sample_check_cross_validates_bergman():
     from lorfan.matroids import bergman_fan, complete_graph_matroid
 
     tf = bergman_fan(complete_graph_matroid(4))
-    assert is_lorentzian(tf).verdict
-    report = definition_sample_check(tf, samples=1, seed=11)
+    cert = is_lorentzian(tf)
+    assert cert.verdict
+    report = definition_sample_check(tf, cert.witness, samples=1, seed=11)
     assert report.all_lorentzian_signs
 
 
 def test_definition_sample_check_sees_pinch_signature():
     tf = two_disjoint_triangles()
-    report = definition_sample_check(tf, samples=1, seed=3)
+    report = definition_sample_check(tf, find_strictly_convex(tf.fan), samples=1, seed=3)
     # pinched fan: the origin star exposes more than one positive eigenvalue
     origin = next(r for r in report.records if r.cone == ())
     assert any(p != 1 for p in origin.positive_counts)
 
 
 def test_definition_sample_check_requires_quasiprojective():
+    # the twisted prism has no strictly convex divisor, so no witness
     from lorfan.fixtures import twisted_prism_fan
 
     with pytest.raises(PreconditionError):
-        definition_sample_check(twisted_prism_fan(), samples=1, seed=3)
+        definition_sample_check(twisted_prism_fan(), None, samples=1, seed=3)
+
+
+def test_definition_sample_check_requires_strictly_convex_witness():
+    tf = triangle_fan()
+    for z in ([0, 0, 0], [-1, 0, 0], [1, 1]):
+        with pytest.raises(PreconditionError):
+            definition_sample_check(tf, divisor(z), samples=1, seed=3)
 
 
 def test_twisted_prism_is_not_quasiprojective():

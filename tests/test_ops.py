@@ -26,7 +26,7 @@ from lorfan.ops import (
 )
 from lorfan.weights import check_balancing, divisor, mixed_degree
 
-from helpers import shoelace_of_vertex_list, smooth_complete_2fan
+from helpers import shoelace_of_vertex_list, smooth_complete_2fan, triangle_double_cover
 
 
 def test_product_tropical_unit_weights():
@@ -158,6 +158,16 @@ def test_polytope_bridge_arity_and_completeness():
         polytope_bridge(fan, [[Fraction(1)] * 3])
     with pytest.raises(PreconditionError):
         polytope_bridge(spindle_fan().fan, [[Fraction(1)] * 4] * 2)
+
+
+def test_polytope_bridge_refuses_double_cover():
+    # wall counts alone call the double cover complete; its degree with all
+    # right-hand sides one would read 18, twice the triangle's 9
+    fan = triangle_double_cover()
+    assert is_complete(fan)
+    with pytest.raises(PreconditionError, match="overlap"):
+        polytope_bridge(fan, [[Fraction(1)] * 6] * 2)
+    assert polytope_bridge(triangle_fan().fan, [[Fraction(1)] * 3] * 2).degree == 9
 
 
 def test_minkowski_sum_linearity():
