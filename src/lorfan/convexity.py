@@ -2,10 +2,10 @@
 
 A divisor is convex when every cone admits a linear representative that
 matches it on the cone's rays and stays below it on the neighborhood rays;
-strict convexity asks for strict slack.  Both are decided by exact linear
-feasibility.  The matching equalities are eliminated analytically (a pinned
-particular functional plus a basis of functionals vanishing on the cone), so
-every feasibility block is small and equality-free.
+strict convexity asks for strict slack.  Both are read off the optimum of one
+exact max-slack program per cone.  The matching equalities are eliminated
+analytically (a pinned particular functional plus a basis of functionals
+vanishing on the cone), so every program is small and equality-free.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from typing import Optional
 from .errors import InternalError, PreconditionError
 from .fan import Cone, MarkedFan, neighborhood_rays
 from .linalg import Vec, ZERO, ONE, dot, rref, transpose, vec
-from .lp import linear_feasible, strict_feasible
+from .lp import StrictFeasibility, strict_feasible
 
 VERDICT_NONE = "none"
 VERDICT_CONVEX = "convex"
@@ -49,55 +49,54 @@ class ConvexityCertificate:
         return self.verdict == VERDICT_STRICT
 
 
-def _witness_at_cone(fan: MarkedFan, z, tau: Cone, strict: bool) -> ConeWitness:
+def _witness_at_cone(fan: MarkedFan, z, tau: Cone, strict: bool) -> tuple[ConeWitness, Fraction]:
+    """The cone's witness and the optimum t* of its max-slack program, whose
+    rows are phi(u_eta) + t <= z_eta on the neighborhood rays: the cone has
+    a strict witness iff t* > 0 and a weak one iff t* >= 0."""
     q = fan.quotient(tau)
     z_on_tau = [Fraction(z[i]) for i in tau]
     base = q.functional(z_on_tau)
     neighbors = neighborhood_rays(fan, tau)
     if not neighbors:
-        return ConeWitness(tau, base, strict, True)
+        return ConeWitness(tau, base, strict, True), ONE
     rows = []
     for eta in neighbors:
         u = fan.rays[eta]
         coeffs = tuple(dot(row, u) for row in q.annihilators)
         rows.append((coeffs, Fraction(z[eta]) - dot(base, u)))
-    dim = len(q.annihilators)
-    if strict:
-        res = strict_feasible([], rows, dim=dim)
-        w = res.witness
-    else:
-        w = linear_feasible([], rows, dim)
-    if w is None:
-        return ConeWitness(tau, None, strict, False)
-    phi = q.functional(z_on_tau, w)
+    res = strict_feasible(rows, len(q.annihilators))
+    if res.optimum < 0 or (strict and not res.feasible):
+        return ConeWitness(tau, None, strict, False), res.optimum
+    phi = q.functional(z_on_tau, res.point)
     for i in tau:
         if dot(phi, fan.rays[i]) != z[i]:
             raise InternalError("reconstructed witness misses a matching value")
-    return ConeWitness(tau, phi, strict, True)
+    return ConeWitness(tau, phi, strict, True), res.optimum
 
 
 def classify_convexity(fan: MarkedFan, z, strict: bool = False) -> ConvexityCertificate:
     """Per-cone feasibility certificates for the requested convexity level.
 
-    When a strict test fails the divisor is retested weakly so the verdict
-    distinguishes convex from not convex at all.
+    One max-slack program per cone decides both levels, so a failed strict
+    test still tells convex from not convex at all.
     """
     if len(z) != len(fan.rays):
         raise PreconditionError("divisor has one value per ray")
     witnesses = []
     failing = []
+    lowest = ONE
     for tau in fan.all_cones():
-        w = _witness_at_cone(fan, z, tau, strict)
+        w, optimum = _witness_at_cone(fan, z, tau, strict)
         witnesses.append(w)
         if not w.satisfied:
             failing.append(tau)
-    if not failing:
-        verdict = VERDICT_STRICT if strict else VERDICT_CONVEX
-    elif strict:
-        weak = classify_convexity(fan, z, strict=False)
-        verdict = VERDICT_CONVEX if weak.convex else VERDICT_NONE
-    else:
+        lowest = min(lowest, optimum)
+    if lowest < 0:
         verdict = VERDICT_NONE
+    elif strict and lowest > 0:
+        verdict = VERDICT_STRICT
+    else:
+        verdict = VERDICT_CONVEX
     return ConvexityCertificate(
         divisor=tuple(Fraction(v) for v in z),
         strict_requested=strict,
@@ -116,58 +115,47 @@ def spanning_rays(fan: MarkedFan) -> tuple[int, ...]:
 def find_strictly_convex(fan: MarkedFan) -> Optional[tuple]:
     """A strictly convex divisor, or None when the fan admits none."""
     result = strict_convexity_program(fan)
-    if result.witness is None:
+    if not result.feasible:
         return None
-    return tuple(result.witness[: len(fan.rays)])
+    pinned = set(spanning_rays(fan))
+    values = iter(result.point)
+    return tuple(ZERO if i in pinned else next(values) for i in range(len(fan.rays)))
 
 
-def strict_convexity_program(fan: MarkedFan):
-    """The joint strict-feasibility program behind find_strictly_convex.
+def strict_convexity_program(fan: MarkedFan) -> StrictFeasibility:
+    """The joint max-slack program behind find_strictly_convex.
 
-    One block of quotient-functional variables per cone with a nonempty
-    neighborhood; the divisor values are pinned to zero on a spanning set of
-    rays to factor out global linear functions.  Returns the full max-slack
-    result, so absence comes with the exact optimum and its dual certificate.
+    The divisor is zero on a spanning set of rays, which factors out global
+    linear functions, so its columns are the values on the other rays in
+    index order; then comes one block of quotient-functional columns per cone
+    with a nonempty neighborhood.  Returns the full max-slack result, so
+    absence comes with the exact optimum and its dual certificate.
     """
-    from .lp import StrictFeasibility
-
-    nrays = len(fan.rays)
-    if nrays == 0:
-        return StrictFeasibility(witness=(), optimum=None, certificate=None)
-
+    pinned = set(spanning_rays(fan))
+    unpinned = [i for i in range(len(fan.rays)) if i not in pinned]
+    column = {i: k for k, i in enumerate(unpinned)}
     blocks = []
+    dim = len(column)
     for tau in fan.all_cones():
         neighbors = neighborhood_rays(fan, tau)
         if neighbors:
-            blocks.append((tau, neighbors))
-    if not blocks:
-        return StrictFeasibility(witness=(ZERO,) * nrays, optimum=None, certificate=None)
+            blocks.append((tau, neighbors, dim))
+            dim += len(fan.quotient(tau).annihilators)
 
-    offsets = {}
-    dim = nrays
-    for tau, _ in blocks:
-        offsets[tau] = dim
-        dim += len(fan.quotient(tau).annihilators)
-
-    strict_rows = []
-    for tau, neighbors in blocks:
+    rows = []
+    for tau, neighbors, base in blocks:
         q = fan.quotient(tau)
-        base = offsets[tau]
         for eta in neighbors:
             u = fan.rays[eta]
             row = [ZERO] * dim
             # phi(u_eta) - z_eta < 0 with phi = sum z_r psi_r + w.annihilators
             for ray_idx, psi in zip(tau, q.particulars):
-                row[ray_idx] += dot(psi, u)
+                if ray_idx in column:
+                    row[column[ray_idx]] += dot(psi, u)
             for k, a in enumerate(q.annihilators):
                 row[base + k] += dot(a, u)
-            row[eta] -= ONE
-            strict_rows.append((vec(row), ZERO))
+            if eta in column:
+                row[column[eta]] -= ONE
+            rows.append((vec(row), ZERO))
 
-    eqs = []
-    for i in spanning_rays(fan):
-        row = [ZERO] * dim
-        row[i] = ONE
-        eqs.append((vec(row), ZERO))
-
-    return strict_feasible(eqs, strict_rows, dim=dim)
+    return strict_feasible(rows, dim)

@@ -220,15 +220,21 @@ def _meet_in_shared_face(fan: MarkedFan, c1: Cone, c2: Cone) -> bool:
     Two simplicial cones meet in that common face iff some functional h
     vanishes on the shared marks, is positive on the other marks of c1 and
     negative on the other marks of c2 (the separation lemma, cf. De Loera,
-    Rambau and Santos, Triangulations, 2010, section 2.1).  strict_feasible
-    checks the functional it finds, or its certificate that none exists,
-    before it returns.
+    Rambau and Santos, Triangulations, 2010, section 2.1).  The functionals
+    vanishing on the shared face are the combinations of its quotient
+    record's annihilators, so the program runs over their coefficients.
+    strict_feasible checks the functional it finds, or its certificate that
+    none exists, before it returns.
     """
-    shared = set(c1) & set(c2)
-    equalities = [(fan.rays[s], ZERO) for s in c1 if s in shared]
-    strict = [(tuple(-x for x in fan.rays[i]), ZERO) for i in c1 if i not in shared]
-    strict += [(fan.rays[j], ZERO) for j in c2 if j not in shared]
-    return strict_feasible(equalities, strict, dim=fan.ambient_dim).feasible
+    shared = tuple(s for s in c1 if s in c2)
+    annihilators = fan.quotient(shared).annihilators
+
+    def row(i, sign):
+        return tuple(sign * dot(a, fan.rays[i]) for a in annihilators), ZERO
+
+    rows = [row(i, -1) for i in c1 if i not in shared]
+    rows += [row(j, 1) for j in c2 if j not in shared]
+    return strict_feasible(rows, len(annihilators)).feasible
 
 
 def validate(fan: MarkedFan) -> ValidationReport:

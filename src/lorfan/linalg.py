@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from .errors import DimensionError, InternalError
 
@@ -37,7 +37,7 @@ def identity(n: int) -> Mat:
 def dot(a: Vec, b: Vec) -> Fraction:
     if len(a) != len(b):
         raise DimensionError("vector length mismatch")
-    return sum((x * y for x, y in zip(a, b)), ZERO)
+    return sum((x * y for x, y in zip(a, b) if x and y), ZERO)
 
 
 def mat_vec(A: Mat, x: Vec) -> Vec:
@@ -89,26 +89,6 @@ def rref(A: Mat) -> tuple[Mat, tuple[int, ...]]:
 
 def rank(A: Mat) -> int:
     return len(rref(A)[1])
-
-
-def solve_linear(A: Mat, b: Vec) -> Optional[Vec]:
-    """One exact solution of Ax = b, or None when the system is inconsistent.
-
-    Free variables are set to zero, so the returned solution is canonical.
-    """
-    if len(A) != len(b):
-        raise DimensionError("matrix has %d rows, vector has %d entries" % (len(A), len(b)))
-    if not A:
-        return ()
-    ncols = len(A[0])
-    aug = mat(tuple(row) + (bi,) for row, bi in zip(A, b))
-    R, pivots = rref(aug)
-    if ncols in pivots:
-        return None
-    x = [ZERO] * ncols
-    for i, c in enumerate(pivots):
-        x[c] = R[i][ncols]
-    return tuple(x)
 
 
 def det(A: Mat) -> Fraction:

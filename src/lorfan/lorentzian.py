@@ -22,7 +22,7 @@ from .errors import (
     InternalError,
     PreconditionError,
 )
-from .fan import Cone, MarkedFan, PinchReport, is_unpinched, star
+from .fan import Cone, MarkedFan, PinchReport, is_unpinched, star, validate
 from .linalg import Inertia, ZERO, ONE, inertia, mat
 from .weights import (
     Divisor,
@@ -157,9 +157,13 @@ def is_lorentzian(tf: TropicalFan) -> LorentzianCertificate:
     Quasiprojectivity is witnessed by an exact strictly convex divisor; the
     star condition demands exactly one positive eigenvalue of the quadratic
     volume form of every codimension-two star.  Fans of dimension at most one
-    are Lorentzian exactly when quasiprojective.
+    are Lorentzian exactly when quasiprojective.  Input that fails validate
+    is refused: the characterization holds only for fans.
     """
     fan = tf.fan
+    report = validate(fan)
+    if not report.valid:
+        raise PreconditionError(f"the Lorentzian test needs a fan: {report.failures[0]}")
     d = fan.dimension
     witness = find_strictly_convex(fan)
     quasiprojective = witness is not None

@@ -1,10 +1,20 @@
-"""Exact rational linear programming.
+"""Exact rational linear programming: the max-slack program.
 
-A dense two-phase tableau simplex over Fraction entries.  Pivoting uses the
-most-negative-reduced-cost rule and falls back to Bland's rule whenever the
-objective stalls, which rules out cycling while keeping the common case fast.
-Duals are read off the artificial columns, so infeasibility and "optimum is
-nonpositive" outcomes both come with exact Farkas-style witnesses.
+Every LP in the package asks one question: the largest t with a.x + t <= b on
+every row, over free x and with t <= 1.  The point x = 0 with
+t0 = min(1, min b) is always feasible, so after the shift t = t0 + tau
+(tau >= 0 loses nothing) the slack columns form a feasible starting basis and
+a single phase of a dense tableau simplex over Fraction entries solves it:
+the program is never infeasible or unbounded, and it has no equality rows.
+Pivoting uses the most-negative-reduced-cost rule and falls back to Bland's
+rule whenever the objective stalls, which rules out cycling while keeping
+the common case fast.  The x columns stay free: they enter in either
+direction and, once basic, never leave.
+
+At the optimum t*, the reduced costs of the slack columns, normalised to sum
+to one, are dual multipliers whose combination of the rows has value t*.
+When t* <= 0 they are an exact Farkas certificate that no x meets every row
+strictly; it is checked before the solver returns, and so is the point.
 """
 
 from __future__ import annotations
@@ -16,22 +26,10 @@ from typing import Optional, Sequence
 from .errors import DimensionError, InternalError
 from .linalg import Vec, ZERO, ONE, dot
 
-OPTIMAL = "optimal"
-INFEASIBLE = "infeasible"
-UNBOUNDED = "unbounded"
-
 LinearRow = tuple[Vec, Fraction]
 
 # consecutive non-improving pivots tolerated before switching to Bland's rule
 _STALL_LIMIT = 12
-
-
-@dataclass
-class _StandardResult:
-    status: str
-    x: Optional[list[Fraction]]
-    value: Optional[Fraction]
-    duals: Optional[list[Fraction]]
 
 
 def _pivot(T, zrow, basis, row, col):
@@ -60,21 +58,13 @@ def _pivot(T, zrow, basis, row, col):
     basis[row] = col
 
 
-def _cost_row(T, basis, cost):
-    """Reduced costs c - cB.B^-1.A plus the negated objective in the last slot."""
-    zrow = list(cost) + [ZERO]
-    for i, b in enumerate(basis):
-        cb = cost[b]
-        if cb:
-            row = T[i]
-            for j, v in enumerate(row):
-                if v:
-                    zrow[j] -= cb * v
-    return zrow
+def _run_phase(T, zrow, basis, nfree):
+    """Minimize over the tableau until no column improves the objective.
 
-
-def _run_phase(T, zrow, basis, ncols):
-    """Minimize over the current tableau; entering columns drawn from range(ncols)."""
+    Columns below `nfree` are free: one enters downwards when its reduced
+    cost is positive, and once basic it bounds no ratio, so it never leaves.
+    Every other column, slacks included, is nonnegative.
+    """
     rhs = len(zrow) - 1
     stall = 0
     last_obj = None
@@ -89,22 +79,26 @@ def _run_phase(T, zrow, basis, ncols):
 
         enter = None
         best = ZERO
-        for j in range(ncols):
+        for j in range(rhs):
             rc = zrow[j]
-            if rc < 0:
+            gain = -abs(rc) if j < nfree else rc
+            if gain < 0:
                 if use_bland:
                     enter = j
                     break
-                if rc < best:
-                    best = rc
+                if gain < best:
+                    best = gain
                     enter = j
         if enter is None:
-            return OPTIMAL
+            return
+        up = zrow[enter] < 0
 
         leave = None
         best_ratio = None
         for i in range(len(T)):
-            a = T[i][enter]
+            if basis[i] < nfree:
+                continue
+            a = T[i][enter] if up else -T[i][enter]
             if a > 0:
                 ratio = T[i][rhs] / a
                 if (
@@ -115,245 +109,101 @@ def _run_phase(T, zrow, basis, ncols):
                     best_ratio = ratio
                     leave = i
         if leave is None:
-            return UNBOUNDED
+            raise InternalError("max-slack program cannot be unbounded")
         _pivot(T, zrow, basis, leave, enter)
-
-
-def _simplex_standard(A, b, c) -> _StandardResult:
-    """min c.x  subject to  Ax = b, x >= 0.
-
-    On INFEASIBLE the duals are a Farkas witness: y.A <= 0 and y.b > 0.
-    On OPTIMAL they satisfy y.A <= c and y.b = value.
-    """
-    m = len(A)
-    n = len(c)
-    flip = [bi < 0 for bi in b]
-    rows = [
-        [-v for v in A[i]] if flip[i] else list(A[i])
-        for i in range(m)
-    ]
-    rhs = [-b[i] if flip[i] else b[i] for i in range(m)]
-
-    # tableau columns: n structural, m artificial, 1 rhs
-    T = [rows[i] + [ONE if k == i else ZERO for k in range(m)] + [rhs[i]] for i in range(m)]
-    basis = [n + i for i in range(m)]
-
-    def read_duals(cost, zrow):
-        # reduced cost on artificial j is cost[n+j] - y_j
-        y = []
-        for j in range(m):
-            val = cost[n + j] - zrow[n + j]
-            y.append(-val if flip[j] else val)
-        return y
-
-    cost1 = [ZERO] * n + [ONE] * m
-    zrow = _cost_row(T, basis, cost1)
-    status = _run_phase(T, zrow, basis, n)
-    if status != OPTIMAL:
-        raise InternalError("phase one cannot be unbounded")
-    obj1 = -zrow[n + m]
-    if obj1 > 0:
-        return _StandardResult(INFEASIBLE, None, None, read_duals(cost1, zrow))
-
-    # drive leftover artificials out of the basis; redundant rows keep them at zero
-    for i in range(m):
-        if basis[i] >= n:
-            col = next((j for j in range(n) if T[i][j] != 0), None)
-            if col is not None:
-                _pivot(T, zrow, basis, i, col)
-
-    cost2 = list(c) + [ZERO] * m
-    zrow = _cost_row(T, basis, cost2)
-    status = _run_phase(T, zrow, basis, n)
-    if status == UNBOUNDED:
-        return _StandardResult(UNBOUNDED, None, None, None)
-    x = [ZERO] * n
-    for i in range(m):
-        if basis[i] < n:
-            x[basis[i]] = T[i][n + m]
-    value = dot(tuple(c), tuple(x))
-    return _StandardResult(OPTIMAL, x, value, read_duals(cost2, zrow))
-
-
-@dataclass
-class LpResult:
-    status: str
-    x: Optional[Vec]
-    value: Optional[Fraction]
-    eq_duals: Optional[Vec]
-    le_duals: Optional[Vec]
-
-
-def lp_max(
-    objective: Vec,
-    equalities: Sequence[LinearRow],
-    inequalities: Sequence[LinearRow],
-) -> LpResult:
-    """max objective.x over free x with a.x = b equalities and a.x <= b rows."""
-    nv = len(objective)
-    for a, _ in list(equalities) + list(inequalities):
-        if len(a) != nv:
-            raise DimensionError("constraint row has wrong dimension")
-    n_le = len(inequalities)
-    rows = []
-    rhs = []
-    for a, bv in equalities:
-        rows.append([*a] + [-v for v in a] + [ZERO] * n_le)
-        rhs.append(bv)
-    for k, (a, bv) in enumerate(inequalities):
-        slack = [ZERO] * n_le
-        slack[k] = ONE
-        rows.append([*a] + [-v for v in a] + slack)
-        rhs.append(bv)
-    cost = [-v for v in objective] + [v for v in objective] + [ZERO] * n_le
-    res = _simplex_standard(rows, rhs, cost)
-    if res.status == INFEASIBLE:
-        y = res.duals
-        return LpResult(
-            INFEASIBLE,
-            None,
-            None,
-            tuple(y[: len(equalities)]),
-            tuple(y[len(equalities):]),
-        )
-    if res.status == UNBOUNDED:
-        return LpResult(UNBOUNDED, None, None, None, None)
-    x = tuple(res.x[j] - res.x[nv + j] for j in range(nv))
-    y = res.duals
-    return LpResult(
-        OPTIMAL,
-        x,
-        -res.value,
-        tuple(y[: len(equalities)]),
-        tuple(y[len(equalities):]),
-    )
-
-
-def linear_feasible(
-    equalities: Sequence[LinearRow],
-    inequalities: Sequence[LinearRow],
-    dim: int,
-) -> Optional[Vec]:
-    """Some exact x with a.x = b and a.x <= b throughout, or None."""
-    if not equalities and not inequalities:
-        return (ZERO,) * dim
-    res = lp_max((ZERO,) * dim, equalities, inequalities)
-    return res.x if res.status == OPTIMAL else None
 
 
 @dataclass(frozen=True)
 class FeasibilityCertificate:
-    """Farkas-style witness that no point meets the equalities and strict rows.
+    """Farkas witness that no point meets every row strictly.
 
-    Validity: the multiplier combination of the constraint normals vanishes,
-    the inequality multipliers are nonnegative, and the combined right-hand
-    side is nonpositive (negative when no inequality multiplier is active).
+    Validity: the multipliers are nonnegative and sum to one with the cap's,
+    their combination of the row normals vanishes, and the same combination
+    of the right-hand sides, plus the cap multiplier, is nonpositive.
     """
 
-    eq_multipliers: Vec
-    strict_multipliers: Vec
+    multipliers: Vec
     cap_multiplier: Fraction
 
 
-def verify_certificate(
-    cert: FeasibilityCertificate,
-    equalities: Sequence[LinearRow],
-    strict_ineqs: Sequence[LinearRow],
-    dim: int,
-) -> bool:
-    mu, lam, nu = cert.eq_multipliers, cert.strict_multipliers, cert.cap_multiplier
-    if len(mu) != len(equalities) or len(lam) != len(strict_ineqs):
+def verify_certificate(cert: FeasibilityCertificate, rows: Sequence[LinearRow], dim: int) -> bool:
+    lam, nu = cert.multipliers, cert.cap_multiplier
+    if len(lam) != len(rows) or any(l < 0 for l in lam) or nu < 0:
         return False
-    if any(l < 0 for l in lam) or nu < 0:
+    if sum(lam, ZERO) + nu != 1:
         return False
     combo = [ZERO] * dim
-    for m_i, (a, _) in zip(mu, equalities):
-        for j in range(dim):
-            combo[j] += m_i * a[j]
-    for l_i, (a, _) in zip(lam, strict_ineqs):
-        for j in range(dim):
-            combo[j] += l_i * a[j]
-    if any(v != 0 for v in combo):
+    for l_i, (a, _) in zip(lam, rows):
+        if l_i:
+            for j in range(dim):
+                combo[j] += l_i * a[j]
+    if any(combo):
         return False
-    total = sum(lam, ZERO) + nu
-    value = (
-        sum((m_i * bv for m_i, (_, bv) in zip(mu, equalities)), ZERO)
-        + sum((l_i * bv for l_i, (_, bv) in zip(lam, strict_ineqs)), ZERO)
-        + nu
-    )
-    if total == 1:
-        return value <= 0
-    if total == 0:
-        return value < 0
-    return False
+    return sum((l_i * bv for l_i, (_, bv) in zip(lam, rows)), ZERO) + nu <= 0
 
 
 @dataclass(frozen=True)
 class StrictFeasibility:
-    witness: Optional[Vec]
-    optimum: Optional[Fraction]
+    """The optimum of the max-slack program: a point x with a.x + t* <= b on
+    every row, t* itself, and when t* <= 0 the certificate that no point meets
+    the rows strictly.  t* >= 0 means x meets every row weakly."""
+
+    point: Vec
+    optimum: Fraction
     certificate: Optional[FeasibilityCertificate]
 
     @property
     def feasible(self) -> bool:
-        return self.witness is not None
+        return self.optimum > 0
 
 
-def strict_feasible(
-    equalities: Sequence[LinearRow],
-    strict_ineqs: Sequence[LinearRow],
-    dim: Optional[int] = None,
-) -> StrictFeasibility:
-    """Exact point satisfying every equality and every strict inequality.
+def strict_feasible(rows: Sequence[LinearRow], dim: int) -> StrictFeasibility:
+    """max t over free x in Q^dim subject to a.x + t <= b on every row and t <= 1.
 
-    Solved as a max-slack program: maximize t with a.x + t <= b on the strict
-    rows and t <= 1; a strictly feasible point exists iff the optimum is
-    positive.  When none exists, an exact infeasibility certificate is
-    returned instead.
+    A point meeting every row strictly exists iff the optimum is positive.
     """
-    all_rows = list(equalities) + list(strict_ineqs)
-    if dim is None:
-        if not all_rows:
-            raise DimensionError("cannot infer dimension from an empty system")
-        dim = len(all_rows[0][0])
-    for a, _ in all_rows:
+    for a, _ in rows:
         if len(a) != dim:
             raise DimensionError("constraint row has wrong dimension")
+    m = len(rows)
+    t0 = min([ONE, *(Fraction(bv) for _, bv in rows)])
 
-    objective = (ZERO,) * dim + (ONE,)
-    eq_rows = [(tuple(a) + (ZERO,), bv) for a, bv in equalities]
-    le_rows = [(tuple(a) + (ONE,), bv) for a, bv in strict_ineqs]
-    cap = ((ZERO,) * dim + (ONE,), ONE)
-    res = lp_max(objective, eq_rows, le_rows + [cap])
+    # columns: x (free), tau, one slack per row, the cap's slack, right-hand side
+    width = dim + m + 3
+    T = []
+    for i, (a, bv) in enumerate(rows):
+        row = [*a, ONE] + [ZERO] * (m + 2)
+        row[dim + 1 + i] = ONE
+        row[-1] = bv - t0
+        T.append(row)
+    cap = [ZERO] * width
+    cap[dim] = cap[dim + m + 1] = ONE
+    cap[-1] = ONE - t0
+    T.append(cap)
+    basis = list(range(dim + 1, dim + m + 2))
+    zrow = [ZERO] * width
+    zrow[dim] = -ONE
 
-    if res.status == INFEASIBLE:
-        cert = FeasibilityCertificate(
-            eq_multipliers=tuple(-v for v in res.eq_duals),
-            strict_multipliers=tuple(-v for v in res.le_duals[:-1]),
-            cap_multiplier=-res.le_duals[-1],
-        )
-        if not verify_certificate(cert, equalities, strict_ineqs, dim):
-            raise InternalError("infeasibility certificate failed verification")
-        return StrictFeasibility(None, None, cert)
-    if res.status != OPTIMAL:
-        raise InternalError("max-slack program cannot be unbounded")
+    _run_phase(T, zrow, basis, dim)
 
-    t_star = res.value
+    t_star = t0 + zrow[-1]
+    x = [ZERO] * dim
+    for i, col in enumerate(basis):
+        if col < dim:
+            x[col] = T[i][-1]
+    x = tuple(x)
+    for a, bv in rows:
+        if dot(a, x) + t_star > bv:
+            raise InternalError("max-slack point violates a row")
     if t_star > 0:
-        x = res.x[:dim]
-        for a, bv in equalities:
-            if dot(a, x) != bv:
-                raise InternalError("witness violates an equality")
-        for a, bv in strict_ineqs:
-            if not dot(a, x) < bv:
-                raise InternalError("witness violates a strict inequality")
         return StrictFeasibility(x, t_star, None)
 
+    duals = zrow[dim + 1 : dim + m + 2]
+    total = sum(duals, ZERO)
     cert = FeasibilityCertificate(
-        eq_multipliers=tuple(-v for v in res.eq_duals),
-        strict_multipliers=tuple(-v for v in res.le_duals[:-1]),
-        cap_multiplier=-res.le_duals[-1],
+        multipliers=tuple(v / total for v in duals[:m]),
+        cap_multiplier=duals[m] / total,
     )
-    if not verify_certificate(cert, equalities, strict_ineqs, dim):
-        raise InternalError("optimality certificate failed verification")
-    return StrictFeasibility(None, t_star, cert)
+    if not verify_certificate(cert, rows, dim):
+        raise InternalError("infeasibility certificate failed verification")
+    return StrictFeasibility(x, t_star, cert)

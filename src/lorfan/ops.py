@@ -12,7 +12,7 @@ from typing import Sequence
 from .convexity import classify_convexity
 from .errors import ConvexityError, PreconditionError
 from .fan import MarkedFan, cone_key, product_fan, validate
-from .linalg import Vec, ZERO, ONE, mat, solve_linear, vec
+from .linalg import Vec, ZERO, ONE, vec
 from .weights import (
     Divisor,
     MinkowskiWeight,
@@ -143,14 +143,7 @@ def polytope_vertices(fan: MarkedFan, rhs: Sequence[Fraction]) -> dict:
     """
     if len(rhs) != len(fan.rays):
         raise PreconditionError("one right-hand side per ray required")
-    out = {}
-    for c in fan.maximal_cones:
-        A = mat([fan.rays[i] for i in c])
-        v = solve_linear(A, vec([rhs[i] for i in c]))
-        if v is None:
-            raise PreconditionError(f"no vertex for cone {c}")
-        out[c] = v
-    return out
+    return {c: fan.quotient(c).functional([Fraction(rhs[i]) for i in c]) for c in fan.maximal_cones}
 
 
 def polygon_area(fan: MarkedFan, rhs: Sequence[Fraction]) -> Fraction:

@@ -8,11 +8,13 @@ tests compare two genuinely different routes to the same numbers.
 import itertools
 import math
 import random
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import Optional
 
+from lorfan.errors import DimensionError, InternalError
 from lorfan.fan import MarkedFan
-from lorfan.linalg import ONE, ZERO, mat, rank, rref, solve_linear, vec
-from lorfan.lp import linear_feasible
+from lorfan.linalg import ONE, ZERO, dot, mat, rank, rref, vec
 from lorfan.weights import MinkowskiWeight, TropicalFan
 
 
@@ -274,3 +276,216 @@ def random_simplicial_fan(rng: random.Random, n: int) -> MarkedFan:
                 cone.append(rays.index(u))
         cones.add(tuple(sorted(cone)))
     return MarkedFan(ambient_dim=n, rays=tuple(rays), maximal_cones=tuple(sorted(cones)))
+
+
+# ---------------------------------------------------------------------------
+# linear solves and the general two-phase simplex, the oracles for the
+# quotient records and for the max-slack solver
+
+
+def solve_linear(A, b):
+    """One exact solution of Ax = b, or None when the system is inconsistent.
+
+    Free variables are set to zero, so the returned solution is canonical.
+    """
+    if len(A) != len(b):
+        raise DimensionError("matrix has %d rows, vector has %d entries" % (len(A), len(b)))
+    if not A:
+        return ()
+    ncols = len(A[0])
+    R, pivots = rref(mat(tuple(row) + (bi,) for row, bi in zip(A, b)))
+    if ncols in pivots:
+        return None
+    x = [ZERO] * ncols
+    for i, c in enumerate(pivots):
+        x[c] = R[i][ncols]
+    return tuple(x)
+
+
+OPTIMAL = "optimal"
+INFEASIBLE = "infeasible"
+UNBOUNDED = "unbounded"
+
+# consecutive non-improving pivots tolerated before switching to Bland's rule
+_STALL_LIMIT = 12
+
+
+def _pivot(T, zrow, basis, row, col):
+    """Pivot the tableau and the maintained reduced-cost row.
+
+    Rows are mostly zero in the block-structured programs this package
+    builds, so updates iterate over the pivot row's nonzero entries only.
+    """
+    prow = T[row]
+    piv = prow[col]
+    if piv != ONE:
+        inv = ONE / piv
+        T[row] = prow = [inv * v if v else v for v in prow]
+    nz = [j for j, v in enumerate(prow) if v]
+    for other in T:
+        if other is prow:
+            continue
+        f = other[col]
+        if f:
+            for j in nz:
+                other[j] -= f * prow[j]
+    f = zrow[col]
+    if f:
+        for j in nz:
+            zrow[j] -= f * prow[j]
+    basis[row] = col
+
+
+def _cost_row(T, basis, cost):
+    """Reduced costs c - cB.B^-1.A plus the negated objective in the last slot."""
+    zrow = list(cost) + [ZERO]
+    for i, b in enumerate(basis):
+        cb = cost[b]
+        if cb:
+            row = T[i]
+            for j, v in enumerate(row):
+                if v:
+                    zrow[j] -= cb * v
+    return zrow
+
+
+def _run_phase(T, zrow, basis, ncols):
+    """Minimize over the current tableau; entering columns drawn from range(ncols)."""
+    rhs = len(zrow) - 1
+    stall = 0
+    last_obj = None
+    while True:
+        obj = zrow[rhs]
+        if last_obj is not None and obj == last_obj:
+            stall += 1
+        else:
+            stall = 0
+        last_obj = obj
+        use_bland = stall >= _STALL_LIMIT
+
+        enter = None
+        best = ZERO
+        for j in range(ncols):
+            rc = zrow[j]
+            if rc < 0:
+                if use_bland:
+                    enter = j
+                    break
+                if rc < best:
+                    best = rc
+                    enter = j
+        if enter is None:
+            return OPTIMAL
+
+        leave = None
+        best_ratio = None
+        for i in range(len(T)):
+            a = T[i][enter]
+            if a > 0:
+                ratio = T[i][rhs] / a
+                if (
+                    best_ratio is None
+                    or ratio < best_ratio
+                    or (ratio == best_ratio and basis[i] < basis[leave])
+                ):
+                    best_ratio = ratio
+                    leave = i
+        if leave is None:
+            return UNBOUNDED
+        _pivot(T, zrow, basis, leave, enter)
+
+
+def _simplex_standard(A, b, c):
+    """min c.x subject to Ax = b, x >= 0: (status, x, value, duals).
+
+    On INFEASIBLE the duals are a Farkas witness: y.A <= 0 and y.b > 0.
+    On OPTIMAL they satisfy y.A <= c and y.b = value.
+    """
+    m, n = len(A), len(c)
+    flip = [bi < 0 for bi in b]
+    T = [
+        [-v if flip[i] else v for v in A[i]]
+        + [ONE if k == i else ZERO for k in range(m)]
+        + [-b[i] if flip[i] else b[i]]
+        for i in range(m)
+    ]
+    basis = [n + i for i in range(m)]
+
+    def duals(cost, zrow):
+        # reduced cost on artificial j is cost[n+j] - y_j
+        return [(-1 if flip[j] else 1) * (cost[n + j] - zrow[n + j]) for j in range(m)]
+
+    cost1 = [ZERO] * n + [ONE] * m
+    zrow = _cost_row(T, basis, cost1)
+    if _run_phase(T, zrow, basis, n) != OPTIMAL:
+        raise InternalError("phase one cannot be unbounded")
+    if zrow[n + m] < 0:
+        return INFEASIBLE, None, None, duals(cost1, zrow)
+    # drive leftover artificials out of the basis; redundant rows keep them at zero
+    for i in range(m):
+        if basis[i] >= n:
+            col = next((j for j in range(n) if T[i][j] != 0), None)
+            if col is not None:
+                _pivot(T, zrow, basis, i, col)
+    cost2 = list(c) + [ZERO] * m
+    zrow = _cost_row(T, basis, cost2)
+    if _run_phase(T, zrow, basis, n) == UNBOUNDED:
+        return UNBOUNDED, None, None, None
+    x = [ZERO] * n
+    for i in range(m):
+        if basis[i] < n:
+            x[basis[i]] = T[i][n + m]
+    return OPTIMAL, x, dot(tuple(c), tuple(x)), duals(cost2, zrow)
+
+
+@dataclass
+class LpResult:
+    status: str
+    x: Optional[tuple]
+    value: Optional[Fraction]
+    eq_duals: Optional[tuple]
+    le_duals: Optional[tuple]
+
+
+def lp_max(objective, equalities, inequalities) -> LpResult:
+    """max objective.x over free x with a.x = b equalities and a.x <= b rows,
+    by the two-phase simplex on x = x+ - x- with one artificial per row."""
+    nv = len(objective)
+    for a, _ in list(equalities) + list(inequalities):
+        if len(a) != nv:
+            raise DimensionError("constraint row has wrong dimension")
+    n_le = len(inequalities)
+    rows, rhs = [], []
+    for k, (a, bv) in enumerate(list(equalities) + list(inequalities)):
+        slack = [ZERO] * n_le
+        if k >= len(equalities):
+            slack[k - len(equalities)] = ONE
+        rows.append([*a] + [-v for v in a] + slack)
+        rhs.append(bv)
+    cost = [-v for v in objective] + [v for v in objective] + [ZERO] * n_le
+    status, x, value, y = _simplex_standard(rows, rhs, cost)
+    split = len(equalities)
+    if status == INFEASIBLE:
+        return LpResult(status, None, None, tuple(y[:split]), tuple(y[split:]))
+    if status == UNBOUNDED:
+        return LpResult(status, None, None, None, None)
+    point = tuple(x[j] - x[nv + j] for j in range(nv))
+    return LpResult(status, point, -value, tuple(y[:split]), tuple(y[split:]))
+
+
+def linear_feasible(equalities, inequalities, dim):
+    """Some exact x with a.x = b and a.x <= b throughout, or None."""
+    if not equalities and not inequalities:
+        return (ZERO,) * dim
+    res = lp_max((ZERO,) * dim, equalities, inequalities)
+    return res.x if res.status == OPTIMAL else None
+
+
+def max_slack_oracle(rows, dim) -> Fraction:
+    """The optimum of max t subject to a.x + t <= b on every row and t <= 1,
+    by the two-phase simplex."""
+    objective = (ZERO,) * dim + (ONE,)
+    le = [(tuple(a) + (ONE,), bv) for a, bv in rows] + [(objective, ONE)]
+    res = lp_max(objective, [], le)
+    assert res.status == OPTIMAL
+    return res.value

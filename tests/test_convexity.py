@@ -101,7 +101,7 @@ def test_effective_cone_desk_scale():
     # on quasiprojective fans with few rays, a divisor that is convex in both
     # directions must be the restriction of a linear function; with values
     # pinned to zero on spanning rays that means the zero divisor
-    from lorfan.lp import lp_max, OPTIMAL
+    from helpers import OPTIMAL, lp_max
 
     for build in (triangle_fan, coordinate_skeleton_fan, spindle_fan):
         fan = build().fan

@@ -114,6 +114,52 @@ def test_golden_report(name, argv):
 
 
 # ---------------------------------------------------------------------------
+# per-cone witnesses, re-checked by dot products alone
+
+
+def _rats(values):
+    return [Fraction(v) for v in values]
+
+
+WITNESS_CASES = [(f, z, strict) for f in CONVEX for z in ("c", "c2", "neg") for strict in (False, True)]
+
+
+@pytest.mark.parametrize(
+    "fan_name,z_name,strict",
+    WITNESS_CASES,
+    ids=[f"{f}-{z}{'-strict' if s else ''}" for f, z, s in WITNESS_CASES],
+)
+def test_emitted_witnesses_recheck(fan_name, z_name, strict):
+    """Each functional `lorfan convexity` prints equals z on its cone's rays
+    and is at most z (below z under --strict) on the cone's neighborhood rays;
+    a cone without one is listed as failing."""
+    argv = ["convexity", "--fan", f"@{fan_name}", "--divisor", f"@{fan_name}-{z_name}"]
+    code, out = _report(argv + ["--strict"] if strict else argv)
+    assert code == 0
+    report = json.loads(out)
+    fan = json.loads((INPUTS / f"{fan_name}.json").read_text())
+    rays = [_rats(u) for u in fan["rays"]]
+    maximal = [set(c) for c in fan["maximal_cones"]]
+    z = _rats(json.loads((INPUTS / f"{fan_name}-{z_name}.json").read_text())["values"])
+    assert report["strict_requested"] is strict
+    for key, functional in report["witnesses"].items():
+        cone = {int(i) for i in key.split(",")} if key else set()
+        if functional is None:
+            assert key in report["failing_cones"]
+            continue
+        phi = _rats(functional)
+        neighbors = set().union(*(c for c in maximal if cone <= c)) - cone
+        for i in cone:
+            assert sum(p * x for p, x in zip(phi, rays[i])) == z[i], (key, i)
+        for i in neighbors:
+            value = sum(p * x for p, x in zip(phi, rays[i]))
+            assert value < z[i] if strict else value <= z[i], (key, i)
+    if report["verdict"] in ("convex", "strictly-convex"):
+        assert report["failing_cones"] == []
+        assert None not in report["witnesses"].values()
+
+
+# ---------------------------------------------------------------------------
 # regeneration
 
 

@@ -13,7 +13,9 @@ from lorfan.fixtures import (
     triangle_fan,
     two_disjoint_triangles,
 )
+from lorfan.linalg import ONE
 from lorfan.matroids import complete_graph_matroid
+from lorfan.weights import MinkowskiWeight, TropicalFan
 
 from helpers import triangle_double_cover
 
@@ -196,6 +198,17 @@ def test_cli_mixedvol_refuses_double_cover(tmp_path, capsys):
     fan_json = io.fan_to_json(triangle_double_cover())
     p_file = write(tmp_path, "p.json", {"fan": fan_json, "rhs": ["1"] * 6})
     code, out, err = run(capsys, "mixedvol", "--polytope", p_file, "--polytope", p_file)
+    assert code == 3
+    assert out == ""
+    assert "overlap" in err
+
+
+def test_cli_lorentzian_refuses_double_cover(tmp_path, capsys):
+    # without the validate gate this non-fan was reported quasiprojective
+    fan = triangle_double_cover()
+    weights = {c: ONE for c in fan.maximal_cones}
+    fan_file = write(tmp_path, "fan.json", io.tropical_to_json(TropicalFan(fan, MinkowskiWeight(2, weights))))
+    code, out, err = run(capsys, "lorentzian", "--fan", fan_file)
     assert code == 3
     assert out == ""
     assert "overlap" in err

@@ -14,10 +14,11 @@ from lorfan.linalg import (
     mat_vec,
     rank,
     rref,
-    solve_linear,
     transpose,
     vec,
 )
+
+from helpers import solve_linear
 
 
 def test_solve_identity():

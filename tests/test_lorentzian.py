@@ -17,7 +17,7 @@ from lorfan.fixtures import (
 )
 from lorfan.linalg import vec
 
-from helpers import hessian_of_quadratic, poly_eval
+from helpers import hessian_of_quadratic, poly_eval, triangle_double_cover
 from lorfan.lorentzian import (
     af_report,
     definition_sample_check,
@@ -28,6 +28,8 @@ from lorfan.lorentzian import (
     volume_polynomial,
 )
 from lorfan.weights import (
+    MinkowskiWeight,
+    TropicalFan,
     check_balancing,
     divisor,
     linear_divisor,
@@ -123,6 +125,15 @@ def test_is_lorentzian_fixtures():
     assert is_lorentzian(spindle_fan()).verdict
     assert is_lorentzian(triangle_times_line()).verdict
     assert is_lorentzian(origin_fan()).verdict
+
+
+def test_is_lorentzian_refuses_double_cover():
+    # wall by wall it looks like the triangle fan, and without the validate
+    # gate it was certified quasiprojective
+    fan = triangle_double_cover()
+    tf = TropicalFan(fan, MinkowskiWeight(2, {c: Fraction(1) for c in fan.maximal_cones}))
+    with pytest.raises(PreconditionError, match="overlap"):
+        is_lorentzian(tf)
 
 
 def test_disjoint_triangles_not_lorentzian():

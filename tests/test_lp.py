@@ -3,76 +3,139 @@ from fractions import Fraction
 
 import pytest
 
+from lorfan import convexity, fixtures
+from lorfan import fan as fan_module
+from lorfan import lp
 from lorfan.errors import DimensionError
 from lorfan.linalg import dot, vec
-from lorfan.lp import (
-    OPTIMAL,
-    linear_feasible,
-    lp_max,
-    strict_feasible,
-    verify_certificate,
-)
+from lorfan.lp import strict_feasible, verify_certificate
+from lorfan.matroids import bergman_fan, complete_graph_matroid, fano_matroid, uniform_matroid
+
+from helpers import OPTIMAL, linear_feasible, lp_max, max_slack_oracle
 
 
 def F(a, b=1):
     return Fraction(a, b)
 
 
-def test_point_on_boundary_of_strict_region():
-    # x = 0 with x < 1
-    res = strict_feasible([(vec([1]), F(0))], [(vec([1]), F(1))])
-    assert res.feasible
-    assert res.witness == vec([0])
+def check(rows, dim):
+    """Solve, compare the optimum with the two-phase oracle, and check the
+    point and, when the optimum is not positive, the certificate."""
+    res = strict_feasible(rows, dim)
+    assert res.optimum == max_slack_oracle(rows, dim)
+    assert res.optimum <= 1
+    for a, b in rows:
+        assert dot(a, res.point) + res.optimum <= b
+    assert res.feasible == (res.optimum > 0)
+    if res.feasible:
+        assert res.certificate is None
+    else:
+        assert verify_certificate(res.certificate, rows, dim)
+    return res
+
+
+def test_no_rows_reaches_the_cap():
+    res = check([], 2)
+    assert res.optimum == 1
+    assert res.point == vec([0, 0])
+
+
+def test_single_row_reaches_the_cap():
+    res = check([(vec([1]), F(1))], 1)
+    assert res.feasible and res.optimum == 1
 
 
 def test_contradictory_strict_pair():
-    res = strict_feasible([], [(vec([1]), F(0)), (vec([-1]), F(0))])
+    # x < 0 and -x < 0: the best slack is zero, at x = 0
+    res = check([(vec([1]), F(0)), (vec([-1]), F(0))], 1)
     assert not res.feasible
-    assert res.certificate is not None
+    assert res.optimum == 0
+    assert res.point == vec([0])
+
+
+def test_infeasible_pair_has_negative_optimum():
+    # x <= -1/2 - t and -x <= -1/2 - t: no point even weakly, t* = -1/2
+    res = check([(vec([1]), F(-1, 2)), (vec([-1]), F(-1, 2))], 1)
+    assert res.optimum == F(-1, 2)
+    assert res.certificate.multipliers == (F(1, 2), F(1, 2))
+    assert res.certificate.cap_multiplier == 0
 
 
 def test_open_triangle_interior():
-    eqs = []
     strict = [(vec([1, 0]), F(1)), (vec([0, 1]), F(1)), (vec([-1, -1]), F(0))]
-    res = strict_feasible(eqs, strict)
+    res = check(strict, 2)
     assert res.feasible
-    x = res.witness
     for a, b in strict:
-        assert dot(a, x) < b
+        assert dot(a, res.point) < b
 
 
-def test_infeasible_equalities_certificate():
-    eqs = [(vec([1, 1]), F(0)), (vec([1, 1]), F(1))]
-    res = strict_feasible(eqs, [(vec([1, 0]), F(5))])
-    assert not res.feasible
-    assert verify_certificate(res.certificate, eqs, [(vec([1, 0]), F(5))], 2)
+def test_zero_dimensional_rows():
+    res = check([((), F(3)), ((), F(-2))], 0)
+    assert res.optimum == -2
+    assert res.point == ()
 
 
 def test_dimension_mismatch():
     with pytest.raises(DimensionError):
-        strict_feasible([(vec([1, 2]), F(0))], [(vec([1]), F(1))])
+        strict_feasible([(vec([1, 2]), F(0))], 1)
+
+
+def test_tampered_certificate_fails_verification():
+    rows = [(vec([1]), F(0)), (vec([-1]), F(0))]
+    cert = strict_feasible(rows, 1).certificate
+    assert verify_certificate(cert, rows, 1)
+    assert not verify_certificate(lp.FeasibilityCertificate((F(1), F(0)), F(0)), rows, 1)
+    assert not verify_certificate(lp.FeasibilityCertificate((F(1, 4), F(1, 4)), F(0)), rows, 1)
+    assert not verify_certificate(cert, rows[:1], 1)
 
 
 def test_witness_or_certificate_random_instances():
-    # dimensions <= 6: whichever outcome, it must come with an exact witness
+    # whichever outcome, it comes with an exact point or certificate and the
+    # oracle's optimum
     rng = random.Random(23)
-    for _ in range(40):
-        n = rng.randint(1, 6)
-        eqs = []
-        for _ in range(rng.randint(0, 2)):
+    signs = set()
+    for _ in range(200):
+        n = rng.randint(0, 5)
+        rows = []
+        for _ in range(rng.randint(0, 7)):
             a = vec([rng.randint(-3, 3) for _ in range(n)])
-            eqs.append((a, F(rng.randint(-2, 2))))
-        strict = []
-        for _ in range(rng.randint(1, 5)):
-            a = vec([rng.randint(-3, 3) for _ in range(n)])
-            strict.append((a, F(rng.randint(-2, 2))))
-        res = strict_feasible(eqs, strict, dim=n)
-        if res.feasible:
-            x = res.witness
-            assert all(dot(a, x) == b for a, b in eqs)
-            assert all(dot(a, x) < b for a, b in strict)
-        else:
-            assert verify_certificate(res.certificate, eqs, strict, n)
+            b = F(rng.choice([0, 0, rng.randint(-3, 3)]), rng.randint(1, 3))
+            rows.append((a, b))
+        res = check(rows, n)
+        signs.add((res.optimum > 0) - (res.optimum < 0))
+    assert signs == {-1, 0, 1}
+
+
+# Beale's classic cycling example: max 3/4 x1 - 150 x2 + 1/50 x3 - 6 x4 over
+# two homogeneous rows, x3 <= 1 and x >= 0.
+BEALE_OBJECTIVE = vec([F(3, 4), -150, F(1, 50), -6])
+BEALE_ROWS = [
+    (vec([F(1, 4), -60, F(-1, 25), 9]), F(0)),
+    (vec([F(1, 2), -90, F(-1, 50), 3]), F(0)),
+    (vec([0, 0, 1, 0]), F(1)),
+    (vec([-1, 0, 0, 0]), F(0)),
+    (vec([0, -1, 0, 0]), F(0)),
+    (vec([0, 0, -1, 0]), F(0)),
+    (vec([0, 0, 0, -1]), F(0)),
+]
+
+
+def test_degenerate_cycling_guard(monkeypatch):
+    # the oracle on the instance itself
+    res = lp_max(BEALE_OBJECTIVE, [], BEALE_ROWS)
+    assert res.status == OPTIMAL
+    assert res.value == F(1, 20)
+    # its max-slack form, with the objective as the row t <= c.x, makes ten
+    # consecutive degenerate pivots of twelve: under Bland's rule throughout,
+    # the default fallback, and no fallback at all
+    rows = [(tuple(-v for v in BEALE_OBJECTIVE), F(0))] + BEALE_ROWS
+    for stall_limit in (0, lp._STALL_LIMIT, 10**6):
+        monkeypatch.setattr(lp, "_STALL_LIMIT", stall_limit)
+        assert check(rows, 4).optimum == F(1, 561)
+
+
+# ---------------------------------------------------------------------------
+# the two-phase oracle on its own
 
 
 def test_lp_max_simple():
@@ -117,20 +180,45 @@ def test_linear_feasible_none():
     ) is None
 
 
-def test_degenerate_cycling_guard():
-    # classic degenerate instance; must terminate and find the optimum
-    res = lp_max(
-        vec([F(3, 4), -150, F(1, 50), -6]),
-        [],
-        [
-            (vec([F(1, 4), -60, F(-1, 25), 9]), F(0)),
-            (vec([F(1, 2), -90, F(-1, 50), 3]), F(0)),
-            (vec([0, 0, 1, 0]), F(1)),
-            (vec([-1, 0, 0, 0]), F(0)),
-            (vec([0, -1, 0, 0]), F(0)),
-            (vec([0, 0, -1, 0]), F(0)),
-            (vec([0, 0, 0, -1]), F(0)),
-        ],
-    )
-    assert res.status == OPTIMAL
-    assert res.value == F(1, 20)
+# ---------------------------------------------------------------------------
+# every program the package builds on the fixtures, against the oracle
+
+FIXTURE_FANS = {
+    "triangle": lambda: fixtures.triangle_fan().fan,
+    "line": lambda: fixtures.line_fan().fan,
+    "skeleton": lambda: fixtures.coordinate_skeleton_fan().fan,
+    "triangle_x_line": lambda: fixtures.triangle_times_line().fan,
+    "two_triangles": lambda: fixtures.two_disjoint_triangles().fan,
+    "spindle": lambda: fixtures.spindle_fan().fan,
+    "origin": lambda: fixtures.origin_fan(2).fan,
+    "twisted_prism": lambda: fixtures.twisted_prism_fan().fan,
+    "M(K4)": lambda: bergman_fan(complete_graph_matroid(4)).fan,
+    "Fano": lambda: bergman_fan(fano_matroid()).fan,
+    "U(3,5)": lambda: bergman_fan(uniform_matroid(3, 5)).fan,
+}
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURE_FANS))
+def test_fixture_programs_match_oracle(monkeypatch, name):
+    """The per-cone programs of classify_convexity on several divisors, the
+    joint program of find_strictly_convex and the pair programs of validate."""
+    programs = []
+
+    def recording(rows, dim):
+        programs.append((list(rows), dim))
+        return strict_feasible(rows, dim)
+
+    monkeypatch.setattr(convexity, "strict_feasible", recording)
+    monkeypatch.setattr(fan_module, "strict_feasible", recording)
+    fan = FIXTURE_FANS[name]()
+    rng = random.Random(name)
+    divisors = [(F(0),) * len(fan.rays), tuple(F(rng.randint(-3, 3)) for _ in fan.rays)]
+    witness = convexity.find_strictly_convex(fan)
+    if witness is not None:
+        divisors += [witness, tuple(-v for v in witness)]
+    for z in divisors:
+        convexity.classify_convexity(fan, z, strict=True)
+    assert fan_module.validate(fan).valid
+    assert programs
+    for rows, dim in programs:
+        check(rows, dim)

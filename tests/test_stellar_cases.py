@@ -16,7 +16,9 @@ from lorfan.fan import (
     stellar_subdivide,
 )
 from lorfan.fixtures import coordinate_skeleton_fan, triangle_fan, triangle_times_line
-from lorfan.linalg import mat_vec, solve_linear, mat, vec
+from lorfan.linalg import mat_vec, mat, vec
+
+from helpers import solve_linear
 
 
 def canonical(fan: MarkedFan):
