@@ -16,7 +16,7 @@ from .errors import (
     LorfanError,
     PreconditionError,
 )
-from .linalg import Inertia, char_poly, inertia
+from .linalg import Inertia, inertia
 from .lp import strict_feasible
 from .fan import (
     MarkedFan,

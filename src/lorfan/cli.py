@@ -91,6 +91,8 @@ def cmd_convexity(args):
 
 
 def cmd_lorentzian(args):
+    if args.samples < 0:
+        raise InputError("--samples must not be negative")
     tf = _load_tropical(args.fan)
     cert = is_lorentzian(tf)
     payload = io.lorentzian_to_json(cert)

@@ -1,16 +1,18 @@
 """Dense exact linear algebra over the rationals.
 
 Vectors are tuples of Fraction, matrices are tuples of row tuples.  All
-routines are exact; nothing here ever touches floating point.
+routines are exact; nothing here ever touches floating point.  The inertia
+of a symmetric matrix comes from symmetric elimination by congruence, which
+keeps it by Sylvester's law of inertia.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
-from .errors import DimensionError, InternalError
+from .errors import DimensionError
 
 Vec = tuple[Fraction, ...]
 Mat = tuple[Vec, ...]
@@ -42,13 +44,6 @@ def dot(a: Vec, b: Vec) -> Fraction:
 
 def mat_vec(A: Mat, x: Vec) -> Vec:
     return tuple(dot(row, x) for row in A)
-
-
-def mat_mul(A: Mat, B: Mat) -> Mat:
-    if A and B and len(A[0]) != len(B):
-        raise DimensionError("matrix product shape mismatch")
-    cols = list(zip(*B)) if B else []
-    return tuple(tuple(dot(row, col) for col in cols) for row in A)
 
 
 def transpose(A: Mat) -> Mat:
@@ -113,28 +108,6 @@ def det(A: Mat) -> Fraction:
     return d
 
 
-def char_poly(S: Mat) -> Vec:
-    """Coefficients of det(tI - S), highest degree first (monic).
-
-    Uses the Faddeev-LeVerrier recursion, which stays in exact rational
-    arithmetic throughout.
-    """
-    n = len(S)
-    if any(len(r) != n for r in S):
-        raise DimensionError("characteristic polynomial of non-square matrix")
-    coeffs = [ONE]
-    M = identity(n)
-    for k in range(1, n + 1):
-        AM = mat_mul(S, M)
-        c = -sum((AM[i][i] for i in range(n)), ZERO) / k
-        coeffs.append(c)
-        M = tuple(
-            tuple(AM[i][j] + (c if i == j else ZERO) for j in range(n))
-            for i in range(n)
-        )
-    return tuple(coeffs)
-
-
 @dataclass(frozen=True)
 class Inertia:
     """Eigenvalue sign counts (positive, negative, zero) of a symmetric matrix."""
@@ -147,30 +120,43 @@ class Inertia:
         return (self.p, self.q, self.r)
 
 
-def _sign_variations(coeffs: Sequence[Fraction]) -> int:
-    signs = [1 if c > 0 else -1 for c in coeffs if c != 0]
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-
-
 def inertia(S: Mat) -> Inertia:
-    """Exact inertia of a symmetric rational matrix.
+    """Exact inertia of a symmetric rational matrix, by symmetric elimination.
 
-    Symmetric rational matrices are real-rooted, so Descartes' rule applied
-    to the characteristic polynomial counts positive roots exactly; the zero
-    count is the multiplicity of the root at the origin.
+    Each step takes a nonzero diagonal pivot, counts its sign, and replaces
+    the rest of the matrix by its Schur complement.  When the remaining
+    diagonal is zero but some entry A[i][j] is not, the congruence
+    e_i += e_j first makes A[i][i] = 2 A[i][j] nonzero.  Every step is a
+    congruence, so by Sylvester's law of inertia the pivot signs are the
+    eigenvalue signs; the block left over when no entry is nonzero holds the
+    zero eigenvalues.
     """
     if not is_symmetric(S):
         raise DimensionError("inertia requires a symmetric square matrix")
-    n = len(S)
-    coeffs = char_poly(S)
-    low_zero = 0
-    while low_zero < n and coeffs[n - low_zero] == 0:
-        low_zero += 1
-    nonzero_part = coeffs[: n + 1 - low_zero]
-    p = _sign_variations(nonzero_part)
-    # Variations of p(-t) count the negative roots; their sum must close up.
-    negated = [c if (len(nonzero_part) - 1 - i) % 2 == 0 else -c for i, c in enumerate(nonzero_part)]
-    q = _sign_variations(negated)
-    if p + q + low_zero != n:
-        raise InternalError("Descartes counts do not exhaust the spectrum; input was not real-rooted")
-    return Inertia(p=p, q=q, r=low_zero)
+    A = [list(row) for row in S]
+    p = q = 0
+    while A:
+        m = len(A)
+        k = next((i for i in range(m) if A[i][i] != 0), None)
+        if k is None:
+            pair = next(((i, j) for i in range(m) for j in range(m) if A[i][j] != 0), None)
+            if pair is None:
+                break
+            k, j = pair
+            A[k] = [x + y for x, y in zip(A[k], A[j])]
+            for row in A:
+                row[k] += row[j]
+        inv = ONE / A[k][k]
+        if inv > 0:
+            p += 1
+        else:
+            q += 1
+        pivot_row = A[k]
+        rest = [i for i in range(m) if i != k]
+        schur = []
+        for i in rest:
+            row = A[i]
+            f = row[k] * inv
+            schur.append([row[j] - f * pivot_row[j] for j in rest] if f else [row[j] for j in rest])
+        A = schur
+    return Inertia(p=p, q=q, r=len(S) - p - q)

@@ -17,21 +17,20 @@ from typing import Optional, Sequence
 
 from .convexity import classify_convexity, find_strictly_convex
 from .errors import (
-    BalancingError,
     ConvexityError,
     InternalError,
     PreconditionError,
 )
 from .fan import Cone, MarkedFan, PinchReport, is_unpinched, star, validate
-from .linalg import Inertia, ZERO, ONE, inertia, mat
+from .linalg import Inertia, ONE, inertia
 from .weights import (
     Divisor,
     TropicalFan,
-    _action_at,
     divisor_action,
     indicator_divisor,
     mixed_degree,
     push_divisor_to_star,
+    quadratic_form,
     star_weight,
 )
 
@@ -46,43 +45,21 @@ class QuadraticVolumeForm:
 
     Entry (r1, r2) is the weight of the cone spanned by r1 and r2 (zero when
     they span none); the diagonal holds the negated axial coefficients forced
-    by balancing at each ray.  Provenance records which star produced it.
+    by balancing at each ray.
     """
 
     matrix: tuple
-    provenance: Cone
 
     def inertia(self) -> Inertia:
         return inertia(self.matrix)
 
 
-def volume_poly_2d(tf: TropicalFan, provenance: Cone = ()) -> QuadraticVolumeForm:
-    """Quadratic volume form of a two-dimensional positive balanced fan.
-
-    The off-diagonal entries are cone weights; the diagonal entry at a ray is
-    -a where the weighted sum of opposite marks around the ray equals a times
-    the ray's own mark (balancing puts that sum in the ray's span).
-    """
-    fan = tf.fan
-    if fan.dimension != 2:
+def volume_poly_2d(tf: TropicalFan) -> QuadraticVolumeForm:
+    """Quadratic volume form of a two-dimensional positive balanced fan: the
+    quadratic form of its top weight."""
+    if tf.fan.dimension != 2:
         raise PreconditionError("volume form requires a two-dimensional fan")
-    nrays = len(fan.rays)
-    entries = [[ZERO] * nrays for _ in range(nrays)]
-    for sigma in fan.cones(2):
-        r1, r2 = sigma
-        w = tf.weight[sigma]
-        entries[r1][r2] = w
-        entries[r2][r1] = w
-    for (rho,) in fan.cones(1):
-        # the indicator of rho acts at rho by -a, with a as in the docstring
-        diagonal = _action_at(fan, tf.weight, (rho,), indicator_divisor(fan, rho))
-        if diagonal is None:
-            raise BalancingError(f"weight is unbalanced at ray {rho}")
-        entries[rho][rho] = diagonal
-    return QuadraticVolumeForm(
-        matrix=tuple(tuple(row) for row in entries),
-        provenance=provenance,
-    )
+    return QuadraticVolumeForm(quadratic_form(tf.fan, tf.weight))
 
 
 Polynomial = dict  # exponent tuple over rays -> Fraction
@@ -173,7 +150,7 @@ def is_lorentzian(tf: TropicalFan) -> LorentzianCertificate:
         for tau in sorted(fan.cones(d - 2)):
             sd = star(fan, tau)
             stf = star_weight(tf, tau, sd)
-            form = volume_poly_2d(stf, provenance=tau)
+            form = volume_poly_2d(stf)
             records.append(StarInertiaRecord(tau, form.inertia(), form))
     verdict = (
         quasiprojective
@@ -322,6 +299,8 @@ def definition_sample_check(
     witness of the fan's Lorentzian certificate.
     """
     fan = tf.fan
+    if samples < 1:
+        raise PreconditionError("sampling needs at least one sample")
     if witness is None:
         raise PreconditionError("sampling requires a quasiprojective fan")
     if not classify_convexity(fan, witness, strict=True).strictly_convex:
@@ -337,8 +316,6 @@ def definition_sample_check(
         star_witness = push_divisor_to_star(sd, witness)
         if not classify_convexity(sd.fan, star_witness, strict=True).strictly_convex:
             raise InternalError("pushed witness lost strict convexity on a star")
-        nrays = len(sd.fan.rays)
-        indicators = [indicator_divisor(sd.fan, i) for i in range(nrays)]
         p_counts = []
         tops_positive = True
         for _ in range(samples):
@@ -349,13 +326,7 @@ def definition_sample_check(
             current = stf.weight
             for z in aux:
                 current = divisor_action(sd.fan, current, z)
-            # degree-one weights are balanced, so pairing against a second
-            # indicator just reads off the weight value at that ray
-            acted = [divisor_action(sd.fan, current, ind) for ind in indicators]
-            form = mat(
-                tuple(tuple(acted[i][(j,)] for j in range(nrays)) for i in range(nrays))
-            )
-            p_counts.append(inertia(form).p)
+            p_counts.append(inertia(quadratic_form(sd.fan, current)).p)
             tops = [
                 sample_strictly_convex(sd.fan, star_witness, rng)
                 for _ in range(d_star)

@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 
 from .errors import BalancingError, DimensionError, PreconditionError
 from .fan import Cone, MarkedFan, StarData, cone_key, star
-from .linalg import Vec, ZERO, ONE, det, dot, mat, vec
+from .linalg import Mat, Vec, ZERO, ONE, det, dot, mat, vec
 
 Divisor = tuple[Fraction, ...]
 
@@ -131,6 +131,30 @@ def divisor_action(fan: MarkedFan, w: MinkowskiWeight, z: Divisor) -> MinkowskiW
             raise BalancingError(f"weight is unbalanced at cone {tau}")
         out[tau] = value
     return MinkowskiWeight(k - 1, out)
+
+
+def quadratic_form(fan: MarkedFan, w: MinkowskiWeight) -> Mat:
+    """The symmetric matrix (D_i . D_j . w) of ray indicators on a balanced
+    degree-two weight.
+
+    Off the diagonal, entry (r1, r2) is the weight of the cone spanned by r1
+    and r2 (zero when they span none); the diagonal entry at a ray is its
+    indicator acting at the ray, which is -a when balancing puts the weighted
+    sum of opposite marks around the ray at a times the ray's own mark.
+    """
+    if w.degree != 2:
+        raise PreconditionError("a quadratic form needs a weight of degree two")
+    nrays = len(fan.rays)
+    entries = [[ZERO] * nrays for _ in range(nrays)]
+    for sigma in fan.cones(2):
+        r1, r2 = sigma
+        entries[r1][r2] = entries[r2][r1] = w[sigma]
+    for (rho,) in fan.cones(1):
+        diagonal = _action_at(fan, w, (rho,), indicator_divisor(fan, rho))
+        if diagonal is None:
+            raise BalancingError(f"weight is unbalanced at ray {rho}")
+        entries[rho][rho] = diagonal
+    return tuple(tuple(row) for row in entries)
 
 
 def mixed_degree(fan: MarkedFan, w: MinkowskiWeight, divisors: Sequence[Divisor]) -> Fraction:

@@ -14,8 +14,8 @@ from typing import Optional
 
 from lorfan.errors import DimensionError, InternalError
 from lorfan.fan import MarkedFan
-from lorfan.linalg import ONE, ZERO, dot, mat, rank, rref, vec
-from lorfan.weights import MinkowskiWeight, TropicalFan
+from lorfan.linalg import ONE, ZERO, Inertia, dot, is_symmetric, mat, rank, rref, vec
+from lorfan.weights import MinkowskiWeight, TropicalFan, divisor_action, indicator_divisor
 
 
 def _primitive(x, y):
@@ -489,3 +489,77 @@ def max_slack_oracle(rows, dim) -> Fraction:
     res = lp_max(objective, [], le)
     assert res.status == OPTIMAL
     return res.value
+
+
+# ---------------------------------------------------------------------------
+# the characteristic polynomial and Descartes' rule, the oracle for inertia
+
+
+def mat_mul(A, B):
+    if A and B and len(A[0]) != len(B):
+        raise DimensionError("matrix product shape mismatch")
+    cols = list(zip(*B)) if B else []
+    return tuple(tuple(dot(row, col) for col in cols) for row in A)
+
+
+def char_poly(S):
+    """Coefficients of det(tI - S), highest degree first (monic).
+
+    Uses the Faddeev-LeVerrier recursion, which stays in exact rational
+    arithmetic throughout.
+    """
+    n = len(S)
+    if any(len(r) != n for r in S):
+        raise DimensionError("characteristic polynomial of non-square matrix")
+    coeffs = [ONE]
+    M = tuple(tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n))
+    for k in range(1, n + 1):
+        AM = mat_mul(S, M)
+        c = -sum((AM[i][i] for i in range(n)), ZERO) / k
+        coeffs.append(c)
+        M = tuple(
+            tuple(AM[i][j] + (c if i == j else ZERO) for j in range(n))
+            for i in range(n)
+        )
+    return tuple(coeffs)
+
+
+def _sign_variations(coeffs) -> int:
+    signs = [1 if c > 0 else -1 for c in coeffs if c != 0]
+    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+
+def descartes_inertia(S) -> Inertia:
+    """Inertia of a symmetric rational matrix from its characteristic polynomial.
+
+    Symmetric rational matrices are real-rooted, so Descartes' rule applied
+    to the characteristic polynomial counts positive roots exactly; the zero
+    count is the multiplicity of the root at the origin.
+    """
+    if not is_symmetric(S):
+        raise DimensionError("inertia requires a symmetric square matrix")
+    n = len(S)
+    coeffs = char_poly(S)
+    low_zero = 0
+    while low_zero < n and coeffs[n - low_zero] == 0:
+        low_zero += 1
+    nonzero_part = coeffs[: n + 1 - low_zero]
+    p = _sign_variations(nonzero_part)
+    # Variations of p(-t) count the negative roots; their sum must close up.
+    negated = [c if (len(nonzero_part) - 1 - i) % 2 == 0 else -c for i, c in enumerate(nonzero_part)]
+    q = _sign_variations(negated)
+    if p + q + low_zero != n:
+        raise InternalError("Descartes counts do not exhaust the spectrum; input was not real-rooted")
+    return Inertia(p=p, q=q, r=low_zero)
+
+
+# ---------------------------------------------------------------------------
+# the quadratic form of a degree-two weight, one divisor action per ray
+
+
+def indicator_pairing_form(fan: MarkedFan, w: MinkowskiWeight):
+    """Matrix whose row i is the indicator of ray i acting on w, read at
+    each ray: n full divisor actions, the oracle for `quadratic_form`."""
+    nrays = len(fan.rays)
+    acted = [divisor_action(fan, w, indicator_divisor(fan, i)) for i in range(nrays)]
+    return tuple(tuple(acted[i][(j,)] for j in range(nrays)) for i in range(nrays))

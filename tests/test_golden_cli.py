@@ -46,6 +46,8 @@ DIM = {
 CONVEX = [f for f in FANS if f != "twisted_prism"]
 # pairwise validation takes over a second on each larger matroid fan
 VALIDATE = [f for f in FANS if f not in ("fano", "u35")]
+# the sampling check of the definition, at a fixed seed
+SAMPLED = ["skeleton", "triangle_x_line", "mk4"]
 
 
 def _cases():
@@ -63,6 +65,9 @@ def _cases():
             cases.append((f"star-{f}-ray0", ["star", "--fan", fan, "--cone", "0"]))
             cases.append((f"stellar-{f}", ["stellar", "--fan", fan, "--point", f"@{f}-point"]))
     cases += [(f"validate-{f}", ["validate", "--fan", f"@{f}"]) for f in VALIDATE]
+    for f in SAMPLED:
+        argv = ["lorentzian", "--fan", f"@{f}", "--samples", "2", "--seed", "5"]
+        cases.append((f"lorentzian-{f}-samples", argv))
     cases.append(("star-triangle_x_line-cone01", ["star", "--fan", "@triangle_x_line", "--cone", "0,1"]))
     cases.append(("stellar-triangle-on-ray", ["stellar", "--fan", "@triangle", "--point", "3,0"]))
     for f in CONVEX:

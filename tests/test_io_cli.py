@@ -86,6 +86,14 @@ def test_cli_lorentzian_sampling_needs_seed(tmp_path, capsys):
     assert "seed" in err
 
 
+def test_cli_lorentzian_refuses_negative_samples(tmp_path, capsys):
+    fan_file = write(tmp_path, "fan.json", io.tropical_to_json(coordinate_skeleton_fan()))
+    code, out, err = run(capsys, "lorentzian", "--fan", fan_file, "--samples", "-1", "--seed", "3")
+    assert code == 2
+    assert out == ""
+    assert "--samples" in err
+
+
 def test_cli_validate_broken_fan(tmp_path, capsys):
     broken = {
         "ambient_dim": 2,

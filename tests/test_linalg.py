@@ -4,21 +4,23 @@ from fractions import Fraction
 import pytest
 
 from lorfan.errors import DimensionError
+from lorfan import fixtures, matroids
+from lorfan.fan import star
 from lorfan.linalg import (
-    char_poly,
     det,
     identity,
     inertia,
     mat,
-    mat_mul,
     mat_vec,
     rank,
     rref,
     transpose,
     vec,
 )
+from lorfan.lorentzian import volume_poly_2d
+from lorfan.weights import star_weight
 
-from helpers import solve_linear
+from helpers import char_poly, descartes_inertia, mat_mul, solve_linear
 
 
 def test_solve_identity():
@@ -138,6 +140,104 @@ def test_inertia_sums_to_dimension():
                 S[j][i] = v
         res = inertia(mat(S))
         assert res.p + res.q + res.r == n
+
+
+def _star_forms():
+    """Quadratic volume forms of every codimension-two star of the stock
+    fixtures and five Bergman fans."""
+    fans = [
+        getattr(fixtures, name)()
+        for name in (
+            "triangle_fan", "line_fan", "coordinate_skeleton_fan", "triangle_times_line",
+            "spindle_fan", "two_disjoint_triangles", "origin_fan", "twisted_prism_fan",
+        )
+    ]
+    fans += [
+        matroids.bergman_fan(m)
+        for m in (
+            matroids.complete_graph_matroid(4), matroids.fano_matroid(),
+            matroids.uniform_matroid(3, 5), matroids.uniform_matroid(3, 6),
+            matroids.complete_graph_matroid(5),
+        )
+    ]
+    forms = []
+    for tf in fans:
+        d = tf.dimension
+        for tau in tf.fan.cones(d - 2) if d >= 2 else ():
+            forms.append(volume_poly_2d(star_weight(tf, tau, star(tf.fan, tau))).matrix)
+    return forms
+
+
+def test_inertia_matches_descartes_on_star_forms():
+    forms = _star_forms()
+    assert len(forms) == 69
+    for S in forms:
+        assert inertia(S) == descartes_inertia(S)
+
+
+def _random_symmetric(rng, n, kind):
+    """A seeded symmetric matrix: general, with an all-zero diagonal, or of
+    rank at most n - 1 (a congruence B^T D B with B of fewer rows)."""
+    def entry():
+        return Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+
+    if kind == "deficient":
+        k = rng.randint(0, max(n - 1, 0))
+        B = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(k)]
+        D = [entry() for _ in range(k)]
+        return mat(
+            [[sum((B[t][i] * D[t] * B[t][j] for t in range(k)), Fraction(0)) for j in range(n)] for i in range(n)]
+        )
+    S = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            if i == j and kind == "zero-diagonal":
+                continue
+            S[i][j] = S[j][i] = entry()
+    return mat(S)
+
+
+def _random_symmetric_cases():
+    rng = random.Random(23)
+    cases = [mat([]), mat([[0]]), mat([[3]]), mat([[Fraction(-1, 2)]])]
+    kinds = ("general", "zero-diagonal", "deficient")
+    while len(cases) < 300:
+        kind = kinds[len(cases) % 3]
+        n = rng.randint(2 if kind == "zero-diagonal" else 0, 7)
+        cases.append(_random_symmetric(rng, n, kind))
+    return cases
+
+
+def test_inertia_matches_descartes_on_random_matrices():
+    cases = _random_symmetric_cases()
+    zero_diagonal = 0
+    for S in cases:
+        got = inertia(S)
+        assert got == descartes_inertia(S)
+        assert got.p + got.q + got.r == len(S)
+        if len(S) >= 2 and any(x != 0 for row in S for x in row) and all(S[i][i] == 0 for i in range(len(S))):
+            zero_diagonal += 1
+    # the e_i += e_j step runs on every nonzero matrix with a zero diagonal
+    assert zero_diagonal >= 90
+    assert any(inertia(S).r > 0 and len(S) > 1 for S in cases)
+
+
+def test_inertia_matches_sympy_on_random_matrices():
+    sympy = pytest.importorskip("sympy")
+    for S in _random_symmetric_cases():
+        n = len(S)
+        if n == 0:
+            assert inertia(S).astuple() == (0, 0, 0)
+            continue
+        M = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row] for row in S])
+        roots = sympy.real_roots(M.charpoly())
+        assert len(roots) == n
+        expected = (
+            sum(1 for x in roots if x > 0),
+            sum(1 for x in roots if x < 0),
+            sum(1 for x in roots if x == 0),
+        )
+        assert inertia(S).astuple() == expected
 
 
 def test_rref_pivots():

@@ -17,7 +17,7 @@ from lorfan.fixtures import (
 )
 from lorfan.linalg import vec
 
-from helpers import hessian_of_quadratic, poly_eval, triangle_double_cover
+from helpers import hessian_of_quadratic, indicator_pairing_form, poly_eval, triangle_double_cover
 from lorfan.lorentzian import (
     af_report,
     definition_sample_check,
@@ -241,6 +241,14 @@ def test_definition_sample_check_requires_quasiprojective():
         definition_sample_check(twisted_prism_fan(), None, samples=1, seed=3)
 
 
+def test_definition_sample_check_requires_a_sample():
+    tf = coordinate_skeleton_fan()
+    witness = find_strictly_convex(tf.fan)
+    for samples in (0, -1):
+        with pytest.raises(PreconditionError):
+            definition_sample_check(tf, witness, samples=samples, seed=3)
+
+
 def test_definition_sample_check_requires_strictly_convex_witness():
     tf = triangle_fan()
     for z in ([0, 0, 0], [-1, 0, 0], [1, 1]):
@@ -319,16 +327,47 @@ def test_subdivision_identity_on_triangle():
 def test_bilinear_degree_form_equals_volume_form():
     # pairing ray indicators through the degree map reproduces the quadratic
     # volume form entry by entry on two-dimensional fans
-    from lorfan.weights import divisor_action, indicator_divisor
+    from lorfan.fan import star
+    from lorfan.lorentzian import sample_strictly_convex
+    from lorfan.matroids import bergman_fan, complete_graph_matroid, uniform_matroid
+    from lorfan.weights import divisor_action, push_divisor_to_star, quadratic_form, star_weight
 
     for tf in (triangle_fan(), coordinate_skeleton_fan(), spindle_fan()):
-        fan = tf.fan
-        nrays = len(fan.rays)
-        form = volume_poly_2d(tf).matrix
-        for i in range(nrays):
-            acted = divisor_action(fan, tf.weight, indicator_divisor(fan, i))
-            for j in range(nrays):
-                assert acted[(j,)] == form[i][j]
+        assert indicator_pairing_form(tf.fan, tf.weight) == volume_poly_2d(tf).matrix
+    # on every star of dimension at least two, the one-pass form of the
+    # weight cut down by strictly convex auxiliary divisors matches too
+    rng = random.Random(29)
+    checked = 0
+    for tf in (
+        coordinate_skeleton_fan(),
+        triangle_times_line(),
+        bergman_fan(complete_graph_matroid(4)),
+        bergman_fan(uniform_matroid(3, 5)),
+    ):
+        witness = find_strictly_convex(tf.fan)
+        for tau in tf.fan.all_cones():
+            sd = star(tf.fan, tau)
+            if sd.fan.dimension < 2:
+                continue
+            star_witness = push_divisor_to_star(sd, witness)
+            w = star_weight(tf, tau, sd).weight
+            for _ in range(sd.fan.dimension - 2):
+                w = divisor_action(sd.fan, w, sample_strictly_convex(sd.fan, star_witness, rng))
+            assert quadratic_form(sd.fan, w) == indicator_pairing_form(sd.fan, w)
+            checked += 1
+    # the skeleton's origin, triangle x line's origin and its 5 rays, and
+    # the origins of M(K4) and U(3,5)
+    assert checked == 9
+
+
+def test_quadratic_form_refuses_unbalanced_weight():
+    from lorfan.errors import BalancingError
+    from lorfan.weights import quadratic_form
+
+    fan = triangle_fan().fan
+    values = dict(zip(fan.cones(2), (1, 1, 2)))
+    with pytest.raises(BalancingError):
+        quadratic_form(fan, MinkowskiWeight(2, {c: Fraction(v) for c, v in values.items()}))
 
 
 def test_mixed_degree_positive_on_strictly_convex():
