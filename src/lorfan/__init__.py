@@ -36,7 +36,6 @@ from .weights import (
     constant_weight,
     divisor_action,
     indicator_divisor,
-    linear_divisor,
     mixed_degree,
     pullback_divisor,
     push_divisor_to_star,

@@ -15,13 +15,17 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import InternalError, PreconditionError
-from .fan import Cone, MarkedFan, neighborhood_rays
+from .fan import Cone, MarkedFan, candidate_divisor, functional_rows, neighborhood_rays
 from .linalg import Vec, ZERO, ONE, dot, rref, transpose, vec
 from .lp import StrictFeasibility, strict_feasible
 
 VERDICT_NONE = "none"
 VERDICT_CONVEX = "convex"
 VERDICT_STRICT = "strictly-convex"
+
+# how a quasiprojectivity witness was decided
+ROUTE_CANDIDATE = "candidate"
+ROUTE_JOINT_LP = "joint_lp"
 
 
 @dataclass(frozen=True)
@@ -53,21 +57,14 @@ def _witness_at_cone(fan: MarkedFan, z, tau: Cone, strict: bool) -> tuple[ConeWi
     """The cone's witness and the optimum t* of its max-slack program, whose
     rows are phi(u_eta) + t <= z_eta on the neighborhood rays: the cone has
     a strict witness iff t* > 0 and a weak one iff t* >= 0."""
-    q = fan.quotient(tau)
-    z_on_tau = [Fraction(z[i]) for i in tau]
-    base = q.functional(z_on_tau)
-    neighbors = neighborhood_rays(fan, tau)
-    if not neighbors:
+    base, rows = functional_rows(fan, z, tau, neighborhood_rays(fan, tau))
+    if not rows:
         return ConeWitness(tau, base, strict, True), ONE
-    rows = []
-    for eta in neighbors:
-        u = fan.rays[eta]
-        coeffs = tuple(dot(row, u) for row in q.annihilators)
-        rows.append((coeffs, Fraction(z[eta]) - dot(base, u)))
+    q = fan.quotient(tau)
     res = strict_feasible(rows, len(q.annihilators))
     if res.optimum < 0 or (strict and not res.feasible):
         return ConeWitness(tau, None, strict, False), res.optimum
-    phi = q.functional(z_on_tau, res.point)
+    phi = q.functional([Fraction(z[i]) for i in tau], res.point)
     for i in tau:
         if dot(phi, fan.rays[i]) != z[i]:
             raise InternalError("reconstructed witness misses a matching value")
@@ -112,8 +109,23 @@ def spanning_rays(fan: MarkedFan) -> tuple[int, ...]:
     return rref(transpose(fan.rays))[1]
 
 
+def strictly_convex_witness(fan: MarkedFan) -> tuple[Optional[tuple], str]:
+    """A strictly convex divisor or None, and the route that decided: the
+    candidate divisor when classify_convexity certifies it, else the joint
+    program."""
+    z = candidate_divisor(fan)
+    if classify_convexity(fan, z, strict=True).strictly_convex:
+        return z, ROUTE_CANDIDATE
+    return joint_lp_witness(fan), ROUTE_JOINT_LP
+
+
 def find_strictly_convex(fan: MarkedFan) -> Optional[tuple]:
     """A strictly convex divisor, or None when the fan admits none."""
+    return strictly_convex_witness(fan)[0]
+
+
+def joint_lp_witness(fan: MarkedFan) -> Optional[tuple]:
+    """The joint program's strictly convex divisor, or None."""
     result = strict_convexity_program(fan)
     if not result.feasible:
         return None

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Optional
 
@@ -26,7 +27,7 @@ from .linalg import (
     rref,
     vec,
 )
-from .lp import strict_feasible
+from .lp import LinearRow, strict_feasible
 
 Cone = tuple[int, ...]
 
@@ -197,8 +198,35 @@ def neighborhood_rays(fan: MarkedFan, tau: Cone) -> tuple[int, ...]:
     return tuple(sorted(set(itertools.chain.from_iterable(fan.incident[tau])) - set(tau)))
 
 
+def candidate_divisor(fan: MarkedFan) -> tuple[Fraction, ...]:
+    """z(u) = k(n + 1 - k), with k the number of nonzero entries of the mark
+    u.  On a Bergman fan this is c_F = |F|(|E| - |F|), which lies in the
+    ample cone (Adiprasito-Huh-Katz, arXiv:1511.02888); elsewhere it is a
+    guess that every caller checks exactly."""
+    counts = (sum(1 for x in u if x) for u in fan.rays)
+    return tuple(Fraction(k * (fan.ambient_dim + 1 - k)) for k in counts)
+
+
+def functional_rows(fan: MarkedFan, z, cone: Cone, rays) -> tuple[Vec, list[LinearRow]]:
+    """The functional `base` matching z on the cone, and one max-slack row
+    phi(u_r) + t <= z_r per given ray for phi = base + w.annihilators, over
+    the coefficients w."""
+    q = fan.quotient(cone)
+    base = q.functional([Fraction(z[i]) for i in cone])
+    rows = []
+    for r in rays:
+        u = fan.rays[r]
+        rows.append((tuple(dot(a, u) for a in q.annihilators), Fraction(z[r]) - dot(base, u)))
+    return base, rows
+
+
 # ---------------------------------------------------------------------------
 # validation
+
+
+# how validate decided the fan condition (None when not simplicial)
+ROUTE_REGULAR = "regular"
+ROUTE_PAIRS = "pairs"
 
 
 @dataclass(frozen=True)
@@ -208,6 +236,7 @@ class ValidationReport:
     fan_condition: bool
     all_rays_used: bool
     failures: tuple[str, ...]
+    fan_condition_route: Optional[str]
 
     @property
     def valid(self) -> bool:
@@ -237,10 +266,28 @@ def _meet_in_shared_face(fan: MarkedFan, c1: Cone, c2: Cone) -> bool:
     return strict_feasible(rows, len(annihilators)).feasible
 
 
+def _regular(fan: MarkedFan, z) -> bool:
+    """True when every maximal cone has a functional equal to z on its rays
+    and below z on all other rays; False decides nothing.
+
+    Then two maximal cones meet in their shared face: for x = sum a_i u_i =
+    sum b_j u_j in both, the two functionals give sum a z <= sum b z <=
+    sum a z, with equality only when a and b vanish off the shared rays (De
+    Loera, Rambau and Santos, Triangulations, 2010, chapters 2 and 5).
+    """
+    for sigma in fan.maximal_cones:
+        others = [r for r in range(len(fan.rays)) if r not in sigma]
+        _, rows = functional_rows(fan, z, sigma, others)
+        if not strict_feasible(rows, len(fan.quotient(sigma).annihilators)).feasible:
+            return False
+    return True
+
+
 def validate(fan: MarkedFan) -> ValidationReport:
     """Structural report: simpliciality, purity, ray usage, and the fan
-    condition, decided by one separating-functional LP per pair of maximal
-    cones."""
+    condition, decided by one LP per maximal cone with the candidate divisor
+    as height function, or, when that fails, by one separating-functional LP
+    per pair of maximal cones."""
     failures = []
 
     simplicial = True
@@ -260,7 +307,10 @@ def validate(fan: MarkedFan) -> ValidationReport:
         failures.append("some rays belong to no maximal cone")
 
     fan_condition = True
+    route = None
     if simplicial:
+        route = ROUTE_REGULAR if _regular(fan, candidate_divisor(fan)) else ROUTE_PAIRS
+    if route == ROUTE_PAIRS:
         for c1, c2 in itertools.combinations(fan.maximal_cones, 2):
             if not _meet_in_shared_face(fan, c1, c2):
                 fan_condition = False
@@ -272,6 +322,7 @@ def validate(fan: MarkedFan) -> ValidationReport:
         fan_condition=fan_condition,
         all_rays_used=all_rays_used,
         failures=tuple(failures),
+        fan_condition_route=route,
     )
 
 
@@ -449,12 +500,3 @@ def product_fan(f1: MarkedFan, f2: MarkedFan) -> MarkedFan:
 def point_fan(ambient_dim: int = 0) -> MarkedFan:
     """The fan consisting of the origin alone."""
     return MarkedFan(ambient_dim=ambient_dim, rays=(), maximal_cones=((),))
-
-
-def minimal_containing_cone(fan: MarkedFan, v: Vec) -> Cone:
-    """The cone whose relative interior contains v (v must be in the support)."""
-    for c in fan.maximal_cones:
-        coords = fan.cone_coordinates(c, v)
-        if coords is not None and all(x >= 0 for x in coords):
-            return cone_key(i for i, x in zip(c, coords) if x > 0)
-    raise PreconditionError("point lies outside the support")

@@ -169,6 +169,7 @@ def validation_to_json(report: ValidationReport) -> dict:
         "simplicial": report.simplicial,
         "pure": report.pure,
         "fan_condition": report.fan_condition,
+        "fan_condition_route": report.fan_condition_route,
         "all_rays_used": report.all_rays_used,
         "failures": list(report.failures),
     }
@@ -203,6 +204,7 @@ def lorentzian_to_json(cert: LorentzianCertificate) -> dict:
         "witness": (
             [rat_to_str(v) for v in cert.witness] if cert.witness is not None else None
         ),
+        "witness_route": cert.witness_route,
         "pinches": pinch_to_json(cert.pinch_report),
         "stars": {
             cone_to_key(r.cone): {

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .convexity import classify_convexity, find_strictly_convex
+from .convexity import classify_convexity, strictly_convex_witness
 from .errors import (
     ConvexityError,
     InternalError,
@@ -118,31 +118,29 @@ class LorentzianCertificate:
     verdict: bool
     quasiprojective: bool
     witness: Optional[Divisor]
+    witness_route: str  # convexity.ROUTE_CANDIDATE or ROUTE_JOINT_LP
     pinch_report: PinchReport
     star_records: tuple[StarInertiaRecord, ...]
     # inertia records depend on the marks, so the certificate pins them down
     marking: tuple = ()
 
-    @property
-    def failing_stars(self) -> tuple[Cone, ...]:
-        return tuple(r.cone for r in self.star_records if r.inertia.p != 1)
-
 
 def is_lorentzian(tf: TropicalFan) -> LorentzianCertificate:
     """Certificate-producing Lorentzian test.
 
-    Quasiprojectivity is witnessed by an exact strictly convex divisor; the
-    star condition demands exactly one positive eigenvalue of the quadratic
-    volume form of every codimension-two star.  Fans of dimension at most one
-    are Lorentzian exactly when quasiprojective.  Input that fails validate
-    is refused: the characterization holds only for fans.
+    Quasiprojectivity is witnessed by an exact strictly convex divisor, the
+    candidate divisor when it checks out and else the joint program's answer;
+    the star condition demands exactly one positive eigenvalue of the
+    quadratic volume form of every codimension-two star.  Fans of dimension
+    at most one are Lorentzian exactly when quasiprojective.  Input that
+    fails validate is refused: the characterization holds only for fans.
     """
     fan = tf.fan
     report = validate(fan)
     if not report.valid:
         raise PreconditionError(f"the Lorentzian test needs a fan: {report.failures[0]}")
     d = fan.dimension
-    witness = find_strictly_convex(fan)
+    witness, route = strictly_convex_witness(fan)
     quasiprojective = witness is not None
     pinch = is_unpinched(fan)
     records = []
@@ -161,6 +159,7 @@ def is_lorentzian(tf: TropicalFan) -> LorentzianCertificate:
         verdict=verdict,
         quasiprojective=quasiprojective,
         witness=witness,
+        witness_route=route,
         pinch_report=pinch,
         star_records=tuple(records),
         marking=fan.rays,

@@ -12,7 +12,7 @@ from typing import Sequence
 from .convexity import classify_convexity
 from .errors import ConvexityError, PreconditionError
 from .fan import MarkedFan, cone_key, product_fan, validate
-from .linalg import Vec, ZERO, ONE, vec
+from .linalg import ZERO, ONE
 from .weights import (
     Divisor,
     MinkowskiWeight,
@@ -133,47 +133,6 @@ def is_complete(fan: MarkedFan) -> bool:
                 seen.add(nxt)
                 stack.append(nxt)
     return len(seen) == len(maximal)
-
-
-def polytope_vertices(fan: MarkedFan, rhs: Sequence[Fraction]) -> dict:
-    """Vertex of {x : <x, u_r> <= rhs_r} selected by each maximal cone.
-
-    Valid when the right-hand sides are convex on the fan, so that each
-    maximal cone of normals pins down one vertex.
-    """
-    if len(rhs) != len(fan.rays):
-        raise PreconditionError("one right-hand side per ray required")
-    return {c: fan.quotient(c).functional([Fraction(rhs[i]) for i in c]) for c in fan.maximal_cones}
-
-
-def polygon_area(fan: MarkedFan, rhs: Sequence[Fraction]) -> Fraction:
-    """Exact area of a polygon given by a complete planar fan of outer normals."""
-    if fan.ambient_dim != 2:
-        raise PreconditionError("shoelace area needs a planar fan")
-    verts = polytope_vertices(fan, rhs)
-    cones = list(verts)
-
-    def angle_sort_key(c):
-        # order vertices by the angle of the cone's first ray bisector
-        u = vec([sum(fan.rays[i][j] for i in c) for j in range(2)])
-        return _ccw_key(u)
-
-    cones.sort(key=angle_sort_key)
-    area2 = ZERO
-    for k in range(len(cones)):
-        x1, y1 = verts[cones[k]]
-        x2, y2 = verts[cones[(k + 1) % len(cones)]]
-        area2 += x1 * y2 - x2 * y1
-    return abs(area2) / 2
-
-
-def _ccw_key(u: Vec):
-    """Exact counterclockwise ordering key for a nonzero planar direction."""
-    x, y = u
-    s = abs(x) + abs(y)
-    if y > 0 or (y == 0 and x > 0):
-        return (0, -x / s)
-    return (1, x / s)
 
 
 @dataclass(frozen=True)

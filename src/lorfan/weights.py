@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 
 from .errors import BalancingError, DimensionError, PreconditionError
 from .fan import Cone, MarkedFan, StarData, cone_key, star
-from .linalg import Mat, Vec, ZERO, ONE, det, dot, mat, vec
+from .linalg import Mat, ZERO, ONE, det, dot, mat, vec
 
 Divisor = tuple[Fraction, ...]
 
@@ -25,11 +25,6 @@ def divisor(values) -> Divisor:
 
 def indicator_divisor(fan: MarkedFan, ray: int) -> Divisor:
     return tuple(ONE if i == ray else ZERO for i in range(len(fan.rays)))
-
-
-def linear_divisor(fan: MarkedFan, functional: Vec) -> Divisor:
-    """Restriction of a global linear functional to the ray marks."""
-    return tuple(dot(functional, u) for u in fan.rays)
 
 
 @dataclass(frozen=True)
@@ -47,9 +42,6 @@ class MinkowskiWeight:
             return self.values[cone_key(cone)]
         except KeyError:
             raise PreconditionError(f"weight missing a value on cone {cone}") from None
-
-    def is_positive(self) -> bool:
-        return all(v > 0 for v in self.values.values())
 
 
 def weight(degree: int, values: dict) -> MinkowskiWeight:
@@ -223,11 +215,6 @@ def rescale_marking(tf: TropicalFan, scale: Sequence[Fraction]) -> TropicalFan:
             factor /= lam[i]
         values[c] = factor * v
     return TropicalFan(fan, MinkowskiWeight(tf.weight.degree, values))
-
-
-def rescale_divisor(z: Divisor, scale: Sequence[Fraction]) -> Divisor:
-    """The same divisor class expressed on rescaled marks."""
-    return tuple(Fraction(s) * v for s, v in zip(scale, z))
 
 
 def transport_weight(

@@ -12,9 +12,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from lorfan.errors import DimensionError, InternalError
-from lorfan.fan import MarkedFan
+from lorfan import fixtures
+from lorfan.errors import DimensionError, InternalError, PreconditionError
+from lorfan.fan import MarkedFan, cone_key
 from lorfan.linalg import ONE, ZERO, Inertia, dot, is_symmetric, mat, rank, rref, vec
+from lorfan.matroids import bergman_fan, complete_graph_matroid, fano_matroid, uniform_matroid
 from lorfan.weights import MinkowskiWeight, TropicalFan, divisor_action, indicator_divisor
 
 
@@ -23,15 +25,13 @@ def _primitive(x, y):
     return (x // g, y // g)
 
 
-def _ccw_sorted(directions):
-    def key(u):
-        x, y = u
-        s = abs(x) + abs(y)
-        if y > 0 or (y == 0 and x > 0):
-            return (0, Fraction(-x, s))
-        return (1, Fraction(x, s))
-
-    return sorted(directions, key=key)
+def ccw_key(u):
+    """Exact counterclockwise ordering key for a nonzero planar direction."""
+    x, y = u
+    s = abs(x) + abs(y)
+    if y > 0 or (y == 0 and x > 0):
+        return (0, Fraction(-x, s))
+    return (1, Fraction(x, s))
 
 
 def random_complete_directions(rng: random.Random, m: int):
@@ -42,7 +42,7 @@ def random_complete_directions(rng: random.Random, m: int):
             x, y = rng.randint(-4, 4), rng.randint(-4, 4)
             if (x, y) != (0, 0):
                 dirs.add(_primitive(x, y))
-        ordered = _ccw_sorted(dirs)
+        ordered = sorted(dirs, key=ccw_key)
         cross = [
             ordered[i][0] * ordered[(i + 1) % m][1]
             - ordered[i][1] * ordered[(i + 1) % m][0]
@@ -113,6 +113,56 @@ def shoelace_of_vertex_list(fan: MarkedFan, verts: dict) -> Fraction:
         x2, y2 = verts[ordered[(k + 1) % len(ordered)]]
         total += x1 * y2 - x2 * y1
     return abs(total) / 2
+
+
+def polytope_vertices(fan: MarkedFan, rhs) -> dict:
+    """Vertex of {x : <x, u_r> <= rhs_r} selected by each maximal cone.
+
+    Valid when the right-hand sides are convex on the fan, so that each
+    maximal cone of normals pins down one vertex.
+    """
+    if len(rhs) != len(fan.rays):
+        raise PreconditionError("one right-hand side per ray required")
+    return {c: fan.quotient(c).functional([Fraction(rhs[i]) for i in c]) for c in fan.maximal_cones}
+
+
+def polygon_area(fan: MarkedFan, rhs) -> Fraction:
+    """Exact area of a polygon given by a complete planar fan of outer
+    normals: its vertices ordered by the direction of each cone's mark sum,
+    then the shoelace formula."""
+    if fan.ambient_dim != 2:
+        raise PreconditionError("shoelace area needs a planar fan")
+    verts = polytope_vertices(fan, rhs)
+    cones = sorted(verts, key=lambda c: ccw_key(tuple(sum(fan.rays[i][j] for i in c) for j in range(2))))
+    area2 = ZERO
+    for k in range(len(cones)):
+        x1, y1 = verts[cones[k]]
+        x2, y2 = verts[cones[(k + 1) % len(cones)]]
+        area2 += x1 * y2 - x2 * y1
+    return abs(area2) / 2
+
+
+# ---------------------------------------------------------------------------
+# divisors by their definitions
+
+
+def linear_divisor(fan: MarkedFan, functional):
+    """Restriction of a global linear functional to the ray marks."""
+    return tuple(dot(functional, u) for u in fan.rays)
+
+
+def rescale_divisor(z, scale):
+    """The same divisor class expressed on marks rescaled ray by ray."""
+    return tuple(Fraction(s) * v for s, v in zip(scale, z))
+
+
+def minimal_containing_cone(fan: MarkedFan, v):
+    """The cone whose relative interior contains v (v must be in the support)."""
+    for c in fan.maximal_cones:
+        coords = fan.cone_coordinates(c, v)
+        if coords is not None and all(x >= 0 for x in coords):
+            return cone_key(i for i, x in zip(c, coords) if x > 0)
+    raise PreconditionError("point lies outside the support")
 
 
 # ---------------------------------------------------------------------------
@@ -258,6 +308,29 @@ def triangle_double_cover() -> MarkedFan:
     rays = tuple(vec(u) for u in ((1, 0), (0, 1), (-1, -1))) * 2
     cones = ((0, 1), (1, 5), (3, 5), (3, 4), (2, 4), (0, 2))
     return MarkedFan(ambient_dim=2, rays=rays, maximal_cones=tuple(sorted(cones)))
+
+
+# the fixture set on which every fast route is compared with its oracle
+STOCK_FANS = {
+    "triangle": lambda: fixtures.triangle_fan().fan,
+    "line": lambda: fixtures.line_fan().fan,
+    "skeleton": lambda: fixtures.coordinate_skeleton_fan().fan,
+    "triangle_x_line": lambda: fixtures.triangle_times_line().fan,
+    "two_triangles": lambda: fixtures.two_disjoint_triangles().fan,
+    "spindle": lambda: fixtures.spindle_fan().fan,
+    "origin": lambda: fixtures.origin_fan(2).fan,
+    "twisted_prism": lambda: fixtures.twisted_prism_fan().fan,
+}
+BERGMAN_FANS = {
+    "M(K4)": lambda: bergman_fan(complete_graph_matroid(4)).fan,
+    "Fano": lambda: bergman_fan(fano_matroid()).fan,
+    "U(3,5)": lambda: bergman_fan(uniform_matroid(3, 5)).fan,
+}
+
+
+def random_fans():
+    """The 40 seeded random_simplicial_fan draws, in R^2 and R^3 by turns."""
+    return [random_simplicial_fan(random.Random(seed), 2 + seed % 2) for seed in range(40)]
 
 
 def random_simplicial_fan(rng: random.Random, n: int) -> MarkedFan:

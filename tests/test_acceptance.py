@@ -263,7 +263,7 @@ def test_criterion_10_polytope_oracle():
         res = polytope_bridge(fan, [rhs, rhs])
         assert res.degree == 4
 
-        from lorfan.ops import polytope_vertices
+        from helpers import polytope_vertices
 
         verts = polytope_vertices(fan, rhs)
         assert shoelace_of_vertex_list(fan, verts) == 2

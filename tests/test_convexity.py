@@ -1,15 +1,22 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from lorfan.convexity import (
+    ROUTE_CANDIDATE,
+    ROUTE_JOINT_LP,
     VERDICT_CONVEX,
     VERDICT_NONE,
     VERDICT_STRICT,
     classify_convexity,
     find_strictly_convex,
+    joint_lp_witness,
     spanning_rays,
+    strict_convexity_program,
+    strictly_convex_witness,
 )
-from lorfan.fan import stellar_subdivide
+from lorfan.fan import candidate_divisor, stellar_subdivide
 from lorfan.fixtures import (
     coordinate_skeleton_fan,
     line_fan,
@@ -19,7 +26,9 @@ from lorfan.fixtures import (
     two_disjoint_triangles,
 )
 from lorfan.linalg import dot, vec
-from lorfan.weights import divisor, indicator_divisor, linear_divisor
+from lorfan.weights import divisor, indicator_divisor
+
+from helpers import BERGMAN_FANS, STOCK_FANS, linear_divisor, random_fans, triangle_double_cover
 
 ALL_FIXTURES = (
     triangle_fan,
@@ -168,3 +177,39 @@ def test_stellar_subdivision_stays_quasiprojective():
     else:
         raise AssertionError("no epsilon worked")
     assert find_strictly_convex(res.fan) is not None
+
+
+# ---------------------------------------------------------------------------
+# the candidate route against the joint program
+
+ROUTE_FANS = {**STOCK_FANS, **BERGMAN_FANS, "double_cover": triangle_double_cover}
+
+
+def _check_witness_routes(fan):
+    """find_strictly_convex finds a divisor exactly when the joint program is
+    feasible; whichever route answers, its divisor re-verifies, and so does
+    the joint program's own.  Returns the route."""
+    witness, route = strictly_convex_witness(fan)
+    assert witness == find_strictly_convex(fan)
+    feasible = strict_convexity_program(fan).feasible
+    assert (witness is not None) == feasible
+    if route == ROUTE_CANDIDATE:
+        assert witness == candidate_divisor(fan)
+    if feasible:
+        for z in (witness, joint_lp_witness(fan)):
+            assert classify_convexity(fan, z, strict=True).strictly_convex
+    else:
+        assert joint_lp_witness(fan) is None
+    return route
+
+
+@pytest.mark.parametrize("name", sorted(ROUTE_FANS))
+def test_witness_route_matches_joint_program(name):
+    route = _check_witness_routes(ROUTE_FANS[name]())
+    # the twisted prism admits no strictly convex divisor at all
+    assert route == (ROUTE_JOINT_LP if name == "twisted_prism" else ROUTE_CANDIDATE)
+
+
+def test_witness_route_matches_joint_program_on_random_fans():
+    for fan in random_fans():
+        _check_witness_routes(fan)

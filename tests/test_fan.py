@@ -7,7 +7,6 @@ from lorfan.errors import PreconditionError
 from lorfan.fan import (
     MarkedFan,
     is_unpinched,
-    minimal_containing_cone,
     point_fan,
     product_fan,
     star,
@@ -23,6 +22,8 @@ from lorfan.fixtures import (
     two_disjoint_triangles,
 )
 from lorfan.linalg import mat_vec, vec
+
+from helpers import minimal_containing_cone
 
 
 def test_validate_triangle_fan():

@@ -1,40 +1,33 @@
-"""The fan condition and the spanning rays against their definitions."""
+"""The fan condition and the spanning rays against their definitions.
+
+validate decides the fan condition by the regular route (the candidate
+divisor as a height function, one LP per maximal cone) and falls back to one
+separating LP per pair of maximal cones; both are compared with an overlap
+oracle that solves for a common point of two cones directly.
+"""
 
 import itertools
 import math
-import random
 
 import pytest
 
 from lorfan import fan as fan_module
 from lorfan import fixtures
-from lorfan.convexity import spanning_rays
-from lorfan.fan import _meet_in_shared_face, validate
-from lorfan.matroids import bergman_fan, complete_graph_matroid, fano_matroid, uniform_matroid
+from lorfan.convexity import classify_convexity, spanning_rays
+from lorfan.fan import ROUTE_PAIRS, ROUTE_REGULAR, _meet_in_shared_face, _regular, candidate_divisor, validate
 
 from helpers import (
+    BERGMAN_FANS,
+    STOCK_FANS,
     greedy_spanning_rays,
     overlap_witness,
-    random_simplicial_fan,
+    random_fans,
     triangle_double_cover,
 )
 
-STOCK = {
-    "triangle": lambda: fixtures.triangle_fan().fan,
-    "line": lambda: fixtures.line_fan().fan,
-    "skeleton": lambda: fixtures.coordinate_skeleton_fan().fan,
-    "triangle_x_line": lambda: fixtures.triangle_times_line().fan,
-    "two_triangles": lambda: fixtures.two_disjoint_triangles().fan,
-    "spindle": lambda: fixtures.spindle_fan().fan,
-    "origin": lambda: fixtures.origin_fan(2).fan,
-    "twisted_prism": lambda: fixtures.twisted_prism_fan().fan,
-}
-BERGMAN = {
-    "M(K4)": lambda: bergman_fan(complete_graph_matroid(4)).fan,
-    "Fano": lambda: bergman_fan(fano_matroid()).fan,
-    "U(3,5)": lambda: bergman_fan(uniform_matroid(3, 5)).fan,
-}
-FANS = {**STOCK, **BERGMAN, "double_cover": triangle_double_cover}
+FANS = {**STOCK_FANS, **BERGMAN_FANS, "double_cover": triangle_double_cover}
+# valid fans that no height function fits, so the pairs route decides them
+NOT_REGULAR = {"twisted_prism"}
 
 
 def _pair_verdicts(fan, overlaps):
@@ -53,22 +46,54 @@ def test_pair_test_matches_overlap_oracle(name):
 
 def test_pair_test_matches_overlap_oracle_on_random_fans():
     overlapping = 0
-    for seed in range(40):
-        fan = random_simplicial_fan(random.Random(seed), 2 + seed % 2)
+    for seed, fan in enumerate(random_fans()):
         verdicts = _pair_verdicts(fan, _separated)
         assert verdicts == _pair_verdicts(fan, overlap_witness), seed
         overlapping += sum(verdicts)
     assert overlapping > 0
 
 
+def _check_routes(fan):
+    """validate's verdict is the pair LPs' verdict, the regular route is
+    sound, and the report names the route that decided; returns the route."""
+    pairs = not any(_pair_verdicts(fan, _separated))
+    regular = _regular(fan, candidate_divisor(fan))
+    report = validate(fan)
+    assert report.fan_condition == pairs
+    assert pairs or not regular
+    assert report.fan_condition_route == (ROUTE_REGULAR if regular else ROUTE_PAIRS)
+    return report.fan_condition_route
+
+
+@pytest.mark.parametrize("name", sorted(FANS))
+def test_validate_matches_pair_verdict(name):
+    route = _check_routes(FANS[name]())
+    expected = ROUTE_PAIRS if name in NOT_REGULAR | {"double_cover"} else ROUTE_REGULAR
+    assert route == expected
+
+
+def test_validate_matches_pair_verdict_on_random_fans():
+    routes = [_check_routes(fan) for fan in random_fans()]
+    # both routes decide some of them
+    assert set(routes) == {ROUTE_REGULAR, ROUTE_PAIRS}
+
+
 def test_validate_double_cover():
-    report = validate(triangle_double_cover())
+    # the candidate is strictly convex cone by cone, but it is no height
+    # function: the cones on ray 0 and on ray 3 share a mark, so no
+    # functional equals z on one and stays below z on the other
+    fan = triangle_double_cover()
+    z = candidate_divisor(fan)
+    assert classify_convexity(fan, z, strict=True).strictly_convex
+    assert not _regular(fan, z)
+    report = validate(fan)
     assert report.simplicial and report.pure and report.all_rays_used
     assert not report.fan_condition
+    assert report.fan_condition_route == ROUTE_PAIRS
     assert not report.valid
 
 
-def test_validate_solves_one_lp_per_pair(monkeypatch):
+def test_validate_lp_calls_per_route(monkeypatch):
     original = fan_module.strict_feasible
     calls = []
 
@@ -77,12 +102,32 @@ def test_validate_solves_one_lp_per_pair(monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(fan_module, "strict_feasible", counting)
+    # regular route: one LP per maximal cone
     fan = fixtures.coordinate_skeleton_fan().fan
-    assert validate(fan).valid
-    assert len(calls) == math.comb(len(fan.maximal_cones), 2)
+    report = validate(fan)
+    assert report.valid and report.fan_condition_route == ROUTE_REGULAR
+    assert len(calls) == len(fan.maximal_cones) == 12
+    # the first cone (0, 1) already fails the regular route, and then every
+    # pair of the six cones gets its LP
+    calls.clear()
+    fan = triangle_double_cover()
+    assert validate(fan).fan_condition_route == ROUTE_PAIRS
+    assert fan.maximal_cones[0] == (0, 1)
+    assert len(calls) == 1 + math.comb(len(fan.maximal_cones), 2) == 16
 
 
-@pytest.mark.parametrize("name", sorted({**STOCK, **BERGMAN}))
+def test_validate_reports_no_route_without_simpliciality():
+    fan = fan_module.MarkedFan(
+        ambient_dim=2,
+        rays=tuple(fixtures.triangle_fan().fan.rays),
+        maximal_cones=((0, 1, 2),),
+    )
+    report = validate(fan)
+    assert not report.simplicial
+    assert report.fan_condition_route is None
+
+
+@pytest.mark.parametrize("name", sorted({**STOCK_FANS, **BERGMAN_FANS}))
 def test_spanning_rays_is_the_greedy_basis(name):
     fan = FANS[name]()
     assert spanning_rays(fan) == greedy_spanning_rays(fan)

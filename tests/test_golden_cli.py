@@ -21,6 +21,8 @@ from pathlib import Path
 import pytest
 
 from lorfan.cli import main
+from lorfan.convexity import ROUTE_CANDIDATE, ROUTE_JOINT_LP, classify_convexity
+from lorfan.io import fan_from_json
 
 GOLDEN = Path(__file__).parent / "golden"
 INPUTS = GOLDEN / "inputs"
@@ -44,8 +46,6 @@ DIM = {
 }
 # fans with a strictly convex divisor
 CONVEX = [f for f in FANS if f != "twisted_prism"]
-# pairwise validation takes over a second on each larger matroid fan
-VALIDATE = [f for f in FANS if f not in ("fano", "u35")]
 # the sampling check of the definition, at a fixed seed
 SAMPLED = ["skeleton", "triangle_x_line", "mk4"]
 
@@ -60,11 +60,11 @@ def _cases():
             (f"volpoly-{f}", ["volpoly", "--fan", fan]),
             (f"balance-{f}", ["balance", "--fan", fan]),
             (f"star-{f}-apex", ["star", "--fan", fan, "--cone", ""]),
+            (f"validate-{f}", ["validate", "--fan", fan]),
         ]
         if DIM[f] >= 1:
             cases.append((f"star-{f}-ray0", ["star", "--fan", fan, "--cone", "0"]))
             cases.append((f"stellar-{f}", ["stellar", "--fan", fan, "--point", f"@{f}-point"]))
-    cases += [(f"validate-{f}", ["validate", "--fan", f"@{f}"]) for f in VALIDATE]
     for f in SAMPLED:
         argv = ["lorentzian", "--fan", f"@{f}", "--samples", "2", "--seed", "5"]
         cases.append((f"lorentzian-{f}-samples", argv))
@@ -164,6 +164,25 @@ def test_emitted_witnesses_recheck(fan_name, z_name, strict):
         assert None not in report["witnesses"].values()
 
 
+LORENTZIAN_CASES = [(name, argv[2][1:]) for name, argv in CASES if argv[0] == "lorentzian"]
+
+
+@pytest.mark.parametrize("name,fan_name", LORENTZIAN_CASES, ids=[name for name, _ in LORENTZIAN_CASES])
+def test_stored_lorentzian_witnesses_recheck(name, fan_name):
+    """The witness of each stored `lorfan lorentzian` report is strictly
+    convex on its fan, and null exactly when the joint program has shown
+    that the fan admits none."""
+    report = json.loads((GOLDEN / f"{name}.json").read_text())
+    fan, _ = fan_from_json(json.loads((INPUTS / f"{fan_name}.json").read_text()))
+    assert report["quasiprojective"] is (report["witness"] is not None)
+    assert report["witness_route"] in (ROUTE_CANDIDATE, ROUTE_JOINT_LP)
+    if report["witness"] is None:
+        assert report["witness_route"] == ROUTE_JOINT_LP
+    else:
+        z = _rats(report["witness"])
+        assert classify_convexity(fan, z, strict=True).strictly_convex
+
+
 # ---------------------------------------------------------------------------
 # regeneration
 
@@ -178,19 +197,19 @@ def write_inputs() -> None:
     """Fans from the stock fixtures and Bergman fans; divisors per fan.
 
     `c` is strictly convex: c_F = |F|(n-|F|) on the proper flats of a Bergman
-    fan, the joint-LP witness on a stock fixture.  `c2` = 2c, `neg` = -c, and
+    fan, the joint program's witness on a stock fixture.  `c2` = 2c, `neg` = -c, and
     the degree case pairs c with c2.  The stellar point is the sum of the marks
     of the first maximal cone, an interior point of that cone.
     """
     from lorfan import fixtures, matroids
     from lorfan import io as lio
-    from lorfan.convexity import find_strictly_convex
+    from lorfan.convexity import joint_lp_witness
 
     INPUTS.mkdir(parents=True, exist_ok=True)
     for f in FANS:
         if f in STOCK:
             tf = getattr(fixtures, STOCK[f])()
-            c = find_strictly_convex(tf.fan)
+            c = joint_lp_witness(tf.fan)
         else:
             m = {"M(K4)": matroids.complete_graph_matroid(4), "Fano": matroids.fano_matroid(),
                  "U(3,5)": matroids.uniform_matroid(3, 5)}[MATROIDS[f]]

@@ -3,9 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from lorfan.convexity import find_strictly_convex
+from lorfan import fan as fan_module
+from lorfan.convexity import ROUTE_CANDIDATE, ROUTE_JOINT_LP, find_strictly_convex
 from lorfan.errors import ConvexityError, PreconditionError
-from lorfan.fan import stellar_subdivide
+from lorfan.fan import candidate_divisor, stellar_subdivide
 from lorfan.fixtures import (
     coordinate_skeleton_fan,
     line_fan,
@@ -16,8 +17,15 @@ from lorfan.fixtures import (
     two_disjoint_triangles,
 )
 from lorfan.linalg import vec
+from lorfan.matroids import bergman_fan, complete_graph_matroid, uniform_matroid
 
-from helpers import hessian_of_quadratic, indicator_pairing_form, poly_eval, triangle_double_cover
+from helpers import (
+    hessian_of_quadratic,
+    indicator_pairing_form,
+    linear_divisor,
+    poly_eval,
+    triangle_double_cover,
+)
 from lorfan.lorentzian import (
     af_report,
     definition_sample_check,
@@ -32,7 +40,6 @@ from lorfan.weights import (
     TropicalFan,
     check_balancing,
     divisor,
-    linear_divisor,
     transport_weight,
 )
 
@@ -125,6 +132,27 @@ def test_is_lorentzian_fixtures():
     assert is_lorentzian(spindle_fan()).verdict
     assert is_lorentzian(triangle_times_line()).verdict
     assert is_lorentzian(origin_fan()).verdict
+
+
+LARGE_MATROIDS = {"U(4,6)": lambda: uniform_matroid(4, 6), "M(K5)": lambda: complete_graph_matroid(5)}
+
+
+@pytest.mark.parametrize("name", sorted(LARGE_MATROIDS))
+def test_large_bergman_fans_are_lorentzian_by_the_candidate(monkeypatch, name):
+    # the largest fans of the ladder: validate takes the regular route, so
+    # no pair LP runs, and the candidate divisor is the witness
+    pair_lps = []
+    pairs = fan_module._meet_in_shared_face
+    monkeypatch.setattr(fan_module, "_meet_in_shared_face", lambda *args: pair_lps.append(args) or pairs(*args))
+    tf = bergman_fan(LARGE_MATROIDS[name]())
+    cert = is_lorentzian(tf)
+    assert pair_lps == []
+    assert cert.verdict and cert.quasiprojective
+    assert cert.witness_route == ROUTE_CANDIDATE
+    assert cert.witness == candidate_divisor(tf.fan)
+    assert cert.pinch_report.unpinched
+    assert len(cert.star_records) == len(tf.fan.cones(tf.dimension - 2))
+    assert all(r.inertia.p == 1 for r in cert.star_records)
 
 
 def test_is_lorentzian_refuses_double_cover():
@@ -267,6 +295,7 @@ def test_twisted_prism_is_not_quasiprojective():
     cert = is_lorentzian(tf)
     assert not cert.verdict
     assert not cert.quasiprojective
+    assert cert.witness_route == ROUTE_JOINT_LP
     # breaking the cyclic symmetry on one quad face restores a witness
     from lorfan.fan import MarkedFan
 

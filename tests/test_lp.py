@@ -1,17 +1,17 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from lorfan import convexity, fixtures
+from lorfan import convexity
 from lorfan import fan as fan_module
 from lorfan import lp
 from lorfan.errors import DimensionError
 from lorfan.linalg import dot, vec
 from lorfan.lp import strict_feasible, verify_certificate
-from lorfan.matroids import bergman_fan, complete_graph_matroid, fano_matroid, uniform_matroid
 
-from helpers import OPTIMAL, linear_feasible, lp_max, max_slack_oracle
+from helpers import BERGMAN_FANS, OPTIMAL, STOCK_FANS, linear_feasible, lp_max, max_slack_oracle
 
 
 def F(a, b=1):
@@ -183,25 +183,15 @@ def test_linear_feasible_none():
 # ---------------------------------------------------------------------------
 # every program the package builds on the fixtures, against the oracle
 
-FIXTURE_FANS = {
-    "triangle": lambda: fixtures.triangle_fan().fan,
-    "line": lambda: fixtures.line_fan().fan,
-    "skeleton": lambda: fixtures.coordinate_skeleton_fan().fan,
-    "triangle_x_line": lambda: fixtures.triangle_times_line().fan,
-    "two_triangles": lambda: fixtures.two_disjoint_triangles().fan,
-    "spindle": lambda: fixtures.spindle_fan().fan,
-    "origin": lambda: fixtures.origin_fan(2).fan,
-    "twisted_prism": lambda: fixtures.twisted_prism_fan().fan,
-    "M(K4)": lambda: bergman_fan(complete_graph_matroid(4)).fan,
-    "Fano": lambda: bergman_fan(fano_matroid()).fan,
-    "U(3,5)": lambda: bergman_fan(uniform_matroid(3, 5)).fan,
-}
+FIXTURE_FANS = {**STOCK_FANS, **BERGMAN_FANS}
 
 
 @pytest.mark.parametrize("name", sorted(FIXTURE_FANS))
 def test_fixture_programs_match_oracle(monkeypatch, name):
-    """The per-cone programs of classify_convexity on several divisors, the
-    joint program of find_strictly_convex and the pair programs of validate."""
+    """The per-cone programs of classify_convexity on several divisors and
+    those of validate's regular route, and, solved explicitly because the
+    fast routes seldom reach them, the joint program behind the witness
+    fallback and the pair program of every two maximal cones."""
     programs = []
 
     def recording(rows, dim):
@@ -219,6 +209,9 @@ def test_fixture_programs_match_oracle(monkeypatch, name):
     for z in divisors:
         convexity.classify_convexity(fan, z, strict=True)
     assert fan_module.validate(fan).valid
+    convexity.strict_convexity_program(fan)
+    for c1, c2 in itertools.combinations(fan.maximal_cones, 2):
+        assert fan_module._meet_in_shared_face(fan, c1, c2)
     assert programs
     for rows, dim in programs:
         check(rows, dim)

@@ -17,16 +17,14 @@ from lorfan.lorentzian import is_lorentzian, sample_strictly_convex
 from lorfan.matroids import bergman_fan, complete_graph_matroid
 from lorfan.ops import (
     is_complete,
-    polygon_area,
     polytope_bridge,
-    polytope_vertices,
     product_tropical,
     act_divisor_fan,
     tropical_modification,
 )
 from lorfan.weights import check_balancing, divisor, mixed_degree
 
-from helpers import shoelace_of_vertex_list, smooth_complete_2fan, triangle_double_cover
+from helpers import polygon_area, polytope_vertices, shoelace_of_vertex_list, smooth_complete_2fan, triangle_double_cover
 
 
 def test_product_tropical_unit_weights():

@@ -10,7 +10,6 @@ import random
 
 from lorfan.fan import (
     MarkedFan,
-    minimal_containing_cone,
     product_fan,
     star,
     stellar_subdivide,
@@ -18,7 +17,7 @@ from lorfan.fan import (
 from lorfan.fixtures import coordinate_skeleton_fan, triangle_fan, triangle_times_line
 from lorfan.linalg import mat_vec, mat, vec
 
-from helpers import solve_linear
+from helpers import minimal_containing_cone, solve_linear
 
 
 def canonical(fan: MarkedFan):

@@ -19,16 +19,16 @@ from lorfan.weights import (
     divisor,
     divisor_action,
     indicator_divisor,
-    linear_divisor,
     mixed_degree,
     pullback_divisor,
     push_divisor_to_star,
-    rescale_divisor,
     rescale_marking,
     star_weight,
     transport_weight,
     weight,
 )
+
+from helpers import linear_divisor, rescale_divisor
 
 
 def rand_divisor(rng, fan):
