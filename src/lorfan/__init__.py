@@ -39,7 +39,6 @@ from .weights import (
     mixed_degree,
     pullback_divisor,
     push_divisor_to_star,
-    rescale_marking,
     star_weight,
     transport_weight,
 )

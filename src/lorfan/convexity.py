@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import InternalError, PreconditionError
-from .fan import Cone, MarkedFan, candidate_divisor, functional_rows, neighborhood_rays
+from .fan import Cone, MarkedFan, candidate_divisor
 from .linalg import Vec, ZERO, ONE, dot, rref, transpose, vec
 from .lp import StrictFeasibility, strict_feasible
 
@@ -57,14 +57,15 @@ def _witness_at_cone(fan: MarkedFan, z, tau: Cone, strict: bool) -> tuple[ConeWi
     """The cone's witness and the optimum t* of its max-slack program, whose
     rows are phi(u_eta) + t <= z_eta on the neighborhood rays: the cone has
     a strict witness iff t* > 0 and a weak one iff t* >= 0."""
-    base, rows = functional_rows(fan, z, tau, neighborhood_rays(fan, tau))
-    if not rows:
-        return ConeWitness(tau, base, strict, True), ONE
     q = fan.quotient(tau)
+    on_cone = [Fraction(z[i]) for i in tau]
+    rows = fan.neighborhood(tau).rows(z)
+    if not rows:
+        return ConeWitness(tau, q.functional(on_cone), strict, True), ONE
     res = strict_feasible(rows, len(q.annihilators))
     if res.optimum < 0 or (strict and not res.feasible):
         return ConeWitness(tau, None, strict, False), res.optimum
-    phi = q.functional([Fraction(z[i]) for i in tau], res.point)
+    phi = q.functional(on_cone, res.point)
     for i in tau:
         if dot(phi, fan.rays[i]) != z[i]:
             raise InternalError("reconstructed witness misses a matching value")
@@ -149,23 +150,20 @@ def strict_convexity_program(fan: MarkedFan) -> StrictFeasibility:
     blocks = []
     dim = len(column)
     for tau in fan.all_cones():
-        neighbors = neighborhood_rays(fan, tau)
-        if neighbors:
-            blocks.append((tau, neighbors, dim))
+        hood = fan.neighborhood(tau)
+        if hood.rays:
+            blocks.append((hood, dim))
             dim += len(fan.quotient(tau).annihilators)
 
     rows = []
-    for tau, neighbors, base in blocks:
-        q = fan.quotient(tau)
-        for eta in neighbors:
-            u = fan.rays[eta]
+    for hood, base in blocks:
+        for eta, image, coords in zip(hood.rays, hood.images, hood.coords):
             row = [ZERO] * dim
             # phi(u_eta) - z_eta < 0 with phi = sum z_r psi_r + w.annihilators
-            for ray_idx, psi in zip(tau, q.particulars):
+            for ray_idx, c in zip(hood.cone, coords):
                 if ray_idx in column:
-                    row[column[ray_idx]] += dot(psi, u)
-            for k, a in enumerate(q.annihilators):
-                row[base + k] += dot(a, u)
+                    row[column[ray_idx]] += c
+            row[base : base + len(image)] = image
             if eta in column:
                 row[column[eta]] -= ONE
             rows.append((vec(row), ZERO))

@@ -22,7 +22,6 @@ from .linalg import (
     dot,
     identity,
     mat,
-    mat_vec,
     rank,
     rref,
     vec,
@@ -60,9 +59,15 @@ class Quotient:
         """
         phi = [ZERO] * (len(self.pivots) + len(self.annihilators))
         for coeff, row in itertools.chain(zip(on_cone, self.particulars), zip(w, self.annihilators)):
-            for j, x in enumerate(row):
-                phi[j] += coeff * x
+            if coeff:
+                for j, x in enumerate(row):
+                    if x:
+                        phi[j] += coeff * x
         return tuple(phi)
+
+    def project(self, point: Vec) -> Vec:
+        """The point's image under the annihilators: its quotient coordinates."""
+        return tuple(dot(a, point) for a in self.annihilators)
 
     def coordinates(self, point: Vec) -> Optional[Vec]:
         """Coordinates of a point in the cone's mark basis, or None off its span."""
@@ -97,12 +102,59 @@ def _quotient(fan: MarkedFan, cone: Cone) -> Quotient:
 
 
 @dataclass(frozen=True)
+class Neighborhood:
+    """The neighborhood rays of one cone, read in the cone's quotient record.
+
+    `images[e]` is the mark of `rays[e]` under the annihilators
+    (`Quotient.project`): the coefficients of its max-slack row over w, and
+    its mark on the star.  `coords[e]` holds the particular functionals at
+    that mark, so the functional matching z on the cone takes
+    sum(z[cone[r]] * coords[e][r]) there, k products for a k-cone.
+    """
+
+    cone: Cone
+    rays: tuple[int, ...]
+    images: tuple[Vec, ...]
+    coords: tuple[Vec, ...]
+
+    def excess(self, z) -> tuple[Fraction, ...]:
+        """z at each ray minus the functional matching z on the cone; on a
+        star these are the values of the pushed divisor."""
+        on_cone = [Fraction(z[i]) for i in self.cone]
+        return tuple(
+            Fraction(z[eta]) - sum((v * c for v, c in zip(on_cone, coords) if c), ZERO)
+            for eta, coords in zip(self.rays, self.coords)
+        )
+
+    def rows(self, z) -> list[LinearRow]:
+        """One max-slack row phi(u_eta) + t <= z_eta per ray, over the
+        coefficients w of phi = (the functional matching z on the cone) +
+        w.annihilators."""
+        return list(zip(self.images, self.excess(z)))
+
+
+def _neighborhood(fan: MarkedFan, cone: Cone) -> Neighborhood:
+    q = fan.quotient(cone)
+    rays = neighborhood_rays(fan, cone)
+    marks = [fan.rays[r] for r in rays]
+    return Neighborhood(
+        cone,
+        rays,
+        tuple(map(q.project, marks)),
+        tuple(tuple(dot(psi, u) for psi in q.particulars) for u in marks),
+    )
+
+
+@dataclass(frozen=True)
 class MarkedFan:
     """A simplicial fan: ray marks and maximal cones as sorted ray-index tuples.
 
-    The cone index (`cones`, `incident`, `cofaces`) and the per-cone quotient
-    records are computed on first use and kept on the instance, so they are
-    shared by every computation on the fan and freed with it.
+    The cone index (`cones`, `incident`, `cofaces`), the per-cone quotient
+    records (`quotient`) and the per-cone neighborhood records
+    (`neighborhood`: the neighborhood rays' images under the cone's
+    annihilators and particular functionals) are computed on first use and
+    kept on the instance, so they are shared by every computation on the fan
+    and freed with it.
     """
 
     ambient_dim: int
@@ -172,6 +224,17 @@ class MarkedFan:
             q = self._quotients[cone] = _quotient(self, cone)
         return q
 
+    @cached_property
+    def _neighborhoods(self) -> dict[Cone, Neighborhood]:
+        return {}
+
+    def neighborhood(self, cone: Cone) -> Neighborhood:
+        """The neighborhood record of a cone, computed on first use."""
+        hood = self._neighborhoods.get(cone)
+        if hood is None:
+            hood = self._neighborhoods[cone] = _neighborhood(self, cone)
+        return hood
+
     def cones(self, k: int) -> tuple[Cone, ...]:
         """All k-dimensional cones, i.e. k-subsets of maximal cones, sorted."""
         if k < 0 or k > self.dimension:
@@ -205,19 +268,6 @@ def candidate_divisor(fan: MarkedFan) -> tuple[Fraction, ...]:
     guess that every caller checks exactly."""
     counts = (sum(1 for x in u if x) for u in fan.rays)
     return tuple(Fraction(k * (fan.ambient_dim + 1 - k)) for k in counts)
-
-
-def functional_rows(fan: MarkedFan, z, cone: Cone, rays) -> tuple[Vec, list[LinearRow]]:
-    """The functional `base` matching z on the cone, and one max-slack row
-    phi(u_r) + t <= z_r per given ray for phi = base + w.annihilators, over
-    the coefficients w."""
-    q = fan.quotient(cone)
-    base = q.functional([Fraction(z[i]) for i in cone])
-    rows = []
-    for r in rays:
-        u = fan.rays[r]
-        rows.append((tuple(dot(a, u) for a in q.annihilators), Fraction(z[r]) - dot(base, u)))
-    return base, rows
 
 
 # ---------------------------------------------------------------------------
@@ -256,14 +306,14 @@ def _meet_in_shared_face(fan: MarkedFan, c1: Cone, c2: Cone) -> bool:
     none exists, before it returns.
     """
     shared = tuple(s for s in c1 if s in c2)
-    annihilators = fan.quotient(shared).annihilators
+    q = fan.quotient(shared)
 
     def row(i, sign):
-        return tuple(sign * dot(a, fan.rays[i]) for a in annihilators), ZERO
+        return tuple(sign * x for x in q.project(fan.rays[i])), ZERO
 
     rows = [row(i, -1) for i in c1 if i not in shared]
     rows += [row(j, 1) for j in c2 if j not in shared]
-    return strict_feasible(rows, len(annihilators)).feasible
+    return strict_feasible(rows, len(q.annihilators)).feasible
 
 
 def _regular(fan: MarkedFan, z) -> bool:
@@ -274,11 +324,15 @@ def _regular(fan: MarkedFan, z) -> bool:
     sum b_j u_j in both, the two functionals give sum a z <= sum b z <=
     sum a z, with equality only when a and b vanish off the shared rays (De
     Loera, Rambau and Santos, Triangulations, 2010, chapters 2 and 5).
+    The rows run over every other ray for one z, so unlike the convexity
+    rows they subtract the matching functional itself instead of reading a
+    neighborhood record.
     """
     for sigma in fan.maximal_cones:
-        others = [r for r in range(len(fan.rays)) if r not in sigma]
-        _, rows = functional_rows(fan, z, sigma, others)
-        if not strict_feasible(rows, len(fan.quotient(sigma).annihilators)).feasible:
+        q = fan.quotient(sigma)
+        base = q.functional([Fraction(z[i]) for i in sigma])
+        rows = [(q.project(u), Fraction(z[r]) - dot(base, u)) for r, u in enumerate(fan.rays) if r not in sigma]
+        if not strict_feasible(rows, len(q.annihilators)).feasible:
             return False
     return True
 
@@ -354,22 +408,18 @@ def star(fan: MarkedFan, apex: Cone) -> StarData:
         raise PreconditionError(f"{apex} is not a cone of the fan")
     if not apex:
         return StarData(parent=fan, apex=apex, fan=fan, lift=tuple(range(len(fan.rays))))
-    projection = fan.quotient(apex).annihilators
-    neighbor_rays = neighborhood_rays(fan, apex)
-    index_of = {parent: i for i, parent in enumerate(neighbor_rays)}
-    marks = []
-    for parent_ray in neighbor_rays:
-        image = mat_vec(projection, fan.rays[parent_ray])
-        if all(x == 0 for x in image):
+    hood = fan.neighborhood(apex)
+    for parent_ray, image in zip(hood.rays, hood.images):
+        if not any(image):
             raise PreconditionError(f"ray {parent_ray} lies in the span of {apex}: not simplicial")
-        marks.append(image)
+    index_of = {parent: i for i, parent in enumerate(hood.rays)}
     star_cones = {cone_key(index_of[i] for i in c if i not in apex) for c in fan.incident[apex]}
     quotient = MarkedFan(
         ambient_dim=fan.ambient_dim - len(apex),
-        rays=tuple(marks),
+        rays=hood.images,
         maximal_cones=tuple(sorted(star_cones)),
     )
-    return StarData(parent=fan, apex=apex, fan=quotient, lift=neighbor_rays)
+    return StarData(parent=fan, apex=apex, fan=quotient, lift=hood.rays)
 
 
 # ---------------------------------------------------------------------------

@@ -55,18 +55,6 @@ def coordinate_skeleton_fan() -> TropicalFan:
     return TropicalFan(fan, constant_weight(fan))
 
 
-def skeleton_weight(a, b, c) -> MinkowskiWeight:
-    """The balanced weight on the coordinate skeleton taking value a*b on the
-    xy-plane cones, a*c on the xz-plane cones, and b*c on the yz-plane cones."""
-    tf = coordinate_skeleton_fan()
-    products = {(0, 1): Fraction(a) * Fraction(b), (0, 2): Fraction(a) * Fraction(c), (1, 2): Fraction(b) * Fraction(c)}
-    values = {}
-    for cone in tf.fan.maximal_cones:
-        axes = tuple(sorted(i // 2 for i in cone))
-        values[cone] = products[axes]
-    return MinkowskiWeight(2, values)
-
-
 def triangle_times_line() -> TropicalFan:
     """Product of the triangle fan with a line; a three-dimensional fan."""
     t, l = triangle_fan(), line_fan()

@@ -29,6 +29,7 @@ from .weights import (
     divisor_action,
     indicator_divisor,
     mixed_degree,
+    mixed_degrees,
     push_divisor_to_star,
     quadratic_form,
     star_weight,
@@ -69,8 +70,8 @@ def volume_polynomial(tf: TropicalFan) -> Polynomial:
     """Dense homogeneous volume polynomial, as exponent-tuple -> coefficient.
 
     Coefficients are mixed degrees of ray indicators with multinomial
-    bookkeeping; intermediate weights are shared across monomials with a
-    common prefix.  Desk scale only (dimension at most four).
+    bookkeeping; `mixed_degrees` shares intermediate weights across monomials
+    with a common prefix.  Desk scale only (dimension at most four).
     """
     fan = tf.fan
     d = fan.dimension
@@ -80,16 +81,9 @@ def volume_polynomial(tf: TropicalFan) -> Polynomial:
     if d == 0:
         return {(): tf.weight[()]}
     indicators = [indicator_divisor(fan, i) for i in range(nrays)]
-    partial = {(): tf.weight}
+    combos = list(itertools.combinations_with_replacement(range(nrays), d))
     poly = {}
-    for combo in itertools.combinations_with_replacement(range(nrays), d):
-        for k in range(1, d + 1):
-            prefix = combo[:k]
-            if prefix not in partial:
-                partial[prefix] = divisor_action(
-                    fan, partial[combo[: k - 1]], indicators[combo[k - 1]]
-                )
-        degree = partial[combo][()]
+    for combo, degree in zip(combos, mixed_degrees(fan, tf.weight, indicators, combos)):
         if degree == 0:
             continue
         expo = [0] * nrays
@@ -209,7 +203,9 @@ def af_report(
     """Alexandrov-Fenchel gap and full degree sequence for a convex pair.
 
     The gap is deg(D1 D2 aux)^2 - deg(D1^2 aux) deg(D2^2 aux); the sequence
-    runs through deg(D1^k D2^(d-k)).  All inputs must verify as convex.
+    runs through deg(D1^k D2^(d-k)).  All inputs must verify as convex; each
+    distinct divisor is checked once, and the degrees share their common
+    prefixes of divisor actions.
     """
     fan = tf.fan
     d = fan.dimension
@@ -217,22 +213,23 @@ def af_report(
         raise PreconditionError("AF reports need dimension at least two")
     if len(aux) != d - 2:
         raise PreconditionError(f"need {d - 2} auxiliary divisors, got {len(aux)}")
+    aux = tuple(aux)
+    index = {}
     for z in (d1, d2, *aux):
+        index.setdefault(tuple(z), len(index))
+    for z in index:
         cert = classify_convexity(fan, z, strict=False)
         if not cert.convex:
             raise ConvexityError("input divisor is not convex", certificate=cert)
-    aux = tuple(aux)
-    mixed = mixed_degree(fan, tf.weight, [d1, d2, *aux])
-    sq1 = mixed_degree(fan, tf.weight, [d1, d1, *aux])
-    sq2 = mixed_degree(fan, tf.weight, [d2, d2, *aux])
-    gap = mixed * mixed - sq1 * sq2
-    seq = tuple(
-        mixed_degree(fan, tf.weight, [d1] * k + [d2] * (d - k)) for k in range(d + 1)
-    )
+    i1, i2, *rest = (index[tuple(z)] for z in (d1, d2, *aux))
+    sequences = [(i1, i2, *rest), (i1, i1, *rest), (i2, i2, *rest)]
+    sequences += [(i1,) * k + (i2,) * (d - k) for k in range(d + 1)]
+    mixed, sq1, sq2, *seq = mixed_degrees(fan, tf.weight, list(index), sequences)
+    seq = tuple(seq)
     return AFReport(
         divisors=(tuple(d1), tuple(d2)),
         auxiliary=aux,
-        af_gap=gap,
+        af_gap=mixed * mixed - sq1 * sq2,
         sequence=seq,
         log_concave=is_log_concave(seq),
         unimodal=is_unimodal(seq),

@@ -10,11 +10,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .errors import BalancingError, DimensionError, PreconditionError
 from .fan import Cone, MarkedFan, StarData, cone_key, star
-from .linalg import Mat, ZERO, ONE, det, dot, mat, vec
+from .linalg import Mat, ZERO, ONE, det, mat, vec
 
 Divisor = tuple[Fraction, ...]
 
@@ -151,14 +151,26 @@ def quadratic_form(fan: MarkedFan, w: MinkowskiWeight) -> Mat:
 
 def mixed_degree(fan: MarkedFan, w: MinkowskiWeight, divisors: Sequence[Divisor]) -> Fraction:
     """Iterated divisor action evaluated at the origin."""
-    if len(divisors) != w.degree:
-        raise PreconditionError(
-            f"need exactly {w.degree} divisors, got {len(divisors)}"
-        )
-    current = w
-    for z in divisors:
-        current = divisor_action(fan, current, z)
-    return current[()]
+    return mixed_degrees(fan, w, divisors, [range(len(divisors))])[0]
+
+
+def mixed_degrees(
+    fan: MarkedFan, w: MinkowskiWeight, divisors: Sequence[Divisor], sequences: Iterable[Sequence[int]]
+) -> list[Fraction]:
+    """mixed_degree of [divisors[i] for i in seq] for each index sequence, in
+    order.  The divisors act in sequence order, first index first, and each
+    distinct prefix is applied once and shared by the later sequences, so
+    every value and every error is that of the separate calls."""
+    partial = {(): w}
+    out = []
+    for seq in map(tuple, sequences):
+        if len(seq) != w.degree:
+            raise PreconditionError(f"need exactly {w.degree} divisors, got {len(seq)}")
+        for k in range(1, len(seq) + 1):
+            if seq[:k] not in partial:
+                partial[seq[:k]] = divisor_action(fan, partial[seq[: k - 1]], divisors[seq[k - 1]])
+        out.append(partial[seq][()])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -182,39 +194,18 @@ def push_divisor_to_star(sd: StarData, z: Divisor) -> Divisor:
 
     Subtracts the unique linear functional that matches z on the apex rays
     and vanishes on the non-pivot coordinates, then reads the leftover values
-    on the neighborhood rays.
+    on the neighborhood rays, from the apex's neighborhood record.
     """
     fan = sd.parent
     if len(z) != len(fan.rays):
         raise DimensionError("divisor has one value per ray")
-    psi = fan.quotient(sd.apex).functional([z[i] for i in sd.apex])
-    return tuple(z[parent] - dot(psi, fan.rays[parent]) for parent in sd.lift)
+    if not sd.apex:
+        return tuple(Fraction(v) for v in z)
+    return fan.neighborhood(sd.apex).excess(z)
 
 
 # ---------------------------------------------------------------------------
-# rescaling and transport
-
-
-def rescale_marking(tf: TropicalFan, scale: Sequence[Fraction]) -> TropicalFan:
-    """Equivalent representative with marks scaled ray by ray.
-
-    Weights pick up the inverse product of the scales over each cone, which
-    keeps every mixed degree of divisor classes unchanged.
-    """
-    lam = [Fraction(s) for s in scale]
-    if len(lam) != len(tf.fan.rays):
-        raise DimensionError("one scale per ray required")
-    if any(s <= 0 for s in lam):
-        raise PreconditionError("scales must be positive")
-    rays = tuple(tuple(s * x for x in u) for s, u in zip(lam, tf.fan.rays))
-    fan = MarkedFan(tf.fan.ambient_dim, rays, tf.fan.maximal_cones)
-    values = {}
-    for c, v in tf.weight.values.items():
-        factor = ONE
-        for i in c:
-            factor /= lam[i]
-        values[c] = factor * v
-    return TropicalFan(fan, MinkowskiWeight(tf.weight.degree, values))
+# transport
 
 
 def transport_weight(

@@ -156,6 +156,40 @@ def rescale_divisor(z, scale):
     return tuple(Fraction(s) * v for s, v in zip(scale, z))
 
 
+def rescale_marking(tf: TropicalFan, scale) -> TropicalFan:
+    """Equivalent representative with marks scaled ray by ray.
+
+    Weights pick up the inverse product of the scales over each cone, which
+    keeps every mixed degree of divisor classes unchanged.
+    """
+    lam = [Fraction(s) for s in scale]
+    if len(lam) != len(tf.fan.rays):
+        raise DimensionError("one scale per ray required")
+    if any(s <= 0 for s in lam):
+        raise PreconditionError("scales must be positive")
+    rays = tuple(tuple(s * x for x in u) for s, u in zip(lam, tf.fan.rays))
+    fan = MarkedFan(tf.fan.ambient_dim, rays, tf.fan.maximal_cones)
+    values = {}
+    for c, v in tf.weight.values.items():
+        factor = ONE
+        for i in c:
+            factor /= lam[i]
+        values[c] = factor * v
+    return TropicalFan(fan, MinkowskiWeight(tf.weight.degree, values))
+
+
+def skeleton_weight(a, b, c) -> MinkowskiWeight:
+    """The balanced weight on the coordinate skeleton taking value a*b on the
+    xy-plane cones, a*c on the xz-plane cones, and b*c on the yz-plane cones."""
+    tf = fixtures.coordinate_skeleton_fan()
+    products = {(0, 1): Fraction(a) * Fraction(b), (0, 2): Fraction(a) * Fraction(c), (1, 2): Fraction(b) * Fraction(c)}
+    values = {}
+    for cone in tf.fan.maximal_cones:
+        axes = tuple(sorted(i // 2 for i in cone))
+        values[cone] = products[axes]
+    return MinkowskiWeight(2, values)
+
+
 def minimal_containing_cone(fan: MarkedFan, v):
     """The cone whose relative interior contains v (v must be in the support)."""
     for c in fan.maximal_cones:
@@ -224,6 +258,20 @@ def scan_cofaces(fan: MarkedFan, tau):
 
 def scan_neighborhood(fan: MarkedFan, tau):
     return tuple(sorted(set(itertools.chain.from_iterable(scan_incident(fan, tau))) - set(tau)))
+
+
+def functional_rows(fan: MarkedFan, z, cone, rays):
+    """The functional `base` matching z on the cone, and one max-slack row
+    phi(u_r) + t <= z_r per given ray for phi = base + w.annihilators, over
+    the coefficients w: row by row from the quotient record, the oracle for
+    the neighborhood records."""
+    q = fan.quotient(cone)
+    base = q.functional([Fraction(z[i]) for i in cone])
+    rows = []
+    for r in rays:
+        u = fan.rays[r]
+        rows.append((tuple(dot(a, u) for a in q.annihilators), Fraction(z[r]) - dot(base, u)))
+    return base, rows
 
 
 def rref_quotient(fan: MarkedFan, tau):
@@ -326,11 +374,21 @@ BERGMAN_FANS = {
     "Fano": lambda: bergman_fan(fano_matroid()).fan,
     "U(3,5)": lambda: bergman_fan(uniform_matroid(3, 5)).fan,
 }
+# the two largest fans of the benchmark ladder, for the oracles that stay cheap there
+LARGE_BERGMAN_FANS = {
+    "U(4,6)": lambda: bergman_fan(uniform_matroid(4, 6)).fan,
+    "M(K5)": lambda: bergman_fan(complete_graph_matroid(5)).fan,
+}
 
 
 def random_fans():
     """The 40 seeded random_simplicial_fan draws, in R^2 and R^3 by turns."""
-    return [random_simplicial_fan(random.Random(seed), 2 + seed % 2) for seed in range(40)]
+    return [random_fan(seed) for seed in range(40)]
+
+
+def random_fan(seed: int) -> MarkedFan:
+    """The seed-th of random_fans."""
+    return random_simplicial_fan(random.Random(seed), 2 + seed % 2)
 
 
 def random_simplicial_fan(rng: random.Random, n: int) -> MarkedFan:

@@ -14,7 +14,6 @@ from lorfan.fan import stellar_subdivide
 from lorfan.fixtures import (
     coordinate_skeleton_fan,
     line_fan,
-    skeleton_weight,
     spindle_fan,
     triangle_fan,
     triangle_times_line,
@@ -37,7 +36,7 @@ from lorfan.weights import (
     transport_weight,
 )
 
-from helpers import random_balanced_2fan, shoelace_of_vertex_list, smooth_complete_2fan
+from helpers import random_balanced_2fan, shoelace_of_vertex_list, skeleton_weight, smooth_complete_2fan
 
 
 @contextmanager

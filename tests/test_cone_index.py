@@ -1,16 +1,24 @@
-"""The cone index and quotient records of a fan against brute-force scans."""
+"""The cone index, quotient records and neighborhood records of a fan against
+brute-force scans and row-by-row oracles."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
 from lorfan import fixtures
 from lorfan.fan import neighborhood_rays, point_fan, star
+from lorfan.linalg import dot
 from lorfan.matroids import bergman_fan, complete_graph_matroid, fano_matroid, uniform_matroid
 from lorfan.weights import push_divisor_to_star
 
 from helpers import (
+    BERGMAN_FANS,
+    LARGE_BERGMAN_FANS,
+    STOCK_FANS,
+    functional_rows,
     random_balanced_2fan,
+    random_fan,
     rref_quotient,
     scan_cofaces,
     scan_cones,
@@ -58,4 +66,25 @@ def test_index_and_quotients_match_scans(name):
         # the divisor pushed to the star is z minus the particular matching z on tau
         psi = [sum(z[i] * p[j] for i, p in zip(tau, particulars)) for j in range(fan.ambient_dim)]
         expected = tuple(z[r] - sum(a * b for a, b in zip(psi, fan.rays[r])) for r in sd.lift)
+        assert push_divisor_to_star(sd, z) == expected
+
+
+RECORD_FANS = {**STOCK_FANS, **BERGMAN_FANS, **LARGE_BERGMAN_FANS}
+RECORD_FANS.update({f"random-{seed}": (lambda seed=seed: random_fan(seed)) for seed in range(40)})
+
+
+@pytest.mark.parametrize("name", sorted(RECORD_FANS))
+def test_neighborhood_records_match_row_oracle(name):
+    fan = RECORD_FANS[name]()
+    rng = random.Random(name)
+    z = tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in fan.rays)
+    for tau in fan.all_cones():
+        hood = fan.neighborhood(tau)
+        assert hood.rays == scan_neighborhood(fan, tau)
+        base, rows = functional_rows(fan, z, tau, hood.rays)
+        assert hood.rows(z) == rows
+        sd = star(fan, tau)
+        if tau:
+            assert sd.fan.rays == tuple(a for a, _ in rows)
+        expected = tuple(Fraction(z[r]) - dot(base, fan.rays[r]) for r in sd.lift)
         assert push_divisor_to_star(sd, z) == expected

@@ -116,7 +116,7 @@ def test_effective_cone_desk_scale():
         fan = build().fan
         nrays = len(fan.rays)
         n = fan.ambient_dim
-        from lorfan.convexity import neighborhood_rays
+        from lorfan.fan import neighborhood_rays
 
         blocks = [t for t in fan.all_cones() if neighborhood_rays(fan, t)]
         dim = nrays + 2 * len(blocks) * n

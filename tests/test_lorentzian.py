@@ -40,6 +40,7 @@ from lorfan.weights import (
     TropicalFan,
     check_balancing,
     divisor,
+    mixed_degree,
     transport_weight,
 )
 
@@ -172,7 +173,7 @@ def test_disjoint_triangles_not_lorentzian():
 
 
 def test_lorentzian_invariant_under_rescaling():
-    from lorfan.weights import rescale_marking
+    from helpers import rescale_marking
 
     rng = random.Random(67)
     for tf in (coordinate_skeleton_fan(), two_disjoint_triangles()):
@@ -203,6 +204,61 @@ def test_af_rejects_nonconvex():
     tf = triangle_fan()
     with pytest.raises(ConvexityError):
         af_report(tf, divisor([-1, 0, 0]), divisor([1, 1, 1]))
+
+
+def _af_inputs():
+    """triangle x line with a strictly convex d1, a second convex d2, and the
+    negated d1, which is not convex."""
+    from lorfan.lorentzian import sample_strictly_convex
+
+    tf = triangle_times_line()
+    d1 = find_strictly_convex(tf.fan)
+    d2 = sample_strictly_convex(tf.fan, d1, random.Random(5))
+    return tf, d1, d2, tuple(-v for v in d1)
+
+
+def test_af_checks_each_distinct_divisor_once(monkeypatch):
+    from lorfan import lorentzian
+
+    tf, d1, d2, _ = _af_inputs()
+    checked = []
+    classify = lorentzian.classify_convexity
+
+    def counted(fan, z, strict=False):
+        checked.append(tuple(z))
+        return classify(fan, z, strict=strict)
+
+    monkeypatch.setattr(lorentzian, "classify_convexity", counted)
+    report = af_report(tf, d1, d2, [d1])
+    assert checked == [tuple(d1), tuple(d2)]
+    w = tf.weight
+    mixed, sq1, sq2 = (mixed_degree(tf.fan, w, seq) for seq in ([d1, d2, d1], [d1, d1, d1], [d2, d2, d1]))
+    assert report.af_gap == mixed * mixed - sq1 * sq2
+    assert report.sequence == tuple(mixed_degree(tf.fan, w, [d1] * k + [d2] * (3 - k)) for k in range(4))
+
+
+def test_af_rejects_nonconvex_auxiliary(tmp_path, capsys):
+    from lorfan import io
+    from lorfan.cli import main
+
+    tf, d1, d2, bad = _af_inputs()
+    with pytest.raises(ConvexityError) as excinfo:
+        af_report(tf, d1, d2, [bad])
+    cert = excinfo.value.certificate
+    assert cert.divisor == bad and not cert.convex and cert.failing
+
+    paths = {}
+    for name, payload in (
+        ("fan", io.tropical_to_json(tf)),
+        ("d1", io.divisor_to_json(d1)),
+        ("d2", io.divisor_to_json(d2)),
+        ("aux", {"divisors": [io.divisor_to_json(bad)]}),
+    ):
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(io.dumps(payload))
+    argv = ["af"] + [arg for name, path in paths.items() for arg in (f"--{name}", str(path))]
+    assert main(argv) == 3
+    assert "not convex" in capsys.readouterr().err
 
 
 def test_af_gap_nonnegative_on_lorentzian_samples():

@@ -3,16 +3,20 @@ from fractions import Fraction
 
 import pytest
 
-from lorfan.errors import BalancingError, PreconditionError
+from lorfan.errors import BalancingError, DimensionError, PreconditionError
 from lorfan.fan import MarkedFan, star, stellar_subdivide
 from lorfan.fixtures import (
     coordinate_skeleton_fan,
     line_fan,
-    skeleton_weight,
+    origin_fan,
+    spindle_fan,
     triangle_fan,
     triangle_times_line,
+    twisted_prism_fan,
+    two_disjoint_triangles,
 )
 from lorfan.linalg import vec
+from lorfan.matroids import bergman_fan, complete_graph_matroid, fano_matroid, uniform_matroid
 from lorfan.weights import (
     MinkowskiWeight,
     check_balancing,
@@ -20,15 +24,15 @@ from lorfan.weights import (
     divisor_action,
     indicator_divisor,
     mixed_degree,
+    mixed_degrees,
     pullback_divisor,
     push_divisor_to_star,
-    rescale_marking,
     star_weight,
     transport_weight,
     weight,
 )
 
-from helpers import linear_divisor, rescale_divisor
+from helpers import linear_divisor, rescale_divisor, rescale_marking, skeleton_weight
 
 
 def rand_divisor(rng, fan):
@@ -147,6 +151,57 @@ def test_mixed_degree_symmetric_multilinear():
             mixed_degree(tf.fan, tf.weight, [summed, b, c])
             == d0 + mixed_degree(tf.fan, tf.weight, [b, b, c])
         )
+
+
+TROPICAL_FIXTURES = {
+    "triangle": triangle_fan,
+    "line": line_fan,
+    "skeleton": coordinate_skeleton_fan,
+    "triangle_x_line": triangle_times_line,
+    "two_triangles": two_disjoint_triangles,
+    "spindle": spindle_fan,
+    "origin": lambda: origin_fan(2),
+    "twisted_prism": twisted_prism_fan,
+    "M(K4)": lambda: bergman_fan(complete_graph_matroid(4)),
+    "Fano": lambda: bergman_fan(fano_matroid()),
+    "U(3,5)": lambda: bergman_fan(uniform_matroid(3, 5)),
+}
+
+
+def iterated_action(fan, w, divisors):
+    for z in divisors:
+        w = divisor_action(fan, w, z)
+    return w[()]
+
+
+@pytest.mark.parametrize("name", sorted(TROPICAL_FIXTURES))
+def test_mixed_degrees_match_separate_calls(name):
+    tf = TROPICAL_FIXTURES[name]()
+    rng = random.Random(name)
+    divisors = [rand_divisor(rng, tf.fan) for _ in range(3)]
+    sequences = [tuple(rng.randrange(3) for _ in range(tf.dimension)) for _ in range(8)]
+    sequences += sequences[:2]
+    values = mixed_degrees(tf.fan, tf.weight, divisors, sequences)
+    assert len(values) == len(sequences)
+    for seq, value in zip(sequences, values):
+        chosen = [divisors[i] for i in seq]
+        assert value == mixed_degree(tf.fan, tf.weight, chosen) == iterated_action(tf.fan, tf.weight, chosen)
+
+
+def test_mixed_degrees_raise_like_separate_calls():
+    tf = triangle_fan()
+    ones, short = divisor([1, 1, 1]), divisor([1, 1])
+    broken = weight(2, {(0, 1): 2, (0, 2): 1, (1, 2): 1})
+    with pytest.raises(BalancingError) as separate:
+        mixed_degree(tf.fan, broken, [ones, ones])
+    with pytest.raises(BalancingError) as shared:
+        mixed_degrees(tf.fan, broken, [ones], [(0, 0)])
+    assert str(shared.value) == str(separate.value)
+    with pytest.raises(DimensionError) as separate:
+        mixed_degree(tf.fan, tf.weight, [ones, short])
+    with pytest.raises(DimensionError) as shared:
+        mixed_degrees(tf.fan, tf.weight, [ones, short], [(0, 0), (0, 1)])
+    assert str(shared.value) == str(separate.value)
 
 
 def test_star_weight_of_triangle_at_ray():
