@@ -147,6 +147,9 @@ def matroid_from_json(data) -> Matroid:
         ]
     except (KeyError, TypeError) as exc:
         raise InputError(f"malformed matroid: {exc}") from None
+    for b in bases:
+        if len(set(b)) != len(b):
+            raise InputError(f"a basis repeats an element: {list(b)!r:.40}")
     return matroid_from_bases(n, bases)
 
 

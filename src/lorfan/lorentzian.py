@@ -15,13 +15,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .convexity import classify_convexity, strictly_convex_witness
+from .convexity import ROUTE_CANDIDATE, classify_convexity, strictly_convex_witness
 from .errors import (
     ConvexityError,
     InternalError,
     PreconditionError,
 )
-from .fan import Cone, MarkedFan, PinchReport, is_unpinched, star, validate
+from .fan import ROUTE_REGULAR, Cone, MarkedFan, PinchReport, candidate_divisor, is_unpinched, star, validate
 from .linalg import Inertia, ONE, inertia
 from .weights import (
     Divisor,
@@ -128,13 +128,23 @@ def is_lorentzian(tf: TropicalFan) -> LorentzianCertificate:
     quadratic volume form of every codimension-two star.  Fans of dimension
     at most one are Lorentzian exactly when quasiprojective.  Input that
     fails validate is refused: the characterization holds only for fans.
+
+    When validate decided the fan condition by its regular route, the
+    candidate divisor z is taken without a further check: every maximal
+    cone sigma then has a functional phi_sigma equal to z on sigma's rays
+    and below z on every other ray, and for a face tau of sigma, phi_sigma
+    - eps*psi, where psi vanishes on tau and is 1 on the other rays of
+    sigma (sigma is simplicial), is a strict witness at tau for small eps.
     """
     fan = tf.fan
     report = validate(fan)
     if not report.valid:
         raise PreconditionError(f"the Lorentzian test needs a fan: {report.failures[0]}")
     d = fan.dimension
-    witness, route = strictly_convex_witness(fan)
+    if report.fan_condition_route == ROUTE_REGULAR:
+        witness, route = candidate_divisor(fan), ROUTE_CANDIDATE
+    else:
+        witness, route = strictly_convex_witness(fan)
     quasiprojective = witness is not None
     pinch = is_unpinched(fan)
     records = []

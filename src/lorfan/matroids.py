@@ -1,5 +1,11 @@
 """Matroids from bases and Bergman fans via chains of flats.
 
+Subsets of the ground set {0, ..., n-1} are held as int bitmasks (bit e set
+for element e).  The rank of S is max |S & B| over the bases B, and the
+closure of S takes one pass over the bases: e outside S lies outside cl(S)
+exactly when some basis B with |B & S| = rank(S) contains e, so cl(S) is the
+ground set minus the union of B - S over those bases.
+
 The Bergman fan lives in the quotient of coordinate space by the all-ones
 line, realized by deleting the coordinate of element 0.  Rays are proper
 nonempty flats marked by the image of their indicator vector; maximal cones
@@ -11,11 +17,26 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import PreconditionError
-from .fan import MarkedFan, cone_key
+from .fan import MarkedFan
 from .linalg import ZERO, ONE
 from .weights import MinkowskiWeight, TropicalFan, constant_weight
+
+# how many loops a refusal names
+_LOOPS_SHOWN = 5
+
+
+def _mask(elements) -> int:
+    mask = 0
+    for e in elements:
+        mask |= 1 << e
+    return mask
+
+
+def _elements(mask: int) -> tuple[int, ...]:
+    return tuple(e for e in range(mask.bit_length()) if mask >> e & 1)
 
 
 @dataclass(frozen=True)
@@ -27,58 +48,109 @@ class Matroid:
     def rank(self) -> int:
         return len(next(iter(self.bases)))
 
+    @cached_property
+    def _basis_masks(self) -> tuple[int, ...]:
+        return tuple(sorted(_mask(b) for b in self.bases))
+
+    @cached_property
+    def _ground(self) -> int:
+        return (1 << self.n) - 1
+
+    def _rank(self, s: int) -> int:
+        return max((s & b).bit_count() for b in self._basis_masks)
+
+    def _closure(self, s: int) -> int:
+        """cl(S) in one pass: drop from the ground set every element of B - S
+        for the bases B that meet S in rank(S) elements."""
+        best, spanning = -1, 0
+        for b in self._basis_masks:
+            k = (s & b).bit_count()
+            if k > best:
+                best, spanning = k, b
+            elif k == best:
+                spanning |= b
+        return self._ground & ~(spanning & ~s)
+
     def rank_of(self, subset) -> int:
-        s = frozenset(subset)
-        return max(len(s & b) for b in self.bases)
+        return self._rank(_mask(subset))
 
     def closure(self, subset) -> frozenset:
-        s = frozenset(subset)
-        r = self.rank_of(s)
-        return frozenset(e for e in range(self.n) if self.rank_of(s | {e}) == r)
+        return frozenset(_elements(self._closure(_mask(subset))))
 
     def loops(self) -> frozenset:
         return self.closure(())
 
-    def flats(self) -> tuple[frozenset, ...]:
-        """All flats, found as closures of subsets, ordered by (rank, sorted set)."""
-        seen = {self.closure(())}
-        frontier = list(seen)
+    @cached_property
+    def _flats(self) -> tuple[tuple[int, int], ...]:
+        """(rank, mask) of every flat, ordered by (rank, sorted set).
+
+        A search up from the loops: the flats covering F are cl(F + e) for e
+        outside F, and they partition the ground set minus F, so each element
+        outside F seeds at most one closure.
+        """
+        start = self._closure(0)
+        seen = {start}
+        frontier = [start]
         while frontier:
             f = frontier.pop()
-            for e in range(self.n):
-                if e not in f:
-                    g = self.closure(f | {e})
-                    if g not in seen:
-                        seen.add(g)
-                        frontier.append(g)
-        return tuple(sorted(seen, key=lambda f: (self.rank_of(f), sorted(f))))
+            rest = self._ground & ~f
+            while rest:
+                low = rest & -rest
+                g = self._closure(f | low)
+                rest &= ~g
+                if g not in seen:
+                    seen.add(g)
+                    frontier.append(g)
+        return tuple(sorted(((self._rank(f), f) for f in seen), key=lambda rf: (rf[0], _elements(rf[1]))))
+
+    @cached_property
+    def _proper_flats(self) -> tuple[tuple[int, int], ...]:
+        return tuple((k, f) for k, f in self._flats if f and f != self._ground)
+
+    def flats(self) -> tuple[frozenset, ...]:
+        """All flats, ordered by (rank, sorted set); computed once per matroid."""
+        return tuple(frozenset(_elements(f)) for _, f in self._flats)
 
     def proper_flats(self) -> tuple[frozenset, ...]:
-        ground = frozenset(range(self.n))
-        return tuple(f for f in self.flats() if f and f != ground)
+        return tuple(frozenset(_elements(f)) for _, f in self._proper_flats)
 
 
 def matroid_from_bases(n: int, bases) -> Matroid:
-    """Validate the exchange axiom exhaustively and reject loops."""
+    """Validate the exchange axiom exhaustively and reject loops.
+
+    Loops are counted from the union of the bases before any n-bit mask is
+    built, so a huge n with few bases is refused in time linear in the input.
+    The exchange check reads a swap table: for a basis B1 and e in B1, every
+    basis without e must meet {f not in B1 : B1 - e + f is a basis}.
+    """
+    if n < 0:
+        raise PreconditionError("a matroid needs a ground set of size n >= 0")
     base_set = frozenset(frozenset(b) for b in bases)
     if not base_set:
         raise PreconditionError("a matroid needs at least one basis")
     sizes = {len(b) for b in base_set}
     if len(sizes) != 1:
         raise PreconditionError("bases must all have the same cardinality")
-    for b in base_set:
-        if any(not 0 <= e < n for e in b):
-            raise PreconditionError("basis element out of range")
-    for b1 in base_set:
-        for b2 in base_set:
-            for e in b1 - b2:
-                if not any((b1 - {e}) | {f} in base_set for f in b2 - b1):
-                    raise PreconditionError(
-                        f"exchange axiom fails for {sorted(b1)}, {sorted(b2)} at {e}"
-                    )
+    used = frozenset().union(*base_set)
+    if any(not 0 <= e < n for e in used):
+        raise PreconditionError("basis element out of range")
+    if len(used) < n:
+        count = n - len(used)
+        first = [e for e in range(len(used) + _LOOPS_SHOWN) if e not in used][: min(count, _LOOPS_SHOWN)]
+        raise PreconditionError(f"matroid has {count} loops, the first {len(first)}: {first}")
     m = Matroid(n=n, bases=base_set)
-    if m.loops():
-        raise PreconditionError(f"matroid has loops: {sorted(m.loops())}")
+    masks = m._basis_masks
+    index = set(masks)
+    for b1 in masks:
+        for e in _elements(b1):
+            rest = b1 & ~(1 << e)
+            # holds e itself too, which no basis tested against it contains
+            swaps = _mask(f for f in range(n) if rest | 1 << f in index)
+            for b2 in masks:
+                if not b2 >> e & 1 and not b2 & swaps:
+                    raise PreconditionError(
+                        f"exchange axiom fails for {list(_elements(b1))}, {list(_elements(b2))} at {e}"
+                    )
     return m
 
 
@@ -137,10 +209,13 @@ def fano_matroid() -> Matroid:
     return matroid_from_bases(7, bases)
 
 
-def _flat_mark(n: int, flat) -> tuple:
+_COORD = {-1: -ONE, 0: ZERO, 1: ONE}
+
+
+def _flat_mark(n: int, flat: int) -> tuple:
     """Image of the indicator vector after deleting coordinate 0 of the quotient."""
-    full = [ONE if e in flat else ZERO for e in range(n)]
-    return tuple(full[i] - full[0] for i in range(1, n))
+    first = flat & 1
+    return tuple(_COORD[(flat >> i & 1) - first] for i in range(1, n))
 
 
 def bergman_fan(m: Matroid) -> TropicalFan:
@@ -153,30 +228,30 @@ def bergman_fan(m: Matroid) -> TropicalFan:
     r = m.rank
     if r < 1:
         raise PreconditionError("Bergman fans require rank at least one")
-    flats = m.proper_flats()
     if r == 1:
         fan = MarkedFan(ambient_dim=m.n - 1, rays=(), maximal_cones=((),))
         return TropicalFan(fan, MinkowskiWeight(0, {(): Fraction(1)}))
-    rays = tuple(_flat_mark(m.n, f) for f in flats)
+    flats = m._proper_flats
     by_rank = {}
-    for i, f in enumerate(flats):
-        by_rank.setdefault(m.rank_of(f), []).append(i)
+    for i, (k, _) in enumerate(flats):
+        by_rank.setdefault(k, []).append(i)
+    # the flats of the next rank containing each flat; indices grow with rank
+    covers = [[j for j in by_rank.get(k + 1, ()) if flats[j][1] & f == f] for k, f in flats]
 
     chains = []
 
-    def extend(chain, last_rank):
-        if last_rank == r - 1:
-            chains.append(cone_key(chain))
+    def extend(chain):
+        if len(chain) == r - 1:
+            chains.append(tuple(chain))
             return
-        for i in by_rank.get(last_rank + 1, []):
-            if flats[chain[-1]] < flats[i]:
-                extend(chain + [i], last_rank + 1)
+        for j in covers[chain[-1]]:
+            extend(chain + [j])
 
-    for i in by_rank.get(1, []):
-        extend([i], 1)
+    for i in by_rank.get(1, ()):
+        extend([i])
     fan = MarkedFan(
         ambient_dim=m.n - 1,
-        rays=rays,
-        maximal_cones=tuple(sorted(set(chains))),
+        rays=tuple(_flat_mark(m.n, f) for _, f in flats),
+        maximal_cones=tuple(sorted(chains)),
     )
     return TropicalFan(fan, constant_weight(fan))

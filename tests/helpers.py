@@ -694,3 +694,61 @@ def indicator_pairing_form(fan: MarkedFan, w: MinkowskiWeight):
     nrays = len(fan.rays)
     acted = [divisor_action(fan, w, indicator_divisor(fan, i)) for i in range(nrays)]
     return tuple(tuple(acted[i][(j,)] for j in range(nrays)) for i in range(nrays))
+
+
+# ---------------------------------------------------------------------------
+# frozenset matroids: the oracle for the bitmask matroid layer
+
+
+@dataclass(frozen=True)
+class FrozensetMatroid:
+    """Rank as max |S & B| over frozenset bases, closure by n + 1 rank
+    calls, flats by closing every one-element extension."""
+
+    n: int
+    bases: frozenset
+
+    def rank_of(self, subset) -> int:
+        s = frozenset(subset)
+        return max(len(s & b) for b in self.bases)
+
+    def closure(self, subset) -> frozenset:
+        s = frozenset(subset)
+        r = self.rank_of(s)
+        return frozenset(e for e in range(self.n) if self.rank_of(s | {e}) == r)
+
+    def loops(self) -> frozenset:
+        return self.closure(())
+
+    def flats(self) -> tuple:
+        seen = {self.closure(())}
+        frontier = list(seen)
+        while frontier:
+            f = frontier.pop()
+            for e in range(self.n):
+                if e not in f:
+                    g = self.closure(f | {e})
+                    if g not in seen:
+                        seen.add(g)
+                        frontier.append(g)
+        return tuple(sorted(seen, key=lambda f: (self.rank_of(f), sorted(f))))
+
+
+def frozenset_matroid_from_bases(n: int, bases) -> FrozensetMatroid:
+    """Pairwise exchange axiom over every (B1, B2, e), then the loop check."""
+    base_set = frozenset(frozenset(b) for b in bases)
+    if not base_set:
+        raise PreconditionError("a matroid needs at least one basis")
+    if len({len(b) for b in base_set}) != 1:
+        raise PreconditionError("bases must all have the same cardinality")
+    if any(not 0 <= e < n for b in base_set for e in b):
+        raise PreconditionError("basis element out of range")
+    for b1 in base_set:
+        for b2 in base_set:
+            for e in b1 - b2:
+                if not any((b1 - {e}) | {f} in base_set for f in b2 - b1):
+                    raise PreconditionError(f"exchange axiom fails for {sorted(b1)}, {sorted(b2)} at {e}")
+    m = FrozensetMatroid(n=n, bases=base_set)
+    if m.loops():
+        raise PreconditionError(f"matroid has loops: {sorted(m.loops())}")
+    return m

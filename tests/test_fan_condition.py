@@ -18,6 +18,7 @@ from lorfan.fan import ROUTE_PAIRS, ROUTE_REGULAR, _meet_in_shared_face, _regula
 
 from helpers import (
     BERGMAN_FANS,
+    LARGE_BERGMAN_FANS,
     STOCK_FANS,
     greedy_spanning_rays,
     overlap_witness,
@@ -76,6 +77,27 @@ def test_validate_matches_pair_verdict_on_random_fans():
     routes = [_check_routes(fan) for fan in random_fans()]
     # both routes decide some of them
     assert set(routes) == {ROUTE_REGULAR, ROUTE_PAIRS}
+
+
+def _regular_candidate_is_strictly_convex(fan):
+    """None off the regular route; else whether classify_convexity accepts
+    the candidate divisor as strictly convex, which is_lorentzian assumes
+    there without checking."""
+    if validate(fan).fan_condition_route != ROUTE_REGULAR:
+        return None
+    return classify_convexity(fan, candidate_divisor(fan), strict=True).strictly_convex
+
+
+@pytest.mark.parametrize("name", sorted(FANS) + sorted(LARGE_BERGMAN_FANS))
+def test_regular_route_candidate_is_strictly_convex(name):
+    fan = {**FANS, **LARGE_BERGMAN_FANS}[name]()
+    assert _regular_candidate_is_strictly_convex(fan) is (None if name in NOT_REGULAR | {"double_cover"} else True)
+
+
+def test_regular_route_candidate_is_strictly_convex_on_random_fans():
+    verdicts = [_regular_candidate_is_strictly_convex(fan) for fan in random_fans()]
+    assert True in verdicts
+    assert False not in verdicts
 
 
 def test_validate_double_cover():

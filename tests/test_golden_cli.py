@@ -39,6 +39,8 @@ STOCK = {
 }
 MATROIDS = {"mk4": "M(K4)", "fano": "Fano", "u35": "U(3,5)"}
 FANS = tuple(STOCK) + tuple(MATROIDS)
+# matroids whose `lorfan bergman` report is pinned, from their bases
+BERGMAN = dict(MATROIDS, u46="U(4,6)", mk5="M(K5)")
 
 DIM = {
     "triangle": 2, "line": 1, "skeleton": 2, "triangle_x_line": 3, "spindle": 2,
@@ -86,6 +88,8 @@ def _cases():
             cases.append((f"af-{f}", argv))
     for a, b in (("triangle", "line"), ("line", "line"), ("mk4", "line"), ("origin", "spindle")):
         cases.append((f"product-{a}-{b}", ["product", "--fan", f"@{a}", "--fan2", f"@{b}"]))
+    for f in BERGMAN:
+        cases.append((f"bergman-{f}", ["bergman", "--matroid", f"@{f}-matroid"]))
     return cases
 
 
@@ -193,8 +197,21 @@ def _write(path: Path, obj) -> None:
     path.write_text(dumps(obj) + "\n")
 
 
+def _matroid(name: str):
+    from lorfan import matroids
+
+    return {
+        "M(K4)": lambda: matroids.complete_graph_matroid(4),
+        "M(K5)": lambda: matroids.complete_graph_matroid(5),
+        "Fano": matroids.fano_matroid,
+        "U(3,5)": lambda: matroids.uniform_matroid(3, 5),
+        "U(4,6)": lambda: matroids.uniform_matroid(4, 6),
+    }[name]()
+
+
 def write_inputs() -> None:
-    """Fans from the stock fixtures and Bergman fans; divisors per fan.
+    """Fans from the stock fixtures and Bergman fans; divisors per fan;
+    the bases of each matroid in BERGMAN.
 
     `c` is strictly convex: c_F = |F|(n-|F|) on the proper flats of a Bergman
     fan, the joint program's witness on a stock fixture.  `c2` = 2c, `neg` = -c, and
@@ -211,8 +228,7 @@ def write_inputs() -> None:
             tf = getattr(fixtures, STOCK[f])()
             c = joint_lp_witness(tf.fan)
         else:
-            m = {"M(K4)": matroids.complete_graph_matroid(4), "Fano": matroids.fano_matroid(),
-                 "U(3,5)": matroids.uniform_matroid(3, 5)}[MATROIDS[f]]
+            m = _matroid(MATROIDS[f])
             tf = matroids.bergman_fan(m)
             c = tuple(Fraction(len(F) * (m.n - len(F))) for F in m.proper_flats())
         _write(INPUTS / f"{f}.json", lio.tropical_to_json(tf))
@@ -231,6 +247,9 @@ def write_inputs() -> None:
         _write(INPUTS / f"{f}-degree.json", {"divisors": [lio.divisor_to_json(z) for z in degree]})
         if d > 2:
             _write(INPUTS / f"{f}-aux.json", {"divisors": [lio.divisor_to_json(c)] * (d - 2)})
+    for f, name in BERGMAN.items():
+        m = _matroid(name)
+        _write(INPUTS / f"{f}-matroid.json", {"n": m.n, "bases": sorted(sorted(b) for b in m.bases)})
 
 
 def regenerate() -> None:
