@@ -52,10 +52,6 @@ class Matroid:
     def _basis_masks(self) -> tuple[int, ...]:
         return tuple(sorted(_mask(b) for b in self.bases))
 
-    @cached_property
-    def _ground(self) -> int:
-        return (1 << self.n) - 1
-
     def _rank(self, s: int) -> int:
         return max((s & b).bit_count() for b in self._basis_masks)
 
@@ -69,7 +65,7 @@ class Matroid:
                 best, spanning = k, b
             elif k == best:
                 spanning |= b
-        return self._ground & ~(spanning & ~s)
+        return ((1 << self.n) - 1) & ~(spanning & ~s)
 
     def rank_of(self, subset) -> int:
         return self._rank(_mask(subset))
@@ -88,12 +84,13 @@ class Matroid:
         outside F, and they partition the ground set minus F, so each element
         outside F seeds at most one closure.
         """
+        ground = (1 << self.n) - 1
         start = self._closure(0)
         seen = {start}
         frontier = [start]
         while frontier:
             f = frontier.pop()
-            rest = self._ground & ~f
+            rest = ground & ~f
             while rest:
                 low = rest & -rest
                 g = self._closure(f | low)
@@ -105,7 +102,8 @@ class Matroid:
 
     @cached_property
     def _proper_flats(self) -> tuple[tuple[int, int], ...]:
-        return tuple((k, f) for k, f in self._flats if f and f != self._ground)
+        ground = (1 << self.n) - 1
+        return tuple((k, f) for k, f in self._flats if f and f != ground)
 
     def flats(self) -> tuple[frozenset, ...]:
         """All flats, ordered by (rank, sorted set); computed once per matroid."""
@@ -136,7 +134,7 @@ def matroid_from_bases(n: int, bases) -> Matroid:
         raise PreconditionError("basis element out of range")
     if len(used) < n:
         count = n - len(used)
-        first = [e for e in range(len(used) + _LOOPS_SHOWN) if e not in used][: min(count, _LOOPS_SHOWN)]
+        first = list(itertools.islice((e for e in range(n) if e not in used), _LOOPS_SHOWN))
         raise PreconditionError(f"matroid has {count} loops, the first {len(first)}: {first}")
     m = Matroid(n=n, bases=base_set)
     masks = m._basis_masks

@@ -349,7 +349,7 @@ def test_exponent_and_decimal_rationals_refused():
     for text in ("1e999999999", "1E5", "0.5", "1/2e3", "inf", "nan", ""):
         with pytest.raises(InputError):
             io.str_to_rat(text)
-    assert time.perf_counter() - start < 1.0
+    assert time.perf_counter() - start < 0.5
     assert io.str_to_rat(" -3/6") == Fraction(-1, 2)
     assert io.str_to_rat(4) == 4
 
