@@ -69,9 +69,13 @@ class Quotient:
         """The point's image under the annihilators: its quotient coordinates."""
         return tuple(dot(a, point) for a in self.annihilators)
 
+    def in_span(self, point: Vec) -> bool:
+        """Whether the point lies in the cone's span: every annihilator vanishes on it."""
+        return not any(dot(row, point) for row in self.annihilators)
+
     def coordinates(self, point: Vec) -> Optional[Vec]:
         """Coordinates of a point in the cone's mark basis, or None off its span."""
-        if any(dot(row, point) for row in self.annihilators):
+        if not self.in_span(point):
             return None
         return tuple(dot(psi, point) for psi in self.particulars)
 

@@ -4,12 +4,21 @@ Every LP in the package asks one question: the largest t with a.x + t <= b on
 every row, over free x and with t <= 1.  The point x = 0 with
 t0 = min(1, min b) is always feasible, so after the shift t = t0 + tau
 (tau >= 0 loses nothing) the slack columns form a feasible starting basis and
-a single phase of a dense tableau simplex over Fraction entries solves it:
-the program is never infeasible or unbounded, and it has no equality rows.
-Pivoting uses the most-negative-reduced-cost rule and falls back to Bland's
-rule whenever the objective stalls, which rules out cycling while keeping
-the common case fast.  The x columns stay free: they enter in either
-direction and, once basic, never leave.
+a single phase of a dense tableau simplex solves it: the program is never
+infeasible or unbounded, and it has no equality rows.  Pivoting uses the
+most-negative-reduced-cost rule and falls back to Bland's rule whenever the
+objective stalls, which rules out cycling while keeping the common case fast.
+The x columns stay free: they enter in either direction and, once basic,
+never leave.
+
+The tableau is exact without Fractions: each row, the reduced-cost row
+included, is a list of Python ints over its own positive int denominator.
+Every rule of the pivot loop gives the same answer when one row is scaled by
+a positive number (the most negative reduced cost, the free columns' -abs,
+Bland's first improving column, and the ratio test, whose ratio rhs/a within
+one row does not involve the row's denominator), so the pivots, and with them
+the point, the optimum and the duals, are those of the same simplex over
+Fraction entries.  Fractions are made once, after the loop.
 
 At the optimum t*, the reduced costs of the slack columns, normalised to sum
 to one, are dual multipliers whose combination of the rows has value t*.
@@ -21,6 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Optional, Sequence
 
 from .errors import DimensionError, InternalError
@@ -32,53 +42,75 @@ LinearRow = tuple[Vec, Fraction]
 _STALL_LIMIT = 12
 
 
-def _pivot(T, zrow, basis, row, col):
-    """Pivot the tableau and the maintained reduced-cost row.
+def _pivot(T, den, basis, row, col):
+    """Pivot the integer tableau on T[row][col]; T[-1] is the reduced-cost row.
 
-    Rows are mostly zero in the block-structured programs this package
-    builds, so updates iterate over the pivot row's nonzero entries only.
+    Row i holds the numerators of its entries over den[i] > 0.  Dividing the
+    pivot row by its pivot leaves its numerators over the pivot's numerator,
+    whose sign moves into the numerators.  Every other row r with f in the
+    pivot column becomes p*r - f*prow over den[r]*p, where p is the pivot row's
+    new denominator.  Each changed row is divided, with its denominator, by
+    their gcd.  Rows are mostly zero in the block-structured programs this
+    package builds, so the subtraction runs over the pivot row's nonzero
+    entries only.
     """
     prow = T[row]
-    piv = prow[col]
-    if piv != ONE:
-        inv = ONE / piv
-        T[row] = prow = [inv * v if v else v for v in prow]
+    p = prow[col]
+    if p < 0:
+        prow = [-v for v in prow]
+        p = -p
+    g = gcd(*prow)
+    if g != 1:
+        prow = [v // g for v in prow]
+        p //= g
+    T[row] = prow
+    den[row] = p
     nz = [j for j, v in enumerate(prow) if v]
-    for other in T:
-        if other is prow:
-            continue
+    for i, other in enumerate(T):
         f = other[col]
-        if f:
-            for j in nz:
-                other[j] -= f * prow[j]
-    f = zrow[col]
-    if f:
+        if not f or i == row:
+            continue
+        if p != 1:
+            other = [v * p for v in other]
         for j in nz:
-            zrow[j] -= f * prow[j]
+            other[j] -= f * prow[j]
+        d = den[i] * p
+        if d != 1:
+            g = gcd(d, *other)
+            if g != 1:
+                other = [v // g for v in other]
+                d //= g
+        T[i] = other
+        den[i] = d
     basis[row] = col
 
 
-def _run_phase(T, zrow, basis, nfree):
-    """Minimize over the tableau until no column improves the objective.
+def _run_phase(T, den, basis, nfree):
+    """Minimize over the integer tableau until no column improves the objective.
 
+    T[-1] is the reduced-cost row, whose last entry is the current tau.
+    Reduced costs are compared as numerators over their row's positive
+    denominator; the stall test compares tau across pivots, and the ratio
+    test compares ratios of different rows, by cross-multiplication.
     Columns below `nfree` are free: one enters downwards when its reduced
-    cost is positive, and once basic it bounds no ratio, so it never leaves.
-    Every other column, slacks included, is nonnegative.
+    cost is positive, and once basic it bounds no ratio, so it never
+    leaves.  Every other column, slacks included, is nonnegative.
     """
-    rhs = len(zrow) - 1
+    rhs = len(T[-1]) - 1
     stall = 0
-    last_obj = None
+    last_obj = last_den = None
     while True:
-        obj = zrow[rhs]
-        if last_obj is not None and obj == last_obj:
+        zrow = T[-1]
+        obj, zden = zrow[rhs], den[-1]
+        if last_obj is not None and obj * last_den == last_obj * zden:
             stall += 1
         else:
             stall = 0
-        last_obj = obj
+        last_obj, last_den = obj, zden
         use_bland = stall >= _STALL_LIMIT
 
         enter = None
-        best = ZERO
+        best = 0
         for j in range(rhs):
             rc = zrow[j]
             gain = -abs(rc) if j < nfree else rc
@@ -93,24 +125,24 @@ def _run_phase(T, zrow, basis, nfree):
             return
         up = zrow[enter] < 0
 
+        # the ratio of row i is T[i][rhs] / a: its denominator cancels
         leave = None
-        best_ratio = None
-        for i in range(len(T)):
+        for i in range(len(basis)):
             if basis[i] < nfree:
                 continue
             a = T[i][enter] if up else -T[i][enter]
             if a > 0:
-                ratio = T[i][rhs] / a
+                b = T[i][rhs]
                 if (
-                    best_ratio is None
-                    or ratio < best_ratio
-                    or (ratio == best_ratio and basis[i] < basis[leave])
+                    leave is None
+                    or b * best_a < best_b * a
+                    or (b * best_a == best_b * a and basis[i] < basis[leave])
                 ):
-                    best_ratio = ratio
+                    best_b, best_a = b, a
                     leave = i
         if leave is None:
             raise InternalError("max-slack program cannot be unbounded")
-        _pivot(T, zrow, basis, leave, enter)
+        _pivot(T, den, basis, leave, enter)
 
 
 @dataclass(frozen=True)
@@ -168,29 +200,37 @@ def strict_feasible(rows: Sequence[LinearRow], dim: int) -> StrictFeasibility:
     m = len(rows)
     t0 = min([ONE, *(Fraction(bv) for _, bv in rows)])
 
-    # columns: x (free), tau, one slack per row, the cap's slack, right-hand side
+    # columns: x (free), tau, one slack per row, the cap's slack, right-hand
+    # side; each row over the least common denominator of its entries, the
+    # cap's next to last and the reduced costs last
     width = dim + m + 3
-    T = []
+    T, den = [], []
     for i, (a, bv) in enumerate(rows):
-        row = [*a, ONE] + [ZERO] * (m + 2)
-        row[dim + 1 + i] = ONE
-        row[-1] = bv - t0
+        rhs = bv - t0
+        d = lcm(rhs.denominator, *(v.denominator for v in a))
+        row = [v.numerator * (d // v.denominator) for v in a] + [d] + [0] * (m + 2)
+        row[dim + 1 + i] = d
+        row[-1] = rhs.numerator * (d // rhs.denominator)
         T.append(row)
-    cap = [ZERO] * width
-    cap[dim] = cap[dim + m + 1] = ONE
-    cap[-1] = ONE - t0
-    T.append(cap)
+        den.append(d)
+    rhs = ONE - t0
+    cap = [0] * width
+    cap[dim] = cap[dim + m + 1] = rhs.denominator
+    cap[-1] = rhs.numerator
+    zrow = [0] * width
+    zrow[dim] = -1
+    T += [cap, zrow]
+    den += [rhs.denominator, 1]
     basis = list(range(dim + 1, dim + m + 2))
-    zrow = [ZERO] * width
-    zrow[dim] = -ONE
 
-    _run_phase(T, zrow, basis, dim)
+    _run_phase(T, den, basis, dim)
 
-    t_star = t0 + zrow[-1]
+    zrow = T.pop()
+    t_star = t0 + Fraction(zrow[-1], den.pop())
     x = [ZERO] * dim
     for i, col in enumerate(basis):
         if col < dim:
-            x[col] = T[i][-1]
+            x[col] = Fraction(T[i][-1], den[i])
     x = tuple(x)
     for a, bv in rows:
         if dot(a, x) + t_star > bv:
@@ -198,11 +238,12 @@ def strict_feasible(rows: Sequence[LinearRow], dim: int) -> StrictFeasibility:
     if t_star > 0:
         return StrictFeasibility(x, t_star, None)
 
+    # the reduced-cost row's denominator cancels in the normalisation
     duals = zrow[dim + 1 : dim + m + 2]
-    total = sum(duals, ZERO)
+    total = sum(duals)
     cert = FeasibilityCertificate(
-        multipliers=tuple(v / total for v in duals[:m]),
-        cap_multiplier=duals[m] / total,
+        multipliers=tuple(Fraction(v, total) for v in duals[:m]),
+        cap_multiplier=Fraction(duals[m], total),
     )
     if not verify_certificate(cert, rows, dim):
         raise InternalError("infeasibility certificate failed verification")

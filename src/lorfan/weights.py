@@ -73,35 +73,42 @@ class TropicalFan:
         return self.fan.dimension
 
 
+def _mark_sum(fan: MarkedFan, w: MinkowskiWeight, tau: Cone) -> tuple[Fraction, ...]:
+    """Sum of w(sigma) times the opposite ray's mark over tau's cofaces."""
+    total = [ZERO] * fan.ambient_dim
+    for sigma, eta in fan.cofaces[tau]:
+        ws = w[sigma]
+        for j, x in enumerate(fan.rays[eta]):
+            if x:
+                total[j] += ws * x
+    return tuple(total)
+
+
 def _action_at(fan: MarkedFan, w: MinkowskiWeight, tau: Cone, z) -> Optional[Fraction]:
     """Value at tau of z acting on w, or None when w is unbalanced at tau.
 
-    One pass over tau's cofaces sums w(sigma) times the opposite ray's mark
-    and its value of z; the mark sum must lie in tau's span, and the linear
-    function matching z on tau's rays is subtracted at it.
+    The mark sum must lie in tau's span; the sum of w(sigma) times z at the
+    opposite ray, less the linear function matching z on tau's rays at the
+    mark sum, is the value.
     """
-    total = [ZERO] * fan.ambient_dim
-    linear_part = ZERO
-    for sigma, eta in fan.cofaces[tau]:
-        ws = w[sigma]
-        linear_part += ws * z[eta]
-        for j, x in enumerate(fan.rays[eta]):
-            total[j] += ws * x
-    coords = fan.cone_coordinates(tau, tuple(total))
+    coords = fan.cone_coordinates(tau, _mark_sum(fan, w, tau))
     if coords is None:
         return None
+    linear_part = sum((w[sigma] * z[eta] for sigma, eta in fan.cofaces[tau]), ZERO)
     return linear_part - sum((c * z[i] for c, i in zip(coords, tau)), ZERO)
 
 
 def check_balancing(fan: MarkedFan, w: MinkowskiWeight) -> tuple[Cone, ...]:
-    """Cones of dimension degree-1 where balancing fails; empty means balanced."""
+    """Cones of dimension degree-1 where balancing fails, those whose mark
+    sum leaves their span; empty means balanced."""
     k = w.degree
     if k == 0:
         return ()
     for sigma in fan.cones(k):
         w[sigma]
-    zero = (ZERO,) * len(fan.rays)
-    return tuple(tau for tau in fan.cones(k - 1) if _action_at(fan, w, tau, zero) is None)
+    return tuple(
+        tau for tau in fan.cones(k - 1) if not fan.quotient(tau).in_span(_mark_sum(fan, w, tau))
+    )
 
 
 def divisor_action(fan: MarkedFan, w: MinkowskiWeight, z: Divisor) -> MinkowskiWeight:

@@ -12,10 +12,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from lorfan import fixtures
+from lorfan import fixtures, lp
 from lorfan.errors import DimensionError, InternalError, PreconditionError
 from lorfan.fan import MarkedFan, cone_key
 from lorfan.linalg import ONE, ZERO, Inertia, dot, is_symmetric, mat, rank, rref, vec
+from lorfan.lp import FeasibilityCertificate, StrictFeasibility
 from lorfan.matroids import bergman_fan, complete_graph_matroid, fano_matroid, uniform_matroid
 from lorfan.weights import MinkowskiWeight, TropicalFan, divisor_action, indicator_divisor
 
@@ -410,8 +411,9 @@ def random_simplicial_fan(rng: random.Random, n: int) -> MarkedFan:
 
 
 # ---------------------------------------------------------------------------
-# linear solves and the general two-phase simplex, the oracles for the
-# quotient records and for the max-slack solver
+# linear solves, the general two-phase simplex and the max-slack simplex over
+# Fraction entries, the oracles for the quotient records and for the
+# max-slack solver
 
 
 def solve_linear(A, b):
@@ -622,6 +624,94 @@ def max_slack_oracle(rows, dim) -> Fraction:
     return res.value
 
 
+def _max_slack_phase(T, zrow, basis, nfree):
+    """The max-slack solver's pivot loop over Fraction entries: columns below
+    `nfree` are free, enter in either direction and never leave."""
+    rhs = len(zrow) - 1
+    stall = 0
+    last_obj = None
+    while True:
+        obj = zrow[rhs]
+        if last_obj is not None and obj == last_obj:
+            stall += 1
+        else:
+            stall = 0
+        last_obj = obj
+        # the solver's own limit, read here so a test can set it for both
+        use_bland = stall >= lp._STALL_LIMIT
+
+        enter = None
+        best = ZERO
+        for j in range(rhs):
+            rc = zrow[j]
+            gain = -abs(rc) if j < nfree else rc
+            if gain < 0:
+                if use_bland:
+                    enter = j
+                    break
+                if gain < best:
+                    best = gain
+                    enter = j
+        if enter is None:
+            return
+        up = zrow[enter] < 0
+
+        leave = None
+        best_ratio = None
+        for i in range(len(T)):
+            if basis[i] < nfree:
+                continue
+            a = T[i][enter] if up else -T[i][enter]
+            if a > 0:
+                ratio = T[i][rhs] / a
+                if (
+                    best_ratio is None
+                    or ratio < best_ratio
+                    or (ratio == best_ratio and basis[i] < basis[leave])
+                ):
+                    best_ratio = ratio
+                    leave = i
+        if leave is None:
+            raise InternalError("max-slack program cannot be unbounded")
+        _pivot(T, zrow, basis, leave, enter)
+
+
+def fraction_strict_feasible(rows, dim) -> StrictFeasibility:
+    """lp.strict_feasible over a tableau of Fraction entries, with the same
+    columns, the same pivot rules and the same duals; the point and the
+    certificate are left for the caller to check."""
+    m = len(rows)
+    t0 = min([ONE, *(Fraction(bv) for _, bv in rows)])
+    width = dim + m + 3
+    T = []
+    for i, (a, bv) in enumerate(rows):
+        row = [*a, ONE] + [ZERO] * (m + 2)
+        row[dim + 1 + i] = ONE
+        row[-1] = bv - t0
+        T.append(row)
+    cap = [ZERO] * width
+    cap[dim] = cap[dim + m + 1] = ONE
+    cap[-1] = ONE - t0
+    T.append(cap)
+    basis = list(range(dim + 1, dim + m + 2))
+    zrow = [ZERO] * width
+    zrow[dim] = -ONE
+
+    _max_slack_phase(T, zrow, basis, dim)
+
+    t_star = t0 + zrow[-1]
+    x = [ZERO] * dim
+    for i, col in enumerate(basis):
+        if col < dim:
+            x[col] = T[i][-1]
+    if t_star > 0:
+        return StrictFeasibility(tuple(x), t_star, None)
+    duals = zrow[dim + 1 : dim + m + 2]
+    total = sum(duals, ZERO)
+    cert = FeasibilityCertificate(tuple(v / total for v in duals[:m]), duals[m] / total)
+    return StrictFeasibility(tuple(x), t_star, cert)
+
+
 # ---------------------------------------------------------------------------
 # the characteristic polynomial and Descartes' rule, the oracle for inertia
 
@@ -682,6 +772,28 @@ def descartes_inertia(S) -> Inertia:
     if p + q + low_zero != n:
         raise InternalError("Descartes counts do not exhaust the spectrum; input was not real-rooted")
     return Inertia(p=p, q=q, r=low_zero)
+
+
+# ---------------------------------------------------------------------------
+# balancing through the divisor action, the oracle for check_balancing
+
+
+def zero_divisor_balancing(fan: MarkedFan, w: MinkowskiWeight):
+    """check_balancing by the divisor action of the zero divisor at every cone
+    of dimension degree-1: the action is undefined exactly where the weighted
+    sum of all opposite marks, zero entries included, has no coordinates in
+    the cone's mark basis."""
+    if w.degree == 0:
+        return ()
+    failing = []
+    for tau in fan.cones(w.degree - 1):
+        total = [ZERO] * fan.ambient_dim
+        for sigma, eta in fan.cofaces[tau]:
+            for j, x in enumerate(fan.rays[eta]):
+                total[j] += w[sigma] * x
+        if fan.cone_coordinates(tau, tuple(total)) is None:
+            failing.append(tau)
+    return tuple(failing)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -11,7 +12,15 @@ from lorfan.errors import DimensionError
 from lorfan.linalg import dot, vec
 from lorfan.lp import strict_feasible, verify_certificate
 
-from helpers import BERGMAN_FANS, OPTIMAL, STOCK_FANS, linear_feasible, lp_max, max_slack_oracle
+from helpers import (
+    BERGMAN_FANS,
+    OPTIMAL,
+    STOCK_FANS,
+    fraction_strict_feasible,
+    linear_feasible,
+    lp_max,
+    max_slack_oracle,
+)
 
 
 def F(a, b=1):
@@ -19,9 +28,11 @@ def F(a, b=1):
 
 
 def check(rows, dim):
-    """Solve, compare the optimum with the two-phase oracle, and check the
-    point and, when the optimum is not positive, the certificate."""
+    """Solve, compare the whole result with the simplex over Fraction entries
+    and the optimum with the two-phase oracle, and check the point and, when
+    the optimum is not positive, the certificate."""
     res = strict_feasible(rows, dim)
+    assert res == fraction_strict_feasible(rows, dim)
     assert res.optimum == max_slack_oracle(rows, dim)
     assert res.optimum <= 1
     for a, b in rows:
@@ -106,6 +117,40 @@ def test_witness_or_certificate_random_instances():
     assert signs == {-1, 0, 1}
 
 
+def test_integer_rows_match_fraction_tableau(monkeypatch):
+    # rational normals and right-hand sides of mixed denominators, so rows
+    # start over different denominators, and free columns that enter
+    # downwards, on negative pivots; the point, the optimum and the
+    # certificate all equal those of the Fraction tableau (in check), and
+    # after every pivot each row is in lowest terms over a positive
+    # denominator
+    pivots = []
+    pivot = lp._pivot
+
+    def recording(T, den, basis, row, col):
+        pivots.append((T[row][col], den[row]))
+        pivot(T, den, basis, row, col)
+        assert all(d > 0 and math.gcd(d, *r) == 1 for r, d in zip(T, den))
+
+    monkeypatch.setattr(lp, "_pivot", recording)
+    rng = random.Random(41)
+    outcomes = set()
+    for _ in range(300):
+        n = rng.randint(1, 5)
+        rows = [
+            (
+                tuple(F(rng.randint(-6, 6), rng.randint(1, 6)) for _ in range(n)),
+                F(rng.randint(-4, 4), rng.randint(1, 5)),
+            )
+            for _ in range(rng.randint(1, 8))
+        ]
+        res = check(rows, n)
+        outcomes.add(res.certificate is None)
+    assert outcomes == {True, False}
+    assert any(p < 0 for p, _ in pivots)
+    assert any(d > 1 for _, d in pivots)
+
+
 # Beale's classic cycling example: max 3/4 x1 - 150 x2 + 1/50 x3 - 6 x4 over
 # two homogeneous rows, x3 <= 1 and x >= 0.
 BEALE_OBJECTIVE = vec([F(3, 4), -150, F(1, 50), -6])
@@ -127,7 +172,8 @@ def test_degenerate_cycling_guard(monkeypatch):
     assert res.value == F(1, 20)
     # its max-slack form, with the objective as the row t <= c.x, makes ten
     # consecutive degenerate pivots of twelve: under Bland's rule throughout,
-    # the default fallback, and no fallback at all
+    # the default fallback, and no fallback at all, the integer rows and the
+    # Fraction tableau (which reads the same limit) give the same result
     rows = [(tuple(-v for v in BEALE_OBJECTIVE), F(0))] + BEALE_ROWS
     for stall_limit in (0, lp._STALL_LIMIT, 10**6):
         monkeypatch.setattr(lp, "_STALL_LIMIT", stall_limit)

@@ -32,7 +32,14 @@ from lorfan.weights import (
     weight,
 )
 
-from helpers import linear_divisor, rescale_divisor, rescale_marking, skeleton_weight
+from helpers import (
+    linear_divisor,
+    random_fans,
+    rescale_divisor,
+    rescale_marking,
+    skeleton_weight,
+    zero_divisor_balancing,
+)
 
 
 def rand_divisor(rng, fan):
@@ -56,6 +63,37 @@ def test_broken_weight_reports_shared_rays():
     w = weight(2, {(0, 1): 2, (0, 2): 1, (1, 2): 1})
     failing = check_balancing(tf.fan, w)
     assert set(failing) == {(0,), (1,)}
+
+
+def _perturbed(rng, w: MinkowskiWeight) -> MinkowskiWeight:
+    """w with one seeded cone's weight raised by a seeded positive amount."""
+    values = dict(w.values)
+    cone = rng.choice(sorted(values))
+    values[cone] += Fraction(rng.randint(1, 3), rng.randint(1, 2))
+    return MinkowskiWeight(w.degree, values)
+
+
+def test_check_balancing_matches_zero_divisor_action():
+    # every ray star of the two largest Bergman fans, with its balanced weight
+    # and with a seeded unbalanced one, and the random fans, with unit and
+    # seeded weights: the same failing cones, in the same order, as the
+    # divisor action of the zero divisor
+    rng = random.Random(7)
+    cases = []
+    for matroid in (uniform_matroid(4, 6), complete_graph_matroid(5)):
+        tf = bergman_fan(matroid)
+        for (ray,) in tf.fan.cones(1):
+            stf = star_weight(tf, (ray,))
+            cases += [(stf.fan, stf.weight), (stf.fan, _perturbed(rng, stf.weight))]
+    for fan in random_fans():
+        unit = MinkowskiWeight(fan.dimension, {c: Fraction(1) for c in fan.cones(fan.dimension)})
+        cases += [(fan, unit), (fan, _perturbed(rng, unit))]
+    failing = 0
+    for fan, w in cases:
+        found = check_balancing(fan, w)
+        assert found == zero_divisor_balancing(fan, w)
+        failing += bool(found)
+    assert 0 < failing < len(cases)
 
 
 def test_check_balancing_missing_value():
