@@ -6,19 +6,26 @@ under `tests/golden/inputs/` and compares what it prints, byte for byte, with
 strictly convex witness and the star records, so any change to a cone index,
 a quotient convention or an LP row order shows up here.
 
-To rewrite the stored inputs and reports (only when a report is meant to
-change), run from the repository root:
+To compare every stored report with a fresh run, without pytest, run from the
+repository root:
+
+    PYTHONPATH=src python tests/test_golden_cli.py --check
+
+It exits 1 and names the first case whose report differs.  To rewrite the
+stored inputs and reports (only when a report is meant to change), run
 
     PYTHONPATH=src python tests/test_golden_cli.py
+
+The module imports no pytest: its parametrized tests get their cases from
+`pytest_generate_tests`, so the check runs on interpreters without pytest.
 """
 
 import contextlib
 import io
 import json
+import sys
 from fractions import Fraction
 from pathlib import Path
-
-import pytest
 
 from lorfan.cli import main
 from lorfan.convexity import ROUTE_CANDIDATE, ROUTE_JOINT_LP, classify_convexity
@@ -50,6 +57,13 @@ DIM = {
 CONVEX = [f for f in FANS if f != "twisted_prism"]
 # the sampling check of the definition, at a fixed seed
 SAMPLED = ["skeleton", "triangle_x_line", "mk4"]
+# fans whose marks are rescaled ray by ray (`helpers.rescale_marking`) by these
+# rational and mixed scales, so that marks, weights and divisors leave the
+# integers; each takes its divisors from the unscaled fan's, rescaled alike
+RESCALED = {
+    "skeleton_q": ("skeleton", ("1/2", "3/2", "2/3", "1", "2", "3/2")),
+    "triangle_x_line_q": ("triangle_x_line", ("2/3", "1", "1/2", "3/2", "2")),
+}
 
 
 def _cases():
@@ -90,6 +104,23 @@ def _cases():
         cases.append((f"product-{a}-{b}", ["product", "--fan", f"@{a}", "--fan2", f"@{b}"]))
     for f in BERGMAN:
         cases.append((f"bergman-{f}", ["bergman", "--matroid", f"@{f}-matroid"]))
+    for f, (base, _) in RESCALED.items():
+        fan = f"@{f}"
+        cases += [
+            (f"validate-{f}", ["validate", "--fan", fan]),
+            (f"balance-{f}", ["balance", "--fan", fan]),
+            (f"star-{f}-ray0", ["star", "--fan", fan, "--cone", "0"]),
+            (f"convexity-{f}-c", ["convexity", "--fan", fan, "--divisor", f"@{f}-c", "--strict"]),
+            (f"act-{f}", ["act", "--fan", fan, "--divisor", f"@{f}-c"]),
+            (f"lorentzian-{f}", ["lorentzian", "--fan", fan]),
+            (f"volpoly-{f}", ["volpoly", "--fan", fan]),
+            (f"degree-{f}", ["degree", "--fan", fan, "--divisors", f"@{f}-degree"]),
+        ]
+        argv = ["af", "--fan", fan, "--d1", f"@{f}-c", "--d2", f"@{f}-c2"]
+        if DIM[base] > 2:
+            argv += ["--aux", f"@{f}-aux"]
+        cases.append((f"af-{f}", argv))
+    cases.append(("star-triangle_x_line_q-cone01", ["star", "--fan", "@triangle_x_line_q", "--cone", "0,1"]))
     return cases
 
 
@@ -115,7 +146,6 @@ def _report(argv):
     return code, out.getvalue()
 
 
-@pytest.mark.parametrize("name,argv", CASES, ids=[name for name, _ in CASES])
 def test_golden_report(name, argv):
     code, out = _report(argv)
     assert code == 0
@@ -133,11 +163,6 @@ def _rats(values):
 WITNESS_CASES = [(f, z, strict) for f in CONVEX for z in ("c", "c2", "neg") for strict in (False, True)]
 
 
-@pytest.mark.parametrize(
-    "fan_name,z_name,strict",
-    WITNESS_CASES,
-    ids=[f"{f}-{z}{'-strict' if s else ''}" for f, z, s in WITNESS_CASES],
-)
 def test_emitted_witnesses_recheck(fan_name, z_name, strict):
     """Each functional `lorfan convexity` prints equals z on its cone's rays
     and is at most z (below z under --strict) on the cone's neighborhood rays;
@@ -171,7 +196,6 @@ def test_emitted_witnesses_recheck(fan_name, z_name, strict):
 LORENTZIAN_CASES = [(name, argv[2][1:]) for name, argv in CASES if argv[0] == "lorentzian"]
 
 
-@pytest.mark.parametrize("name,fan_name", LORENTZIAN_CASES, ids=[name for name, _ in LORENTZIAN_CASES])
 def test_stored_lorentzian_witnesses_recheck(name, fan_name):
     """The witness of each stored `lorfan lorentzian` report is strictly
     convex on its fan, and null exactly when the joint program has shown
@@ -187,8 +211,41 @@ def test_stored_lorentzian_witnesses_recheck(name, fan_name):
         assert classify_convexity(fan, z, strict=True).strictly_convex
 
 
+# (argument names, cases, ids) of each parametrized test
+PARAMETERS = {
+    "test_golden_report": ("name,argv", CASES, [name for name, _ in CASES]),
+    "test_emitted_witnesses_recheck": (
+        "fan_name,z_name,strict",
+        WITNESS_CASES,
+        [f"{f}-{z}{'-strict' if s else ''}" for f, z, s in WITNESS_CASES],
+    ),
+    "test_stored_lorentzian_witnesses_recheck": (
+        "name,fan_name", LORENTZIAN_CASES, [name for name, _ in LORENTZIAN_CASES]
+    ),
+}
+
+
+def pytest_generate_tests(metafunc):
+    if metafunc.function.__name__ in PARAMETERS:
+        names, values, ids = PARAMETERS[metafunc.function.__name__]
+        metafunc.parametrize(names, values, ids=ids)
+
+
 # ---------------------------------------------------------------------------
-# regeneration
+# check and regeneration
+
+
+def check() -> int:
+    """Run every case and compare its report with the stored one: 0 when all
+    match, else 1 after naming the first case that differs."""
+    for name, argv in CASES:
+        code, out = _report(argv)
+        if code != 0 or out != (GOLDEN / f"{name}.json").read_text():
+            print(f"golden report {name} differs (exit code {code})")
+            return 1
+    print(f"{len(CASES)} golden reports match")
+    return 0
+
 
 
 def _write(path: Path, obj) -> None:
@@ -250,6 +307,25 @@ def write_inputs() -> None:
     for f, name in BERGMAN.items():
         m = _matroid(name)
         _write(INPUTS / f"{f}-matroid.json", {"n": m.n, "bases": sorted(sorted(b) for b in m.bases)})
+    write_rescaled_inputs()
+
+
+def write_rescaled_inputs() -> None:
+    """Each RESCALED fan with its divisors: the unscaled fan's `c`, `c2`,
+    degree and aux divisors, each rescaled by the same scales."""
+    from helpers import rescale_divisor, rescale_marking
+    from lorfan import io as lio
+
+    for f, (base, scale) in RESCALED.items():
+        tf = lio.tropical_from_json(json.loads((INPUTS / f"{base}.json").read_text()))
+        _write(INPUTS / f"{f}.json", lio.tropical_to_json(rescale_marking(tf, scale)))
+        for z in ("c", "c2"):
+            values = lio.divisor_from_json(json.loads((INPUTS / f"{base}-{z}.json").read_text()))
+            _write(INPUTS / f"{f}-{z}.json", lio.divisor_to_json(rescale_divisor(values, scale)))
+        for z in ("degree", "aux") if DIM[base] > 2 else ("degree",):
+            divisors = lio.divisors_from_json(json.loads((INPUTS / f"{base}-{z}.json").read_text()))
+            rescaled = [lio.divisor_to_json(rescale_divisor(v, scale)) for v in divisors]
+            _write(INPUTS / f"{f}-{z}.json", {"divisors": rescaled})
 
 
 def regenerate() -> None:
@@ -263,4 +339,8 @@ def regenerate() -> None:
 
 
 if __name__ == "__main__":
+    if sys.argv[1:] == ["--check"]:
+        sys.exit(check())
+    if sys.argv[1:]:
+        sys.exit(f"usage: {sys.argv[0]} [--check]")
     regenerate()
