@@ -62,7 +62,7 @@ def _witness_at_cone(fan: MarkedFan, z, tau: Cone, strict: bool) -> tuple[ConeWi
     rows = fan.neighborhood(tau).rows(z)
     if not rows:
         return ConeWitness(tau, q.functional(on_cone), strict, True), ONE
-    res = strict_feasible(rows, len(q.annihilators))
+    res = strict_feasible(rows, q.codim)
     if res.optimum < 0 or (strict and not res.feasible):
         return ConeWitness(tau, None, strict, False), res.optimum
     phi = q.functional(on_cone, res.point)
@@ -153,7 +153,7 @@ def strict_convexity_program(fan: MarkedFan) -> StrictFeasibility:
         hood = fan.neighborhood(tau)
         if hood.rays:
             blocks.append((hood, dim))
-            dim += len(fan.quotient(tau).annihilators)
+            dim += fan.quotient(tau).codim
 
     rows = []
     for hood, base in blocks:

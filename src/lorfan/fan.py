@@ -11,21 +11,12 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Optional
 
 from .errors import DimensionError, PreconditionError
-from .linalg import (
-    Mat,
-    Vec,
-    ZERO,
-    ONE,
-    dot,
-    identity,
-    mat,
-    rank,
-    rref,
-    vec,
-)
+from .linalg import Mat, Vec, ZERO, eliminate, over_lcd, vec
 from .lp import LinearRow, strict_feasible
 
 Cone = tuple[int, ...]
@@ -33,6 +24,22 @@ Cone = tuple[int, ...]
 
 def cone_key(indices: Iterable[int]) -> Cone:
     return tuple(sorted(set(indices)))
+
+
+IntRows = tuple[tuple[int, ...], ...]
+
+
+def _dots(rows: IntRows, nums) -> list[int]:
+    return [sum(map(mul, row, nums)) for row in rows]
+
+
+def _fractions(rows: IntRows, den: int) -> Mat:
+    return tuple(tuple(Fraction(v, den) for v in row) for row in rows)
+
+
+def _rational(nums: tuple[int, ...], den: int) -> tuple:
+    """The vector nums / den for an LP row: the ints themselves when den is 1."""
+    return nums if den == 1 else tuple(Fraction(v, den) for v in nums)
 
 
 @dataclass(frozen=True)
@@ -45,11 +52,47 @@ class Quotient:
     mark, zero on the other marks and zero off the pivot columns.  The
     annihilator rows, one per non-pivot column, span the functionals that
     vanish on the cone; as a matrix they project onto the quotient.
+
+    The record keeps both sets of rows as Python ints over one positive
+    denominator `den`, the least common denominator of all their entries,
+    so no prime divides `den` and every numerator (a single row need not be
+    in lowest terms).  `particulars` and `annihilators` make the Fraction
+    matrices on each access; the methods take a point as the int numerators
+    `nums` of its entries over any positive denominator d, and their results
+    are numerators over den * d.  `project`, `in_span`, `coordinates` and
+    `functional` take and give rationals.
     """
 
     pivots: tuple[int, ...]
-    particulars: Mat
-    annihilators: Mat
+    den: int
+    particular_rows: IntRows
+    annihilator_rows: IntRows
+
+    @property
+    def particulars(self) -> Mat:
+        return _fractions(self.particular_rows, self.den)
+
+    @property
+    def annihilators(self) -> Mat:
+        return _fractions(self.annihilator_rows, self.den)
+
+    @property
+    def codim(self) -> int:
+        """The dimension of the quotient: the number of annihilators."""
+        return len(self.annihilator_rows)
+
+    def image_of(self, nums) -> list[int]:
+        """Numerators of the point's image under the annihilators."""
+        return _dots(self.annihilator_rows, nums)
+
+    def coords_of(self, nums) -> list[int]:
+        """Numerators of the particular functionals at the point."""
+        return _dots(self.particular_rows, nums)
+
+    def spans(self, nums) -> bool:
+        """Whether the point lies in the cone's span: every annihilator
+        vanishes on it."""
+        return not any(sum(map(mul, row, nums)) for row in self.annihilator_rows)
 
     def functional(self, on_cone, w=()) -> Vec:
         """sum(on_cone[r] * particulars[r]) + sum(w[j] * annihilators[j]).
@@ -57,103 +100,148 @@ class Quotient:
         Every functional taking the values `on_cone` on the cone's marks has
         this form for exactly one w.
         """
-        phi = [ZERO] * (len(self.pivots) + len(self.annihilators))
-        for coeff, row in itertools.chain(zip(on_cone, self.particulars), zip(w, self.annihilators)):
+        nums, d = over_lcd([*on_cone, *w])
+        k = len(on_cone)
+        phi = [0] * (len(self.pivots) + len(self.annihilator_rows))
+        for coeff, row in itertools.chain(
+            zip(nums[:k], self.particular_rows), zip(nums[k:], self.annihilator_rows)
+        ):
             if coeff:
                 for j, x in enumerate(row):
                     if x:
                         phi[j] += coeff * x
-        return tuple(phi)
+        den = d * self.den
+        return tuple(Fraction(v, den) for v in phi)
 
     def project(self, point: Vec) -> Vec:
         """The point's image under the annihilators: its quotient coordinates."""
-        return tuple(dot(a, point) for a in self.annihilators)
+        nums, d = over_lcd(point)
+        den = d * self.den
+        return tuple(Fraction(v, den) for v in self.image_of(nums))
 
     def in_span(self, point: Vec) -> bool:
-        """Whether the point lies in the cone's span: every annihilator vanishes on it."""
-        return not any(dot(row, point) for row in self.annihilators)
+        """Whether the point lies in the cone's span."""
+        return self.spans(over_lcd(point)[0])
 
     def coordinates(self, point: Vec) -> Optional[Vec]:
         """Coordinates of a point in the cone's mark basis, or None off its span."""
-        if not self.in_span(point):
+        nums, d = over_lcd(point)
+        if not self.spans(nums):
             return None
-        return tuple(dot(psi, point) for psi in self.particulars)
+        den = d * self.den
+        return tuple(Fraction(v, den) for v in self.coords_of(nums))
 
 
-def _quotient(fan: MarkedFan, cone: Cone) -> Quotient:
-    """One reduction of [marks | identity]: the left block is the reduced
-    echelon form of the marks, and the right block inverts the marks on the
-    pivot columns, which gives the particular functionals."""
+def _quotient(fan: MarkedFan, cone: Cone) -> Optional[Quotient]:
+    """One elimination of [marks | identity], or None when the marks are
+    dependent: the left block becomes the reduced echelon form of the marks,
+    and the right block inverts the marks on the pivot columns, which gives
+    the particular functionals."""
     n, k = fan.ambient_dim, len(cone)
-    unit = identity(k)
-    reduced, pivots = rref(mat(tuple(fan.rays[i]) + unit[r] for r, i in enumerate(cone)))
+    rows, dens = [], []
+    for r, i in enumerate(cone):
+        nums, d = fan.int_marks[i]
+        row = [*nums, *(0,) * k]
+        row[n + r] = d
+        rows.append(row)
+        dens.append(d)
+    pivots = eliminate(rows, dens)
     if len(pivots) != k or (pivots and pivots[-1] >= n):
-        raise PreconditionError(f"cone {cone} has dependent marks")
-    particulars = [[ZERO] * n for _ in range(k)]
-    for row, p in zip(reduced, pivots):
+        return None
+    den = lcm(*dens)
+    scales = [den // d for d in dens]
+    particulars = [[0] * n for _ in range(k)]
+    for row, s, p in zip(rows, scales, pivots):
         for r in range(k):
-            particulars[r][p] = row[n + r]
+            particulars[r][p] = row[n + r] * s
     annihilators = []
     for j in range(n):
         if j in pivots:
             continue
-        row = [ZERO] * n
-        row[j] = ONE
-        for r_idx, p in enumerate(pivots):
-            row[p] -= reduced[r_idx][j]
-        annihilators.append(tuple(row))
-    return Quotient(pivots, tuple(map(tuple, particulars)), tuple(annihilators))
+        a = [0] * n
+        a[j] = den
+        for row, s, p in zip(rows, scales, pivots):
+            a[p] -= row[j] * s
+        annihilators.append(tuple(a))
+    return Quotient(pivots, den, tuple(map(tuple, particulars)), tuple(annihilators))
 
 
 @dataclass(frozen=True)
 class Neighborhood:
-    """The neighborhood rays of one cone, read in the cone's quotient record.
+    """Rays around one cone, read in the cone's quotient record.
 
-    `images[e]` is the mark of `rays[e]` under the annihilators
-    (`Quotient.project`): the coefficients of its max-slack row over w, and
-    its mark on the star.  `coords[e]` holds the particular functionals at
-    that mark, so the functional matching z on the cone takes
-    sum(z[cone[r]] * coords[e][r]) there, k products for a k-cone.
+    `image_rows[e]` holds the numerators of the mark of `rays[e]` under the
+    annihilators (`Quotient.project`): the coefficients of its max-slack row
+    over w, and its mark on the star.  `coord_rows[e]` holds the particular
+    functionals at that mark, so the functional matching z on the cone takes
+    sum(z[cone[r]] * coords[e][r]) there, k products for a k-cone.  Both are
+    over the positive denominator `dens[e]`, and the three are in lowest
+    terms together.  `images` and `coords` make the Fraction vectors on each
+    access.  The record of `MarkedFan.neighborhood` runs over the
+    neighborhood rays; `validate` builds one over every ray off a maximal
+    cone.
     """
 
     cone: Cone
     rays: tuple[int, ...]
-    images: tuple[Vec, ...]
-    coords: tuple[Vec, ...]
+    image_rows: IntRows
+    coord_rows: IntRows
+    dens: tuple[int, ...]
+
+    @property
+    def images(self) -> tuple[Vec, ...]:
+        return tuple(tuple(Fraction(v, d) for v in row) for row, d in zip(self.image_rows, self.dens))
+
+    @property
+    def coords(self) -> tuple[Vec, ...]:
+        return tuple(tuple(Fraction(v, d) for v in row) for row, d in zip(self.coord_rows, self.dens))
 
     def excess(self, z) -> tuple[Fraction, ...]:
         """z at each ray minus the functional matching z on the cone; on a
         star these are the values of the pushed divisor."""
-        on_cone = [Fraction(z[i]) for i in self.cone]
-        return tuple(
-            Fraction(z[eta]) - sum((v * c for v, c in zip(on_cone, coords) if c), ZERO)
-            for eta, coords in zip(self.rays, self.coords)
-        )
+        on_cone, zd = over_lcd([z[i] for i in self.cone])
+        out = []
+        for eta, coords, d in zip(self.rays, self.coord_rows, self.dens):
+            # z_eta - sum(on_cone * coords) / (zd * d)
+            v = z[eta]
+            den = zd * d
+            out.append(Fraction(
+                v.numerator * den - sum(map(mul, on_cone, coords)) * v.denominator,
+                v.denominator * den,
+            ))
+        return tuple(out)
 
     def rows(self, z) -> list[LinearRow]:
         """One max-slack row phi(u_eta) + t <= z_eta per ray, over the
         coefficients w of phi = (the functional matching z on the cone) +
-        w.annihilators."""
-        return list(zip(self.images, self.excess(z)))
+        w.annihilators.  A row whose image is integral keeps its ints."""
+        return [(_rational(image, d), e) for image, d, e in zip(self.image_rows, self.dens, self.excess(z))]
 
 
-def _neighborhood(fan: MarkedFan, cone: Cone) -> Neighborhood:
+def _neighborhood(fan: MarkedFan, cone: Cone, rays: tuple[int, ...]) -> Neighborhood:
     q = fan.quotient(cone)
-    rays = neighborhood_rays(fan, cone)
-    marks = [fan.rays[r] for r in rays]
-    return Neighborhood(
-        cone,
-        rays,
-        tuple(map(q.project, marks)),
-        tuple(tuple(dot(psi, u) for psi in q.particulars) for u in marks),
-    )
+    images, coords, dens = [], [], []
+    for r in rays:
+        nums, d = fan.int_marks[r]
+        image, co = q.image_of(nums), q.coords_of(nums)
+        d *= q.den
+        g = gcd(d, *image, *co)
+        if g != 1:
+            image = [v // g for v in image]
+            co = [v // g for v in co]
+            d //= g
+        images.append(tuple(image))
+        coords.append(tuple(co))
+        dens.append(d)
+    return Neighborhood(cone, rays, tuple(images), tuple(coords), tuple(dens))
 
 
 @dataclass(frozen=True)
 class MarkedFan:
     """A simplicial fan: ray marks and maximal cones as sorted ray-index tuples.
 
-    The cone index (`cones`, `incident`, `cofaces`), the per-cone quotient
+    The cone index (`cones`, `incident`, `cofaces`), the marks as ints
+    (`int_marks`), the per-cone quotient
     records (`quotient`) and the per-cone neighborhood records
     (`neighborhood`: the neighborhood rays' images under the cone's
     annihilators and particular functionals) are computed on first use and
@@ -218,6 +306,12 @@ class MarkedFan:
         return {face: tuple(up) for face, up in out.items()}
 
     @cached_property
+    def int_marks(self) -> tuple[tuple[tuple[int, ...], int], ...]:
+        """Each ray mark as its int numerators over their least common
+        positive denominator."""
+        return tuple((tuple(nums), d) for nums, d in map(over_lcd, self.rays))
+
+    @cached_property
     def _quotients(self) -> dict[Cone, Quotient]:
         return {}
 
@@ -225,7 +319,10 @@ class MarkedFan:
         """The quotient record of a cone's span, computed on first use."""
         q = self._quotients.get(cone)
         if q is None:
-            q = self._quotients[cone] = _quotient(self, cone)
+            q = _quotient(self, cone)
+            if q is None:
+                raise PreconditionError(f"cone {cone} has dependent marks")
+            self._quotients[cone] = q
         return q
 
     @cached_property
@@ -236,7 +333,7 @@ class MarkedFan:
         """The neighborhood record of a cone, computed on first use."""
         hood = self._neighborhoods.get(cone)
         if hood is None:
-            hood = self._neighborhoods[cone] = _neighborhood(self, cone)
+            hood = self._neighborhoods[cone] = _neighborhood(self, cone, neighborhood_rays(self, cone))
         return hood
 
     def cones(self, k: int) -> tuple[Cone, ...]:
@@ -310,14 +407,11 @@ def _meet_in_shared_face(fan: MarkedFan, c1: Cone, c2: Cone) -> bool:
     none exists, before it returns.
     """
     shared = tuple(s for s in c1 if s in c2)
-    q = fan.quotient(shared)
-
-    def row(i, sign):
-        return tuple(sign * x for x in q.project(fan.rays[i])), ZERO
-
-    rows = [row(i, -1) for i in c1 if i not in shared]
-    rows += [row(j, 1) for j in c2 if j not in shared]
-    return strict_feasible(rows, len(q.annihilators)).feasible
+    hood = _neighborhood(fan, shared, tuple(i for i in c1 + c2 if i not in shared))
+    rows = []
+    for i, image, d in zip(hood.rays, hood.image_rows, hood.dens):
+        rows.append((_rational(tuple(-v for v in image) if i in c1 else image, d), ZERO))
+    return strict_feasible(rows, fan.quotient(shared).codim).feasible
 
 
 def _regular(fan: MarkedFan, z) -> bool:
@@ -328,15 +422,12 @@ def _regular(fan: MarkedFan, z) -> bool:
     sum b_j u_j in both, the two functionals give sum a z <= sum b z <=
     sum a z, with equality only when a and b vanish off the shared rays (De
     Loera, Rambau and Santos, Triangulations, 2010, chapters 2 and 5).
-    The rows run over every other ray for one z, so unlike the convexity
-    rows they subtract the matching functional itself instead of reading a
-    neighborhood record.
+    The rows are those of a neighborhood record built over every other ray.
     """
     for sigma in fan.maximal_cones:
-        q = fan.quotient(sigma)
-        base = q.functional([Fraction(z[i]) for i in sigma])
-        rows = [(q.project(u), Fraction(z[r]) - dot(base, u)) for r, u in enumerate(fan.rays) if r not in sigma]
-        if not strict_feasible(rows, len(q.annihilators)).feasible:
+        others = tuple(r for r in range(len(fan.rays)) if r not in sigma)
+        rows = _neighborhood(fan, sigma, others).rows(z)
+        if not strict_feasible(rows, fan.quotient(sigma).codim).feasible:
             return False
     return True
 
@@ -348,9 +439,12 @@ def validate(fan: MarkedFan) -> ValidationReport:
     per pair of maximal cones."""
     failures = []
 
+    # the elimination that decides simpliciality keeps the cone's quotient record
     simplicial = True
     for c in fan.maximal_cones:
-        if c and rank(mat([fan.rays[i] for i in c])) != len(c):
+        try:
+            fan.quotient(c)
+        except PreconditionError:
             simplicial = False
             failures.append(f"cone {c} has linearly dependent marks")
 
@@ -413,7 +507,7 @@ def star(fan: MarkedFan, apex: Cone) -> StarData:
     if not apex:
         return StarData(parent=fan, apex=apex, fan=fan, lift=tuple(range(len(fan.rays))))
     hood = fan.neighborhood(apex)
-    for parent_ray, image in zip(hood.rays, hood.images):
+    for parent_ray, image in zip(hood.rays, hood.image_rows):
         if not any(image):
             raise PreconditionError(f"ray {parent_ray} lies in the span of {apex}: not simplicial")
     index_of = {parent: i for i, parent in enumerate(hood.rays)}

@@ -4,12 +4,20 @@ Vectors are tuples of Fraction, matrices are tuples of row tuples.  All
 routines are exact; nothing here ever touches floating point.  The inertia
 of a symmetric matrix comes from symmetric elimination by congruence, which
 keeps it by Sylvester's law of inertia.
+
+Gauss-Jordan elimination runs without Fractions, in the fraction-free style
+of Bareiss (Math. Comp. 1968) but with one denominator per row: each row is
+a list of Python ints over its own positive int denominator, and `pivot`
+divides every row it changes by the gcd of its entries and denominator.
+`rref`, `rank`, `det`, the quotient records of a fan and the max-slack
+tableau all pivot through it; Fractions are made only from its results.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable
 
 from .errors import DimensionError
@@ -57,55 +65,116 @@ def is_symmetric(A: Mat) -> bool:
     return all(A[i][j] == A[j][i] for i in range(n) for j in range(i + 1, n))
 
 
-def rref(A: Mat) -> tuple[Mat, tuple[int, ...]]:
-    """Reduced row echelon form together with the pivot column indices."""
-    rows = [list(r) for r in A]
+def over_lcd(values) -> tuple[list[int], int]:
+    """Numerators of rationals (Fractions or ints) over their least common
+    positive denominator."""
+    d = lcm(*(v.denominator for v in values))
+    return [v.numerator * (d // v.denominator) for v in values], d
+
+
+def pivot(rows: list[list[int]], dens: list[int], row: int, col: int) -> None:
+    """One Gauss-Jordan step on int rows, in place: the pivot row is divided
+    by its entry in `col` and every other row loses its multiple of it.
+
+    Row i holds the numerators of its entries over dens[i] > 0.  Dividing the
+    pivot row by its pivot leaves its numerators over the pivot's numerator,
+    whose sign moves into the numerators.  Every other row r with f in the
+    pivot column becomes p*r - f*prow over dens[r]*p, where p is the pivot
+    row's new denominator.  Each changed row is divided, with its
+    denominator, by their gcd, so every row it writes is in lowest terms.
+    The subtraction runs over the pivot row's nonzero entries only.
+    """
+    prow = rows[row]
+    p = prow[col]
+    if p < 0:
+        prow = [-v for v in prow]
+        p = -p
+    g = gcd(*prow)
+    if g != 1:
+        prow = [v // g for v in prow]
+        p //= g
+    rows[row] = prow
+    dens[row] = p
+    nz = [j for j, v in enumerate(prow) if v]
+    for i, other in enumerate(rows):
+        f = other[col]
+        if not f or i == row:
+            continue
+        if p != 1:
+            other = [v * p for v in other]
+        for j in nz:
+            other[j] -= f * prow[j]
+        d = dens[i] * p
+        if d != 1:
+            g = gcd(d, *other)
+            if g != 1:
+                other = [v // g for v in other]
+                d //= g
+        rows[i] = other
+        dens[i] = d
+
+
+def eliminate(rows: list[list[int]], dens: list[int]) -> tuple[int, ...]:
+    """Bring int rows over positive denominators to reduced row echelon
+    form in place, pivoting on the first nonzero entry of each column at or
+    below the current row; returns the pivot columns."""
     nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
     pivots = []
     r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
+    for c in range(len(rows[0]) if rows else 0):
+        piv = next((i for i in range(r, nrows) if rows[i][c]), None)
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
-        inv = ONE / rows[r][c]
-        rows[r] = [inv * x for x in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        dens[r], dens[piv] = dens[piv], dens[r]
+        pivot(rows, dens, r, c)
         pivots.append(c)
         r += 1
         if r == nrows:
             break
-    return tuple(tuple(row) for row in rows), tuple(pivots)
+    return tuple(pivots)
+
+
+def _int_rows(A: Mat) -> tuple[list[list[int]], list[int]]:
+    rows, dens = [], []
+    for row in A:
+        nums, d = over_lcd(row)
+        rows.append(nums)
+        dens.append(d)
+    return rows, dens
+
+
+def rref(A: Mat) -> tuple[Mat, tuple[int, ...]]:
+    """Reduced row echelon form together with the pivot column indices."""
+    rows, dens = _int_rows(A)
+    pivots = eliminate(rows, dens)
+    return tuple(tuple(Fraction(v, d) for v in row) for row, d in zip(rows, dens)), pivots
 
 
 def rank(A: Mat) -> int:
-    return len(rref(A)[1])
+    rows, dens = _int_rows(A)
+    return len(eliminate(rows, dens))
 
 
 def det(A: Mat) -> Fraction:
+    """The product of the pivots, negated once per row swap."""
     n = len(A)
     if any(len(r) != n for r in A):
         raise DimensionError("determinant of non-square matrix")
-    rows = [list(r) for r in A]
-    d = ONE
+    rows, dens = _int_rows(A)
+    num = den = 1
     for c in range(n):
-        piv = next((i for i in range(c, n) if rows[i][c] != 0), None)
+        piv = next((i for i in range(c, n) if rows[i][c]), None)
         if piv is None:
             return ZERO
         if piv != c:
             rows[c], rows[piv] = rows[piv], rows[c]
-            d = -d
-        d *= rows[c][c]
-        inv = ONE / rows[c][c]
-        for i in range(c + 1, n):
-            if rows[i][c] != 0:
-                f = rows[i][c] * inv
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
-    return d
+            dens[c], dens[piv] = dens[piv], dens[c]
+            num = -num
+        num *= rows[c][c]
+        den *= dens[c]
+        pivot(rows, dens, c, c)
+    return Fraction(num, den)
 
 
 @dataclass(frozen=True)

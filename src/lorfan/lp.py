@@ -30,11 +30,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 from typing import Optional, Sequence
 
 from .errors import DimensionError, InternalError
-from .linalg import Vec, ZERO, ONE, dot
+from .linalg import Vec, ZERO, ONE, dot, pivot
 
 LinearRow = tuple[Vec, Fraction]
 
@@ -43,45 +43,12 @@ _STALL_LIMIT = 12
 
 
 def _pivot(T, den, basis, row, col):
-    """Pivot the integer tableau on T[row][col]; T[-1] is the reduced-cost row.
-
-    Row i holds the numerators of its entries over den[i] > 0.  Dividing the
-    pivot row by its pivot leaves its numerators over the pivot's numerator,
-    whose sign moves into the numerators.  Every other row r with f in the
-    pivot column becomes p*r - f*prow over den[r]*p, where p is the pivot row's
-    new denominator.  Each changed row is divided, with its denominator, by
-    their gcd.  Rows are mostly zero in the block-structured programs this
-    package builds, so the subtraction runs over the pivot row's nonzero
-    entries only.
-    """
-    prow = T[row]
-    p = prow[col]
-    if p < 0:
-        prow = [-v for v in prow]
-        p = -p
-    g = gcd(*prow)
-    if g != 1:
-        prow = [v // g for v in prow]
-        p //= g
-    T[row] = prow
-    den[row] = p
-    nz = [j for j, v in enumerate(prow) if v]
-    for i, other in enumerate(T):
-        f = other[col]
-        if not f or i == row:
-            continue
-        if p != 1:
-            other = [v * p for v in other]
-        for j in nz:
-            other[j] -= f * prow[j]
-        d = den[i] * p
-        if d != 1:
-            g = gcd(d, *other)
-            if g != 1:
-                other = [v // g for v in other]
-                d //= g
-        T[i] = other
-        den[i] = d
+    """Pivot the integer tableau on T[row][col] (`linalg.pivot`, which keeps
+    row i as numerators over den[i] > 0) and record the entering column;
+    T[-1] is the reduced-cost row.  Rows are mostly zero in the
+    block-structured programs this package builds, and the pivot touches
+    only the rows with a nonzero entry in the pivot column."""
+    pivot(T, den, row, col)
     basis[row] = col
 
 

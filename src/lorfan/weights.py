@@ -10,11 +10,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import mul
 from typing import Iterable, Optional, Sequence
 
 from .errors import BalancingError, DimensionError, PreconditionError
 from .fan import Cone, MarkedFan, StarData, cone_key, star
-from .linalg import Mat, ZERO, ONE, det, mat, vec
+from .linalg import Mat, ZERO, ONE, det, mat, over_lcd, vec
 
 Divisor = tuple[Fraction, ...]
 
@@ -73,15 +75,22 @@ class TropicalFan:
         return self.fan.dimension
 
 
-def _mark_sum(fan: MarkedFan, w: MinkowskiWeight, tau: Cone) -> tuple[Fraction, ...]:
-    """Sum of w(sigma) times the opposite ray's mark over tau's cofaces."""
-    total = [ZERO] * fan.ambient_dim
-    for sigma, eta in fan.cofaces[tau]:
-        ws = w[sigma]
-        for j, x in enumerate(fan.rays[eta]):
-            if x:
-                total[j] += ws * x
-    return tuple(total)
+def _mark_sum(fan: MarkedFan, weights, tau: Cone) -> tuple[list[int], int]:
+    """Sum of weights[i] times the opposite ray's mark over tau's cofaces,
+    for int weights: its numerators, and their denominator, the least common
+    one of those marks."""
+    cofaces = fan.cofaces[tau]
+    marks = fan.int_marks
+    d = lcm(*(marks[eta][1] for _, eta in cofaces))
+    total = [0] * fan.ambient_dim
+    for ws, (_, eta) in zip(weights, cofaces):
+        if ws:
+            nums, de = marks[eta]
+            ws *= d // de
+            for j, x in enumerate(nums):
+                if x:
+                    total[j] += ws * x
+    return total, d
 
 
 def _action_at(fan: MarkedFan, w: MinkowskiWeight, tau: Cone, z) -> Optional[Fraction]:
@@ -89,13 +98,22 @@ def _action_at(fan: MarkedFan, w: MinkowskiWeight, tau: Cone, z) -> Optional[Fra
 
     The mark sum must lie in tau's span; the sum of w(sigma) times z at the
     opposite ray, less the linear function matching z on tau's rays at the
-    mark sum, is the value.
+    mark sum, is the value.  Everything runs on ints over common
+    denominators, and one Fraction is made at the end.
     """
-    coords = fan.cone_coordinates(tau, _mark_sum(fan, w, tau))
-    if coords is None:
+    cofaces = fan.cofaces[tau]
+    q = fan.quotient(tau)
+    ws, wd = over_lcd([w[sigma] for sigma, _ in cofaces])
+    total, md = _mark_sum(fan, ws, tau)
+    if not q.spans(total):
         return None
-    linear_part = sum((w[sigma] * z[eta] for sigma, eta in fan.cofaces[tau]), ZERO)
-    return linear_part - sum((c * z[i] for c, i in zip(coords, tau)), ZERO)
+    # the mark sum is total / (wd * md); its coordinates are over q.den * wd * md
+    on_tau, td = over_lcd([z[i] for i in tau])
+    opposite, od = over_lcd([z[eta] for _, eta in cofaces])
+    linear_part = sum(map(mul, ws, opposite))  # over wd * od
+    at_sum = sum(map(mul, q.coords_of(total), on_tau))  # over q.den * wd * md * td
+    scale = q.den * md * td
+    return Fraction(linear_part * scale - at_sum * od, wd * od * scale)
 
 
 def check_balancing(fan: MarkedFan, w: MinkowskiWeight) -> tuple[Cone, ...]:
@@ -106,9 +124,12 @@ def check_balancing(fan: MarkedFan, w: MinkowskiWeight) -> tuple[Cone, ...]:
         return ()
     for sigma in fan.cones(k):
         w[sigma]
-    return tuple(
-        tau for tau in fan.cones(k - 1) if not fan.quotient(tau).in_span(_mark_sum(fan, w, tau))
-    )
+    failing = []
+    for tau in fan.cones(k - 1):
+        ws, _ = over_lcd([w[sigma] for sigma, _ in fan.cofaces[tau]])
+        if not fan.quotient(tau).spans(_mark_sum(fan, ws, tau)[0]):
+            failing.append(tau)
+    return tuple(failing)
 
 
 def divisor_action(fan: MarkedFan, w: MinkowskiWeight, z: Divisor) -> MinkowskiWeight:
