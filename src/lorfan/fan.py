@@ -94,12 +94,9 @@ class Quotient:
         vanishes on it."""
         return not any(sum(map(mul, row, nums)) for row in self.annihilator_rows)
 
-    def functional(self, on_cone, w=()) -> Vec:
-        """sum(on_cone[r] * particulars[r]) + sum(w[j] * annihilators[j]).
-
-        Every functional taking the values `on_cone` on the cone's marks has
-        this form for exactly one w.
-        """
+    def functional_nums(self, on_cone, w=()) -> tuple[list[int], int]:
+        """The numerators of `functional(on_cone, w)` over their positive
+        denominator."""
         nums, d = over_lcd([*on_cone, *w])
         k = len(on_cone)
         phi = [0] * (len(self.pivots) + len(self.annihilator_rows))
@@ -110,7 +107,15 @@ class Quotient:
                 for j, x in enumerate(row):
                     if x:
                         phi[j] += coeff * x
-        den = d * self.den
+        return phi, d * self.den
+
+    def functional(self, on_cone, w=()) -> Vec:
+        """sum(on_cone[r] * particulars[r]) + sum(w[j] * annihilators[j]).
+
+        Every functional taking the values `on_cone` on the cone's marks has
+        this form for exactly one w.
+        """
+        phi, den = self.functional_nums(on_cone, w)
         return tuple(Fraction(v, den) for v in phi)
 
     def project(self, point: Vec) -> Vec:

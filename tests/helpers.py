@@ -168,8 +168,7 @@ def rescale_marking(tf: TropicalFan, scale) -> TropicalFan:
         raise DimensionError("one scale per ray required")
     if any(s <= 0 for s in lam):
         raise PreconditionError("scales must be positive")
-    rays = tuple(tuple(s * x for x in u) for s, u in zip(lam, tf.fan.rays))
-    fan = MarkedFan(tf.fan.ambient_dim, rays, tf.fan.maximal_cones)
+    fan = rescale_fan(tf.fan, lam)
     values = {}
     for c, v in tf.weight.values.items():
         factor = ONE
@@ -303,6 +302,128 @@ def rref_quotient(fan: MarkedFan, tau):
             row[p] -= reduced[r_idx][j]
         annihilators.append(tuple(row))
     return pivots, tuple(particulars), tuple(annihilators)
+
+
+# ---------------------------------------------------------------------------
+# Fraction elimination and the Fraction quotient, neighborhood and divisor
+# action constructions: the oracles for the integer kernels
+
+
+def fraction_rref(A):
+    """Reduced row echelon form and pivot columns by Fraction row operations."""
+    rows = [[Fraction(x) for x in r] for r in A]
+    nrows = len(rows)
+    ncols = len(rows[0]) if rows else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        piv = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = ONE / rows[r][c]
+        rows[r] = [inv * x for x in rows[r]]
+        for i in range(nrows):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return tuple(tuple(row) for row in rows), tuple(pivots)
+
+
+def fraction_det(A):
+    """Determinant by Fraction Gaussian elimination."""
+    n = len(A)
+    rows = [[Fraction(x) for x in r] for r in A]
+    d = ONE
+    for c in range(n):
+        piv = next((i for i in range(c, n) if rows[i][c] != 0), None)
+        if piv is None:
+            return ZERO
+        if piv != c:
+            rows[c], rows[piv] = rows[piv], rows[c]
+            d = -d
+        d *= rows[c][c]
+        for i in range(c + 1, n):
+            if rows[i][c] != 0:
+                f = rows[i][c] / rows[c][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
+    return d
+
+
+def fraction_quotient(fan: MarkedFan, cone):
+    """(pivots, particulars, annihilators) of the cone's span from one Fraction
+    reduction of [marks | identity], or None when the marks are dependent."""
+    n, k = fan.ambient_dim, len(cone)
+    unit = [[ONE if i == j else ZERO for j in range(k)] for i in range(k)]
+    reduced, pivots = fraction_rref([list(fan.rays[i]) + unit[r] for r, i in enumerate(cone)])
+    if len(pivots) != k or (pivots and pivots[-1] >= n):
+        return None
+    particulars = [[ZERO] * n for _ in range(k)]
+    for row, p in zip(reduced, pivots):
+        for r in range(k):
+            particulars[r][p] = row[n + r]
+    annihilators = []
+    for j in range(n):
+        if j in pivots:
+            continue
+        row = [ZERO] * n
+        row[j] = ONE
+        for r_idx, p in enumerate(pivots):
+            row[p] -= reduced[r_idx][j]
+        annihilators.append(tuple(row))
+    return pivots, tuple(map(tuple, particulars)), tuple(annihilators)
+
+
+def fraction_neighborhood(fan: MarkedFan, cone, rays):
+    """(images, coords) of the given rays' marks under the Fraction quotient
+    record of the cone: its annihilators and its particular functionals."""
+    _, particulars, annihilators = fraction_quotient(fan, cone)
+    marks = [fan.rays[r] for r in rays]
+    images = tuple(tuple(dot(a, u) for a in annihilators) for u in marks)
+    coords = tuple(tuple(dot(psi, u) for psi in particulars) for u in marks)
+    return images, coords
+
+
+def fraction_excess(fan: MarkedFan, cone, rays, z):
+    """z at each ray minus the functional matching z on the cone, in Fractions."""
+    _, coords = fraction_neighborhood(fan, cone, rays)
+    on_cone = [Fraction(z[i]) for i in cone]
+    return tuple(
+        Fraction(z[eta]) - sum((v * c for v, c in zip(on_cone, co)), ZERO) for eta, co in zip(rays, coords)
+    )
+
+
+def fraction_mark_sum(fan: MarkedFan, w: MinkowskiWeight, tau):
+    """Sum of w(sigma) times the opposite ray's mark over tau's cofaces."""
+    total = [ZERO] * fan.ambient_dim
+    for sigma, eta in fan.cofaces[tau]:
+        ws = w[sigma]
+        for j, x in enumerate(fan.rays[eta]):
+            if x:
+                total[j] += ws * x
+    return tuple(total)
+
+
+def fraction_action_at(fan: MarkedFan, w: MinkowskiWeight, tau, z):
+    """Value at tau of z acting on w, or None when w is unbalanced at tau: the
+    mark sum's coordinates in tau's mark basis from the Fraction quotient."""
+    _, particulars, annihilators = fraction_quotient(fan, tau)
+    total = fraction_mark_sum(fan, w, tau)
+    if any(dot(a, total) for a in annihilators):
+        return None
+    coords = [dot(psi, total) for psi in particulars]
+    linear_part = sum((w[sigma] * z[eta] for sigma, eta in fan.cofaces[tau]), ZERO)
+    return linear_part - sum((c * z[i] for c, i in zip(coords, tau)), ZERO)
+
+
+def rescale_fan(fan: MarkedFan, scale) -> MarkedFan:
+    """The fan with each ray's mark multiplied by its scale."""
+    rays = tuple(tuple(Fraction(s) * x for x in u) for s, u in zip(scale, fan.rays))
+    return MarkedFan(fan.ambient_dim, rays, fan.maximal_cones)
 
 
 # ---------------------------------------------------------------------------

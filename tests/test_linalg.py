@@ -1,10 +1,11 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from lorfan.errors import DimensionError
-from lorfan import fixtures, matroids
+from lorfan import fixtures, linalg, matroids
 from lorfan.fan import star
 from lorfan.linalg import (
     det,
@@ -20,7 +21,7 @@ from lorfan.linalg import (
 from lorfan.lorentzian import volume_poly_2d
 from lorfan.weights import star_weight
 
-from helpers import char_poly, descartes_inertia, mat_mul, solve_linear
+from helpers import char_poly, descartes_inertia, fraction_det, fraction_rref, mat_mul, solve_linear
 
 
 def test_solve_identity():
@@ -244,6 +245,57 @@ def test_rref_pivots():
     R, pivots = rref(mat([[0, 2, 4], [1, 1, 1]]))
     assert pivots == (0, 1)
     assert R[0][0] == 1 and R[1][1] == 1
+
+
+def _random_rational_matrix(rng):
+    """A rational matrix of mixed denominators; about half are rank deficient,
+    with some rows combinations of the others and some columns zero."""
+    m, n = rng.randint(1, 6), rng.randint(1, 6)
+    rows = [[Fraction(rng.randint(-6, 6), rng.randint(1, 5)) for _ in range(n)] for _ in range(m)]
+    if rng.random() < 0.5 and m > 1:
+        for i in range(1, m):
+            if rng.random() < 0.5:
+                a, b = Fraction(rng.randint(-3, 3), rng.randint(1, 3)), Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                rows[i] = [a * x + b * y for x, y in zip(rows[0], rows[i - 1])]
+        if rng.random() < 0.3:
+            j = rng.randrange(n)
+            for row in rows:
+                row[j] = Fraction(0)
+    return mat(rows)
+
+
+def test_rref_rank_det_match_fraction_elimination():
+    rng = random.Random(17)
+    deficient = 0
+    for _ in range(300):
+        A = _random_rational_matrix(rng)
+        R, pivots = rref(A)
+        assert (R, pivots) == fraction_rref(A)
+        assert rank(A) == len(pivots)
+        deficient += len(pivots) < min(len(A), len(A[0]))
+        square = mat(row[: len(A)] for row in A) if len(A[0]) >= len(A) else mat(A[: len(A[0])])
+        assert det(square) == fraction_det(square)
+    assert 50 < deficient < 250
+
+
+def test_pivot_keeps_rows_in_lowest_terms_over_positive_denominators(monkeypatch):
+    """After every Gauss-Jordan step each row is in lowest terms over a
+    positive denominator; negative pivots and denominators above one occur."""
+    seen = []
+    pivot = linalg.pivot
+
+    def recording(rows, dens, row, col):
+        seen.append((rows[row][col], dens[row]))
+        pivot(rows, dens, row, col)
+        assert all(d > 0 and math.gcd(d, *r) == 1 for r, d in zip(rows, dens))
+
+    monkeypatch.setattr(linalg, "pivot", recording)
+    rng = random.Random(19)
+    for _ in range(100):
+        A = _random_rational_matrix(rng)
+        assert rref(A) == fraction_rref(A)
+    assert any(p < 0 for p, _ in seen)
+    assert any(d > 1 for _, d in seen)
 
 
 def test_det_and_rank():
