@@ -40,6 +40,10 @@ class MinkowskiWeight:
                 raise DimensionError("weight key has wrong cone dimension")
 
     def __getitem__(self, cone: Cone) -> Fraction:
+        # the keys are sorted tuples, which is how the cone index lists cones
+        value = self.values.get(cone) if type(cone) is tuple else None
+        if value is not None:
+            return value
         try:
             return self.values[cone_key(cone)]
         except KeyError:
