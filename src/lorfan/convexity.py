@@ -17,7 +17,7 @@ from typing import Optional
 
 from .errors import InternalError, PreconditionError
 from .fan import Cone, MarkedFan, candidate_divisor
-from .linalg import Vec, ZERO, ONE, rref, transpose, vec
+from .linalg import Vec, ZERO, ONE, fractions, rref, transpose, vec
 from .lp import StrictFeasibility, strict_feasible
 
 VERDICT_NONE = "none"
@@ -62,16 +62,16 @@ def _witness_at_cone(fan: MarkedFan, z, tau: Cone, strict: bool) -> tuple[ConeWi
     on_cone = [z[i] for i in tau]
     rows = fan.neighborhood(tau).rows(z)
     if not rows:
-        return ConeWitness(tau, q.functional(on_cone), strict, True), ONE
+        return ConeWitness(tau, fractions(*q.functional(on_cone)), strict, True), ONE
     res = strict_feasible(rows, q.codim)
     if res.optimum < 0 or (strict and not res.feasible):
         return ConeWitness(tau, None, strict, False), res.optimum
-    phi, den = q.functional_nums(on_cone, res.point)
+    phi, den = q.functional(on_cone, res.point)
     for i, v in zip(tau, on_cone):
         nums, d = fan.int_marks[i]
         if sum(map(mul, phi, nums)) * v.denominator != v.numerator * den * d:
             raise InternalError("reconstructed witness misses a matching value")
-    return ConeWitness(tau, tuple(Fraction(x, den) for x in phi), strict, True), res.optimum
+    return ConeWitness(tau, fractions(phi, den), strict, True), res.optimum
 
 
 def classify_convexity(fan: MarkedFan, z, strict: bool = False) -> ConvexityCertificate:

@@ -16,7 +16,7 @@ from operator import mul
 from typing import Iterable, Optional
 
 from .errors import DimensionError, PreconditionError
-from .linalg import Mat, Vec, ZERO, eliminate, over_lcd, vec
+from .linalg import Mat, Vec, ZERO, eliminate, fractions, over_lcd, vec
 from .lp import LinearRow, strict_feasible
 
 Cone = tuple[int, ...]
@@ -29,17 +29,9 @@ def cone_key(indices: Iterable[int]) -> Cone:
 IntRows = tuple[tuple[int, ...], ...]
 
 
-def _dots(rows: IntRows, nums) -> list[int]:
-    return [sum(map(mul, row, nums)) for row in rows]
-
-
-def _fractions(rows: IntRows, den: int) -> Mat:
-    return tuple(tuple(Fraction(v, den) for v in row) for row in rows)
-
-
 def _rational(nums: tuple[int, ...], den: int) -> tuple:
     """The vector nums / den for an LP row: the ints themselves when den is 1."""
-    return nums if den == 1 else tuple(Fraction(v, den) for v in nums)
+    return nums if den == 1 else fractions(nums, den)
 
 
 @dataclass(frozen=True)
@@ -53,14 +45,13 @@ class Quotient:
     annihilator rows, one per non-pivot column, span the functionals that
     vanish on the cone; as a matrix they project onto the quotient.
 
-    The record keeps both sets of rows as Python ints over one positive
-    denominator `den`, the least common denominator of all their entries,
-    so no prime divides `den` and every numerator (a single row need not be
-    in lowest terms).  `particulars` and `annihilators` make the Fraction
-    matrices on each access; the methods take a point as the int numerators
-    `nums` of its entries over any positive denominator d, and their results
-    are numerators over den * d.  `project`, `in_span`, `coordinates` and
-    `functional` take and give rationals.
+    Both sets of rows are kept as Python ints over one positive denominator
+    `den`, the least common denominator of all their entries: no prime
+    divides `den` and every numerator of the record, though a single row
+    need not be in lowest terms.  `particulars` and `annihilators` make the
+    Fraction matrices on each access.  The methods take a point nums / d as
+    the int numerators of its entries over any positive d, and give
+    numerators over den * d; `functional` gives its own denominator.
     """
 
     pivots: tuple[int, ...]
@@ -70,33 +61,38 @@ class Quotient:
 
     @property
     def particulars(self) -> Mat:
-        return _fractions(self.particular_rows, self.den)
+        return tuple(fractions(row, self.den) for row in self.particular_rows)
 
     @property
     def annihilators(self) -> Mat:
-        return _fractions(self.annihilator_rows, self.den)
+        return tuple(fractions(row, self.den) for row in self.annihilator_rows)
 
     @property
     def codim(self) -> int:
         """The dimension of the quotient: the number of annihilators."""
         return len(self.annihilator_rows)
 
-    def image_of(self, nums) -> list[int]:
-        """Numerators of the point's image under the annihilators."""
-        return _dots(self.annihilator_rows, nums)
+    def project(self, nums) -> list[int]:
+        """The point's image under the annihilators: its quotient coordinates."""
+        return [sum(map(mul, row, nums)) for row in self.annihilator_rows]
 
-    def coords_of(self, nums) -> list[int]:
-        """Numerators of the particular functionals at the point."""
-        return _dots(self.particular_rows, nums)
-
-    def spans(self, nums) -> bool:
+    def in_span(self, nums) -> bool:
         """Whether the point lies in the cone's span: every annihilator
         vanishes on it."""
         return not any(sum(map(mul, row, nums)) for row in self.annihilator_rows)
 
-    def functional_nums(self, on_cone, w=()) -> tuple[list[int], int]:
-        """The numerators of `functional(on_cone, w)` over their positive
-        denominator."""
+    def coordinates(self, nums) -> list[int]:
+        """The particular functionals at the point: its coordinates in the
+        cone's mark basis when it lies in the span."""
+        return [sum(map(mul, row, nums)) for row in self.particular_rows]
+
+    def functional(self, on_cone, w=()) -> tuple[list[int], int]:
+        """sum(on_cone[r] * particulars[r]) + sum(w[j] * annihilators[j]) for
+        rationals on_cone and w: its numerators over a positive denominator.
+
+        Every functional taking the values `on_cone` on the cone's marks has
+        this form for exactly one w.
+        """
         nums, d = over_lcd([*on_cone, *w])
         k = len(on_cone)
         phi = [0] * (len(self.pivots) + len(self.annihilator_rows))
@@ -108,33 +104,6 @@ class Quotient:
                     if x:
                         phi[j] += coeff * x
         return phi, d * self.den
-
-    def functional(self, on_cone, w=()) -> Vec:
-        """sum(on_cone[r] * particulars[r]) + sum(w[j] * annihilators[j]).
-
-        Every functional taking the values `on_cone` on the cone's marks has
-        this form for exactly one w.
-        """
-        phi, den = self.functional_nums(on_cone, w)
-        return tuple(Fraction(v, den) for v in phi)
-
-    def project(self, point: Vec) -> Vec:
-        """The point's image under the annihilators: its quotient coordinates."""
-        nums, d = over_lcd(point)
-        den = d * self.den
-        return tuple(Fraction(v, den) for v in self.image_of(nums))
-
-    def in_span(self, point: Vec) -> bool:
-        """Whether the point lies in the cone's span."""
-        return self.spans(over_lcd(point)[0])
-
-    def coordinates(self, point: Vec) -> Optional[Vec]:
-        """Coordinates of a point in the cone's mark basis, or None off its span."""
-        nums, d = over_lcd(point)
-        if not self.spans(nums):
-            return None
-        den = d * self.den
-        return tuple(Fraction(v, den) for v in self.coords_of(nums))
 
 
 def _quotient(fan: MarkedFan, cone: Cone) -> Optional[Quotient]:
@@ -183,8 +152,8 @@ class Neighborhood:
     over the positive denominator `dens[e]`, and the three are in lowest
     terms together.  `images` and `coords` make the Fraction vectors on each
     access.  The record of `MarkedFan.neighborhood` runs over the
-    neighborhood rays; `validate` builds one over every ray off a maximal
-    cone.
+    neighborhood rays; `validate` builds others, over every ray off a
+    maximal cone and over the rays two cones do not share.
     """
 
     cone: Cone
@@ -195,11 +164,11 @@ class Neighborhood:
 
     @property
     def images(self) -> tuple[Vec, ...]:
-        return tuple(tuple(Fraction(v, d) for v in row) for row, d in zip(self.image_rows, self.dens))
+        return tuple(map(fractions, self.image_rows, self.dens))
 
     @property
     def coords(self) -> tuple[Vec, ...]:
-        return tuple(tuple(Fraction(v, d) for v in row) for row, d in zip(self.coord_rows, self.dens))
+        return tuple(map(fractions, self.coord_rows, self.dens))
 
     def excess(self, z) -> tuple[Fraction, ...]:
         """z at each ray minus the functional matching z on the cone; on a
@@ -228,7 +197,7 @@ def _neighborhood(fan: MarkedFan, cone: Cone, rays: tuple[int, ...]) -> Neighbor
     images, coords, dens = [], [], []
     for r in rays:
         nums, d = fan.int_marks[r]
-        image, co = q.image_of(nums), q.coords_of(nums)
+        image, co = q.project(nums), q.coordinates(nums)
         d *= q.den
         g = gcd(d, *image, *co)
         if g != 1:
@@ -352,11 +321,16 @@ class MarkedFan:
 
     def cone_coordinates(self, cone: Cone, point: Vec) -> Optional[Vec]:
         """Coordinates of a point in the cone's mark basis, or None if outside the span."""
-        return self.quotient(cone).coordinates(point)
+        q = self.quotient(cone)
+        nums, d = over_lcd(point)
+        if not q.in_span(nums):
+            return None
+        return fractions(q.coordinates(nums), q.den * d)
 
     def cone_contains(self, cone: Cone, point: Vec) -> bool:
-        coords = self.cone_coordinates(cone, point)
-        return coords is not None and all(c >= 0 for c in coords)
+        q = self.quotient(cone)
+        nums, _ = over_lcd(point)
+        return q.in_span(nums) and all(c >= 0 for c in q.coordinates(nums))
 
     def in_support(self, point: Vec) -> bool:
         return any(self.cone_contains(c, point) for c in self.maximal_cones)

@@ -72,6 +72,11 @@ def over_lcd(values) -> tuple[list[int], int]:
     return [v.numerator * (d // v.denominator) for v in values], d
 
 
+def fractions(nums, den: int) -> Vec:
+    """The vector nums / den as Fractions."""
+    return tuple(Fraction(v, den) for v in nums)
+
+
 def pivot(rows: list[list[int]], dens: list[int], row: int, col: int) -> None:
     """One Gauss-Jordan step on int rows, in place: the pivot row is divided
     by its entry in `col` and every other row loses its multiple of it.
@@ -148,7 +153,7 @@ def rref(A: Mat) -> tuple[Mat, tuple[int, ...]]:
     """Reduced row echelon form together with the pivot column indices."""
     rows, dens = _int_rows(A)
     pivots = eliminate(rows, dens)
-    return tuple(tuple(Fraction(v, d) for v in row) for row, d in zip(rows, dens)), pivots
+    return tuple(map(fractions, rows, dens)), pivots
 
 
 def rank(A: Mat) -> int:

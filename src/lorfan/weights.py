@@ -109,13 +109,13 @@ def _action_at(fan: MarkedFan, w: MinkowskiWeight, tau: Cone, z) -> Optional[Fra
     q = fan.quotient(tau)
     ws, wd = over_lcd([w[sigma] for sigma, _ in cofaces])
     total, md = _mark_sum(fan, ws, tau)
-    if not q.spans(total):
+    if not q.in_span(total):
         return None
     # the mark sum is total / (wd * md); its coordinates are over q.den * wd * md
     on_tau, td = over_lcd([z[i] for i in tau])
     opposite, od = over_lcd([z[eta] for _, eta in cofaces])
     linear_part = sum(map(mul, ws, opposite))  # over wd * od
-    at_sum = sum(map(mul, q.coords_of(total), on_tau))  # over q.den * wd * md * td
+    at_sum = sum(map(mul, q.coordinates(total), on_tau))  # over q.den * wd * md * td
     scale = q.den * md * td
     return Fraction(linear_part * scale - at_sum * od, wd * od * scale)
 
@@ -131,7 +131,7 @@ def check_balancing(fan: MarkedFan, w: MinkowskiWeight) -> tuple[Cone, ...]:
     failing = []
     for tau in fan.cones(k - 1):
         ws, _ = over_lcd([w[sigma] for sigma, _ in fan.cofaces[tau]])
-        if not fan.quotient(tau).spans(_mark_sum(fan, ws, tau)[0]):
+        if not fan.quotient(tau).in_span(_mark_sum(fan, ws, tau)[0]):
             failing.append(tau)
     return tuple(failing)
 

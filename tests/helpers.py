@@ -15,7 +15,7 @@ from typing import Optional
 from lorfan import fixtures, lp
 from lorfan.errors import DimensionError, InternalError, PreconditionError
 from lorfan.fan import MarkedFan, cone_key
-from lorfan.linalg import ONE, ZERO, Inertia, dot, is_symmetric, mat, rank, rref, vec
+from lorfan.linalg import ONE, ZERO, Inertia, dot, fractions, is_symmetric, mat, rank, rref, vec
 from lorfan.lp import FeasibilityCertificate, StrictFeasibility
 from lorfan.matroids import bergman_fan, complete_graph_matroid, fano_matroid, uniform_matroid
 from lorfan.weights import MinkowskiWeight, TropicalFan, divisor_action, indicator_divisor
@@ -124,7 +124,7 @@ def polytope_vertices(fan: MarkedFan, rhs) -> dict:
     """
     if len(rhs) != len(fan.rays):
         raise PreconditionError("one right-hand side per ray required")
-    return {c: fan.quotient(c).functional([Fraction(rhs[i]) for i in c]) for c in fan.maximal_cones}
+    return {c: fractions(*fan.quotient(c).functional([Fraction(rhs[i]) for i in c])) for c in fan.maximal_cones}
 
 
 def polygon_area(fan: MarkedFan, rhs) -> Fraction:
@@ -266,7 +266,7 @@ def functional_rows(fan: MarkedFan, z, cone, rays):
     the coefficients w: row by row from the quotient record, the oracle for
     the neighborhood records."""
     q = fan.quotient(cone)
-    base = q.functional([Fraction(z[i]) for i in cone])
+    base = fractions(*q.functional([Fraction(z[i]) for i in cone]))
     rows = []
     for r in rays:
         u = fan.rays[r]

@@ -8,7 +8,7 @@ import pytest
 
 from lorfan import fixtures
 from lorfan.fan import neighborhood_rays, point_fan, star
-from lorfan.linalg import dot, mat, rank
+from lorfan.linalg import dot, mat, over_lcd, rank
 from lorfan.matroids import bergman_fan, complete_graph_matroid, fano_matroid, uniform_matroid
 from lorfan.weights import push_divisor_to_star
 
@@ -63,8 +63,9 @@ def test_index_and_quotients_match_scans(name):
         assert (q.pivots, q.particulars, q.annihilators) == (pivots, particulars, annihilators)
         marks = [fan.rays[i] for i in tau]
         for u in fan.rays:
-            assert q.in_span(u) == (rank(mat(marks + [u])) == len(tau))
-            assert q.in_span(u) == (q.coordinates(u) is not None)
+            inside = q.in_span(over_lcd(u)[0])
+            assert inside == (rank(mat(marks + [u])) == len(tau))
+            assert inside == (fan.cone_coordinates(tau, u) is not None)
         sd = star(fan, tau)
         assert sd.projection == annihilators
         # the divisor pushed to the star is z minus the particular matching z on tau

@@ -13,7 +13,7 @@ import pytest
 from lorfan import fixtures
 from lorfan.errors import PreconditionError
 from lorfan.fan import MarkedFan, validate
-from lorfan.linalg import dot, over_lcd
+from lorfan.linalg import dot, fractions, over_lcd
 from lorfan.matroids import bergman_fan, complete_graph_matroid, fano_matroid, uniform_matroid
 from lorfan.weights import MinkowskiWeight, _action_at, _mark_sum, check_balancing, divisor_action
 
@@ -110,16 +110,20 @@ def test_records_match_fraction_oracle(name):
             sum((c * row[j] for c, row in zip(on_cone + w, particulars + annihilators)), Fraction(0))
             for j in range(fan.ambient_dim)
         ]
-        assert q.functional(on_cone, w) == tuple(combination)
-        assert q.functional(on_cone) == tuple(
+        assert fractions(*q.functional(on_cone, w)) == tuple(combination)
+        assert fractions(*q.functional(on_cone)) == tuple(
             sum((c * row[j] for c, row in zip(on_cone, particulars)), Fraction(0)) for j in range(fan.ambient_dim)
         )
         for u in fan.rays:
+            nums, d = over_lcd(u)
             image = tuple(dot(a, u) for a in annihilators)
             inside = not any(image)
-            assert q.project(u) == image
-            assert q.in_span(u) is inside
-            assert q.coordinates(u) == (tuple(dot(psi, u) for psi in particulars) if inside else None)
+            coords = tuple(dot(psi, u) for psi in particulars)
+            assert fractions(q.project(nums), q.den * d) == image
+            assert q.in_span(nums) is inside
+            assert fractions(q.coordinates(nums), q.den * d) == coords
+            assert fan.cone_coordinates(tau, u) == (coords if inside else None)
+            assert fan.cone_contains(tau, u) == (inside and min(coords, default=0) >= 0)
         hood = fan.neighborhood(tau)
         assert (hood.images, hood.coords) == fraction_neighborhood(fan, tau, hood.rays)
         for image, coords, d in zip(hood.image_rows, hood.coord_rows, hood.dens):
