@@ -247,7 +247,6 @@ def check() -> int:
     return 0
 
 
-
 def _write(path: Path, obj) -> None:
     from lorfan.io import dumps
 

@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import pytest
 
+from lorfan import fan as fan_module
 from lorfan import fixtures
 from lorfan.errors import PreconditionError
 from lorfan.fan import MarkedFan, validate
@@ -209,3 +210,21 @@ def test_dependent_marks_are_refused_by_the_one_elimination():
     with pytest.raises(PreconditionError):
         fan.quotient((0, 1))
     assert fan.quotient((0, 2)).den == 1
+
+
+@pytest.mark.parametrize("name", ["skeleton", "M(K4)", "U(3,5)"])
+def test_validate_eliminates_each_maximal_cone_once(name, monkeypatch):
+    """On the regular route validate runs one elimination per maximal cone:
+    the one that decides simpliciality builds the record the LPs read."""
+    calls = []
+    eliminate = fan_module.eliminate
+
+    def counting(rows, dens):
+        calls.append(len(rows))
+        return eliminate(rows, dens)
+
+    monkeypatch.setattr(fan_module, "eliminate", counting)
+    fan = TROPICAL[name]().fan
+    report = validate(fan)
+    assert report.valid and report.fan_condition_route == "regular"
+    assert calls == [len(c) for c in fan.maximal_cones]
