@@ -77,6 +77,9 @@ def cmd_balance(args):
 def cmd_degree(args):
     tf = _load_tropical(args.fan)
     divisors = io.divisors_from_json(io.load_json_file(args.divisors))
+    report = validate(tf.fan)
+    if not report.valid:
+        raise PreconditionError(f"mixed degrees need a fan: {report.failures[0]}")
     value = mixed_degree(tf.fan, tf.weight, divisors)
     _emit(args, {"degree": io.rat_to_str(value)})
     return EXIT_OK

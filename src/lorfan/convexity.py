@@ -17,7 +17,7 @@ from typing import Optional
 
 from .errors import InternalError, PreconditionError
 from .fan import Cone, MarkedFan, candidate_divisor
-from .linalg import Vec, ZERO, ONE, fractions, rref, transpose, vec
+from .linalg import Vec, ZERO, ONE, fractions, rref, transpose
 from .lp import StrictFeasibility, strict_feasible
 
 VERDICT_NONE = "none"
@@ -159,15 +159,16 @@ def strict_convexity_program(fan: MarkedFan) -> StrictFeasibility:
 
     rows = []
     for hood, base in blocks:
-        for eta, image, coords in zip(hood.rays, hood.images, hood.coords):
-            row = [ZERO] * dim
-            # phi(u_eta) - z_eta < 0 with phi = sum z_r psi_r + w.annihilators
+        for eta, image, coords, d in zip(hood.rays, hood.image_rows, hood.coord_rows, hood.dens):
+            row = [0] * dim
+            # phi(u_eta) - z_eta < 0 with phi = sum z_r psi_r + w.annihilators,
+            # over the ray's denominator d
             for ray_idx, c in zip(hood.cone, coords):
                 if ray_idx in column:
                     row[column[ray_idx]] += c
             row[base : base + len(image)] = image
             if eta in column:
-                row[column[eta]] -= ONE
-            rows.append((vec(row), ZERO))
+                row[column[eta]] -= d
+            rows.append((row, 0, d))
 
     return strict_feasible(rows, dim)

@@ -29,39 +29,30 @@ def cone_key(indices: Iterable[int]) -> Cone:
 IntRows = tuple[tuple[int, ...], ...]
 
 
-def _rational(nums: tuple[int, ...], den: int) -> tuple:
-    """The vector nums / den for an LP row: the ints themselves when den is 1."""
-    return nums if den == 1 else fractions(nums, den)
-
-
 @dataclass(frozen=True)
 class Quotient:
     """Coordinates for the quotient by the span of one cone.
 
     Row reduction of the cone's marks picks the pivot columns; the quotient
     coordinates are the other columns, which makes star fans reproducible
-    bit for bit.  `particulars[r]` is the functional that is one on the r-th
-    mark, zero on the other marks and zero off the pivot columns.  The
+    bit for bit.  `particular_rows[r]` is the functional that is one on the
+    r-th mark, zero on the other marks and zero off the pivot columns.  The
     annihilator rows, one per non-pivot column, span the functionals that
     vanish on the cone; as a matrix they project onto the quotient.
 
     Both sets of rows are kept as Python ints over one positive denominator
     `den`, the least common denominator of all their entries: no prime
     divides `den` and every numerator of the record, though a single row
-    need not be in lowest terms.  `particulars` and `annihilators` make the
-    Fraction matrices on each access.  The methods take a point nums / d as
-    the int numerators of its entries over any positive d, and give
-    numerators over den * d; `functional` gives its own denominator.
+    need not be in lowest terms.  `annihilators` makes the Fraction matrix on
+    each access.  The methods take a point nums / d as the int numerators of
+    its entries over any positive d, and give numerators over den * d;
+    `functional` gives its own denominator.
     """
 
     pivots: tuple[int, ...]
     den: int
     particular_rows: IntRows
     annihilator_rows: IntRows
-
-    @property
-    def particulars(self) -> Mat:
-        return tuple(fractions(row, self.den) for row in self.particular_rows)
 
     @property
     def annihilators(self) -> Mat:
@@ -87,7 +78,7 @@ class Quotient:
         return [sum(map(mul, row, nums)) for row in self.particular_rows]
 
     def functional(self, on_cone, w=()) -> tuple[list[int], int]:
-        """sum(on_cone[r] * particulars[r]) + sum(w[j] * annihilators[j]) for
+        """sum(on_cone[r] * particular[r]) + sum(w[j] * annihilator[j]) for
         rationals on_cone and w: its numerators over a positive denominator.
 
         Every functional taking the values `on_cone` on the cone's marks has
@@ -150,10 +141,11 @@ class Neighborhood:
     functionals at that mark, so the functional matching z on the cone takes
     sum(z[cone[r]] * coords[e][r]) there, k products for a k-cone.  Both are
     over the positive denominator `dens[e]`, and the three are in lowest
-    terms together.  `images` and `coords` make the Fraction vectors on each
-    access.  The record of `MarkedFan.neighborhood` runs over the
-    neighborhood rays; `validate` builds others, over every ray off a
-    maximal cone and over the rays two cones do not share.
+    terms together.  `images` makes the star's Fraction marks on each
+    access; `rows(z)` makes int max-slack rows.  The record of
+    `MarkedFan.neighborhood` runs over the neighborhood rays; `validate`
+    builds others, over every ray off a maximal cone and over the rays two
+    cones do not share.
     """
 
     cone: Cone
@@ -166,30 +158,27 @@ class Neighborhood:
     def images(self) -> tuple[Vec, ...]:
         return tuple(map(fractions, self.image_rows, self.dens))
 
-    @property
-    def coords(self) -> tuple[Vec, ...]:
-        return tuple(map(fractions, self.coord_rows, self.dens))
+    def rows(self, z) -> list[LinearRow]:
+        """One int max-slack row phi(u_eta) + t <= z_eta per ray, over the
+        coefficients w of phi = (the functional matching z on the cone) +
+        w.annihilators: its image and excess over the ray's denominator
+        times those of z_eta and of z on the cone."""
+        on_cone, zd = over_lcd([z[i] for i in self.cone])
+        out = []
+        for eta, image, coords, d in zip(self.rays, self.image_rows, self.coord_rows, self.dens):
+            # z_eta - sum(on_cone * coords) / (zd * d), over vd * zd * d
+            v = z[eta]
+            s = v.denominator * zd
+            if s != 1:
+                image = tuple(x * s for x in image)
+            b = v.numerator * zd * d - sum(map(mul, on_cone, coords)) * v.denominator
+            out.append((image, b, s * d))
+        return out
 
     def excess(self, z) -> tuple[Fraction, ...]:
         """z at each ray minus the functional matching z on the cone; on a
         star these are the values of the pushed divisor."""
-        on_cone, zd = over_lcd([z[i] for i in self.cone])
-        out = []
-        for eta, coords, d in zip(self.rays, self.coord_rows, self.dens):
-            # z_eta - sum(on_cone * coords) / (zd * d)
-            v = z[eta]
-            den = zd * d
-            out.append(Fraction(
-                v.numerator * den - sum(map(mul, on_cone, coords)) * v.denominator,
-                v.denominator * den,
-            ))
-        return tuple(out)
-
-    def rows(self, z) -> list[LinearRow]:
-        """One max-slack row phi(u_eta) + t <= z_eta per ray, over the
-        coefficients w of phi = (the functional matching z on the cone) +
-        w.annihilators.  A row whose image is integral keeps its ints."""
-        return [(_rational(image, d), e) for image, d, e in zip(self.image_rows, self.dens, self.excess(z))]
+        return tuple(Fraction(b, d) for _, b, d in self.rows(z))
 
 
 def _neighborhood(fan: MarkedFan, cone: Cone, rays: tuple[int, ...]) -> Neighborhood:
@@ -387,9 +376,10 @@ def _meet_in_shared_face(fan: MarkedFan, c1: Cone, c2: Cone) -> bool:
     """
     shared = tuple(s for s in c1 if s in c2)
     hood = _neighborhood(fan, shared, tuple(i for i in c1 + c2 if i not in shared))
-    rows = []
-    for i, image, d in zip(hood.rays, hood.image_rows, hood.dens):
-        rows.append((_rational(tuple(-v for v in image) if i in c1 else image, d), ZERO))
+    rows = [
+        (tuple(-v for v in image) if i in c1 else image, 0, d)
+        for i, image, d in zip(hood.rays, hood.image_rows, hood.dens)
+    ]
     return strict_feasible(rows, fan.quotient(shared).codim).feasible
 
 
@@ -509,12 +499,34 @@ class PinchReport:
     pinched_at: tuple[Cone, ...]
 
 
+def components(cones, groups) -> list[list[Cone]]:
+    """The classes of `cones` when the cones of each nonempty group are
+    joined, by union-find; each class lists its cones in the order of
+    `cones`, and a cone in no group is a class of its own."""
+    parent = {c: c for c in cones}
+
+    def root(c):
+        while parent[c] != c:
+            parent[c] = c = parent[parent[c]]
+        return c
+
+    for group in groups:
+        first = root(group[0])
+        for c in group[1:]:
+            parent[root(c)] = first
+    classes = {}
+    for c in cones:
+        classes.setdefault(root(c), []).append(c)
+    return list(classes.values())
+
+
 def is_unpinched(fan: MarkedFan) -> PinchReport:
     """Connectivity of every star of codimension at least two.
 
     Two maximal cones of a star share a nonzero face exactly when the parent
-    cones share a ray beyond the apex, so a graph search on maximal cones
-    decides connectivity without building the quotients.
+    cones share a ray beyond the apex, so the star at tau is connected
+    exactly when the maximal cones around tau form one class once those
+    around tau plus r are joined, for every ray r off tau.
     """
     d = fan.dimension
     pinched = []
@@ -523,21 +535,8 @@ def is_unpinched(fan: MarkedFan) -> PinchReport:
             incident = fan.incident[tau]
             if len(incident) <= 1:
                 continue
-            adj = {i: set() for i in range(len(incident))}
-            for i, j in itertools.combinations(range(len(incident)), 2):
-                extra = set(incident[i]) & set(incident[j]) - set(tau)
-                if extra:
-                    adj[i].add(j)
-                    adj[j].add(i)
-            seen = {0}
-            stack = [0]
-            while stack:
-                cur = stack.pop()
-                for nxt in adj[cur]:
-                    if nxt not in seen:
-                        seen.add(nxt)
-                        stack.append(nxt)
-            if len(seen) != len(incident):
+            groups = (fan.incident[cone_key((*tau, r))] for r in neighborhood_rays(fan, tau))
+            if len(components(incident, groups)) > 1:
                 pinched.append(tau)
     return PinchReport(unpinched=not pinched, pinched_at=tuple(pinched))
 

@@ -9,7 +9,7 @@ Gauss-Jordan elimination runs without Fractions, in the fraction-free style
 of Bareiss (Math. Comp. 1968) but with one denominator per row: each row is
 a list of Python ints over its own positive int denominator, and `pivot`
 divides every row it changes by the gcd of its entries and denominator.
-`rref`, `rank`, `det`, the quotient records of a fan and the max-slack
+`rref`, `det`, the quotient records of a fan and the max-slack
 tableau all pivot through it; Fractions are made only from its results.
 """
 
@@ -38,20 +38,6 @@ def mat(rows: Iterable[Iterable]) -> Mat:
     if m and any(len(r) != len(m[0]) for r in m):
         raise DimensionError("ragged matrix rows")
     return m
-
-
-def identity(n: int) -> Mat:
-    return tuple(tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n))
-
-
-def dot(a: Vec, b: Vec) -> Fraction:
-    if len(a) != len(b):
-        raise DimensionError("vector length mismatch")
-    return sum((x * y for x, y in zip(a, b) if x and y), ZERO)
-
-
-def mat_vec(A: Mat, x: Vec) -> Vec:
-    return tuple(dot(row, x) for row in A)
 
 
 def transpose(A: Mat) -> Mat:
@@ -154,11 +140,6 @@ def rref(A: Mat) -> tuple[Mat, tuple[int, ...]]:
     rows, dens = _int_rows(A)
     pivots = eliminate(rows, dens)
     return tuple(map(fractions, rows, dens)), pivots
-
-
-def rank(A: Mat) -> int:
-    rows, dens = _int_rows(A)
-    return len(eliminate(rows, dens))
 
 
 def det(A: Mat) -> Fraction:

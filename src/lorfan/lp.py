@@ -11,14 +11,18 @@ objective stalls, which rules out cycling while keeping the common case fast.
 The x columns stay free: they enter in either direction and, once basic,
 never leave.
 
-The tableau is exact without Fractions: each row, the reduced-cost row
+Rows come in as Python ints, the form the package's quotient and
+neighborhood records already hold: `(a_nums, b_num, d)` is the row
+a.x + t <= b with a = a_nums / d and b = b_num / d over one positive int d.
+The tableau is exact without Fractions too: each row, the reduced-cost row
 included, is a list of Python ints over its own positive int denominator.
 Every rule of the pivot loop gives the same answer when one row is scaled by
 a positive number (the most negative reduced cost, the free columns' -abs,
 Bland's first improving column, and the ratio test, whose ratio rhs/a within
 one row does not involve the row's denominator), so the pivots, and with them
 the point, the optimum and the duals, are those of the same simplex over
-Fraction entries.  Fractions are made once, after the loop.
+Fraction entries.  The set-up and the check of the point run on the same
+ints; Fractions are made once, for the result.
 
 At the optimum t*, the reduced costs of the slack columns, normalised to sum
 to one, are dual multipliers whose combination of the rows has value t*.
@@ -30,13 +34,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Optional, Sequence
 
 from .errors import DimensionError, InternalError
-from .linalg import Vec, ZERO, ONE, dot, pivot
+from .linalg import Vec, fractions, over_lcd, pivot
 
-LinearRow = tuple[Vec, Fraction]
+# (a_nums, b_num, d): the row a.x + t <= b with a = a_nums / d and
+# b = b_num / d, all Python ints and d > 0
+LinearRow = tuple[Sequence[int], int, int]
 
 # consecutive non-improving pivots tolerated before switching to Bland's rule
 _STALL_LIMIT = 12
@@ -126,19 +132,25 @@ class FeasibilityCertificate:
 
 
 def verify_certificate(cert: FeasibilityCertificate, rows: Sequence[LinearRow], dim: int) -> bool:
+    """Whether the certificate is valid for the int rows, checked on ints:
+    the multipliers and the rows they use over common denominators."""
     lam, nu = cert.multipliers, cert.cap_multiplier
     if len(lam) != len(rows) or any(l < 0 for l in lam) or nu < 0:
         return False
-    if sum(lam, ZERO) + nu != 1:
+    nums, den = over_lcd([*lam, nu])
+    if sum(nums) != den:
         return False
-    combo = [ZERO] * dim
-    for l_i, (a, _) in zip(lam, rows):
-        if l_i:
-            for j in range(dim):
-                combo[j] += l_i * a[j]
-    if any(combo):
-        return False
-    return sum((l_i * bv for l_i, (_, bv) in zip(lam, rows)), ZERO) + nu <= 0
+    used = [(w, row) for w, row in zip(nums, rows) if w]
+    common = lcm(*(d for _, (_, _, d) in used))
+    combo = [0] * dim
+    total = nums[-1] * common
+    for w, (a, b, d) in used:
+        w *= common // d
+        total += w * b
+        for j, v in enumerate(a):
+            if v:
+                combo[j] += w * v
+    return not any(combo) and total <= 0
 
 
 @dataclass(frozen=True)
@@ -157,53 +169,71 @@ class StrictFeasibility:
 
 
 def strict_feasible(rows: Sequence[LinearRow], dim: int) -> StrictFeasibility:
-    """max t over free x in Q^dim subject to a.x + t <= b on every row and t <= 1.
+    """max t over free x in Q^dim subject to a.x + t <= b on every int row
+    (a_nums, b_num, d) and t <= 1.
 
     A point meeting every row strictly exists iff the optimum is positive.
     """
-    for a, _ in rows:
+    for a, _, d in rows:
         if len(a) != dim:
             raise DimensionError("constraint row has wrong dimension")
+        if d <= 0:
+            raise DimensionError("constraint row needs a positive denominator")
     m = len(rows)
-    t0 = min([ONE, *(Fraction(bv) for _, bv in rows)])
+    # t0 = p / q = min(1, min b), by cross-multiplication
+    p = q = 1
+    for _, b, d in rows:
+        if b * q < p * d:
+            p, q = b, d
+    g = gcd(p, q)
+    p, q = p // g, q // g
 
     # columns: x (free), tau, one slack per row, the cap's slack, right-hand
-    # side; each row over the least common denominator of its entries, the
-    # cap's next to last and the reduced costs last
+    # side; each row times q, so that its right-hand side b - t0 is over
+    # d * q, and then in lowest terms; the cap's next to last and the
+    # reduced costs last
     width = dim + m + 3
     T, den = [], []
-    for i, (a, bv) in enumerate(rows):
-        rhs = bv - t0
-        d = lcm(rhs.denominator, *(v.denominator for v in a))
-        row = [v.numerator * (d // v.denominator) for v in a] + [d] + [0] * (m + 2)
+    for i, (a, b, d) in enumerate(rows):
+        rhs = b * q - p * d
+        d *= q
+        row = [v * q for v in a] + [d] + [0] * (m + 2)
         row[dim + 1 + i] = d
-        row[-1] = rhs.numerator * (d // rhs.denominator)
+        row[-1] = rhs
+        g = gcd(d, *row)
+        if g != 1:
+            row = [v // g for v in row]
+            d //= g
         T.append(row)
         den.append(d)
-    rhs = ONE - t0
     cap = [0] * width
-    cap[dim] = cap[dim + m + 1] = rhs.denominator
-    cap[-1] = rhs.numerator
+    cap[dim] = cap[dim + m + 1] = q
+    cap[-1] = q - p
     zrow = [0] * width
     zrow[dim] = -1
     T += [cap, zrow]
-    den += [rhs.denominator, 1]
+    den += [q, 1]
     basis = list(range(dim + 1, dim + m + 2))
 
     _run_phase(T, den, basis, dim)
 
+    # t* = t0 + tau over t_den, and the point's numerators over x_den
     zrow = T.pop()
-    t_star = t0 + Fraction(zrow[-1], den.pop())
-    x = [ZERO] * dim
+    zden = den.pop()
+    t_num, t_den = p * zden + zrow[-1] * q, q * zden
+    x_den = lcm(*(den[i] for i, col in enumerate(basis) if col < dim))
+    x = [0] * dim
     for i, col in enumerate(basis):
         if col < dim:
-            x[col] = Fraction(T[i][-1], den[i])
-    x = tuple(x)
-    for a, bv in rows:
-        if dot(a, x) + t_star > bv:
+            x[col] = T[i][-1] * (x_den // den[i])
+    support = [(j, v) for j, v in enumerate(x) if v]
+    # a.x + t* <= b over d * x_den * t_den
+    for a, b, d in rows:
+        if sum(a[j] * v for j, v in support) * t_den + t_num * d * x_den > b * x_den * t_den:
             raise InternalError("max-slack point violates a row")
-    if t_star > 0:
-        return StrictFeasibility(x, t_star, None)
+    point, optimum = fractions(x, x_den), Fraction(t_num, t_den)
+    if t_num > 0:
+        return StrictFeasibility(point, optimum, None)
 
     # the reduced-cost row's denominator cancels in the normalisation
     duals = zrow[dim + 1 : dim + m + 2]
@@ -214,4 +244,4 @@ def strict_feasible(rows: Sequence[LinearRow], dim: int) -> StrictFeasibility:
     )
     if not verify_certificate(cert, rows, dim):
         raise InternalError("infeasibility certificate failed verification")
-    return StrictFeasibility(x, t_star, cert)
+    return StrictFeasibility(point, optimum, cert)

@@ -11,7 +11,7 @@ from typing import Sequence
 
 from .convexity import classify_convexity
 from .errors import ConvexityError, PreconditionError
-from .fan import MarkedFan, cone_key, product_fan, validate
+from .fan import MarkedFan, components, cone_key, product_fan, validate
 from .linalg import ZERO, ONE
 from .weights import (
     Divisor,
@@ -105,34 +105,18 @@ def is_complete(fan: MarkedFan) -> bool:
     """Two-sided codimension-one incidence plus facet-connectivity.
 
     Exact and sufficient for pure simplicial fans at desk scale: a fan whose
-    walls all bound two maximal cones and whose dual graph is connected
-    covers the whole space.
+    walls all bound two maximal cones and whose maximal cones form one class
+    when those around each wall are joined covers the whole space.
     """
     d = fan.dimension
     if d == 0:
         return fan.ambient_dim == 0
     if d != fan.ambient_dim:
         return False
-    maximal = fan.maximal_cones
-    wall_count = {}
-    for c in maximal:
-        for facet in itertools.combinations(c, d - 1):
-            wall_count[facet] = wall_count.get(facet, 0) + 1
-    if any(count != 2 for count in wall_count.values()):
+    walls = [fan.incident[w] for w in fan.cones(d - 1)]
+    if any(len(cones) != 2 for cones in walls):
         return False
-    adjacency = {c: set() for c in maximal}
-    for c1, c2 in itertools.combinations(maximal, 2):
-        if len(set(c1) & set(c2)) == d - 1:
-            adjacency[c1].add(c2)
-            adjacency[c2].add(c1)
-    seen = {maximal[0]}
-    stack = [maximal[0]]
-    while stack:
-        for nxt in adjacency[stack.pop()]:
-            if nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
-    return len(seen) == len(maximal)
+    return len(components(fan.maximal_cones, walls)) == 1
 
 
 @dataclass(frozen=True)

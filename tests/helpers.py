@@ -14,11 +14,65 @@ from typing import Optional
 
 from lorfan import fixtures, lp
 from lorfan.errors import DimensionError, InternalError, PreconditionError
-from lorfan.fan import MarkedFan, cone_key
-from lorfan.linalg import ONE, ZERO, Inertia, dot, fractions, is_symmetric, mat, rank, rref, vec
+from lorfan.fan import MarkedFan, Neighborhood, Quotient, cone_key
+from lorfan.linalg import ONE, ZERO, Inertia, fractions, is_symmetric, mat, over_lcd, rref, vec
 from lorfan.lp import FeasibilityCertificate, StrictFeasibility
 from lorfan.matroids import bergman_fan, complete_graph_matroid, fano_matroid, uniform_matroid
 from lorfan.weights import MinkowskiWeight, TropicalFan, divisor_action, indicator_divisor
+
+
+# ---------------------------------------------------------------------------
+# Fraction vectors and matrices: products, the identity and the rank
+
+
+def dot(a, b) -> Fraction:
+    if len(a) != len(b):
+        raise DimensionError("vector length mismatch")
+    return sum((x * y for x, y in zip(a, b) if x and y), ZERO)
+
+
+def mat_vec(A, x):
+    return tuple(dot(row, x) for row in A)
+
+
+def identity(n: int):
+    return tuple(tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n))
+
+
+def rank(A) -> int:
+    """The number of pivots of the Fraction elimination."""
+    return len(fraction_rref(A)[1])
+
+
+# ---------------------------------------------------------------------------
+# Fraction views of the int records, and the two forms of a max-slack row
+
+
+def particulars(q: Quotient):
+    """The quotient record's particular functionals as Fraction rows."""
+    return tuple(fractions(row, q.den) for row in q.particular_rows)
+
+
+def neighborhood_coords(hood: Neighborhood):
+    """The particular functionals at each neighborhood ray's mark, as
+    Fraction vectors."""
+    return tuple(map(fractions, hood.coord_rows, hood.dens))
+
+
+def int_rows(rows):
+    """Max-slack rows (a, b) of rationals as the solver's int rows
+    (a_nums, b_num, d), each over the least common denominator of its
+    entries."""
+    out = []
+    for a, b in rows:
+        nums, d = over_lcd([*map(Fraction, a), Fraction(b)])
+        out.append((tuple(nums[:-1]), nums[-1], d))
+    return out
+
+
+def fraction_rows(rows):
+    """The solver's int rows (a_nums, b_num, d) as rows (a, b) of Fractions."""
+    return [(fractions(a, d), Fraction(b, d)) for a, b, d in rows]
 
 
 def _primitive(x, y):
@@ -460,6 +514,61 @@ def overlap_witness(fan: MarkedFan, c1, c2) -> bool:
             if linear_feasible(eqs, ineqs, dim) is not None:
                 return True
     return False
+
+
+def pair_search_pinches(fan: MarkedFan):
+    """The cones of codimension at least two whose star is disconnected, by
+    a graph search on the maximal cones around each, two cones linked when
+    they share a ray beyond the apex."""
+    pinched = []
+    for k in range(0, max(fan.dimension - 1, 0)):
+        for tau in fan.cones(k):
+            incident = fan.incident[tau]
+            if len(incident) <= 1:
+                continue
+            adj = {i: set() for i in range(len(incident))}
+            for i, j in itertools.combinations(range(len(incident)), 2):
+                if set(incident[i]) & set(incident[j]) - set(tau):
+                    adj[i].add(j)
+                    adj[j].add(i)
+            if len(_reached(adj, 0)) != len(incident):
+                pinched.append(tau)
+    return tuple(pinched)
+
+
+def pair_search_complete(fan: MarkedFan) -> bool:
+    """Every wall bounds two maximal cones and the dual graph, two maximal
+    cones linked when they share d - 1 rays, is connected."""
+    d = fan.dimension
+    if d == 0:
+        return fan.ambient_dim == 0
+    if d != fan.ambient_dim:
+        return False
+    maximal = fan.maximal_cones
+    wall_count = {}
+    for c in maximal:
+        for facet in itertools.combinations(c, d - 1):
+            wall_count[facet] = wall_count.get(facet, 0) + 1
+    if any(count != 2 for count in wall_count.values()):
+        return False
+    adj = {c: set() for c in maximal}
+    for c1, c2 in itertools.combinations(maximal, 2):
+        if len(set(c1) & set(c2)) == d - 1:
+            adj[c1].add(c2)
+            adj[c2].add(c1)
+    return len(_reached(adj, maximal[0])) == len(maximal)
+
+
+def _reached(adj, start):
+    """The vertices a depth-first search reaches from start."""
+    seen = {start}
+    stack = [start]
+    while stack:
+        for nxt in adj[stack.pop()]:
+            if nxt not in seen:
+                seen.add(nxt)
+                stack.append(nxt)
+    return seen
 
 
 def greedy_spanning_rays(fan: MarkedFan):

@@ -25,10 +25,10 @@ from lorfan.fixtures import (
     triangle_times_line,
     two_disjoint_triangles,
 )
-from lorfan.linalg import dot, vec
+from lorfan.linalg import vec
 from lorfan.weights import divisor, indicator_divisor
 
-from helpers import BERGMAN_FANS, STOCK_FANS, linear_divisor, random_fans, triangle_double_cover
+from helpers import BERGMAN_FANS, STOCK_FANS, dot, linear_divisor, random_fans, triangle_double_cover
 
 ALL_FIXTURES = (
     triangle_fan,

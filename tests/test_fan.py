@@ -6,6 +6,7 @@ import pytest
 from lorfan.errors import PreconditionError
 from lorfan.fan import (
     MarkedFan,
+    components,
     is_unpinched,
     point_fan,
     product_fan,
@@ -21,9 +22,19 @@ from lorfan.fixtures import (
     triangle_times_line,
     two_disjoint_triangles,
 )
-from lorfan.linalg import mat_vec, vec
+from lorfan.linalg import vec
+from lorfan.ops import is_complete
 
-from helpers import minimal_containing_cone
+from helpers import (
+    BERGMAN_FANS,
+    LARGE_BERGMAN_FANS,
+    STOCK_FANS,
+    mat_vec,
+    minimal_containing_cone,
+    pair_search_complete,
+    pair_search_pinches,
+    random_fan,
+)
 
 
 def test_validate_triangle_fan():
@@ -139,6 +150,38 @@ def test_pinched_disjoint_triangles():
     report = is_unpinched(two_disjoint_triangles().fan)
     assert not report.unpinched
     assert () in report.pinched_at
+
+
+def non_pure_fan() -> MarkedFan:
+    """Two 3-cones on a common facet, a 2-cone on a ray of the second and a
+    lone ray -e3: pinched at the origin, where the lone ray is cut off, and
+    at -e1, where the 2-cone meets the second 3-cone in that ray alone."""
+    rays = tuple(vec(u) for u in ((1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, 0, 0), (0, -1, 0), (0, 0, -1)))
+    return MarkedFan(ambient_dim=3, rays=rays, maximal_cones=((0, 1, 2), (1, 2, 3), (3, 4), (5,)))
+
+
+def test_components_joins_groups():
+    assert components([], []) == []
+    assert components(["a", "b", "c", "d"], [("c", "a"), ("d",)]) == [["a", "c"], ["b"], ["d"]]
+    assert components(["a", "b", "c"], [("a", "b"), ("c", "b")]) == [["a", "b", "c"]]
+
+
+CONNECTIVITY_FANS = {**STOCK_FANS, **BERGMAN_FANS, **LARGE_BERGMAN_FANS, "non_pure": non_pure_fan}
+CONNECTIVITY_FANS.update({f"random-{seed}": (lambda seed=seed: random_fan(seed)) for seed in range(40)})
+
+
+@pytest.mark.parametrize("name", sorted(CONNECTIVITY_FANS))
+def test_connectivity_matches_pair_search(name):
+    """is_unpinched and is_complete against the graph searches over every
+    pair of maximal cones."""
+    fan = CONNECTIVITY_FANS[name]()
+    report = is_unpinched(fan)
+    assert report.pinched_at == pair_search_pinches(fan)
+    assert report.unpinched == (not report.pinched_at)
+    assert is_complete(fan) == pair_search_complete(fan)
+    if name == "non_pure":
+        assert report.pinched_at == ((), (3,))
+        assert not is_complete(fan)
 
 
 def test_stellar_interior_of_cone():

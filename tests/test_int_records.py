@@ -14,7 +14,7 @@ from lorfan import fan as fan_module
 from lorfan import fixtures
 from lorfan.errors import PreconditionError
 from lorfan.fan import MarkedFan, validate
-from lorfan.linalg import dot, fractions, over_lcd
+from lorfan.linalg import fractions, over_lcd
 from lorfan.matroids import bergman_fan, complete_graph_matroid, fano_matroid, uniform_matroid
 from lorfan.weights import MinkowskiWeight, _action_at, _mark_sum, check_balancing, divisor_action
 
@@ -22,11 +22,14 @@ from helpers import (
     BERGMAN_FANS,
     LARGE_BERGMAN_FANS,
     STOCK_FANS,
+    dot,
     fraction_action_at,
     fraction_excess,
     fraction_mark_sum,
     fraction_neighborhood,
     fraction_quotient,
+    neighborhood_coords,
+    particulars,
     random_fan,
     rescale_fan,
     rescale_marking,
@@ -102,31 +105,31 @@ def test_records_match_fraction_oracle(name):
     for tau in fan.all_cones():
         q = fan.quotient(tau)
         expected = fraction_quotient(fan, tau)
-        assert (q.pivots, q.particulars, q.annihilators) == expected
+        assert (q.pivots, particulars(q), q.annihilators) == expected
         assert q.den > 0 and math.gcd(q.den, *itertools.chain.from_iterable(record_rows(q))) == 1
-        _, particulars, annihilators = expected
+        _, psis, annihilators = expected
         on_cone = [rational(rng) for _ in tau]
         w = [rational(rng) for _ in annihilators]
         combination = [
-            sum((c * row[j] for c, row in zip(on_cone + w, particulars + annihilators)), Fraction(0))
+            sum((c * row[j] for c, row in zip(on_cone + w, psis + annihilators)), Fraction(0))
             for j in range(fan.ambient_dim)
         ]
         assert fractions(*q.functional(on_cone, w)) == tuple(combination)
         assert fractions(*q.functional(on_cone)) == tuple(
-            sum((c * row[j] for c, row in zip(on_cone, particulars)), Fraction(0)) for j in range(fan.ambient_dim)
+            sum((c * row[j] for c, row in zip(on_cone, psis)), Fraction(0)) for j in range(fan.ambient_dim)
         )
         for u in fan.rays:
             nums, d = over_lcd(u)
             image = tuple(dot(a, u) for a in annihilators)
             inside = not any(image)
-            coords = tuple(dot(psi, u) for psi in particulars)
+            coords = tuple(dot(psi, u) for psi in psis)
             assert fractions(q.project(nums), q.den * d) == image
             assert q.in_span(nums) is inside
             assert fractions(q.coordinates(nums), q.den * d) == coords
             assert fan.cone_coordinates(tau, u) == (coords if inside else None)
             assert fan.cone_contains(tau, u) == (inside and min(coords, default=0) >= 0)
         hood = fan.neighborhood(tau)
-        assert (hood.images, hood.coords) == fraction_neighborhood(fan, tau, hood.rays)
+        assert (hood.images, neighborhood_coords(hood)) == fraction_neighborhood(fan, tau, hood.rays)
         for image, coords, d in zip(hood.image_rows, hood.coord_rows, hood.dens):
             assert d > 0 and math.gcd(d, *image, *coords) == 1
         assert hood.excess(z) == fraction_excess(fan, tau, hood.rays, z)

@@ -211,6 +211,19 @@ def test_cli_mixedvol_refuses_double_cover(tmp_path, capsys):
     assert "overlap" in err
 
 
+def test_cli_degree_refuses_double_cover(tmp_path, capsys):
+    # without the validate gate this non-fan got degree 18, twice the triangle's
+    fan = triangle_double_cover()
+    weights = {c: ONE for c in fan.maximal_cones}
+    fan_file = write(tmp_path, "fan.json", io.tropical_to_json(TropicalFan(fan, MinkowskiWeight(2, weights))))
+    ones = {"values": ["1"] * 6}
+    div_file = write(tmp_path, "divs.json", {"divisors": [ones, ones]})
+    code, out, err = run(capsys, "degree", "--fan", fan_file, "--divisors", div_file)
+    assert code == 3
+    assert out == ""
+    assert "mixed degrees need a fan" in err and "overlap" in err
+
+
 def test_cli_lorentzian_refuses_double_cover(tmp_path, capsys):
     # without the validate gate this non-fan was reported quasiprojective
     fan = triangle_double_cover()

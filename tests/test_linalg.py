@@ -9,11 +9,8 @@ from lorfan import fixtures, linalg, matroids
 from lorfan.fan import star
 from lorfan.linalg import (
     det,
-    identity,
     inertia,
     mat,
-    mat_vec,
-    rank,
     rref,
     transpose,
     vec,
@@ -21,7 +18,17 @@ from lorfan.linalg import (
 from lorfan.lorentzian import volume_poly_2d
 from lorfan.weights import star_weight
 
-from helpers import char_poly, descartes_inertia, fraction_det, fraction_rref, mat_mul, solve_linear
+from helpers import (
+    char_poly,
+    descartes_inertia,
+    fraction_det,
+    fraction_rref,
+    identity,
+    mat_mul,
+    mat_vec,
+    rank,
+    solve_linear,
+)
 
 
 def test_solve_identity():

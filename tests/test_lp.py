@@ -9,17 +9,22 @@ from lorfan import convexity
 from lorfan import fan as fan_module
 from lorfan import lp
 from lorfan.errors import DimensionError
-from lorfan.linalg import dot, vec
+from lorfan.linalg import vec
 from lorfan.lp import strict_feasible, verify_certificate
 
 from helpers import (
     BERGMAN_FANS,
     OPTIMAL,
     STOCK_FANS,
+    dot,
+    fraction_rows,
     fraction_strict_feasible,
+    int_rows,
     linear_feasible,
     lp_max,
     max_slack_oracle,
+    random_fans,
+    rescale_fan,
 )
 
 
@@ -28,14 +33,26 @@ def F(a, b=1):
 
 
 def check(rows, dim):
-    """Solve, compare the whole result with the simplex over Fraction entries
-    and the optimum with the two-phase oracle, and check the point and, when
-    the optimum is not positive, the certificate."""
+    """check_int on the int form of rows (a, b) of rationals."""
+    return check_int(int_rows(rows), dim)
+
+
+def check_int(rows, dim):
+    """match_tableau, and the optimum against the two-phase oracle."""
+    res = match_tableau(rows, dim)
+    assert res.optimum == max_slack_oracle(fraction_rows(rows), dim)
+    return res
+
+
+def match_tableau(rows, dim):
+    """Solve the int rows, compare the whole result with the simplex over
+    Fraction entries on the Fraction form of the same rows, and check the
+    point and, when the optimum is not positive, the certificate."""
     res = strict_feasible(rows, dim)
-    assert res == fraction_strict_feasible(rows, dim)
-    assert res.optimum == max_slack_oracle(rows, dim)
+    exact = fraction_rows(rows)
+    assert res == fraction_strict_feasible(exact, dim)
     assert res.optimum <= 1
-    for a, b in rows:
+    for a, b in exact:
         assert dot(a, res.point) + res.optimum <= b
     assert res.feasible == (res.optimum > 0)
     if res.feasible:
@@ -88,11 +105,26 @@ def test_zero_dimensional_rows():
 
 def test_dimension_mismatch():
     with pytest.raises(DimensionError):
-        strict_feasible([(vec([1, 2]), F(0))], 1)
+        strict_feasible([((1, 2), 0, 1)], 1)
+
+
+def test_nonpositive_denominator_refused():
+    for d in (0, -1, -2):
+        with pytest.raises(DimensionError):
+            strict_feasible([((1,), 1, 1), ((-1,), 0, d)], 1)
+
+
+def test_int_rows_round_trip():
+    # the converter is exact both ways, and each int row it makes is over
+    # the least common denominator of the row's entries
+    rows = [(vec([F(1, 2), F(-2, 3)]), F(5, 4)), (vec([3, 0]), F(-1)), ((F(2, 6), 0), F(0))]
+    assert int_rows(rows) == [((6, -8), 15, 12), ((3, 0), -1, 1), ((1, 0), 0, 3)]
+    assert fraction_rows(int_rows(rows)) == rows
+    assert fraction_rows([((2, -4), 6, 4)]) == [((F(1, 2), F(-1)), F(3, 2))]
 
 
 def test_tampered_certificate_fails_verification():
-    rows = [(vec([1]), F(0)), (vec([-1]), F(0))]
+    rows = int_rows([(vec([1]), F(0)), (vec([-1]), F(0))])
     cert = strict_feasible(rows, 1).certificate
     assert verify_certificate(cert, rows, 1)
     assert not verify_certificate(lp.FeasibilityCertificate((F(1), F(0)), F(0)), rows, 1)
@@ -232,12 +264,14 @@ def test_linear_feasible_none():
 FIXTURE_FANS = {**STOCK_FANS, **BERGMAN_FANS}
 
 
-@pytest.mark.parametrize("name", sorted(FIXTURE_FANS))
-def test_fixture_programs_match_oracle(monkeypatch, name):
-    """The per-cone programs of classify_convexity on several divisors and
+def caller_programs(monkeypatch, fan, seed):
+    """Every program that the four callers of strict_feasible build on the
+    fan: the per-cone programs of classify_convexity on several divisors and
     those of validate's regular route, and, solved explicitly because the
     fast routes seldom reach them, the joint program behind the witness
-    fallback and the pair program of every two maximal cones."""
+    fallback and the pair program of every two maximal cones.  Returns the
+    programs as the callers built them, validate's report and the pair
+    verdicts."""
     programs = []
 
     def recording(rows, dim):
@@ -246,18 +280,45 @@ def test_fixture_programs_match_oracle(monkeypatch, name):
 
     monkeypatch.setattr(convexity, "strict_feasible", recording)
     monkeypatch.setattr(fan_module, "strict_feasible", recording)
-    fan = FIXTURE_FANS[name]()
-    rng = random.Random(name)
+    rng = random.Random(seed)
     divisors = [(F(0),) * len(fan.rays), tuple(F(rng.randint(-3, 3)) for _ in fan.rays)]
     witness = convexity.find_strictly_convex(fan)
     if witness is not None:
         divisors += [witness, tuple(-v for v in witness)]
     for z in divisors:
         convexity.classify_convexity(fan, z, strict=True)
-    assert fan_module.validate(fan).valid
+    report = fan_module.validate(fan)
     convexity.strict_convexity_program(fan)
-    for c1, c2 in itertools.combinations(fan.maximal_cones, 2):
-        assert fan_module._meet_in_shared_face(fan, c1, c2)
+    meets = [fan_module._meet_in_shared_face(fan, c1, c2) for c1, c2 in itertools.combinations(fan.maximal_cones, 2)]
+    return programs, report, meets
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURE_FANS))
+def test_fixture_programs_match_oracle(monkeypatch, name):
+    programs, report, meets = caller_programs(monkeypatch, FIXTURE_FANS[name](), name)
+    assert report.valid
+    assert all(meets)
     assert programs
     for rows, dim in programs:
-        check(rows, dim)
+        check_int(rows, dim)
+
+
+def test_caller_programs_on_random_and_rescaled_fans(monkeypatch):
+    """The four callers' programs on the 40 random fans, and on the fixture
+    fans with their marks rescaled ray by ray by rational scales (the fans of
+    `helpers.rescale_marking`): every result equals the Fraction tableau's on
+    the same rows (the two-phase oracle is left to the fixture programs,
+    where it is cheap), and rows over a denominator above one and programs whose
+    t0 = min(1, min b) is not an integer both occur."""
+    fans = {f"random-{seed}": fan for seed, fan in enumerate(random_fans())}
+    for name, build in sorted(FIXTURE_FANS.items()):
+        fan = build()
+        rng = random.Random(name)
+        fans[f"{name}-rescaled"] = rescale_fan(fan, [F(rng.randint(1, 4), rng.randint(1, 3)) for _ in fan.rays])
+    programs = []
+    for name, fan in fans.items():
+        programs += caller_programs(monkeypatch, fan, name)[0]
+    for rows, dim in programs:
+        match_tableau(rows, dim)
+    assert any(d > 1 for rows, _ in programs for _, _, d in rows)
+    assert any(min([F(1), *(F(b, d) for _, b, d in rows)]).denominator > 1 for rows, _ in programs)

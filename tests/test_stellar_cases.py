@@ -15,9 +15,9 @@ from lorfan.fan import (
     stellar_subdivide,
 )
 from lorfan.fixtures import coordinate_skeleton_fan, triangle_fan, triangle_times_line
-from lorfan.linalg import mat_vec, mat, vec
+from lorfan.linalg import mat, vec
 
-from helpers import minimal_containing_cone, solve_linear
+from helpers import mat_vec, minimal_containing_cone, solve_linear
 
 
 def canonical(fan: MarkedFan):
