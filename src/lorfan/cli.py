@@ -26,7 +26,7 @@ from .lorentzian import (
 )
 from .matroids import bergman_fan
 from .ops import polytope_bridge, product_tropical, act_divisor_fan, tropical_modification
-from .weights import check_balancing, mixed_degree, star_weight, transport_weight
+from .weights import TropicalFan, check_balancing, mixed_degree, star_weight, transport_weight
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -139,8 +139,6 @@ def cmd_star(args):
     sd = star(fan, apex)
     payload = io.fan_to_json(sd.fan)
     if weight is not None:
-        from .weights import TropicalFan
-
         stf = star_weight(TropicalFan(fan, weight), apex, sd)
         payload = io.tropical_to_json(stf)
     payload["lift"] = list(sd.lift)
@@ -155,8 +153,6 @@ def cmd_stellar(args):
     result = stellar_subdivide(fan, point)
     transported = None
     if weight is not None:
-        from .weights import TropicalFan
-
         transported = transport_weight(
             TropicalFan(fan, weight), result.fan, result.containment
         ).weight

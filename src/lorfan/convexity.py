@@ -17,7 +17,7 @@ from typing import Optional
 
 from .errors import InternalError, PreconditionError
 from .fan import Cone, MarkedFan, candidate_divisor
-from .linalg import Vec, ZERO, ONE, fractions, rref, transpose
+from .linalg import Vec, ZERO, ONE, eliminate, fractions
 from .lp import StrictFeasibility, strict_feasible
 
 VERDICT_NONE = "none"
@@ -108,8 +108,11 @@ def classify_convexity(fan: MarkedFan, z, strict: bool = False) -> ConvexityCert
 
 def spanning_rays(fan: MarkedFan) -> tuple[int, ...]:
     """First ray subset (by index) whose marks form a basis of the mark span:
-    the pivot columns of the matrix whose columns are the marks."""
-    return rref(transpose(fan.rays))[1]
+    the pivot columns of the matrix whose columns are the marks.  Each
+    column holds a mark's int numerators, the mark scaled by a positive
+    number, which moves no pivot."""
+    rows = [list(col) for col in zip(*(nums for nums, _ in fan.int_marks))]
+    return eliminate(rows, [1] * len(rows))
 
 
 def strictly_convex_witness(fan: MarkedFan) -> tuple[Optional[tuple], str]:

@@ -217,6 +217,8 @@ class MarkedFan:
     maximal_cones: tuple[Cone, ...]
 
     def __post_init__(self):
+        if self.ambient_dim < 0:
+            raise DimensionError("ambient dimension must be nonnegative")
         for u in self.rays:
             if len(u) != self.ambient_dim:
                 raise DimensionError("ray mark has wrong ambient dimension")

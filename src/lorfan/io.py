@@ -59,14 +59,23 @@ def cone_to_key(cone) -> str:
     return ",".join(str(i) for i in cone)
 
 
+def _cone(indices: list, what: str):
+    """The sorted cone on the given ray indices, refused when one repeats."""
+    cone = cone_key(indices)
+    if len(cone) != len(indices):
+        raise InputError(f"{what} repeats a ray: {indices!r:.40}")
+    return cone
+
+
 def key_to_cone(key: str):
     key = key.strip()
     if not key:
         return ()
     try:
-        return cone_key(int(p) for p in key.split(","))
+        indices = [int(p) for p in key.split(",")]
     except ValueError as exc:
         raise InputError(f"bad cone key {key!r}: {exc}") from None
+    return _cone(indices, "a cone key")
 
 
 def fan_to_json(fan: MarkedFan, weight: Optional[MinkowskiWeight] = None) -> dict:
@@ -87,7 +96,7 @@ def fan_from_json(data) -> tuple[MarkedFan, Optional[MinkowskiWeight]]:
         ambient = _int(data["ambient_dim"], "ambient_dim")
         rays = tuple(tuple(str_to_rat(x) for x in _list(u, "a ray")) for u in _list(data["rays"], "rays"))
         cones = tuple(sorted(
-            cone_key(_int(i, "a ray index") for i in _list(c, "a cone"))
+            _cone([_int(i, "a ray index") for i in _list(c, "a cone")], "a cone")
             for c in _list(data["maximal_cones"], "maximal_cones")
         ))
     except (KeyError, TypeError) as exc:
@@ -97,7 +106,14 @@ def fan_from_json(data) -> tuple[MarkedFan, Optional[MinkowskiWeight]]:
     if "weights" in data and data["weights"] is not None:
         if not isinstance(data["weights"], dict):
             raise InputError("weights must be a JSON object from cone keys to rationals")
-        values = {key_to_cone(k): str_to_rat(v) for k, v in data["weights"].items()}
+        values = {}
+        for k, v in data["weights"].items():
+            cone = key_to_cone(k)
+            if cone not in fan.incident:
+                raise InputError(f"weight key {k!r:.40} names no cone of the fan")
+            if cone in values:
+                raise InputError(f"two weight keys name the cone {cone_to_key(cone)!r:.40}")
+            values[cone] = str_to_rat(v)
         if values:
             degrees = {len(c) for c in values}
             if len(degrees) != 1:
@@ -281,5 +297,7 @@ def load_json_file(path: str):
             return json.load(fh)
     except FileNotFoundError:
         raise InputError(f"no such file: {path}") from None
-    except json.JSONDecodeError as exc:
+    except OSError as exc:
+        raise InputError(f"cannot read {path}: {exc.strerror}") from None
+    except (ValueError, RecursionError) as exc:  # also an integer past the digit limit, or nesting too deep
         raise InputError(f"malformed JSON in {path}: {exc}") from None

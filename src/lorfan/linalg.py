@@ -1,16 +1,16 @@
 """Dense exact linear algebra over the rationals.
 
 Vectors are tuples of Fraction, matrices are tuples of row tuples.  All
-routines are exact; nothing here ever touches floating point.  The inertia
-of a symmetric matrix comes from symmetric elimination by congruence, which
-keeps it by Sylvester's law of inertia.
+routines are exact; nothing here ever touches floating point.
 
-Gauss-Jordan elimination runs without Fractions, in the fraction-free style
-of Bareiss (Math. Comp. 1968) but with one denominator per row: each row is
-a list of Python ints over its own positive int denominator, and `pivot`
-divides every row it changes by the gcd of its entries and denominator.
-`rref`, `det`, the quotient records of a fan and the max-slack
-tableau all pivot through it; Fractions are made only from its results.
+Elimination runs without Fractions, in the fraction-free style of Bareiss
+(Math. Comp. 1968) but with one denominator per row: each row is a list of
+Python ints over its own positive int denominator, and `pivot` divides every
+row it changes by the gcd of its entries and denominator.  `det`, `inertia`,
+the quotient records of a fan and the max-slack tableau all pivot through
+it; Fractions are made only from its results.  The inertia of a symmetric
+matrix comes from symmetric elimination by congruence, which keeps it by
+Sylvester's law of inertia.
 """
 
 from __future__ import annotations
@@ -38,10 +38,6 @@ def mat(rows: Iterable[Iterable]) -> Mat:
     if m and any(len(r) != len(m[0]) for r in m):
         raise DimensionError("ragged matrix rows")
     return m
-
-
-def transpose(A: Mat) -> Mat:
-    return tuple(zip(*A)) if A else ()
 
 
 def is_symmetric(A: Mat) -> bool:
@@ -135,13 +131,6 @@ def _int_rows(A: Mat) -> tuple[list[list[int]], list[int]]:
     return rows, dens
 
 
-def rref(A: Mat) -> tuple[Mat, tuple[int, ...]]:
-    """Reduced row echelon form together with the pivot column indices."""
-    rows, dens = _int_rows(A)
-    pivots = eliminate(rows, dens)
-    return tuple(map(fractions, rows, dens)), pivots
-
-
 def det(A: Mat) -> Fraction:
     """The product of the pivots, negated once per row swap."""
     n = len(A)
@@ -178,40 +167,38 @@ class Inertia:
 def inertia(S: Mat) -> Inertia:
     """Exact inertia of a symmetric rational matrix, by symmetric elimination.
 
-    Each step takes a nonzero diagonal pivot, counts its sign, and replaces
-    the rest of the matrix by its Schur complement.  When the remaining
-    diagonal is zero but some entry A[i][j] is not, the congruence
-    e_i += e_j first makes A[i][i] = 2 A[i][j] nonzero.  Every step is a
+    Each step takes a nonzero diagonal pivot, counts its sign, pivots on it
+    and drops its row; the rows left, read on their `live` columns, are the
+    Schur complement.  When the remaining diagonal is zero but some entry
+    A[k][j] is not, the congruence e_k += e_j first makes A[k][k] = 2 A[k][j]
+    nonzero: row j is added to row k over the product of their
+    denominators, then column j to column k in every row.  Every step is a
     congruence, so by Sylvester's law of inertia the pivot signs are the
-    eigenvalue signs; the block left over when no entry is nonzero holds the
-    zero eigenvalues.
+    eigenvalue signs; the rows left when no entry is nonzero hold the zero
+    eigenvalues.
     """
     if not is_symmetric(S):
         raise DimensionError("inertia requires a symmetric square matrix")
-    A = [list(row) for row in S]
+    rows, dens = _int_rows(S)
+    live = list(range(len(rows)))
     p = q = 0
-    while A:
-        m = len(A)
-        k = next((i for i in range(m) if A[i][i] != 0), None)
+    while rows:
+        k = next((i for i, c in enumerate(live) if rows[i][c]), None)
         if k is None:
-            pair = next(((i, j) for i in range(m) for j in range(m) if A[i][j] != 0), None)
+            pair = next(((i, j) for i, row in enumerate(rows) for j, c in enumerate(live) if row[c]), None)
             if pair is None:
                 break
             k, j = pair
-            A[k] = [x + y for x, y in zip(A[k], A[j])]
-            for row in A:
-                row[k] += row[j]
-        inv = ONE / A[k][k]
-        if inv > 0:
+            dk, dj = dens[k], dens[j]
+            rows[k] = [a * dj + b * dk for a, b in zip(rows[k], rows[j])]
+            dens[k] = dk * dj
+            ck, cj = live[k], live[j]
+            for row in rows:
+                row[ck] += row[cj]
+        if rows[k][live[k]] > 0:
             p += 1
         else:
             q += 1
-        pivot_row = A[k]
-        rest = [i for i in range(m) if i != k]
-        schur = []
-        for i in rest:
-            row = A[i]
-            f = row[k] * inv
-            schur.append([row[j] - f * pivot_row[j] for j in rest] if f else [row[j] for j in rest])
-        A = schur
+        pivot(rows, dens, k, live[k])
+        del rows[k], dens[k], live[k]
     return Inertia(p=p, q=q, r=len(S) - p - q)

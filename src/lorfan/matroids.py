@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .errors import PreconditionError
-from .fan import MarkedFan
+from .fan import MarkedFan, components
 from .linalg import ZERO, ONE
 from .weights import MinkowskiWeight, TropicalFan, constant_weight
 
@@ -165,25 +165,13 @@ def graphic_matroid(edges) -> Matroid:
     vertices = sorted({v for e in edges for v in e})
     nv = len(vertices)
     index = {v: i for i, v in enumerate(vertices)}
-    trees = []
-    for subset in itertools.combinations(range(len(edges)), nv - 1):
-        parent = list(range(nv))
-
-        def find(a):
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        acyclic = True
-        for ei in subset:
-            u, v = (find(index[x]) for x in edges[ei])
-            if u == v:
-                acyclic = False
-                break
-            parent[u] = v
-        if acyclic:
-            trees.append(subset)
+    ends = [tuple(index[x] for x in e) for e in edges]
+    # nv - 1 edges joining all nv vertices form a spanning tree
+    trees = [
+        subset
+        for subset in itertools.combinations(range(len(edges)), nv - 1)
+        if len(components(range(nv), [ends[ei] for ei in subset])) == 1
+    ]
     return matroid_from_bases(len(edges), trees)
 
 

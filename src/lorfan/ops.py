@@ -18,6 +18,7 @@ from .weights import (
     MinkowskiWeight,
     TropicalFan,
     check_balancing,
+    constant_weight,
     divisor_action,
     mixed_degree,
 )
@@ -148,7 +149,7 @@ def polytope_bridge(fan: MarkedFan, rhs_list: Sequence[Sequence[Fraction]]) -> M
         raise PreconditionError(f"mixed volumes need a fan: {report.failures[0]}")
     if not is_complete(fan):
         raise PreconditionError("mixed volumes need a complete fan")
-    unit = MinkowskiWeight(d, {c: ONE for c in fan.cones(d)})
+    unit = constant_weight(fan)
     if check_balancing(fan, unit) != ():
         raise PreconditionError("the unit weight does not balance on this fan")
     divisors = [tuple(Fraction(v) for v in rhs) for rhs in rhs_list]

@@ -12,17 +12,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from lorfan import fixtures, lp
+from lorfan import fixtures, linalg, lp
 from lorfan.errors import DimensionError, InternalError, PreconditionError
 from lorfan.fan import MarkedFan, Neighborhood, Quotient, cone_key
-from lorfan.linalg import ONE, ZERO, Inertia, fractions, is_symmetric, mat, over_lcd, rref, vec
+from lorfan.linalg import ONE, ZERO, Inertia, fractions, is_symmetric, mat, over_lcd, vec
 from lorfan.lp import FeasibilityCertificate, StrictFeasibility
 from lorfan.matroids import bergman_fan, complete_graph_matroid, fano_matroid, uniform_matroid
 from lorfan.weights import MinkowskiWeight, TropicalFan, divisor_action, indicator_divisor
 
 
 # ---------------------------------------------------------------------------
-# Fraction vectors and matrices: products, the identity and the rank
+# Fraction vectors and matrices: products, the identity, the transpose, the
+# reduced row echelon form and the rank
 
 
 def dot(a, b) -> Fraction:
@@ -37,6 +38,18 @@ def mat_vec(A, x):
 
 def identity(n: int):
     return tuple(tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n))
+
+
+def transpose(A):
+    return tuple(zip(*A)) if A else ()
+
+
+def rref(A):
+    """Reduced row echelon form and pivot columns by the int-row kernel
+    `linalg.eliminate`, as Fraction rows."""
+    rows, dens = linalg._int_rows(A)
+    pivots = linalg.eliminate(rows, dens)
+    return tuple(map(fractions, rows, dens)), pivots
 
 
 def rank(A) -> int:
@@ -640,6 +653,44 @@ def random_simplicial_fan(rng: random.Random, n: int) -> MarkedFan:
     return MarkedFan(ambient_dim=n, rays=tuple(rays), maximal_cones=tuple(sorted(cones)))
 
 
+# the stock fixtures and small Bergman fans with their weights, and copies
+# rescaled ray by ray whose marks leave the integers
+TROPICAL_FANS = {
+    "triangle": fixtures.triangle_fan,
+    "line": fixtures.line_fan,
+    "skeleton": fixtures.coordinate_skeleton_fan,
+    "triangle_x_line": fixtures.triangle_times_line,
+    "two_triangles": fixtures.two_disjoint_triangles,
+    "spindle": fixtures.spindle_fan,
+    "origin": lambda: fixtures.origin_fan(2),
+    "twisted_prism": fixtures.twisted_prism_fan,
+    "M(K4)": lambda: bergman_fan(complete_graph_matroid(4)),
+    "Fano": lambda: bergman_fan(fano_matroid()),
+    "U(3,5)": lambda: bergman_fan(uniform_matroid(3, 5)),
+}
+
+
+def rational_scale(rng, count):
+    return [Fraction(rng.randint(1, 5), rng.randint(2, 5)) for _ in range(count)]
+
+
+def mixed_scale(rng, count):
+    return [rng.choice((1, 2, 3, Fraction(1, 2), Fraction(3, 2), Fraction(2, 3))) for _ in range(count)]
+
+
+SCALES = {"rational": rational_scale, "mixed": mixed_scale}
+
+
+def rescaled_tropical(name, kind):
+    tf = TROPICAL_FANS[name]()
+    return rescale_marking(tf, SCALES[kind](random.Random(f"{name}/{kind}"), len(tf.fan.rays)))
+
+
+def rescaled_random(seed, kind):
+    fan = random_fan(seed)
+    return rescale_fan(fan, SCALES[kind](random.Random(f"random-{seed}/{kind}"), len(fan.rays)))
+
+
 # ---------------------------------------------------------------------------
 # linear solves, the general two-phase simplex and the max-slack simplex over
 # Fraction entries, the oracles for the quotient records and for the
@@ -943,7 +994,44 @@ def fraction_strict_feasible(rows, dim) -> StrictFeasibility:
 
 
 # ---------------------------------------------------------------------------
-# the characteristic polynomial and Descartes' rule, the oracle for inertia
+# the Fraction Schur complement, the characteristic polynomial and
+# Descartes' rule: the oracles for inertia
+
+
+def fraction_inertia(S) -> Inertia:
+    """Inertia by symmetric elimination on Fractions: each step counts the
+    sign of a nonzero diagonal pivot and replaces the rest of the matrix by
+    its Schur complement; a zero diagonal with some nonzero A[i][j] first
+    takes the congruence e_i += e_j."""
+    if not is_symmetric(S):
+        raise DimensionError("inertia requires a symmetric square matrix")
+    A = [[Fraction(x) for x in row] for row in S]
+    p = q = 0
+    while A:
+        m = len(A)
+        k = next((i for i in range(m) if A[i][i] != 0), None)
+        if k is None:
+            pair = next(((i, j) for i in range(m) for j in range(m) if A[i][j] != 0), None)
+            if pair is None:
+                break
+            k, j = pair
+            A[k] = [x + y for x, y in zip(A[k], A[j])]
+            for row in A:
+                row[k] += row[j]
+        inv = ONE / A[k][k]
+        if inv > 0:
+            p += 1
+        else:
+            q += 1
+        pivot_row = A[k]
+        rest = [i for i in range(m) if i != k]
+        schur = []
+        for i in rest:
+            row = A[i]
+            f = row[k] * inv
+            schur.append([row[j] - f * pivot_row[j] for j in rest] if f else [row[j] for j in rest])
+        A = schur
+    return Inertia(p=p, q=q, r=len(S) - p - q)
 
 
 def mat_mul(A, B):

@@ -19,10 +19,14 @@ from lorfan.fan import ROUTE_PAIRS, ROUTE_REGULAR, _meet_in_shared_face, _regula
 from helpers import (
     BERGMAN_FANS,
     LARGE_BERGMAN_FANS,
+    SCALES,
     STOCK_FANS,
+    TROPICAL_FANS,
     greedy_spanning_rays,
     overlap_witness,
     random_fans,
+    rescaled_random,
+    rescaled_tropical,
     triangle_double_cover,
 )
 
@@ -153,3 +157,15 @@ def test_validate_reports_no_route_without_simpliciality():
 def test_spanning_rays_is_the_greedy_basis(name):
     fan = FANS[name]()
     assert spanning_rays(fan) == greedy_spanning_rays(fan)
+
+
+def test_spanning_rays_is_the_greedy_basis_on_random_and_rescaled_fans():
+    """The pivots of the marks' int numerators, taken as columns, against
+    the greedy basis on the 40 random fans and on rescaled copies, whose
+    marks leave the integers."""
+    fans = random_fans()
+    fans += [rescaled_tropical(name, kind).fan for name in TROPICAL_FANS for kind in SCALES]
+    fans += [rescaled_random(seed, kind) for seed in range(40) for kind in SCALES]
+    assert any(d > 1 for fan in fans for _, d in fan.int_marks)
+    for fan in fans:
+        assert spanning_rays(fan) == greedy_spanning_rays(fan)

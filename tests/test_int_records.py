@@ -11,17 +11,18 @@ from fractions import Fraction
 import pytest
 
 from lorfan import fan as fan_module
-from lorfan import fixtures
 from lorfan.errors import PreconditionError
 from lorfan.fan import MarkedFan, validate
 from lorfan.linalg import fractions, over_lcd
-from lorfan.matroids import bergman_fan, complete_graph_matroid, fano_matroid, uniform_matroid
+from lorfan.matroids import bergman_fan, uniform_matroid
 from lorfan.weights import MinkowskiWeight, _action_at, _mark_sum, check_balancing, divisor_action
 
 from helpers import (
     BERGMAN_FANS,
     LARGE_BERGMAN_FANS,
+    SCALES,
     STOCK_FANS,
+    TROPICAL_FANS,
     dot,
     fraction_action_at,
     fraction_excess,
@@ -31,53 +32,17 @@ from helpers import (
     neighborhood_coords,
     particulars,
     random_fan,
-    rescale_fan,
-    rescale_marking,
+    rescaled_random,
+    rescaled_tropical,
     zero_divisor_balancing,
 )
-
-TROPICAL = {
-    "triangle": fixtures.triangle_fan,
-    "line": fixtures.line_fan,
-    "skeleton": fixtures.coordinate_skeleton_fan,
-    "triangle_x_line": fixtures.triangle_times_line,
-    "two_triangles": fixtures.two_disjoint_triangles,
-    "spindle": fixtures.spindle_fan,
-    "origin": lambda: fixtures.origin_fan(2),
-    "twisted_prism": fixtures.twisted_prism_fan,
-    "M(K4)": lambda: bergman_fan(complete_graph_matroid(4)),
-    "Fano": lambda: bergman_fan(fano_matroid()),
-    "U(3,5)": lambda: bergman_fan(uniform_matroid(3, 5)),
-}
-
-
-def rational_scale(rng, count):
-    return [Fraction(rng.randint(1, 5), rng.randint(2, 5)) for _ in range(count)]
-
-
-def mixed_scale(rng, count):
-    return [rng.choice((1, 2, 3, Fraction(1, 2), Fraction(3, 2), Fraction(2, 3))) for _ in range(count)]
-
-
-SCALES = {"rational": rational_scale, "mixed": mixed_scale}
-
-
-def rescaled_tropical(name, kind):
-    tf = TROPICAL[name]()
-    return rescale_marking(tf, SCALES[kind](random.Random(f"{name}/{kind}"), len(tf.fan.rays)))
-
-
-def rescaled_random(seed, kind):
-    fan = random_fan(seed)
-    return rescale_fan(fan, SCALES[kind](random.Random(f"random-{seed}/{kind}"), len(fan.rays)))
-
 
 FANS = {**STOCK_FANS, **BERGMAN_FANS, **LARGE_BERGMAN_FANS}
 FANS["U(3,6)"] = lambda: bergman_fan(uniform_matroid(3, 6)).fan
 FANS.update({f"random-{seed}": (lambda seed=seed: random_fan(seed)) for seed in range(40)})
 FANS.update({
     f"{name}-{kind}": (lambda name=name, kind=kind: rescaled_tropical(name, kind).fan)
-    for name in TROPICAL for kind in SCALES
+    for name in TROPICAL_FANS for kind in SCALES
 })
 FANS.update({
     f"random-{seed}-{kind}": (lambda seed=seed, kind=kind: rescaled_random(seed, kind))
@@ -139,7 +104,7 @@ def test_rescaled_records_leave_the_integers():
     """The rescaled markings reach records and neighborhood rows over
     denominators above one, with negative entries."""
     dens, hood_dens, negative = set(), set(), False
-    for name in TROPICAL:
+    for name in TROPICAL_FANS:
         for kind in SCALES:
             fan = rescaled_tropical(name, kind).fan
             for tau in fan.all_cones():
@@ -150,10 +115,10 @@ def test_rescaled_records_leave_the_integers():
     assert max(dens) > 1 and max(hood_dens) > 1 and negative
 
 
-ACTION_FANS = {name: TROPICAL[name] for name in TROPICAL}
+ACTION_FANS = dict(TROPICAL_FANS)
 ACTION_FANS.update({
     f"{name}-{kind}": (lambda name=name, kind=kind: rescaled_tropical(name, kind))
-    for name in TROPICAL for kind in SCALES
+    for name in TROPICAL_FANS for kind in SCALES
 })
 
 
@@ -227,7 +192,7 @@ def test_validate_eliminates_each_maximal_cone_once(name, monkeypatch):
         return eliminate(rows, dens)
 
     monkeypatch.setattr(fan_module, "eliminate", counting)
-    fan = TROPICAL[name]().fan
+    fan = TROPICAL_FANS[name]().fan
     report = validate(fan)
     assert report.valid and report.fan_condition_route == "regular"
     assert calls == [len(c) for c in fan.maximal_cones]

@@ -1,4 +1,5 @@
 import json
+import sys
 import time
 from fractions import Fraction
 
@@ -382,3 +383,78 @@ def test_unexpected_error_exits_4_in_one_line(tmp_path, capsys, monkeypatch):
 def test_jobs_flag_removed(capsys):
     with pytest.raises(SystemExit):
         main(["--jobs", "2", "validate", "--fan", "x.json"])
+
+
+def test_overlong_json_integer_exits_2(tmp_path, capsys):
+    """An integer one digit past the interpreter's digit limit is refused as
+    input, not reported as an internal error."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("no digit limit on int parsing")
+    path = tmp_path / "fan.json"
+    path.write_text('{"ambient_dim": 1, "rays": [[%s]], "maximal_cones": [[0]]}' % ("9" * (limit + 1)))
+    code, out, err = run(capsys, "validate", "--fan", str(path))
+    assert code == 2
+    assert out == ""
+    assert "malformed JSON" in err and "internal error" not in err
+
+
+def test_unreadable_path_exits_2(tmp_path, capsys):
+    code, out, err = run(capsys, "validate", "--fan", str(tmp_path))
+    assert code == 2
+    assert out == ""
+    assert "cannot read" in err and "internal error" not in err
+
+
+def test_json_nested_past_the_recursion_limit_exits_2(tmp_path, capsys):
+    path = tmp_path / "fan.json"
+    depth = 10 * sys.getrecursionlimit()
+    path.write_text("[" * depth + "]" * depth)
+    code, out, err = run(capsys, "validate", "--fan", str(path))
+    assert code == 2
+    assert out == ""
+    assert "malformed JSON" in err and "internal error" not in err
+
+
+@pytest.mark.parametrize(
+    "fan, argv",
+    [
+        (_fan_json(maximal_cones=[[0, 1], [0, 2], [1, 2, 1]]), ("validate",)),
+        (_fan_json(weights={"0,1": "1", "0,2": "1", "1,2,1": "1"}), ("balance",)),
+        (_fan_json(), ("star", "--cone", "0,0")),
+    ],
+    ids=["maximal-cone", "weight-key", "star-apex"],
+)
+def test_cone_repeating_a_ray_refused(tmp_path, capsys, fan, argv):
+    fan_file = write(tmp_path, "fan.json", fan)
+    code, out, err = run(capsys, argv[0], "--fan", fan_file, *argv[1:])
+    assert code == 2
+    assert out == ""
+    assert "repeats a ray" in err
+
+
+def test_weight_key_naming_no_cone_refused(tmp_path, capsys):
+    fan = _fan_json()
+    fan["weights"]["7,9"] = "1"
+    with pytest.raises(InputError):
+        io.fan_from_json(fan)
+    code, out, err = run(capsys, "balance", "--fan", write(tmp_path, "fan.json", fan))
+    assert code == 2
+    assert out == ""
+    assert "'7,9' names no cone of the fan" in err
+
+
+def test_negative_ambient_dimension_refused(tmp_path, capsys):
+    fan = {"ambient_dim": -1, "rays": [], "maximal_cones": [[]]}
+    code, out, err = run(capsys, "validate", "--fan", write(tmp_path, "fan.json", fan))
+    assert code == 3
+    assert out == ""
+    assert "ambient dimension must be nonnegative" in err
+
+
+def test_two_weight_keys_on_one_cone_refused(tmp_path, capsys):
+    fan = _fan_json(weights={"0,1": "1", "1,0": "2", "0,2": "1", "1,2": "1"})
+    code, out, err = run(capsys, "balance", "--fan", write(tmp_path, "fan.json", fan))
+    assert code == 2
+    assert out == ""
+    assert "two weight keys name the cone '0,1'" in err

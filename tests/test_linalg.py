@@ -7,27 +7,26 @@ import pytest
 from lorfan.errors import DimensionError
 from lorfan import fixtures, linalg, matroids
 from lorfan.fan import star
-from lorfan.linalg import (
-    det,
-    inertia,
-    mat,
-    rref,
-    transpose,
-    vec,
-)
+from lorfan.linalg import det, inertia, mat, vec
 from lorfan.lorentzian import volume_poly_2d
 from lorfan.weights import star_weight
 
 from helpers import (
+    SCALES,
+    TROPICAL_FANS,
     char_poly,
     descartes_inertia,
     fraction_det,
+    fraction_inertia,
     fraction_rref,
     identity,
     mat_mul,
     mat_vec,
     rank,
+    rescaled_tropical,
+    rref,
     solve_linear,
+    transpose,
 )
 
 
@@ -150,9 +149,8 @@ def test_inertia_sums_to_dimension():
         assert res.p + res.q + res.r == n
 
 
-def _star_forms():
-    """Quadratic volume forms of every codimension-two star of the stock
-    fixtures and five Bergman fans."""
+def _stock_and_ladder_fans():
+    """The stock fixtures and five Bergman fans."""
     fans = [
         getattr(fixtures, name)()
         for name in (
@@ -160,7 +158,7 @@ def _star_forms():
             "spindle_fan", "two_disjoint_triangles", "origin_fan", "twisted_prism_fan",
         )
     ]
-    fans += [
+    return fans + [
         matroids.bergman_fan(m)
         for m in (
             matroids.complete_graph_matroid(4), matroids.fano_matroid(),
@@ -168,6 +166,11 @@ def _star_forms():
             matroids.complete_graph_matroid(5),
         )
     ]
+
+
+def _star_forms(fans):
+    """Quadratic volume forms of every codimension-two star of the given
+    tropical fans."""
     forms = []
     for tf in fans:
         d = tf.dimension
@@ -177,10 +180,24 @@ def _star_forms():
 
 
 def test_inertia_matches_descartes_on_star_forms():
-    forms = _star_forms()
+    forms = _star_forms(_stock_and_ladder_fans())
     assert len(forms) == 69
     for S in forms:
         assert inertia(S) == descartes_inertia(S)
+
+
+def test_inertia_matches_fraction_elimination_on_star_forms():
+    """The int-row elimination against the Fraction Schur complement on the
+    star forms of the stock fixtures, the Bergman ladder through M(K5) and
+    the rescaled fans, whose forms leave the integers."""
+    ladder = _stock_and_ladder_fans() + [matroids.bergman_fan(matroids.uniform_matroid(4, 6))]
+    rescaled = [rescaled_tropical(name, kind) for name in TROPICAL_FANS for kind in SCALES]
+    forms = _star_forms(ladder)
+    rescaled_forms = _star_forms(rescaled)
+    assert len(forms) == 110
+    assert any(x.denominator > 1 for S in rescaled_forms for row in S for x in row)
+    for S in forms + rescaled_forms:
+        assert inertia(S) == fraction_inertia(S)
 
 
 def _random_symmetric(rng, n, kind):
@@ -228,6 +245,44 @@ def test_inertia_matches_descartes_on_random_matrices():
     # the e_i += e_j step runs on every nonzero matrix with a zero diagonal
     assert zero_diagonal >= 90
     assert any(inertia(S).r > 0 and len(S) > 1 for S in cases)
+
+
+def test_inertia_matches_fraction_elimination_on_random_matrices():
+    """1200 seeded symmetric matrices of mixed denominators, among them
+    nonzero ones with an all-zero diagonal and rank-deficient ones."""
+    rng = random.Random(29)
+    kinds = ("general", "zero-diagonal", "deficient")
+    zero_diagonal = deficient = 0
+    for t in range(1200):
+        kind = kinds[t % 3]
+        n = rng.randint(2 if kind == "zero-diagonal" else 0, 7)
+        S = _random_symmetric(rng, n, kind)
+        expected = fraction_inertia(S)
+        assert inertia(S) == expected
+        nonzero = any(x != 0 for row in S for x in row)
+        zero_diagonal += nonzero and all(S[i][i] == 0 for i in range(n))
+        deficient += nonzero and expected.r > 0
+    assert zero_diagonal >= 300
+    assert deficient >= 200
+
+
+def test_inertia_pivots_keep_rows_in_lowest_terms(monkeypatch):
+    """After every pivot inside inertia each remaining row is in lowest
+    terms over a positive denominator, also after the e_k += e_j step;
+    negative pivots and denominators above one occur."""
+    seen = []
+    pivot = linalg.pivot
+
+    def recording(rows, dens, row, col):
+        seen.append((rows[row][col], dens[row]))
+        pivot(rows, dens, row, col)
+        assert all(d > 0 and math.gcd(d, *r) == 1 for r, d in zip(rows, dens))
+
+    monkeypatch.setattr(linalg, "pivot", recording)
+    for S in _random_symmetric_cases():
+        assert inertia(S) == fraction_inertia(S)
+    assert any(p < 0 for p, _ in seen)
+    assert any(d > 1 for _, d in seen)
 
 
 def test_inertia_matches_sympy_on_random_matrices():
