@@ -39,6 +39,7 @@ from .weights import (
     mixed_degree,
     pullback_divisor,
     push_divisor_to_star,
+    quadratic_form,
     star_weight,
     transport_weight,
 )
@@ -46,11 +47,9 @@ from .convexity import ConvexityCertificate, classify_convexity, find_strictly_c
 from .lorentzian import (
     AFReport,
     LorentzianCertificate,
-    QuadraticVolumeForm,
     af_report,
     definition_sample_check,
     is_lorentzian,
-    volume_poly_2d,
     volume_polynomial,
 )
 from .matroids import (

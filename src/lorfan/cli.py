@@ -17,16 +17,11 @@ from . import io
 from .convexity import classify_convexity
 from .errors import InputError, InternalError, LorfanError, PreconditionError
 from .fan import star, stellar_subdivide, validate
-from .lorentzian import (
-    af_report,
-    definition_sample_check,
-    is_lorentzian,
-    volume_poly_2d,
-    volume_polynomial,
-)
+from .linalg import inertia
+from .lorentzian import af_report, definition_sample_check, is_lorentzian, volume_polynomial
 from .matroids import bergman_fan
 from .ops import polytope_bridge, product_tropical, act_divisor_fan, tropical_modification
-from .weights import TropicalFan, check_balancing, mixed_degree, star_weight, transport_weight
+from .weights import TropicalFan, check_balancing, mixed_degree, quadratic_form, star_weight, transport_weight
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -55,6 +50,13 @@ def _parse_point(text):
     return tuple(io.str_to_rat(p) for p in text.split(","))
 
 
+def _require_fan(fan, what):
+    """Refuse input that fails validate before computing what assumes a fan."""
+    report = validate(fan)
+    if not report.valid:
+        raise PreconditionError(f"{what} need a fan: {report.failures[0]}")
+
+
 def cmd_validate(args):
     fan, _ = _load_fan(args.fan)
     report = validate(fan)
@@ -77,9 +79,7 @@ def cmd_balance(args):
 def cmd_degree(args):
     tf = _load_tropical(args.fan)
     divisors = io.divisors_from_json(io.load_json_file(args.divisors))
-    report = validate(tf.fan)
-    if not report.valid:
-        raise PreconditionError(f"mixed degrees need a fan: {report.failures[0]}")
+    _require_fan(tf.fan, "mixed degrees")
     value = mixed_degree(tf.fan, tf.weight, divisors)
     _emit(args, {"degree": io.rat_to_str(value)})
     return EXIT_OK
@@ -187,11 +187,12 @@ def cmd_mixedvol(args):
 
 def cmd_volpoly(args):
     tf = _load_tropical(args.fan)
+    _require_fan(tf.fan, "volume polynomials")
     if tf.dimension == 2:
-        form = volume_poly_2d(tf)
+        matrix = quadratic_form(tf.fan, tf.weight)
         payload = {
-            "matrix": [[io.rat_to_str(x) for x in row] for row in form.matrix],
-            "inertia": list(form.inertia().astuple()),
+            "matrix": [[io.rat_to_str(x) for x in row] for row in matrix],
+            "inertia": list(inertia(matrix).astuple()),
         }
     else:
         payload = {"matrix": None, "inertia": None}

@@ -228,7 +228,7 @@ def lorentzian_to_json(cert: LorentzianCertificate) -> dict:
         "stars": {
             cone_to_key(r.cone): {
                 "inertia": list(r.inertia.astuple()),
-                "matrix": [[rat_to_str(x) for x in row] for row in r.form.matrix],
+                "matrix": [[rat_to_str(x) for x in row] for row in r.matrix],
             }
             for r in cert.star_records
         },

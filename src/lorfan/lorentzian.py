@@ -16,16 +16,14 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .convexity import ROUTE_CANDIDATE, classify_convexity, strictly_convex_witness
-from .errors import (
-    ConvexityError,
-    InternalError,
-    PreconditionError,
-)
+from .errors import BalancingError, ConvexityError, InternalError, PreconditionError
 from .fan import ROUTE_REGULAR, Cone, MarkedFan, PinchReport, candidate_divisor, is_unpinched, star, validate
-from .linalg import Inertia, ONE, inertia
+from .linalg import Inertia, Mat, ONE, inertia
 from .weights import (
     Divisor,
     TropicalFan,
+    acted_weights,
+    check_balancing,
     divisor_action,
     indicator_divisor,
     mixed_degree,
@@ -37,30 +35,7 @@ from .weights import (
 
 
 # ---------------------------------------------------------------------------
-# volume forms
-
-
-@dataclass(frozen=True)
-class QuadraticVolumeForm:
-    """The symmetric matrix of the degree-two volume polynomial of a 2-fan.
-
-    Entry (r1, r2) is the weight of the cone spanned by r1 and r2 (zero when
-    they span none); the diagonal holds the negated axial coefficients forced
-    by balancing at each ray.
-    """
-
-    matrix: tuple
-
-    def inertia(self) -> Inertia:
-        return inertia(self.matrix)
-
-
-def volume_poly_2d(tf: TropicalFan) -> QuadraticVolumeForm:
-    """Quadratic volume form of a two-dimensional positive balanced fan: the
-    quadratic form of its top weight."""
-    if tf.fan.dimension != 2:
-        raise PreconditionError("volume form requires a two-dimensional fan")
-    return QuadraticVolumeForm(quadratic_form(tf.fan, tf.weight))
+# volume polynomials
 
 
 Polynomial = dict  # exponent tuple over rays -> Fraction
@@ -69,21 +44,38 @@ Polynomial = dict  # exponent tuple over rays -> Fraction
 def volume_polynomial(tf: TropicalFan) -> Polynomial:
     """Dense homogeneous volume polynomial, as exponent-tuple -> coefficient.
 
-    Coefficients are mixed degrees of ray indicators with multinomial
-    bookkeeping; `mixed_degrees` shares intermediate weights across monomials
-    with a common prefix.  Desk scale only (dimension at most four).
+    The coefficient of a monomial is its multinomial times the mixed degree
+    of its ray indicators.  The divisor action is linear and commutative, so
+    in dimension d >= 2 each sorted (d-2)-multiset of indicators acts on the
+    weight once (`acted_weights` shares common prefixes), and the quadratic
+    form of the degree-two weight it leaves holds the mixed degrees of every
+    monomial that extends the multiset by two rays no smaller than its last.
+    In dimension one the weight, balanced at the origin, is the polynomial.
+    Desk scale only (dimension at most four).
     """
     fan = tf.fan
+    w = tf.weight
     d = fan.dimension
     if d > 4:
         raise PreconditionError("volume polynomials are supported up to dimension four")
     nrays = len(fan.rays)
     if d == 0:
-        return {(): tf.weight[()]}
-    indicators = [indicator_divisor(fan, i) for i in range(nrays)]
-    combos = list(itertools.combinations_with_replacement(range(nrays), d))
+        return {(): w[()]}
+    if d == 1:
+        failing = check_balancing(fan, w)
+        if failing:
+            raise BalancingError(f"weight is unbalanced at cone {failing[0]}")
+        degrees = [(sigma, w[sigma]) for sigma in fan.cones(1)]
+    else:
+        indicators = [indicator_divisor(fan, i) for i in range(nrays)]
+        prefixes = list(itertools.combinations_with_replacement(range(nrays), d - 2))
+        degrees = []
+        for prefix, acted in zip(prefixes, acted_weights(fan, w, indicators, prefixes)):
+            form = quadratic_form(fan, acted)
+            first = prefix[-1] if prefix else 0
+            degrees += [((*prefix, j, k), form[j][k]) for j in range(first, nrays) for k in range(j, nrays)]
     poly = {}
-    for combo, degree in zip(combos, mixed_degrees(fan, tf.weight, indicators, combos)):
+    for combo, degree in degrees:
         if degree == 0:
             continue
         expo = [0] * nrays
@@ -104,7 +96,7 @@ def volume_polynomial(tf: TropicalFan) -> Polynomial:
 class StarInertiaRecord:
     cone: Cone
     inertia: Inertia
-    form: QuadraticVolumeForm
+    matrix: Mat
 
 
 @dataclass(frozen=True)
@@ -151,9 +143,8 @@ def is_lorentzian(tf: TropicalFan) -> LorentzianCertificate:
     if d >= 2:
         for tau in sorted(fan.cones(d - 2)):
             sd = star(fan, tau)
-            stf = star_weight(tf, tau, sd)
-            form = volume_poly_2d(stf)
-            records.append(StarInertiaRecord(tau, form.inertia(), form))
+            matrix = quadratic_form(sd.fan, star_weight(tf, tau, sd).weight)
+            records.append(StarInertiaRecord(tau, inertia(matrix), matrix))
     verdict = (
         quasiprojective
         and pinch.unpinched

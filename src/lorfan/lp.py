@@ -48,16 +48,6 @@ LinearRow = tuple[Sequence[int], int, int]
 _STALL_LIMIT = 12
 
 
-def _pivot(T, den, basis, row, col):
-    """Pivot the integer tableau on T[row][col] (`linalg.pivot`, which keeps
-    row i as numerators over den[i] > 0) and record the entering column;
-    T[-1] is the reduced-cost row.  Rows are mostly zero in the
-    block-structured programs this package builds, and the pivot touches
-    only the rows with a nonzero entry in the pivot column."""
-    pivot(T, den, row, col)
-    basis[row] = col
-
-
 def _run_phase(T, den, basis, nfree):
     """Minimize over the integer tableau until no column improves the objective.
 
@@ -115,7 +105,8 @@ def _run_phase(T, den, basis, nfree):
                     leave = i
         if leave is None:
             raise InternalError("max-slack program cannot be unbounded")
-        _pivot(T, den, basis, leave, enter)
+        pivot(T, den, leave, enter)
+        basis[leave] = enter
 
 
 @dataclass(frozen=True)

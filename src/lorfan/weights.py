@@ -21,10 +21,6 @@ from .linalg import Mat, ZERO, ONE, det, mat, over_lcd, vec
 Divisor = tuple[Fraction, ...]
 
 
-def divisor(values) -> Divisor:
-    return tuple(Fraction(v) for v in values)
-
-
 def indicator_divisor(fan: MarkedFan, ray: int) -> Divisor:
     return tuple(ONE if i == ray else ZERO for i in range(len(fan.rays)))
 
@@ -190,18 +186,29 @@ def mixed_degrees(
     fan: MarkedFan, w: MinkowskiWeight, divisors: Sequence[Divisor], sequences: Iterable[Sequence[int]]
 ) -> list[Fraction]:
     """mixed_degree of [divisors[i] for i in seq] for each index sequence, in
+    order, with every value and every error that of the separate calls."""
+
+    def exact(seq):
+        if len(seq) != w.degree:
+            raise PreconditionError(f"need exactly {w.degree} divisors, got {len(seq)}")
+        return seq
+
+    return [acted[()] for acted in acted_weights(fan, w, divisors, map(exact, sequences))]
+
+
+def acted_weights(
+    fan: MarkedFan, w: MinkowskiWeight, divisors: Sequence[Divisor], sequences: Iterable[Sequence[int]]
+) -> list[MinkowskiWeight]:
+    """w acted on by [divisors[i] for i in seq] for each index sequence, in
     order.  The divisors act in sequence order, first index first, and each
-    distinct prefix is applied once and shared by the later sequences, so
-    every value and every error is that of the separate calls."""
+    distinct prefix is applied once and shared by the later sequences."""
     partial = {(): w}
     out = []
     for seq in map(tuple, sequences):
-        if len(seq) != w.degree:
-            raise PreconditionError(f"need exactly {w.degree} divisors, got {len(seq)}")
         for k in range(1, len(seq) + 1):
             if seq[:k] not in partial:
                 partial[seq[:k]] = divisor_action(fan, partial[seq[: k - 1]], divisors[seq[k - 1]])
-        out.append(partial[seq][()])
+        out.append(partial[seq])
     return out
 
 

@@ -18,7 +18,7 @@ from lorfan.fan import MarkedFan, Neighborhood, Quotient, cone_key
 from lorfan.linalg import ONE, ZERO, Inertia, fractions, is_symmetric, mat, over_lcd, vec
 from lorfan.lp import FeasibilityCertificate, StrictFeasibility
 from lorfan.matroids import bergman_fan, complete_graph_matroid, fano_matroid, uniform_matroid
-from lorfan.weights import MinkowskiWeight, TropicalFan, divisor_action, indicator_divisor
+from lorfan.weights import MinkowskiWeight, TropicalFan, divisor_action, indicator_divisor, mixed_degrees
 
 
 # ---------------------------------------------------------------------------
@@ -279,6 +279,32 @@ def poly_eval(poly: dict, values) -> Fraction:
             term *= Fraction(v) ** e
         total += term
     return total
+
+
+def indicator_volume_polynomial(tf: TropicalFan) -> dict:
+    """The volume polynomial from the mixed degree of every monomial of ray
+    indicators, times its multinomial: the oracle for
+    `lorentzian.volume_polynomial`, which reads the degrees off quadratic
+    forms."""
+    fan = tf.fan
+    d = fan.dimension
+    nrays = len(fan.rays)
+    if d == 0:
+        return {(): tf.weight[()]}
+    indicators = [indicator_divisor(fan, i) for i in range(nrays)]
+    combos = list(itertools.combinations_with_replacement(range(nrays), d))
+    poly = {}
+    for combo, degree in zip(combos, mixed_degrees(fan, tf.weight, indicators, combos)):
+        if degree == 0:
+            continue
+        expo = [0] * nrays
+        for i in combo:
+            expo[i] += 1
+        multi = math.factorial(d)
+        for e in expo:
+            multi //= math.factorial(e)
+        poly[tuple(expo)] = multi * degree
+    return poly
 
 
 def hessian_of_quadratic(poly: dict, nrays: int):

@@ -19,20 +19,15 @@ from lorfan.fixtures import (
     triangle_times_line,
     two_disjoint_triangles,
 )
-from lorfan.linalg import vec
-from lorfan.lorentzian import (
-    af_report,
-    is_lorentzian,
-    volume_poly_2d,
-    volume_polynomial,
-)
+from lorfan.linalg import inertia, vec
+from lorfan.lorentzian import af_report, is_lorentzian, volume_polynomial
 from lorfan.matroids import bergman_fan, complete_graph_matroid, fano_matroid, uniform_matroid
 from lorfan.ops import polytope_bridge, product_tropical, tropical_modification
 from lorfan.weights import (
     check_balancing,
-    divisor,
     mixed_degree,
     pullback_divisor,
+    quadratic_form,
     transport_weight,
 )
 
@@ -66,10 +61,11 @@ def convex_pair(rng, fan, w1, w2):
 def test_criterion_1_triangle_volume_form():
     with criterion(1, "triangle fan volume form is the rank-one square"):
         start = time.monotonic()
-        form = volume_poly_2d(triangle_fan())
+        tf = triangle_fan()
+        matrix = quadratic_form(tf.fan, tf.weight)
         ones = Fraction(1)
-        assert form.matrix == tuple(tuple(ones for _ in range(3)) for _ in range(3))
-        assert form.inertia().astuple() == (1, 0, 2)
+        assert matrix == tuple(tuple(ones for _ in range(3)) for _ in range(3))
+        assert inertia(matrix).astuple() == (1, 0, 2)
         assert time.monotonic() - start < 1.0
 
 
@@ -132,8 +128,8 @@ def test_criterion_4_subdivision_identity():
                     expected[key] = expected.get(key, Fraction(0)) - factor * ci * cj
             expected = {k: c for k, c in expected.items() if c != 0}
             assert fine_poly == expected
-            p_coarse = volume_poly_2d(tf).inertia().p
-            p_fine = volume_poly_2d(fine).inertia().p
+            p_coarse = inertia(quadratic_form(tf.fan, tf.weight)).p
+            p_fine = inertia(quadratic_form(fine.fan, fine.weight)).p
             assert p_coarse == p_fine
 
 
@@ -143,8 +139,8 @@ def test_criterion_5_pinched_fan_detected():
         cert = is_lorentzian(tf)
         assert not cert.verdict
         assert () in cert.pinch_report.pinched_at
-        d1 = divisor([1, 1, 1, 0, 0, 0])
-        d2 = divisor([0, 0, 0, 1, 1, 1])
+        d1 = vec([1, 1, 1, 0, 0, 0])
+        d2 = vec([0, 0, 0, 1, 1, 1])
         report = af_report(tf, d1, d2)
         v2, middle, v1 = report.sequence
         assert v1 > 0 and v2 > 0 and middle == 0
@@ -171,7 +167,7 @@ def test_criterion_6_af_suite():
             w1 = find_strictly_convex(fan)
             assert w1 is not None, name
             w2 = tuple(2 * v for v in w1)
-            bump = divisor([Fraction(1, 4)] * len(fan.rays))
+            bump = vec([Fraction(1, 4)] * len(fan.rays))
             eps = Fraction(1)
             while not classify_convexity(
                 fan, tuple(a + eps * b for a, b in zip(w2, bump)), strict=True
@@ -194,7 +190,7 @@ def test_criterion_7_refinement_invariance():
         for build in (coordinate_skeleton_fan, triangle_times_line):
             base = build()
             divisors = [
-                divisor([Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in base.fan.rays])
+                vec([Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in base.fan.rays])
                 for _ in range(base.dimension)
             ]
             expected = mixed_degree(base.fan, base.weight, divisors)

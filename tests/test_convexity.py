@@ -26,7 +26,7 @@ from lorfan.fixtures import (
     two_disjoint_triangles,
 )
 from lorfan.linalg import vec
-from lorfan.weights import divisor, indicator_divisor
+from lorfan.weights import indicator_divisor
 
 from helpers import BERGMAN_FANS, STOCK_FANS, dot, linear_divisor, random_fans, triangle_double_cover
 
@@ -41,7 +41,7 @@ ALL_FIXTURES = (
 
 
 def test_triangle_all_ones_strictly_convex():
-    cert = classify_convexity(triangle_fan().fan, divisor([1, 1, 1]), strict=True)
+    cert = classify_convexity(triangle_fan().fan, vec([1, 1, 1]), strict=True)
     assert cert.verdict == VERDICT_STRICT
     # every stored witness re-verifies by substitution
     fan = triangle_fan().fan
@@ -62,7 +62,7 @@ def test_linear_restriction_is_convex_not_strict():
 
 def test_not_convex_example():
     fan = triangle_fan().fan
-    cert = classify_convexity(fan, divisor([-1, 0, 0]), strict=False)
+    cert = classify_convexity(fan, vec([-1, 0, 0]), strict=False)
     assert cert.verdict == VERDICT_NONE
     assert (1,) in cert.failing
 
@@ -71,7 +71,7 @@ def test_adding_linear_function_never_changes_verdict():
     rng = random.Random(53)
     fan = coordinate_skeleton_fan().fan
     for _ in range(5):
-        z = divisor([Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in fan.rays])
+        z = vec([Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in fan.rays])
         shift = linear_divisor(fan, vec([rng.randint(-3, 3) for _ in range(3)]))
         shifted = tuple(a + b for a, b in zip(z, shift))
         for strict in (False, True):

@@ -48,6 +48,8 @@ MATROIDS = {"mk4": "M(K4)", "fano": "Fano", "u35": "U(3,5)"}
 FANS = tuple(STOCK) + tuple(MATROIDS)
 # matroids whose `lorfan bergman` report is pinned, from their bases
 BERGMAN = dict(MATROIDS, u46="U(4,6)", mk5="M(K5)")
+# Bergman fans whose only case is `lorfan volpoly`: a three-dimensional fan
+VOLPOLY = {"u46": "U(4,6)"}
 
 DIM = {
     "triangle": 2, "line": 1, "skeleton": 2, "triangle_x_line": 3, "spindle": 2,
@@ -104,6 +106,8 @@ def _cases():
         cases.append((f"product-{a}-{b}", ["product", "--fan", f"@{a}", "--fan2", f"@{b}"]))
     for f in BERGMAN:
         cases.append((f"bergman-{f}", ["bergman", "--matroid", f"@{f}-matroid"]))
+    for f in VOLPOLY:
+        cases.append((f"volpoly-{f}", ["volpoly", "--fan", f"@{f}"]))
     for f, (base, _) in RESCALED.items():
         fan = f"@{f}"
         cases += [
@@ -306,6 +310,8 @@ def write_inputs() -> None:
     for f, name in BERGMAN.items():
         m = _matroid(name)
         _write(INPUTS / f"{f}-matroid.json", {"n": m.n, "bases": sorted(sorted(b) for b in m.bases)})
+    for f, name in VOLPOLY.items():
+        _write(INPUTS / f"{f}.json", lio.tropical_to_json(matroids.bergman_fan(_matroid(name))))
     write_rescaled_inputs()
 
 

@@ -212,11 +212,16 @@ def test_cli_mixedvol_refuses_double_cover(tmp_path, capsys):
     assert "overlap" in err
 
 
-def test_cli_degree_refuses_double_cover(tmp_path, capsys):
-    # without the validate gate this non-fan got degree 18, twice the triangle's
+def double_cover_file(tmp_path):
+    """The triangle double cover with unit weights, written as a fan file."""
     fan = triangle_double_cover()
     weights = {c: ONE for c in fan.maximal_cones}
-    fan_file = write(tmp_path, "fan.json", io.tropical_to_json(TropicalFan(fan, MinkowskiWeight(2, weights))))
+    return write(tmp_path, "fan.json", io.tropical_to_json(TropicalFan(fan, MinkowskiWeight(2, weights))))
+
+
+def test_cli_degree_refuses_double_cover(tmp_path, capsys):
+    # without the validate gate this non-fan got degree 18, twice the triangle's
+    fan_file = double_cover_file(tmp_path)
     ones = {"values": ["1"] * 6}
     div_file = write(tmp_path, "divs.json", {"divisors": [ones, ones]})
     code, out, err = run(capsys, "degree", "--fan", fan_file, "--divisors", div_file)
@@ -227,13 +232,18 @@ def test_cli_degree_refuses_double_cover(tmp_path, capsys):
 
 def test_cli_lorentzian_refuses_double_cover(tmp_path, capsys):
     # without the validate gate this non-fan was reported quasiprojective
-    fan = triangle_double_cover()
-    weights = {c: ONE for c in fan.maximal_cones}
-    fan_file = write(tmp_path, "fan.json", io.tropical_to_json(TropicalFan(fan, MinkowskiWeight(2, weights))))
-    code, out, err = run(capsys, "lorentzian", "--fan", fan_file)
+    code, out, err = run(capsys, "lorentzian", "--fan", double_cover_file(tmp_path))
     assert code == 3
     assert out == ""
     assert "overlap" in err
+
+
+def test_cli_volpoly_refuses_double_cover(tmp_path, capsys):
+    # without the validate gate this non-fan got inertia (3, 1, 2)
+    code, out, err = run(capsys, "volpoly", "--fan", double_cover_file(tmp_path))
+    assert code == 3
+    assert out == ""
+    assert "volume polynomials need a fan" in err and "overlap" in err
 
 
 def test_cli_star_refuses_dependent_marks_at_apex(tmp_path, capsys):

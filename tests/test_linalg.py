@@ -8,8 +8,7 @@ from lorfan.errors import DimensionError
 from lorfan import fixtures, linalg, matroids
 from lorfan.fan import star
 from lorfan.linalg import det, inertia, mat, vec
-from lorfan.lorentzian import volume_poly_2d
-from lorfan.weights import star_weight
+from lorfan.weights import quadratic_form, star_weight
 
 from helpers import (
     SCALES,
@@ -175,7 +174,8 @@ def _star_forms(fans):
     for tf in fans:
         d = tf.dimension
         for tau in tf.fan.cones(d - 2) if d >= 2 else ():
-            forms.append(volume_poly_2d(star_weight(tf, tau, star(tf.fan, tau))).matrix)
+            stf = star_weight(tf, tau, star(tf.fan, tau))
+            forms.append(quadratic_form(stf.fan, stf.weight))
     return forms
 
 

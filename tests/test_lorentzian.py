@@ -5,7 +5,7 @@ import pytest
 
 from lorfan import fan as fan_module
 from lorfan.convexity import ROUTE_CANDIDATE, ROUTE_JOINT_LP, find_strictly_convex
-from lorfan.errors import ConvexityError, PreconditionError
+from lorfan.errors import BalancingError, ConvexityError, PreconditionError
 from lorfan.fan import candidate_divisor, stellar_subdivide
 from lorfan.fixtures import (
     coordinate_skeleton_fan,
@@ -16,14 +16,19 @@ from lorfan.fixtures import (
     triangle_times_line,
     two_disjoint_triangles,
 )
-from lorfan.linalg import vec
+from lorfan.linalg import inertia, vec
 from lorfan.matroids import bergman_fan, complete_graph_matroid, uniform_matroid
+from lorfan.ops import product_tropical
 
 from helpers import (
+    SCALES,
+    TROPICAL_FANS,
     hessian_of_quadratic,
     indicator_pairing_form,
+    indicator_volume_polynomial,
     linear_divisor,
     poly_eval,
+    rescaled_tropical,
     triangle_double_cover,
 )
 from lorfan.lorentzian import (
@@ -32,42 +37,44 @@ from lorfan.lorentzian import (
     is_log_concave,
     is_lorentzian,
     is_unimodal,
-    volume_poly_2d,
     volume_polynomial,
 )
 from lorfan.weights import (
     MinkowskiWeight,
     TropicalFan,
     check_balancing,
-    divisor,
     mixed_degree,
+    quadratic_form,
     transport_weight,
 )
 
 
+def volume_form(tf):
+    return quadratic_form(tf.fan, tf.weight)
+
+
 def test_triangle_volume_form_is_rank_one():
-    form = volume_poly_2d(triangle_fan())
-    assert form.matrix == tuple(tuple(Fraction(1) for _ in range(3)) for _ in range(3))
-    assert form.inertia().astuple() == (1, 0, 2)
+    matrix = volume_form(triangle_fan())
+    assert matrix == tuple(tuple(Fraction(1) for _ in range(3)) for _ in range(3))
+    assert inertia(matrix).astuple() == (1, 0, 2)
 
 
 def test_spindle_volume_form_signature():
-    form = volume_poly_2d(spindle_fan())
-    assert form.inertia().astuple() == (1, 1, 2)
+    assert inertia(volume_form(spindle_fan())).astuple() == (1, 1, 2)
 
 
 def test_skeleton_volume_form_signature():
-    form = volume_poly_2d(coordinate_skeleton_fan())
-    assert form.inertia().astuple() == (1, 2, 3)
+    matrix = volume_form(coordinate_skeleton_fan())
+    assert inertia(matrix).astuple() == (1, 2, 3)
     # diagonal vanishes: opposite cones cancel around every axis
-    assert all(form.matrix[i][i] == 0 for i in range(6))
+    assert all(matrix[i][i] == 0 for i in range(6))
 
 
 def test_volume_polynomial_matches_2d_form():
     for tf in (triangle_fan(), coordinate_skeleton_fan(), spindle_fan()):
         poly = volume_polynomial(tf)
         H = hessian_of_quadratic(poly, len(tf.fan.rays))
-        assert H == volume_poly_2d(tf).matrix
+        assert H == volume_form(tf)
 
 
 def test_volume_polynomial_product_factorization():
@@ -118,6 +125,47 @@ def test_volume_polynomial_dimension_cap():
     f = product_fan(big.fan, triangle_times_line().fan)
     with pytest.raises(PreconditionError):
         volume_polynomial(TropicalFan(f, constant_weight(f)))
+
+
+# the stock fixtures, Bergman fans up to dimension three, the rescaled fans,
+# and the two four-dimensional products, whose prefixes have two indices
+VOLUME_FANS = dict(TROPICAL_FANS)
+VOLUME_FANS.update({
+    "U(3,6)": lambda: bergman_fan(uniform_matroid(3, 6)),
+    "U(4,6)": lambda: bergman_fan(uniform_matroid(4, 6)),
+    "triangle x triangle": lambda: product_tropical(triangle_fan(), triangle_fan()),
+    "triangle_x_line x line": lambda: product_tropical(triangle_times_line(), line_fan()),
+})
+VOLUME_FANS.update({
+    f"{name}-{kind}": (lambda name=name, kind=kind: rescaled_tropical(name, kind))
+    for name in TROPICAL_FANS for kind in SCALES
+})
+
+
+@pytest.mark.parametrize("name", VOLUME_FANS)
+def test_volume_polynomial_matches_indicator_oracle(name):
+    tf = VOLUME_FANS[name]()
+    assert volume_polynomial(tf) == indicator_volume_polynomial(tf)
+
+
+@pytest.mark.parametrize("name", ["line", "triangle", "triangle_x_line"])
+def test_volume_polynomial_refuses_unbalanced_weight_like_oracle(name):
+    # one maximal cone's weight doubled; in dimension two the quadratic form
+    # names the ray where the indicator action names the cone
+    tf = TROPICAL_FANS[name]()
+    values = dict(tf.weight.values)
+    values[tf.fan.maximal_cones[0]] *= 2
+    broken = TropicalFan(tf.fan, MinkowskiWeight(tf.dimension, values))
+    tau = check_balancing(broken.fan, broken.weight)[0]
+    with pytest.raises(BalancingError) as new:
+        volume_polynomial(broken)
+    with pytest.raises(BalancingError) as old:
+        indicator_volume_polynomial(broken)
+    assert str(old.value) == f"weight is unbalanced at cone {tau}"
+    if tf.dimension == 2:
+        assert str(new.value) == f"weight is unbalanced at ray {tau[0]}"
+    else:
+        assert str(new.value) == str(old.value)
 
 
 def test_is_lorentzian_skeleton():
@@ -183,7 +231,7 @@ def test_lorentzian_invariant_under_rescaling():
 
 def test_af_equal_arguments_triangle():
     tf = triangle_fan()
-    ones = divisor([1, 1, 1])
+    ones = vec([1, 1, 1])
     report = af_report(tf, ones, ones)
     assert report.af_gap == 0
     assert report.sequence == (9, 9, 9)
@@ -192,8 +240,8 @@ def test_af_equal_arguments_triangle():
 
 def test_af_disjoint_supports_not_unimodal():
     tf = two_disjoint_triangles()
-    d1 = divisor([1, 1, 1, 0, 0, 0])
-    d2 = divisor([0, 0, 0, 1, 1, 1])
+    d1 = vec([1, 1, 1, 0, 0, 0])
+    d2 = vec([0, 0, 0, 1, 1, 1])
     report = af_report(tf, d1, d2)
     assert report.sequence[0] > 0 and report.sequence[2] > 0
     assert report.sequence[1] == 0
@@ -203,7 +251,7 @@ def test_af_disjoint_supports_not_unimodal():
 def test_af_rejects_nonconvex():
     tf = triangle_fan()
     with pytest.raises(ConvexityError):
-        af_report(tf, divisor([-1, 0, 0]), divisor([1, 1, 1]))
+        af_report(tf, vec([-1, 0, 0]), vec([1, 1, 1]))
 
 
 def _af_inputs():
@@ -337,7 +385,7 @@ def test_definition_sample_check_requires_strictly_convex_witness():
     tf = triangle_fan()
     for z in ([0, 0, 0], [-1, 0, 0], [1, 1]):
         with pytest.raises(PreconditionError):
-            definition_sample_check(tf, divisor(z), samples=1, seed=3)
+            definition_sample_check(tf, vec(z), samples=1, seed=3)
 
 
 def test_twisted_prism_is_not_quasiprojective():
@@ -418,7 +466,7 @@ def test_bilinear_degree_form_equals_volume_form():
     from lorfan.weights import divisor_action, push_divisor_to_star, quadratic_form, star_weight
 
     for tf in (triangle_fan(), coordinate_skeleton_fan(), spindle_fan()):
-        assert indicator_pairing_form(tf.fan, tf.weight) == volume_poly_2d(tf).matrix
+        assert indicator_pairing_form(tf.fan, tf.weight) == volume_form(tf)
     # on every star of dimension at least two, the one-pass form of the
     # weight cut down by strictly convex auxiliary divisors matches too
     rng = random.Random(29)

@@ -157,14 +157,14 @@ def test_integer_rows_match_fraction_tableau(monkeypatch):
     # after every pivot each row is in lowest terms over a positive
     # denominator
     pivots = []
-    pivot = lp._pivot
+    pivot = lp.pivot
 
-    def recording(T, den, basis, row, col):
+    def recording(T, den, row, col):
         pivots.append((T[row][col], den[row]))
-        pivot(T, den, basis, row, col)
+        pivot(T, den, row, col)
         assert all(d > 0 and math.gcd(d, *r) == 1 for r, d in zip(T, den))
 
-    monkeypatch.setattr(lp, "_pivot", recording)
+    monkeypatch.setattr(lp, "pivot", recording)
     rng = random.Random(41)
     outcomes = set()
     for _ in range(300):

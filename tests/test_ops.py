@@ -22,7 +22,8 @@ from lorfan.ops import (
     act_divisor_fan,
     tropical_modification,
 )
-from lorfan.weights import check_balancing, divisor, mixed_degree
+from lorfan.linalg import vec
+from lorfan.weights import check_balancing, mixed_degree
 
 from helpers import polygon_area, polytope_vertices, shoelace_of_vertex_list, smooth_complete_2fan, triangle_double_cover
 
@@ -56,7 +57,7 @@ def test_product_lorentzian():
 
 def test_act_divisor_on_triangle():
     tf = triangle_fan()
-    out = act_divisor_fan(tf, divisor([1, 1, 1]))
+    out = act_divisor_fan(tf, vec([1, 1, 1]))
     assert out.fan.dimension == 1
     # iterating the action must reproduce deg(D^2) = 9 = 3+3+3
     assert sorted(out.weight.values.values()) == [3, 3, 3]
@@ -74,7 +75,7 @@ def test_act_divisor_positivity_on_bergman():
 def test_act_divisor_rejects_nonstrict():
     tf = triangle_fan()
     with pytest.raises(ConvexityError):
-        act_divisor_fan(tf, divisor([0, 0, 0]))
+        act_divisor_fan(tf, vec([0, 0, 0]))
 
 
 def test_act_preserves_lorentzian():
@@ -86,7 +87,7 @@ def test_act_preserves_lorentzian():
 
 def test_modification_of_line_is_tropical_line():
     tf = line_fan()
-    out = tropical_modification(tf, divisor([1, 1]))
+    out = tropical_modification(tf, vec([1, 1]))
     assert out.fan.ambient_dim == 2
     assert set(out.fan.rays) == {
         (Fraction(1), Fraction(1)),
@@ -99,7 +100,7 @@ def test_modification_of_line_is_tropical_line():
 
 def test_modification_of_triangle():
     tf = triangle_fan()
-    out = tropical_modification(tf, divisor([1, 1, 1]))
+    out = tropical_modification(tf, vec([1, 1, 1]))
     assert out.fan.ambient_dim == 3
     assert out.fan.dimension == 2
     down_cones = [c for c in out.fan.maximal_cones if 3 in c]

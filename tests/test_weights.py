@@ -20,7 +20,6 @@ from lorfan.matroids import bergman_fan, complete_graph_matroid, fano_matroid, u
 from lorfan.weights import (
     MinkowskiWeight,
     check_balancing,
-    divisor,
     divisor_action,
     indicator_divisor,
     mixed_degree,
@@ -43,7 +42,7 @@ from helpers import (
 
 
 def rand_divisor(rng, fan):
-    return divisor([Fraction(rng.randint(-8, 8), rng.randint(1, 4)) for _ in fan.rays])
+    return vec([Fraction(rng.randint(-8, 8), rng.randint(1, 4)) for _ in fan.rays])
 
 
 def test_triangle_unit_weight_is_balanced():
@@ -105,7 +104,7 @@ def test_check_balancing_missing_value():
 
 def test_divisor_action_line_fan():
     tf = line_fan()
-    out = divisor_action(tf.fan, tf.weight, divisor([1, 1]))
+    out = divisor_action(tf.fan, tf.weight, vec([1, 1]))
     assert out.degree == 0
     assert out[()] == 2
 
@@ -130,7 +129,7 @@ def test_divisor_action_rejects_unbalanced():
     tf = triangle_fan()
     broken = weight(2, {(0, 1): 2, (0, 2): 1, (1, 2): 1})
     with pytest.raises(BalancingError):
-        divisor_action(tf.fan, broken, divisor([1, 1, 1]))
+        divisor_action(tf.fan, broken, vec([1, 1, 1]))
 
 
 def test_divisor_action_output_balanced_random():
@@ -154,21 +153,21 @@ def test_mixed_degree_pair_of_indicators():
 
 def test_mixed_degree_all_ones_squared():
     tf = triangle_fan()
-    ones = divisor([1, 1, 1])
+    ones = vec([1, 1, 1])
     assert mixed_degree(tf.fan, tf.weight, [ones, ones]) == 9
 
 
 def test_mixed_degree_with_linear_factor_vanishes():
     tf = coordinate_skeleton_fan()
     z = linear_divisor(tf.fan, vec([2, -1, 7]))
-    other = divisor([1, 2, 3, 4, 5, 6])
+    other = vec([1, 2, 3, 4, 5, 6])
     assert mixed_degree(tf.fan, tf.weight, [z, other]) == 0
 
 
 def test_mixed_degree_arity():
     tf = triangle_fan()
     with pytest.raises(PreconditionError):
-        mixed_degree(tf.fan, tf.weight, [divisor([1, 1, 1])])
+        mixed_degree(tf.fan, tf.weight, [vec([1, 1, 1])])
 
 
 def test_mixed_degree_symmetric_multilinear():
@@ -228,7 +227,7 @@ def test_mixed_degrees_match_separate_calls(name):
 
 def test_mixed_degrees_raise_like_separate_calls():
     tf = triangle_fan()
-    ones, short = divisor([1, 1, 1]), divisor([1, 1])
+    ones, short = vec([1, 1, 1]), vec([1, 1])
     broken = weight(2, {(0, 1): 2, (0, 2): 1, (1, 2): 1})
     with pytest.raises(BalancingError) as separate:
         mixed_degree(tf.fan, broken, [ones, ones])
