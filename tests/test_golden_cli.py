@@ -66,6 +66,9 @@ RESCALED = {
     "skeleton_q": ("skeleton", ("1/2", "3/2", "2/3", "1", "2", "3/2")),
     "triangle_x_line_q": ("triangle_x_line", ("2/3", "1", "1/2", "3/2", "2")),
 }
+# fans read off a stored `lorfan stellar` report, whose subdivision defeats
+# the candidate divisor: `validate` decides them by the pairs route
+SUBDIVIDED = {"u35_stellar": "stellar-u35"}
 
 
 def _cases():
@@ -125,6 +128,8 @@ def _cases():
             argv += ["--aux", f"@{f}-aux"]
         cases.append((f"af-{f}", argv))
     cases.append(("star-triangle_x_line_q-cone01", ["star", "--fan", "@triangle_x_line_q", "--cone", "0,1"]))
+    for f in SUBDIVIDED:
+        cases.append((f"validate-{f}", ["validate", "--fan", f"@{f}"]))
     return cases
 
 
@@ -313,6 +318,14 @@ def write_inputs() -> None:
     for f, name in VOLPOLY.items():
         _write(INPUTS / f"{f}.json", lio.tropical_to_json(matroids.bergman_fan(_matroid(name))))
     write_rescaled_inputs()
+    write_subdivided_inputs()
+
+
+def write_subdivided_inputs() -> None:
+    """Each SUBDIVIDED fan: the refined fan and weights of its stellar report."""
+    for f, report in SUBDIVIDED.items():
+        data = json.loads((GOLDEN / f"{report}.json").read_text())
+        _write(INPUTS / f"{f}.json", {k: data[k] for k in ("ambient_dim", "maximal_cones", "rays", "weights")})
 
 
 def write_rescaled_inputs() -> None:
