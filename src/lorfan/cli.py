@@ -18,7 +18,7 @@ from .convexity import classify_convexity
 from .errors import InputError, InternalError, LorfanError, PreconditionError
 from .fan import star, stellar_subdivide, validate
 from .linalg import inertia
-from .lorentzian import af_report, definition_sample_check, is_lorentzian, volume_polynomial
+from .lorentzian import _forms_polynomial, af_report, definition_sample_check, is_lorentzian, volume_polynomial
 from .matroids import bergman_fan
 from .ops import polytope_bridge, product_tropical, act_divisor_fan, tropical_modification
 from .weights import TropicalFan, check_balancing, mixed_degree, quadratic_form, star_weight, transport_weight
@@ -194,9 +194,11 @@ def cmd_volpoly(args):
             "matrix": [[io.rat_to_str(x) for x in row] for row in matrix],
             "inertia": list(inertia(matrix).astuple()),
         }
+        polynomial = _forms_polynomial([((), matrix)])
     else:
         payload = {"matrix": None, "inertia": None}
-    payload["polynomial"] = io.polynomial_to_json(volume_polynomial(tf))
+        polynomial = volume_polynomial(tf)
+    payload["polynomial"] = io.polynomial_to_json(polynomial)
     _emit(args, payload)
     return EXIT_OK
 

@@ -144,8 +144,8 @@ class Neighborhood:
     terms together.  `images` makes the star's Fraction marks on each
     access; `rows(z)` makes int max-slack rows.  The record of
     `MarkedFan.neighborhood` runs over the neighborhood rays; `validate`
-    builds others, over every ray off a maximal cone and over the rays two
-    cones do not share.
+    builds others, over the rays each round of a maximal cone's row
+    generation adds and over the rays two cones do not share.
     """
 
     cone: Cone
@@ -393,21 +393,49 @@ def _regular(fan: MarkedFan, z) -> bool:
     sum b_j u_j in both, the two functionals give sum a z <= sum b z <=
     sum a z, with equality only when a and b vanish off the shared rays (De
     Loera, Rambau and Santos, Triangulations, 2010, chapters 2 and 5).
-    The rows are those of a neighborhood record built over every other ray.
+
+    Each cone's program is solved by row generation (Kelley's cutting-plane
+    method, J. SIAM 8, 1960): its rows, those of a neighborhood record,
+    start with the rays of the maximal cones that share a facet with it.
+    When the program has a point, its functional is tested against every
+    ray the rows leave out, by int dot products with the marks, and the rays
+    it does not keep below z join the rows for the next solve.  A functional
+    that passes every ray answers the full program; a Farkas certificate on
+    some rows is one on all of them, with zero multipliers on the rest.
     """
+    # each ray's mark numerators, z_r's numerator times the mark's
+    # denominator, and z_r's denominator
+    bounds = [(nums, v.numerator * d, v.denominator) for (nums, d), v in zip(fan.int_marks, z)]
     for sigma in fan.maximal_cones:
-        others = tuple(r for r in range(len(fan.rays)) if r not in sigma)
-        rows = _neighborhood(fan, sigma, others).rows(z)
-        if not strict_feasible(rows, fan.quotient(sigma).codim).feasible:
-            return False
+        q = fan.quotient(sigma)
+        on_cone = [z[i] for i in sigma]
+        facet_rays = {r for k in range(len(sigma)) for c in fan.incident[sigma[:k] + sigma[k + 1:]] for r in c}
+        rays = tuple(sorted(facet_rays - set(sigma)))
+        in_rows = set(sigma)
+        rows = []
+        while True:
+            in_rows.update(rays)
+            rows += _neighborhood(fan, sigma, rays).rows(z)
+            result = strict_feasible(rows, q.codim)
+            if not result.feasible:
+                return False
+            phi, den = q.functional(on_cone, result.point)
+            # the rays off the rows where phi . u_r < z_r fails
+            rays = tuple(
+                r for r, (nums, zd, z_den) in enumerate(bounds)
+                if r not in in_rows and sum(map(mul, phi, nums)) * z_den >= zd * den
+            )
+            if not rays:
+                break
     return True
 
 
 def validate(fan: MarkedFan) -> ValidationReport:
     """Structural report: simpliciality, purity, ray usage, and the fan
-    condition, decided by one LP per maximal cone with the candidate divisor
-    as height function, or, when that fails, by one separating-functional LP
-    per pair of maximal cones."""
+    condition, decided with the candidate divisor as height function (one
+    LP per maximal cone, on the rays of its facet neighbours and then on
+    those its functional violates, re-solved until none is), or, when that
+    fails, by one separating-functional LP per pair of maximal cones."""
     failures = []
 
     # the elimination that decides simpliciality keeps the cone's quotient record

@@ -65,26 +65,37 @@ def volume_polynomial(tf: TropicalFan) -> Polynomial:
         failing = check_balancing(fan, w)
         if failing:
             raise BalancingError(f"weight is unbalanced at cone {failing[0]}")
-        degrees = [(sigma, w[sigma]) for sigma in fan.cones(1)]
-    else:
-        indicators = [indicator_divisor(fan, i) for i in range(nrays)]
-        prefixes = list(itertools.combinations_with_replacement(range(nrays), d - 2))
-        degrees = []
-        for prefix, acted in zip(prefixes, acted_weights(fan, w, indicators, prefixes)):
-            form = quadratic_form(fan, acted)
-            first = prefix[-1] if prefix else 0
-            degrees += [((*prefix, j, k), form[j][k]) for j in range(first, nrays) for k in range(j, nrays)]
+        return {tuple(int(i == r) for i in range(nrays)): w[(r,)] for (r,) in fan.cones(1) if w[(r,)]}
+    indicators = [indicator_divisor(fan, i) for i in range(nrays)]
+    prefixes = list(itertools.combinations_with_replacement(range(nrays), d - 2))
+    acted = acted_weights(fan, w, indicators, prefixes)
+    return _forms_polynomial((prefix, quadratic_form(fan, v)) for prefix, v in zip(prefixes, acted))
+
+
+def _forms_polynomial(forms) -> Polynomial:
+    """The polynomial that quadratic forms give, from (prefix, form) pairs.
+
+    `form` is the quadratic form of the degree-two weight that the
+    indicators of the sorted multiset `prefix` leave.  Its entry (j, k), for
+    j <= k and j no smaller than the prefix's last index, is the mixed
+    degree of prefix + (j, k); each nonzero one, times its multinomial, is
+    the coefficient of that monomial.
+    """
     poly = {}
-    for combo, degree in degrees:
-        if degree == 0:
-            continue
-        expo = [0] * nrays
-        for i in combo:
-            expo[i] += 1
-        multi = math.factorial(d)
-        for e in expo:
-            multi //= math.factorial(e)
-        poly[tuple(expo)] = multi * degree
+    for prefix, form in forms:
+        nrays = len(form)
+        first = prefix[-1] if prefix else 0
+        for j in range(first, nrays):
+            for k in range(j, nrays):
+                if form[j][k] == 0:
+                    continue
+                expo = [0] * nrays
+                for i in (*prefix, j, k):
+                    expo[i] += 1
+                multi = math.factorial(len(prefix) + 2)
+                for e in expo:
+                    multi //= math.factorial(e)
+                poly[tuple(expo)] = multi * form[j][k]
     return poly
 
 

@@ -14,7 +14,7 @@ from typing import Optional
 
 from lorfan import fixtures, linalg, lp
 from lorfan.errors import DimensionError, InternalError, PreconditionError
-from lorfan.fan import MarkedFan, Neighborhood, Quotient, cone_key
+from lorfan.fan import MarkedFan, Neighborhood, Quotient, _neighborhood, cone_key
 from lorfan.linalg import ONE, ZERO, Inertia, fractions, is_symmetric, mat, over_lcd, vec
 from lorfan.lp import FeasibilityCertificate, StrictFeasibility
 from lorfan.matroids import bergman_fan, complete_graph_matroid, fano_matroid, uniform_matroid
@@ -553,6 +553,18 @@ def overlap_witness(fan: MarkedFan, c1, c2) -> bool:
             if linear_feasible(eqs, ineqs, dim) is not None:
                 return True
     return False
+
+
+def full_row_regular(fan: MarkedFan, z) -> bool:
+    """fan._regular with every program solved on all its rows at once: for
+    each maximal cone, one max-slack program over a neighborhood record
+    built on every ray off the cone."""
+    for sigma in fan.maximal_cones:
+        others = tuple(r for r in range(len(fan.rays)) if r not in sigma)
+        rows = _neighborhood(fan, sigma, others).rows(z)
+        if not lp.strict_feasible(rows, fan.quotient(sigma).codim).feasible:
+            return False
+    return True
 
 
 def pair_search_pinches(fan: MarkedFan):

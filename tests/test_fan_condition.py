@@ -1,20 +1,29 @@
 """The fan condition and the spanning rays against their definitions.
 
 validate decides the fan condition by the regular route (the candidate
-divisor as a height function, one LP per maximal cone) and falls back to one
+divisor as a height function: one LP per maximal cone, its rows generated
+from the rays of the cone's facet neighbours on) and falls back to one
 separating LP per pair of maximal cones; both are compared with an overlap
-oracle that solves for a common point of two cones directly.
+oracle that solves for a common point of two cones directly, and the
+regular route with the oracle that solves each cone's program on all its
+rows at once.
 """
 
+import functools
 import itertools
+import json
 import math
+from pathlib import Path
 
 import pytest
 
 from lorfan import fan as fan_module
 from lorfan import fixtures
 from lorfan.convexity import classify_convexity, spanning_rays
-from lorfan.fan import ROUTE_PAIRS, ROUTE_REGULAR, _meet_in_shared_face, _regular, candidate_divisor, validate
+from lorfan.fan import MarkedFan, ROUTE_PAIRS, ROUTE_REGULAR, _meet_in_shared_face, _regular, candidate_divisor, validate
+from lorfan.io import fan_from_json
+from lorfan.linalg import vec
+from lorfan.matroids import bergman_fan, complete_graph_matroid, uniform_matroid
 
 from helpers import (
     BERGMAN_FANS,
@@ -22,8 +31,10 @@ from helpers import (
     SCALES,
     STOCK_FANS,
     TROPICAL_FANS,
+    full_row_regular,
     greedy_spanning_rays,
     overlap_witness,
+    random_fan,
     random_fans,
     rescaled_random,
     rescaled_tropical,
@@ -119,27 +130,123 @@ def test_validate_double_cover():
     assert not report.valid
 
 
-def test_validate_lp_calls_per_route(monkeypatch):
+def _lp_sizes(monkeypatch):
+    """The row count of every program fan.py solves from now on, in order."""
     original = fan_module.strict_feasible
-    calls = []
+    sizes = []
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
+    def counting(rows, dim):
+        sizes.append(len(rows))
+        return original(rows, dim)
 
     monkeypatch.setattr(fan_module, "strict_feasible", counting)
-    # regular route: one LP per maximal cone
+    return sizes
+
+
+def test_validate_lp_calls_per_route(monkeypatch):
+    sizes = _lp_sizes(monkeypatch)
+    # regular route: one LP per maximal cone, on the rays of its facet
+    # neighbours alone
     fan = fixtures.coordinate_skeleton_fan().fan
     report = validate(fan)
     assert report.valid and report.fan_condition_route == ROUTE_REGULAR
-    assert len(calls) == len(fan.maximal_cones) == 12
-    # the first cone (0, 1) already fails the regular route, and then every
-    # pair of the six cones gets its LP
-    calls.clear()
+    assert len(sizes) == len(fan.maximal_cones) == 12
+    # the first cone (0, 1) starts from the 2 rays of its facet neighbours;
+    # its functional is not below z on 2 more, and with those 4 rows no
+    # functional is, so the regular route fails after 2 LPs; then every pair
+    # of the six cones gets its LP
+    sizes.clear()
     fan = triangle_double_cover()
     assert validate(fan).fan_condition_route == ROUTE_PAIRS
     assert fan.maximal_cones[0] == (0, 1)
-    assert len(calls) == 1 + math.comb(len(fan.maximal_cones), 2) == 16
+    assert sizes[:2] == [2, 4]
+    assert len(sizes) == 2 + math.comb(len(fan.maximal_cones), 2) == 17
+    # on the Bergman ladder one round per cone, of at most 6 rows: U(3,6)
+    # and M(K5) would take 570 and 8460 rows on every ray off each cone
+    for matroid, lps, rows in ((uniform_matroid(3, 6), 30, 150), (complete_graph_matroid(5), 180, 930)):
+        sizes.clear()
+        fan = bergman_fan(matroid).fan
+        assert validate(fan).fan_condition_route == ROUTE_REGULAR
+        assert len(sizes) == len(fan.maximal_cones) == lps
+        assert sum(sizes) == rows
+
+
+def two_sheets() -> MarkedFan:
+    """cone(e1, e2) and cone((1, 1, 1), e3) in R^3, which meet at the
+    origin alone.  The first cone's facets lie in no other cone, so its
+    program starts with no rows; the functional 3x + 3y it finds first is
+    not below z = 3 at (1, 1, 1), and the second program, with that ray's
+    row, finds 3x + 3y + w z for any w < -3."""
+    rays = tuple(vec(u) for u in ((1, 0, 0), (0, 1, 0), (1, 1, 1), (0, 0, 1)))
+    return MarkedFan(ambient_dim=3, rays=rays, maximal_cones=((0, 1), (2, 3)))
+
+
+def test_regular_route_adds_rows_and_then_succeeds(monkeypatch):
+    sizes = _lp_sizes(monkeypatch)
+    fan = two_sheets()
+    report = validate(fan)
+    assert report.valid and report.fan_condition_route == ROUTE_REGULAR
+    assert sizes == [0, 1, 0]
+
+
+GOLDEN = Path(__file__).parent / "golden"
+# the stellar subdivisions whose `lorfan stellar` reports are stored; each
+# defeats the candidate divisor
+SUBDIVIDED = ("u35", "mk4", "fano", "twisted_prism")
+
+
+def subdivided_fan(name: str) -> MarkedFan:
+    return fan_from_json(json.loads((GOLDEN / f"stellar-{name}.json").read_text()))[0]
+
+
+def _matches_full_row_oracle(build, monkeypatch) -> bool:
+    """_regular against full_row_regular, and validate's report, route
+    included, against the report validate gives with the oracle in its
+    place, each on a fresh fan; returns the verdict."""
+    z = candidate_divisor(build())
+    verdict = _regular(build(), z)
+    assert verdict == full_row_regular(build(), z)
+    report = validate(build())
+    with monkeypatch.context() as m:
+        m.setattr(fan_module, "_regular", full_row_regular)
+        assert validate(build()) == report
+    return verdict
+
+
+ORACLE_FANS = {
+    **FANS,
+    **LARGE_BERGMAN_FANS,
+    "two_sheets": two_sheets,
+    **{f"stellar-{name}": functools.partial(subdivided_fan, name) for name in SUBDIVIDED},
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_FANS))
+def test_regular_matches_full_row_oracle(name, monkeypatch):
+    verdict = _matches_full_row_oracle(ORACLE_FANS[name], monkeypatch)
+    assert verdict is not (name in NOT_REGULAR | {"double_cover"} or name.startswith("stellar-"))
+
+
+def test_regular_matches_full_row_oracle_on_random_fans(monkeypatch):
+    verdicts = [_matches_full_row_oracle(functools.partial(random_fan, seed), monkeypatch) for seed in range(40)]
+    assert set(verdicts) == {True, False}
+
+
+LADDER = {
+    "U(4,7)": lambda: bergman_fan(uniform_matroid(4, 7)).fan,
+    "U(5,7)": lambda: bergman_fan(uniform_matroid(5, 7)).fan,
+}
+
+
+@pytest.mark.parametrize("name", sorted(LADDER))
+def test_validate_on_the_ladder_past_mk5(name, monkeypatch):
+    """The rungs above M(K5) are valid by the regular route; the full-row
+    oracle is cheap enough on U(4,7) alone."""
+    build = LADDER[name]
+    report = validate(build())
+    assert report.valid and report.fan_condition_route == ROUTE_REGULAR
+    if name == "U(4,7)":
+        assert _matches_full_row_oracle(build, monkeypatch)
 
 
 def test_validate_reports_no_route_without_simpliciality():

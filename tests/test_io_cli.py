@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from lorfan import cli, io
+from lorfan import cli, io, lorentzian
 from lorfan.cli import main
 from lorfan.errors import InputError
 from lorfan.fixtures import (
@@ -15,8 +15,8 @@ from lorfan.fixtures import (
     two_disjoint_triangles,
 )
 from lorfan.linalg import ONE
-from lorfan.matroids import complete_graph_matroid
-from lorfan.weights import MinkowskiWeight, TropicalFan
+from lorfan.matroids import bergman_fan, complete_graph_matroid
+from lorfan.weights import MinkowskiWeight, TropicalFan, quadratic_form
 
 from helpers import triangle_double_cover
 
@@ -201,6 +201,24 @@ def test_cli_mixedvol_and_volpoly(tmp_path, capsys):
     payload = json.loads(out)
     assert payload["inertia"] == [1, 0, 2]
     assert payload["polynomial"]["1,1,0"] == "2"
+
+
+def test_cli_volpoly_builds_the_form_once(tmp_path, capsys, monkeypatch):
+    """On a two-dimensional fan the printed matrix and the polynomial come
+    from one quadratic form."""
+    calls = []
+
+    def counting(fan, w):
+        calls.append(w)
+        return quadratic_form(fan, w)
+
+    monkeypatch.setattr(cli, "quadratic_form", counting)
+    monkeypatch.setattr(lorentzian, "quadratic_form", counting)
+    fan_file = write(tmp_path, "fan.json", io.tropical_to_json(bergman_fan(complete_graph_matroid(4))))
+    code, out, _ = run(capsys, "volpoly", "--fan", fan_file)
+    assert code == 0
+    assert json.loads(out)["inertia"] == [1, 7, 5]
+    assert len(calls) == 1
 
 
 def test_cli_mixedvol_refuses_double_cover(tmp_path, capsys):
