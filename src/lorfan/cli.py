@@ -50,13 +50,6 @@ def _parse_point(text):
     return tuple(io.str_to_rat(p) for p in text.split(","))
 
 
-def _require_fan(fan, what):
-    """Refuse input that fails validate before computing what assumes a fan."""
-    report = validate(fan)
-    if not report.valid:
-        raise PreconditionError(f"{what} need a fan: {report.failures[0]}")
-
-
 def cmd_validate(args):
     fan, _ = _load_fan(args.fan)
     report = validate(fan)
@@ -79,7 +72,7 @@ def cmd_balance(args):
 def cmd_degree(args):
     tf = _load_tropical(args.fan)
     divisors = io.divisors_from_json(io.load_json_file(args.divisors))
-    _require_fan(tf.fan, "mixed degrees")
+    validate(tf.fan).require("mixed degrees need a fan")
     value = mixed_degree(tf.fan, tf.weight, divisors)
     _emit(args, {"degree": io.rat_to_str(value)})
     return EXIT_OK
@@ -96,12 +89,12 @@ def cmd_convexity(args):
 def cmd_lorentzian(args):
     if args.samples < 0:
         raise InputError("--samples must not be negative")
+    if args.samples and args.seed is None:
+        raise InputError("--samples requires an explicit --seed")
     tf = _load_tropical(args.fan)
     cert = is_lorentzian(tf)
     payload = io.lorentzian_to_json(cert)
     if args.samples:
-        if args.seed is None:
-            raise InputError("--samples requires an explicit --seed")
         payload["sampling"] = io.samples_to_json(
             definition_sample_check(tf, cert.witness, samples=args.samples, seed=args.seed)
         )
@@ -137,10 +130,9 @@ def cmd_star(args):
     fan, weight = _load_fan(args.fan)
     apex = io.key_to_cone(args.cone)
     sd = star(fan, apex)
-    payload = io.fan_to_json(sd.fan)
     if weight is not None:
-        stf = star_weight(TropicalFan(fan, weight), apex, sd)
-        payload = io.tropical_to_json(stf)
+        weight = star_weight(TropicalFan(fan, weight), apex, sd).weight
+    payload = io.fan_to_json(sd.fan, weight)
     payload["lift"] = list(sd.lift)
     payload["projection"] = [[io.rat_to_str(x) for x in row] for row in sd.projection]
     _emit(args, payload)
@@ -187,7 +179,7 @@ def cmd_mixedvol(args):
 
 def cmd_volpoly(args):
     tf = _load_tropical(args.fan)
-    _require_fan(tf.fan, "volume polynomials")
+    validate(tf.fan).require("volume polynomials need a fan")
     if tf.dimension == 2:
         matrix = quadratic_form(tf.fan, tf.weight)
         payload = {

@@ -15,7 +15,7 @@ from fractions import Fraction
 from operator import mul
 from typing import Optional
 
-from .errors import InternalError, PreconditionError
+from .errors import ConvexityError, InternalError, PreconditionError
 from .fan import Cone, MarkedFan, candidate_divisor
 from .linalg import Vec, ZERO, ONE, eliminate, fractions
 from .lp import StrictFeasibility, strict_feasible
@@ -52,6 +52,11 @@ class ConvexityCertificate:
     @property
     def strictly_convex(self) -> bool:
         return self.verdict == VERDICT_STRICT
+
+    def require(self, message: str) -> None:
+        """Refuse a divisor below the requested level, carrying this certificate."""
+        if not (self.strictly_convex if self.strict_requested else self.convex):
+            raise ConvexityError(message, certificate=self)
 
 
 def _witness_at_cone(fan: MarkedFan, z, tau: Cone, strict: bool) -> tuple[ConeWitness, Fraction]:

@@ -363,6 +363,11 @@ class ValidationReport:
     def valid(self) -> bool:
         return self.simplicial and self.pure and self.fan_condition and self.all_rays_used
 
+    def require(self, message: str) -> None:
+        """Refuse input that failed: raise with the message and the first failure."""
+        if not self.valid:
+            raise PreconditionError(f"{message}: {self.failures[0]}")
+
 
 def _meet_in_shared_face(fan: MarkedFan, c1: Cone, c2: Cone) -> bool:
     """True when cone(c1) and cone(c2) meet exactly in the cone on their shared rays.

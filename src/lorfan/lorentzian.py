@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .convexity import ROUTE_CANDIDATE, classify_convexity, strictly_convex_witness
-from .errors import BalancingError, ConvexityError, InternalError, PreconditionError
+from .errors import BalancingError, InternalError, PreconditionError
 from .fan import ROUTE_REGULAR, Cone, MarkedFan, PinchReport, candidate_divisor, is_unpinched, star, validate
 from .linalg import Inertia, Mat, ONE, inertia
 from .weights import (
@@ -141,8 +141,7 @@ def is_lorentzian(tf: TropicalFan) -> LorentzianCertificate:
     """
     fan = tf.fan
     report = validate(fan)
-    if not report.valid:
-        raise PreconditionError(f"the Lorentzian test needs a fan: {report.failures[0]}")
+    report.require("the Lorentzian test needs a fan")
     d = fan.dimension
     if report.fan_condition_route == ROUTE_REGULAR:
         witness, route = candidate_divisor(fan), ROUTE_CANDIDATE
@@ -230,9 +229,7 @@ def af_report(
     for z in (d1, d2, *aux):
         index.setdefault(tuple(z), len(index))
     for z in index:
-        cert = classify_convexity(fan, z, strict=False)
-        if not cert.convex:
-            raise ConvexityError("input divisor is not convex", certificate=cert)
+        classify_convexity(fan, z, strict=False).require("input divisor is not convex")
     i1, i2, *rest = (index[tuple(z)] for z in (d1, d2, *aux))
     sequences = [(i1, i2, *rest), (i1, i1, *rest), (i2, i2, *rest)]
     sequences += [(i1,) * k + (i2,) * (d - k) for k in range(d + 1)]
@@ -311,8 +308,7 @@ def definition_sample_check(
         raise PreconditionError("sampling needs at least one sample")
     if witness is None:
         raise PreconditionError("sampling requires a quasiprojective fan")
-    if not classify_convexity(fan, witness, strict=True).strictly_convex:
-        raise PreconditionError("sampling requires a strictly convex witness")
+    classify_convexity(fan, witness, strict=True).require("sampling requires a strictly convex witness")
     rng = random.Random(seed)
     records = []
     for tau in sorted(fan.all_cones()):

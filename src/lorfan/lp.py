@@ -181,11 +181,11 @@ def strict_feasible(rows: Sequence[LinearRow], dim: int) -> StrictFeasibility:
 
     # columns: x (free), tau, one slack per row, the cap's slack, right-hand
     # side; each row times q, so that its right-hand side b - t0 is over
-    # d * q, and then in lowest terms; the cap's next to last and the
-    # reduced costs last
+    # d * q, and then in lowest terms; the cap t <= 1 is the last row, and
+    # the reduced costs come after it
     width = dim + m + 3
     T, den = [], []
-    for i, (a, b, d) in enumerate(rows):
+    for i, (a, b, d) in enumerate([*rows, ((0,) * dim, 1, 1)]):
         rhs = b * q - p * d
         d *= q
         row = [v * q for v in a] + [d] + [0] * (m + 2)
@@ -197,13 +197,10 @@ def strict_feasible(rows: Sequence[LinearRow], dim: int) -> StrictFeasibility:
             d //= g
         T.append(row)
         den.append(d)
-    cap = [0] * width
-    cap[dim] = cap[dim + m + 1] = q
-    cap[-1] = q - p
     zrow = [0] * width
     zrow[dim] = -1
-    T += [cap, zrow]
-    den += [q, 1]
+    T.append(zrow)
+    den.append(1)
     basis = list(range(dim + 1, dim + m + 2))
 
     _run_phase(T, den, basis, dim)

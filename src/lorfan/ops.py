@@ -10,7 +10,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .convexity import classify_convexity
-from .errors import ConvexityError, PreconditionError
+from .errors import PreconditionError
 from .fan import MarkedFan, components, cone_key, product_fan, validate
 from .linalg import ZERO, ONE
 from .weights import (
@@ -42,9 +42,7 @@ def act_divisor_fan(tf: TropicalFan, z: Divisor) -> TropicalFan:
     d = fan.dimension
     if d < 1:
         raise PreconditionError("cannot act on a zero-dimensional fan")
-    cert = classify_convexity(fan, z, strict=True)
-    if not cert.strictly_convex:
-        raise ConvexityError("divisor action requires a strictly convex divisor", cert)
+    classify_convexity(fan, z, strict=True).require("divisor action requires a strictly convex divisor")
     acted = divisor_action(fan, tf.weight, z)
     skeleton_cones = tuple(sorted(fan.cones(d - 1)))
     used = sorted(set(itertools.chain.from_iterable(skeleton_cones)))
@@ -71,9 +69,7 @@ def tropical_modification(tf: TropicalFan, z: Divisor) -> TropicalFan:
     d = fan.dimension
     if d < 1:
         raise PreconditionError("cannot modify a zero-dimensional fan")
-    cert = classify_convexity(fan, z, strict=True)
-    if not cert.strictly_convex:
-        raise ConvexityError("tropical modification requires a strictly convex divisor", cert)
+    classify_convexity(fan, z, strict=True).require("tropical modification requires a strictly convex divisor")
     acted = divisor_action(fan, tf.weight, z)
 
     nrays = len(fan.rays)
@@ -144,9 +140,7 @@ def polytope_bridge(fan: MarkedFan, rhs_list: Sequence[Sequence[Fraction]]) -> M
     d = fan.dimension
     if len(rhs_list) != d:
         raise PreconditionError(f"need {d} polytopes, got {len(rhs_list)}")
-    report = validate(fan)
-    if not report.valid:
-        raise PreconditionError(f"mixed volumes need a fan: {report.failures[0]}")
+    validate(fan).require("mixed volumes need a fan")
     if not is_complete(fan):
         raise PreconditionError("mixed volumes need a complete fan")
     unit = constant_weight(fan)

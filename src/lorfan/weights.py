@@ -285,6 +285,8 @@ def transport_weight(
                 )
             columns.append(coords)
         ratio = abs(det(mat(tuple(zip(*columns)))))
+        if not ratio:
+            raise PreconditionError(f"fine cone {c} has linearly dependent marks")
         values[c] = coarse.weight[parent] / ratio
     return TropicalFan(fine, MinkowskiWeight(fine.dimension, values))
 

@@ -87,6 +87,18 @@ def test_cli_lorentzian_sampling_needs_seed(tmp_path, capsys):
     assert "seed" in err
 
 
+def test_cli_lorentzian_sampling_needs_seed_before_any_work(tmp_path, capsys, monkeypatch):
+    def refuse(tf):
+        raise AssertionError("is_lorentzian ran before the --seed check")
+
+    monkeypatch.setattr(cli, "is_lorentzian", refuse)
+    fan_file = write(tmp_path, "fan.json", io.tropical_to_json(triangle_fan()))
+    code, out, err = run(capsys, "lorentzian", "--fan", fan_file, "--samples", "1")
+    assert code == 2
+    assert out == ""
+    assert err == "input error: --samples requires an explicit --seed\n"
+
+
 def test_cli_lorentzian_refuses_negative_samples(tmp_path, capsys):
     fan_file = write(tmp_path, "fan.json", io.tropical_to_json(coordinate_skeleton_fan()))
     code, out, err = run(capsys, "lorentzian", "--fan", fan_file, "--samples", "-1", "--seed", "3")

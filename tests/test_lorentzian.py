@@ -209,8 +209,11 @@ def test_is_lorentzian_refuses_double_cover():
     # gate it was certified quasiprojective
     fan = triangle_double_cover()
     tf = TropicalFan(fan, MinkowskiWeight(2, {c: Fraction(1) for c in fan.maximal_cones}))
-    with pytest.raises(PreconditionError, match="overlap"):
+    with pytest.raises(PreconditionError, match="overlap") as excinfo:
         is_lorentzian(tf)
+    assert str(excinfo.value) == (
+        "the Lorentzian test needs a fan: cones (0, 1) and (2, 4) overlap beyond their shared face"
+    )
 
 
 def test_disjoint_triangles_not_lorentzian():
@@ -386,6 +389,23 @@ def test_definition_sample_check_requires_strictly_convex_witness():
     for z in ([0, 0, 0], [-1, 0, 0], [1, 1]):
         with pytest.raises(PreconditionError):
             definition_sample_check(tf, vec(z), samples=1, seed=3)
+
+
+def test_refusals_of_negated_candidate_carry_certificates():
+    # on a Bergman fan z is c_F, strictly convex, so -z is not even convex
+    tf = bergman_fan(complete_graph_matroid(4))
+    neg = tuple(-v for v in candidate_divisor(tf.fan))
+    with pytest.raises(ConvexityError) as excinfo:
+        af_report(tf, neg, neg)
+    assert str(excinfo.value) == "input divisor is not convex"
+    assert not excinfo.value.certificate.convex
+    # the sampling refusal is a ConvexityError too, with its certificate
+    with pytest.raises(ConvexityError) as excinfo:
+        definition_sample_check(tf, neg, samples=1, seed=3)
+    assert str(excinfo.value) == "sampling requires a strictly convex witness"
+    cert = excinfo.value.certificate
+    assert cert.divisor == neg and cert.strict_requested
+    assert not cert.strictly_convex and cert.failing
 
 
 def test_twisted_prism_is_not_quasiprojective():

@@ -5,6 +5,7 @@ import pytest
 
 from lorfan.convexity import find_strictly_convex
 from lorfan.errors import ConvexityError, PreconditionError
+from lorfan.fan import candidate_divisor
 from lorfan.fixtures import (
     coordinate_skeleton_fan,
     line_fan,
@@ -76,6 +77,21 @@ def test_act_divisor_rejects_nonstrict():
     tf = triangle_fan()
     with pytest.raises(ConvexityError):
         act_divisor_fan(tf, vec([0, 0, 0]))
+
+
+def test_strict_ops_refuse_negated_candidate():
+    # on a Bergman fan z is c_F, strictly convex, so -z is not
+    tf = bergman_fan(complete_graph_matroid(4))
+    neg = tuple(-v for v in candidate_divisor(tf.fan))
+    for op, message in (
+        (act_divisor_fan, "divisor action requires a strictly convex divisor"),
+        (tropical_modification, "tropical modification requires a strictly convex divisor"),
+    ):
+        with pytest.raises(ConvexityError) as excinfo:
+            op(tf, neg)
+        assert str(excinfo.value) == message
+        cert = excinfo.value.certificate
+        assert cert.divisor == neg and not cert.strictly_convex and cert.failing
 
 
 def test_act_preserves_lorentzian():
@@ -164,8 +180,11 @@ def test_polytope_bridge_refuses_double_cover():
     # right-hand sides one would read 18, twice the triangle's 9
     fan = triangle_double_cover()
     assert is_complete(fan)
-    with pytest.raises(PreconditionError, match="overlap"):
+    with pytest.raises(PreconditionError, match="overlap") as excinfo:
         polytope_bridge(fan, [[Fraction(1)] * 6] * 2)
+    assert str(excinfo.value) == (
+        "mixed volumes need a fan: cones (0, 1) and (2, 4) overlap beyond their shared face"
+    )
     assert polytope_bridge(triangle_fan().fan, [[Fraction(1)] * 3] * 2).degree == 9
 
 

@@ -340,6 +340,19 @@ def test_transport_doubled_mark():
     assert check_balancing(doubled, fine.weight) == ()
 
 
+def test_transport_refuses_dependent_fine_marks():
+    # the fine cone on (1, 0) and (2, 0) has determinant zero; it once
+    # raised a bare ZeroDivisionError
+    tf = triangle_fan()
+    fine = MarkedFan(
+        ambient_dim=2,
+        rays=tf.fan.rays + (vec([2, 0]),),
+        maximal_cones=tuple(sorted(tf.fan.maximal_cones + ((0, 3),))),
+    )
+    with pytest.raises(PreconditionError, match=r"fine cone \(0, 3\) has linearly dependent marks"):
+        transport_weight(tf, fine)
+
+
 def test_transport_nonunimodular_split_balances():
     tf = triangle_fan()
     res = stellar_subdivide(tf.fan, vec([2, 1]))
