@@ -17,8 +17,8 @@ from typing import Optional
 
 from .errors import ConvexityError, InternalError, PreconditionError
 from .fan import Cone, MarkedFan, candidate_divisor
-from .linalg import Vec, ZERO, ONE, eliminate, fractions
-from .lp import StrictFeasibility, strict_feasible
+from .linalg import Vec, ZERO, ONE, eliminate, fractions, over_lcd
+from .lp import strict_feasible
 
 VERDICT_NONE = "none"
 VERDICT_CONVEX = "convex"
@@ -122,61 +122,60 @@ def spanning_rays(fan: MarkedFan) -> tuple[int, ...]:
 
 def strictly_convex_witness(fan: MarkedFan) -> tuple[Optional[tuple], str]:
     """A strictly convex divisor or None, and the route that decided: the
-    candidate divisor when classify_convexity certifies it, else the joint
-    program."""
-    z = candidate_divisor(fan)
-    if classify_convexity(fan, z, strict=True).strictly_convex:
-        return z, ROUTE_CANDIDATE
-    return joint_lp_witness(fan), ROUTE_JOINT_LP
+    candidate divisor z when its per-cone programs, those of
+    classify_convexity(strict=True), all certify it, else Benders cuts.
+
+    A cone whose program is infeasible at z has Farkas multipliers lam on
+    its neighborhood rows, which cancel the rows' functional columns; so
+    sum lam_eta * (z_eta - the functional matching z on the cone, at u_eta)
+    is <= 0 at z and positive at every strictly convex divisor.  This cut is
+    linear in z and vanishes on linear functions, so a master program over
+    z, pinned at zero on `spanning_rays`, asks for a point meeting every cut
+    strictly, and that point is the next z.  An infeasible master means no
+    strictly convex divisor: its multipliers times each cut's lam are a
+    certificate on the rows of the joint program that couples z with one
+    functional block per cone.  The loop ends: a cut is fixed by its cone
+    and lam, a vertex of the cone's dual polytope, which does not depend on
+    z; and each round after the first adds a new cut, since its z, the
+    master's point, meets every earlier cut strictly and misses this one.
+    """
+    return _cut_loop(fan)[:2]
+
+
+def _cut_loop(fan: MarkedFan):
+    """strictly_convex_witness's loop: the divisor or None, the route, the
+    cuts as (tau, lam) and the last master result (None on the candidate
+    route).  A cut's master row is sum lam_eta times the joint program's
+    row at (tau, eta), on the z columns."""
+    pinned = set(spanning_rays(fan))
+    column = {i: k for k, i in enumerate(i for i in range(len(fan.rays)) if i not in pinned)}
+    hoods = [h for h in map(fan.neighborhood, fan.all_cones()) if h.rays]
+    z, route, master, cuts, rows = candidate_divisor(fan), ROUTE_CANDIDATE, None, [], []
+    while True:
+        made = len(cuts)
+        for hood in hoods:
+            res = strict_feasible(hood.rows(z), fan.quotient(hood.cone).codim)
+            if res.feasible:
+                continue
+            lam = res.certificate.multipliers
+            row = [ZERO] * len(column)
+            for eta, coords, d, weight in zip(hood.rays, hood.coord_rows, hood.dens, lam):
+                # the joint row's z part: phi(u_eta) - z_eta, over d
+                for r, x in ((eta, -d), *zip(hood.cone, coords)):
+                    if weight and x and r in column:
+                        row[column[r]] += weight * x / d
+            nums, den = over_lcd(row)
+            rows.append((nums, 0, 1))
+            cuts.append((hood.cone, tuple(weight * den for weight in lam)))
+        if len(cuts) == made:
+            return z, route, cuts, master
+        route, master = ROUTE_JOINT_LP, strict_feasible(rows, len(column))
+        if not master.feasible:
+            return None, route, cuts, master
+        values = iter(master.point)
+        z = tuple(ZERO if i in pinned else next(values) for i in range(len(fan.rays)))
 
 
 def find_strictly_convex(fan: MarkedFan) -> Optional[tuple]:
     """A strictly convex divisor, or None when the fan admits none."""
     return strictly_convex_witness(fan)[0]
-
-
-def joint_lp_witness(fan: MarkedFan) -> Optional[tuple]:
-    """The joint program's strictly convex divisor, or None."""
-    result = strict_convexity_program(fan)
-    if not result.feasible:
-        return None
-    pinned = set(spanning_rays(fan))
-    values = iter(result.point)
-    return tuple(ZERO if i in pinned else next(values) for i in range(len(fan.rays)))
-
-
-def strict_convexity_program(fan: MarkedFan) -> StrictFeasibility:
-    """The joint max-slack program behind find_strictly_convex.
-
-    The divisor is zero on a spanning set of rays, which factors out global
-    linear functions, so its columns are the values on the other rays in
-    index order; then comes one block of quotient-functional columns per cone
-    with a nonempty neighborhood.  Returns the full max-slack result, so
-    absence comes with the exact optimum and its dual certificate.
-    """
-    pinned = set(spanning_rays(fan))
-    unpinned = [i for i in range(len(fan.rays)) if i not in pinned]
-    column = {i: k for k, i in enumerate(unpinned)}
-    blocks = []
-    dim = len(column)
-    for tau in fan.all_cones():
-        hood = fan.neighborhood(tau)
-        if hood.rays:
-            blocks.append((hood, dim))
-            dim += fan.quotient(tau).codim
-
-    rows = []
-    for hood, base in blocks:
-        for eta, image, coords, d in zip(hood.rays, hood.image_rows, hood.coord_rows, hood.dens):
-            row = [0] * dim
-            # phi(u_eta) - z_eta < 0 with phi = sum z_r psi_r + w.annihilators,
-            # over the ray's denominator d
-            for ray_idx, c in zip(hood.cone, coords):
-                if ray_idx in column:
-                    row[column[ray_idx]] += c
-            row[base : base + len(image)] = image
-            if eta in column:
-                row[column[eta]] -= d
-            rows.append((row, 0, d))
-
-    return strict_feasible(rows, dim)

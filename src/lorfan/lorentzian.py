@@ -115,7 +115,7 @@ class LorentzianCertificate:
     verdict: bool
     quasiprojective: bool
     witness: Optional[Divisor]
-    witness_route: str  # convexity.ROUTE_CANDIDATE or ROUTE_JOINT_LP
+    witness_route: str  # convexity.ROUTE_CANDIDATE, or ROUTE_JOINT_LP: Benders cuts decided
     pinch_report: PinchReport
     star_records: tuple[StarInertiaRecord, ...]
     # inertia records depend on the marks, so the certificate pins them down
@@ -126,7 +126,8 @@ def is_lorentzian(tf: TropicalFan) -> LorentzianCertificate:
     """Certificate-producing Lorentzian test.
 
     Quasiprojectivity is witnessed by an exact strictly convex divisor, the
-    candidate divisor when it checks out and else the joint program's answer;
+    candidate divisor when it checks out and else what the Benders cuts of
+    strictly_convex_witness find, a witness or a proof that none exists;
     the star condition demands exactly one positive eigenvalue of the
     quadratic volume form of every codimension-two star.  Fans of dimension
     at most one are Lorentzian exactly when quasiprojective.  Input that

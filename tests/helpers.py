@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from lorfan import fixtures, linalg, lp
+from lorfan import convexity, fixtures, linalg, lp
 from lorfan.errors import DimensionError, InternalError, PreconditionError
 from lorfan.fan import MarkedFan, Neighborhood, Quotient, _neighborhood, cone_key
 from lorfan.linalg import ONE, ZERO, Inertia, fractions, is_symmetric, mat, over_lcd, vec
@@ -565,6 +565,61 @@ def full_row_regular(fan: MarkedFan, z) -> bool:
         if not lp.strict_feasible(rows, fan.quotient(sigma).codim).feasible:
             return False
     return True
+
+
+def joint_program_rows(fan: MarkedFan):
+    """The rows and dimension of the joint max-slack program that decides
+    whether the fan has a strictly convex divisor in one piece: the oracle
+    of the cut loop in `convexity.strictly_convex_witness`.
+
+    The divisor is zero on `convexity.spanning_rays`, which factors out
+    global linear functions, so its columns are the values on the other rays
+    in index order; then comes one block of quotient-functional columns per
+    cone with a nonempty neighborhood, in `all_cones` order, with one row
+    per neighborhood ray.
+    """
+    pinned = set(convexity.spanning_rays(fan))
+    unpinned = [i for i in range(len(fan.rays)) if i not in pinned]
+    column = {i: k for k, i in enumerate(unpinned)}
+    blocks = []
+    dim = len(column)
+    for tau in fan.all_cones():
+        hood = fan.neighborhood(tau)
+        if hood.rays:
+            blocks.append((hood, dim))
+            dim += fan.quotient(tau).codim
+
+    rows = []
+    for hood, base in blocks:
+        for eta, image, coords, d in zip(hood.rays, hood.image_rows, hood.coord_rows, hood.dens):
+            row = [0] * dim
+            # phi(u_eta) - z_eta < 0 with phi = sum z_r psi_r + w.annihilators,
+            # over the ray's denominator d
+            for ray_idx, c in zip(hood.cone, coords):
+                if ray_idx in column:
+                    row[column[ray_idx]] += c
+            row[base : base + len(image)] = image
+            if eta in column:
+                row[column[eta]] -= d
+            rows.append((row, 0, d))
+    return rows, dim
+
+
+def strict_convexity_program(fan: MarkedFan) -> StrictFeasibility:
+    """The joint program solved, through `convexity.strict_feasible` so that
+    a test's patch sees it: absence comes with the exact optimum and its
+    dual certificate."""
+    return convexity.strict_feasible(*joint_program_rows(fan))
+
+
+def joint_lp_witness(fan: MarkedFan) -> Optional[tuple]:
+    """The joint program's strictly convex divisor, or None."""
+    result = strict_convexity_program(fan)
+    if not result.feasible:
+        return None
+    pinned = set(convexity.spanning_rays(fan))
+    values = iter(result.point)
+    return tuple(ZERO if i in pinned else next(values) for i in range(len(fan.rays)))
 
 
 def pair_search_pinches(fan: MarkedFan):

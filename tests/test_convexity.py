@@ -9,26 +9,38 @@ from lorfan.convexity import (
     VERDICT_CONVEX,
     VERDICT_NONE,
     VERDICT_STRICT,
+    _cut_loop,
     classify_convexity,
     find_strictly_convex,
-    joint_lp_witness,
     spanning_rays,
-    strict_convexity_program,
     strictly_convex_witness,
 )
-from lorfan.fan import candidate_divisor, stellar_subdivide
+from lorfan.fan import candidate_divisor, product_fan, stellar_subdivide
 from lorfan.fixtures import (
     coordinate_skeleton_fan,
     line_fan,
     spindle_fan,
     triangle_fan,
     triangle_times_line,
+    twisted_prism_fan,
     two_disjoint_triangles,
 )
 from lorfan.linalg import vec
+from lorfan.lp import FeasibilityCertificate, verify_certificate
+from lorfan.matroids import bergman_fan, complete_graph_matroid, fano_matroid, uniform_matroid
 from lorfan.weights import indicator_divisor
 
-from helpers import BERGMAN_FANS, STOCK_FANS, dot, linear_divisor, random_fans, triangle_double_cover
+from helpers import (
+    BERGMAN_FANS,
+    STOCK_FANS,
+    dot,
+    joint_lp_witness,
+    joint_program_rows,
+    linear_divisor,
+    random_fans,
+    strict_convexity_program,
+    triangle_double_cover,
+)
 
 ALL_FIXTURES = (
     triangle_fan,
@@ -180,26 +192,65 @@ def test_stellar_subdivision_stays_quasiprojective():
 
 
 # ---------------------------------------------------------------------------
-# the candidate route against the joint program
+# the cut loop against the joint program
 
 ROUTE_FANS = {**STOCK_FANS, **BERGMAN_FANS, "double_cover": triangle_double_cover}
+SUBDIVIDED_MATROIDS = {
+    "U(3,5)": lambda: uniform_matroid(3, 5),
+    "M(K4)": lambda: complete_graph_matroid(4),
+    "Fano": fano_matroid,
+    "U(3,6)": lambda: uniform_matroid(3, 6),
+}
+
+
+def seeded_subdivision(matroid, seed):
+    """The matroid's Bergman fan, starred at sum(a_i * u_i) over a random
+    maximal cone, with each a_i a random quotient of 1..9 by 1..4."""
+    fan = bergman_fan(matroid).fan
+    rng = random.Random(seed)
+    sigma = rng.choice(fan.maximal_cones)
+    coeffs = [Fraction(rng.randint(1, 9), rng.randint(1, 4)) for _ in sigma]
+    v = [sum(a * fan.rays[i][j] for a, i in zip(coeffs, sigma)) for j in range(fan.ambient_dim)]
+    return stellar_subdivide(fan, vec(v)).fan
+
+
+def composed_certificate(fan, cuts, master):
+    """The master's Farkas multipliers times each cut's multipliers on its
+    cone's neighborhood rows, summed per row of the joint program and
+    normalised: a certificate on `joint_program_rows(fan)`."""
+    index = {}
+    for tau in fan.all_cones():
+        for eta in fan.neighborhood(tau).rays:
+            index[tau, eta] = len(index)
+    weights = [Fraction(0)] * len(index)
+    for mu, (tau, lam) in zip(master.certificate.multipliers, cuts):
+        for eta, weight in zip(fan.neighborhood(tau).rays, lam):
+            weights[index[tau, eta]] += mu * weight
+    total = sum(weights)
+    return FeasibilityCertificate(tuple(w / total for w in weights), Fraction(0))
 
 
 def _check_witness_routes(fan):
-    """find_strictly_convex finds a divisor exactly when the joint program is
+    """The cut loop finds a divisor exactly when the joint program is
     feasible; whichever route answers, its divisor re-verifies, and so does
-    the joint program's own.  Returns the route."""
-    witness, route = strictly_convex_witness(fan)
-    assert witness == find_strictly_convex(fan)
+    the joint program's own.  A "none" composes the master's certificate
+    with the cuts' into one that holds on the joint program's rows.
+    Returns the route."""
+    witness, route, cuts, master = _cut_loop(fan)
+    assert strictly_convex_witness(fan) == (witness, route)
+    assert find_strictly_convex(fan) == witness
     feasible = strict_convexity_program(fan).feasible
     assert (witness is not None) == feasible
     if route == ROUTE_CANDIDATE:
         assert witness == candidate_divisor(fan)
+        assert not cuts and master is None
     if feasible:
         for z in (witness, joint_lp_witness(fan)):
             assert classify_convexity(fan, z, strict=True).strictly_convex
     else:
         assert joint_lp_witness(fan) is None
+        assert route == ROUTE_JOINT_LP and not master.feasible
+        assert verify_certificate(composed_certificate(fan, cuts, master), *joint_program_rows(fan))
     return route
 
 
@@ -213,3 +264,28 @@ def test_witness_route_matches_joint_program(name):
 def test_witness_route_matches_joint_program_on_random_fans():
     for fan in random_fans():
         _check_witness_routes(fan)
+
+
+def test_witness_route_matches_joint_program_on_seeded_subdivisions():
+    """The candidate divisor fails on 23 of the 24 subdivisions, so the
+    cuts decide them."""
+    routes = []
+    for matroid in SUBDIVIDED_MATROIDS.values():
+        for seed in range(6):
+            routes.append(_check_witness_routes(seeded_subdivision(matroid(), seed)))
+    assert routes.count(ROUTE_JOINT_LP) == 23
+
+
+def test_cut_certificates_on_fans_without_strictly_convex_divisor():
+    """The twisted prism times a line, and the twisted prism starred at the
+    sum of each maximal cone's marks, admit none either: each "none" takes
+    several cuts, and the composed certificate holds."""
+    prism = twisted_prism_fan().fan
+    fans = [product_fan(prism, line_fan().fan)]
+    for sigma in prism.maximal_cones:
+        v = [sum(prism.rays[i][j] for i in sigma) for j in range(prism.ambient_dim)]
+        fans.append(stellar_subdivide(prism, vec(v)).fan)
+    for fan in fans:
+        assert _check_witness_routes(fan) == ROUTE_JOINT_LP
+        witness, _, cuts, _ = _cut_loop(fan)
+        assert witness is None and len(cuts) > 1

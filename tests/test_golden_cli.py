@@ -130,6 +130,7 @@ def _cases():
     cases.append(("star-triangle_x_line_q-cone01", ["star", "--fan", "@triangle_x_line_q", "--cone", "0,1"]))
     for f in SUBDIVIDED:
         cases.append((f"validate-{f}", ["validate", "--fan", f"@{f}"]))
+        cases.append((f"lorentzian-{f}", ["lorentzian", "--fan", f"@{f}"]))
     return cases
 
 
@@ -285,7 +286,7 @@ def write_inputs() -> None:
     """
     from lorfan import fixtures, matroids
     from lorfan import io as lio
-    from lorfan.convexity import joint_lp_witness
+    from helpers import joint_lp_witness
 
     INPUTS.mkdir(parents=True, exist_ok=True)
     for f in FANS:

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from lorfan import fan as fan_module
-from lorfan.convexity import ROUTE_CANDIDATE, ROUTE_JOINT_LP, find_strictly_convex
+from lorfan.convexity import ROUTE_CANDIDATE, ROUTE_JOINT_LP, classify_convexity, find_strictly_convex
 from lorfan.errors import BalancingError, ConvexityError, PreconditionError
 from lorfan.fan import candidate_divisor, stellar_subdivide
 from lorfan.fixtures import (
@@ -434,6 +434,20 @@ def test_twisted_prism_is_not_quasiprojective():
             cones.append(tuple(sorted((j, 3 + j, 3 + i))))
     untwisted = MarkedFan(3, rays, tuple(sorted(cones)))
     assert find_strictly_convex(untwisted) is not None
+
+
+def test_u46_subdivision_decided_by_cuts():
+    """U(4,6) starred at v = (31/6, 0, 7/2, 5/2, 0): 42 rays and 122 maximal
+    cones.  The candidate divisor fails there, and the joint program, 714
+    rows by 669 columns, once took minutes; the cuts find a witness."""
+    tf = bergman_fan(uniform_matroid(4, 6))
+    res = stellar_subdivide(tf.fan, vec([Fraction(31, 6), 0, Fraction(7, 2), Fraction(5, 2), 0]))
+    fine = transport_weight(tf, res.fan, res.containment)
+    assert (len(fine.fan.rays), len(fine.fan.maximal_cones)) == (42, 122)
+    cert = is_lorentzian(fine)
+    assert cert.verdict
+    assert cert.witness_route == ROUTE_JOINT_LP
+    assert classify_convexity(fine.fan, cert.witness, strict=True).strictly_convex
 
 
 def test_stellar_invariance_of_verdict():

@@ -25,6 +25,7 @@ from helpers import (
     max_slack_oracle,
     random_fans,
     rescale_fan,
+    strict_convexity_program,
 )
 
 
@@ -288,7 +289,7 @@ def caller_programs(monkeypatch, fan, seed):
     for z in divisors:
         convexity.classify_convexity(fan, z, strict=True)
     report = fan_module.validate(fan)
-    convexity.strict_convexity_program(fan)
+    strict_convexity_program(fan)
     meets = [fan_module._meet_in_shared_face(fan, c1, c2) for c1, c2 in itertools.combinations(fan.maximal_cones, 2)]
     return programs, report, meets
 
