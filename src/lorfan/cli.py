@@ -3,8 +3,14 @@
 Exit codes: 0 verdict computed (even a negative one), 2 input error,
 3 precondition failure, 4 internal invariant breach or any other unexpected
 error.  The one exception is `validate`, which exits 3 when the fan fails
-validation, per the documented contract.  Randomized subcommands require an
+validation, per the documented contract.  `degree`, `lorentzian`, `af`,
+`mixedvol` and `volpoly` exit 3 on input that fails validate; `balance`
+reports on any weighted cone set.  Randomized subcommands require an
 explicit --seed.
+
+`main` builds the subparser of the command that argv names, and all of
+them when argv names none or an unknown one; the usage line lists every
+command either way, so help and error output do not depend on it.
 """
 
 from __future__ import annotations
@@ -195,65 +201,68 @@ def cmd_volpoly(args):
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
+REQUIRED = {"required": True}
+
+# each command's function and flags, in the order of the usage line
+COMMANDS = {
+    "validate": (cmd_validate, {"fan": REQUIRED}),
+    "balance": (cmd_balance, {"fan": REQUIRED}),
+    "degree": (cmd_degree, {"fan": REQUIRED, "divisors": REQUIRED}),
+    "convexity": (cmd_convexity, {"fan": REQUIRED, "divisor": REQUIRED, "strict": {"action": "store_true"}}),
+    "lorentzian": (cmd_lorentzian, {"fan": REQUIRED, "samples": {"type": int, "default": 0}, "seed": {"type": int}}),
+    "af": (cmd_af, {"fan": REQUIRED, "d1": REQUIRED, "d2": REQUIRED, "aux": {}}),
+    "bergman": (cmd_bergman, {"matroid": REQUIRED}),
+    "product": (cmd_product, {"fan": REQUIRED, "fan2": REQUIRED}),
+    "star": (cmd_star, {"fan": REQUIRED, "cone": REQUIRED}),
+    "stellar": (cmd_stellar, {"fan": REQUIRED, "point": REQUIRED}),
+    "modify": (cmd_modify, {"fan": REQUIRED, "divisor": REQUIRED}),
+    "act": (cmd_act, {"fan": REQUIRED, "divisor": REQUIRED}),
+    "mixedvol": (cmd_mixedvol, {"polytope": {"action": "append", "required": True}}),
+    "volpoly": (cmd_volpoly, {"fan": REQUIRED}),
+}
+
+
+def command_named(argv) -> str | None:
+    """The command that argv names, or None when it names none or an unknown
+    one.  Anything before the command other than --out and its value, such
+    as --help or an abbreviated option, also gives None."""
+    args = iter(argv)
+    for arg in args:
+        if arg == "--out":
+            next(args, None)
+        elif not arg.startswith("--out="):
+            return arg if arg in COMMANDS else None
+    return None
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser with every command's subparser, or with only the named
+    command's.  The usage line lists every command either way."""
     parser = argparse.ArgumentParser(
         prog="lorfan",
         description="Exact certificates for tropical fans: balancing, convexity, "
         "Lorentzian verdicts, Alexandrov-Fenchel reports, and mixed volumes.",
     )
     parser.add_argument("--out", help="write the JSON report here instead of stdout")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, fn, **flags):
+    # argparse prints the names it has parsers for; with one, name them all
+    metavar = None if command is None else "{%s}" % ",".join(COMMANDS)
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name, (fn, flags) in COMMANDS.items():
+        if command not in (None, name):
+            continue
         p = sub.add_parser(name)
         for flag, kwargs in flags.items():
             p.add_argument(f"--{flag}", **kwargs)
         p.set_defaults(fn=fn)
-        return p
-
-    add("validate", cmd_validate, fan={"required": True})
-    add("balance", cmd_balance, fan={"required": True})
-    add("degree", cmd_degree, fan={"required": True}, divisors={"required": True})
-    add(
-        "convexity",
-        cmd_convexity,
-        fan={"required": True},
-        divisor={"required": True},
-        strict={"action": "store_true"},
-    )
-    add(
-        "lorentzian",
-        cmd_lorentzian,
-        fan={"required": True},
-        samples={"type": int, "default": 0},
-        seed={"type": int},
-    )
-    add(
-        "af",
-        cmd_af,
-        fan={"required": True},
-        d1={"required": True},
-        d2={"required": True},
-        aux={},
-    )
-    add("bergman", cmd_bergman, matroid={"required": True})
-    add("product", cmd_product, fan={"required": True}, fan2={"required": True})
-    add("star", cmd_star, fan={"required": True}, cone={"required": True})
-    stellar = add("stellar", cmd_stellar, fan={"required": True}, point={"required": True})
-    # points with a negative leading coordinate ("-1,2") must parse as values
-    stellar._negative_number_matcher = re.compile(r"^-[\d,/\-]+$")
-    add("modify", cmd_modify, fan={"required": True}, divisor={"required": True})
-    add("act", cmd_act, fan={"required": True}, divisor={"required": True})
-    mv = sub.add_parser("mixedvol")
-    mv.add_argument("--polytope", action="append", required=True)
-    mv.set_defaults(fn=cmd_mixedvol)
-    add("volpoly", cmd_volpoly, fan={"required": True})
+        if name == "stellar":
+            # points with a negative leading coordinate ("-1,2") must parse as values
+            p._negative_number_matcher = re.compile(r"^-[\d,/\-]+$")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(command_named(argv)).parse_args(argv)
     try:
         return args.fn(args)
     except InputError as exc:

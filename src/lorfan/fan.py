@@ -143,9 +143,11 @@ class Neighborhood:
     over the positive denominator `dens[e]`, and the three are in lowest
     terms together.  `images` makes the star's Fraction marks on each
     access; `rows(z)` makes int max-slack rows.  The record of
-    `MarkedFan.neighborhood` runs over the neighborhood rays; `validate`
-    builds others, over the rays each round of a maximal cone's row
-    generation adds and over the rays two cones do not share.
+    `MarkedFan.neighborhood` runs over the neighborhood rays, and that of
+    `MarkedFan.facet_neighborhood` over a maximal cone's facet neighbours'
+    rays; `validate` builds others, over the rays each later round of a
+    maximal cone's row generation adds and over the rays two cones do not
+    share.
     """
 
     cone: Cone
@@ -205,11 +207,13 @@ class MarkedFan:
 
     The cone index (`cones`, `incident`, `cofaces`), the marks as ints
     (`int_marks`), the per-cone quotient
-    records (`quotient`) and the per-cone neighborhood records
+    records (`quotient`), the per-cone neighborhood records
     (`neighborhood`: the neighborhood rays' images under the cone's
-    annihilators and particular functionals) are computed on first use and
-    kept on the instance, so they are shared by every computation on the fan
-    and freed with it.
+    annihilators and particular functionals) and each maximal cone's record
+    over its facet neighbours' rays (`facet_neighborhood`, the first rows of
+    its program in `_regular`) are computed on first use and kept on the
+    instance, so they are shared by every computation on the fan and freed
+    with it.
     """
 
     ambient_dim: int
@@ -299,6 +303,20 @@ class MarkedFan:
         hood = self._neighborhoods.get(cone)
         if hood is None:
             hood = self._neighborhoods[cone] = _neighborhood(self, cone, neighborhood_rays(self, cone))
+        return hood
+
+    @cached_property
+    def _facet_neighborhoods(self) -> dict[Cone, Neighborhood]:
+        return {}
+
+    def facet_neighborhood(self, sigma: Cone) -> Neighborhood:
+        """The record of a maximal cone over the rays of the maximal cones
+        that share a facet with it, off its own, computed on first use."""
+        hood = self._facet_neighborhoods.get(sigma)
+        if hood is None:
+            facets = (sigma[:k] + sigma[k + 1:] for k in range(len(sigma)))
+            rays = {r for facet in facets for c in self.incident[facet] for r in c} - set(sigma)
+            hood = self._facet_neighborhoods[sigma] = _neighborhood(self, sigma, tuple(sorted(rays)))
         return hood
 
     def cones(self, k: int) -> tuple[Cone, ...]:
@@ -391,20 +409,26 @@ def _meet_in_shared_face(fan: MarkedFan, c1: Cone, c2: Cone) -> bool:
 
 
 def _regular(fan: MarkedFan, z) -> bool:
-    """True when every maximal cone has a functional equal to z on its rays
-    and below z on all other rays; False decides nothing.
+    """True when every maximal cone sigma has a functional phi_sigma equal to
+    z on its rays and below z on all other rays; False decides nothing.
 
-    Then two maximal cones meet in their shared face: for x = sum a_i u_i =
-    sum b_j u_j in both, the two functionals give sum a z <= sum b z <=
-    sum a z, with equality only when a and b vanish off the shared rays (De
-    Loera, Rambau and Santos, Triangulations, 2010, chapters 2 and 5).
+    Then z is strictly convex at every cone, the lemma `is_lorentzian` and
+    `af_report` rely on: for a face tau of sigma, phi_sigma - eps*psi, where
+    psi vanishes on tau and is 1 on the other rays of sigma (sigma is
+    simplicial), equals z on tau and is below z on every other ray for
+    small eps > 0, so it is a strict witness at tau.  And two maximal cones
+    meet in their shared face, which `validate`'s regular route relies on:
+    for x = sum a_i u_i = sum b_j u_j in both, the two functionals give
+    sum a z <= sum b z <= sum a z, with equality only when a and b vanish
+    off the shared rays (De Loera, Rambau and Santos, Triangulations, 2010,
+    chapters 2 and 5).
 
     Each cone's program is solved by row generation (Kelley's cutting-plane
-    method, J. SIAM 8, 1960): its rows, those of a neighborhood record,
-    start with the rays of the maximal cones that share a facet with it.
-    When the program has a point, its functional is tested against every
-    ray the rows leave out, by int dot products with the marks, and the rays
-    it does not keep below z join the rows for the next solve.  A functional
+    method, J. SIAM 8, 1960): its rows start with those of the cone's
+    `facet_neighborhood` record, kept on the fan for every z.  When the
+    program has a point, its functional is tested against every ray the
+    rows leave out, by int dot products with the marks, and the rays it
+    does not keep below z join the rows for the next solve.  A functional
     that passes every ray answers the full program; a Farkas certificate on
     some rows is one on all of them, with zero multipliers on the rest.
     """
@@ -414,13 +438,10 @@ def _regular(fan: MarkedFan, z) -> bool:
     for sigma in fan.maximal_cones:
         q = fan.quotient(sigma)
         on_cone = [z[i] for i in sigma]
-        facet_rays = {r for k in range(len(sigma)) for c in fan.incident[sigma[:k] + sigma[k + 1:]] for r in c}
-        rays = tuple(sorted(facet_rays - set(sigma)))
-        in_rows = set(sigma)
-        rows = []
+        hood = fan.facet_neighborhood(sigma)
+        in_rows = {*sigma, *hood.rays}
+        rows = hood.rows(z)
         while True:
-            in_rows.update(rays)
-            rows += _neighborhood(fan, sigma, rays).rows(z)
             result = strict_feasible(rows, q.codim)
             if not result.feasible:
                 return False
@@ -432,6 +453,8 @@ def _regular(fan: MarkedFan, z) -> bool:
             )
             if not rays:
                 break
+            in_rows.update(rays)
+            rows += _neighborhood(fan, sigma, rays).rows(z)
     return True
 
 

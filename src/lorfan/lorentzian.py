@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 
 from .convexity import ROUTE_CANDIDATE, classify_convexity, strictly_convex_witness
 from .errors import BalancingError, InternalError, PreconditionError
-from .fan import ROUTE_REGULAR, Cone, MarkedFan, PinchReport, candidate_divisor, is_unpinched, star, validate
+from .fan import ROUTE_REGULAR, Cone, MarkedFan, PinchReport, _regular, candidate_divisor, is_unpinched, star, validate
 from .linalg import Inertia, Mat, ONE, inertia
 from .weights import (
     Divisor,
@@ -134,11 +134,8 @@ def is_lorentzian(tf: TropicalFan) -> LorentzianCertificate:
     fails validate is refused: the characterization holds only for fans.
 
     When validate decided the fan condition by its regular route, the
-    candidate divisor z is taken without a further check: every maximal
-    cone sigma then has a functional phi_sigma equal to z on sigma's rays
-    and below z on every other ray, and for a face tau of sigma, phi_sigma
-    - eps*psi, where psi vanishes on tau and is 1 on the other rays of
-    sigma (sigma is simplicial), is a strict witness at tau for small eps.
+    candidate divisor z is taken without a further check: `fan._regular`
+    held for z, so z is strictly convex (the lemma in its docstring).
     """
     fan = tf.fan
     report = validate(fan)
@@ -215,9 +212,14 @@ def af_report(
     """Alexandrov-Fenchel gap and full degree sequence for a convex pair.
 
     The gap is deg(D1 D2 aux)^2 - deg(D1^2 aux) deg(D2^2 aux); the sequence
-    runs through deg(D1^k D2^(d-k)).  All inputs must verify as convex; each
-    distinct divisor is checked once, and the degrees share their common
-    prefixes of divisor actions.
+    runs through deg(D1^k D2^(d-k)).  Input that fails validate is refused,
+    and every divisor must be convex.  Each distinct divisor is decided
+    once, by the first of three routes that proves it: the candidate
+    divisor when validate took its regular route, which that route already
+    proved strictly convex; a divisor for which `fan._regular` holds,
+    strictly convex by the lemma in its docstring; and else
+    classify_convexity, whose certificate a ConvexityError carries.  The
+    degrees share their common prefixes of divisor actions.
     """
     fan = tf.fan
     d = fan.dimension
@@ -228,9 +230,15 @@ def af_report(
     aux = tuple(aux)
     index = {}
     for z in (d1, d2, *aux):
+        if len(z) != len(fan.rays):
+            raise PreconditionError("divisor has one value per ray")
         index.setdefault(tuple(z), len(index))
+    report = validate(fan)
+    report.require("AF reports need a fan")
+    proved = candidate_divisor(fan) if report.fan_condition_route == ROUTE_REGULAR else None
     for z in index:
-        classify_convexity(fan, z, strict=False).require("input divisor is not convex")
+        if z != proved and not _regular(fan, z):
+            classify_convexity(fan, z, strict=False).require("input divisor is not convex")
     i1, i2, *rest = (index[tuple(z)] for z in (d1, d2, *aux))
     sequences = [(i1, i2, *rest), (i1, i1, *rest), (i2, i2, *rest)]
     sequences += [(i1,) * k + (i2,) * (d - k) for k in range(d + 1)]

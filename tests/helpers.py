@@ -16,9 +16,10 @@ from lorfan import convexity, fixtures, linalg, lp
 from lorfan.errors import DimensionError, InternalError, PreconditionError
 from lorfan.fan import MarkedFan, Neighborhood, Quotient, _neighborhood, cone_key
 from lorfan.linalg import ONE, ZERO, Inertia, fractions, is_symmetric, mat, over_lcd, vec
+from lorfan.lorentzian import AFReport, is_log_concave, is_unimodal
 from lorfan.lp import FeasibilityCertificate, StrictFeasibility
 from lorfan.matroids import bergman_fan, complete_graph_matroid, fano_matroid, uniform_matroid
-from lorfan.weights import MinkowskiWeight, TropicalFan, divisor_action, indicator_divisor, mixed_degrees
+from lorfan.weights import MinkowskiWeight, TropicalFan, divisor_action, indicator_divisor, mixed_degree, mixed_degrees
 
 
 # ---------------------------------------------------------------------------
@@ -565,6 +566,30 @@ def full_row_regular(fan: MarkedFan, z) -> bool:
         if not lp.strict_feasible(rows, fan.quotient(sigma).codim).feasible:
             return False
     return True
+
+
+def classify_af_report(tf: TropicalFan, d1, d2, aux=()) -> AFReport:
+    """af_report with every distinct divisor decided by classify_convexity
+    and every degree by its own mixed_degree call: the oracle of
+    af_report's convexity routes."""
+    fan, d = tf.fan, tf.fan.dimension
+    for z in dict.fromkeys(map(tuple, (d1, d2, *aux))):
+        convexity.classify_convexity(fan, z).require("input divisor is not convex")
+    aux = tuple(aux)
+
+    def degree(*divisors):
+        return mixed_degree(fan, tf.weight, divisors)
+
+    mixed, sq1, sq2 = degree(d1, d2, *aux), degree(d1, d1, *aux), degree(d2, d2, *aux)
+    seq = tuple(degree(*[d1] * k, *[d2] * (d - k)) for k in range(d + 1))
+    return AFReport(
+        divisors=(tuple(d1), tuple(d2)),
+        auxiliary=aux,
+        af_gap=mixed * mixed - sq1 * sq2,
+        sequence=seq,
+        log_concave=is_log_concave(seq),
+        unimodal=is_unimodal(seq),
+    )
 
 
 def joint_program_rows(fan: MarkedFan):

@@ -276,6 +276,28 @@ def test_cli_volpoly_refuses_double_cover(tmp_path, capsys):
     assert "volume polynomials need a fan" in err and "overlap" in err
 
 
+def test_cli_af_refuses_double_cover(tmp_path, capsys):
+    # without the validate gate this non-fan got an AF gap of 0
+    fan_file = double_cover_file(tmp_path)
+    ones = write(tmp_path, "ones.json", {"values": ["1"] * 6})
+    code, out, err = run(capsys, "af", "--fan", fan_file, "--d1", ones, "--d2", ones)
+    assert code == 3
+    assert out == ""
+    assert "AF reports need a fan" in err and "overlap" in err
+
+
+@pytest.mark.parametrize("length", [2, 4])
+def test_cli_af_refuses_wrong_length_divisors(tmp_path, capsys, length):
+    fan_file = write(tmp_path, "fan.json", io.tropical_to_json(triangle_fan()))
+    ones = write(tmp_path, "ones.json", {"values": ["1"] * 3})
+    wrong = write(tmp_path, "wrong.json", {"values": ["1"] * length})
+    for d1, d2 in ((wrong, ones), (ones, wrong)):
+        code, out, err = run(capsys, "af", "--fan", fan_file, "--d1", d1, "--d2", d2)
+        assert code == 3
+        assert out == ""
+        assert err == "precondition failure: divisor has one value per ray\n"
+
+
 def test_cli_star_refuses_dependent_marks_at_apex(tmp_path, capsys):
     # ray 0 moved onto the line of ray 2: cone (0, 2) is no longer simplicial
     payload = io.tropical_to_json(triangle_fan())
@@ -418,6 +440,57 @@ def test_unexpected_error_exits_4_in_one_line(tmp_path, capsys, monkeypatch):
     assert code == 4
     assert len(err.strip().splitlines()) == 1
     assert "KeyError" in err
+
+
+# argv that stop in the parser: help, a missing or unknown command, and
+# errors of the main parser and of a command's own
+PARSER_ARGV = [
+    ["--help"], ["-h"], [], ["nosuch"], ["nosuch", "--fan", "x"], ["--out", "x.json"], ["--out"],
+    ["--ou", "x", "af"], ["--", "af"], ["--out", "-x", "af"], ["af", "--help"], ["af"],
+    ["af", "--fan", "f.json", "--bogus"], ["af", "--fan", "a", "--d1", "b", "--d2"],
+    ["--out", "x.json", "stellar", "--help"], ["stellar", "--fan", "f", "--point"],
+    ["--out=x.json", "volpoly", "--fan", "f", "extra"], ["balance", "--fan", "f", "validate"],
+    ["mixedvol"], ["mixedvol", "--help"], ["lorentzian", "--samples", "x", "--fan", "f"],
+    ["validate"], ["convexity", "--help"],
+]
+
+
+def parser_outcome(capsys, argv):
+    with pytest.raises(SystemExit) as excinfo:
+        main(list(argv))
+    return excinfo.value.code, *capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", PARSER_ARGV, ids=" ".join)
+def test_cli_parser_of_one_command_prints_like_the_full_parser(capsys, monkeypatch, argv):
+    lazy = parser_outcome(capsys, argv)
+    monkeypatch.setattr(cli, "command_named", lambda argv: None)
+    assert lazy == parser_outcome(capsys, argv)
+
+
+def test_cli_builds_only_the_named_command(tmp_path, capsys, monkeypatch):
+    import argparse
+
+    built = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def counted(self, name, **kwargs):
+        built.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
+    fan_file = write(tmp_path, "fan.json", io.tropical_to_json(triangle_fan()))
+    out_file = str(tmp_path / "out.json")
+    assert run(capsys, "--out", out_file, "validate", "--fan", fan_file)[0] == 0
+    assert built == ["validate"]
+    built.clear()
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    assert built == list(cli.COMMANDS)
+    assert cli.command_named(["--out=x", "af"]) == "af"
+    assert cli.command_named(["--out", "af", "volpoly"]) == "volpoly"
+    assert cli.command_named(["--o", "x", "af"]) is None
+    assert cli.command_named(["nosuch"]) is None
 
 
 def test_jobs_flag_removed(capsys):

@@ -23,6 +23,7 @@ from lorfan.ops import product_tropical
 from helpers import (
     SCALES,
     TROPICAL_FANS,
+    classify_af_report,
     hessian_of_quadratic,
     indicator_pairing_form,
     indicator_volume_polynomial,
@@ -269,23 +270,99 @@ def _af_inputs():
 
 
 def test_af_checks_each_distinct_divisor_once(monkeypatch):
+    """Each distinct divisor is decided once, on the first route that proves
+    it: the candidate divisor by validate's regular route (no call beyond
+    validate's own `_regular`), a regular divisor by `_regular`, and the
+    zero divisor, convex but not strictly, by classify_convexity."""
     from lorfan import lorentzian
 
-    tf, d1, d2, _ = _af_inputs()
-    checked = []
-    classify = lorentzian.classify_convexity
+    tf, _, d2, _ = _af_inputs()
+    c = candidate_divisor(tf.fan)
+    zero = (Fraction(0),) * len(c)
+    decisions = []
+    regular, classify = fan_module._regular, lorentzian.classify_convexity
 
-    def counted(fan, z, strict=False):
-        checked.append(tuple(z))
+    def counted_regular(fan, z):
+        decisions.append(("regular", tuple(z)))
+        return regular(fan, z)
+
+    def counted_classify(fan, z, strict=False):
+        decisions.append(("classify", tuple(z)))
         return classify(fan, z, strict=strict)
 
-    monkeypatch.setattr(lorentzian, "classify_convexity", counted)
-    report = af_report(tf, d1, d2, [d1])
-    assert checked == [tuple(d1), tuple(d2)]
+    monkeypatch.setattr(fan_module, "_regular", counted_regular)
+    monkeypatch.setattr(lorentzian, "_regular", counted_regular)
+    monkeypatch.setattr(lorentzian, "classify_convexity", counted_classify)
+    report = af_report(tf, c, d2, [c])
+    # the first call is validate's, on c
+    assert decisions == [("regular", c), ("regular", tuple(d2))]
     w = tf.weight
-    mixed, sq1, sq2 = (mixed_degree(tf.fan, w, seq) for seq in ([d1, d2, d1], [d1, d1, d1], [d2, d2, d1]))
+    mixed, sq1, sq2 = (mixed_degree(tf.fan, w, seq) for seq in ([c, d2, c], [c, c, c], [d2, d2, c]))
     assert report.af_gap == mixed * mixed - sq1 * sq2
-    assert report.sequence == tuple(mixed_degree(tf.fan, w, [d1] * k + [d2] * (3 - k)) for k in range(4))
+    assert report.sequence == tuple(mixed_degree(tf.fan, w, [c] * k + [d2] * (3 - k)) for k in range(4))
+
+    decisions.clear()
+    af_report(tf, zero, c, [d2])
+    assert decisions == [("regular", c), ("regular", zero), ("classify", zero), ("regular", tuple(d2))]
+
+
+def test_af_refuses_double_cover():
+    # without the validate gate this non-fan got an AF gap of 0
+    fan = triangle_double_cover()
+    tf = TropicalFan(fan, MinkowskiWeight(2, {c: Fraction(1) for c in fan.maximal_cones}))
+    ones = vec([1] * 6)
+    with pytest.raises(PreconditionError) as excinfo:
+        af_report(tf, ones, ones)
+    assert str(excinfo.value) == (
+        "AF reports need a fan: cones (0, 1) and (2, 4) overlap beyond their shared face"
+    )
+
+
+@pytest.mark.parametrize("length", [2, 4])
+def test_af_refuses_wrong_length_divisors(length):
+    tf = triangle_fan()
+    ones, wrong = vec([1, 1, 1]), vec([1] * length)
+    for d1, d2 in ((wrong, ones), (ones, wrong)):
+        with pytest.raises(PreconditionError) as excinfo:
+            af_report(tf, d1, d2)
+        assert type(excinfo.value) is PreconditionError
+        assert str(excinfo.value) == "divisor has one value per ray"
+
+
+@pytest.mark.parametrize("kind", [None, *SCALES])
+@pytest.mark.parametrize("name", list(TROPICAL_FANS))
+def test_af_routes_match_classify_oracle(name, kind):
+    """On each fixture, as given and rescaled ray by ray, with its candidate
+    divisor, a sampled divisor (strictly convex when the fan has a strictly
+    convex divisor) and the sample negated: `_regular` implies strict
+    convexity, and af_report agrees with the classify-only oracle on its
+    values, or on the certificate of its ConvexityError."""
+    from lorfan.lorentzian import sample_strictly_convex
+
+    tf = TROPICAL_FANS[name]() if kind is None else rescaled_tropical(name, kind)
+    fan = tf.fan
+    rng = random.Random(f"af-routes/{name}/{kind}")
+    witness = find_strictly_convex(fan)
+    if witness is None:
+        sampled = vec(rng.randint(-2, 6) for _ in fan.rays)
+    else:
+        sampled = sample_strictly_convex(fan, witness, rng)
+    divisors = [candidate_divisor(fan), sampled, tuple(-v for v in sampled)]
+    for z in divisors:
+        if fan_module._regular(fan, z):
+            assert classify_convexity(fan, z, strict=True).strictly_convex
+    if fan.dimension < 2:
+        return
+    for d1, d2 in zip(divisors, divisors[1:] + divisors[:1]):
+        aux = [d1] * (fan.dimension - 2)
+        try:
+            expected = classify_af_report(tf, d1, d2, aux)
+        except ConvexityError as exc:
+            with pytest.raises(ConvexityError) as excinfo:
+                af_report(tf, d1, d2, aux)
+            assert excinfo.value.certificate == exc.certificate
+        else:
+            assert af_report(tf, d1, d2, aux) == expected
 
 
 def test_af_rejects_nonconvex_auxiliary(tmp_path, capsys):
