@@ -270,10 +270,11 @@ def _af_inputs():
 
 
 def test_af_checks_each_distinct_divisor_once(monkeypatch):
-    """Each distinct divisor is decided once, on the first route that proves
-    it: the candidate divisor by validate's regular route (no call beyond
-    validate's own `_regular`), a regular divisor by `_regular`, and the
-    zero divisor, convex but not strictly, by classify_convexity."""
+    """Each distinct divisor is decided once, however often it is passed, on
+    the first route that proves it: the candidate divisor by validate's
+    regular route (no call beyond validate's own `_regular`), a regular
+    divisor by `_regular`, and the zero divisor, convex but not strictly,
+    by classify_convexity after `_regular` fails on it."""
     from lorfan import lorentzian
 
     tf, _, d2, _ = _af_inputs()
@@ -293,17 +294,17 @@ def test_af_checks_each_distinct_divisor_once(monkeypatch):
     monkeypatch.setattr(fan_module, "_regular", counted_regular)
     monkeypatch.setattr(lorentzian, "_regular", counted_regular)
     monkeypatch.setattr(lorentzian, "classify_convexity", counted_classify)
-    report = af_report(tf, c, d2, [c])
+    report = af_report(tf, c, d2, [d2])
     # the first call is validate's, on c
     assert decisions == [("regular", c), ("regular", tuple(d2))]
     w = tf.weight
-    mixed, sq1, sq2 = (mixed_degree(tf.fan, w, seq) for seq in ([c, d2, c], [c, c, c], [d2, d2, c]))
+    mixed, sq1, sq2 = (mixed_degree(tf.fan, w, seq) for seq in ([c, d2, d2], [c, c, d2], [d2, d2, d2]))
     assert report.af_gap == mixed * mixed - sq1 * sq2
     assert report.sequence == tuple(mixed_degree(tf.fan, w, [c] * k + [d2] * (3 - k)) for k in range(4))
 
     decisions.clear()
-    af_report(tf, zero, c, [d2])
-    assert decisions == [("regular", c), ("regular", zero), ("classify", zero), ("regular", tuple(d2))]
+    af_report(tf, zero, c, [zero])
+    assert decisions == [("regular", c), ("regular", zero), ("classify", zero)]
 
 
 def test_af_refuses_double_cover():
