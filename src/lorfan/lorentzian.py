@@ -15,7 +15,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .convexity import ROUTE_CANDIDATE, classify_convexity, strictly_convex_witness
+from .convexity import (
+    ROUTE_CANDIDATE,
+    WitnessSlacks,
+    classify_convexity,
+    strict_by_shift,
+    strictly_convex_witness,
+    witness_slacks,
+)
 from .errors import BalancingError, InternalError, PreconditionError
 from .fan import ROUTE_REGULAR, Cone, MarkedFan, PinchReport, _regular, candidate_divisor, is_unpinched, star, validate
 from .linalg import Inertia, Mat, ONE, inertia
@@ -262,18 +269,39 @@ def af_report(
 _MAX_HALVINGS = 14
 
 
-def sample_strictly_convex(fan: MarkedFan, witness: Divisor, rng: random.Random) -> Divisor:
-    """A random strictly convex divisor: the witness plus a shrinking random
-    nonnegative combination of ray indicators, re-certified before use."""
+def sample_strictly_convex(
+    fan: MarkedFan, witness: Divisor, rng: random.Random, slacks: Optional[WitnessSlacks] = None
+) -> Divisor:
+    """A random strictly convex divisor: scale*witness + eps*bump, for a
+    random scale in 1..4, a random nonnegative bump and the first eps in
+    1, 1/2, 1/4, ... at which the draw is proved strictly convex.
+
+    Without `slacks` each draw is proved by classify_convexity(strict=True),
+    one max-slack program per cone.  With `slacks`, the witness_slacks of a
+    classify_convexity certificate of `witness` on this fan, each cone is
+    proved by strict_by_shift: the certificate's functional, scaled, plus
+    eps times the one matching the bump, is a strict witness wherever its
+    slacks are positive, and only the other cones solve their programs.
+    Both routes give every draw the same exact verdict, so they return the
+    same divisor from the same random state.
+    """
     if not witness:
         return ()
     scale = Fraction(rng.randint(1, 4))
     base = tuple(scale * v for v in witness)
     bump = tuple(Fraction(rng.randint(0, 12), 4) for _ in range(len(fan.rays)))
+    if slacks is not None:
+        if slacks.divisor != tuple(witness):
+            raise PreconditionError("the slacks are of another divisor")
+        excess = [hood.rows(bump) for hood, _ in slacks.cones]
     eps = ONE
-    for _ in range(_MAX_HALVINGS):
+    for halvings in range(_MAX_HALVINGS):
         candidate = tuple(b + eps * p for b, p in zip(base, bump))
-        if classify_convexity(fan, candidate, strict=True).strictly_convex:
+        if slacks is None:
+            strict = classify_convexity(fan, candidate, strict=True).strictly_convex
+        else:
+            strict = strict_by_shift(fan, slacks, candidate, scale.numerator, excess, halvings)
+        if strict:
             return candidate
         eps /= 2
     raise InternalError("sampling failed to produce a strictly convex divisor")
@@ -310,30 +338,45 @@ def definition_sample_check(
     show exactly one positive eigenvalue, and sampled top degrees must be
     positive.  Complements the exact decision procedure.  The samples are
     drawn around `witness`, a strictly convex divisor on the fan, such as the
-    witness of the fan's Lorentzian certificate.
+    witness of the fan's Lorentzian certificate; it is proved strictly
+    convex by `fan._regular` when that holds, else by classify_convexity,
+    whose certificate a ConvexityError carries.
+
+    Only cones with at most d - 2 rays can have stars of dimension two or
+    more, so no other star is built.  On each star the pushed witness is certified once, and every draw is
+    proved from that certificate's per-cone functionals
+    (sample_strictly_convex with its witness_slacks): exactly, so the draws
+    are those of a classify_convexity pass per draw.
     """
     fan = tf.fan
     if samples < 1:
         raise PreconditionError("sampling needs at least one sample")
     if witness is None:
         raise PreconditionError("sampling requires a quasiprojective fan")
-    classify_convexity(fan, witness, strict=True).require("sampling requires a strictly convex witness")
+    if len(witness) != len(fan.rays):
+        raise PreconditionError("divisor has one value per ray")
+    if not _regular(fan, witness):
+        classify_convexity(fan, witness, strict=True).require("sampling requires a strictly convex witness")
     rng = random.Random(seed)
     records = []
     for tau in sorted(fan.all_cones()):
+        if len(tau) > fan.dimension - 2:
+            continue
         sd = star(fan, tau)
         d_star = sd.fan.dimension
         if d_star < 2:
             continue
         stf = star_weight(tf, tau, sd)
         star_witness = push_divisor_to_star(sd, witness)
-        if not classify_convexity(sd.fan, star_witness, strict=True).strictly_convex:
+        certificate = classify_convexity(sd.fan, star_witness, strict=True)
+        if not certificate.strictly_convex:
             raise InternalError("pushed witness lost strict convexity on a star")
+        slacks = witness_slacks(sd.fan, certificate)
         p_counts = []
         tops_positive = True
         for _ in range(samples):
             aux = [
-                sample_strictly_convex(sd.fan, star_witness, rng)
+                sample_strictly_convex(sd.fan, star_witness, rng, slacks)
                 for _ in range(d_star - 2)
             ]
             current = stf.weight
@@ -341,7 +384,7 @@ def definition_sample_check(
                 current = divisor_action(sd.fan, current, z)
             p_counts.append(inertia(quadratic_form(sd.fan, current)).p)
             tops = [
-                sample_strictly_convex(sd.fan, star_witness, rng)
+                sample_strictly_convex(sd.fan, star_witness, rng, slacks)
                 for _ in range(d_star)
             ]
             if mixed_degree(sd.fan, stf.weight, tops) <= 0:

@@ -592,6 +592,44 @@ def classify_af_report(tf: TropicalFan, d1, d2, aux=()) -> AFReport:
     )
 
 
+def classify_sample_strictly_convex(fan: MarkedFan, witness, rng: random.Random):
+    """sample_strictly_convex with every draw proved by its own
+    classify_convexity(strict=True) pass: the oracle of the route that
+    proves draws from the witness's certificate."""
+    if not witness:
+        return ()
+    scale = Fraction(rng.randint(1, 4))
+    base = tuple(scale * v for v in witness)
+    bump = tuple(Fraction(rng.randint(0, 12), 4) for _ in range(len(fan.rays)))
+    eps = ONE
+    for _ in range(14):
+        candidate = tuple(b + eps * p for b, p in zip(base, bump))
+        if convexity.classify_convexity(fan, candidate, strict=True).strictly_convex:
+            return candidate
+        eps /= 2
+    raise InternalError("sampling failed to produce a strictly convex divisor")
+
+
+def shifted_slacks(fan: MarkedFan, certificate, scale, bump, halvings):
+    """Per cone, in all_cones order, the slacks at its neighborhood rays of
+    scale*phi_tau + psi_tau/2**halvings, in Fractions: phi_tau the
+    certificate's functional (None gives None), psi_tau the functional
+    matching bump on the cone with no annihilator part."""
+    eps = Fraction(1, 2**halvings)
+    w = certificate.divisor
+    out = []
+    for cw in certificate.witnesses:
+        if cw.functional is None:
+            out.append(None)
+            continue
+        rays = scan_neighborhood(fan, cw.cone)
+        excess = fraction_excess(fan, cw.cone, rays, bump)
+        out.append(tuple(
+            scale * (w[eta] - dot(cw.functional, fan.rays[eta])) + eps * e for eta, e in zip(rays, excess)
+        ))
+    return out
+
+
 def joint_program_rows(fan: MarkedFan):
     """The rows and dimension of the joint max-slack program that decides
     whether the fan has a strictly convex divisor in one piece: the oracle

@@ -57,8 +57,10 @@ DIM = {
 }
 # fans with a strictly convex divisor
 CONVEX = [f for f in FANS if f != "twisted_prism"]
-# the sampling check of the definition, at a fixed seed
-SAMPLED = ["skeleton", "triangle_x_line", "mk4"]
+# the sampling check of the definition, at a fixed seed: stock fans, fans with
+# rescaled marks, and Bergman fans, on whose stars some draws are proved cone
+# by cone
+SAMPLED = ["skeleton", "triangle_x_line", "mk4", "skeleton_q", "triangle_x_line_q", "fano"]
 # fans whose marks are rescaled ray by ray (`helpers.rescale_marking`) by these
 # rational and mixed scales, so that marks, weights and divisors leave the
 # integers; each takes its divisors from the unscaled fan's, rescaled alike
