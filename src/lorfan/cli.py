@@ -4,9 +4,9 @@ Exit codes: 0 verdict computed (even a negative one), 2 input error,
 3 precondition failure, 4 internal invariant breach or any other unexpected
 error.  The one exception is `validate`, which exits 3 when the fan fails
 validation, per the documented contract.  `degree`, `lorentzian`, `af`,
-`mixedvol` and `volpoly` exit 3 on input that fails validate; `balance`
-reports on any weighted cone set.  Randomized subcommands require an
-explicit --seed.
+`act`, `modify`, `mixedvol` and `volpoly` exit 3 on input that fails
+validate; `balance` reports on any weighted cone set.  Randomized
+subcommands require an explicit --seed.
 
 `main` builds the subparser of the command that argv names, and all of
 them when argv names none or an unknown one; the usage line lists every

@@ -111,6 +111,15 @@ def classify_convexity(fan: MarkedFan, z, strict: bool = False) -> ConvexityCert
     )
 
 
+def require_convex(fan: MarkedFan, z, strict: bool, message: str) -> None:
+    """Refuse z unless it is proved convex, strictly when `strict`: by
+    `fan.regular(z)`, which makes it strictly convex (the lemma in
+    `fan._regular`'s docstring), and else by classify_convexity, whose
+    certificate a refusal's ConvexityError carries."""
+    if not fan.regular(z):
+        classify_convexity(fan, z, strict).require(message)
+
+
 @dataclass(frozen=True)
 class WitnessSlacks:
     """A convexity certificate's functionals, read as slacks.
@@ -176,8 +185,9 @@ def spanning_rays(fan: MarkedFan) -> tuple[int, ...]:
 
 def strictly_convex_witness(fan: MarkedFan) -> tuple[Optional[tuple], str]:
     """A strictly convex divisor or None, and the route that decided: the
-    candidate divisor z when its per-cone programs, those of
-    classify_convexity(strict=True), all certify it, else Benders cuts.
+    candidate divisor z when `fan.regular(z)` holds or its per-cone
+    programs, those of classify_convexity(strict=True), all certify it,
+    else Benders cuts.
 
     A cone whose program is infeasible at z has Farkas multipliers lam on
     its neighborhood rows, which cancel the rows' functional columns; so
@@ -193,6 +203,9 @@ def strictly_convex_witness(fan: MarkedFan) -> tuple[Optional[tuple], str]:
     z; and each round after the first adds a new cut, since its z, the
     master's point, meets every earlier cut strictly and misses this one.
     """
+    candidate = candidate_divisor(fan)
+    if fan.regular(candidate):
+        return candidate, ROUTE_CANDIDATE
     return _cut_loop(fan)[:2]
 
 

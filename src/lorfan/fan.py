@@ -211,9 +211,9 @@ class MarkedFan:
     (`neighborhood`: the neighborhood rays' images under the cone's
     annihilators and particular functionals) and each maximal cone's record
     over its facet neighbours' rays (`facet_neighborhood`, the first rows of
-    its program in `_regular`) are computed on first use and kept on the
-    instance, so they are shared by every computation on the fan and freed
-    with it.
+    its program in `_regular`) and `_regular`'s verdict per divisor
+    (`regular`) are computed on first use and kept on the instance, so they
+    are shared by every computation on the fan and freed with it.
     """
 
     ambient_dim: int
@@ -319,6 +319,19 @@ class MarkedFan:
             hood = self._facet_neighborhoods[sigma] = _neighborhood(self, sigma, tuple(sorted(rays)))
         return hood
 
+    @cached_property
+    def _regulars(self) -> dict[tuple, bool]:
+        return {}
+
+    def regular(self, z) -> bool:
+        """Whether `_regular` holds for the divisor z, decided on first use."""
+        z = tuple(z)
+        if len(z) != len(self.rays):
+            raise PreconditionError("divisor has one value per ray")
+        if z not in self._regulars:
+            self._regulars[z] = _regular(self, z)
+        return self._regulars[z]
+
     def cones(self, k: int) -> tuple[Cone, ...]:
         """All k-dimensional cones, i.e. k-subsets of maximal cones, sorted."""
         if k < 0 or k > self.dimension:
@@ -412,16 +425,16 @@ def _regular(fan: MarkedFan, z) -> bool:
     """True when every maximal cone sigma has a functional phi_sigma equal to
     z on its rays and below z on all other rays; False decides nothing.
 
-    Then z is strictly convex at every cone, the lemma `is_lorentzian` and
-    `af_report` rely on: for a face tau of sigma, phi_sigma - eps*psi, where
-    psi vanishes on tau and is 1 on the other rays of sigma (sigma is
-    simplicial), equals z on tau and is below z on every other ray for
-    small eps > 0, so it is a strict witness at tau.  And two maximal cones
-    meet in their shared face, which `validate`'s regular route relies on:
-    for x = sum a_i u_i = sum b_j u_j in both, the two functionals give
-    sum a z <= sum b z <= sum a z, with equality only when a and b vanish
-    off the shared rays (De Loera, Rambau and Santos, Triangulations, 2010,
-    chapters 2 and 5).
+    Then z is strictly convex at every cone, the lemma that
+    `convexity.require_convex` and `strictly_convex_witness` rely on: for a
+    face tau of sigma, phi_sigma - eps*psi, where psi vanishes on tau and is
+    1 on the other rays of sigma (sigma is simplicial), equals z on tau and
+    is below z on every other ray for small eps > 0, so it is a strict
+    witness at tau.  And two maximal cones meet in their shared face, which
+    `validate`'s regular route relies on: for x = sum a_i u_i = sum b_j u_j
+    in both, the two functionals give sum a z <= sum b z <= sum a z, with
+    equality only when a and b vanish off the shared rays (De Loera, Rambau
+    and Santos, Triangulations, 2010, chapters 2 and 5).
 
     Each cone's program is solved by row generation (Kelley's cutting-plane
     method, J. SIAM 8, 1960): its rows start with those of the cone's
@@ -488,7 +501,7 @@ def validate(fan: MarkedFan) -> ValidationReport:
     fan_condition = True
     route = None
     if simplicial:
-        route = ROUTE_REGULAR if _regular(fan, candidate_divisor(fan)) else ROUTE_PAIRS
+        route = ROUTE_REGULAR if fan.regular(candidate_divisor(fan)) else ROUTE_PAIRS
     if route == ROUTE_PAIRS:
         for c1, c2 in itertools.combinations(fan.maximal_cones, 2):
             if not _meet_in_shared_face(fan, c1, c2):

@@ -16,15 +16,15 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .convexity import (
-    ROUTE_CANDIDATE,
     WitnessSlacks,
     classify_convexity,
+    require_convex,
     strict_by_shift,
     strictly_convex_witness,
     witness_slacks,
 )
 from .errors import BalancingError, InternalError, PreconditionError
-from .fan import ROUTE_REGULAR, Cone, MarkedFan, PinchReport, _regular, candidate_divisor, is_unpinched, star, validate
+from .fan import Cone, MarkedFan, PinchReport, is_unpinched, star, validate
 from .linalg import Inertia, Mat, ONE, inertia
 from .weights import (
     Divisor,
@@ -122,7 +122,7 @@ class LorentzianCertificate:
     verdict: bool
     quasiprojective: bool
     witness: Optional[Divisor]
-    witness_route: str  # convexity.ROUTE_CANDIDATE, or ROUTE_JOINT_LP: Benders cuts decided
+    witness_route: str  # the route strictly_convex_witness reports
     pinch_report: PinchReport
     star_records: tuple[StarInertiaRecord, ...]
     # inertia records depend on the marks, so the certificate pins them down
@@ -139,19 +139,11 @@ def is_lorentzian(tf: TropicalFan) -> LorentzianCertificate:
     quadratic volume form of every codimension-two star.  Fans of dimension
     at most one are Lorentzian exactly when quasiprojective.  Input that
     fails validate is refused: the characterization holds only for fans.
-
-    When validate decided the fan condition by its regular route, the
-    candidate divisor z is taken without a further check: `fan._regular`
-    held for z, so z is strictly convex (the lemma in its docstring).
     """
     fan = tf.fan
-    report = validate(fan)
-    report.require("the Lorentzian test needs a fan")
+    validate(fan).require("the Lorentzian test needs a fan")
     d = fan.dimension
-    if report.fan_condition_route == ROUTE_REGULAR:
-        witness, route = candidate_divisor(fan), ROUTE_CANDIDATE
-    else:
-        witness, route = strictly_convex_witness(fan)
+    witness, route = strictly_convex_witness(fan)
     quasiprojective = witness is not None
     pinch = is_unpinched(fan)
     records = []
@@ -220,13 +212,8 @@ def af_report(
 
     The gap is deg(D1 D2 aux)^2 - deg(D1^2 aux) deg(D2^2 aux); the sequence
     runs through deg(D1^k D2^(d-k)).  Input that fails validate is refused,
-    and every divisor must be convex.  Each distinct divisor is decided
-    once, by the first of three routes that proves it: the candidate
-    divisor when validate took its regular route, which that route already
-    proved strictly convex; a divisor for which `fan._regular` holds,
-    strictly convex by the lemma in its docstring; and else
-    classify_convexity, whose certificate a ConvexityError carries.  The
-    degrees share their common prefixes of divisor actions.
+    and each distinct divisor passes `require_convex` once.  The degrees
+    share their common prefixes of divisor actions.
     """
     fan = tf.fan
     d = fan.dimension
@@ -240,12 +227,9 @@ def af_report(
         if len(z) != len(fan.rays):
             raise PreconditionError("divisor has one value per ray")
         index.setdefault(tuple(z), len(index))
-    report = validate(fan)
-    report.require("AF reports need a fan")
-    proved = candidate_divisor(fan) if report.fan_condition_route == ROUTE_REGULAR else None
+    validate(fan).require("AF reports need a fan")
     for z in index:
-        if z != proved and not _regular(fan, z):
-            classify_convexity(fan, z, strict=False).require("input divisor is not convex")
+        require_convex(fan, z, False, "input divisor is not convex")
     i1, i2, *rest = (index[tuple(z)] for z in (d1, d2, *aux))
     sequences = [(i1, i2, *rest), (i1, i1, *rest), (i2, i2, *rest)]
     sequences += [(i1,) * k + (i2,) * (d - k) for k in range(d + 1)]
@@ -338,9 +322,8 @@ def definition_sample_check(
     show exactly one positive eigenvalue, and sampled top degrees must be
     positive.  Complements the exact decision procedure.  The samples are
     drawn around `witness`, a strictly convex divisor on the fan, such as the
-    witness of the fan's Lorentzian certificate; it is proved strictly
-    convex by `fan._regular` when that holds, else by classify_convexity,
-    whose certificate a ConvexityError carries.
+    witness of the fan's Lorentzian certificate, which must pass
+    `require_convex`.
 
     Only cones with at most d - 2 rays can have stars of dimension two or
     more, so no other star is built.  On each star the pushed witness is certified once, and every draw is
@@ -353,10 +336,7 @@ def definition_sample_check(
         raise PreconditionError("sampling needs at least one sample")
     if witness is None:
         raise PreconditionError("sampling requires a quasiprojective fan")
-    if len(witness) != len(fan.rays):
-        raise PreconditionError("divisor has one value per ray")
-    if not _regular(fan, witness):
-        classify_convexity(fan, witness, strict=True).require("sampling requires a strictly convex witness")
+    require_convex(fan, witness, True, "sampling requires a strictly convex witness")
     rng = random.Random(seed)
     records = []
     for tau in sorted(fan.all_cones()):

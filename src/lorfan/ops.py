@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .convexity import classify_convexity
+from .convexity import require_convex
 from .errors import PreconditionError
 from .fan import MarkedFan, components, cone_key, product_fan, validate
 from .linalg import ZERO, ONE
@@ -37,12 +37,14 @@ def product_tropical(tf1: TropicalFan, tf2: TropicalFan) -> TropicalFan:
 
 def act_divisor_fan(tf: TropicalFan, z: Divisor) -> TropicalFan:
     """The codimension-one skeleton weighted by the action of a strictly
-    convex divisor; positivity of the result is guaranteed by strictness."""
+    convex divisor; positivity of the result is guaranteed by strictness.
+    Input that fails validate is refused."""
     fan = tf.fan
     d = fan.dimension
     if d < 1:
         raise PreconditionError("cannot act on a zero-dimensional fan")
-    classify_convexity(fan, z, strict=True).require("divisor action requires a strictly convex divisor")
+    validate(fan).require("divisor action needs a fan")
+    require_convex(fan, z, True, "divisor action requires a strictly convex divisor")
     acted = divisor_action(fan, tf.weight, z)
     skeleton_cones = tuple(sorted(fan.cones(d - 1)))
     used = sorted(set(itertools.chain.from_iterable(skeleton_cones)))
@@ -63,13 +65,15 @@ def tropical_modification(tf: TropicalFan, z: Divisor) -> TropicalFan:
 
     Graph cones keep their weights at the lifted marks (u, z(u)); each
     codimension-one cone also grows a downward cone on the extra ray (0,-1),
-    weighted by the divisor action there, which restores balancing.
+    weighted by the divisor action there, which restores balancing.  Input
+    that fails validate is refused.
     """
     fan = tf.fan
     d = fan.dimension
     if d < 1:
         raise PreconditionError("cannot modify a zero-dimensional fan")
-    classify_convexity(fan, z, strict=True).require("tropical modification requires a strictly convex divisor")
+    validate(fan).require("tropical modification needs a fan")
+    require_convex(fan, z, True, "tropical modification requires a strictly convex divisor")
     acted = divisor_action(fan, tf.weight, z)
 
     nrays = len(fan.rays)

@@ -20,6 +20,7 @@ import pytest
 from lorfan import fan as fan_module
 from lorfan import fixtures
 from lorfan.convexity import classify_convexity, spanning_rays
+from lorfan.errors import PreconditionError
 from lorfan.fan import MarkedFan, ROUTE_PAIRS, ROUTE_REGULAR, _meet_in_shared_face, _regular, candidate_divisor, validate
 from lorfan.io import fan_from_json
 from lorfan.linalg import vec
@@ -187,6 +188,31 @@ def test_regular_route_adds_rows_and_then_succeeds(monkeypatch):
     report = validate(fan)
     assert report.valid and report.fan_condition_route == ROUTE_REGULAR
     assert sizes == [0, 1, 0]
+
+
+def test_regular_verdict_is_kept_on_the_fan(monkeypatch):
+    """A second fan.regular(z) solves no LP, and validate reads the kept
+    verdict of the candidate divisor."""
+    sizes = _lp_sizes(monkeypatch)
+    fan = bergman_fan(complete_graph_matroid(4)).fan
+    c, zero = candidate_divisor(fan), (0,) * len(fan.rays)
+    assert fan.regular(c) and not fan.regular(zero)
+    assert sizes
+    del sizes[:]
+    assert fan.regular(list(c)) and not fan.regular(zero)
+    assert validate(fan).fan_condition_route == ROUTE_REGULAR
+    assert sizes == []
+
+
+@pytest.mark.parametrize("length", [2, 4])
+def test_regular_refuses_wrong_length_divisors(length, monkeypatch):
+    sizes = _lp_sizes(monkeypatch)
+    fan = fixtures.triangle_fan().fan
+    with pytest.raises(PreconditionError) as excinfo:
+        fan.regular((1,) * length)
+    assert type(excinfo.value) is PreconditionError
+    assert str(excinfo.value) == "divisor has one value per ray"
+    assert sizes == []
 
 
 GOLDEN = Path(__file__).parent / "golden"

@@ -2,10 +2,12 @@ import json
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from lorfan import cli, io, lorentzian
+from lorfan import fan as fan_module
 from lorfan.cli import main
 from lorfan.errors import InputError
 from lorfan.fixtures import (
@@ -284,6 +286,48 @@ def test_cli_af_refuses_double_cover(tmp_path, capsys):
     assert code == 3
     assert out == ""
     assert "AF reports need a fan" in err and "overlap" in err
+
+
+@pytest.mark.parametrize("command, message", [
+    ("act", "divisor action needs a fan"),
+    ("modify", "tropical modification needs a fan"),
+])
+def test_cli_act_and_modify_refuse_double_cover(tmp_path, capsys, command, message):
+    # without the validate gate both emitted a weighted fan for this non-fan
+    ones = write(tmp_path, "ones.json", {"values": ["1"] * 6})
+    code, out, err = run(capsys, command, "--fan", double_cover_file(tmp_path), "--divisor", ones)
+    assert code == 3
+    assert out == ""
+    assert f"{message}: cones (0, 1) and (2, 4) overlap beyond their shared face" in err
+
+
+def test_cli_lorentzian_samples_runs_regular_once(capsys, monkeypatch):
+    """validate proves the candidate divisor; the witness and the sampling
+    gate read that verdict off the fan, so the run solves the LPs of one
+    `_regular` pass and no more."""
+    golden = Path(__file__).parent / "golden"
+    path = str(golden / "inputs" / "mk4.json")
+    calls, solved = [], []
+    regular, feasible = fan_module._regular, fan_module.strict_feasible
+
+    def counted_regular(fan, z):
+        calls.append(z)
+        return regular(fan, z)
+
+    def counted_feasible(rows, dim):
+        solved.append(len(rows))
+        return feasible(rows, dim)
+
+    monkeypatch.setattr(fan_module, "strict_feasible", counted_feasible)
+    fan, _ = io.fan_from_json(io.load_json_file(path))
+    assert regular(fan, fan_module.candidate_divisor(fan))
+    one_pass, solved[:] = solved[:], []
+    monkeypatch.setattr(fan_module, "_regular", counted_regular)
+    code, out, _ = run(capsys, "lorentzian", "--fan", path, "--samples", "2", "--seed", "5")
+    assert code == 0
+    assert out == (golden / "lorentzian-mk4-samples.json").read_text()
+    assert len(calls) == 1
+    assert solved == one_pass
 
 
 @pytest.mark.parametrize("length", [2, 4])

@@ -270,18 +270,18 @@ def _af_inputs():
 
 
 def test_af_checks_each_distinct_divisor_once(monkeypatch):
-    """Each distinct divisor is decided once, however often it is passed, on
-    the first route that proves it: the candidate divisor by validate's
-    regular route (no call beyond validate's own `_regular`), a regular
-    divisor by `_regular`, and the zero divisor, convex but not strictly,
-    by classify_convexity after `_regular` fails on it."""
-    from lorfan import lorentzian
+    """Each distinct divisor is decided once per fan, however often it is
+    passed: `_regular` once, and classify_convexity only after `_regular`
+    fails.  The candidate divisor's verdict is already kept on the fan by
+    find_strictly_convex, a regular divisor is proved by `_regular`, and the
+    zero divisor, convex but not strictly, by classify_convexity."""
+    from lorfan import convexity
 
     tf, _, d2, _ = _af_inputs()
     c = candidate_divisor(tf.fan)
     zero = (Fraction(0),) * len(c)
     decisions = []
-    regular, classify = fan_module._regular, lorentzian.classify_convexity
+    regular, classify = fan_module._regular, convexity.classify_convexity
 
     def counted_regular(fan, z):
         decisions.append(("regular", tuple(z)))
@@ -292,11 +292,9 @@ def test_af_checks_each_distinct_divisor_once(monkeypatch):
         return classify(fan, z, strict=strict)
 
     monkeypatch.setattr(fan_module, "_regular", counted_regular)
-    monkeypatch.setattr(lorentzian, "_regular", counted_regular)
-    monkeypatch.setattr(lorentzian, "classify_convexity", counted_classify)
+    monkeypatch.setattr(convexity, "classify_convexity", counted_classify)
     report = af_report(tf, c, d2, [d2])
-    # the first call is validate's, on c
-    assert decisions == [("regular", c), ("regular", tuple(d2))]
+    assert decisions == [("regular", tuple(d2))]
     w = tf.weight
     mixed, sq1, sq2 = (mixed_degree(tf.fan, w, seq) for seq in ([c, d2, d2], [c, c, d2], [d2, d2, d2]))
     assert report.af_gap == mixed * mixed - sq1 * sq2
@@ -304,7 +302,12 @@ def test_af_checks_each_distinct_divisor_once(monkeypatch):
 
     decisions.clear()
     af_report(tf, zero, c, [zero])
-    assert decisions == [("regular", c), ("regular", zero), ("classify", zero)]
+    assert decisions == [("regular", zero), ("classify", zero)]
+
+    # the verdicts stay on the fan: a second report decides nothing again
+    decisions.clear()
+    assert af_report(tf, c, d2, [d2]) == report
+    assert decisions == []
 
 
 def test_af_refuses_double_cover():

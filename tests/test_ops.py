@@ -24,7 +24,7 @@ from lorfan.ops import (
     tropical_modification,
 )
 from lorfan.linalg import vec
-from lorfan.weights import check_balancing, mixed_degree
+from lorfan.weights import MinkowskiWeight, TropicalFan, check_balancing, mixed_degree
 
 from helpers import polygon_area, polytope_vertices, shoelace_of_vertex_list, smooth_complete_2fan, triangle_double_cover
 
@@ -92,6 +92,20 @@ def test_strict_ops_refuse_negated_candidate():
         assert str(excinfo.value) == message
         cert = excinfo.value.certificate
         assert cert.divisor == neg and not cert.strictly_convex and cert.failing
+
+
+@pytest.mark.parametrize("op, message", [
+    (act_divisor_fan, "divisor action needs a fan"),
+    (tropical_modification, "tropical modification needs a fan"),
+])
+def test_strict_ops_refuse_double_cover(op, message):
+    # without the validate gate both returned a weighted fan for this non-fan
+    fan = triangle_double_cover()
+    tf = TropicalFan(fan, MinkowskiWeight(2, {c: Fraction(1) for c in fan.maximal_cones}))
+    with pytest.raises(PreconditionError) as excinfo:
+        op(tf, vec([1] * 6))
+    assert type(excinfo.value) is PreconditionError
+    assert str(excinfo.value) == f"{message}: cones (0, 1) and (2, 4) overlap beyond their shared face"
 
 
 def test_act_preserves_lorentzian():

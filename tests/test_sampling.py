@@ -224,14 +224,19 @@ def test_slacks_of_another_divisor_refused():
 
 def test_witness_check_tries_regular_first(monkeypatch):
     """A witness for which `_regular` holds needs no classify_convexity
-    pass on the fan: the one certificate per star is the only one."""
+    pass on the fan: the one certificate per star is the only one.  The
+    witness from find_strictly_convex is the candidate divisor, whose
+    verdict the fan already keeps, so `_regular` is not run again."""
     for tf in (bergman_fan(complete_graph_matroid(4)), triangle_times_line()):
         witness = find_strictly_convex(tf.fan)
-        classified = _count(monkeypatch, lorentzian, "classify_convexity")
-        regular = _count(monkeypatch, lorentzian, "_regular")
+        assert tf.fan.regular(witness)
+        classified = _count(monkeypatch, convexity, "classify_convexity")
+        star_certificates = _count(monkeypatch, lorentzian, "classify_convexity")
+        regular = _count(monkeypatch, fan_module, "_regular")
         report = definition_sample_check(tf, witness, samples=1, seed=3)
-        assert regular == [(tf.fan, witness)]
-        assert len(classified) == len(report.records)
+        assert regular == []
+        assert classified == []
+        assert len(star_certificates) == len(report.records)
         monkeypatch.undo()
 
 
