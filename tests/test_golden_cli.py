@@ -50,6 +50,10 @@ FANS = tuple(STOCK) + tuple(MATROIDS)
 BERGMAN = dict(MATROIDS, u46="U(4,6)", mk5="M(K5)")
 # Bergman fans whose only case is `lorfan volpoly`: a three-dimensional fan
 VOLPOLY = {"u46": "U(4,6)"}
+# three-dimensional Bergman fans with an `lorfan af` case: d1 = aux = c_F and
+# d2 a fixed draw around 8 c_F, whose cones differ from c_F's off the
+# multiples of c_F
+AF_BERGMAN = {"u46": "U(4,6)", "mk5": "M(K5)"}
 
 DIM = {
     "triangle": 2, "line": 1, "skeleton": 2, "triangle_x_line": 3, "spindle": 2,
@@ -113,6 +117,9 @@ def _cases():
         cases.append((f"bergman-{f}", ["bergman", "--matroid", f"@{f}-matroid"]))
     for f in VOLPOLY:
         cases.append((f"volpoly-{f}", ["volpoly", "--fan", f"@{f}"]))
+    for f in AF_BERGMAN:
+        argv = ["af", "--fan", f"@{f}", "--d1", f"@{f}-c", "--d2", f"@{f}-d2", "--aux", f"@{f}-aux"]
+        cases.append((f"af-{f}", argv))
     for f, (base, _) in RESCALED.items():
         fan = f"@{f}"
         cases += [
@@ -320,8 +327,29 @@ def write_inputs() -> None:
         _write(INPUTS / f"{f}-matroid.json", {"n": m.n, "bases": sorted(sorted(b) for b in m.bases)})
     for f, name in VOLPOLY.items():
         _write(INPUTS / f"{f}.json", lio.tropical_to_json(matroids.bergman_fan(_matroid(name))))
+    write_af_inputs()
     write_rescaled_inputs()
     write_subdivided_inputs()
+
+
+def write_af_inputs() -> None:
+    """Each AF_BERGMAN fan with c = c_F, one aux divisor c and d2 drawn by
+    `sample_strictly_convex` around 8c from a seeded generator."""
+    import random
+
+    from lorfan import matroids
+    from lorfan import io as lio
+    from lorfan.lorentzian import sample_strictly_convex
+
+    for f, name in AF_BERGMAN.items():
+        m = _matroid(name)
+        tf = matroids.bergman_fan(m)
+        c = tuple(Fraction(len(F) * (m.n - len(F))) for F in m.proper_flats())
+        d2 = sample_strictly_convex(tf.fan, tuple(8 * v for v in c), random.Random(f"golden/{f}"))
+        _write(INPUTS / f"{f}.json", lio.tropical_to_json(tf))
+        _write(INPUTS / f"{f}-c.json", lio.divisor_to_json(c))
+        _write(INPUTS / f"{f}-d2.json", lio.divisor_to_json(d2))
+        _write(INPUTS / f"{f}-aux.json", {"divisors": [lio.divisor_to_json(c)]})
 
 
 def write_subdivided_inputs() -> None:
