@@ -15,7 +15,7 @@ from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Optional
 
-from .errors import DimensionError, PreconditionError
+from .errors import DimensionError, InternalError, PreconditionError
 from .linalg import Mat, Vec, ZERO, eliminate, fractions, over_lcd, vec
 from .lp import LinearRow, strict_feasible
 
@@ -27,6 +27,9 @@ def cone_key(indices: Iterable[int]) -> Cone:
 
 
 IntRows = tuple[tuple[int, ...], ...]
+# `_regular`'s record: each maximal cone's annihilator point, in
+# maximal_cones order
+RegularRecord = tuple[Vec, ...]
 
 
 @dataclass(frozen=True)
@@ -211,9 +214,10 @@ class MarkedFan:
     (`neighborhood`: the neighborhood rays' images under the cone's
     annihilators and particular functionals) and each maximal cone's record
     over its facet neighbours' rays (`facet_neighborhood`, the first rows of
-    its program in `_regular`) and `_regular`'s verdict per divisor
-    (`regular`) are computed on first use and kept on the instance, so they
-    are shared by every computation on the fan and freed with it.
+    its program in `_regular`) and `_regular`'s record per divisor (kept by
+    `regular`: each maximal cone's annihilator point, or None) are computed
+    on first use and kept on the instance, so they are shared by every
+    computation on the fan and freed with it.
     """
 
     ambient_dim: int
@@ -320,17 +324,19 @@ class MarkedFan:
         return hood
 
     @cached_property
-    def _regulars(self) -> dict[tuple, bool]:
+    def _regulars(self) -> dict[tuple, Optional[RegularRecord]]:
         return {}
 
     def regular(self, z) -> bool:
-        """Whether `_regular` holds for the divisor z, decided on first use."""
+        """Whether `_regular` finds its record for the divisor z, decided on
+        first use; the record, or None, is kept per divisor, and the
+        records kept before are `_regular`'s `kept`."""
         z = tuple(z)
         if len(z) != len(self.rays):
             raise PreconditionError("divisor has one value per ray")
         if z not in self._regulars:
-            self._regulars[z] = _regular(self, z)
-        return self._regulars[z]
+            self._regulars[z] = _regular(self, z, self._regulars)
+        return self._regulars[z] is not None
 
     def cones(self, k: int) -> tuple[Cone, ...]:
         """All k-dimensional cones, i.e. k-subsets of maximal cones, sorted."""
@@ -421,54 +427,140 @@ def _meet_in_shared_face(fan: MarkedFan, c1: Cone, c2: Cone) -> bool:
     return strict_feasible(rows, fan.quotient(shared).codim).feasible
 
 
-def _regular(fan: MarkedFan, z) -> bool:
-    """True when every maximal cone sigma has a functional phi_sigma equal to
-    z on its rays and below z on all other rays; False decides nothing.
+class _RayBounds:
+    """The bounds phi(u_r) < z_r of a divisor z at every ray r, for a
+    functional phi given as int numerators over a positive den.
 
-    Then z is strictly convex at every cone, the lemma that
-    `convexity.require_convex` and `strictly_convex_witness` rely on: for a
-    face tau of sigma, phi_sigma - eps*psi, where psi vanishes on tau and is
-    1 on the other rays of sigma (sigma is simplicial), equals z on tau and
-    is below z on every other ray for small eps > 0, so it is a strict
-    witness at tau.  And two maximal cones meet in their shared face, which
-    `validate`'s regular route relies on: for x = sum a_i u_i = sum b_j u_j
-    in both, the two functionals give sum a z <= sum b z <= sum a z, with
-    equality only when a and b vanish off the shared rays (De Loera, Rambau
-    and Santos, Triangulations, 2010, chapters 2 and 5).
-
-    Each cone's program is solved by row generation (Kelley's cutting-plane
-    method, J. SIAM 8, 1960): its rows start with those of the cone's
-    `facet_neighborhood` record, kept on the fan for every z.  When the
-    program has a point, its functional is tested against every ray the
-    rows leave out, by int dot products with the marks, and the rays it
-    does not keep below z join the rows for the next solve.  A functional
-    that passes every ray answers the full program; a Farkas certificate on
-    some rows is one on all of them, with zero multipliers on the rest.
+    With C_j[r] the j-th mark numerator of ray r times z_r's denominator and
+    Z[r] z_r's numerator times the mark's denominator, the bound reads
+    s_r = sum_j phi_j * C_j[r] - den * Z[r] < 0.  `violated` tests it ray by
+    ray.  `passes` tests every ray at once: each column C_j, and Z, is packed
+    into one big int with a W-bit slot per ray, so that
+    T = OFF - den * Z + sum_j phi_j * C_j, with 2**(W-1) in each slot of OFF,
+    holds s_r + 2**(W-1) in slot r while every |s_r| < 2**(W-1), since then
+    no slot borrows from or carries into the next.  The top bit of slot r is
+    clear exactly when s_r < 0.  max|phi| * B_m + den * B_z bounds every
+    |s_r|, for B_m = max_r sum_j |C_j[r]| and B_z = max_r |Z[r]|; the slots
+    leave 64 bits of room above B_m + B_z, and a functional past the bound
+    is left undecided.
     """
-    # each ray's mark numerators, z_r's numerator times the mark's
-    # denominator, and z_r's denominator
-    bounds = [(nums, v.numerator * d, v.denominator) for (nums, d), v in zip(fan.int_marks, z)]
-    for sigma in fan.maximal_cones:
+
+    def __init__(self, fan: MarkedFan, z):
+        # each ray's mark numerators, z_r's numerator times the mark's
+        # denominator, and z_r's denominator
+        self.bounds = [(nums, v.numerator * d, v.denominator) for (nums, d), v in zip(fan.int_marks, z)]
+        columns = [[x * z_den for x in nums] for nums, _, z_den in self.bounds]
+        self.bm = max((sum(map(abs, col)) for col in columns), default=0)
+        self.bz = max((abs(zd) for _, zd, _ in self.bounds), default=0)
+        self.width = w = (self.bm + self.bz).bit_length() + 65
+        self.half = 1 << (w - 1)
+        self.tops = sum(self.half << (w * r) for r in range(len(columns)))
+        self.columns = [sum(x << (w * r) for r, x in enumerate(col)) for col in zip(*columns)]
+        self.z = sum(zd << (w * r) for r, (_, zd, _) in enumerate(self.bounds))
+
+    def passes(self, phi, den: int, sigma: Cone) -> Optional[bool]:
+        """Whether phi(u_r) < z_r at every ray r off sigma, by one packed
+        sum; None when phi is past the slots' bound."""
+        if max(map(abs, phi), default=0) * self.bm + den * self.bz >= self.half:
+            return None
+        t = self.tops - den * self.z
+        for p, column in zip(phi, self.columns):
+            if p:
+                t += p * column
+        w = self.width
+        return not t & (self.tops - sum(self.half << (w * r) for r in sigma))
+
+    def violated(self, phi, den: int, skip) -> tuple[int, ...]:
+        """The rays off `skip` where phi(u_r) < z_r fails, by int dot
+        products with the marks."""
+        return tuple(
+            r for r, (nums, zd, z_den) in enumerate(self.bounds)
+            if r not in skip and sum(map(mul, phi, nums)) * z_den >= zd * den
+        )
+
+    def holds(self, phi, den: int, sigma: Cone) -> bool:
+        """`passes`, or `violated` where it is undecided."""
+        verdict = self.passes(phi, den, sigma)
+        return not self.violated(phi, den, sigma) if verdict is None else verdict
+
+
+def _shift(z, kept) -> Optional[tuple[Fraction, RegularRecord]]:
+    """lam and the record of the first kept divisor z1 with a record and
+    <z1, z1> != 0, for lam = <z1, z> / <z1, z1>; None when there is none."""
+    for z1, record in kept.items():
+        norm = sum(v * v for v in z1)
+        if record is not None and norm:
+            return Fraction(sum(map(mul, z1, z)), norm), record
+    return None
+
+
+def _regular(fan: MarkedFan, z, kept) -> Optional[RegularRecord]:
+    """Each maximal cone sigma's annihilator point w_sigma (the w of
+    `Quotient.functional`) of a functional phi_sigma equal to z on sigma's
+    rays and below z on all other rays, or None when some cone has none;
+    None decides nothing.  `kept` maps divisors to such records (or None).
+
+    When the record exists, z is strictly convex at every cone, the lemma
+    that `convexity.require_convex` and `strictly_convex_witness` rely on:
+    for a face tau of sigma, phi_sigma - eps*psi, where psi vanishes on tau
+    and is 1 on the other rays of sigma (sigma is simplicial), equals z on
+    tau and is below z on every other ray for small eps > 0, so it is a
+    strict witness at tau.  And two maximal cones meet in their shared face,
+    which `validate`'s regular route relies on: for x = sum a_i u_i =
+    sum b_j u_j in both, the two functionals give sum a z <= sum b z <=
+    sum a z, with equality only when a and b vanish off the shared rays (De
+    Loera, Rambau and Santos, Triangulations, 2010, chapters 2 and 5).
+
+    Each cone first tries points that cost no program, each tested against
+    every ray by `_RayBounds`.  The first is lam * w1_sigma, from the first
+    kept record whose divisor z1 is not zero (a zero divisor would give no
+    lam), for lam = <z1, z> / <z1, z1>: its functional is lam * phi1_sigma
+    plus the particular functional of z - lam * z1, which equals z on sigma
+    and is below z elsewhere when z is near lam * z1.  The second is w = 0,
+    the particular functional of z, where the program's simplex starts.
+    Only a cone where no such point passes solves its program,
+    by row generation (Kelley's cutting-plane method, J. SIAM 8, 1960): its
+    rows start with those of the cone's `facet_neighborhood` record, kept
+    on the fan for every z.  When the program has a point, its functional
+    is tested against every ray, and the rays the rows leave out where it
+    is not below z join the rows for the next solve.  A functional that
+    passes every ray answers the full program; a Farkas certificate on some
+    rows is one on all of them, with zero multipliers on the rest.
+    """
+    bounds = _RayBounds(fan, z)
+    shift = _shift(z, kept)
+    points = []
+    for k, sigma in enumerate(fan.maximal_cones):
         q = fan.quotient(sigma)
         on_cone = [z[i] for i in sigma]
-        hood = fan.facet_neighborhood(sigma)
-        in_rows = {*sigma, *hood.rays}
-        rows = hood.rows(z)
-        while True:
-            result = strict_feasible(rows, q.codim)
-            if not result.feasible:
-                return False
-            phi, den = q.functional(on_cone, result.point)
-            # the rays off the rows where phi . u_r < z_r fails
-            rays = tuple(
-                r for r, (nums, zd, z_den) in enumerate(bounds)
-                if r not in in_rows and sum(map(mul, phi, nums)) * z_den >= zd * den
-            )
-            if not rays:
+        candidates = [(ZERO,) * q.codim]
+        if shift is not None:
+            lam, record = shift
+            candidates.insert(0, tuple(lam * x for x in record[k]))
+        for w in candidates:
+            if bounds.holds(*q.functional(on_cone, w), sigma):
                 break
-            in_rows.update(rays)
-            rows += _neighborhood(fan, sigma, rays).rows(z)
-    return True
+        else:
+            hood = fan.facet_neighborhood(sigma)
+            in_rows = {*sigma, *hood.rays}
+            rows = hood.rows(z)
+            while True:
+                result = strict_feasible(rows, q.codim)
+                if not result.feasible:
+                    return None
+                w = result.point
+                phi, den = q.functional(on_cone, w)
+                if bounds.holds(phi, den, sigma):
+                    break
+                # the program's point meets its rows strictly, so some ray
+                # off them fails
+                rays = bounds.violated(phi, den, in_rows)
+                if not rays:
+                    raise InternalError("packed bound test failed a functional that every ray passes")
+                in_rows.update(rays)
+                rows += _neighborhood(fan, sigma, rays).rows(z)
+        points.append(w)
+    return tuple(points)
 
 
 def validate(fan: MarkedFan) -> ValidationReport:

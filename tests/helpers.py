@@ -556,16 +556,20 @@ def overlap_witness(fan: MarkedFan, c1, c2) -> bool:
     return False
 
 
-def full_row_regular(fan: MarkedFan, z) -> bool:
-    """fan._regular with every program solved on all its rows at once: for
-    each maximal cone, one max-slack program over a neighborhood record
-    built on every ray off the cone."""
+def full_row_regular(fan: MarkedFan, z, kept=None) -> Optional[tuple]:
+    """fan._regular with no point tried first and every program solved on
+    all its rows at once: for each maximal cone, one max-slack program over
+    a neighborhood record built on every ray off the cone.  Its points, or
+    None when one program is infeasible; `kept` is not read."""
+    points = []
     for sigma in fan.maximal_cones:
         others = tuple(r for r in range(len(fan.rays)) if r not in sigma)
         rows = _neighborhood(fan, sigma, others).rows(z)
-        if not lp.strict_feasible(rows, fan.quotient(sigma).codim).feasible:
-            return False
-    return True
+        result = lp.strict_feasible(rows, fan.quotient(sigma).codim)
+        if not result.feasible:
+            return None
+        points.append(result.point)
+    return tuple(points)
 
 
 def classify_af_report(tf: TropicalFan, d1, d2, aux=()) -> AFReport:

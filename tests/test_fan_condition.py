@@ -13,6 +13,9 @@ import functools
 import itertools
 import json
 import math
+import random
+from fractions import Fraction
+from operator import mul
 from pathlib import Path
 
 import pytest
@@ -23,7 +26,7 @@ from lorfan.convexity import classify_convexity, spanning_rays
 from lorfan.errors import PreconditionError
 from lorfan.fan import MarkedFan, ROUTE_PAIRS, ROUTE_REGULAR, _meet_in_shared_face, _regular, candidate_divisor, validate
 from lorfan.io import fan_from_json
-from lorfan.linalg import vec
+from lorfan.linalg import ZERO, fractions, vec
 from lorfan.matroids import bergman_fan, complete_graph_matroid, uniform_matroid
 
 from helpers import (
@@ -74,7 +77,7 @@ def _check_routes(fan):
     """validate's verdict is the pair LPs' verdict, the regular route is
     sound, and the report names the route that decided; returns the route."""
     pairs = not any(_pair_verdicts(fan, _separated))
-    regular = _regular(fan, candidate_divisor(fan))
+    regular = _regular(fan, candidate_divisor(fan), {}) is not None
     report = validate(fan)
     assert report.fan_condition == pairs
     assert pairs or not regular
@@ -123,7 +126,7 @@ def test_validate_double_cover():
     fan = triangle_double_cover()
     z = candidate_divisor(fan)
     assert classify_convexity(fan, z, strict=True).strictly_convex
-    assert not _regular(fan, z)
+    assert _regular(fan, z, {}) is None
     report = validate(fan)
     assert report.simplicial and report.pure and report.all_rays_used
     assert not report.fan_condition
@@ -146,12 +149,12 @@ def _lp_sizes(monkeypatch):
 
 def test_validate_lp_calls_per_route(monkeypatch):
     sizes = _lp_sizes(monkeypatch)
-    # regular route: one LP per maximal cone, on the rays of its facet
-    # neighbours alone
+    # regular route: at each of the 12 maximal cones the particular
+    # functional of z is below z off the cone, so no LP runs
     fan = fixtures.coordinate_skeleton_fan().fan
     report = validate(fan)
     assert report.valid and report.fan_condition_route == ROUTE_REGULAR
-    assert len(sizes) == len(fan.maximal_cones) == 12
+    assert len(fan.maximal_cones) == 12 and sizes == []
     # the first cone (0, 1) starts from the 2 rays of its facet neighbours;
     # its functional is not below z on 2 more, and with those 4 rows no
     # functional is, so the regular route fails after 2 LPs; then every pair
@@ -162,22 +165,25 @@ def test_validate_lp_calls_per_route(monkeypatch):
     assert fan.maximal_cones[0] == (0, 1)
     assert sizes[:2] == [2, 4]
     assert len(sizes) == 2 + math.comb(len(fan.maximal_cones), 2) == 17
-    # on the Bergman ladder one round per cone, of at most 6 rows: U(3,6)
-    # and M(K5) would take 570 and 8460 rows on every ray off each cone
-    for matroid, lps, rows in ((uniform_matroid(3, 6), 30, 150), (complete_graph_matroid(5), 180, 930)):
+    # on the Bergman ladder the particular functional passes at all 30
+    # maximal cones of U(3,6) and at 60 of the 180 of M(K5); each other cone
+    # solves one round, of at most 6 rows, where every ray off an M(K5)
+    # cone would give 47 rows
+    for matroid, cones, lps, rows in ((uniform_matroid(3, 6), 30, 0, 0), (complete_graph_matroid(5), 180, 120, 660)):
         sizes.clear()
         fan = bergman_fan(matroid).fan
         assert validate(fan).fan_condition_route == ROUTE_REGULAR
-        assert len(sizes) == len(fan.maximal_cones) == lps
-        assert sum(sizes) == rows
+        assert len(fan.maximal_cones) == cones
+        assert len(sizes) == lps and sum(sizes) == rows and max(sizes, default=0) <= 6
 
 
 def two_sheets() -> MarkedFan:
     """cone(e1, e2) and cone((1, 1, 1), e3) in R^3, which meet at the
-    origin alone.  The first cone's facets lie in no other cone, so its
-    program starts with no rows; the functional 3x + 3y it finds first is
-    not below z = 3 at (1, 1, 1), and the second program, with that ray's
-    row, finds 3x + 3y + w z for any w < -3."""
+    origin alone.  At the first cone the particular functional 3x + 3y is
+    not below z = 3 at (1, 1, 1).  The cone's facets lie in no other cone,
+    so its program starts with no rows and finds that functional again; the
+    second program, with that ray's row, finds 3x + 3y + w z for any
+    w < -3.  At the second cone the particular functional 3z passes."""
     rays = tuple(vec(u) for u in ((1, 0, 0), (0, 1, 0), (1, 1, 1), (0, 0, 1)))
     return MarkedFan(ambient_dim=3, rays=rays, maximal_cones=((0, 1), (2, 3)))
 
@@ -187,17 +193,22 @@ def test_regular_route_adds_rows_and_then_succeeds(monkeypatch):
     fan = two_sheets()
     report = validate(fan)
     assert report.valid and report.fan_condition_route == ROUTE_REGULAR
-    assert sizes == [0, 1, 0]
+    assert sizes == [0, 1]
 
 
 def test_regular_verdict_is_kept_on_the_fan(monkeypatch):
-    """A second fan.regular(z) solves no LP, and validate reads the kept
-    verdict of the candidate divisor."""
+    """fan.regular keeps _regular's record per divisor (the points of a
+    regular divisor, None for one that is not), a second fan.regular(z)
+    solves no LP, and validate reads the kept verdict of the candidate
+    divisor."""
     sizes = _lp_sizes(monkeypatch)
     fan = bergman_fan(complete_graph_matroid(4)).fan
     c, zero = candidate_divisor(fan), (0,) * len(fan.rays)
     assert fan.regular(c) and not fan.regular(zero)
     assert sizes
+    assert fan._regulars[c] == _regular(fan, c, {})
+    check_record(fan, c, fan._regulars[c])
+    assert fan._regulars[zero] is None
     del sizes[:]
     assert fan.regular(list(c)) and not fan.regular(zero)
     assert validate(fan).fan_condition_route == ROUTE_REGULAR
@@ -225,18 +236,90 @@ def subdivided_fan(name: str) -> MarkedFan:
     return fan_from_json(json.loads((GOLDEN / f"stellar-{name}.json").read_text()))[0]
 
 
+def check_record(fan, z, record) -> None:
+    """Each point of a `_regular` record, rebuilt with Quotient.functional,
+    equals z on its cone's rays and is below z on every other ray, compared
+    in Fractions."""
+    assert len(record) == len(fan.maximal_cones)
+    for sigma, w in zip(fan.maximal_cones, record):
+        q = fan.quotient(sigma)
+        assert len(w) == q.codim
+        phi = fractions(*q.functional([z[i] for i in sigma], w))
+        for r, u in enumerate(fan.rays):
+            value = sum(map(mul, phi, u))
+            assert value == z[r] if r in sigma else value < z[r], (sigma, r)
+
+
+def regular_matches_oracle(fan, z, kept) -> bool:
+    """_regular's verdict on z with `kept` against full_row_regular's, its
+    record checked point by point; returns the verdict."""
+    record = _regular(fan, z, kept)
+    assert (record is None) == (full_row_regular(fan, z) is None)
+    if record is not None:
+        check_record(fan, z, record)
+    return record is not None
+
+
 def _matches_full_row_oracle(build, monkeypatch) -> bool:
     """_regular against full_row_regular, and validate's report, route
     included, against the report validate gives with the oracle in its
     place, each on a fresh fan; returns the verdict."""
-    z = candidate_divisor(build())
-    verdict = _regular(build(), z)
-    assert verdict == full_row_regular(build(), z)
+    verdict = regular_matches_oracle(build(), candidate_divisor(build()), {})
     report = validate(build())
     with monkeypatch.context() as m:
         m.setattr(fan_module, "_regular", full_row_regular)
         assert validate(build()) == report
     return verdict
+
+
+def oracle_divisors(fan, seed: int) -> list:
+    """c_F (the candidate divisor), two seeded draws scale*c_F + eps*bump,
+    0, -c_F, and c_F lowered at ray 0 by 1 + sum |c_F|, which no fixture
+    with rays finds convex."""
+    c = candidate_divisor(fan)
+    rng = random.Random(seed)
+    divisors = [c]
+    for _ in range(2):
+        scale, eps = rng.randint(1, 4), Fraction(1, 2 ** rng.randint(0, 2))
+        divisors.append(tuple(scale * v + eps * Fraction(rng.randint(0, 12), 4) for v in c))
+    divisors += [tuple(ZERO for _ in c), tuple(-v for v in c)]
+    if c:
+        divisors.append((c[0] - 1 - sum(map(abs, c)), *c[1:]))
+    return list(dict.fromkeys(divisors))
+
+
+def _matches_oracle_with_kept(fan, seed: int) -> list[bool]:
+    """_regular against full_row_regular on each of oracle_divisors, with
+    nothing kept, and then with the record of each divisor that has one
+    kept after those of the zero divisor and of the lowered c_F, which the
+    shift skips (the zero divisor has norm 0; the lowered c_F's record is
+    None where it is not regular); returns the verdicts without kept."""
+    divisors = oracle_divisors(fan, seed)
+    records = {z: _regular(fan, z, {}) for z in divisors}
+    verdicts = [regular_matches_oracle(fan, z, {}) for z in divisors]
+    skipped = {z: records[z] for z in (tuple(ZERO for _ in fan.rays), divisors[-1])}
+    for z1, record in records.items():
+        if record is None:
+            continue
+        kept = {**skipped, z1: record}
+        for z in divisors:
+            regular_matches_oracle(fan, z, kept)
+    return verdicts
+
+
+@pytest.mark.parametrize("name", sorted(FANS))
+def test_regular_matches_full_row_oracle_with_and_without_kept(name):
+    fan = FANS[name]()
+    verdicts = _matches_oracle_with_kept(fan, seed=7)
+    c = candidate_divisor(fan)
+    if c:
+        assert not classify_convexity(fan, oracle_divisors(fan, 7)[-1]).convex
+    assert verdicts[0] is (name not in NOT_REGULAR | {"double_cover"})
+
+
+def test_regular_matches_full_row_oracle_with_and_without_kept_on_random_fans():
+    verdicts = [v for seed, fan in enumerate(random_fans()) for v in _matches_oracle_with_kept(fan, seed)]
+    assert set(verdicts) == {True, False}
 
 
 ORACLE_FANS = {
@@ -302,3 +385,120 @@ def test_spanning_rays_is_the_greedy_basis_on_random_and_rescaled_fans():
     assert any(d > 1 for fan in fans for _, d in fan.int_marks)
     for fan in fans:
         assert spanning_rays(fan) == greedy_spanning_rays(fan)
+
+
+# ---------------------------------------------------------------------------
+# the packed bound test against the per-ray scan
+
+
+def _random_int_fan(rng: random.Random, n: int, count: int) -> MarkedFan:
+    """count distinct random nonzero int marks in R^n; one maximal cone on
+    ray 0, enough for _RayBounds, which reads only the marks."""
+    rays = set()
+    while len(rays) < count:
+        u = tuple(rng.randint(-3, 3) for _ in range(n))
+        if any(u):
+            rays.add(u)
+    return MarkedFan(ambient_dim=n, rays=tuple(map(vec, sorted(rays))), maximal_cones=((0,),))
+
+
+def _packed_matches_scan(fan, z, rng: random.Random, trials: int) -> set:
+    """RayBounds.passes against `violated` over every ray off sigma, for
+    random functionals, functionals at the slots' bound, and sigma on the
+    first and the last ray, on a maximal cone, or empty; returns the
+    decided verdicts."""
+    bounds = fan_module._RayBounds(fan, z)
+    last = len(fan.rays) - 1
+    sigmas = [(), (0,), (last,), (0, last), *fan.maximal_cones]
+    n = fan.ambient_dim
+    # the largest |phi_j| with den = 1 that the slots still decide
+    edge = (bounds.half - bounds.bz - 1) // max(bounds.bm, 1)
+    seen = set()
+    for _ in range(trials):
+        sigma = rng.choice(sigmas)
+        if rng.random() < 0.2:
+            phi, den = [rng.choice((-edge, edge)) for _ in range(n)], 1
+        else:
+            phi, den = [rng.randint(-4, 4) for _ in range(n)], rng.randint(1, 3)
+        verdict = bounds.passes(phi, den, sigma)
+        assert verdict is not None
+        assert verdict is not bool(bounds.violated(phi, den, sigma)), (phi, den, sigma)
+        assert bounds.holds(phi, den, sigma) is verdict
+        seen.add(verdict)
+    # past the bound the packed test decides nothing, and holds falls back
+    # to the scan
+    for phi, den in (([edge + 1] + [0] * (n - 1), 1), ([0] * n, bounds.half)):
+        assert bounds.passes(phi, den, (0,)) is None
+        assert bounds.holds(phi, den, (0,)) is not bool(bounds.violated(phi, den, (0,)))
+    return seen
+
+
+def test_packed_bounds_match_scan_on_random_int_marks():
+    rng = random.Random(11)
+    seen = set()
+    for trial in range(30):
+        fan = _random_int_fan(rng, 2 + trial % 3, rng.randint(2, 9))
+        z = tuple(Fraction(rng.randint(-4, 4), rng.choice((1, 1, 2, 3))) for _ in fan.rays)
+        seen |= _packed_matches_scan(fan, z, rng, 40)
+    assert seen == {True, False}
+
+
+@pytest.mark.parametrize("name", ["skeleton_q", "triangle_x_line_q"])
+def test_packed_bounds_match_scan_on_rational_marks(name):
+    inputs = GOLDEN / "inputs"
+    fan = fan_from_json(json.loads((inputs / f"{name}.json").read_text()))[0]
+    assert any(d > 1 for _, d in fan.int_marks)
+    rng = random.Random(name)
+    c = tuple(Fraction(v) for v in json.loads((inputs / f"{name}-c.json").read_text())["values"])
+    seen = set()
+    for z in (c, tuple(-v for v in c), tuple(v + Fraction(rng.randint(-3, 3), 4) for v in c)):
+        seen |= _packed_matches_scan(fan, z, rng, 200)
+        # the functionals _regular tries: z's particular functional on each
+        # maximal cone, and its sum with random annihilator points
+        bounds = fan_module._RayBounds(fan, z)
+        for sigma in fan.maximal_cones:
+            q = fan.quotient(sigma)
+            for w in ((ZERO,) * q.codim, tuple(Fraction(rng.randint(-6, 6), 4) for _ in range(q.codim))):
+                phi, den = q.functional([z[i] for i in sigma], w)
+                assert bounds.passes(phi, den, sigma) is not bool(bounds.violated(phi, den, sigma))
+    assert seen == {True, False}
+
+
+# ---------------------------------------------------------------------------
+# the kept records and the shift
+
+
+@pytest.mark.parametrize("name", ["Fano", "M(K5)"])
+def test_shift_proves_drawn_divisors_without_lp(name, monkeypatch):
+    """A divisor drawn around 8 c_F, scale * 8 c_F + bump as
+    `sample_strictly_convex` draws first, is proved at every maximal cone
+    by the shifted point of c_F's record, with no LP; with nothing kept,
+    some of these draws solve programs."""
+    fan = {**BERGMAN_FANS, **LARGE_BERGMAN_FANS}[name]()
+    c = candidate_divisor(fan)
+    kept = {c: _regular(fan, c, {})}
+    sizes = _lp_sizes(monkeypatch)
+    unshifted = 0
+    for seed in range(1, 4):
+        rng = random.Random(seed)
+        scale = 8 * rng.randint(1, 4)
+        z = tuple(scale * v + Fraction(rng.randint(0, 12), 4) for v in c)
+        del sizes[:]
+        record = _regular(fan, z, kept)
+        assert record is not None and sizes == []
+        check_record(fan, z, record)
+        assert _regular(fan, z, {}) is not None
+        unshifted += len(sizes)
+    assert unshifted > 0
+
+
+def test_zero_divisor_record_is_not_shifted(monkeypatch):
+    """On a fan with one maximal cone the zero divisor is vacuously regular;
+    its record has norm 0, so the next divisor is not shifted from it (lam
+    would divide by zero) and is proved by its particular functional."""
+    fan = MarkedFan(ambient_dim=2, rays=(vec((1, 0)), vec((0, 1))), maximal_cones=((0, 1),))
+    sizes = _lp_sizes(monkeypatch)
+    assert fan.regular((ZERO, ZERO))
+    assert fan.regular((Fraction(1), Fraction(2)))
+    assert sizes == []
+    check_record(fan, (1, 2), fan._regulars[(1, 2)])

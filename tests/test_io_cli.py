@@ -304,15 +304,16 @@ def test_cli_act_and_modify_refuse_double_cover(tmp_path, capsys, command, messa
 def test_cli_lorentzian_samples_runs_regular_once(capsys, monkeypatch):
     """validate proves the candidate divisor; the witness and the sampling
     gate read that verdict off the fan, so the run solves the LPs of one
-    `_regular` pass and no more."""
+    `_regular` pass and no more: none on M(K4), where the particular
+    functional passes at every maximal cone."""
     golden = Path(__file__).parent / "golden"
     path = str(golden / "inputs" / "mk4.json")
     calls, solved = [], []
     regular, feasible = fan_module._regular, fan_module.strict_feasible
 
-    def counted_regular(fan, z):
+    def counted_regular(fan, z, kept):
         calls.append(z)
-        return regular(fan, z)
+        return regular(fan, z, kept)
 
     def counted_feasible(rows, dim):
         solved.append(len(rows))
@@ -320,8 +321,9 @@ def test_cli_lorentzian_samples_runs_regular_once(capsys, monkeypatch):
 
     monkeypatch.setattr(fan_module, "strict_feasible", counted_feasible)
     fan, _ = io.fan_from_json(io.load_json_file(path))
-    assert regular(fan, fan_module.candidate_divisor(fan))
+    assert regular(fan, fan_module.candidate_divisor(fan), {}) is not None
     one_pass, solved[:] = solved[:], []
+    assert one_pass == []
     monkeypatch.setattr(fan_module, "_regular", counted_regular)
     code, out, _ = run(capsys, "lorentzian", "--fan", path, "--samples", "2", "--seed", "5")
     assert code == 0

@@ -273,28 +273,37 @@ def test_af_checks_each_distinct_divisor_once(monkeypatch):
     """Each distinct divisor is decided once per fan, however often it is
     passed: `_regular` once, and classify_convexity only after `_regular`
     fails.  The candidate divisor's verdict is already kept on the fan by
-    find_strictly_convex, a regular divisor is proved by `_regular`, and the
-    zero divisor, convex but not strictly, by classify_convexity."""
+    find_strictly_convex, a regular divisor is proved by `_regular`, with no
+    LP from the points it tries first, and the zero divisor, convex but not
+    strictly, by classify_convexity after `_regular`'s first program, on 2
+    rows, has no point."""
     from lorfan import convexity
 
     tf, _, d2, _ = _af_inputs()
     c = candidate_divisor(tf.fan)
     zero = (Fraction(0),) * len(c)
-    decisions = []
+    decisions, sizes = [], []
     regular, classify = fan_module._regular, convexity.classify_convexity
+    feasible = fan_module.strict_feasible
 
-    def counted_regular(fan, z):
+    def counted_feasible(rows, dim):
+        sizes.append(len(rows))
+        return feasible(rows, dim)
+
+    def counted_regular(fan, z, kept):
         decisions.append(("regular", tuple(z)))
-        return regular(fan, z)
+        return regular(fan, z, kept)
 
     def counted_classify(fan, z, strict=False):
         decisions.append(("classify", tuple(z)))
         return classify(fan, z, strict=strict)
 
     monkeypatch.setattr(fan_module, "_regular", counted_regular)
+    monkeypatch.setattr(fan_module, "strict_feasible", counted_feasible)
     monkeypatch.setattr(convexity, "classify_convexity", counted_classify)
     report = af_report(tf, c, d2, [d2])
     assert decisions == [("regular", tuple(d2))]
+    assert sizes == []
     w = tf.weight
     mixed, sq1, sq2 = (mixed_degree(tf.fan, w, seq) for seq in ([c, d2, d2], [c, c, d2], [d2, d2, d2]))
     assert report.af_gap == mixed * mixed - sq1 * sq2
@@ -303,6 +312,7 @@ def test_af_checks_each_distinct_divisor_once(monkeypatch):
     decisions.clear()
     af_report(tf, zero, c, [zero])
     assert decisions == [("regular", zero), ("classify", zero)]
+    assert sizes == [2]
 
     # the verdicts stay on the fan: a second report decides nothing again
     decisions.clear()
@@ -353,7 +363,7 @@ def test_af_routes_match_classify_oracle(name, kind):
         sampled = sample_strictly_convex(fan, witness, rng)
     divisors = [candidate_divisor(fan), sampled, tuple(-v for v in sampled)]
     for z in divisors:
-        if fan_module._regular(fan, z):
+        if fan_module._regular(fan, z, {}) is not None:
             assert classify_convexity(fan, z, strict=True).strictly_convex
     if fan.dimension < 2:
         return

@@ -253,7 +253,7 @@ def test_witness_of_wrong_length_refused(values):
 def test_non_strict_witness_carries_classify_certificate(values):
     tf = triangle_fan()
     z = tuple(map(Fraction, values))
-    assert not fan_module._regular(tf.fan, z)
+    assert fan_module._regular(tf.fan, z, {}) is None
     with pytest.raises(ConvexityError) as excinfo:
         definition_sample_check(tf, z, samples=1, seed=3)
     assert str(excinfo.value) == "sampling requires a strictly convex witness"
