@@ -16,7 +16,7 @@ from operator import mul
 from typing import Optional
 
 from .errors import ConvexityError, InternalError, PreconditionError
-from .fan import Cone, MarkedFan, Neighborhood, candidate_divisor
+from .fan import Cone, MarkedFan, candidate_divisor
 from .linalg import Vec, ZERO, ONE, eliminate, fractions, over_lcd
 from .lp import strict_feasible
 
@@ -118,60 +118,6 @@ def require_convex(fan: MarkedFan, z, strict: bool, message: str) -> None:
     certificate a refusal's ConvexityError carries."""
     if not fan.regular(z):
         classify_convexity(fan, z, strict).require(message)
-
-
-@dataclass(frozen=True)
-class WitnessSlacks:
-    """A convexity certificate's functionals, read as slacks.
-
-    `cones` holds, for each cone tau of the fan in `all_cones` order, its
-    neighborhood record and the slack w_eta - phi_tau(u_eta) of the
-    certificate's functional phi_tau at each neighborhood ray eta, as an int
-    pair (numerator, positive denominator); None where the certificate has
-    no functional at tau.  `divisor` is the certificate's divisor w.
-    """
-
-    divisor: tuple
-    cones: tuple[tuple[Neighborhood, Optional[tuple[tuple[int, int], ...]]], ...]
-
-
-def witness_slacks(fan: MarkedFan, certificate: ConvexityCertificate) -> WitnessSlacks:
-    """The slacks of a `classify_convexity` certificate on this fan."""
-    w = certificate.divisor
-    cones = []
-    for cw in certificate.witnesses:
-        hood = fan.neighborhood(cw.cone)
-        slacks = None
-        if cw.functional is not None:
-            values = (w[eta] - sum(map(mul, cw.functional, fan.rays[eta])) for eta in hood.rays)
-            slacks = tuple((s.numerator, s.denominator) for s in values)
-        cones.append((hood, slacks))
-    return WitnessSlacks(w, tuple(cones))
-
-
-def strict_by_shift(fan: MarkedFan, slacks: WitnessSlacks, z, scale: int, excess, halvings: int) -> bool:
-    """Whether z = scale*w + bump/2**halvings is strictly convex, for w the
-    divisor of `slacks`, scale a positive int and excess[i] the rows
-    `hood.rows(bump)` of the i-th cone's neighborhood record.
-
-    At a cone tau, phi = scale*phi_tau + 2**-halvings * psi_tau equals z on
-    tau, for phi_tau the certificate's functional and psi_tau the one
-    matching bump on tau with no annihilator part.  Its slack at a
-    neighborhood ray eta is scale*(w_eta - phi_tau(u_eta)) plus the excess
-    of bump at eta over 2**halvings, compared with 0 on ints.  When every
-    slack is positive, phi is a strict witness at tau, so tau's max-slack
-    program has t* > 0 and needs no solve; else that program decides tau.
-    So the answer is classify_convexity(fan, z, strict=True)'s, and the
-    cones are tried in its order up to the first that fails.
-    """
-    for (hood, fixed), rows in zip(slacks.cones, excess):
-        if fixed is not None and all(
-            (scale * sn * d << halvings) + b * sd > 0 for (sn, sd), (_, b, d) in zip(fixed, rows)
-        ):
-            continue
-        if _witness_at_cone(fan, z, hood.cone, True)[1] <= 0:
-            return False
-    return True
 
 
 def spanning_rays(fan: MarkedFan) -> tuple[int, ...]:

@@ -15,14 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .convexity import (
-    WitnessSlacks,
-    classify_convexity,
-    require_convex,
-    strict_by_shift,
-    strictly_convex_witness,
-    witness_slacks,
-)
+from .convexity import classify_convexity, require_convex, strictly_convex_witness
 from .errors import BalancingError, InternalError, PreconditionError
 from .fan import Cone, MarkedFan, PinchReport, is_unpinched, star, validate
 from .linalg import Inertia, Mat, ONE, inertia
@@ -253,39 +246,28 @@ def af_report(
 _MAX_HALVINGS = 14
 
 
-def sample_strictly_convex(
-    fan: MarkedFan, witness: Divisor, rng: random.Random, slacks: Optional[WitnessSlacks] = None
-) -> Divisor:
+def sample_strictly_convex(fan: MarkedFan, witness: Divisor, rng: random.Random) -> Divisor:
     """A random strictly convex divisor: scale*witness + eps*bump, for a
     random scale in 1..4, a random nonnegative bump and the first eps in
-    1, 1/2, 1/4, ... at which the draw is proved strictly convex.
+    1, 1/2, 1/4, ... at which the draw is strictly convex.
 
-    Without `slacks` each draw is proved by classify_convexity(strict=True),
-    one max-slack program per cone.  With `slacks`, the witness_slacks of a
-    classify_convexity certificate of `witness` on this fan, each cone is
-    proved by strict_by_shift: the certificate's functional, scaled, plus
-    eps times the one matching the bump, is a strict witness wherever its
-    slacks are positive, and only the other cones solve their programs.
-    Both routes give every draw the same exact verdict, so they return the
-    same divisor from the same random state.
+    Each draw is decided as `require_convex` decides: by `fan.regular`,
+    whose first kept record, shifted to the draw, costs no program where
+    the draw stays near a multiple of its divisor, and else by
+    classify_convexity(strict=True).  Both give classify_convexity's exact
+    verdict, so the draws are those of a classify_convexity pass per draw.
     """
+    if len(witness) != len(fan.rays):
+        raise PreconditionError("divisor has one value per ray")
     if not witness:
         return ()
     scale = Fraction(rng.randint(1, 4))
     base = tuple(scale * v for v in witness)
     bump = tuple(Fraction(rng.randint(0, 12), 4) for _ in range(len(fan.rays)))
-    if slacks is not None:
-        if slacks.divisor != tuple(witness):
-            raise PreconditionError("the slacks are of another divisor")
-        excess = [hood.rows(bump) for hood, _ in slacks.cones]
     eps = ONE
-    for halvings in range(_MAX_HALVINGS):
+    for _ in range(_MAX_HALVINGS):
         candidate = tuple(b + eps * p for b, p in zip(base, bump))
-        if slacks is None:
-            strict = classify_convexity(fan, candidate, strict=True).strictly_convex
-        else:
-            strict = strict_by_shift(fan, slacks, candidate, scale.numerator, excess, halvings)
-        if strict:
+        if fan.regular(candidate) or classify_convexity(fan, candidate, strict=True).strictly_convex:
             return candidate
         eps /= 2
     raise InternalError("sampling failed to produce a strictly convex divisor")
@@ -326,10 +308,10 @@ def definition_sample_check(
     `require_convex`.
 
     Only cones with at most d - 2 rays can have stars of dimension two or
-    more, so no other star is built.  On each star the pushed witness is certified once, and every draw is
-    proved from that certificate's per-cone functionals
-    (sample_strictly_convex with its witness_slacks): exactly, so the draws
-    are those of a classify_convexity pass per draw.
+    more, so no other star is built.  On each star the pushed witness is
+    proved first, as every draw is (see sample_strictly_convex), so when
+    `fan.regular` holds for it, its record is the one that later draws on
+    the star shift.
     """
     fan = tf.fan
     if samples < 1:
@@ -348,15 +330,16 @@ def definition_sample_check(
             continue
         stf = star_weight(tf, tau, sd)
         star_witness = push_divisor_to_star(sd, witness)
-        certificate = classify_convexity(sd.fan, star_witness, strict=True)
-        if not certificate.strictly_convex:
+        if not (
+            sd.fan.regular(star_witness)
+            or classify_convexity(sd.fan, star_witness, strict=True).strictly_convex
+        ):
             raise InternalError("pushed witness lost strict convexity on a star")
-        slacks = witness_slacks(sd.fan, certificate)
         p_counts = []
         tops_positive = True
         for _ in range(samples):
             aux = [
-                sample_strictly_convex(sd.fan, star_witness, rng, slacks)
+                sample_strictly_convex(sd.fan, star_witness, rng)
                 for _ in range(d_star - 2)
             ]
             current = stf.weight
@@ -364,7 +347,7 @@ def definition_sample_check(
                 current = divisor_action(sd.fan, current, z)
             p_counts.append(inertia(quadratic_form(sd.fan, current)).p)
             tops = [
-                sample_strictly_convex(sd.fan, star_witness, rng, slacks)
+                sample_strictly_convex(sd.fan, star_witness, rng)
                 for _ in range(d_star)
             ]
             if mixed_degree(sd.fan, stf.weight, tops) <= 0:

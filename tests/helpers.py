@@ -599,7 +599,7 @@ def classify_af_report(tf: TropicalFan, d1, d2, aux=()) -> AFReport:
 def classify_sample_strictly_convex(fan: MarkedFan, witness, rng: random.Random):
     """sample_strictly_convex with every draw proved by its own
     classify_convexity(strict=True) pass: the oracle of the route that
-    proves draws from the witness's certificate."""
+    tries `fan.regular` first."""
     if not witness:
         return ()
     scale = Fraction(rng.randint(1, 4))
@@ -612,26 +612,6 @@ def classify_sample_strictly_convex(fan: MarkedFan, witness, rng: random.Random)
             return candidate
         eps /= 2
     raise InternalError("sampling failed to produce a strictly convex divisor")
-
-
-def shifted_slacks(fan: MarkedFan, certificate, scale, bump, halvings):
-    """Per cone, in all_cones order, the slacks at its neighborhood rays of
-    scale*phi_tau + psi_tau/2**halvings, in Fractions: phi_tau the
-    certificate's functional (None gives None), psi_tau the functional
-    matching bump on the cone with no annihilator part."""
-    eps = Fraction(1, 2**halvings)
-    w = certificate.divisor
-    out = []
-    for cw in certificate.witnesses:
-        if cw.functional is None:
-            out.append(None)
-            continue
-        rays = scan_neighborhood(fan, cw.cone)
-        excess = fraction_excess(fan, cw.cone, rays, bump)
-        out.append(tuple(
-            scale * (w[eta] - dot(cw.functional, fan.rays[eta])) + eps * e for eta, e in zip(rays, excess)
-        ))
-    return out
 
 
 def joint_program_rows(fan: MarkedFan):

@@ -62,15 +62,19 @@ DIM = {
 # fans with a strictly convex divisor
 CONVEX = [f for f in FANS if f != "twisted_prism"]
 # the sampling check of the definition, at a fixed seed: stock fans, fans with
-# rescaled marks, and Bergman fans, on whose stars some draws are proved cone
-# by cone
-SAMPLED = ["skeleton", "triangle_x_line", "mk4", "skeleton_q", "triangle_x_line_q", "fano"]
+# rescaled marks, and Bergman fans; on rescaled U(3,5) the witness is not
+# regular, and some draws are proved by classify_convexity
+SAMPLED = ["skeleton", "triangle_x_line", "mk4", "skeleton_q", "triangle_x_line_q", "fano", "u35_q"]
 # fans whose marks are rescaled ray by ray (`helpers.rescale_marking`) by these
 # rational and mixed scales, so that marks, weights and divisors leave the
 # integers; each takes its divisors from the unscaled fan's, rescaled alike
 RESCALED = {
     "skeleton_q": ("skeleton", ("1/2", "3/2", "2/3", "1", "2", "3/2")),
     "triangle_x_line_q": ("triangle_x_line", ("2/3", "1", "1/2", "3/2", "2")),
+    "u35_q": (
+        "u35",
+        ("1", "3/4", "4/5", "5/2", "1/3", "3/2", "5/4", "1/2", "1/5", "1/3", "5/4", "1/2", "5/4", "3/2", "1/5"),
+    ),
 }
 # fans read off a stored `lorfan stellar` report, whose subdivision defeats
 # the candidate divisor: `validate` decides them by the pairs route

@@ -303,9 +303,11 @@ def test_cli_act_and_modify_refuse_double_cover(tmp_path, capsys, command, messa
 
 def test_cli_lorentzian_samples_runs_regular_once(capsys, monkeypatch):
     """validate proves the candidate divisor; the witness and the sampling
-    gate read that verdict off the fan, so the run solves the LPs of one
-    `_regular` pass and no more: none on M(K4), where the particular
-    functional passes at every maximal cone."""
+    gate read that verdict off the fan, so `_regular` decides the candidate
+    once and the run solves the LPs of that one pass and no more: none on
+    M(K4), where the particular functional passes at every maximal cone.
+    The only star is the fan itself, so the draws are decided on it too,
+    each once, by the candidate's record shifted, with no LP."""
     golden = Path(__file__).parent / "golden"
     path = str(golden / "inputs" / "mk4.json")
     calls, solved = [], []
@@ -321,14 +323,16 @@ def test_cli_lorentzian_samples_runs_regular_once(capsys, monkeypatch):
 
     monkeypatch.setattr(fan_module, "strict_feasible", counted_feasible)
     fan, _ = io.fan_from_json(io.load_json_file(path))
-    assert regular(fan, fan_module.candidate_divisor(fan), {}) is not None
+    candidate = fan_module.candidate_divisor(fan)
+    assert regular(fan, candidate, {}) is not None
     one_pass, solved[:] = solved[:], []
     assert one_pass == []
     monkeypatch.setattr(fan_module, "_regular", counted_regular)
     code, out, _ = run(capsys, "lorentzian", "--fan", path, "--samples", "2", "--seed", "5")
     assert code == 0
     assert out == (golden / "lorentzian-mk4-samples.json").read_text()
-    assert len(calls) == 1
+    assert calls[0] == candidate
+    assert len(set(calls)) == len(calls)
     assert solved == one_pass
 
 

@@ -260,12 +260,13 @@ def test_af_rejects_nonconvex():
 
 def _af_inputs():
     """triangle x line with a strictly convex d1, a second convex d2, and the
-    negated d1, which is not convex."""
+    negated d1, which is not convex.  d2 is drawn on a second copy of the
+    fan, so the fan of the reports keeps no verdict on it."""
     from lorfan.lorentzian import sample_strictly_convex
 
     tf = triangle_times_line()
     d1 = find_strictly_convex(tf.fan)
-    d2 = sample_strictly_convex(tf.fan, d1, random.Random(5))
+    d2 = sample_strictly_convex(triangle_times_line().fan, d1, random.Random(5))
     return tf, d1, d2, tuple(-v for v in d1)
 
 
