@@ -146,10 +146,9 @@ class Neighborhood:
     over the positive denominator `dens[e]`, and the three are in lowest
     terms together.  `images` makes the star's Fraction marks on each
     access; `rows(z)` makes int max-slack rows.  The record of
-    `MarkedFan.neighborhood` runs over the neighborhood rays, and that of
-    `MarkedFan.facet_neighborhood` over a maximal cone's facet neighbours'
-    rays; `validate` builds others, over the rays each later round of a
-    maximal cone's row generation adds and over the rays two cones do not
+    `MarkedFan.neighborhood` runs over the neighborhood rays; `_regular`
+    builds others, over the rays each iterate of a maximal cone's
+    cutting-plane loop adds, and `validate` over the rays two cones do not
     share.
     """
 
@@ -209,15 +208,13 @@ class MarkedFan:
     """A simplicial fan: ray marks and maximal cones as sorted ray-index tuples.
 
     The cone index (`cones`, `incident`, `cofaces`), the marks as ints
-    (`int_marks`), the per-cone quotient
-    records (`quotient`), the per-cone neighborhood records
-    (`neighborhood`: the neighborhood rays' images under the cone's
-    annihilators and particular functionals) and each maximal cone's record
-    over its facet neighbours' rays (`facet_neighborhood`, the first rows of
-    its program in `_regular`) and `_regular`'s record per divisor (kept by
-    `regular`: each maximal cone's annihilator point, or None) are computed
-    on first use and kept on the instance, so they are shared by every
-    computation on the fan and freed with it.
+    (`int_marks`), the per-cone quotient records (`quotient`), the per-cone
+    neighborhood records (`neighborhood`: the neighborhood rays' images
+    under the cone's annihilators and particular functionals) and
+    `_regular`'s record per divisor (kept by `regular`: each maximal cone's
+    annihilator point, or None) are computed on first use and kept on the
+    instance, so they are shared by every computation on the fan and freed
+    with it.
     """
 
     ambient_dim: int
@@ -307,20 +304,6 @@ class MarkedFan:
         hood = self._neighborhoods.get(cone)
         if hood is None:
             hood = self._neighborhoods[cone] = _neighborhood(self, cone, neighborhood_rays(self, cone))
-        return hood
-
-    @cached_property
-    def _facet_neighborhoods(self) -> dict[Cone, Neighborhood]:
-        return {}
-
-    def facet_neighborhood(self, sigma: Cone) -> Neighborhood:
-        """The record of a maximal cone over the rays of the maximal cones
-        that share a facet with it, off its own, computed on first use."""
-        hood = self._facet_neighborhoods.get(sigma)
-        if hood is None:
-            facets = (sigma[:k] + sigma[k + 1:] for k in range(len(sigma)))
-            rays = {r for facet in facets for c in self.incident[facet] for r in c} - set(sigma)
-            hood = self._facet_neighborhoods[sigma] = _neighborhood(self, sigma, tuple(sorted(rays)))
         return hood
 
     @cached_property
@@ -433,16 +416,16 @@ class _RayBounds:
 
     With C_j[r] the j-th mark numerator of ray r times z_r's denominator and
     Z[r] z_r's numerator times the mark's denominator, the bound reads
-    s_r = sum_j phi_j * C_j[r] - den * Z[r] < 0.  `violated` tests it ray by
-    ray.  `passes` tests every ray at once: each column C_j, and Z, is packed
-    into one big int with a W-bit slot per ray, so that
-    T = OFF - den * Z + sum_j phi_j * C_j, with 2**(W-1) in each slot of OFF,
-    holds s_r + 2**(W-1) in slot r while every |s_r| < 2**(W-1), since then
-    no slot borrows from or carries into the next.  The top bit of slot r is
-    clear exactly when s_r < 0.  max|phi| * B_m + den * B_z bounds every
+    s_r = sum_j phi_j * C_j[r] - den * Z[r] < 0.  `violated` tests every ray
+    at once: each column C_j, and Z, is packed into one big int with a W-bit
+    slot per ray, so that T = OFF - den * Z + sum_j phi_j * C_j, with
+    2**(W-1) in each slot of OFF, holds s_r + 2**(W-1) in slot r while every
+    |s_r| < 2**(W-1), since then no slot borrows from or carries into the
+    next.  The top bit of slot r is set exactly when s_r >= 0, so the set
+    top bits name the failing rays.  max|phi| * B_m + den * B_z bounds every
     |s_r|, for B_m = max_r sum_j |C_j[r]| and B_z = max_r |Z[r]|; the slots
     leave 64 bits of room above B_m + B_z, and a functional past the bound
-    is left undecided.
+    is tested by `scan`, ray by ray.
     """
 
     def __init__(self, fan: MarkedFan, z):
@@ -458,30 +441,30 @@ class _RayBounds:
         self.columns = [sum(x << (w * r) for r, x in enumerate(col)) for col in zip(*columns)]
         self.z = sum(zd << (w * r) for r, (_, zd, _) in enumerate(self.bounds))
 
-    def passes(self, phi, den: int, sigma: Cone) -> Optional[bool]:
-        """Whether phi(u_r) < z_r at every ray r off sigma, by one packed
-        sum; None when phi is past the slots' bound."""
+    def violated(self, phi, den: int, sigma: Cone) -> tuple[int, ...]:
+        """The rays off sigma where phi(u_r) < z_r fails, in ray order, read
+        off the top bits of one packed sum."""
         if max(map(abs, phi), default=0) * self.bm + den * self.bz >= self.half:
-            return None
+            return self.scan(phi, den, sigma)
         t = self.tops - den * self.z
         for p, column in zip(phi, self.columns):
             if p:
                 t += p * column
         w = self.width
-        return not t & (self.tops - sum(self.half << (w * r) for r in sigma))
+        t &= self.tops - sum(self.half << (w * r) for r in sigma)
+        rays = []
+        while t:
+            low = t & -t
+            rays.append((low.bit_length() - 1) // w)
+            t ^= low
+        return tuple(rays)
 
-    def violated(self, phi, den: int, skip) -> tuple[int, ...]:
-        """The rays off `skip` where phi(u_r) < z_r fails, by int dot
-        products with the marks."""
+    def scan(self, phi, den: int, sigma: Cone) -> tuple[int, ...]:
+        """`violated` by int dot products with the marks, ray by ray."""
         return tuple(
             r for r, (nums, zd, z_den) in enumerate(self.bounds)
-            if r not in skip and sum(map(mul, phi, nums)) * z_den >= zd * den
+            if r not in sigma and sum(map(mul, phi, nums)) * z_den >= zd * den
         )
-
-    def holds(self, phi, den: int, sigma: Cone) -> bool:
-        """`passes`, or `violated` where it is undecided."""
-        verdict = self.passes(phi, den, sigma)
-        return not self.violated(phi, den, sigma) if verdict is None else verdict
 
 
 def _shift(z, kept) -> Optional[tuple[Fraction, RegularRecord]]:
@@ -511,21 +494,23 @@ def _regular(fan: MarkedFan, z, kept) -> Optional[RegularRecord]:
     sum a z, with equality only when a and b vanish off the shared rays (De
     Loera, Rambau and Santos, Triangulations, 2010, chapters 2 and 5).
 
-    Each cone first tries points that cost no program, each tested against
-    every ray by `_RayBounds`.  The first is lam * w1_sigma, from the first
-    kept record whose divisor z1 is not zero (a zero divisor would give no
-    lam), for lam = <z1, z> / <z1, z1>: its functional is lam * phi1_sigma
-    plus the particular functional of z - lam * z1, which equals z on sigma
-    and is below z elsewhere when z is near lam * z1.  The second is w = 0,
-    the particular functional of z, where the program's simplex starts.
-    Only a cone where no such point passes solves its program,
-    by row generation (Kelley's cutting-plane method, J. SIAM 8, 1960): its
-    rows start with those of the cone's `facet_neighborhood` record, kept
-    on the fan for every z.  When the program has a point, its functional
-    is tested against every ray, and the rays the rows leave out where it
-    is not below z join the rows for the next solve.  A functional that
-    passes every ray answers the full program; a Farkas certificate on some
-    rows is one on all of them, with zero multipliers on the rest.
+    Each cone runs one cutting-plane loop (Kelley, J. SIAM 8, 1960) over
+    its program's rows, each iterate's functional tested against every ray
+    by `_RayBounds`.  The first iterates cost no program.  The first is
+    lam * w1_sigma, from the first kept record whose divisor z1 is not zero
+    (a zero divisor would give no lam), for lam = <z1, z> / <z1, z1>: its
+    functional is lam * phi1_sigma plus the particular functional of
+    z - lam * z1, which equals z on sigma and is below z elsewhere when z is
+    near lam * z1.  The second is w = 0, the particular functional of z,
+    where the program's simplex starts.  The later iterates are the
+    program's points.  The rays where an iterate's functional is not below
+    z join the rows, so the first program starts from the rays that the
+    free points got wrong; the second free point may fail only rays that
+    are rows already.  A program's point meets its rows strictly, so it
+    passes or fails some ray off them; otherwise the loop would not move,
+    and InternalError is raised.  A functional that passes every
+    ray answers the full program; a Farkas certificate on some rows is one
+    on all of them, with zero multipliers on the rest.
     """
     bounds = _RayBounds(fan, z)
     shift = _shift(z, kept)
@@ -533,42 +518,37 @@ def _regular(fan: MarkedFan, z, kept) -> Optional[RegularRecord]:
     for k, sigma in enumerate(fan.maximal_cones):
         q = fan.quotient(sigma)
         on_cone = [z[i] for i in sigma]
-        candidates = [(ZERO,) * q.codim]
+        free = [(ZERO,) * q.codim]
         if shift is not None:
             lam, record = shift
-            candidates.insert(0, tuple(lam * x for x in record[k]))
-        for w in candidates:
-            if bounds.holds(*q.functional(on_cone, w), sigma):
-                break
-        else:
-            hood = fan.facet_neighborhood(sigma)
-            in_rows = {*sigma, *hood.rays}
-            rows = hood.rows(z)
-            while True:
+            free.insert(0, tuple(lam * x for x in record[k]))
+        free = iter(free)
+        in_rows, rows, result = set(sigma), [], None
+        while True:
+            w = next(free, None)
+            if w is None:
                 result = strict_feasible(rows, q.codim)
                 if not result.feasible:
                     return None
                 w = result.point
-                phi, den = q.functional(on_cone, w)
-                if bounds.holds(phi, den, sigma):
-                    break
-                # the program's point meets its rows strictly, so some ray
-                # off them fails
-                rays = bounds.violated(phi, den, in_rows)
-                if not rays:
-                    raise InternalError("packed bound test failed a functional that every ray passes")
-                in_rows.update(rays)
-                rows += _neighborhood(fan, sigma, rays).rows(z)
+            failed = bounds.violated(*q.functional(on_cone, w), sigma)
+            if not failed:
+                break
+            rays = tuple(r for r in failed if r not in in_rows)
+            if result is not None and not rays:
+                raise InternalError("a program's point fails only rays among its rows")
+            in_rows.update(rays)
+            rows += _neighborhood(fan, sigma, rays).rows(z)
         points.append(w)
     return tuple(points)
 
 
 def validate(fan: MarkedFan) -> ValidationReport:
     """Structural report: simpliciality, purity, ray usage, and the fan
-    condition, decided with the candidate divisor as height function (one
-    LP per maximal cone, on the rays of its facet neighbours and then on
-    those its functional violates, re-solved until none is), or, when that
-    fails, by one separating-functional LP per pair of maximal cones."""
+    condition, decided with the candidate divisor as height function (per
+    maximal cone, free points and then LPs on the rays their functionals
+    violate, until one passes every ray), or, when that fails, by one
+    separating-functional LP per pair of maximal cones."""
     failures = []
 
     # the elimination that decides simpliciality keeps the cone's quotient record

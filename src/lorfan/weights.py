@@ -50,9 +50,9 @@ def weight(degree: int, values: dict) -> MinkowskiWeight:
     return MinkowskiWeight(degree, {cone_key(c): Fraction(v) for c, v in values.items()})
 
 
-def constant_weight(fan: MarkedFan, value=1) -> MinkowskiWeight:
+def constant_weight(fan: MarkedFan) -> MinkowskiWeight:
     d = fan.dimension
-    return MinkowskiWeight(d, {c: Fraction(value) for c in fan.cones(d)})
+    return MinkowskiWeight(d, {c: ONE for c in fan.cones(d)})
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,8 @@
 """The fan condition and the spanning rays against their definitions.
 
 validate decides the fan condition by the regular route (the candidate
-divisor as a height function: one LP per maximal cone, its rows generated
-from the rays of the cone's facet neighbours on) and falls back to one
+divisor as a height function: per maximal cone, free points and then LPs,
+its rows generated from the rays each point violates) and falls back to one
 separating LP per pair of maximal cones; both are compared with an overlap
 oracle that solves for a common point of two cones directly, and the
 regular route with the oracle that solves each cone's program on all its
@@ -23,10 +23,11 @@ import pytest
 from lorfan import fan as fan_module
 from lorfan import fixtures
 from lorfan.convexity import classify_convexity, spanning_rays
-from lorfan.errors import PreconditionError
+from lorfan.errors import InternalError, PreconditionError
 from lorfan.fan import MarkedFan, ROUTE_PAIRS, ROUTE_REGULAR, _meet_in_shared_face, _regular, candidate_divisor, validate
 from lorfan.io import fan_from_json
 from lorfan.linalg import ZERO, fractions, vec
+from lorfan.lp import StrictFeasibility
 from lorfan.matroids import bergman_fan, complete_graph_matroid, uniform_matroid
 
 from helpers import (
@@ -155,35 +156,36 @@ def test_validate_lp_calls_per_route(monkeypatch):
     report = validate(fan)
     assert report.valid and report.fan_condition_route == ROUTE_REGULAR
     assert len(fan.maximal_cones) == 12 and sizes == []
-    # the first cone (0, 1) starts from the 2 rays of its facet neighbours;
-    # its functional is not below z on 2 more, and with those 4 rows no
-    # functional is, so the regular route fails after 2 LPs; then every pair
-    # of the six cones gets its LP
+    # the first cone (0, 1) spans the plane, so its only functional is the
+    # particular one, 2x + 2y; that equals z on rays 3 and 4, which repeat
+    # the marks of rays 0 and 1, and with their 2 rows the program is
+    # infeasible, so the regular route fails after 1 LP; then every pair of
+    # the six cones gets its LP, the first on 2 rows
     sizes.clear()
     fan = triangle_double_cover()
     assert validate(fan).fan_condition_route == ROUTE_PAIRS
     assert fan.maximal_cones[0] == (0, 1)
-    assert sizes[:2] == [2, 4]
-    assert len(sizes) == 2 + math.comb(len(fan.maximal_cones), 2) == 17
+    assert sizes[:2] == [2, 2]
+    assert len(sizes) == 1 + math.comb(len(fan.maximal_cones), 2) == 16
     # on the Bergman ladder the particular functional passes at all 30
-    # maximal cones of U(3,6) and at 60 of the 180 of M(K5); each other cone
-    # solves one round, of at most 6 rows, where every ray off an M(K5)
-    # cone would give 47 rows
-    for matroid, cones, lps, rows in ((uniform_matroid(3, 6), 30, 0, 0), (complete_graph_matroid(5), 180, 120, 660)):
+    # maximal cones of U(3,6) and at 60 of the 180 of M(K5); each other
+    # M(K5) cone solves one program, on the one ray where the particular
+    # functional is not below z, where every ray off the cone would give 47
+    # rows
+    for matroid, cones, lps in ((uniform_matroid(3, 6), 30, 0), (complete_graph_matroid(5), 180, 120)):
         sizes.clear()
         fan = bergman_fan(matroid).fan
         assert validate(fan).fan_condition_route == ROUTE_REGULAR
         assert len(fan.maximal_cones) == cones
-        assert len(sizes) == lps and sum(sizes) == rows and max(sizes, default=0) <= 6
+        assert sizes == [1] * lps
 
 
 def two_sheets() -> MarkedFan:
     """cone(e1, e2) and cone((1, 1, 1), e3) in R^3, which meet at the
     origin alone.  At the first cone the particular functional 3x + 3y is
-    not below z = 3 at (1, 1, 1).  The cone's facets lie in no other cone,
-    so its program starts with no rows and finds that functional again; the
-    second program, with that ray's row, finds 3x + 3y + w z for any
-    w < -3.  At the second cone the particular functional 3z passes."""
+    not below z = 3 at (1, 1, 1), so that ray's row starts the cone's
+    program, which finds 3x + 3y + w z for any w < -3.  At the second cone
+    the particular functional 3z passes."""
     rays = tuple(vec(u) for u in ((1, 0, 0), (0, 1, 0), (1, 1, 1), (0, 0, 1)))
     return MarkedFan(ambient_dim=3, rays=rays, maximal_cones=((0, 1), (2, 3)))
 
@@ -193,7 +195,25 @@ def test_regular_route_adds_rows_and_then_succeeds(monkeypatch):
     fan = two_sheets()
     report = validate(fan)
     assert report.valid and report.fan_condition_route == ROUTE_REGULAR
-    assert sizes == [0, 1]
+    assert sizes == [1]
+
+
+def test_regular_refuses_a_program_point_that_fails_only_its_rows(monkeypatch):
+    """A program whose point is the origin with a positive optimum, on
+    two_sheets, where the origin's functional 3x + 3y fails the one row it
+    has: _regular raises InternalError instead of solving again."""
+    calls = []
+
+    def origin(rows, dim):
+        calls.append(len(rows))
+        assert len(calls) == 1, "the program was solved again on the same rows"
+        return StrictFeasibility((ZERO,) * dim, Fraction(1), None)
+
+    monkeypatch.setattr(fan_module, "strict_feasible", origin)
+    fan = two_sheets()
+    with pytest.raises(InternalError):
+        _regular(fan, candidate_divisor(fan), {})
+    assert calls == [1]
 
 
 def test_regular_verdict_is_kept_on_the_fan(monkeypatch):
@@ -358,6 +378,17 @@ def test_validate_on_the_ladder_past_mk5(name, monkeypatch):
         assert _matches_full_row_oracle(build, monkeypatch)
 
 
+def test_validate_mk6_solves_one_lp_per_maximal_cone(monkeypatch):
+    """On M(K6) the rays where the particular functional is not below z
+    start each cone's program, and its first point passes every ray: 2700
+    LPs for 2700 maximal cones."""
+    sizes = _lp_sizes(monkeypatch)
+    fan = bergman_fan(complete_graph_matroid(6)).fan
+    report = validate(fan)
+    assert report.valid and report.fan_condition_route == ROUTE_REGULAR
+    assert len(fan.maximal_cones) == len(sizes) == 2700
+
+
 def test_validate_reports_no_route_without_simpliciality():
     fan = fan_module.MarkedFan(
         ambient_dim=2,
@@ -403,15 +434,16 @@ def _random_int_fan(rng: random.Random, n: int, count: int) -> MarkedFan:
 
 
 def _packed_matches_scan(fan, z, rng: random.Random, trials: int) -> set:
-    """RayBounds.passes against `violated` over every ray off sigma, for
-    random functionals, functionals at the slots' bound, and sigma on the
-    first and the last ray, on a maximal cone, or empty; returns the
-    decided verdicts."""
+    """RayBounds.violated against `scan`, the per-ray test, which must give
+    the same rays in the same order, for random functionals, functionals at
+    the slots' bound, and sigma on the first and the last ray, on a maximal
+    cone, or empty; returns the verdicts (whether some ray fails) that the
+    packed sum decided."""
     bounds = fan_module._RayBounds(fan, z)
     last = len(fan.rays) - 1
     sigmas = [(), (0,), (last,), (0, last), *fan.maximal_cones]
     n = fan.ambient_dim
-    # the largest |phi_j| with den = 1 that the slots still decide
+    # the largest |phi_j| with den = 1 that the slots still hold
     edge = (bounds.half - bounds.bz - 1) // max(bounds.bm, 1)
     seen = set()
     for _ in range(trials):
@@ -420,16 +452,14 @@ def _packed_matches_scan(fan, z, rng: random.Random, trials: int) -> set:
             phi, den = [rng.choice((-edge, edge)) for _ in range(n)], 1
         else:
             phi, den = [rng.randint(-4, 4) for _ in range(n)], rng.randint(1, 3)
-        verdict = bounds.passes(phi, den, sigma)
-        assert verdict is not None
-        assert verdict is not bool(bounds.violated(phi, den, sigma)), (phi, den, sigma)
-        assert bounds.holds(phi, den, sigma) is verdict
-        seen.add(verdict)
-    # past the bound the packed test decides nothing, and holds falls back
-    # to the scan
+        assert max(map(abs, phi)) * bounds.bm + den * bounds.bz < bounds.half
+        rays = bounds.violated(phi, den, sigma)
+        assert rays == bounds.scan(phi, den, sigma), (phi, den, sigma)
+        seen.add(bool(rays))
+    # past the bound violated falls back to the scan
     for phi, den in (([edge + 1] + [0] * (n - 1), 1), ([0] * n, bounds.half)):
-        assert bounds.passes(phi, den, (0,)) is None
-        assert bounds.holds(phi, den, (0,)) is not bool(bounds.violated(phi, den, (0,)))
+        assert max(map(abs, phi)) * bounds.bm + den * bounds.bz >= bounds.half
+        assert bounds.violated(phi, den, (0,)) == bounds.scan(phi, den, (0,))
     return seen
 
 
@@ -460,7 +490,7 @@ def test_packed_bounds_match_scan_on_rational_marks(name):
             q = fan.quotient(sigma)
             for w in ((ZERO,) * q.codim, tuple(Fraction(rng.randint(-6, 6), 4) for _ in range(q.codim))):
                 phi, den = q.functional([z[i] for i in sigma], w)
-                assert bounds.passes(phi, den, sigma) is not bool(bounds.violated(phi, den, sigma))
+                assert bounds.violated(phi, den, sigma) == bounds.scan(phi, den, sigma)
     assert seen == {True, False}
 
 

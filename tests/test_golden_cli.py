@@ -54,6 +54,9 @@ VOLPOLY = {"u46": "U(4,6)"}
 # d2 a fixed draw around 8 c_F, whose cones differ from c_F's off the
 # multiples of c_F
 AF_BERGMAN = {"u46": "U(4,6)", "mk5": "M(K5)"}
+# three-dimensional Bergman fans with a `lorfan validate` case; on M(K5) 120
+# maximal cones reach the regular route's program
+VALIDATE = ("u46", "mk5")
 
 DIM = {
     "triangle": 2, "line": 1, "skeleton": 2, "triangle_x_line": 3, "spindle": 2,
@@ -124,6 +127,8 @@ def _cases():
     for f in AF_BERGMAN:
         argv = ["af", "--fan", f"@{f}", "--d1", f"@{f}-c", "--d2", f"@{f}-d2", "--aux", f"@{f}-aux"]
         cases.append((f"af-{f}", argv))
+    for f in VALIDATE:
+        cases.append((f"validate-{f}", ["validate", "--fan", f"@{f}"]))
     for f, (base, _) in RESCALED.items():
         fan = f"@{f}"
         cases += [
