@@ -24,6 +24,7 @@ from .fan import (
     is_unpinched,
     point_fan,
     product_fan,
+    require_fan,
     star,
     stellar_subdivide,
     validate,

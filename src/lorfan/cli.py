@@ -22,7 +22,7 @@ import sys
 from . import io
 from .convexity import classify_convexity
 from .errors import InputError, InternalError, LorfanError, PreconditionError
-from .fan import star, stellar_subdivide, validate
+from .fan import require_fan, star, stellar_subdivide, validate
 from .linalg import inertia
 from .lorentzian import _forms_polynomial, af_report, definition_sample_check, is_lorentzian, volume_polynomial
 from .matroids import bergman_fan
@@ -78,7 +78,7 @@ def cmd_balance(args):
 def cmd_degree(args):
     tf = _load_tropical(args.fan)
     divisors = io.divisors_from_json(io.load_json_file(args.divisors))
-    validate(tf.fan).require("mixed degrees need a fan")
+    require_fan(tf.fan, "mixed degrees need a fan")
     value = mixed_degree(tf.fan, tf.weight, divisors)
     _emit(args, {"degree": io.rat_to_str(value)})
     return EXIT_OK
@@ -185,7 +185,7 @@ def cmd_mixedvol(args):
 
 def cmd_volpoly(args):
     tf = _load_tropical(args.fan)
-    validate(tf.fan).require("volume polynomials need a fan")
+    require_fan(tf.fan, "volume polynomials need a fan")
     if tf.dimension == 2:
         matrix = quadratic_form(tf.fan, tf.weight)
         payload = {

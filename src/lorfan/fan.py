@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 from operator import mul
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from .errors import DimensionError, InternalError, PreconditionError
 from .linalg import Mat, Vec, ZERO, eliminate, fractions, over_lcd, vec
@@ -383,11 +383,6 @@ class ValidationReport:
     def valid(self) -> bool:
         return self.simplicial and self.pure and self.fan_condition and self.all_rays_used
 
-    def require(self, message: str) -> None:
-        """Refuse input that failed: raise with the message and the first failure."""
-        if not self.valid:
-            raise PreconditionError(f"{message}: {self.failures[0]}")
-
 
 def _meet_in_shared_face(fan: MarkedFan, c1: Cone, c2: Cone) -> bool:
     """True when cone(c1) and cone(c2) meet exactly in the cone on their shared rays.
@@ -543,51 +538,60 @@ def _regular(fan: MarkedFan, z, kept) -> Optional[RegularRecord]:
     return tuple(points)
 
 
+def _failures(fan: MarkedFan) -> Iterator[tuple[str, str]]:
+    """`validate`'s failures in report order, each after the report field it
+    makes false, found one at a time: a gate stops at the first."""
+    simplicial = True
+    # the elimination that decides simpliciality keeps the cone's quotient record
+    for c in fan.maximal_cones:
+        try:
+            fan.quotient(c)
+        except PreconditionError:
+            simplicial = False
+            yield "simplicial", f"cone {c} has linearly dependent marks"
+
+    d = fan.dimension
+    if not all(len(c) == d for c in fan.maximal_cones):
+        yield "pure", "maximal cones do not all have the same dimension"
+
+    used = set(itertools.chain.from_iterable(fan.maximal_cones))
+    if used != set(range(len(fan.rays))):
+        yield "all_rays_used", "some rays belong to no maximal cone"
+
+    if simplicial and not fan.regular(candidate_divisor(fan)):
+        for c1, c2 in itertools.combinations(fan.maximal_cones, 2):
+            if not _meet_in_shared_face(fan, c1, c2):
+                yield "fan_condition", f"cones {c1} and {c2} overlap beyond their shared face"
+
+
 def validate(fan: MarkedFan) -> ValidationReport:
     """Structural report: simpliciality, purity, ray usage, and the fan
     condition, decided with the candidate divisor as height function (per
     maximal cone, free points and then LPs on the rays their functionals
     violate, until one passes every ray), or, when that fails, by one
     separating-functional LP per pair of maximal cones."""
-    failures = []
-
-    # the elimination that decides simpliciality keeps the cone's quotient record
-    simplicial = True
-    for c in fan.maximal_cones:
-        try:
-            fan.quotient(c)
-        except PreconditionError:
-            simplicial = False
-            failures.append(f"cone {c} has linearly dependent marks")
-
-    d = fan.dimension
-    pure = all(len(c) == d for c in fan.maximal_cones)
-    if not pure:
-        failures.append("maximal cones do not all have the same dimension")
-
-    used = set(itertools.chain.from_iterable(fan.maximal_cones))
-    all_rays_used = used == set(range(len(fan.rays)))
-    if not all_rays_used:
-        failures.append("some rays belong to no maximal cone")
-
-    fan_condition = True
+    failures = list(_failures(fan))
+    failed = {field for field, _ in failures}
     route = None
-    if simplicial:
+    if "simplicial" not in failed:
         route = ROUTE_REGULAR if fan.regular(candidate_divisor(fan)) else ROUTE_PAIRS
-    if route == ROUTE_PAIRS:
-        for c1, c2 in itertools.combinations(fan.maximal_cones, 2):
-            if not _meet_in_shared_face(fan, c1, c2):
-                fan_condition = False
-                failures.append(f"cones {c1} and {c2} overlap beyond their shared face")
-
     return ValidationReport(
-        simplicial=simplicial,
-        pure=pure,
-        fan_condition=fan_condition,
-        all_rays_used=all_rays_used,
-        failures=tuple(failures),
+        simplicial="simplicial" not in failed,
+        pure="pure" not in failed,
+        fan_condition="fan_condition" not in failed,
+        all_rays_used="all_rays_used" not in failed,
+        failures=tuple(message for _, message in failures),
         fan_condition_route=route,
     )
+
+
+def require_fan(fan: MarkedFan, message: str) -> None:
+    """The gate of every operation whose mathematics assumes a fan: raise
+    PreconditionError with the message and `validate`'s first failure, found
+    without looking for the others."""
+    failure = next(_failures(fan), None)
+    if failure is not None:
+        raise PreconditionError(f"{message}: {failure[1]}")
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 
 from .convexity import classify_convexity, require_convex, strictly_convex_witness
 from .errors import BalancingError, InternalError, PreconditionError
-from .fan import Cone, MarkedFan, PinchReport, is_unpinched, star, validate
+from .fan import Cone, MarkedFan, PinchReport, is_unpinched, require_fan, star
 from .linalg import Inertia, Mat, ONE, inertia
 from .weights import (
     Divisor,
@@ -134,7 +134,7 @@ def is_lorentzian(tf: TropicalFan) -> LorentzianCertificate:
     fails validate is refused: the characterization holds only for fans.
     """
     fan = tf.fan
-    validate(fan).require("the Lorentzian test needs a fan")
+    require_fan(fan, "the Lorentzian test needs a fan")
     d = fan.dimension
     witness, route = strictly_convex_witness(fan)
     quasiprojective = witness is not None
@@ -220,7 +220,7 @@ def af_report(
         if len(z) != len(fan.rays):
             raise PreconditionError("divisor has one value per ray")
         index.setdefault(tuple(z), len(index))
-    validate(fan).require("AF reports need a fan")
+    require_fan(fan, "AF reports need a fan")
     for z in index:
         require_convex(fan, z, False, "input divisor is not convex")
     i1, i2, *rest = (index[tuple(z)] for z in (d1, d2, *aux))

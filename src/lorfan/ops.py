@@ -11,7 +11,7 @@ from typing import Sequence
 
 from .convexity import require_convex
 from .errors import PreconditionError
-from .fan import MarkedFan, components, cone_key, product_fan, validate
+from .fan import MarkedFan, components, cone_key, product_fan, require_fan
 from .linalg import ZERO, ONE
 from .weights import (
     Divisor,
@@ -43,7 +43,7 @@ def act_divisor_fan(tf: TropicalFan, z: Divisor) -> TropicalFan:
     d = fan.dimension
     if d < 1:
         raise PreconditionError("cannot act on a zero-dimensional fan")
-    validate(fan).require("divisor action needs a fan")
+    require_fan(fan, "divisor action needs a fan")
     require_convex(fan, z, True, "divisor action requires a strictly convex divisor")
     acted = divisor_action(fan, tf.weight, z)
     skeleton_cones = tuple(sorted(fan.cones(d - 1)))
@@ -72,7 +72,7 @@ def tropical_modification(tf: TropicalFan, z: Divisor) -> TropicalFan:
     d = fan.dimension
     if d < 1:
         raise PreconditionError("cannot modify a zero-dimensional fan")
-    validate(fan).require("tropical modification needs a fan")
+    require_fan(fan, "tropical modification needs a fan")
     require_convex(fan, z, True, "tropical modification requires a strictly convex divisor")
     acted = divisor_action(fan, tf.weight, z)
 
@@ -144,7 +144,7 @@ def polytope_bridge(fan: MarkedFan, rhs_list: Sequence[Sequence[Fraction]]) -> M
     d = fan.dimension
     if len(rhs_list) != d:
         raise PreconditionError(f"need {d} polytopes, got {len(rhs_list)}")
-    validate(fan).require("mixed volumes need a fan")
+    require_fan(fan, "mixed volumes need a fan")
     if not is_complete(fan):
         raise PreconditionError("mixed volumes need a complete fan")
     unit = constant_weight(fan)

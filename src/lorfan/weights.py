@@ -93,27 +93,61 @@ def _mark_sum(fan: MarkedFan, weights, tau: Cone) -> tuple[list[int], int]:
     return total, d
 
 
-def _action_at(fan: MarkedFan, w: MinkowskiWeight, tau: Cone, z) -> Optional[Fraction]:
-    """Value at tau of z acting on w, or None when w is unbalanced at tau.
+def _mark_coordinates(fan: MarkedFan, w: MinkowskiWeight):
+    """For a weight w of degree k >= 1, the mark sum at each (k-1)-cone tau,
+    in cones order, read in the quotient record of the first maximal cone M
+    over tau (`fan.incident[tau][0]`): yields (tau, ws, on_tau, scale, den),
+    with on_tau None when w is unbalanced at tau.
 
-    The mark sum must lie in tau's span; the sum of w(sigma) times z at the
-    opposite ray, less the linear function matching z on tau's rays at the
-    mark sum, is the value.  Everything runs on ints over common
-    denominators, and one Fraction is made at the end.
+    M's marks are independent, so the mark sum lies in tau's span exactly
+    when M's annihilators vanish on it and its coordinates in M's mark basis
+    vanish off tau's rays; its coordinates on tau's rays are then those in
+    tau's basis, and no face of M needs an elimination of its own.  `ws`
+    holds w at tau's cofaces as ints over one denominator and `on_tau` the
+    coordinates; a divisor with int values zn over zd acts at tau by
+    (scale * sum(ws * zn at the opposite rays) - sum(on_tau * zn on tau))
+    / (den * zd).
     """
-    cofaces = fan.cofaces[tau]
-    q = fan.quotient(tau)
-    ws, wd = over_lcd([w[sigma] for sigma, _ in cofaces])
-    total, md = _mark_sum(fan, ws, tau)
-    if not q.in_span(total):
-        return None
-    # the mark sum is total / (wd * md); its coordinates are over q.den * wd * md
-    on_tau, td = over_lcd([z[i] for i in tau])
-    opposite, od = over_lcd([z[eta] for _, eta in cofaces])
-    linear_part = sum(map(mul, ws, opposite))  # over wd * od
-    at_sum = sum(map(mul, q.coordinates(total), on_tau))  # over q.den * wd * md * td
-    scale = q.den * md * td
-    return Fraction(linear_part * scale - at_sum * od, wd * od * scale)
+    for tau in fan.cones(w.degree - 1):
+        cofaces = fan.cofaces[tau]
+        top = fan.incident[tau][0]
+        q = fan.quotient(top)
+        ws, wd = over_lcd([w[sigma] for sigma, _ in cofaces])
+        total, md = _mark_sum(fan, ws, tau)
+        on_tau = None
+        if q.in_span(total):
+            # the mark sum is total / (wd * md); its coordinates are over q.den * wd * md
+            coords = q.coordinates(total)
+            if not any(c for r, c in zip(top, coords) if r not in tau):
+                on_tau = [c for r, c in zip(top, coords) if r in tau]
+        scale = q.den * md
+        yield tau, ws, on_tau, scale, wd * scale
+
+
+def _act(fan: MarkedFan, w: MinkowskiWeight, divisors: Sequence[Divisor]) -> list[MinkowskiWeight]:
+    """w acted on by each divisor, one value per (k-1)-cone: the sum of
+    w(sigma) times z at the opposite ray, less the linear function matching
+    z on the cone's rays at the mark sum.  Each divisor is made int once, and
+    each cone's mark sum and coordinates once for all of them; one Fraction
+    is made per value.  Raises at the first cone where w is unbalanced."""
+    ints = [over_lcd(z) for z in divisors]
+    values = [{} for _ in divisors]
+    for tau, ws, on_tau, scale, den in _mark_coordinates(fan, w):
+        if on_tau is None:
+            raise BalancingError(f"weight is unbalanced at cone {tau}")
+        opposite = [eta for _, eta in fan.cofaces[tau]]
+        for (zn, zd), out in zip(ints, values):
+            linear_part = sum(map(mul, ws, [zn[eta] for eta in opposite]))
+            at_sum = sum(map(mul, on_tau, [zn[i] for i in tau]))
+            out[tau] = Fraction(linear_part * scale - at_sum, den * zd)
+    return [MinkowskiWeight(w.degree - 1, out) for out in values]
+
+
+def _check_action(fan: MarkedFan, w: MinkowskiWeight, z: Divisor) -> None:
+    if w.degree < 1:
+        raise PreconditionError("divisor action needs a weight of degree at least one")
+    if len(z) != len(fan.rays):
+        raise DimensionError("divisor has one value per ray")
 
 
 def check_balancing(fan: MarkedFan, w: MinkowskiWeight) -> tuple[Cone, ...]:
@@ -139,18 +173,8 @@ def divisor_action(fan: MarkedFan, w: MinkowskiWeight, z: Divisor) -> MinkowskiW
     minus the unique linear function on the cone's span that matches z on its
     own rays, evaluated at the balancing sum.
     """
-    k = w.degree
-    if k < 1:
-        raise PreconditionError("divisor action needs a weight of degree at least one")
-    if len(z) != len(fan.rays):
-        raise DimensionError("divisor has one value per ray")
-    out = {}
-    for tau in fan.cones(k - 1):
-        value = _action_at(fan, w, tau, z)
-        if value is None:
-            raise BalancingError(f"weight is unbalanced at cone {tau}")
-        out[tau] = value
-    return MinkowskiWeight(k - 1, out)
+    _check_action(fan, w, z)
+    return _act(fan, w, [z])[0]
 
 
 def quadratic_form(fan: MarkedFan, w: MinkowskiWeight) -> Mat:
@@ -169,11 +193,10 @@ def quadratic_form(fan: MarkedFan, w: MinkowskiWeight) -> Mat:
     for sigma in fan.cones(2):
         r1, r2 = sigma
         entries[r1][r2] = entries[r2][r1] = w[sigma]
-    for (rho,) in fan.cones(1):
-        diagonal = _action_at(fan, w, (rho,), indicator_divisor(fan, rho))
-        if diagonal is None:
+    for (rho,), _, on_tau, _, den in _mark_coordinates(fan, w):
+        if on_tau is None:
             raise BalancingError(f"weight is unbalanced at ray {rho}")
-        entries[rho][rho] = diagonal
+        entries[rho][rho] = Fraction(-on_tau[0], den)
     return tuple(tuple(row) for row in entries)
 
 
@@ -187,27 +210,42 @@ def mixed_degrees(
 ) -> list[Fraction]:
     """mixed_degree of [divisors[i] for i in seq] for each index sequence, in
     order, with every value and every error that of the separate calls."""
-
-    def exact(seq):
-        if len(seq) != w.degree:
-            raise PreconditionError(f"need exactly {w.degree} divisors, got {len(seq)}")
-        return seq
-
-    return [acted[()] for acted in acted_weights(fan, w, divisors, map(exact, sequences))]
+    sequences = [tuple(seq) for seq in sequences]
+    exact = next((n for n, seq in enumerate(sequences) if len(seq) != w.degree), len(sequences))
+    acted = acted_weights(fan, w, divisors, sequences[:exact])
+    if exact < len(sequences):
+        raise PreconditionError(f"need exactly {w.degree} divisors, got {len(sequences[exact])}")
+    return [v[()] for v in acted]
 
 
 def acted_weights(
     fan: MarkedFan, w: MinkowskiWeight, divisors: Sequence[Divisor], sequences: Iterable[Sequence[int]]
 ) -> list[MinkowskiWeight]:
     """w acted on by [divisors[i] for i in seq] for each index sequence, in
-    order.  The divisors act in sequence order, first index first, and each
-    distinct prefix is applied once and shared by the later sequences."""
+    order.  The divisors act in sequence order, first index first.  Each
+    distinct prefix is applied once and shared by the later sequences, and
+    it is acted on by every divisor that follows it in some sequence in one
+    `_act` call, when the first of them is reached.  A follower that cannot
+    act (no such index, or a divisor of the wrong length) is left out of
+    that call and raises when its turn comes, so every error is the first
+    that acting divisor by divisor, sequence by sequence, would raise."""
+    sequences = [tuple(seq) for seq in sequences]
+    followers = {}
+    for seq in sequences:
+        for k in range(len(seq)):
+            followers.setdefault(seq[:k], {})[seq[k]] = None
+    n, nrays = len(divisors), len(fan.rays)
     partial = {(): w}
     out = []
-    for seq in map(tuple, sequences):
+    for seq in sequences:
         for k in range(1, len(seq) + 1):
-            if seq[:k] not in partial:
-                partial[seq[:k]] = divisor_action(fan, partial[seq[: k - 1]], divisors[seq[k - 1]])
+            if seq[:k] in partial:
+                continue
+            prefix = seq[: k - 1]
+            _check_action(fan, partial[prefix], divisors[seq[k - 1]])
+            ready = [i for i in followers[prefix] if -n <= i < n and len(divisors[i]) == nrays]
+            for i, acted in zip(ready, _act(fan, partial[prefix], [divisors[i] for i in ready])):
+                partial[prefix + (i,)] = acted
         out.append(partial[seq])
     return out
 

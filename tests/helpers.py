@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Optional
 
 from lorfan import convexity, fixtures, linalg, lp
-from lorfan.errors import DimensionError, InternalError, PreconditionError
+from lorfan.errors import BalancingError, DimensionError, InternalError, PreconditionError
 from lorfan.fan import MarkedFan, Neighborhood, Quotient, _neighborhood, cone_key
 from lorfan.linalg import ONE, ZERO, Inertia, fractions, is_symmetric, mat, over_lcd, vec
 from lorfan.lorentzian import AFReport, is_log_concave, is_unimodal
@@ -512,6 +512,44 @@ def fraction_action_at(fan: MarkedFan, w: MinkowskiWeight, tau, z):
     coords = [dot(psi, total) for psi in particulars]
     linear_part = sum((w[sigma] * z[eta] for sigma, eta in fan.cofaces[tau]), ZERO)
     return linear_part - sum((c * z[i] for c, i in zip(coords, tau)), ZERO)
+
+
+def fraction_divisor_action(fan: MarkedFan, w: MinkowskiWeight, z) -> MinkowskiWeight:
+    """divisor_action by fraction_action_at at every cone, raising what it
+    raises, in the same order."""
+    if w.degree < 1:
+        raise PreconditionError("divisor action needs a weight of degree at least one")
+    if len(z) != len(fan.rays):
+        raise DimensionError("divisor has one value per ray")
+    out = {}
+    for tau in fan.cones(w.degree - 1):
+        value = fraction_action_at(fan, w, tau, z)
+        if value is None:
+            raise BalancingError(f"weight is unbalanced at cone {tau}")
+        out[tau] = value
+    return MinkowskiWeight(w.degree - 1, out)
+
+
+def sequential_acted_weights(fan: MarkedFan, w: MinkowskiWeight, divisors, sequences):
+    """acted_weights one Fraction divisor action at a time, sequence by
+    sequence, each distinct prefix once: the oracle of its values and of the
+    first error it raises."""
+    partial = {(): w}
+    out = []
+    for seq in map(tuple, sequences):
+        for k in range(1, len(seq) + 1):
+            if seq[:k] not in partial:
+                partial[seq[:k]] = fraction_divisor_action(fan, partial[seq[: k - 1]], divisors[seq[k - 1]])
+        out.append(partial[seq])
+    return out
+
+
+def outcome(call):
+    """What a call returns, or the type and message of what it raises."""
+    try:
+        return call()
+    except Exception as exc:
+        return type(exc), str(exc)
 
 
 def rescale_fan(fan: MarkedFan, scale) -> MarkedFan:

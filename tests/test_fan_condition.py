@@ -14,6 +14,7 @@ import itertools
 import json
 import math
 import random
+import re
 from fractions import Fraction
 from operator import mul
 from pathlib import Path
@@ -24,7 +25,7 @@ from lorfan import fan as fan_module
 from lorfan import fixtures
 from lorfan.convexity import classify_convexity, spanning_rays
 from lorfan.errors import InternalError, PreconditionError
-from lorfan.fan import MarkedFan, ROUTE_PAIRS, ROUTE_REGULAR, _meet_in_shared_face, _regular, candidate_divisor, validate
+from lorfan.fan import MarkedFan, ROUTE_PAIRS, ROUTE_REGULAR, _meet_in_shared_face, _regular, candidate_divisor, require_fan, validate
 from lorfan.io import fan_from_json
 from lorfan.linalg import ZERO, fractions, vec
 from lorfan.lp import StrictFeasibility
@@ -178,6 +179,34 @@ def test_validate_lp_calls_per_route(monkeypatch):
         assert validate(fan).fan_condition_route == ROUTE_REGULAR
         assert len(fan.maximal_cones) == cones
         assert sizes == [1] * lps
+
+
+def test_gate_stops_at_the_first_failure(monkeypatch):
+    """require_fan solves the regular route's 1 LP on the double cover and
+    then pair LPs only up to the first overlap, the third pair, and refuses
+    with validate's first failure."""
+    sizes = _lp_sizes(monkeypatch)
+    with pytest.raises(PreconditionError) as refused:
+        require_fan(triangle_double_cover(), "mixed degrees need a fan")
+    assert len(sizes) == 4
+    report = validate(triangle_double_cover())
+    assert len(report.failures) == 9
+    assert report.failures[0] == "cones (0, 1) and (2, 4) overlap beyond their shared face"
+    assert str(refused.value) == f"mixed degrees need a fan: {report.failures[0]}"
+
+
+@pytest.mark.parametrize("name", sorted(FANS))
+def test_gate_passes_exactly_the_valid_fans(name):
+    """require_fan refuses a fan exactly when validate finds it invalid, and
+    keeps the candidate's regular record that validate keeps."""
+    fan = FANS[name]()
+    report = validate(FANS[name]())
+    if report.valid:
+        require_fan(fan, "needs a fan")
+    else:
+        with pytest.raises(PreconditionError, match=re.escape(f"needs a fan: {report.failures[0]}")):
+            require_fan(fan, "needs a fan")
+    assert fan._regulars.keys() == {candidate_divisor(fan)}
 
 
 def two_sheets() -> MarkedFan:

@@ -1,21 +1,32 @@
 """The integer quotient records, neighborhood records and divisor action
 against the Fraction constructions they replaced (`tests/helpers.py`), on the
-stock fixtures, the Bergman fans of the benchmark ladder, the random fans and
-rescaled markings whose marks leave the integers."""
+stock fixtures, the Bergman fans of the benchmark ladder, the random fans,
+rescaled markings whose marks leave the integers, and non-pure fans."""
 
 import itertools
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
 from lorfan import fan as fan_module
-from lorfan.errors import PreconditionError
+from lorfan.errors import BalancingError, PreconditionError
 from lorfan.fan import MarkedFan, validate
-from lorfan.linalg import fractions, over_lcd
+from lorfan.linalg import fractions, over_lcd, vec
 from lorfan.matroids import bergman_fan, uniform_matroid
-from lorfan.weights import MinkowskiWeight, _action_at, _mark_sum, check_balancing, divisor_action
+from lorfan.weights import (
+    MinkowskiWeight,
+    _act,
+    _mark_coordinates,
+    _mark_sum,
+    acted_weights,
+    check_balancing,
+    divisor_action,
+    mixed_degrees,
+    quadratic_form,
+)
 
 from helpers import (
     BERGMAN_FANS,
@@ -30,10 +41,12 @@ from helpers import (
     fraction_neighborhood,
     fraction_quotient,
     neighborhood_coords,
+    outcome,
     particulars,
     random_fan,
     rescaled_random,
     rescaled_tropical,
+    sequential_acted_weights,
     zero_divisor_balancing,
 )
 
@@ -122,24 +135,55 @@ ACTION_FANS.update({
 })
 
 
+def non_pure_fans():
+    """Two fans with maximal cones of two dimensions, and their lone cones'
+    faces: in R^2 a quadrant and a lone ray, in R^3 two 3-cones and a 2-cone
+    on rays of their own, so the first maximal cone over some cones is
+    smaller than the fan."""
+    plane = MarkedFan(2, (vec([1, 0]), vec([0, 1]), vec([-1, -1])), ((0, 1), (2,)))
+    space = MarkedFan(
+        3,
+        tuple(vec(u) for u in ((1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1), (1, 2, 0), (0, -1, 2))),
+        ((0, 1, 2), (0, 1, 3), (4, 5)),
+    )
+    return {"plane": plane, "space": space}
+
+
 def _check_actions(fan, w, rng) -> set:
-    """Mark sums and action values at every cone of each degree, acting with
-    random rational divisors down to degree zero or the first unbalanced
-    weight; returns whether None and whether a value were compared."""
+    """The kernel against the Fraction oracle at every cone of each degree,
+    acting with three random rational divisors at once down to degree zero
+    or the first unbalanced weight, and acted_weights against sequential
+    Fraction actions, values and errors, on random index sequences that
+    include one divisor of the wrong length; returns whether None and
+    whether a value were compared."""
+    divisors = [tuple(rational(rng) for _ in fan.rays) for _ in range(3)]
+    for divs in (divisors, [*divisors, divisors[0][1:]]):
+        sequences = [tuple(rng.randrange(len(divs)) for _ in range(rng.randint(0, w.degree))) for _ in range(6)]
+        assert outcome(lambda: acted_weights(fan, w, divs, sequences)) == outcome(
+            lambda: sequential_acted_weights(fan, w, divs, sequences)
+        )
     compared = set()
     while w.degree >= 1:
-        z = tuple(rational(rng) for _ in fan.rays)
-        for tau in fan.cones(w.degree - 1):
+        expected = {tau: [fraction_action_at(fan, w, tau, z) for z in divisors] for tau in fan.cones(w.degree - 1)}
+        unbalanced = []
+        for tau, _, on_tau, _, _ in _mark_coordinates(fan, w):
             ws, wd = over_lcd([w[sigma] for sigma, _ in fan.cofaces[tau]])
             total, md = _mark_sum(fan, ws, tau)
             assert tuple(Fraction(v, wd * md) for v in total) == fraction_mark_sum(fan, w, tau)
-            value = _action_at(fan, w, tau, z)
-            assert value == fraction_action_at(fan, w, tau, z)
-            compared.add(value is None)
-        assert check_balancing(fan, w) == zero_divisor_balancing(fan, w)
-        if check_balancing(fan, w):
+            assert (on_tau is None) == (expected[tau][0] is None)
+            compared.add(on_tau is None)
+            if on_tau is None:
+                unbalanced.append(tau)
+        assert check_balancing(fan, w) == zero_divisor_balancing(fan, w) == tuple(unbalanced)
+        if unbalanced:
+            with pytest.raises(BalancingError, match=re.escape(f"weight is unbalanced at cone {unbalanced[0]}")):
+                _act(fan, w, divisors)
             break
-        w = divisor_action(fan, w, z)
+        acted = _act(fan, w, divisors)
+        for i, v in enumerate(acted):
+            assert v.degree == w.degree - 1
+            assert v.values == {tau: values[i] for tau, values in expected.items()}
+        w = acted[0]
     return compared
 
 
@@ -147,6 +191,11 @@ def _check_actions(fan, w, rng) -> set:
 def test_divisor_action_matches_fraction_oracle(name):
     tf = ACTION_FANS[name]()
     _check_actions(tf.fan, tf.weight, random.Random(name))
+
+
+def _random_weight(fan, rng):
+    d = fan.dimension
+    return MinkowskiWeight(d, {c: Fraction(rng.randint(1, 6), rng.randint(1, 3)) for c in fan.cones(d)})
 
 
 def test_divisor_action_on_random_weights_matches_fraction_oracle():
@@ -157,10 +206,43 @@ def test_divisor_action_on_random_weights_matches_fraction_oracle():
     for seed in range(40):
         rng = random.Random(seed)
         for fan in (random_fan(seed), rescaled_random(seed, "mixed")):
-            d = fan.dimension
-            w = MinkowskiWeight(d, {c: Fraction(rng.randint(1, 6), rng.randint(1, 3)) for c in fan.cones(d)})
+            compared |= _check_actions(fan, _random_weight(fan, rng), rng)
+    assert compared == {True, False}
+
+
+@pytest.mark.parametrize("name", sorted(non_pure_fans()))
+def test_divisor_action_on_non_pure_fans_matches_fraction_oracle(name):
+    """Random weights of every degree on the non-pure fans: some cone's
+    first maximal cone has a smaller dimension than the fan, and some cone
+    has no cofaces."""
+    fan = non_pure_fans()[name]
+    compared = set()
+    for seed in range(12):
+        rng = random.Random(seed)
+        for k in range(1, fan.dimension + 1):
+            w = MinkowskiWeight(k, {c: Fraction(rng.randint(-3, 6), rng.randint(1, 3)) for c in fan.cones(k)})
             compared |= _check_actions(fan, w, rng)
     assert compared == {True, False}
+    assert any(len(fan.incident[tau][0]) < fan.dimension for tau in fan.all_cones())
+    assert any(not fan.cofaces[tau] for tau in fan.all_cones())
+
+
+def test_dependent_maximal_cone_refuses_the_action():
+    """The action reads the first maximal cone's record; when that cone's
+    marks are dependent every entry point refuses with PreconditionError,
+    like the elimination of the cone itself."""
+    fan = MarkedFan(2, (vec([1, 0]), vec([2, 0]), vec([0, 1])), ((0, 1), (0, 2)))
+    w = MinkowskiWeight(2, {(0, 1): Fraction(1), (0, 2): Fraction(1)})
+    ones = vec([1, 1, 1])
+    calls = (
+        lambda: divisor_action(fan, w, ones),
+        lambda: mixed_degrees(fan, w, [ones], [(0, 0)]),
+        lambda: acted_weights(fan, w, [ones], [(0,)]),
+        lambda: quadratic_form(fan, w),
+    )
+    for call in calls:
+        with pytest.raises(PreconditionError, match=re.escape("cone (0, 1) has dependent marks")):
+            call()
 
 
 def test_dependent_marks_are_refused_by_the_one_elimination():

@@ -226,19 +226,30 @@ def test_mixed_degrees_match_separate_calls(name):
 
 
 def test_mixed_degrees_raise_like_separate_calls():
+    """Each prefix acts with all its followers at once, yet the error raised
+    is the first that the separate calls, in sequence order, raise."""
     tf = triangle_fan()
     ones, short = vec([1, 1, 1]), vec([1, 1])
     broken = weight(2, {(0, 1): 2, (0, 2): 1, (1, 2): 1})
-    with pytest.raises(BalancingError) as separate:
-        mixed_degree(tf.fan, broken, [ones, ones])
-    with pytest.raises(BalancingError) as shared:
-        mixed_degrees(tf.fan, broken, [ones], [(0, 0)])
-    assert str(shared.value) == str(separate.value)
-    with pytest.raises(DimensionError) as separate:
-        mixed_degree(tf.fan, tf.weight, [ones, short])
-    with pytest.raises(DimensionError) as shared:
-        mixed_degrees(tf.fan, tf.weight, [ones, short], [(0, 0), (0, 1)])
-    assert str(shared.value) == str(separate.value)
+    cases = [
+        (broken, [(0, 0)], BalancingError),
+        (tf.weight, [(0, 0), (0, 1)], DimensionError),
+        # an earlier sequence reaches the unbalanced weight before a later
+        # one reaches the short divisor, as first or as second divisor
+        (broken, [(0, 0), (1, 0)], BalancingError),
+        (broken, [(0, 0), (0, 1)], BalancingError),
+        (broken, [(1, 0), (0, 0)], DimensionError),
+        (broken, [(0, 0), (0,)], BalancingError),
+        (broken, [(0,), (0, 0)], PreconditionError),
+        (broken, [(0, 0), (2, 0)], BalancingError),
+    ]
+    for w, sequences, error in cases:
+        with pytest.raises(error) as separate:
+            for seq in sequences:
+                mixed_degree(tf.fan, w, [[ones, short][i] for i in seq])
+        with pytest.raises(error) as shared:
+            mixed_degrees(tf.fan, w, [ones, short], sequences)
+        assert str(shared.value) == str(separate.value)
 
 
 def test_star_weight_of_triangle_at_ray():
