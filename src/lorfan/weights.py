@@ -124,23 +124,22 @@ def _mark_coordinates(fan: MarkedFan, w: MinkowskiWeight):
         yield tau, ws, on_tau, scale, wd * scale
 
 
-def _act(fan: MarkedFan, w: MinkowskiWeight, divisors: Sequence[Divisor]) -> list[MinkowskiWeight]:
-    """w acted on by each divisor, one value per (k-1)-cone: the sum of
-    w(sigma) times z at the opposite ray, less the linear function matching
-    z on the cone's rays at the mark sum.  Each divisor is made int once, and
-    each cone's mark sum and coordinates once for all of them; one Fraction
-    is made per value.  Raises at the first cone where w is unbalanced."""
-    ints = [over_lcd(z) for z in divisors]
-    values = [{} for _ in divisors]
-    for tau, ws, on_tau, scale, den in _mark_coordinates(fan, w):
+def _act(fan: MarkedFan, w: MinkowskiWeight, z: Divisor, marks) -> MinkowskiWeight:
+    """w acted on by z, one value per (k-1)-cone: the sum of w(sigma) times
+    z at the opposite ray, less the linear function matching z on the cone's
+    rays at the mark sum.  `marks` is `_mark_coordinates(fan, w)`, or a list
+    of it shared by every divisor that acts on w; z is made int once, and
+    one Fraction is made per value.  Raises at the first cone where w is
+    unbalanced."""
+    zn, zd = over_lcd(z)
+    out = {}
+    for tau, ws, on_tau, scale, den in marks:
         if on_tau is None:
             raise BalancingError(f"weight is unbalanced at cone {tau}")
-        opposite = [eta for _, eta in fan.cofaces[tau]]
-        for (zn, zd), out in zip(ints, values):
-            linear_part = sum(map(mul, ws, [zn[eta] for eta in opposite]))
-            at_sum = sum(map(mul, on_tau, [zn[i] for i in tau]))
-            out[tau] = Fraction(linear_part * scale - at_sum, den * zd)
-    return [MinkowskiWeight(w.degree - 1, out) for out in values]
+        linear_part = sum(map(mul, ws, [zn[eta] for _, eta in fan.cofaces[tau]]))
+        at_sum = sum(map(mul, on_tau, [zn[i] for i in tau]))
+        out[tau] = Fraction(linear_part * scale - at_sum, den * zd)
+    return MinkowskiWeight(w.degree - 1, out)
 
 
 def _check_action(fan: MarkedFan, w: MinkowskiWeight, z: Divisor) -> None:
@@ -174,7 +173,7 @@ def divisor_action(fan: MarkedFan, w: MinkowskiWeight, z: Divisor) -> MinkowskiW
     own rays, evaluated at the balancing sum.
     """
     _check_action(fan, w, z)
-    return _act(fan, w, [z])[0]
+    return _act(fan, w, z, _mark_coordinates(fan, w))
 
 
 def quadratic_form(fan: MarkedFan, w: MinkowskiWeight) -> Mat:
@@ -210,42 +209,43 @@ def mixed_degrees(
 ) -> list[Fraction]:
     """mixed_degree of [divisors[i] for i in seq] for each index sequence, in
     order, with every value and every error that of the separate calls."""
-    sequences = [tuple(seq) for seq in sequences]
-    exact = next((n for n, seq in enumerate(sequences) if len(seq) != w.degree), len(sequences))
-    acted = acted_weights(fan, w, divisors, sequences[:exact])
-    if exact < len(sequences):
-        raise PreconditionError(f"need exactly {w.degree} divisors, got {len(sequences[exact])}")
-    return [v[()] for v in acted]
+
+    def exact(seq):
+        if len(seq) != w.degree:
+            raise PreconditionError(f"need exactly {w.degree} divisors, got {len(seq)}")
+        return seq
+
+    return [acted[()] for acted in acted_weights(fan, w, divisors, map(exact, sequences))]
+
+
+def _recorded(rows, record: list):
+    for row in rows:
+        record.append(row)
+        yield row
 
 
 def acted_weights(
     fan: MarkedFan, w: MinkowskiWeight, divisors: Sequence[Divisor], sequences: Iterable[Sequence[int]]
 ) -> list[MinkowskiWeight]:
     """w acted on by [divisors[i] for i in seq] for each index sequence, in
-    order.  The divisors act in sequence order, first index first.  Each
-    distinct prefix is applied once and shared by the later sequences, and
-    it is acted on by every divisor that follows it in some sequence in one
-    `_act` call, when the first of them is reached.  A follower that cannot
-    act (no such index, or a divisor of the wrong length) is left out of
-    that call and raises when its turn comes, so every error is the first
-    that acting divisor by divisor, sequence by sequence, would raise."""
-    sequences = [tuple(seq) for seq in sequences]
-    followers = {}
-    for seq in sequences:
-        for k in range(len(seq)):
-            followers.setdefault(seq[:k], {})[seq[k]] = None
-    n, nrays = len(divisors), len(fan.rays)
+    order.  The divisors act in sequence order, first index first, and each
+    distinct prefix is applied once and shared by the later sequences.  A
+    prefix's mark sums and their coordinates are made once, as the first
+    divisor that acts on it reads them, and kept for the others."""
     partial = {(): w}
+    marks = {}
     out = []
-    for seq in sequences:
+    for seq in map(tuple, sequences):
         for k in range(1, len(seq) + 1):
-            if seq[:k] in partial:
-                continue
-            prefix = seq[: k - 1]
-            _check_action(fan, partial[prefix], divisors[seq[k - 1]])
-            ready = [i for i in followers[prefix] if -n <= i < n and len(divisors[i]) == nrays]
-            for i, acted in zip(ready, _act(fan, partial[prefix], [divisors[i] for i in ready])):
-                partial[prefix + (i,)] = acted
+            if seq[:k] not in partial:
+                prefix, z = seq[: k - 1], divisors[seq[k - 1]]
+                _check_action(fan, partial[prefix], z)
+                if prefix in marks:
+                    rows = marks[prefix]
+                else:
+                    # read as the first action goes, which raises where a lone action would
+                    rows = _recorded(_mark_coordinates(fan, partial[prefix]), marks.setdefault(prefix, []))
+                partial[seq[:k]] = _act(fan, partial[prefix], z, rows)
         out.append(partial[seq])
     return out
 

@@ -552,6 +552,33 @@ def outcome(call):
         return type(exc), str(exc)
 
 
+def non_pure_plane() -> MarkedFan:
+    """A quadrant and a lone ray in R^2."""
+    return MarkedFan(2, (vec([1, 0]), vec([0, 1]), vec([-1, -1])), ((0, 1), (2,)))
+
+
+def non_pure_space() -> MarkedFan:
+    """Two 3-cones and a 2-cone on rays of its own in R^3."""
+    rays = tuple(vec(u) for u in ((1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1), (1, 2, 0), (0, -1, 2)))
+    return MarkedFan(3, rays, ((0, 1, 2), (0, 1, 3), (4, 5)))
+
+
+# fans with maximal cones of two dimensions: the first maximal cone over some
+# cones is smaller than the fan, and the lone cones' faces have no cofaces
+NON_PURE_FANS = {"plane": non_pure_plane, "space": non_pure_space}
+
+
+def dependent_marks_fan() -> MarkedFan:
+    """Two 2-cones in R^2, the first on the parallel marks e1 and 2 e1."""
+    return MarkedFan(2, (vec([1, 0]), vec([2, 0]), vec([0, 1])), ((0, 1), (0, 2)))
+
+
+def unused_ray_fan() -> MarkedFan:
+    """The triangle fan with a fourth ray, (1, 1), in none of its cones."""
+    rays = (vec([1, 0]), vec([0, 1]), vec([-1, -1]), vec([1, 1]))
+    return MarkedFan(2, rays, ((0, 1), (0, 2), (1, 2)))
+
+
 def rescale_fan(fan: MarkedFan, scale) -> MarkedFan:
     """The fan with each ray's mark multiplied by its scale."""
     rays = tuple(tuple(Fraction(s) * x for x in u) for s, u in zip(scale, fan.rays))

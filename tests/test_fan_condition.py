@@ -34,9 +34,11 @@ from lorfan.matroids import bergman_fan, complete_graph_matroid, uniform_matroid
 from helpers import (
     BERGMAN_FANS,
     LARGE_BERGMAN_FANS,
+    NON_PURE_FANS,
     SCALES,
     STOCK_FANS,
     TROPICAL_FANS,
+    dependent_marks_fan,
     full_row_regular,
     greedy_spanning_rays,
     overlap_witness,
@@ -45,6 +47,7 @@ from helpers import (
     rescaled_random,
     rescaled_tropical,
     triangle_double_cover,
+    unused_ray_fan,
 )
 
 FANS = {**STOCK_FANS, **BERGMAN_FANS, "double_cover": triangle_double_cover}
@@ -195,18 +198,31 @@ def test_gate_stops_at_the_first_failure(monkeypatch):
     assert str(refused.value) == f"mixed degrees need a fan: {report.failures[0]}"
 
 
-@pytest.mark.parametrize("name", sorted(FANS))
+GATE_FANS = {
+    **FANS,
+    **{f"non_pure_{name}": make for name, make in NON_PURE_FANS.items()},
+    "dependent_marks": dependent_marks_fan,
+    "unused_ray": unused_ray_fan,
+}
+
+
+@pytest.mark.parametrize("name", sorted(GATE_FANS))
 def test_gate_passes_exactly_the_valid_fans(name):
-    """require_fan refuses a fan exactly when validate finds it invalid, and
-    keeps the candidate's regular record that validate keeps."""
-    fan = FANS[name]()
-    report = validate(FANS[name]())
+    """require_fan refuses a fan exactly when validate finds it invalid,
+    with validate's first failure.  Past simpliciality, purity and ray
+    usage it keeps the candidate's regular record that validate keeps;
+    refusing before them, it solves no LP."""
+    fan = GATE_FANS[name]()
+    report = validate(GATE_FANS[name]())
     if report.valid:
         require_fan(fan, "needs a fan")
     else:
         with pytest.raises(PreconditionError, match=re.escape(f"needs a fan: {report.failures[0]}")):
             require_fan(fan, "needs a fan")
-    assert fan._regulars.keys() == {candidate_divisor(fan)}
+    if report.simplicial and report.pure and report.all_rays_used:
+        assert fan._regulars.keys() == {candidate_divisor(fan)}
+    else:
+        assert not fan._regulars
 
 
 def two_sheets() -> MarkedFan:

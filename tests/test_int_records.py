@@ -14,6 +14,7 @@ import pytest
 from lorfan import fan as fan_module
 from lorfan.errors import BalancingError, PreconditionError
 from lorfan.fan import MarkedFan, validate
+from lorfan.fixtures import triangle_fan
 from lorfan.linalg import fractions, over_lcd, vec
 from lorfan.matroids import bergman_fan, uniform_matroid
 from lorfan.weights import (
@@ -31,9 +32,11 @@ from lorfan.weights import (
 from helpers import (
     BERGMAN_FANS,
     LARGE_BERGMAN_FANS,
+    NON_PURE_FANS,
     SCALES,
     STOCK_FANS,
     TROPICAL_FANS,
+    dependent_marks_fan,
     dot,
     fraction_action_at,
     fraction_excess,
@@ -135,27 +138,16 @@ ACTION_FANS.update({
 })
 
 
-def non_pure_fans():
-    """Two fans with maximal cones of two dimensions, and their lone cones'
-    faces: in R^2 a quadrant and a lone ray, in R^3 two 3-cones and a 2-cone
-    on rays of their own, so the first maximal cone over some cones is
-    smaller than the fan."""
-    plane = MarkedFan(2, (vec([1, 0]), vec([0, 1]), vec([-1, -1])), ((0, 1), (2,)))
-    space = MarkedFan(
-        3,
-        tuple(vec(u) for u in ((1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1), (1, 2, 0), (0, -1, 2))),
-        ((0, 1, 2), (0, 1, 3), (4, 5)),
-    )
-    return {"plane": plane, "space": space}
-
-
 def _check_actions(fan, w, rng) -> set:
-    """The kernel against the Fraction oracle at every cone of each degree,
-    acting with three random rational divisors at once down to degree zero
-    or the first unbalanced weight, and acted_weights against sequential
-    Fraction actions, values and errors, on random index sequences that
-    include one divisor of the wrong length; returns whether None and
-    whether a value were compared."""
+    """The mark sums and their coordinates against the Fraction oracle at
+    every cone of each degree: `_act` of each of three random rational
+    divisors on the rows of the cones where the weight is balanced gives the
+    oracle's values there, and the oracle gives None where it is not.  The
+    weight is acted on down to degree zero or the first unbalanced weight,
+    where divisor_action raises, and acted_weights is compared with
+    sequential Fraction actions, values and errors, on random index
+    sequences that include one divisor of the wrong length.  Returns whether
+    None and whether a value were compared."""
     divisors = [tuple(rational(rng) for _ in fan.rays) for _ in range(3)]
     for divs in (divisors, [*divisors, divisors[0][1:]]):
         sequences = [tuple(rng.randrange(len(divs)) for _ in range(rng.randint(0, w.degree))) for _ in range(6)]
@@ -164,25 +156,32 @@ def _check_actions(fan, w, rng) -> set:
         )
     compared = set()
     while w.degree >= 1:
-        expected = {tau: [fraction_action_at(fan, w, tau, z) for z in divisors] for tau in fan.cones(w.degree - 1)}
-        unbalanced = []
-        for tau, _, on_tau, _, _ in _mark_coordinates(fan, w):
-            ws, wd = over_lcd([w[sigma] for sigma, _ in fan.cofaces[tau]])
+        rows = list(_mark_coordinates(fan, w))
+        assert [row[0] for row in rows] == list(fan.cones(w.degree - 1))
+        expected = {}
+        for tau, ws, on_tau, _, _ in rows:
+            wn, wd = over_lcd([w[sigma] for sigma, _ in fan.cofaces[tau]])
+            assert ws == wn
             total, md = _mark_sum(fan, ws, tau)
             assert tuple(Fraction(v, wd * md) for v in total) == fraction_mark_sum(fan, w, tau)
-            assert (on_tau is None) == (expected[tau][0] is None)
-            compared.add(on_tau is None)
+            expected[tau] = [fraction_action_at(fan, w, tau, z) for z in divisors]
             if on_tau is None:
-                unbalanced.append(tau)
-        assert check_balancing(fan, w) == zero_divisor_balancing(fan, w) == tuple(unbalanced)
-        if unbalanced:
-            with pytest.raises(BalancingError, match=re.escape(f"weight is unbalanced at cone {unbalanced[0]}")):
-                _act(fan, w, divisors)
-            break
-        acted = _act(fan, w, divisors)
+                assert expected[tau] == [None] * len(divisors)
+        balanced = [row for row in rows if row[2] is not None]
+        acted = [_act(fan, w, z, balanced) for z in divisors]
         for i, v in enumerate(acted):
             assert v.degree == w.degree - 1
-            assert v.values == {tau: values[i] for tau, values in expected.items()}
+            assert v.values == {tau: expected[tau][i] for tau, *_ in balanced}
+        compared.update(on_tau is None for _, _, on_tau, _, _ in rows)
+        unbalanced = tuple(tau for tau, _, on_tau, _, _ in rows if on_tau is None)
+        assert check_balancing(fan, w) == zero_divisor_balancing(fan, w) == unbalanced
+        if unbalanced:
+            for z in divisors:
+                with pytest.raises(BalancingError, match=re.escape(f"weight is unbalanced at cone {unbalanced[0]}")):
+                    divisor_action(fan, w, z)
+            break
+        for z, v in zip(divisors, acted):
+            assert divisor_action(fan, w, z) == v
         w = acted[0]
     return compared
 
@@ -210,12 +209,12 @@ def test_divisor_action_on_random_weights_matches_fraction_oracle():
     assert compared == {True, False}
 
 
-@pytest.mark.parametrize("name", sorted(non_pure_fans()))
+@pytest.mark.parametrize("name", sorted(NON_PURE_FANS))
 def test_divisor_action_on_non_pure_fans_matches_fraction_oracle(name):
     """Random weights of every degree on the non-pure fans: some cone's
     first maximal cone has a smaller dimension than the fan, and some cone
     has no cofaces."""
-    fan = non_pure_fans()[name]
+    fan = NON_PURE_FANS[name]()
     compared = set()
     for seed in range(12):
         rng = random.Random(seed)
@@ -231,7 +230,7 @@ def test_dependent_maximal_cone_refuses_the_action():
     """The action reads the first maximal cone's record; when that cone's
     marks are dependent every entry point refuses with PreconditionError,
     like the elimination of the cone itself."""
-    fan = MarkedFan(2, (vec([1, 0]), vec([2, 0]), vec([0, 1])), ((0, 1), (0, 2)))
+    fan = dependent_marks_fan()
     w = MinkowskiWeight(2, {(0, 1): Fraction(1), (0, 2): Fraction(1)})
     ones = vec([1, 1, 1])
     calls = (
@@ -243,6 +242,26 @@ def test_dependent_maximal_cone_refuses_the_action():
     for call in calls:
         with pytest.raises(PreconditionError, match=re.escape("cone (0, 1) has dependent marks")):
             call()
+
+
+def test_partial_weight_raises_cone_by_cone():
+    """A weight unbalanced at the first ray of the triangle fan and missing
+    its value on the cone over the other two: every entry point raises the
+    BalancingError of the first ray, as acting cone by cone does, and not
+    the missing value met further on."""
+    tf = triangle_fan()
+    w = MinkowskiWeight(2, {(0, 1): Fraction(2), (0, 2): Fraction(1)})
+    ones = vec([1, 1, 1])
+    assert outcome(lambda: sequential_acted_weights(tf.fan, w, [ones], [(0,)])) == (
+        BalancingError,
+        "weight is unbalanced at cone (0,)",
+    )
+    for call in (
+        lambda: divisor_action(tf.fan, w, ones),
+        lambda: acted_weights(tf.fan, w, [ones, ones], [(0,), (1,)]),
+        lambda: mixed_degrees(tf.fan, w, [ones], [(0, 0)]),
+    ):
+        assert outcome(call) == (BalancingError, "weight is unbalanced at cone (0,)")
 
 
 def test_dependent_marks_are_refused_by_the_one_elimination():
