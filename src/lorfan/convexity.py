@@ -67,11 +67,11 @@ def _witness_at_cone(fan: MarkedFan, z, tau: Cone, strict: bool) -> tuple[ConeWi
     on_cone = [z[i] for i in tau]
     rows = fan.neighborhood(tau).rows(z)
     if not rows:
-        return ConeWitness(tau, fractions(*q.functional(on_cone)), strict, True), ONE
+        return ConeWitness(tau, fractions(*q.functional(*over_lcd(on_cone))), strict, True), ONE
     res = strict_feasible(rows, q.codim)
     if res.optimum < 0 or (strict and not res.feasible):
         return ConeWitness(tau, None, strict, False), res.optimum
-    phi, den = q.functional(on_cone, res.point)
+    phi, den = q.functional(*over_lcd([*on_cone, *res.point]))
     for i, v in zip(tau, on_cone):
         nums, d = fan.int_marks[i]
         if sum(map(mul, phi, nums)) * v.denominator != v.numerator * den * d:
@@ -109,6 +109,14 @@ def classify_convexity(fan: MarkedFan, z, strict: bool = False) -> ConvexityCert
         witnesses=tuple(witnesses),
         failing=tuple(failing),
     )
+
+
+def is_strictly_convex(fan: MarkedFan, z) -> bool:
+    """classify_convexity(fan, z, strict=True).strictly_convex, decided by
+    `fan.regular(z)` (the lemma in `fan._regular`'s docstring) and else
+    cone by cone, up to the first cone whose program has no strict
+    witness."""
+    return fan.regular(z) or all(_witness_at_cone(fan, z, tau, True)[1] > 0 for tau in fan.all_cones())
 
 
 def require_convex(fan: MarkedFan, z, strict: bool, message: str) -> None:

@@ -27,9 +27,11 @@ def cone_key(indices: Iterable[int]) -> Cone:
 
 
 IntRows = tuple[tuple[int, ...], ...]
+# a point as its int numerators over one positive denominator
+Point = tuple[tuple[int, ...], int]
 # `_regular`'s record: each maximal cone's annihilator point, in
 # maximal_cones order
-RegularRecord = tuple[Vec, ...]
+RegularRecord = tuple[Point, ...]
 
 
 @dataclass(frozen=True)
@@ -48,8 +50,7 @@ class Quotient:
     divides `den` and every numerator of the record, though a single row
     need not be in lowest terms.  `annihilators` makes the Fraction matrix on
     each access.  The methods take a point nums / d as the int numerators of
-    its entries over any positive d, and give numerators over den * d;
-    `functional` gives its own denominator.
+    its entries over any positive d, and give numerators over den * d.
     """
 
     pivots: tuple[int, ...]
@@ -80,19 +81,17 @@ class Quotient:
         cone's mark basis when it lies in the span."""
         return [sum(map(mul, row, nums)) for row in self.particular_rows]
 
-    def functional(self, on_cone, w=()) -> tuple[list[int], int]:
-        """sum(on_cone[r] * particular[r]) + sum(w[j] * annihilator[j]) for
-        rationals on_cone and w: its numerators over a positive denominator.
+    def functional(self, nums, d: int) -> tuple[list[int], int]:
+        """sum(c[r] * particular[r]) + sum(w[j] * annihilator[j]) for the
+        coefficients c on the cone's marks and w on the annihilators (w = 0
+        when nums stops after c), given as int numerators nums = [*c, *w]
+        over a positive d: its numerators over den * d.
 
-        Every functional taking the values `on_cone` on the cone's marks has
-        this form for exactly one w.
+        Every functional taking the values c on the cone's marks has this
+        form for exactly one w.
         """
-        nums, d = over_lcd([*on_cone, *w])
-        k = len(on_cone)
         phi = [0] * (len(self.pivots) + len(self.annihilator_rows))
-        for coeff, row in itertools.chain(
-            zip(nums[:k], self.particular_rows), zip(nums[k:], self.annihilator_rows)
-        ):
+        for coeff, row in zip(nums, itertools.chain(self.particular_rows, self.annihilator_rows)):
             if coeff:
                 for j, x in enumerate(row):
                     if x:
@@ -406,11 +405,11 @@ def _meet_in_shared_face(fan: MarkedFan, c1: Cone, c2: Cone) -> bool:
 
 
 class _RayBounds:
-    """The bounds phi(u_r) < z_r of a divisor z at every ray r, for a
-    functional phi given as int numerators over a positive den.
+    """The bounds phi(u_r) < z_r of a divisor z = zn / zd at every ray r,
+    for a functional phi given as int numerators over a positive den.
 
-    With C_j[r] the j-th mark numerator of ray r times z_r's denominator and
-    Z[r] z_r's numerator times the mark's denominator, the bound reads
+    With C_j[r] the j-th mark numerator of ray r times zd and Z[r] zn_r
+    times the mark's denominator, the bound reads
     s_r = sum_j phi_j * C_j[r] - den * Z[r] < 0.  `violated` tests every ray
     at once: each column C_j, and Z, is packed into one big int with a W-bit
     slot per ray, so that T = OFF - den * Z + sum_j phi_j * C_j, with
@@ -423,18 +422,18 @@ class _RayBounds:
     is tested by `scan`, ray by ray.
     """
 
-    def __init__(self, fan: MarkedFan, z):
-        # each ray's mark numerators, z_r's numerator times the mark's
-        # denominator, and z_r's denominator
-        self.bounds = [(nums, v.numerator * d, v.denominator) for (nums, d), v in zip(fan.int_marks, z)]
-        columns = [[x * z_den for x in nums] for nums, _, z_den in self.bounds]
+    def __init__(self, fan: MarkedFan, zn, zd: int):
+        # each ray's mark numerators and Z[r]
+        self.zd = zd
+        self.bounds = [(nums, v * d) for (nums, d), v in zip(fan.int_marks, zn)]
+        columns = [[x * zd for x in nums] for nums, _ in self.bounds]
         self.bm = max((sum(map(abs, col)) for col in columns), default=0)
-        self.bz = max((abs(zd) for _, zd, _ in self.bounds), default=0)
+        self.bz = max((abs(v) for _, v in self.bounds), default=0)
         self.width = w = (self.bm + self.bz).bit_length() + 65
         self.half = 1 << (w - 1)
         self.tops = sum(self.half << (w * r) for r in range(len(columns)))
         self.columns = [sum(x << (w * r) for r, x in enumerate(col)) for col in zip(*columns)]
-        self.z = sum(zd << (w * r) for r, (_, zd, _) in enumerate(self.bounds))
+        self.z = sum(v << (w * r) for r, (_, v) in enumerate(self.bounds))
 
     def violated(self, phi, den: int, sigma: Cone) -> tuple[int, ...]:
         """The rays off sigma where phi(u_r) < z_r fails, in ray order, read
@@ -457,19 +456,73 @@ class _RayBounds:
     def scan(self, phi, den: int, sigma: Cone) -> tuple[int, ...]:
         """`violated` by int dot products with the marks, ray by ray."""
         return tuple(
-            r for r, (nums, zd, z_den) in enumerate(self.bounds)
-            if r not in sigma and sum(map(mul, phi, nums)) * z_den >= zd * den
+            r for r, (nums, v) in enumerate(self.bounds)
+            if r not in sigma and sum(map(mul, phi, nums)) * self.zd >= v * den
         )
 
 
-def _shift(z, kept) -> Optional[tuple[Fraction, RegularRecord]]:
-    """lam and the record of the first kept divisor z1 with a record and
-    <z1, z1> != 0, for lam = <z1, z> / <z1, z1>; None when there is none."""
+def _lowest(nums, d: int) -> Point:
+    """The point nums / d in lowest terms."""
+    g = gcd(d, *nums)
+    return tuple(x // g for x in nums), d // g
+
+
+def _shift(zn, zd: int, kept) -> Optional[tuple[int, int, RegularRecord]]:
+    """lam = <z1, z> / <z1, z1> as int numerator and positive denominator,
+    and the record, of the first kept divisor z1 with a record and
+    z1 != 0, for z = zn / zd; None when there is none."""
     for z1, record in kept.items():
-        norm = sum(v * v for v in z1)
-        if record is not None and norm:
-            return Fraction(sum(map(mul, z1, z)), norm), record
+        if record is None:
+            continue
+        n1, d1 = over_lcd(z1)
+        norm = sum(v * v for v in n1)
+        if norm:
+            return sum(map(mul, n1, zn)) * d1, zd * norm, record
     return None
+
+
+def _relax(point: Point, rows) -> Point:
+    """One sweep of the relaxation method for linear inequalities (Agmon;
+    Motzkin and Schoenberg, Canad. J. Math. 6, 1954) over the program's
+    rows a.w + t <= b, from the point w = nums / d: each row with
+    a.w >= b moves w along a until a.w = b - 1, the row's slack at t = 1.
+    A row with a = 0 is skipped, since only a program's Farkas certificate
+    decides it.  The last point; a moved one is in lowest terms."""
+    nums, d = point
+    for a, b, rd in rows:
+        # the int row reads a.w + rd * t <= b, so w fails it at t = 0
+        # exactly when a.nums >= b * d
+        aw = sum(map(mul, a, nums))
+        if aw < b * d:
+            continue
+        norm = sum(x * x for x in a)
+        if not norm:
+            continue
+        # w + lam * a, lam = ((b - rd) * d - a.nums) / (d * norm), meets
+        # a.w = b - rd
+        step = (b - rd) * d - aw
+        nums, d = _lowest([x * norm + step * y for x, y in zip(nums, a)], d * norm)
+    return nums, d
+
+
+def _iterates(free, rows, codim: int) -> Iterator[tuple[Point, bool]]:
+    """The iterates of `_regular`'s loop at one cone, each with whether a
+    program gave it: the free points, then `_relax` from the last of them
+    over the rows gathered so far when it moves, then the points of the
+    programs over `rows`, which the caller extends between iterates, until
+    one is infeasible."""
+    point = None
+    for point in free:
+        yield point, False
+    relaxed = _relax(point, rows)
+    if relaxed != point:
+        yield relaxed, False
+    while True:
+        result = strict_feasible(rows, codim)
+        if not result.feasible:
+            return
+        nums, d = over_lcd(result.point)
+        yield (tuple(nums), d), True
 
 
 def _regular(fan: MarkedFan, z, kept) -> Optional[RegularRecord]:
@@ -489,6 +542,8 @@ def _regular(fan: MarkedFan, z, kept) -> Optional[RegularRecord]:
     sum a z, with equality only when a and b vanish off the shared rays (De
     Loera, Rambau and Santos, Triangulations, 2010, chapters 2 and 5).
 
+    z is made int once, as zn / zd, and every point, kept ones included, is
+    its int numerators over one positive denominator, in lowest terms.
     Each cone runs one cutting-plane loop (Kelley, J. SIAM 8, 1960) over
     its program's rows, each iterate's functional tested against every ray
     by `_RayBounds`.  The first iterates cost no program.  The first is
@@ -497,44 +552,46 @@ def _regular(fan: MarkedFan, z, kept) -> Optional[RegularRecord]:
     functional is lam * phi1_sigma plus the particular functional of
     z - lam * z1, which equals z on sigma and is below z elsewhere when z is
     near lam * z1.  The second is w = 0, the particular functional of z,
-    where the program's simplex starts.  The later iterates are the
-    program's points.  The rays where an iterate's functional is not below
-    z join the rows, so the first program starts from the rays that the
-    free points got wrong; the second free point may fail only rays that
-    are rows already.  A program's point meets its rows strictly, so it
-    passes or fails some ray off them; otherwise the loop would not move,
-    and InternalError is raised.  A functional that passes every
-    ray answers the full program; a Farkas certificate on some rows is one
-    on all of them, with zero multipliers on the rest.
+    where the program's simplex starts.  The third is one `_relax` sweep
+    from w = 0 over the rows the free points gathered, tried when it moves
+    w.  The later iterates are the program's points.  The rays where an
+    iterate's functional is not below z join the rows, so the first
+    program starts from the rays that the free points got wrong; a free
+    point may fail only rays that are rows already.  A program's point
+    meets its rows strictly, so it passes or fails some ray off them;
+    otherwise the loop would not move, and InternalError is raised.  A
+    functional that passes every ray answers the full program; a Farkas
+    certificate on some rows is one on all of them, with zero multipliers
+    on the rest.
     """
-    bounds = _RayBounds(fan, z)
-    shift = _shift(z, kept)
+    zn, zd = over_lcd(z)
+    bounds = _RayBounds(fan, zn, zd)
+    shift = _shift(zn, zd, kept)
     points = []
     for k, sigma in enumerate(fan.maximal_cones):
         q = fan.quotient(sigma)
-        on_cone = [z[i] for i in sigma]
-        free = [(ZERO,) * q.codim]
+        on_cone = [zn[i] for i in sigma]
+        free = [((0,) * q.codim, 1)]
         if shift is not None:
-            lam, record = shift
-            free.insert(0, tuple(lam * x for x in record[k]))
-        free = iter(free)
-        in_rows, rows, result = set(sigma), [], None
-        while True:
-            w = next(free, None)
-            if w is None:
-                result = strict_feasible(rows, q.codim)
-                if not result.feasible:
-                    return None
-                w = result.point
-            failed = bounds.violated(*q.functional(on_cone, w), sigma)
+            lam_num, lam_den, record = shift
+            wn, wd = record[k]
+            free.insert(0, _lowest([lam_num * x for x in wn], lam_den * wd))
+        in_rows, rows = set(sigma), []
+        for point, programmed in _iterates(free, rows, q.codim):
+            nums, d = point
+            m = lcm(zd, d)
+            phi, den = q.functional([c * (m // zd) for c in on_cone] + [x * (m // d) for x in nums], m)
+            failed = bounds.violated(phi, den, sigma)
             if not failed:
                 break
             rays = tuple(r for r in failed if r not in in_rows)
-            if result is not None and not rays:
+            if programmed and not rays:
                 raise InternalError("a program's point fails only rays among its rows")
             in_rows.update(rays)
             rows += _neighborhood(fan, sigma, rays).rows(z)
-        points.append(w)
+        else:
+            return None
+        points.append(point)
     return tuple(points)
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .convexity import classify_convexity, require_convex, strictly_convex_witness
+from .convexity import is_strictly_convex, require_convex, strictly_convex_witness
 from .errors import BalancingError, InternalError, PreconditionError
 from .fan import Cone, MarkedFan, PinchReport, is_unpinched, require_fan, star
 from .linalg import Inertia, Mat, ONE, inertia
@@ -251,11 +251,12 @@ def sample_strictly_convex(fan: MarkedFan, witness: Divisor, rng: random.Random)
     random scale in 1..4, a random nonnegative bump and the first eps in
     1, 1/2, 1/4, ... at which the draw is strictly convex.
 
-    Each draw is decided as `require_convex` decides: by `fan.regular`,
-    whose first kept record, shifted to the draw, costs no program where
-    the draw stays near a multiple of its divisor, and else by
-    classify_convexity(strict=True).  Both give classify_convexity's exact
-    verdict, so the draws are those of a classify_convexity pass per draw.
+    Each draw is decided by `convexity.is_strictly_convex`: by
+    `fan.regular`, whose first kept record, shifted to the draw, costs no
+    program where the draw stays near a multiple of its divisor, and else
+    cone by cone up to the first cone without a strict witness.  It gives
+    classify_convexity's exact verdict, so the draws are those of a
+    classify_convexity pass per draw.
     """
     if len(witness) != len(fan.rays):
         raise PreconditionError("divisor has one value per ray")
@@ -267,7 +268,7 @@ def sample_strictly_convex(fan: MarkedFan, witness: Divisor, rng: random.Random)
     eps = ONE
     for _ in range(_MAX_HALVINGS):
         candidate = tuple(b + eps * p for b, p in zip(base, bump))
-        if fan.regular(candidate) or classify_convexity(fan, candidate, strict=True).strictly_convex:
+        if is_strictly_convex(fan, candidate):
             return candidate
         eps /= 2
     raise InternalError("sampling failed to produce a strictly convex divisor")
@@ -330,10 +331,7 @@ def definition_sample_check(
             continue
         stf = star_weight(tf, tau, sd)
         star_witness = push_divisor_to_star(sd, witness)
-        if not (
-            sd.fan.regular(star_witness)
-            or classify_convexity(sd.fan, star_witness, strict=True).strictly_convex
-        ):
+        if not is_strictly_convex(sd.fan, star_witness):
             raise InternalError("pushed witness lost strict convexity on a star")
         p_counts = []
         tops_positive = True

@@ -192,7 +192,7 @@ def polytope_vertices(fan: MarkedFan, rhs) -> dict:
     """
     if len(rhs) != len(fan.rays):
         raise PreconditionError("one right-hand side per ray required")
-    return {c: fractions(*fan.quotient(c).functional([Fraction(rhs[i]) for i in c])) for c in fan.maximal_cones}
+    return {c: fractions(*fan.quotient(c).functional(*over_lcd([Fraction(rhs[i]) for i in c]))) for c in fan.maximal_cones}
 
 
 def polygon_area(fan: MarkedFan, rhs) -> Fraction:
@@ -360,7 +360,7 @@ def functional_rows(fan: MarkedFan, z, cone, rays):
     the coefficients w: row by row from the quotient record, the oracle for
     the neighborhood records."""
     q = fan.quotient(cone)
-    base = fractions(*q.functional([Fraction(z[i]) for i in cone]))
+    base = fractions(*q.functional(*over_lcd([Fraction(z[i]) for i in cone])))
     rows = []
     for r in rays:
         u = fan.rays[r]
@@ -624,8 +624,9 @@ def overlap_witness(fan: MarkedFan, c1, c2) -> bool:
 def full_row_regular(fan: MarkedFan, z, kept=None) -> Optional[tuple]:
     """fan._regular with no point tried first and every program solved on
     all its rows at once: for each maximal cone, one max-slack program over
-    a neighborhood record built on every ray off the cone.  Its points, or
-    None when one program is infeasible; `kept` is not read."""
+    a neighborhood record built on every ray off the cone.  Its points, as
+    int numerators over one denominator, or None when one program is
+    infeasible; `kept` is not read."""
     points = []
     for sigma in fan.maximal_cones:
         others = tuple(r for r in range(len(fan.rays)) if r not in sigma)
@@ -633,8 +634,22 @@ def full_row_regular(fan: MarkedFan, z, kept=None) -> Optional[tuple]:
         result = lp.strict_feasible(rows, fan.quotient(sigma).codim)
         if not result.feasible:
             return None
-        points.append(result.point)
+        nums, d = over_lcd(result.point)
+        points.append((tuple(nums), d))
     return tuple(points)
+
+
+def fraction_relax(point, rows) -> tuple:
+    """fan._relax in Fractions, the point w given as Fractions: each int
+    row (a, b, d), the program row (a / d).w + t <= b / d, that w does not
+    meet strictly and whose a is not zero moves w along a to slack 1."""
+    w = tuple(point)
+    for a, b, d in rows:
+        a, b = fractions(a, d), Fraction(b, d)
+        aw, norm = dot(a, w), dot(a, a)
+        if aw >= b and norm:
+            w = tuple(x + (b - 1 - aw) / norm * y for x, y in zip(w, a))
+    return w
 
 
 def classify_af_report(tf: TropicalFan, d1, d2, aux=()) -> AFReport:

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from lorfan import convexity
 from lorfan.convexity import (
     ROUTE_CANDIDATE,
     ROUTE_JOINT_LP,
@@ -12,6 +13,7 @@ from lorfan.convexity import (
     _cut_loop,
     classify_convexity,
     find_strictly_convex,
+    is_strictly_convex,
     spanning_rays,
     strictly_convex_witness,
 )
@@ -37,6 +39,7 @@ from helpers import (
     joint_lp_witness,
     joint_program_rows,
     linear_divisor,
+    random_fan,
     random_fans,
     strict_convexity_program,
     triangle_double_cover,
@@ -289,3 +292,63 @@ def test_cut_certificates_on_fans_without_strictly_convex_divisor():
         assert _check_witness_routes(fan) == ROUTE_JOINT_LP
         witness, _, cuts, _ = _cut_loop(fan)
         assert witness is None and len(cuts) > 1
+
+
+def _divisors(fan, rng: random.Random) -> list:
+    """c_F, a seeded draw around it, 0, -c_F, c_F lowered at ray 0, and a
+    seeded random divisor."""
+    c = candidate_divisor(fan)
+    divisors = [c, tuple(2 * v + Fraction(rng.randint(0, 12), 4) for v in c)]
+    divisors += [tuple(0 * v for v in c), tuple(-v for v in c)]
+    if c:
+        divisors.append((c[0] - 1, *c[1:]))
+    divisors.append(tuple(Fraction(rng.randint(-6, 12), 4) for _ in c))
+    return divisors
+
+
+def _check_stops_at_the_first_failing_cone(build, rng, monkeypatch) -> set:
+    """is_strictly_convex gives classify_convexity's strict verdict; where
+    `fan.regular` does not hold, it solves the programs of the cones up to
+    the first one without a strict witness, in all_cones order (a cone
+    whose neighborhood is empty has no program).  Returns the pairs (regular,
+    verdict) seen."""
+    seen = set()
+    for z in _divisors(build(), rng):
+        fan = build()
+        certificate = classify_convexity(fan, z, strict=True)
+        regular = fan.regular(z)
+        with monkeypatch.context() as m:
+            solved = []
+            inner = convexity.strict_feasible
+
+            def counted(rows, dim):
+                solved.append(rows)
+                return inner(rows, dim)
+
+            m.setattr(convexity, "strict_feasible", counted)
+            verdict = is_strictly_convex(fan, z)
+        assert verdict == certificate.strictly_convex
+        cones = list(fan.all_cones())
+        if regular:
+            assert solved == []
+        else:
+            last = cones.index(certificate.failing[0]) if certificate.failing else len(cones) - 1
+            assert len(solved) == sum(1 for tau in cones[: last + 1] if fan.neighborhood(tau).rays)
+        seen.add((regular, verdict))
+    return seen
+
+
+@pytest.mark.parametrize("name", sorted({**STOCK_FANS, **BERGMAN_FANS}))
+def test_is_strictly_convex_stops_at_the_first_failing_cone(name, monkeypatch):
+    build = {**STOCK_FANS, **BERGMAN_FANS}[name]
+    _check_stops_at_the_first_failing_cone(build, random.Random(name), monkeypatch)
+
+
+def test_is_strictly_convex_stops_at_the_first_failing_cone_on_random_fans(monkeypatch):
+    """Also on the double cover, where the candidate is strictly convex but
+    not regular."""
+    seen = _check_stops_at_the_first_failing_cone(triangle_double_cover, random.Random(0), monkeypatch)
+    for seed in range(40):
+        seen |= _check_stops_at_the_first_failing_cone(lambda: random_fan(seed), random.Random(seed), monkeypatch)
+    # every way to the verdict is taken: regular, and per cone both ways
+    assert seen == {(True, True), (False, True), (False, False)}

@@ -23,13 +23,13 @@ import pytest
 
 from lorfan import fan as fan_module
 from lorfan import fixtures
-from lorfan.convexity import classify_convexity, spanning_rays
+from lorfan.convexity import ROUTE_JOINT_LP, classify_convexity, spanning_rays, strictly_convex_witness
 from lorfan.errors import InternalError, PreconditionError
 from lorfan.fan import MarkedFan, ROUTE_PAIRS, ROUTE_REGULAR, _meet_in_shared_face, _regular, candidate_divisor, require_fan, validate
 from lorfan.io import fan_from_json
-from lorfan.linalg import ZERO, fractions, vec
+from lorfan.linalg import ZERO, fractions, over_lcd, vec
 from lorfan.lp import StrictFeasibility
-from lorfan.matroids import bergman_fan, complete_graph_matroid, uniform_matroid
+from lorfan.matroids import bergman_fan, complete_graph_matroid, fano_matroid, uniform_matroid
 
 from helpers import (
     BERGMAN_FANS,
@@ -39,6 +39,7 @@ from helpers import (
     STOCK_FANS,
     TROPICAL_FANS,
     dependent_marks_fan,
+    fraction_relax,
     full_row_regular,
     greedy_spanning_rays,
     overlap_witness,
@@ -162,9 +163,10 @@ def test_validate_lp_calls_per_route(monkeypatch):
     assert len(fan.maximal_cones) == 12 and sizes == []
     # the first cone (0, 1) spans the plane, so its only functional is the
     # particular one, 2x + 2y; that equals z on rays 3 and 4, which repeat
-    # the marks of rays 0 and 1, and with their 2 rows the program is
-    # infeasible, so the regular route fails after 1 LP; then every pair of
-    # the six cones gets its LP, the first on 2 rows
+    # the marks of rays 0 and 1, so their 2 rows have zero images, the
+    # relaxation step skips them and the program on them is infeasible: the
+    # regular route fails after 1 LP; then every pair of the six cones gets
+    # its LP, the first on 2 rows
     sizes.clear()
     fan = triangle_double_cover()
     assert validate(fan).fan_condition_route == ROUTE_PAIRS
@@ -172,16 +174,16 @@ def test_validate_lp_calls_per_route(monkeypatch):
     assert sizes[:2] == [2, 2]
     assert len(sizes) == 1 + math.comb(len(fan.maximal_cones), 2) == 16
     # on the Bergman ladder the particular functional passes at all 30
-    # maximal cones of U(3,6) and at 60 of the 180 of M(K5); each other
-    # M(K5) cone solves one program, on the one ray where the particular
-    # functional is not below z, where every ray off the cone would give 47
-    # rows
-    for matroid, cones, lps in ((uniform_matroid(3, 6), 30, 0), (complete_graph_matroid(5), 180, 120)):
+    # maximal cones of U(3,6), at none of the 21 of Fano and at 60 of the
+    # 180 of M(K5); at each other cone the relaxation step, over the rows of
+    # the rays it fails, gives a functional below z on every ray, so no LP
+    # runs
+    for matroid, cones in ((uniform_matroid(3, 6), 30), (fano_matroid(), 21), (complete_graph_matroid(5), 180)):
         sizes.clear()
         fan = bergman_fan(matroid).fan
         assert validate(fan).fan_condition_route == ROUTE_REGULAR
         assert len(fan.maximal_cones) == cones
-        assert sizes == [1] * lps
+        assert sizes == []
 
 
 def test_gate_stops_at_the_first_failure(monkeypatch):
@@ -227,26 +229,39 @@ def test_gate_passes_exactly_the_valid_fans(name):
 
 def two_sheets() -> MarkedFan:
     """cone(e1, e2) and cone((1, 1, 1), e3) in R^3, which meet at the
-    origin alone.  At the first cone the particular functional 3x + 3y is
-    not below z = 3 at (1, 1, 1), so that ray's row starts the cone's
-    program, which finds 3x + 3y + w z for any w < -3.  At the second cone
-    the particular functional 3z passes."""
+    origin alone."""
     rays = tuple(vec(u) for u in ((1, 0, 0), (0, 1, 0), (1, 1, 1), (0, 0, 1)))
     return MarkedFan(ambient_dim=3, rays=rays, maximal_cones=((0, 1), (2, 3)))
+
+
+# on two_sheets: at the first cone the particular functional x + y is not
+# below z = 2 at (1, 1, 1), and the relaxation step on that ray's row gives
+# x + y - z, which passes.  The functionals at the second cone are
+# a x + (1 - a) y + z, below z = 1 at e1 and e2 exactly for 0 < a < 1.  The
+# particular one fails one of the two rays; the relaxation step puts it at
+# slack 1 there, a = 0 or a = 1, which fails the other, so the program
+# starts from both rows.
+TWO_SHEETS_Z = (1, 1, 2, 1)
 
 
 def test_regular_route_adds_rows_and_then_succeeds(monkeypatch):
     sizes = _lp_sizes(monkeypatch)
     fan = two_sheets()
+    record = _regular(fan, TWO_SHEETS_Z, {})
+    assert sizes == [2]
+    check_record(fan, TWO_SHEETS_Z, record)
+    # its candidate divisor needs no program
+    sizes.clear()
     report = validate(fan)
     assert report.valid and report.fan_condition_route == ROUTE_REGULAR
-    assert sizes == [1]
+    assert sizes == []
 
 
 def test_regular_refuses_a_program_point_that_fails_only_its_rows(monkeypatch):
     """A program whose point is the origin with a positive optimum, on
-    two_sheets, where the origin's functional 3x + 3y fails the one row it
-    has: _regular raises InternalError instead of solving again."""
+    two_sheets at TWO_SHEETS_Z, where the origin's functional at the second
+    cone fails one of the two rows it has: _regular raises InternalError
+    instead of solving again."""
     calls = []
 
     def origin(rows, dim):
@@ -255,10 +270,59 @@ def test_regular_refuses_a_program_point_that_fails_only_its_rows(monkeypatch):
         return StrictFeasibility((ZERO,) * dim, Fraction(1), None)
 
     monkeypatch.setattr(fan_module, "strict_feasible", origin)
-    fan = two_sheets()
     with pytest.raises(InternalError):
-        _regular(fan, candidate_divisor(fan), {})
-    assert calls == [1]
+        _regular(two_sheets(), TWO_SHEETS_Z, {})
+    assert calls == [2]
+
+
+def test_relax_matches_fraction_oracle():
+    """One sweep on int rows against the same sweep in Fractions, from
+    random points over random rows, some of them zero, with the point in
+    lowest terms; the sweeps move some points and leave others."""
+    rng = random.Random(24)
+    moved = set()
+    for _ in range(300):
+        dim = rng.randint(0, 4)
+        rows = []
+        for _ in range(rng.randint(0, 5)):
+            a = [rng.randint(-3, 3) * (rng.random() < 0.85) for _ in range(dim)]
+            rows.append((a, rng.randint(-8, 8), rng.randint(1, 4)))
+        start = tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(dim))
+        nums, d = over_lcd(start)
+        out_nums, out_d = fan_module._relax((tuple(nums), d), rows)
+        assert out_d > 0 and math.gcd(out_d, *out_nums) == 1
+        assert fractions(out_nums, out_d) == fraction_relax(start, rows)
+        moved.add(fractions(out_nums, out_d) != start)
+    assert moved == {True, False}
+
+
+def test_relaxation_skips_rows_with_zero_image(monkeypatch):
+    """The maximal cones of the twisted prism span R^3, so each row's image
+    is empty: where the particular functional of c_F fails, the relaxation
+    step leaves w where it is, and the program on those rows proves with
+    its Farkas certificate that the cone has no functional."""
+    fan = fixtures.twisted_prism_fan().fan
+    relaxed = []
+    inner = fan_module._relax
+
+    def relax(point, rows):
+        relaxed.append((point, inner(point, rows), rows))
+        return relaxed[-1][1]
+
+    monkeypatch.setattr(fan_module, "_relax", relax)
+    results = []
+    original = fan_module.strict_feasible
+
+    def solve(rows, dim):
+        results.append(original(rows, dim))
+        return results[-1]
+
+    monkeypatch.setattr(fan_module, "strict_feasible", solve)
+    assert _regular(fan, candidate_divisor(fan), {}) is None
+    assert len(relaxed) == len(results) == 1
+    point, out, rows = relaxed[0]
+    assert point == out == ((), 1) and rows and all(not any(a) for a, _, _ in rows)
+    assert not results[0].feasible and results[0].certificate is not None
 
 
 def test_regular_verdict_is_kept_on_the_fan(monkeypatch):
@@ -302,14 +366,16 @@ def subdivided_fan(name: str) -> MarkedFan:
 
 
 def check_record(fan, z, record) -> None:
-    """Each point of a `_regular` record, rebuilt with Quotient.functional,
-    equals z on its cone's rays and is below z on every other ray, compared
-    in Fractions."""
+    """Each point of a `_regular` record, int numerators over a positive
+    denominator in lowest terms, rebuilt with Quotient.functional, equals z
+    on its cone's rays and is below z on every other ray, compared in
+    Fractions."""
     assert len(record) == len(fan.maximal_cones)
-    for sigma, w in zip(fan.maximal_cones, record):
+    for sigma, (nums, d) in zip(fan.maximal_cones, record):
         q = fan.quotient(sigma)
-        assert len(w) == q.codim
-        phi = fractions(*q.functional([z[i] for i in sigma], w))
+        assert len(nums) == q.codim and d > 0 and math.gcd(d, *nums) == 1
+        assert all(type(x) is int for x in (*nums, d))
+        phi = fractions(*q.functional(*over_lcd([*(Fraction(z[i]) for i in sigma), *fractions(nums, d)])))
         for r, u in enumerate(fan.rays):
             value = sum(map(mul, phi, u))
             assert value == z[r] if r in sigma else value < z[r], (sigma, r)
@@ -409,29 +475,36 @@ def test_regular_matches_full_row_oracle_on_random_fans(monkeypatch):
 LADDER = {
     "U(4,7)": lambda: bergman_fan(uniform_matroid(4, 7)).fan,
     "U(5,7)": lambda: bergman_fan(uniform_matroid(5, 7)).fan,
+    "U(6,8)": lambda: bergman_fan(uniform_matroid(6, 8)).fan,
 }
 
 
 @pytest.mark.parametrize("name", sorted(LADDER))
 def test_validate_on_the_ladder_past_mk5(name, monkeypatch):
     """The rungs above M(K5) are valid by the regular route; the full-row
-    oracle is cheap enough on U(4,7) alone."""
+    oracle is cheap enough on U(4,7) alone.  On U(6,8) the particular
+    functional passes at none of the 6720 maximal cones, and the relaxation
+    step passes at all of them, so no LP runs."""
     build = LADDER[name]
-    report = validate(build())
+    sizes = _lp_sizes(monkeypatch)
+    fan = build()
+    report = validate(fan)
     assert report.valid and report.fan_condition_route == ROUTE_REGULAR
+    if name == "U(6,8)":
+        assert len(fan.maximal_cones) == 6720 and sizes == []
     if name == "U(4,7)":
         assert _matches_full_row_oracle(build, monkeypatch)
 
 
-def test_validate_mk6_solves_one_lp_per_maximal_cone(monkeypatch):
-    """On M(K6) the rays where the particular functional is not below z
-    start each cone's program, and its first point passes every ray: 2700
-    LPs for 2700 maximal cones."""
+def test_validate_mk6_solves_no_lp(monkeypatch):
+    """On M(K6) the particular functional passes at none of the 2700
+    maximal cones, and at each the relaxation step over the rows of the
+    rays it fails gives a functional below z on every ray: no LP."""
     sizes = _lp_sizes(monkeypatch)
     fan = bergman_fan(complete_graph_matroid(6)).fan
     report = validate(fan)
     assert report.valid and report.fan_condition_route == ROUTE_REGULAR
-    assert len(fan.maximal_cones) == len(sizes) == 2700
+    assert len(fan.maximal_cones) == 2700 and sizes == []
 
 
 def test_validate_reports_no_route_without_simpliciality():
@@ -484,7 +557,7 @@ def _packed_matches_scan(fan, z, rng: random.Random, trials: int) -> set:
     the slots' bound, and sigma on the first and the last ray, on a maximal
     cone, or empty; returns the verdicts (whether some ray fails) that the
     packed sum decided."""
-    bounds = fan_module._RayBounds(fan, z)
+    bounds = fan_module._RayBounds(fan, *over_lcd(z))
     last = len(fan.rays) - 1
     sigmas = [(), (0,), (last,), (0, last), *fan.maximal_cones]
     n = fan.ambient_dim
@@ -530,11 +603,11 @@ def test_packed_bounds_match_scan_on_rational_marks(name):
         seen |= _packed_matches_scan(fan, z, rng, 200)
         # the functionals _regular tries: z's particular functional on each
         # maximal cone, and its sum with random annihilator points
-        bounds = fan_module._RayBounds(fan, z)
+        bounds = fan_module._RayBounds(fan, *over_lcd(z))
         for sigma in fan.maximal_cones:
             q = fan.quotient(sigma)
             for w in ((ZERO,) * q.codim, tuple(Fraction(rng.randint(-6, 6), 4) for _ in range(q.codim))):
-                phi, den = q.functional([z[i] for i in sigma], w)
+                phi, den = q.functional(*over_lcd([*(z[i] for i in sigma), *w]))
                 assert bounds.violated(phi, den, sigma) == bounds.scan(phi, den, sigma)
     assert seen == {True, False}
 
@@ -543,28 +616,29 @@ def test_packed_bounds_match_scan_on_rational_marks(name):
 # the kept records and the shift
 
 
-@pytest.mark.parametrize("name", ["Fano", "M(K5)"])
+@pytest.mark.parametrize("name", ["Fano", "M(K4)"])
 def test_shift_proves_drawn_divisors_without_lp(name, monkeypatch):
-    """A divisor drawn around 8 c_F, scale * 8 c_F + bump as
-    `sample_strictly_convex` draws first, is proved at every maximal cone
-    by the shifted point of c_F's record, with no LP; with nothing kept,
-    some of these draws solve programs."""
-    fan = {**BERGMAN_FANS, **LARGE_BERGMAN_FANS}[name]()
-    c = candidate_divisor(fan)
-    kept = {c: _regular(fan, c, {})}
+    """On the Bergman fan rescaled ray by ray, the strictly convex divisor w
+    comes from the cut loop's master program and lies near the boundary of
+    the cone of strictly convex divisors.  A divisor drawn around a multiple
+    of w, scale * w + bump / 1024, is proved at every maximal cone by the
+    shifted point of w's record, with no LP.  With nothing kept, each draw
+    is proved too, but the relaxation step fails at some cones and
+    programs decide them."""
+    fan = rescaled_tropical(name, "mixed").fan
+    w, route = strictly_convex_witness(fan)
+    assert route == ROUTE_JOINT_LP
+    kept = {w: _regular(fan, w, {})}
     sizes = _lp_sizes(monkeypatch)
-    unshifted = 0
     for seed in range(1, 4):
         rng = random.Random(seed)
-        scale = 8 * rng.randint(1, 4)
-        z = tuple(scale * v + Fraction(rng.randint(0, 12), 4) for v in c)
+        scale = rng.randint(1, 4)
+        z = tuple(scale * v + Fraction(rng.randint(0, 12), 1024) for v in w)
         del sizes[:]
         record = _regular(fan, z, kept)
         assert record is not None and sizes == []
         check_record(fan, z, record)
-        assert _regular(fan, z, {}) is not None
-        unshifted += len(sizes)
-    assert unshifted > 0
+        assert _regular(fan, z, {}) is not None and sizes
 
 
 def test_zero_divisor_record_is_not_shifted(monkeypatch):

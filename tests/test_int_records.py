@@ -95,8 +95,8 @@ def test_records_match_fraction_oracle(name):
             sum((c * row[j] for c, row in zip(on_cone + w, psis + annihilators)), Fraction(0))
             for j in range(fan.ambient_dim)
         ]
-        assert fractions(*q.functional(on_cone, w)) == tuple(combination)
-        assert fractions(*q.functional(on_cone)) == tuple(
+        assert fractions(*q.functional(*over_lcd(on_cone + w))) == tuple(combination)
+        assert fractions(*q.functional(*over_lcd(on_cone))) == tuple(
             sum((c * row[j] for c, row in zip(on_cone, psis)), Fraction(0)) for j in range(fan.ambient_dim)
         )
         for u in fan.rays:
