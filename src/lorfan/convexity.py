@@ -33,7 +33,6 @@ ROUTE_JOINT_LP = "joint_lp"
 class ConeWitness:
     cone: Cone
     functional: Optional[Vec]
-    strict: bool
     satisfied: bool
 
 
@@ -67,16 +66,16 @@ def _witness_at_cone(fan: MarkedFan, z, tau: Cone, strict: bool) -> tuple[ConeWi
     on_cone = [z[i] for i in tau]
     rows = fan.neighborhood(tau).rows(z)
     if not rows:
-        return ConeWitness(tau, fractions(*q.functional(*over_lcd(on_cone))), strict, True), ONE
+        return ConeWitness(tau, fractions(*q.functional(*over_lcd(on_cone))), True), ONE
     res = strict_feasible(rows, q.codim)
     if res.optimum < 0 or (strict and not res.feasible):
-        return ConeWitness(tau, None, strict, False), res.optimum
+        return ConeWitness(tau, None, False), res.optimum
     phi, den = q.functional(*over_lcd([*on_cone, *res.point]))
     for i, v in zip(tau, on_cone):
         nums, d = fan.int_marks[i]
         if sum(map(mul, phi, nums)) * v.denominator != v.numerator * den * d:
             raise InternalError("reconstructed witness misses a matching value")
-    return ConeWitness(tau, fractions(phi, den), strict, True), res.optimum
+    return ConeWitness(tau, fractions(phi, den), True), res.optimum
 
 
 def classify_convexity(fan: MarkedFan, z, strict: bool = False) -> ConvexityCertificate:

@@ -30,6 +30,7 @@ from .weights import (
     mixed_degrees,
     push_divisor_to_star,
     quadratic_form,
+    star_forms,
     star_weight,
 )
 
@@ -135,16 +136,10 @@ def is_lorentzian(tf: TropicalFan) -> LorentzianCertificate:
     """
     fan = tf.fan
     require_fan(fan, "the Lorentzian test needs a fan")
-    d = fan.dimension
     witness, route = strictly_convex_witness(fan)
     quasiprojective = witness is not None
     pinch = is_unpinched(fan)
-    records = []
-    if d >= 2:
-        for tau in sorted(fan.cones(d - 2)):
-            sd = star(fan, tau)
-            matrix = quadratic_form(sd.fan, star_weight(tf, tau, sd).weight)
-            records.append(StarInertiaRecord(tau, inertia(matrix), matrix))
+    records = [StarInertiaRecord(tau, inertia(m), m) for tau, m in star_forms(fan, tf.weight)]
     verdict = (
         quasiprojective
         and pinch.unpinched

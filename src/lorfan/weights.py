@@ -176,27 +176,42 @@ def divisor_action(fan: MarkedFan, w: MinkowskiWeight, z: Divisor) -> MinkowskiW
     return _act(fan, w, z, _mark_coordinates(fan, w))
 
 
-def quadratic_form(fan: MarkedFan, w: MinkowskiWeight) -> Mat:
-    """The symmetric matrix (D_i . D_j . w) of ray indicators on a balanced
-    degree-two weight.
-
-    Off the diagonal, entry (r1, r2) is the weight of the cone spanned by r1
-    and r2 (zero when they span none); the diagonal entry at a ray is its
-    indicator acting at the ray, which is -a when balancing puts the weighted
-    sum of opposite marks around the ray at a times the ray's own mark.
+def star_forms(fan: MarkedFan, w: MinkowskiWeight):
+    """For a balanced weight of degree k, each (k-2)-cone tau in cones order
+    with the matrix (D_i . D_j . w) on the star at tau, read off the parent
+    fan; none below degree two.  Its rows are the rays eta with tau + eta a
+    cone, in ray order (every ray at the origin, whose star is the fan).
+    Entry (eta, xi) off the diagonal is the weight of tau + eta + xi, or zero;
+    the star's marks are the parent's modulo tau's span, so the diagonal
+    entry at eta is minus eta's coordinate of the mark sum at tau + eta.
     """
+    if w.degree < 2:
+        return
+    coords = {sigma: (on_tau, den) for sigma, _, on_tau, _, den in _mark_coordinates(fan, w)}
+    for sigma, (on_tau, _) in coords.items():
+        if on_tau is None:
+            raise BalancingError(f"weight is unbalanced at cone {sigma}")
+    values = w.values  # the pass has read every value
+    for tau in fan.cones(w.degree - 2):
+        rays = [eta for _, eta in fan.cofaces[tau]] if tau else range(len(fan.rays))
+        row_of = {eta: i for i, eta in enumerate(rays)}
+        entries = [[ZERO] * len(rays) for _ in rays]
+        for sigma, eta in fan.cofaces[tau]:
+            row = entries[row_of[eta]]
+            for rho, xi in fan.cofaces[sigma]:
+                row[row_of[xi]] = values[rho]
+            on_tau, den = coords[sigma]
+            row[row_of[eta]] = Fraction(-on_tau[sigma.index(eta)], den)
+        yield tau, tuple(map(tuple, entries))
+
+
+def quadratic_form(fan: MarkedFan, w: MinkowskiWeight) -> Mat:
+    """The symmetric nrays x nrays matrix (D_i . D_j . w) of ray indicators
+    on a balanced degree-two weight: `star_forms` at the origin."""
     if w.degree != 2:
         raise PreconditionError("a quadratic form needs a weight of degree two")
-    nrays = len(fan.rays)
-    entries = [[ZERO] * nrays for _ in range(nrays)]
-    for sigma in fan.cones(2):
-        r1, r2 = sigma
-        entries[r1][r2] = entries[r2][r1] = w[sigma]
-    for (rho,), _, on_tau, _, den in _mark_coordinates(fan, w):
-        if on_tau is None:
-            raise BalancingError(f"weight is unbalanced at ray {rho}")
-        entries[rho][rho] = Fraction(-on_tau[0], den)
-    return tuple(tuple(row) for row in entries)
+    [(_, form)] = star_forms(fan, w)
+    return form
 
 
 def mixed_degree(fan: MarkedFan, w: MinkowskiWeight, divisors: Sequence[Divisor]) -> Fraction:

@@ -14,12 +14,20 @@ from typing import Optional
 
 from lorfan import convexity, fixtures, linalg, lp
 from lorfan.errors import BalancingError, DimensionError, InternalError, PreconditionError
-from lorfan.fan import MarkedFan, Neighborhood, Quotient, _neighborhood, cone_key
+from lorfan.fan import MarkedFan, Neighborhood, Quotient, _neighborhood, cone_key, star
 from lorfan.linalg import ONE, ZERO, Inertia, fractions, is_symmetric, mat, over_lcd, vec
 from lorfan.lorentzian import AFReport, is_log_concave, is_unimodal
 from lorfan.lp import FeasibilityCertificate, StrictFeasibility
 from lorfan.matroids import bergman_fan, complete_graph_matroid, fano_matroid, uniform_matroid
-from lorfan.weights import MinkowskiWeight, TropicalFan, divisor_action, indicator_divisor, mixed_degree, mixed_degrees
+from lorfan.weights import (
+    MinkowskiWeight,
+    TropicalFan,
+    divisor_action,
+    indicator_divisor,
+    mixed_degree,
+    mixed_degrees,
+    star_weight,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -306,6 +314,21 @@ def indicator_volume_polynomial(tf: TropicalFan) -> dict:
             multi //= math.factorial(e)
         poly[tuple(expo)] = multi * degree
     return poly
+
+
+def star_fan_forms(tf: TropicalFan) -> list:
+    """(tau, form) for every codimension-two cone tau of a tropical fan, in
+    cones order: on the star fan that `fan.star` builds at tau, under its
+    `star_weight`, the indicators' divisor actions (`indicator_pairing_form`).
+    The oracle for `weights.star_forms`, which reads every form off the
+    parent fan; `quadratic_form` is that kernel's origin case, so it would
+    not be an oracle here."""
+    d = tf.dimension
+    forms = []
+    for tau in tf.fan.cones(d - 2) if d >= 2 else ():
+        stf = star_weight(tf, tau, star(tf.fan, tau))
+        forms.append((tau, indicator_pairing_form(stf.fan, stf.weight)))
+    return forms
 
 
 def hessian_of_quadratic(poly: dict, nrays: int):

@@ -57,6 +57,9 @@ AF_BERGMAN = {"u46": "U(4,6)", "mk5": "M(K5)"}
 # three-dimensional Bergman fans with a `lorfan validate` case; on M(K5) 120
 # maximal cones reach the regular route's program
 VALIDATE = ("u46", "mk5")
+# three-dimensional Bergman fans with a `lorfan lorentzian` case, whose 41 and
+# 50 codimension-two stars pin star forms beyond the plane
+LORENTZIAN_BERGMAN = ("u46", "mk5")
 
 DIM = {
     "triangle": 2, "line": 1, "skeleton": 2, "triangle_x_line": 3, "spindle": 2,
@@ -129,6 +132,8 @@ def _cases():
         cases.append((f"af-{f}", argv))
     for f in VALIDATE:
         cases.append((f"validate-{f}", ["validate", "--fan", f"@{f}"]))
+    for f in LORENTZIAN_BERGMAN:
+        cases.append((f"lorentzian-{f}", ["lorentzian", "--fan", f"@{f}"]))
     for f, (base, _) in RESCALED.items():
         fan = f"@{f}"
         cases += [

@@ -6,9 +6,7 @@ import pytest
 
 from lorfan.errors import DimensionError
 from lorfan import fixtures, linalg, matroids
-from lorfan.fan import star
 from lorfan.linalg import det, inertia, mat, vec
-from lorfan.weights import quadratic_form, star_weight
 
 from helpers import (
     SCALES,
@@ -25,6 +23,7 @@ from helpers import (
     rescaled_tropical,
     rref,
     solve_linear,
+    star_fan_forms,
     transpose,
 )
 
@@ -170,13 +169,7 @@ def _stock_and_ladder_fans():
 def _star_forms(fans):
     """Quadratic volume forms of every codimension-two star of the given
     tropical fans."""
-    forms = []
-    for tf in fans:
-        d = tf.dimension
-        for tau in tf.fan.cones(d - 2) if d >= 2 else ():
-            stf = star_weight(tf, tau, star(tf.fan, tau))
-            forms.append(quadratic_form(stf.fan, stf.weight))
-    return forms
+    return [form for tf in fans for _, form in star_fan_forms(tf)]
 
 
 def test_inertia_matches_descartes_on_star_forms():

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from lorfan import fan as fan_module
+from lorfan import lorentzian as lorentzian_module
 from lorfan.convexity import ROUTE_CANDIDATE, ROUTE_JOINT_LP, classify_convexity, find_strictly_convex
 from lorfan.errors import BalancingError, ConvexityError, PreconditionError
 from lorfan.fan import candidate_divisor, stellar_subdivide
@@ -14,6 +15,7 @@ from lorfan.fixtures import (
     spindle_fan,
     triangle_fan,
     triangle_times_line,
+    twisted_prism_fan,
     two_disjoint_triangles,
 )
 from lorfan.linalg import inertia, vec
@@ -151,8 +153,8 @@ def test_volume_polynomial_matches_indicator_oracle(name):
 
 @pytest.mark.parametrize("name", ["line", "triangle", "triangle_x_line"])
 def test_volume_polynomial_refuses_unbalanced_weight_like_oracle(name):
-    # one maximal cone's weight doubled; in dimension two the quadratic form
-    # names the ray where the indicator action names the cone
+    # one maximal cone's weight doubled; the quadratic form names the cone
+    # as the indicator action does
     tf = TROPICAL_FANS[name]()
     values = dict(tf.weight.values)
     values[tf.fan.maximal_cones[0]] *= 2
@@ -163,10 +165,29 @@ def test_volume_polynomial_refuses_unbalanced_weight_like_oracle(name):
     with pytest.raises(BalancingError) as old:
         indicator_volume_polynomial(broken)
     assert str(old.value) == f"weight is unbalanced at cone {tau}"
-    if tf.dimension == 2:
-        assert str(new.value) == f"weight is unbalanced at ray {tau[0]}"
-    else:
-        assert str(new.value) == str(old.value)
+    assert str(new.value) == str(old.value)
+
+
+NO_STAR_FAN_CASES = {
+    "triangle_x_line": triangle_times_line,
+    "twisted_prism": twisted_prism_fan,
+    "U(4,6)": lambda: bergman_fan(uniform_matroid(4, 6)),
+    "M(K5)": lambda: bergman_fan(complete_graph_matroid(5)),
+}
+
+
+@pytest.mark.parametrize("name", NO_STAR_FAN_CASES)
+def test_is_lorentzian_builds_no_star_fan(name, monkeypatch):
+    """The verdict reads every star form off the parent fan: with `star` and
+    `star_weight` refused, it gives the certificate it gives with them."""
+    expected = is_lorentzian(NO_STAR_FAN_CASES[name]())
+
+    def refuse(*args):
+        raise AssertionError("the Lorentzian verdict built a star fan")
+
+    monkeypatch.setattr(lorentzian_module, "star", refuse)
+    monkeypatch.setattr(lorentzian_module, "star_weight", refuse)
+    assert is_lorentzian(NO_STAR_FAN_CASES[name]()) == expected
 
 
 def test_is_lorentzian_skeleton():

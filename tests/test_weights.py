@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -17,8 +18,10 @@ from lorfan.fixtures import (
 )
 from lorfan.linalg import vec
 from lorfan.matroids import bergman_fan, complete_graph_matroid, fano_matroid, uniform_matroid
+from lorfan.ops import product_tropical
 from lorfan.weights import (
     MinkowskiWeight,
+    TropicalFan,
     check_balancing,
     divisor_action,
     indicator_divisor,
@@ -26,6 +29,8 @@ from lorfan.weights import (
     mixed_degrees,
     pullback_divisor,
     push_divisor_to_star,
+    quadratic_form,
+    star_forms,
     star_weight,
     transport_weight,
     weight,
@@ -36,7 +41,12 @@ from helpers import (
     random_fans,
     rescale_divisor,
     rescale_marking,
+    SCALES,
+    TROPICAL_FANS,
+    rescaled_tropical,
     skeleton_weight,
+    star_fan_forms,
+    unused_ray_fan,
     zero_divisor_balancing,
 )
 
@@ -291,6 +301,68 @@ def test_reduction_to_star_fan():
                 pushed = [push_divisor_to_star(sd, z) for z in divs]
                 rhs = mixed_degree(stf.fan, stf.weight, pushed)
                 assert lhs == rhs
+
+
+# the stock fixtures (the twisted prism has non-unit weights), the Bergman
+# ladder through U(5,8), the two four-dimensional products, and every copy
+# of TROPICAL_FANS rescaled ray by ray
+STAR_FORM_FANS = dict(TROPICAL_FANS)
+STAR_FORM_FANS.update({
+    "U(3,6)": lambda: bergman_fan(uniform_matroid(3, 6)),
+    "U(4,6)": lambda: bergman_fan(uniform_matroid(4, 6)),
+    "M(K5)": lambda: bergman_fan(complete_graph_matroid(5)),
+    "U(5,8)": lambda: bergman_fan(uniform_matroid(5, 8)),
+    "triangle x triangle": lambda: product_tropical(triangle_fan(), triangle_fan()),
+    "triangle_x_line x line": lambda: product_tropical(triangle_times_line(), line_fan()),
+})
+STAR_FORM_FANS.update({
+    f"{name}-{kind}": (lambda name=name, kind=kind: rescaled_tropical(name, kind))
+    for name in TROPICAL_FANS for kind in SCALES
+})
+
+
+@pytest.mark.parametrize("name", STAR_FORM_FANS)
+def test_star_forms_match_star_fans(name):
+    """The forms read off the parent fan are those of the star fans, cone
+    for cone in the same order and entry by entry."""
+    tf = STAR_FORM_FANS[name]()
+    forms = list(star_forms(tf.fan, tf.weight))
+    assert forms == star_fan_forms(tf)
+    d = tf.dimension
+    assert [tau for tau, _ in forms] == list(tf.fan.cones(d - 2) if d >= 2 else ())
+
+
+@pytest.mark.parametrize("name", ["triangle", "skeleton", "triangle_x_line", "twisted_prism", "M(K4)"])
+def test_star_forms_refuse_unbalanced_weight_like_star_fans(name):
+    """With one maximal cone's weight doubled, both routes refuse, and the
+    parent-fan route names check_balancing's first failing cone."""
+    tf = TROPICAL_FANS[name]()
+    values = dict(tf.weight.values)
+    values[tf.fan.maximal_cones[0]] *= 2
+    broken = TropicalFan(tf.fan, MinkowskiWeight(tf.dimension, values))
+    failing = check_balancing(broken.fan, broken.weight)
+    assert failing
+    with pytest.raises(BalancingError):
+        star_fan_forms(broken)
+    with pytest.raises(BalancingError, match=re.escape(f"weight is unbalanced at cone {failing[0]}")):
+        list(star_forms(broken.fan, broken.weight))
+
+
+def test_star_forms_below_degree_two_are_none():
+    """A weight of degree one or zero has no (k-2)-cones, and nothing of it
+    is read: not even its balancing."""
+    fan = triangle_fan().fan
+    assert list(star_forms(fan, weight(1, {(0,): 1, (1,): 5}))) == []
+    assert list(star_forms(fan, weight(0, {(): 1}))) == []
+
+
+def test_quadratic_form_keeps_a_row_for_a_ray_in_no_cone():
+    """At the origin the rows are every ray, as the star there is the fan
+    itself: a ray in no cone keeps a zero row and column."""
+    fan = unused_ray_fan()
+    w = weight(2, {c: 1 for c in fan.maximal_cones})
+    one, zero = Fraction(1), Fraction(0)
+    assert quadratic_form(fan, w) == ((one, one, one, zero),) * 3 + ((zero,) * 4,)
 
 
 def test_rescale_identity():
