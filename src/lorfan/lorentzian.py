@@ -16,17 +16,14 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .convexity import is_strictly_convex, require_convex, strictly_convex_witness
-from .errors import BalancingError, InternalError, PreconditionError
+from .errors import InternalError, PreconditionError
 from .fan import Cone, MarkedFan, PinchReport, is_unpinched, require_fan, star
 from .linalg import Inertia, Mat, ONE, inertia
 from .weights import (
     Divisor,
     TropicalFan,
     acted_weights,
-    check_balancing,
-    divisor_action,
     indicator_divisor,
-    mixed_degree,
     mixed_degrees,
     push_divisor_to_star,
     quadratic_form,
@@ -51,7 +48,7 @@ def volume_polynomial(tf: TropicalFan) -> Polynomial:
     weight once (`acted_weights` shares common prefixes), and the quadratic
     form of the degree-two weight it leaves holds the mixed degrees of every
     monomial that extends the multiset by two rays no smaller than its last.
-    In dimension one the weight, balanced at the origin, is the polynomial.
+    In dimension one the polynomial is the indicators' mixed degrees.
     Desk scale only (dimension at most four).
     """
     fan = tf.fan
@@ -62,12 +59,10 @@ def volume_polynomial(tf: TropicalFan) -> Polynomial:
     nrays = len(fan.rays)
     if d == 0:
         return {(): w[()]}
-    if d == 1:
-        failing = check_balancing(fan, w)
-        if failing:
-            raise BalancingError(f"weight is unbalanced at cone {failing[0]}")
-        return {tuple(int(i == r) for i in range(nrays)): w[(r,)] for (r,) in fan.cones(1) if w[(r,)]}
     indicators = [indicator_divisor(fan, i) for i in range(nrays)]
+    if d == 1:
+        degrees = mixed_degrees(fan, w, indicators, [(r,) for r in range(nrays)])
+        return {tuple(int(i == r) for i in range(nrays)): v for r, v in enumerate(degrees) if v}
     prefixes = list(itertools.combinations_with_replacement(range(nrays), d - 2))
     acted = acted_weights(fan, w, indicators, prefixes)
     return _forms_polynomial((prefix, quadratic_form(fan, v)) for prefix, v in zip(prefixes, acted))
@@ -307,7 +302,9 @@ def definition_sample_check(
     more, so no other star is built.  On each star the pushed witness is
     proved first, as every draw is (see sample_strictly_convex), so when
     `fan.regular` holds for it, its record is the one that later draws on
-    the star shift.
+    the star shift.  Then every draw of the star is made, each sample's
+    d - 2 auxiliary divisors before its d top ones, and one `acted_weights`
+    call acts with all of them, so the star weight's mark sums are made once.
     """
     fan = tf.fan
     if samples < 1:
@@ -328,28 +325,13 @@ def definition_sample_check(
         star_witness = push_divisor_to_star(sd, witness)
         if not is_strictly_convex(sd.fan, star_witness):
             raise InternalError("pushed witness lost strict convexity on a star")
-        p_counts = []
-        tops_positive = True
-        for _ in range(samples):
-            aux = [
-                sample_strictly_convex(sd.fan, star_witness, rng)
-                for _ in range(d_star - 2)
-            ]
-            current = stf.weight
-            for z in aux:
-                current = divisor_action(sd.fan, current, z)
-            p_counts.append(inertia(quadratic_form(sd.fan, current)).p)
-            tops = [
-                sample_strictly_convex(sd.fan, star_witness, rng)
-                for _ in range(d_star)
-            ]
-            if mixed_degree(sd.fan, stf.weight, tops) <= 0:
-                tops_positive = False
-        records.append(
-            StarSampleRecord(
-                cone=tau,
-                positive_counts=tuple(p_counts),
-                top_degrees_positive=tops_positive,
-            )
-        )
+        per_sample = 2 * d_star - 2
+        draws = [sample_strictly_convex(sd.fan, star_witness, rng) for _ in range(samples * per_sample)]
+        starts = range(0, len(draws), per_sample)
+        aux = [range(s, s + d_star - 2) for s in starts]
+        tops = [range(s + d_star - 2, s + per_sample) for s in starts]
+        acted = acted_weights(sd.fan, stf.weight, draws, aux + tops)
+        p_counts = tuple(inertia(quadratic_form(sd.fan, v)).p for v in acted[:samples])
+        tops_positive = all(v[()] > 0 for v in acted[samples:])
+        records.append(StarSampleRecord(cone=tau, positive_counts=p_counts, top_degrees_positive=tops_positive))
     return SampleCheckReport(seed=seed, samples=samples, records=tuple(records))

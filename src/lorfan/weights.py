@@ -142,13 +142,6 @@ def _act(fan: MarkedFan, w: MinkowskiWeight, z: Divisor, marks) -> MinkowskiWeig
     return MinkowskiWeight(w.degree - 1, out)
 
 
-def _check_action(fan: MarkedFan, w: MinkowskiWeight, z: Divisor) -> None:
-    if w.degree < 1:
-        raise PreconditionError("divisor action needs a weight of degree at least one")
-    if len(z) != len(fan.rays):
-        raise DimensionError("divisor has one value per ray")
-
-
 def check_balancing(fan: MarkedFan, w: MinkowskiWeight) -> tuple[Cone, ...]:
     """Cones of dimension degree-1 where balancing fails, those whose mark
     sum leaves their span; empty means balanced."""
@@ -170,10 +163,11 @@ def divisor_action(fan: MarkedFan, w: MinkowskiWeight, z: Divisor) -> MinkowskiW
 
     The value on a (k-1)-cone is the weighted sum of z over the opposite rays
     minus the unique linear function on the cone's span that matches z on its
-    own rays, evaluated at the balancing sum.
+    own rays, evaluated at the balancing sum.  This is `acted_weights` for
+    the one sequence (z,); a chain of actions is one `acted_weights` call.
     """
-    _check_action(fan, w, z)
-    return _act(fan, w, z, _mark_coordinates(fan, w))
+    [acted] = acted_weights(fan, w, [z], [(0,)])
+    return acted
 
 
 def star_forms(fan: MarkedFan, w: MinkowskiWeight):
@@ -243,10 +237,13 @@ def acted_weights(
     fan: MarkedFan, w: MinkowskiWeight, divisors: Sequence[Divisor], sequences: Iterable[Sequence[int]]
 ) -> list[MinkowskiWeight]:
     """w acted on by [divisors[i] for i in seq] for each index sequence, in
-    order.  The divisors act in sequence order, first index first, and each
-    distinct prefix is applied once and shared by the later sequences.  A
-    prefix's mark sums and their coordinates are made once, as the first
-    divisor that acts on it reads them, and kept for the others."""
+    order: the one code that applies a divisor to a weight.  The divisors
+    act in sequence order, first index first, and each distinct prefix is
+    applied once and shared by the later sequences.  A prefix's mark sums
+    and their coordinates are made once, as the first divisor that acts on
+    it reads them, and kept for the others.  A weight of degree zero, a
+    divisor of the wrong length and an unbalanced weight raise at the first
+    action that meets them."""
     partial = {(): w}
     marks = {}
     out = []
@@ -254,7 +251,10 @@ def acted_weights(
         for k in range(1, len(seq) + 1):
             if seq[:k] not in partial:
                 prefix, z = seq[: k - 1], divisors[seq[k - 1]]
-                _check_action(fan, partial[prefix], z)
+                if partial[prefix].degree < 1:
+                    raise PreconditionError("divisor action needs a weight of degree at least one")
+                if len(z) != len(fan.rays):
+                    raise DimensionError("divisor has one value per ray")
                 if prefix in marks:
                     rows = marks[prefix]
                 else:

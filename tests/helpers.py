@@ -12,11 +12,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from lorfan import convexity, fixtures, linalg, lp
+from lorfan import convexity, fixtures, linalg, lorentzian, lp
 from lorfan.errors import BalancingError, DimensionError, InternalError, PreconditionError
 from lorfan.fan import MarkedFan, Neighborhood, Quotient, _neighborhood, cone_key, star
 from lorfan.linalg import ONE, ZERO, Inertia, fractions, is_symmetric, mat, over_lcd, vec
-from lorfan.lorentzian import AFReport, is_log_concave, is_unimodal
+from lorfan.lorentzian import AFReport, SampleCheckReport, StarSampleRecord, is_log_concave, is_unimodal
 from lorfan.lp import FeasibilityCertificate, StrictFeasibility
 from lorfan.matroids import bergman_fan, complete_graph_matroid, fano_matroid, uniform_matroid
 from lorfan.weights import (
@@ -26,6 +26,8 @@ from lorfan.weights import (
     indicator_divisor,
     mixed_degree,
     mixed_degrees,
+    push_divisor_to_star,
+    quadratic_form,
     star_weight,
 )
 
@@ -715,6 +717,47 @@ def classify_sample_strictly_convex(fan: MarkedFan, witness, rng: random.Random)
             return candidate
         eps /= 2
     raise InternalError("sampling failed to produce a strictly convex divisor")
+
+
+def sequential_sample_check(tf: TropicalFan, witness, samples: int, seed: int) -> SampleCheckReport:
+    """definition_sample_check sample by sample: each sample draws its aux
+    divisors and chains their divisor actions, then draws its tops and takes
+    their mixed degree, so each action forms its weight's mark sums anew.
+    Draws come from `lorentzian.sample_strictly_convex`, looked up at each
+    draw, so a patch of it reaches both paths: the oracle of the route that
+    draws first and acts once per star."""
+    fan = tf.fan
+    if samples < 1:
+        raise PreconditionError("sampling needs at least one sample")
+    if witness is None:
+        raise PreconditionError("sampling requires a quasiprojective fan")
+    convexity.require_convex(fan, witness, True, "sampling requires a strictly convex witness")
+    rng = random.Random(seed)
+    records = []
+    for tau in sorted(fan.all_cones()):
+        if len(tau) > fan.dimension - 2:
+            continue
+        sd = star(fan, tau)
+        d_star = sd.fan.dimension
+        if d_star < 2:
+            continue
+        stf = star_weight(tf, tau, sd)
+        star_witness = push_divisor_to_star(sd, witness)
+        if not convexity.is_strictly_convex(sd.fan, star_witness):
+            raise InternalError("pushed witness lost strict convexity on a star")
+        p_counts = []
+        tops_positive = True
+        for _ in range(samples):
+            aux = [lorentzian.sample_strictly_convex(sd.fan, star_witness, rng) for _ in range(d_star - 2)]
+            current = stf.weight
+            for z in aux:
+                current = divisor_action(sd.fan, current, z)
+            p_counts.append(linalg.inertia(quadratic_form(sd.fan, current)).p)
+            tops = [lorentzian.sample_strictly_convex(sd.fan, star_witness, rng) for _ in range(d_star)]
+            if mixed_degree(sd.fan, stf.weight, tops) <= 0:
+                tops_positive = False
+        records.append(StarSampleRecord(tau, tuple(p_counts), tops_positive))
+    return SampleCheckReport(seed=seed, samples=samples, records=tuple(records))
 
 
 def joint_program_rows(fan: MarkedFan):

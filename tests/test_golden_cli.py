@@ -69,8 +69,15 @@ DIM = {
 CONVEX = [f for f in FANS if f != "twisted_prism"]
 # the sampling check of the definition, at a fixed seed: stock fans, fans with
 # rescaled marks, and Bergman fans; on rescaled U(3,5) the witness is not
-# regular, and some draws are proved by classify_convexity
-SAMPLED = ["skeleton", "triangle_x_line", "mk4", "skeleton_q", "triangle_x_line_q", "fano", "u35_q"]
+# regular, and some draws are proved by classify_convexity; two_triangles is
+# a "no" (its origin star has two positive eigenvalues), and on the 4-dim
+# triangle_x_triangle auxiliary sequences of length two act
+SAMPLED = [
+    "skeleton", "triangle_x_line", "mk4", "skeleton_q", "triangle_x_line_q", "fano", "u35_q",
+    "two_triangles", "u46", "triangle_x_triangle",
+]
+# products of two stored input fans (`lorfan product`), with sampled cases only
+PRODUCTS = {"triangle_x_triangle": ("triangle", "triangle")}
 # fans whose marks are rescaled ray by ray (`helpers.rescale_marking`) by these
 # rational and mixed scales, so that marks, weights and divisors leave the
 # integers; each takes its divisors from the unscaled fan's, rescaled alike
@@ -344,6 +351,7 @@ def write_inputs() -> None:
     write_af_inputs()
     write_rescaled_inputs()
     write_subdivided_inputs()
+    write_product_inputs()
 
 
 def write_af_inputs() -> None:
@@ -371,6 +379,16 @@ def write_subdivided_inputs() -> None:
     for f, report in SUBDIVIDED.items():
         data = json.loads((GOLDEN / f"{report}.json").read_text())
         _write(INPUTS / f"{f}.json", {k: data[k] for k in ("ambient_dim", "maximal_cones", "rays", "weights")})
+
+
+def write_product_inputs() -> None:
+    """Each PRODUCTS fan: the product of its two stored factors."""
+    from lorfan import io as lio
+    from lorfan.ops import product_tropical
+
+    for f, (a, b) in PRODUCTS.items():
+        factors = [lio.tropical_from_json(json.loads((INPUTS / f"{g}.json").read_text())) for g in (a, b)]
+        _write(INPUTS / f"{f}.json", lio.tropical_to_json(product_tropical(*factors)))
 
 
 def write_rescaled_inputs() -> None:

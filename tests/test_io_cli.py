@@ -621,3 +621,81 @@ def test_two_weight_keys_on_one_cone_refused(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert "two weight keys name the cone '0,1'" in err
+
+
+_BARE_TRIANGLE = io.fan_to_json(triangle_fan().fan)
+
+
+@pytest.mark.parametrize(
+    "files, argv, code, message",
+    [
+        ({"fan": _BARE_TRIANGLE}, ["balance", "--fan", "@fan"], 2, "input error: fan file carries no weights"),
+        ({"fan": _BARE_TRIANGLE}, ["lorentzian", "--fan", "@fan"], 2, "input error: fan file carries no weights"),
+        (
+            {"fan": _fan_json()},
+            ["star", "--fan", "@fan", "--cone", "a"],
+            2,
+            "input error: bad cone key 'a': invalid literal for int() with base 10: 'a'",
+        ),
+        (
+            {"fan": _fan_json(weights={"0,1": "1", "0,2": "1", "2": "1"})},
+            ["balance", "--fan", "@fan"],
+            2,
+            "input error: weight keys must share one cone dimension",
+        ),
+        (
+            {"fan": _fan_json(), "d": {"value": ["1", "1", "1"]}},
+            ["convexity", "--fan", "@fan", "--divisor", "@d"],
+            2,
+            "input error: malformed divisor: 'values'",
+        ),
+        ({"m": {"n": 3}}, ["bergman", "--matroid", "@m"], 2, "input error: malformed matroid: 'bases'"),
+        ({"p": {"fan": _BARE_TRIANGLE}}, ["mixedvol", "--polytope", "@p"], 2, "input error: malformed polytope: 'rhs'"),
+        (
+            {
+                "p": {"fan": _BARE_TRIANGLE, "rhs": ["0", "1", "1"]},
+                "q": {"fan": io.fan_to_json(line_fan().fan), "rhs": ["1", "1"]},
+            },
+            ["mixedvol", "--polytope", "@p", "--polytope", "@q"],
+            3,
+            "precondition failure: polytopes must share one normal fan",
+        ),
+        (
+            {"fan": _fan_json()},
+            ["stellar", "--fan", "@fan", "--point", "1,1,1"],
+            3,
+            "precondition failure: subdivision point has wrong dimension",
+        ),
+        (
+            {"fan": {"ambient_dim": 2, "rays": [["1", "0"]], "maximal_cones": []}},
+            ["validate", "--fan", "@fan"],
+            3,
+            "precondition failure: a fan needs at least one maximal cone (possibly the origin)",
+        ),
+        (
+            {"fan": _fan_json(rays=[["0", "0"], ["0", "1"], ["-1", "-1"]])},
+            ["validate", "--fan", "@fan"],
+            3,
+            "precondition failure: ray marks must be nonzero",
+        ),
+    ],
+    ids=[
+        "balance-without-weights",
+        "lorentzian-without-weights",
+        "star-bad-cone-key",
+        "weight-keys-of-mixed-dimension",
+        "divisor-without-values",
+        "matroid-without-bases",
+        "polytope-without-rhs",
+        "mixedvol-over-two-fans",
+        "stellar-point-of-wrong-dimension",
+        "no-maximal-cones",
+        "zero-ray-mark",
+    ],
+)
+def test_cli_refusals(tmp_path, capsys, files, argv, code, message):
+    """Each refusal exits with its code, prints nothing and names its
+    reason in one line; "@name" stands for the file written from files[name]."""
+    paths = {name: write(tmp_path, f"{name}.json", payload) for name, payload in files.items()}
+    argv = [paths[a[1:]] if a.startswith("@") else a for a in argv]
+    assert run(capsys, *argv) == (code, "", message + "\n")

@@ -7,6 +7,9 @@ no program where it can, and else by classify_convexity(strict=True).
 record, when it has one, is the one later draws shift.  The oracle proves
 every draw with a full classify_convexity pass
 (`helpers.classify_sample_strictly_convex`), and the draws must be its own.
+Each star then makes all its draws and acts with them in one
+`acted_weights` call; the oracle of that is the loop that draws and acts
+sample by sample (`helpers.sequential_sample_check`).
 """
 
 import contextlib
@@ -17,18 +20,25 @@ from pathlib import Path
 
 import pytest
 
-from lorfan import convexity, lorentzian
+from lorfan import convexity, lorentzian, weights
 from lorfan import fan as fan_module
 from lorfan.cli import main
 from lorfan.convexity import classify_convexity, find_strictly_convex
-from lorfan.errors import ConvexityError, PreconditionError
+from lorfan.errors import BalancingError, ConvexityError, PreconditionError
 from lorfan.fan import star
 from lorfan.fixtures import origin_fan, triangle_fan, triangle_times_line
 from lorfan.lorentzian import definition_sample_check, sample_strictly_convex
-from lorfan.matroids import bergman_fan, complete_graph_matroid
-from lorfan.weights import push_divisor_to_star
+from lorfan.matroids import bergman_fan, complete_graph_matroid, uniform_matroid
+from lorfan.ops import product_tropical
+from lorfan.weights import MinkowskiWeight, TropicalFan, push_divisor_to_star
 
-from helpers import SCALES, TROPICAL_FANS, classify_sample_strictly_convex, rescaled_tropical
+from helpers import (
+    SCALES,
+    TROPICAL_FANS,
+    classify_sample_strictly_convex,
+    rescaled_tropical,
+    sequential_sample_check,
+)
 
 INPUTS = Path(__file__).parent / "golden" / "inputs"
 
@@ -238,3 +248,110 @@ def test_stars_built_only_for_cones_of_codimension_two(monkeypatch):
     cones = [args[1] for args in built]
     assert cones == [r.cone for r in report.records]
     assert all(len(c) <= tf.dimension - 2 for c in cones)
+
+
+# ---------------------------------------------------------------------------
+# draws first, one action pass per star
+
+
+def _matches_sequential(make, seeds, counts):
+    """definition_sample_check and the sample-by-sample oracle, each on a
+    fresh fan, give equal reports."""
+    witness = find_strictly_convex(make().fan)
+    for seed in seeds:
+        for samples in counts:
+            report = definition_sample_check(make(), witness, samples, seed)
+            assert report == sequential_sample_check(make(), witness, samples, seed), (seed, samples)
+
+
+@pytest.mark.parametrize("kind", [None, *SCALES])
+@pytest.mark.parametrize("name", [n for n in TROPICAL_FANS if n != "twisted_prism"])
+def test_definition_sample_check_matches_sequential_oracle(name, kind):
+    _matches_sequential(lambda: _tropical(name, kind), (1, 5, 9), (1, 2, 3))
+
+
+def test_triangle_squared_matches_sequential_oracle():
+    """The 4-dim star at the origin acts with auxiliary sequences of length two."""
+    _matches_sequential(lambda: product_tropical(triangle_fan(), triangle_fan()), (1, 5, 9), (1, 2, 3))
+
+
+def test_u46_matches_sequential_oracle():
+    _matches_sequential(lambda: bergman_fan(uniform_matroid(4, 6)), (5,), (2,))
+
+
+def _coin_negated(monkeypatch):
+    """From here on each draw is negated or not by a fixed sequence of coin
+    flips, so a report tells which draws acted as auxiliary and which as
+    top divisors."""
+    draw, coins = lorentzian.sample_strictly_convex, random.Random("coins")
+
+    def signed(*args):
+        z = draw(*args)
+        return tuple(-v for v in z) if coins.randint(0, 1) else z
+
+    monkeypatch.setattr(lorentzian, "sample_strictly_convex", signed)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [triangle_times_line, lambda: product_tropical(triangle_fan(), triangle_fan())],
+    ids=["triangle_x_line", "triangle_x_triangle"],
+)
+def test_signed_draws_match_sequential_oracle(make, monkeypatch):
+    """With draws negated by coin flips, the two paths agree only if they
+    make their draws in the same order and act with each draw in the same
+    place; the reports also show signs that are not Lorentzian."""
+    witness = find_strictly_convex(make().fan)
+    for seed in (1, 5):
+        for samples in (1, 2, 3):
+            _coin_negated(monkeypatch)
+            report = definition_sample_check(make(), witness, samples, seed)
+            monkeypatch.undo()
+            _coin_negated(monkeypatch)
+            assert report == sequential_sample_check(make(), witness, samples, seed), (seed, samples)
+            monkeypatch.undo()
+            assert not report.all_lorentzian_signs
+
+
+def test_negated_draws_give_negative_top_degrees(monkeypatch):
+    """With every draw negated, the 3-dim star of triangle x line at the
+    origin has negative top degrees (three negated divisors) and its 2-dim
+    ray stars keep positive ones, on both paths."""
+    draw = lorentzian.sample_strictly_convex
+    monkeypatch.setattr(lorentzian, "sample_strictly_convex", lambda *args: tuple(-v for v in draw(*args)))
+    witness = find_strictly_convex(triangle_times_line().fan)
+    report = definition_sample_check(triangle_times_line(), witness, 2, 5)
+    assert report == sequential_sample_check(triangle_times_line(), witness, 2, 5)
+    assert [(r.cone, r.top_degrees_positive) for r in report.records][:2] == [((), False), ((0,), True)]
+    assert [r.top_degrees_positive for r in report.records].count(False) == 1
+    assert not report.all_lorentzian_signs
+
+
+def test_star_weight_marks_made_once_per_star(monkeypatch):
+    """Mark-coordinate passes of `lorentzian --samples 3 --seed 1` on
+    triangle x line: once per star weight, once per acted prefix and once per
+    quadratic form, 45; acting sample by sample forms the star weight's mark
+    sums twice per sample, 60.  (On U(4,6) the two take 297 and 384.)"""
+    witness = find_strictly_convex(triangle_times_line().fan)
+    passes = _count(monkeypatch, weights, "_mark_coordinates")
+    report = definition_sample_check(triangle_times_line(), witness, 3, 1)
+    assert len(passes) == 45
+    del passes[:]
+    assert sequential_sample_check(triangle_times_line(), witness, 3, 1) == report
+    assert len(passes) == 60
+
+
+@pytest.mark.parametrize("make", [triangle_fan, triangle_times_line])
+def test_unbalanced_star_weight_raises_as_the_oracle(make):
+    """An unbalanced weight is refused with the oracle's BalancingError and
+    message, now after the star's draws rather than the first sample's."""
+    tf = make()
+    values = dict(tf.weight.values)
+    values[max(values)] *= 2
+    unbalanced = TropicalFan(tf.fan, MinkowskiWeight(tf.weight.degree, values))
+    witness = find_strictly_convex(tf.fan)
+    with pytest.raises(BalancingError) as excinfo:
+        definition_sample_check(unbalanced, witness, 2, 5)
+    with pytest.raises(BalancingError) as oracle:
+        sequential_sample_check(unbalanced, witness, 2, 5)
+    assert str(excinfo.value) == str(oracle.value)
