@@ -342,9 +342,6 @@ class MarkedFan:
         nums, _ = over_lcd(point)
         return q.in_span(nums) and all(c >= 0 for c in q.coordinates(nums))
 
-    def in_support(self, point: Vec) -> bool:
-        return any(self.cone_contains(c, point) for c in self.maximal_cones)
-
 
 def neighborhood_rays(fan: MarkedFan, tau: Cone) -> tuple[int, ...]:
     """Rays of all maximal cones containing tau, minus tau's own rays."""
@@ -760,6 +757,13 @@ class StellarSubdivision:
 def stellar_subdivide(fan: MarkedFan, v: Vec) -> StellarSubdivision:
     """Star the fan at a point of its support; the new ray is marked by v itself.
 
+    v is made int once, and each maximal cone reads v's coordinates from its
+    quotient record.  A cone whose span misses v, or in which v has a
+    negative coordinate, stays.  A cone that contains v gives way to
+    (cone - r) + v for each ray r where v's coordinate is positive: a
+    simplicial cone's coordinates are unique, so these are exactly its
+    facets that miss v.  v lies outside the support when no cone splits.
+
     Returns the refined fan together with the map from new maximal cones to
     the parent maximal cones containing them, and the reindexing of surviving
     parent rays.
@@ -769,41 +773,29 @@ def stellar_subdivide(fan: MarkedFan, v: Vec) -> StellarSubdivision:
         raise DimensionError("subdivision point has wrong dimension")
     if all(x == 0 for x in v):
         raise PreconditionError("cannot subdivide at the origin")
-    if not fan.in_support(v):
+    nums, _ = over_lcd(v)
+    specs = []  # (parent rays of a new cone, whether v joins them, parent cone)
+    for c in fan.maximal_cones:
+        q = fan.quotient(c)
+        coords = q.coordinates(nums) if q.in_span(nums) else None
+        if coords is None or min(coords) < 0:
+            specs.append((c, False, c))
+        else:
+            specs += [(c[:r] + c[r + 1:], True, c) for r, x in enumerate(coords) if x > 0]
+    if not any(joins for _, joins, _ in specs):
         raise PreconditionError("subdivision point lies outside the support")
 
-    new_cone_specs = []  # (frozen ray set incl. possibly NEW, parent cone)
-    NEW = -1
-    for c in fan.maximal_cones:
-        if not fan.cone_contains(c, v):
-            new_cone_specs.append((frozenset(c), c))
-            continue
-        for facet in itertools.combinations(c, len(c) - 1):
-            if not fan.cone_contains(facet, v):
-                new_cone_specs.append((frozenset(facet) | {NEW}, c))
-
-    used_old = sorted(set().union(*(s - {NEW} for s, _ in new_cone_specs)) if new_cone_specs else set())
+    used_old = sorted(set().union(*(kept for kept, _, _ in specs)))
     ray_map = {old: i for i, old in enumerate(used_old)}
-    rays = [fan.rays[i] for i in used_old] + [v]
     new_ray = len(used_old)
-
-    containment = {}
-    cones = set()
-    for spec, parent in new_cone_specs:
-        c = cone_key(ray_map[i] if i != NEW else new_ray for i in spec)
-        cones.add(c)
-        containment[c] = parent
+    # ray_map keeps the order and the new ray comes last, so each cone is sorted
+    containment = {tuple(ray_map[i] for i in kept) + (new_ray,) * joins: c for kept, joins, c in specs}
     refined = MarkedFan(
         ambient_dim=fan.ambient_dim,
-        rays=tuple(rays),
-        maximal_cones=tuple(sorted(cones)),
+        rays=tuple(fan.rays[i] for i in used_old) + (v,),
+        maximal_cones=tuple(sorted(containment)),
     )
-    return StellarSubdivision(
-        fan=refined,
-        containment=containment,
-        ray_map=ray_map,
-        new_ray=new_ray,
-    )
+    return StellarSubdivision(fan=refined, containment=containment, ray_map=ray_map, new_ray=new_ray)
 
 
 # ---------------------------------------------------------------------------

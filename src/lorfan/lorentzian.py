@@ -298,19 +298,23 @@ def definition_sample_check(
     witness of the fan's Lorentzian certificate, which must pass
     `require_convex`.
 
-    Only cones with at most d - 2 rays can have stars of dimension two or
-    more, so no other star is built.  On each star the pushed witness is
-    proved first, as every draw is (see sample_strictly_convex), so when
-    `fan.regular` holds for it, its record is the one that later draws on
-    the star shift.  Then every draw of the star is made, each sample's
-    d - 2 auxiliary divisors before its d top ones, and one `acted_weights`
-    call acts with all of them, so the star weight's mark sums are made once.
+    Input that fails validate is refused, so the stars of dimension two or
+    more are those of the cones with at most d - 2 rays, and no other star
+    is built.  On each star the pushed witness is proved first, as every
+    draw is (see sample_strictly_convex), so when `fan.regular` holds for
+    it, its record is the one that later draws on the star shift.  Then
+    every draw of the star is made, each sample's d - 2 auxiliary divisors
+    before its d top ones, and one `acted_weights` call acts with all of
+    them, so the star weight's mark sums are made once.  Each distinct
+    auxiliary sequence takes one quadratic form and one inertia, one per
+    star on a two-dimensional star, whose auxiliary sequences are empty.
     """
     fan = tf.fan
     if samples < 1:
         raise PreconditionError("sampling needs at least one sample")
     if witness is None:
         raise PreconditionError("sampling requires a quasiprojective fan")
+    require_fan(fan, "sampling needs a fan")
     require_convex(fan, witness, True, "sampling requires a strictly convex witness")
     rng = random.Random(seed)
     records = []
@@ -319,8 +323,6 @@ def definition_sample_check(
             continue
         sd = star(fan, tau)
         d_star = sd.fan.dimension
-        if d_star < 2:
-            continue
         stf = star_weight(tf, tau, sd)
         star_witness = push_divisor_to_star(sd, witness)
         if not is_strictly_convex(sd.fan, star_witness):
@@ -328,10 +330,12 @@ def definition_sample_check(
         per_sample = 2 * d_star - 2
         draws = [sample_strictly_convex(sd.fan, star_witness, rng) for _ in range(samples * per_sample)]
         starts = range(0, len(draws), per_sample)
-        aux = [range(s, s + d_star - 2) for s in starts]
+        aux = [tuple(range(s, s + d_star - 2)) for s in starts]
         tops = [range(s + d_star - 2, s + per_sample) for s in starts]
-        acted = acted_weights(sd.fan, stf.weight, draws, aux + tops)
-        p_counts = tuple(inertia(quadratic_form(sd.fan, v)).p for v in acted[:samples])
-        tops_positive = all(v[()] > 0 for v in acted[samples:])
+        distinct = list(dict.fromkeys(aux))
+        acted = acted_weights(sd.fan, stf.weight, draws, distinct + tops)
+        p_of = {seq: inertia(quadratic_form(sd.fan, v)).p for seq, v in zip(distinct, acted)}
+        p_counts = tuple(p_of[seq] for seq in aux)
+        tops_positive = all(v[()] > 0 for v in acted[len(distinct):])
         records.append(StarSampleRecord(cone=tau, positive_counts=p_counts, top_degrees_positive=tops_positive))
     return SampleCheckReport(seed=seed, samples=samples, records=tuple(records))

@@ -14,7 +14,7 @@ from typing import Optional
 
 from lorfan import convexity, fixtures, linalg, lorentzian, lp
 from lorfan.errors import BalancingError, DimensionError, InternalError, PreconditionError
-from lorfan.fan import MarkedFan, Neighborhood, Quotient, _neighborhood, cone_key, star
+from lorfan.fan import MarkedFan, Neighborhood, Quotient, StellarSubdivision, _neighborhood, cone_key, star
 from lorfan.linalg import ONE, ZERO, Inertia, fractions, is_symmetric, mat, over_lcd, vec
 from lorfan.lorentzian import AFReport, SampleCheckReport, StarSampleRecord, is_log_concave, is_unimodal
 from lorfan.lp import FeasibilityCertificate, StrictFeasibility
@@ -275,6 +275,42 @@ def minimal_containing_cone(fan: MarkedFan, v):
         if coords is not None and all(x >= 0 for x in coords):
             return cone_key(i for i, x in zip(c, coords) if x > 0)
     raise PreconditionError("point lies outside the support")
+
+
+def in_support(fan: MarkedFan, point) -> bool:
+    """Whether some maximal cone contains the point."""
+    return any(fan.cone_contains(c, point) for c in fan.maximal_cones)
+
+
+def facet_stellar_subdivide(fan: MarkedFan, v) -> StellarSubdivision:
+    """stellar_subdivide by asking which cones contain v: the support first,
+    then each maximal cone, then each facet of a cone that contains v, which
+    gives way to the facet plus v when the facet misses v.  The oracle of the
+    route that reads v's coordinates once per maximal cone."""
+    v = vec(v)
+    if len(v) != fan.ambient_dim:
+        raise DimensionError("subdivision point has wrong dimension")
+    if all(x == 0 for x in v):
+        raise PreconditionError("cannot subdivide at the origin")
+    if not in_support(fan, v):
+        raise PreconditionError("subdivision point lies outside the support")
+    new = -1
+    specs = []  # (rays of a new cone, -1 standing for v, and its parent cone)
+    for c in fan.maximal_cones:
+        if not fan.cone_contains(c, v):
+            specs.append((frozenset(c), c))
+            continue
+        for facet in itertools.combinations(c, len(c) - 1):
+            if not fan.cone_contains(facet, v):
+                specs.append((frozenset(facet) | {new}, c))
+    used_old = sorted(set().union(*(s - {new} for s, _ in specs)))
+    ray_map = {old: i for i, old in enumerate(used_old)}
+    new_ray = len(used_old)
+    containment = {}
+    for spec, parent in specs:
+        containment[cone_key(ray_map[i] if i != new else new_ray for i in spec)] = parent
+    refined = MarkedFan(fan.ambient_dim, tuple(fan.rays[i] for i in used_old) + (v,), tuple(sorted(containment)))
+    return StellarSubdivision(fan=refined, containment=containment, ray_map=ray_map, new_ray=new_ray)
 
 
 # ---------------------------------------------------------------------------

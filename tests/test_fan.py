@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from lorfan.errors import PreconditionError
+from lorfan.errors import DimensionError, PreconditionError
 from lorfan.fan import (
     MarkedFan,
     components,
@@ -28,12 +28,17 @@ from lorfan.ops import is_complete
 from helpers import (
     BERGMAN_FANS,
     LARGE_BERGMAN_FANS,
+    SCALES,
     STOCK_FANS,
+    facet_stellar_subdivide,
+    in_support,
     mat_vec,
     minimal_containing_cone,
+    outcome,
     pair_search_complete,
     pair_search_pinches,
     random_fan,
+    rescale_fan,
 )
 
 
@@ -229,7 +234,129 @@ def test_stellar_preserves_support():
     res = stellar_subdivide(fan, v)
     for _ in range(40):
         point = vec([Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(3)])
-        assert fan.in_support(point) == res.fan.in_support(point)
+        assert in_support(fan, point) == in_support(res.fan, point)
+
+
+# the fans on which stellar_subdivide meets its facet oracle, each also
+# rescaled ray by ray
+STELLAR_FANS = {**STOCK_FANS, **BERGMAN_FANS, "U(4,6)": LARGE_BERGMAN_FANS["U(4,6)"]}
+
+
+def _stellar_fan(name, kind):
+    fan = STELLAR_FANS[name]()
+    if kind is None:
+        return fan
+    return rescale_fan(fan, SCALES[kind](random.Random(f"stellar/{name}/{kind}"), len(fan.rays)))
+
+
+def _stellar_points(fan, rng):
+    """The sums of the marks of up to three k-cones for each k >= 1 (interior
+    points of maximal cones, wall points when k = d - 1, twice a ray's mark
+    when k = 1), the origin and four random points, some of them outside
+    the support on an incomplete fan."""
+    points = [vec([0] * fan.ambient_dim)]
+    for k in range(1, fan.dimension + 1):
+        cones = fan.cones(k)
+        for tau in cones[:: max(1, len(cones) // 3)][:3]:
+            marks = [fan.rays[i] for i in tau] * (2 if k == 1 else 1)
+            points.append(vec([sum(col) for col in zip(*marks)]))
+    for _ in range(4):
+        points.append(vec([Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(fan.ambient_dim)]))
+    return points
+
+
+@pytest.mark.parametrize("kind", [None, *SCALES])
+@pytest.mark.parametrize("name", sorted(STELLAR_FANS))
+def test_stellar_matches_facet_oracle(name, kind):
+    """At interior, wall and ray points, and at the origin and points
+    outside the support, stellar_subdivide gives the facet oracle's fan,
+    containment, ray map and new ray, or its exception and message."""
+    fan = _stellar_fan(name, kind)
+    for v in _stellar_points(fan, random.Random(name)):
+        assert outcome(lambda: stellar_subdivide(fan, v)) == outcome(lambda: facet_stellar_subdivide(fan, v)), v
+
+
+@pytest.mark.parametrize(
+    "make,v",
+    [
+        (lambda: coordinate_skeleton_fan().fan, [1, 1, 1]),
+        (lambda: spindle_fan().fan, [0, 5, 0]),
+        (lambda: point_fan(2), [1, 1]),
+        (lambda: STELLAR_FANS["U(4,6)"](), [1, 2, 3, 4, 5]),
+    ],
+)
+def test_stellar_refuses_points_outside_the_support_as_the_oracle(make, v):
+    fan = make()
+    assert not in_support(fan, vec(v))
+    message = "subdivision point lies outside the support"
+    assert outcome(lambda: stellar_subdivide(fan, vec(v))) == (PreconditionError, message)
+    assert outcome(lambda: facet_stellar_subdivide(fan, vec(v))) == (PreconditionError, message)
+
+
+def _interior_point(fan, rng):
+    """A positive int combination of one maximal cone's marks, drawn as the
+    structure benchmark draws its stellar point."""
+    cone = rng.choice(fan.maximal_cones)
+    coeffs = [rng.randint(1, 5) for _ in cone]
+    return vec([sum(c * fan.rays[i][j] for c, i in zip(coeffs, cone)) for j in range(fan.ambient_dim)])
+
+
+@pytest.mark.parametrize(
+    "make,point",
+    [
+        (LARGE_BERGMAN_FANS["U(4,6)"], lambda fan: _interior_point(fan, random.Random("stellar/U(4,6)"))),
+        (lambda: coordinate_skeleton_fan().fan, lambda fan: vec([1, 0, 0])),
+    ],
+    ids=["U(4,6)-interior", "skeleton-ray"],
+)
+def test_stellar_reads_only_maximal_cone_records(make, point):
+    """On a fresh fan, stellar_subdivide reads v's coordinates in each
+    maximal cone's quotient record and builds no other: the facet route
+    built 123 records for U(4,6)'s 120 cones at an interior point, and 17
+    for the skeleton's 12 at (1, 0, 0)."""
+    fan = make()
+    stellar_subdivide(fan, point(fan))
+    assert set(fan._quotients) == set(fan.maximal_cones)
+
+
+def test_stellar_wall_point_splits_every_cone_around_the_wall():
+    """U(4,6) at the sum of the marks of its first 2-cone, a wall point:
+    four maximal cones contain it, each splits in two, and 120 cones become
+    124, each new one on the new ray."""
+    fan = LARGE_BERGMAN_FANS["U(4,6)"]()
+    tau = fan.cones(2)[0]
+    v = vec([sum(col) for col in zip(*(fan.rays[i] for i in tau))])
+    assert v == vec([-1, -2, -2, -2, -2])
+    res = stellar_subdivide(fan, v)
+    split = {parent for c, parent in res.containment.items() if res.new_ray in c}
+    assert split == set(fan.incident[tau]) and len(split) == 4
+    assert len(res.fan.maximal_cones) == 124
+
+
+_TRIANGLE_RAYS = (vec([1, 0]), vec([0, 1]), vec([-1, -1]))
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (
+            lambda: MarkedFan(2, _TRIANGLE_RAYS, ((1, 0),)),
+            PreconditionError,
+            "maximal cones must be sorted tuples without repeats",
+        ),
+        (lambda: MarkedFan(2, _TRIANGLE_RAYS, ((0, 1), (0, 1))), PreconditionError, "duplicate maximal cone"),
+        (lambda: MarkedFan(2, _TRIANGLE_RAYS, ((0, 3),)), PreconditionError, "cone refers to a missing ray"),
+        (
+            lambda: MarkedFan(2, (vec([1, 0, 0]),), ((0,),)),
+            DimensionError,
+            "ray mark has wrong ambient dimension",
+        ),
+    ],
+    ids=["unsorted-cone", "duplicate-cone", "missing-ray", "mark-of-wrong-dimension"],
+)
+def test_fan_refusals(call, error, message):
+    """Each refusal raises its exception type with its message."""
+    assert outcome(call) == (error, message)
 
 
 def test_product_counts():

@@ -89,6 +89,10 @@ RESCALED = {
         ("1", "3/4", "4/5", "5/2", "1/3", "3/2", "5/4", "1/2", "1/5", "1/3", "5/4", "1/2", "5/4", "3/2", "1/5"),
     ),
 }
+# Bergman fans with a `lorfan stellar` case at a wall point: the sum of the
+# marks of the first 2-cone, which lies in several maximal cones (four on
+# U(4,6), whose 120 cones become 124)
+WALL = ("u46",)
 # fans read off a stored `lorfan stellar` report, whose subdivision defeats
 # the candidate divisor: `validate` decides them by the pairs route
 SUBDIVIDED = {"u35_stellar": "stellar-u35"}
@@ -139,6 +143,8 @@ def _cases():
         cases.append((f"af-{f}", argv))
     for f in VALIDATE:
         cases.append((f"validate-{f}", ["validate", "--fan", f"@{f}"]))
+    for f in WALL:
+        cases.append((f"stellar-{f}-wall", ["stellar", "--fan", f"@{f}", "--point", f"@{f}-wall-point"]))
     for f in LORENTZIAN_BERGMAN:
         cases.append((f"lorentzian-{f}", ["lorentzian", "--fan", f"@{f}"]))
     for f, (base, _) in RESCALED.items():
@@ -349,6 +355,7 @@ def write_inputs() -> None:
     for f, name in VOLPOLY.items():
         _write(INPUTS / f"{f}.json", lio.tropical_to_json(matroids.bergman_fan(_matroid(name))))
     write_af_inputs()
+    write_wall_inputs()
     write_rescaled_inputs()
     write_subdivided_inputs()
     write_product_inputs()
@@ -372,6 +379,17 @@ def write_af_inputs() -> None:
         _write(INPUTS / f"{f}-c.json", lio.divisor_to_json(c))
         _write(INPUTS / f"{f}-d2.json", lio.divisor_to_json(d2))
         _write(INPUTS / f"{f}-aux.json", {"divisors": [lio.divisor_to_json(c)]})
+
+
+def write_wall_inputs() -> None:
+    """Each WALL fan's point: the sum of the marks of its first 2-cone."""
+    from lorfan import io as lio
+
+    for f in WALL:
+        tf = lio.tropical_from_json(json.loads((INPUTS / f"{f}.json").read_text()))
+        tau = tf.fan.cones(2)[0]
+        point = [sum(tf.fan.rays[i][j] for i in tau) for j in range(tf.fan.ambient_dim)]
+        _write(INPUTS / f"{f}-wall-point.json", {"point": ",".join(lio.rat_to_str(x) for x in point)})
 
 
 def write_subdivided_inputs() -> None:

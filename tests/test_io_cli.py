@@ -9,11 +9,14 @@ import pytest
 from lorfan import cli, io, lorentzian
 from lorfan import fan as fan_module
 from lorfan.cli import main
-from lorfan.errors import InputError
+from lorfan.errors import InputError, InternalError
 from lorfan.fixtures import (
     coordinate_skeleton_fan,
     line_fan,
+    origin_fan,
     triangle_fan,
+    triangle_times_line,
+    twisted_prism_fan,
     two_disjoint_triangles,
 )
 from lorfan.linalg import ONE
@@ -480,6 +483,15 @@ def test_exponent_and_decimal_rationals_refused():
     assert io.str_to_rat(4) == 4
 
 
+def test_internal_error_exits_4_in_one_line(tmp_path, capsys, monkeypatch):
+    def broken(fan, **_):
+        raise InternalError("an invariant failed")
+
+    monkeypatch.setattr(cli, "validate", broken)
+    fan_file = write(tmp_path, "fan.json", _fan_json())
+    assert run(capsys, "validate", "--fan", fan_file) == (4, "", "internal error: an invariant failed\n")
+
+
 def test_unexpected_error_exits_4_in_one_line(tmp_path, capsys, monkeypatch):
     def broken(fan, **_):
         raise KeyError("first line\nsecond line")
@@ -678,6 +690,50 @@ _BARE_TRIANGLE = io.fan_to_json(triangle_fan().fan)
             3,
             "precondition failure: ray marks must be nonzero",
         ),
+        (
+            {"fan": io.tropical_to_json(line_fan()), "d": {"values": ["1", "1"]}},
+            ["af", "--fan", "@fan", "--d1", "@d", "--d2", "@d"],
+            3,
+            "precondition failure: AF reports need dimension at least two",
+        ),
+        (
+            {"fan": io.tropical_to_json(triangle_times_line()), "d": {"values": ["1"] * 5}},
+            ["af", "--fan", "@fan", "--d1", "@d", "--d2", "@d"],
+            3,
+            "precondition failure: need 1 auxiliary divisors, got 0",
+        ),
+        (
+            {"fan": io.tropical_to_json(origin_fan(2)), "d": {"values": []}},
+            ["act", "--fan", "@fan", "--divisor", "@d"],
+            3,
+            "precondition failure: cannot act on a zero-dimensional fan",
+        ),
+        (
+            {"fan": io.tropical_to_json(origin_fan(2)), "d": {"values": []}},
+            ["modify", "--fan", "@fan", "--divisor", "@d"],
+            3,
+            "precondition failure: cannot modify a zero-dimensional fan",
+        ),
+        (
+            {"p": {"fan": _BARE_TRIANGLE, "rhs": ["1", "1"]}},
+            ["mixedvol", "--polytope", "@p", "--polytope", "@p"],
+            3,
+            "precondition failure: one right-hand side per ray required",
+        ),
+        (
+            {"p": {"fan": io.fan_to_json(twisted_prism_fan().fan), "rhs": ["1"] * 6}},
+            ["mixedvol", "--polytope", "@p", "--polytope", "@p", "--polytope", "@p"],
+            3,
+            "precondition failure: the unit weight does not balance on this fan",
+        ),
+        (
+            {"m": {"n": 0, "bases": [[]]}},
+            ["bergman", "--matroid", "@m"],
+            3,
+            "precondition failure: Bergman fans require rank at least one",
+        ),
+        ({"m": {"n": 2, "bases": []}}, ["bergman", "--matroid", "@m"], 3, "precondition failure: a matroid needs at least one basis"),
+        ({"m": {"n": 2, "bases": [[0, 5]]}}, ["bergman", "--matroid", "@m"], 3, "precondition failure: basis element out of range"),
     ],
     ids=[
         "balance-without-weights",
@@ -691,6 +747,15 @@ _BARE_TRIANGLE = io.fan_to_json(triangle_fan().fan)
         "stellar-point-of-wrong-dimension",
         "no-maximal-cones",
         "zero-ray-mark",
+        "af-on-a-one-dimensional-fan",
+        "af-without-its-auxiliary-divisor",
+        "act-on-the-origin-fan",
+        "modify-on-the-origin-fan",
+        "mixedvol-with-a-short-rhs",
+        "mixedvol-with-an-unbalanced-unit-weight",
+        "bergman-of-rank-zero",
+        "bergman-without-bases",
+        "bergman-element-out-of-range",
     ],
 )
 def test_cli_refusals(tmp_path, capsys, files, argv, code, message):

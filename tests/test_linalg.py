@@ -19,6 +19,7 @@ from helpers import (
     identity,
     mat_mul,
     mat_vec,
+    outcome,
     rank,
     rescaled_tropical,
     rref,
@@ -356,3 +357,18 @@ def test_pivot_keeps_rows_in_lowest_terms_over_positive_denominators(monkeypatch
 def test_det_and_rank():
     assert det(mat([[1, 2], [3, 4]])) == -2
     assert rank(mat([[1, 2], [2, 4]])) == 1
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: mat([[1, 2], [1]]), "ragged matrix rows"),
+        (lambda: det(mat([[1, 2]])), "determinant of non-square matrix"),
+        (lambda: inertia(mat([[1, 2]])), "inertia requires a symmetric square matrix"),
+    ],
+    ids=["ragged-matrix", "determinant-of-non-square", "inertia-of-non-square"],
+)
+def test_linalg_refusals(call, message):
+    """Each refusal raises DimensionError with its message."""
+    assert outcome(call) == (DimensionError, message)
+

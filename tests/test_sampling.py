@@ -25,19 +25,21 @@ from lorfan import fan as fan_module
 from lorfan.cli import main
 from lorfan.convexity import classify_convexity, find_strictly_convex
 from lorfan.errors import BalancingError, ConvexityError, PreconditionError
-from lorfan.fan import star
+from lorfan.fan import star, validate
 from lorfan.fixtures import origin_fan, triangle_fan, triangle_times_line
 from lorfan.lorentzian import definition_sample_check, sample_strictly_convex
 from lorfan.matroids import bergman_fan, complete_graph_matroid, uniform_matroid
 from lorfan.ops import product_tropical
-from lorfan.weights import MinkowskiWeight, TropicalFan, push_divisor_to_star
+from lorfan.weights import MinkowskiWeight, TropicalFan, constant_weight, push_divisor_to_star
 
 from helpers import (
     SCALES,
     TROPICAL_FANS,
     classify_sample_strictly_convex,
+    non_pure_space,
     rescaled_tropical,
     sequential_sample_check,
+    triangle_double_cover,
 )
 
 INPUTS = Path(__file__).parent / "golden" / "inputs"
@@ -241,6 +243,22 @@ def test_non_strict_witness_carries_classify_certificate(values):
     assert excinfo.value.certificate == classify_convexity(tf.fan, z, strict=True)
 
 
+@pytest.mark.parametrize("make", [triangle_double_cover, non_pure_space])
+def test_sampling_refuses_what_is_not_a_fan_before_any_draw(make, monkeypatch):
+    """After the sample count and the witness, sampling gates on
+    `require_fan`, as the Lorentzian test does, before the witness's
+    convexity check or any draw."""
+    fan = make()
+    tf = TropicalFan(fan, constant_weight(fan))
+    draws = _count(monkeypatch, lorentzian, "sample_strictly_convex")
+    classified = _count(monkeypatch, lorentzian, "require_convex")
+    with pytest.raises(PreconditionError) as excinfo:
+        definition_sample_check(tf, (Fraction(1),) * len(fan.rays), samples=1, seed=3)
+    assert type(excinfo.value) is PreconditionError
+    assert str(excinfo.value) == f"sampling needs a fan: {validate(fan).failures[0]}"
+    assert draws == [] and classified == []
+
+
 def test_stars_built_only_for_cones_of_codimension_two(monkeypatch):
     tf = triangle_times_line()
     built = _count(monkeypatch, lorentzian, "star")
@@ -330,12 +348,17 @@ def test_negated_draws_give_negative_top_degrees(monkeypatch):
 def test_star_weight_marks_made_once_per_star(monkeypatch):
     """Mark-coordinate passes of `lorentzian --samples 3 --seed 1` on
     triangle x line: once per star weight, once per acted prefix and once per
-    quadratic form, 45; acting sample by sample forms the star weight's mark
-    sums twice per sample, 60.  (On U(4,6) the two take 297 and 384.)"""
+    distinct auxiliary sequence's quadratic form, 35, with 8 inertias: the
+    five 2-dim ray stars take one form each, and the 3-dim origin star one
+    per sample.  A form per sample took 45 passes and 18 inertias; acting
+    sample by sample forms the star weight's mark sums twice per sample, 60.
+    (On U(4,6) the latter two take 297 and 384.)"""
     witness = find_strictly_convex(triangle_times_line().fan)
     passes = _count(monkeypatch, weights, "_mark_coordinates")
+    inertias = _count(monkeypatch, lorentzian, "inertia")
     report = definition_sample_check(triangle_times_line(), witness, 3, 1)
-    assert len(passes) == 45
+    assert len(passes) == 35
+    assert len(inertias) == 8
     del passes[:]
     assert sequential_sample_check(triangle_times_line(), witness, 3, 1) == report
     assert len(passes) == 60

@@ -22,6 +22,7 @@ from lorfan.ops import product_tropical
 from lorfan.weights import (
     MinkowskiWeight,
     TropicalFan,
+    acted_weights,
     check_balancing,
     divisor_action,
     indicator_divisor,
@@ -38,6 +39,7 @@ from lorfan.weights import (
 
 from helpers import (
     linear_divisor,
+    outcome,
     random_fans,
     rescale_divisor,
     rescale_marking,
@@ -468,3 +470,90 @@ def test_transport_preserves_mixed_degrees():
         assert mixed_degree(tf.fan, tf.weight, divs) == mixed_degree(
             fine.fan, fine.weight, pulled
         )
+
+
+# ---------------------------------------------------------------------------
+# refusals
+
+
+_ONES = (Fraction(1),) * 3
+_OFF_SKELETON = MarkedFan(3, (vec([1, 1, 1]), vec([1, 0, 0])), ((0, 1),))
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (
+            lambda: quadratic_form(triangle_fan().fan, weight(1, {(0,): 1, (1,): 1, (2,): 1})),
+            PreconditionError,
+            "a quadratic form needs a weight of degree two",
+        ),
+        (
+            lambda: acted_weights(triangle_fan().fan, triangle_fan().weight, [_ONES], [(0, 0, 0)]),
+            PreconditionError,
+            "divisor action needs a weight of degree at least one",
+        ),
+        (
+            lambda: push_divisor_to_star(star(triangle_fan().fan, (0,)), _ONES[:2]),
+            DimensionError,
+            "divisor has one value per ray",
+        ),
+        (
+            lambda: pullback_divisor(triangle_fan().fan, _ONES[:2], triangle_fan().fan),
+            DimensionError,
+            "divisor has one value per ray",
+        ),
+        (
+            lambda: pullback_divisor(coordinate_skeleton_fan().fan, _ONES * 2, _OFF_SKELETON),
+            PreconditionError,
+            "fine ray lies outside the coarse support",
+        ),
+        (
+            lambda: transport_weight(triangle_fan(), line_fan().fan),
+            DimensionError,
+            "refinement lives in a different ambient space",
+        ),
+        (
+            lambda: transport_weight(triangle_fan(), MarkedFan(2, (vec([1, 0]),), ((0,),))),
+            PreconditionError,
+            "refinement must have the same dimension",
+        ),
+        (
+            lambda: transport_weight(coordinate_skeleton_fan(), _OFF_SKELETON),
+            PreconditionError,
+            "fine cone (0, 1) lies outside the coarse support",
+        ),
+        (
+            lambda: transport_weight(triangle_fan(), triangle_fan().fan, {(0, 1): (0, 2)}),
+            PreconditionError,
+            "fine cone (0, 1) is not contained in coarse cone (0, 2)",
+        ),
+        (
+            lambda: MinkowskiWeight(2, {(0,): Fraction(1)}),
+            DimensionError,
+            "weight key has wrong cone dimension",
+        ),
+        (
+            lambda: TropicalFan(triangle_fan().fan, weight(1, {(0,): 1, (1,): 1, (2,): 1})),
+            PreconditionError,
+            "tropical weight must have top degree",
+        ),
+    ],
+    ids=[
+        "quadratic-form-below-degree-two",
+        "acting-past-degree-zero",
+        "push-divisor-of-wrong-length",
+        "pullback-divisor-of-wrong-length",
+        "pullback-ray-outside-the-support",
+        "transport-to-another-ambient-space",
+        "transport-to-a-lower-dimension",
+        "transport-cone-outside-the-support",
+        "transport-cone-outside-its-parent",
+        "weight-key-of-wrong-size",
+        "tropical-weight-below-top-degree",
+    ],
+)
+def test_weights_refusals(call, error, message):
+    """Each refusal raises its exception type with its message."""
+    assert outcome(call) == (error, message)
+
