@@ -329,19 +329,6 @@ class MarkedFan:
     def all_cones(self) -> tuple[Cone, ...]:
         return tuple(itertools.chain.from_iterable(self._cones_by_dim))
 
-    def cone_coordinates(self, cone: Cone, point: Vec) -> Optional[Vec]:
-        """Coordinates of a point in the cone's mark basis, or None if outside the span."""
-        q = self.quotient(cone)
-        nums, d = over_lcd(point)
-        if not q.in_span(nums):
-            return None
-        return fractions(q.coordinates(nums), q.den * d)
-
-    def cone_contains(self, cone: Cone, point: Vec) -> bool:
-        q = self.quotient(cone)
-        nums, _ = over_lcd(point)
-        return q.in_span(nums) and all(c >= 0 for c in q.coordinates(nums))
-
 
 def neighborhood_rays(fan: MarkedFan, tau: Cone) -> tuple[int, ...]:
     """Rays of all maximal cones containing tau, minus tau's own rays."""

@@ -16,7 +16,7 @@ from typing import Iterable, Optional, Sequence
 
 from .errors import BalancingError, DimensionError, PreconditionError
 from .fan import Cone, MarkedFan, StarData, cone_key, star
-from .linalg import Mat, ZERO, ONE, det, mat, over_lcd, vec
+from .linalg import Mat, ZERO, ONE, det, over_lcd
 
 Divisor = tuple[Fraction, ...]
 
@@ -300,59 +300,65 @@ def push_divisor_to_star(sd: StarData, z: Divisor) -> Divisor:
 # transport
 
 
-def transport_weight(
-    coarse: TropicalFan,
-    fine: MarkedFan,
-    containment: Optional[dict] = None,
-) -> TropicalFan:
+def transport_weight(coarse: TropicalFan, fine: MarkedFan, containment: dict) -> TropicalFan:
     """Move a top weight across a refinement using parallelepiped volume ratios.
 
-    Every fine maximal cone picks up the coarse weight divided by the absolute
-    determinant of its marks expressed in the coarse cone's mark basis; this
-    is the unique scaling that keeps the result balanced and leaves mixed
-    degrees of pulled-back divisors unchanged.  The containment map is
-    recomputed from barycenters when not supplied, and is verified either way.
+    Every fine maximal cone c picks up the weight of its coarse maximal cone
+    `containment[c]` divided by the absolute determinant of its marks
+    expressed in that cone's mark basis; this is the unique scaling that
+    keeps the result balanced and leaves mixed degrees of pulled-back
+    divisors unchanged.  Each mark is read on ints in the coarse cone's
+    quotient record, so the coordinates of mark i are numerators over
+    q.den * d_i and the ratio is an int determinant over their product.
     """
     cfan = coarse.fan
     if fine.ambient_dim != cfan.ambient_dim:
         raise DimensionError("refinement lives in a different ambient space")
     if fine.dimension != cfan.dimension:
         raise PreconditionError("refinement must have the same dimension")
+    maximal = set(cfan.maximal_cones)
     values = {}
     for c in fine.maximal_cones:
-        if containment is not None and c in containment:
-            parent = cone_key(containment[c])
-        else:
-            bary = vec([sum(col, ZERO) for col in zip(*(fine.rays[i] for i in c))])
-            parent = next(
-                (p for p in cfan.maximal_cones if cfan.cone_contains(p, bary)), None
-            )
-            if parent is None:
-                raise PreconditionError(f"fine cone {c} lies outside the coarse support")
-        columns = []
+        if c not in containment:
+            raise PreconditionError(f"fine cone {c} has no coarse cone in the containment map")
+        parent = cone_key(containment[c])
+        if parent not in maximal:
+            raise PreconditionError(f"fine cone {c} maps to {parent}, not a maximal cone of the coarse fan")
+        q = cfan.quotient(parent)
+        columns, scale = [], 1
         for i in c:
-            coords = cfan.cone_coordinates(parent, fine.rays[i])
-            if coords is None or any(x < 0 for x in coords):
-                raise PreconditionError(
-                    f"fine cone {c} is not contained in coarse cone {parent}"
-                )
+            nums, d = fine.int_marks[i]
+            coords = q.coordinates(nums) if q.in_span(nums) else None
+            if coords is None or min(coords) < 0:
+                raise PreconditionError(f"fine cone {c} is not contained in coarse cone {parent}")
             columns.append(coords)
-        ratio = abs(det(mat(tuple(zip(*columns)))))
+            scale *= q.den * d
+        ratio = abs(det(columns))
         if not ratio:
             raise PreconditionError(f"fine cone {c} has linearly dependent marks")
-        values[c] = coarse.weight[parent] / ratio
+        values[c] = coarse.weight[parent] * scale / ratio
     return TropicalFan(fine, MinkowskiWeight(fine.dimension, values))
 
 
 def pullback_divisor(coarse: MarkedFan, z: Divisor, fine: MarkedFan) -> Divisor:
-    """Evaluate the coarse piecewise linear function at the fine ray marks."""
+    """Evaluate the coarse piecewise linear function at the fine ray marks:
+    each mark, made int once, is read in the quotient record of the first
+    coarse maximal cone that contains it, as `stellar_subdivide` reads its
+    point."""
     if len(z) != len(coarse.rays):
         raise DimensionError("divisor has one value per ray")
+    if fine.ambient_dim != coarse.ambient_dim:
+        raise DimensionError("refinement lives in a different ambient space")
+    zn, zd = over_lcd(z)
     out = []
-    for u in fine.rays:
-        parent = next((c for c in coarse.maximal_cones if coarse.cone_contains(c, u)), None)
-        if parent is None:
+    for nums, d in fine.int_marks:
+        for c in coarse.maximal_cones:
+            q = coarse.quotient(c)
+            if q.in_span(nums):
+                coords = q.coordinates(nums)
+                if min(coords) >= 0:
+                    out.append(Fraction(sum(map(mul, coords, [zn[i] for i in c])), q.den * d * zd))
+                    break
+        else:
             raise PreconditionError("fine ray lies outside the coarse support")
-        coords = coarse.cone_coordinates(parent, u)
-        out.append(sum((x * z[i] for x, i in zip(coords, parent)), ZERO))
     return tuple(out)

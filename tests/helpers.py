@@ -268,10 +268,27 @@ def skeleton_weight(a, b, c) -> MinkowskiWeight:
     return MinkowskiWeight(2, values)
 
 
+def cone_coordinates(fan: MarkedFan, cone, point):
+    """Coordinates of a point in the cone's mark basis as Fractions, or None
+    if outside the span."""
+    q = fan.quotient(cone)
+    nums, d = over_lcd(point)
+    if not q.in_span(nums):
+        return None
+    return fractions(q.coordinates(nums), q.den * d)
+
+
+def cone_contains(fan: MarkedFan, cone, point) -> bool:
+    """Whether the point has nonnegative coordinates in the cone's mark basis."""
+    q = fan.quotient(cone)
+    nums, _ = over_lcd(point)
+    return q.in_span(nums) and all(c >= 0 for c in q.coordinates(nums))
+
+
 def minimal_containing_cone(fan: MarkedFan, v):
     """The cone whose relative interior contains v (v must be in the support)."""
     for c in fan.maximal_cones:
-        coords = fan.cone_coordinates(c, v)
+        coords = cone_coordinates(fan, c, v)
         if coords is not None and all(x >= 0 for x in coords):
             return cone_key(i for i, x in zip(c, coords) if x > 0)
     raise PreconditionError("point lies outside the support")
@@ -279,7 +296,7 @@ def minimal_containing_cone(fan: MarkedFan, v):
 
 def in_support(fan: MarkedFan, point) -> bool:
     """Whether some maximal cone contains the point."""
-    return any(fan.cone_contains(c, point) for c in fan.maximal_cones)
+    return any(cone_contains(fan, c, point) for c in fan.maximal_cones)
 
 
 def facet_stellar_subdivide(fan: MarkedFan, v) -> StellarSubdivision:
@@ -297,11 +314,11 @@ def facet_stellar_subdivide(fan: MarkedFan, v) -> StellarSubdivision:
     new = -1
     specs = []  # (rays of a new cone, -1 standing for v, and its parent cone)
     for c in fan.maximal_cones:
-        if not fan.cone_contains(c, v):
+        if not cone_contains(fan, c, v):
             specs.append((frozenset(c), c))
             continue
         for facet in itertools.combinations(c, len(c) - 1):
-            if not fan.cone_contains(facet, v):
+            if not cone_contains(fan, facet, v):
                 specs.append((frozenset(facet) | {new}, c))
     used_old = sorted(set().union(*(s - {new} for s, _ in specs)))
     ray_map = {old: i for i, old in enumerate(used_old)}
@@ -311,6 +328,59 @@ def facet_stellar_subdivide(fan: MarkedFan, v) -> StellarSubdivision:
         containment[cone_key(ray_map[i] if i != new else new_ray for i in spec)] = parent
     refined = MarkedFan(fan.ambient_dim, tuple(fan.rays[i] for i in used_old) + (v,), tuple(sorted(containment)))
     return StellarSubdivision(fan=refined, containment=containment, ray_map=ray_map, new_ray=new_ray)
+
+
+def stellar_points(fan: MarkedFan, rng: random.Random):
+    """The sums of the marks of up to three k-cones for each k >= 1 (interior
+    points of maximal cones, wall points when k = d - 1, twice a ray's mark
+    when k = 1), the origin and four random points, some of them outside
+    the support on an incomplete fan."""
+    points = [vec([0] * fan.ambient_dim)]
+    for k in range(1, fan.dimension + 1):
+        cones = fan.cones(k)
+        for tau in cones[:: max(1, len(cones) // 3)][:3]:
+            marks = [fan.rays[i] for i in tau] * (2 if k == 1 else 1)
+            points.append(vec([sum(col) for col in zip(*marks)]))
+    for _ in range(4):
+        points.append(vec([Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(fan.ambient_dim)]))
+    return points
+
+
+def fraction_transport_weight(coarse: TropicalFan, fine: MarkedFan) -> TropicalFan:
+    """transport_weight with each fine cone's parent found by its barycentre,
+    and the ratio the determinant of Fraction coordinates: the oracle for
+    the route that reads marks on ints in the given parent's record."""
+    cfan = coarse.fan
+    values = {}
+    for c in fine.maximal_cones:
+        bary = vec([sum(col, ZERO) for col in zip(*(fine.rays[i] for i in c))])
+        parent = next((p for p in cfan.maximal_cones if cone_contains(cfan, p, bary)), None)
+        if parent is None:
+            raise PreconditionError(f"fine cone {c} lies outside the coarse support")
+        columns = []
+        for i in c:
+            coords = cone_coordinates(cfan, parent, fine.rays[i])
+            if coords is None or any(x < 0 for x in coords):
+                raise PreconditionError(f"fine cone {c} is not contained in coarse cone {parent}")
+            columns.append(coords)
+        ratio = abs(linalg.det(mat(tuple(zip(*columns)))))
+        if not ratio:
+            raise PreconditionError(f"fine cone {c} has linearly dependent marks")
+        values[c] = coarse.weight[parent] / ratio
+    return TropicalFan(fine, MinkowskiWeight(fine.dimension, values))
+
+
+def fraction_pullback_divisor(coarse: MarkedFan, z, fine: MarkedFan):
+    """pullback_divisor by asking every coarse maximal cone whether it
+    contains each fine mark, with Fraction coordinates."""
+    out = []
+    for u in fine.rays:
+        parent = next((c for c in coarse.maximal_cones if cone_contains(coarse, c, u)), None)
+        if parent is None:
+            raise PreconditionError("fine ray lies outside the coarse support")
+        coords = cone_coordinates(coarse, parent, u)
+        out.append(sum((x * z[i] for x, i in zip(coords, parent)), ZERO))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -1003,8 +1073,13 @@ def mixed_scale(rng, count):
 SCALES = {"rational": rational_scale, "mixed": mixed_scale}
 
 
+# TROPICAL_FANS and U(4,6), the largest fan on which the transport and
+# pullback oracles stay cheap
+TROPICAL_LADDER = {**TROPICAL_FANS, "U(4,6)": lambda: bergman_fan(uniform_matroid(4, 6))}
+
+
 def rescaled_tropical(name, kind):
-    tf = TROPICAL_FANS[name]()
+    tf = TROPICAL_LADDER[name]()
     return rescale_marking(tf, SCALES[kind](random.Random(f"{name}/{kind}"), len(tf.fan.rays)))
 
 
@@ -1431,7 +1506,7 @@ def zero_divisor_balancing(fan: MarkedFan, w: MinkowskiWeight):
         for sigma, eta in fan.cofaces[tau]:
             for j, x in enumerate(fan.rays[eta]):
                 total[j] += w[sigma] * x
-        if fan.cone_coordinates(tau, tuple(total)) is None:
+        if cone_coordinates(fan, tau, tuple(total)) is None:
             failing.append(tau)
     return tuple(failing)
 

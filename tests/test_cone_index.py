@@ -16,6 +16,7 @@ from helpers import (
     BERGMAN_FANS,
     LARGE_BERGMAN_FANS,
     STOCK_FANS,
+    cone_coordinates,
     dot,
     fraction_rows,
     functional_rows,
@@ -69,7 +70,7 @@ def test_index_and_quotients_match_scans(name):
         for u in fan.rays:
             inside = q.in_span(over_lcd(u)[0])
             assert inside == (rank(mat(marks + [u])) == len(tau))
-            assert inside == (fan.cone_coordinates(tau, u) is not None)
+            assert inside == (cone_coordinates(fan, tau, u) is not None)
         sd = star(fan, tau)
         assert sd.projection == annihilators
         # the divisor pushed to the star is z minus the particular matching z on tau

@@ -39,6 +39,7 @@ from helpers import (
     pair_search_pinches,
     random_fan,
     rescale_fan,
+    stellar_points,
 )
 
 
@@ -249,22 +250,6 @@ def _stellar_fan(name, kind):
     return rescale_fan(fan, SCALES[kind](random.Random(f"stellar/{name}/{kind}"), len(fan.rays)))
 
 
-def _stellar_points(fan, rng):
-    """The sums of the marks of up to three k-cones for each k >= 1 (interior
-    points of maximal cones, wall points when k = d - 1, twice a ray's mark
-    when k = 1), the origin and four random points, some of them outside
-    the support on an incomplete fan."""
-    points = [vec([0] * fan.ambient_dim)]
-    for k in range(1, fan.dimension + 1):
-        cones = fan.cones(k)
-        for tau in cones[:: max(1, len(cones) // 3)][:3]:
-            marks = [fan.rays[i] for i in tau] * (2 if k == 1 else 1)
-            points.append(vec([sum(col) for col in zip(*marks)]))
-    for _ in range(4):
-        points.append(vec([Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(fan.ambient_dim)]))
-    return points
-
-
 @pytest.mark.parametrize("kind", [None, *SCALES])
 @pytest.mark.parametrize("name", sorted(STELLAR_FANS))
 def test_stellar_matches_facet_oracle(name, kind):
@@ -272,7 +257,7 @@ def test_stellar_matches_facet_oracle(name, kind):
     outside the support, stellar_subdivide gives the facet oracle's fan,
     containment, ray map and new ray, or its exception and message."""
     fan = _stellar_fan(name, kind)
-    for v in _stellar_points(fan, random.Random(name)):
+    for v in stellar_points(fan, random.Random(name)):
         assert outcome(lambda: stellar_subdivide(fan, v)) == outcome(lambda: facet_stellar_subdivide(fan, v)), v
 
 

@@ -158,6 +158,7 @@ def _cases():
             (f"lorentzian-{f}", ["lorentzian", "--fan", fan]),
             (f"volpoly-{f}", ["volpoly", "--fan", fan]),
             (f"degree-{f}", ["degree", "--fan", fan, "--divisors", f"@{f}-degree"]),
+            (f"stellar-{f}", ["stellar", "--fan", fan, "--point", f"@{f}-point"]),
         ]
         argv = ["af", "--fan", fan, "--d1", f"@{f}-c", "--d2", f"@{f}-c2"]
         if DIM[base] > 2:
@@ -336,9 +337,7 @@ def write_inputs() -> None:
         _write(INPUTS / f"{f}.json", lio.tropical_to_json(tf))
         d = tf.dimension
         if d >= 1:
-            sigma = tf.fan.maximal_cones[0]
-            point = [sum(tf.fan.rays[i][j] for i in sigma) for j in range(tf.fan.ambient_dim)]
-            _write(INPUTS / f"{f}-point.json", {"point": ",".join(lio.rat_to_str(x) for x in point)})
+            _write_point(f"{f}-point", tf.fan, tf.fan.maximal_cones[0])
         if c is None:
             continue
         c2 = tuple(2 * v for v in c)
@@ -359,6 +358,14 @@ def write_inputs() -> None:
     write_rescaled_inputs()
     write_subdivided_inputs()
     write_product_inputs()
+
+
+def _write_point(name: str, fan, cone) -> None:
+    """The sum of the cone's marks, as the text of a `--point` input."""
+    from lorfan import io as lio
+
+    point = [sum(fan.rays[i][j] for i in cone) for j in range(fan.ambient_dim)]
+    _write(INPUTS / f"{name}.json", {"point": ",".join(lio.rat_to_str(x) for x in point)})
 
 
 def write_af_inputs() -> None:
@@ -387,9 +394,7 @@ def write_wall_inputs() -> None:
 
     for f in WALL:
         tf = lio.tropical_from_json(json.loads((INPUTS / f"{f}.json").read_text()))
-        tau = tf.fan.cones(2)[0]
-        point = [sum(tf.fan.rays[i][j] for i in tau) for j in range(tf.fan.ambient_dim)]
-        _write(INPUTS / f"{f}-wall-point.json", {"point": ",".join(lio.rat_to_str(x) for x in point)})
+        _write_point(f"{f}-wall-point", tf.fan, tf.fan.cones(2)[0])
 
 
 def write_subdivided_inputs() -> None:
@@ -411,13 +416,15 @@ def write_product_inputs() -> None:
 
 def write_rescaled_inputs() -> None:
     """Each RESCALED fan with its divisors: the unscaled fan's `c`, `c2`,
-    degree and aux divisors, each rescaled by the same scales."""
+    degree and aux divisors, each rescaled by the same scales; its stellar
+    point is the sum of the rescaled marks of its first maximal cone."""
     from helpers import rescale_divisor, rescale_marking
     from lorfan import io as lio
 
     for f, (base, scale) in RESCALED.items():
-        tf = lio.tropical_from_json(json.loads((INPUTS / f"{base}.json").read_text()))
-        _write(INPUTS / f"{f}.json", lio.tropical_to_json(rescale_marking(tf, scale)))
+        tf = rescale_marking(lio.tropical_from_json(json.loads((INPUTS / f"{base}.json").read_text())), scale)
+        _write(INPUTS / f"{f}.json", lio.tropical_to_json(tf))
+        _write_point(f"{f}-point", tf.fan, tf.fan.maximal_cones[0])
         for z in ("c", "c2"):
             values = lio.divisor_from_json(json.loads((INPUTS / f"{base}-{z}.json").read_text()))
             _write(INPUTS / f"{f}-{z}.json", lio.divisor_to_json(rescale_divisor(values, scale)))

@@ -36,6 +36,8 @@ from helpers import (
     SCALES,
     STOCK_FANS,
     TROPICAL_FANS,
+    cone_contains,
+    cone_coordinates,
     dependent_marks_fan,
     dot,
     fraction_action_at,
@@ -107,8 +109,8 @@ def test_records_match_fraction_oracle(name):
             assert fractions(q.project(nums), q.den * d) == image
             assert q.in_span(nums) is inside
             assert fractions(q.coordinates(nums), q.den * d) == coords
-            assert fan.cone_coordinates(tau, u) == (coords if inside else None)
-            assert fan.cone_contains(tau, u) == (inside and min(coords, default=0) >= 0)
+            assert cone_coordinates(fan, tau, u) == (coords if inside else None)
+            assert cone_contains(fan, tau, u) == (inside and min(coords, default=0) >= 0)
         hood = fan.neighborhood(tau)
         assert (hood.images, neighborhood_coords(hood)) == fraction_neighborhood(fan, tau, hood.rays)
         for image, coords, d in zip(hood.image_rows, hood.coord_rows, hood.dens):

@@ -17,7 +17,7 @@ from lorfan.fan import (
 from lorfan.fixtures import coordinate_skeleton_fan, triangle_fan, triangle_times_line
 from lorfan.linalg import mat, vec
 
-from helpers import mat_vec, minimal_containing_cone, solve_linear
+from helpers import cone_contains, mat_vec, minimal_containing_cone, solve_linear
 
 
 def canonical(fan: MarkedFan):
@@ -66,7 +66,7 @@ def classify_and_check(parent: MarkedFan, v):
         if res.new_ray not in tau:
             tau_parent = tuple(sorted(to_parent[i] for i in tau))
             incident = [c for c in fine.maximal_cones if set(tau) <= set(c)]
-            v_in_neighborhood = any(fine.cone_contains(c, vec(v)) for c in incident)
+            v_in_neighborhood = any(cone_contains(fine, c, vec(v)) for c in incident)
             parent_star = star(parent, tau_parent)
             if not v_in_neighborhood:
                 case = "i"

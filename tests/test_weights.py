@@ -38,6 +38,8 @@ from lorfan.weights import (
 )
 
 from helpers import (
+    fraction_pullback_divisor,
+    fraction_transport_weight,
     linear_divisor,
     outcome,
     random_fans,
@@ -45,9 +47,11 @@ from helpers import (
     rescale_marking,
     SCALES,
     TROPICAL_FANS,
+    TROPICAL_LADDER,
     rescaled_tropical,
     skeleton_weight,
     star_fan_forms,
+    stellar_points,
     unused_ray_fan,
     zero_divisor_balancing,
 )
@@ -434,8 +438,9 @@ def test_transport_refuses_dependent_fine_marks():
         rays=tf.fan.rays + (vec([2, 0]),),
         maximal_cones=tuple(sorted(tf.fan.maximal_cones + ((0, 3),))),
     )
+    containment = {(0, 1): (0, 1), (0, 2): (0, 2), (0, 3): (0, 1), (1, 2): (1, 2)}
     with pytest.raises(PreconditionError, match=r"fine cone \(0, 3\) has linearly dependent marks"):
-        transport_weight(tf, fine)
+        transport_weight(tf, fine, containment)
 
 
 def test_transport_nonunimodular_split_balances():
@@ -447,7 +452,7 @@ def test_transport_nonunimodular_split_balances():
 
 def test_transport_trivial_refinement():
     tf = coordinate_skeleton_fan()
-    fine = transport_weight(tf, tf.fan)
+    fine = transport_weight(tf, tf.fan, {c: c for c in tf.fan.maximal_cones})
     assert fine.weight.values == tf.weight.values
 
 
@@ -470,6 +475,28 @@ def test_transport_preserves_mixed_degrees():
         assert mixed_degree(tf.fan, tf.weight, divs) == mixed_degree(
             fine.fan, fine.weight, pulled
         )
+
+
+@pytest.mark.parametrize("kind", [None, *SCALES])
+@pytest.mark.parametrize("name", list(TROPICAL_LADDER))
+def test_transport_and_pullback_match_fraction_oracles(name, kind):
+    """On the trivial refinement and at the points of the stellar facet
+    oracle, the transported weight and pulled-back divisors equal those of
+    the Fraction oracles, which find each fine cone's parent by its
+    barycentre and so also check `containment`."""
+    tf = TROPICAL_LADDER[name]() if kind is None else rescaled_tropical(name, kind)
+    rng = random.Random(f"transport/{name}")
+    refinements = [(tf.fan, {c: c for c in tf.fan.maximal_cones})]
+    for v in stellar_points(tf.fan, random.Random(name)):
+        res = outcome(lambda: stellar_subdivide(tf.fan, v))
+        if not isinstance(res, tuple):  # the origin and points off the support are refused
+            refinements.append((res.fan, res.containment))
+    assert len(refinements) > 1 or tf.dimension == 0
+    for fine, containment in refinements:
+        expected = fraction_transport_weight(tf, fine).weight.values
+        assert transport_weight(tf, fine, containment).weight.values == expected
+        for z in (rand_divisor(rng, tf.fan), rand_divisor(rng, tf.fan)):
+            assert pullback_divisor(tf.fan, z, fine) == fraction_pullback_divisor(tf.fan, z, fine)
 
 
 # ---------------------------------------------------------------------------
@@ -509,19 +536,34 @@ _OFF_SKELETON = MarkedFan(3, (vec([1, 1, 1]), vec([1, 0, 0])), ((0, 1),))
             "fine ray lies outside the coarse support",
         ),
         (
-            lambda: transport_weight(triangle_fan(), line_fan().fan),
+            lambda: pullback_divisor(coordinate_skeleton_fan().fan, _ONES * 2, triangle_fan().fan),
             DimensionError,
             "refinement lives in a different ambient space",
         ),
         (
-            lambda: transport_weight(triangle_fan(), MarkedFan(2, (vec([1, 0]),), ((0,),))),
+            lambda: pullback_divisor(triangle_fan().fan, _ONES, MarkedFan(3, (vec([1, 0, 5]),), ((0,),))),
+            DimensionError,
+            "refinement lives in a different ambient space",
+        ),
+        (
+            lambda: transport_weight(triangle_fan(), line_fan().fan, {(0,): (0, 1), (1,): (0, 2)}),
+            DimensionError,
+            "refinement lives in a different ambient space",
+        ),
+        (
+            lambda: transport_weight(triangle_fan(), MarkedFan(2, (vec([1, 0]),), ((0,),)), {(0,): (0, 1)}),
             PreconditionError,
             "refinement must have the same dimension",
         ),
         (
-            lambda: transport_weight(coordinate_skeleton_fan(), _OFF_SKELETON),
+            lambda: transport_weight(triangle_fan(), triangle_fan().fan, {(0, 1): (0, 7)}),
             PreconditionError,
-            "fine cone (0, 1) lies outside the coarse support",
+            "fine cone (0, 1) maps to (0, 7), not a maximal cone of the coarse fan",
+        ),
+        (
+            lambda: transport_weight(triangle_fan(), triangle_fan().fan, {(0, 2): (0, 2)}),
+            PreconditionError,
+            "fine cone (0, 1) has no coarse cone in the containment map",
         ),
         (
             lambda: transport_weight(triangle_fan(), triangle_fan().fan, {(0, 1): (0, 2)}),
@@ -545,9 +587,12 @@ _OFF_SKELETON = MarkedFan(3, (vec([1, 1, 1]), vec([1, 0, 0])), ((0, 1),))
         "push-divisor-of-wrong-length",
         "pullback-divisor-of-wrong-length",
         "pullback-ray-outside-the-support",
+        "pullback-to-a-smaller-ambient-space",
+        "pullback-to-a-larger-ambient-space",
         "transport-to-another-ambient-space",
         "transport-to-a-lower-dimension",
-        "transport-cone-outside-the-support",
+        "transport-to-a-cone-that-is-not-maximal",
+        "transport-cone-missing-from-the-map",
         "transport-cone-outside-its-parent",
         "weight-key-of-wrong-size",
         "tropical-weight-below-top-degree",
