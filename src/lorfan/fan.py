@@ -99,11 +99,37 @@ class Quotient:
         return phi, d * self.den
 
 
+def _ray_quotient(nums, d: int) -> Quotient:
+    """The record of one ray's span in closed form, field by field what the
+    elimination of [nums | d] over d gives: the pivot is the first nonzero
+    numerator a, the row divided by g = gcd(d, *nums) and by a's sign is over
+    den = |a| / g, the particular functional is d / a on the pivot, and
+    annihilator j is e_j - (nums[j] / a) e_pivot."""
+    n = len(nums)
+    c = next(j for j, x in enumerate(nums) if x)
+    g = gcd(d, *nums)
+    if nums[c] < 0:
+        g = -g
+    den = nums[c] // g
+    particular = [0] * n
+    particular[c] = d // g
+    annihilators = []
+    for j, x in enumerate(nums):
+        if j != c:
+            row = [0] * n
+            row[j], row[c] = den, -(x // g)
+            annihilators.append(tuple(row))
+    return Quotient((c,), den, (tuple(particular),), tuple(annihilators))
+
+
 def _quotient(fan: MarkedFan, cone: Cone) -> Optional[Quotient]:
-    """One elimination of [marks | identity], or None when the marks are
-    dependent: the left block becomes the reduced echelon form of the marks,
-    and the right block inverts the marks on the pivot columns, which gives
-    the particular functionals."""
+    """A ray's record from `_ray_quotient`; for any other cone, one
+    elimination of [marks | identity], or None when the marks are dependent:
+    the left block becomes the reduced echelon form of the marks, and the
+    right block inverts the marks on the pivot columns, which gives the
+    particular functionals."""
+    if len(cone) == 1:
+        return _ray_quotient(*fan.int_marks[cone[0]])
     n, k = fan.ambient_dim, len(cone)
     rows, dens = [], []
     for r, i in enumerate(cone):
@@ -213,7 +239,8 @@ class MarkedFan:
     `_regular`'s record per divisor (kept by `regular`: each maximal cone's
     annihilator point, or None) are computed on first use and kept on the
     instance, so they are shared by every computation on the fan and freed
-    with it.
+    with it.  A star or stellar fan gets its `int_marks` from its parent's
+    records instead.
     """
 
     ambient_dim: int
@@ -226,18 +253,17 @@ class MarkedFan:
         for u in self.rays:
             if len(u) != self.ambient_dim:
                 raise DimensionError("ray mark has wrong ambient dimension")
-            if all(x == 0 for x in u):
+            if not any(u):
                 raise PreconditionError("ray marks must be nonzero")
         seen = set()
         for c in self.maximal_cones:
-            if tuple(c) != cone_key(c):
+            if type(c) is not tuple or any(a >= b for a, b in zip(c, c[1:])):
                 raise PreconditionError("maximal cones must be sorted tuples without repeats")
             if c in seen:
                 raise PreconditionError("duplicate maximal cone")
             seen.add(c)
-            for i in c:
-                if not 0 <= i < len(self.rays):
-                    raise PreconditionError("cone refers to a missing ray")
+            if c and (c[0] < 0 or c[-1] >= len(self.rays)):
+                raise PreconditionError("cone refers to a missing ray")
         if not self.maximal_cones:
             raise PreconditionError("a fan needs at least one maximal cone (possibly the origin)")
 
@@ -664,16 +690,22 @@ def star(fan: MarkedFan, apex: Cone) -> StarData:
     if not apex:
         return StarData(parent=fan, apex=apex, fan=fan, lift=tuple(range(len(fan.rays))))
     hood = fan.neighborhood(apex)
-    for parent_ray, image in zip(hood.rays, hood.image_rows):
+    marks = []
+    for parent_ray, image, d in zip(hood.rays, hood.image_rows, hood.dens):
         if not any(image):
             raise PreconditionError(f"ray {parent_ray} lies in the span of {apex}: not simplicial")
+        g = gcd(d, *image)
+        marks.append((tuple(x // g for x in image), d // g) if g != 1 else (image, d))
+    # hood.rays ascend, so each cone's star indices do too
     index_of = {parent: i for i, parent in enumerate(hood.rays)}
-    star_cones = {cone_key(index_of[i] for i in c if i not in apex) for c in fan.incident[apex]}
+    star_cones = {tuple(index_of[i] for i in c if i not in apex) for c in fan.incident[apex]}
     quotient = MarkedFan(
         ambient_dim=fan.ambient_dim - len(apex),
         rays=hood.images,
         maximal_cones=tuple(sorted(star_cones)),
     )
+    # the cached property, as over_lcd would make it from the rays
+    quotient.__dict__["int_marks"] = tuple(marks)
     return StarData(parent=fan, apex=apex, fan=quotient, lift=hood.rays)
 
 
@@ -750,6 +782,7 @@ def stellar_subdivide(fan: MarkedFan, v: Vec) -> StellarSubdivision:
     (cone - r) + v for each ray r where v's coordinate is positive: a
     simplicial cone's coordinates are unique, so these are exactly its
     facets that miss v.  v lies outside the support when no cone splits.
+    The refined fan's `int_marks` are the parent's and v's.
 
     Returns the refined fan together with the map from new maximal cones to
     the parent maximal cones containing them, and the reindexing of surviving
@@ -760,7 +793,7 @@ def stellar_subdivide(fan: MarkedFan, v: Vec) -> StellarSubdivision:
         raise DimensionError("subdivision point has wrong dimension")
     if all(x == 0 for x in v):
         raise PreconditionError("cannot subdivide at the origin")
-    nums, _ = over_lcd(v)
+    nums, d = over_lcd(v)
     specs = []  # (parent rays of a new cone, whether v joins them, parent cone)
     for c in fan.maximal_cones:
         q = fan.quotient(c)
@@ -782,6 +815,7 @@ def stellar_subdivide(fan: MarkedFan, v: Vec) -> StellarSubdivision:
         rays=tuple(fan.rays[i] for i in used_old) + (v,),
         maximal_cones=tuple(sorted(containment)),
     )
+    refined.__dict__["int_marks"] = tuple(fan.int_marks[i] for i in used_old) + ((tuple(nums), d),)
     return StellarSubdivision(fan=refined, containment=containment, ray_map=ray_map, new_ray=new_ray)
 
 

@@ -22,25 +22,35 @@ from .ops import MixedVolumeResult
 from .weights import Divisor, MinkowskiWeight, TropicalFan
 
 
+# the largest ambient_dim a fan file may give: the origin's quotient record
+# alone is an ambient_dim x ambient_dim identity
+MAX_AMBIENT_DIM = 1024
+
+
 def rat_to_str(x: Fraction) -> str:
-    return str(Fraction(x))
+    return str(x) if type(x) is Fraction else str(Fraction(x))
 
 
-_RATIONAL = re.compile(r"\s*[+-]?[0-9]+(/[0-9]+)?\s*")
+_RATIONAL = re.compile(r"\s*([+-]?[0-9]+)(?:/([0-9]+))?\s*")
 
 
 def str_to_rat(s) -> Fraction:
     """A rational from a string "p/q" or "p", or from a JSON integer.
 
     Decimal and exponent forms are refused: "1e999999999" would otherwise
-    build a billion-digit integer.
+    build a billion-digit integer.  The numerator and denominator that the
+    pattern matched are parsed as ints, the way Fraction(s) would.
     """
-    if type(s) is int or (isinstance(s, str) and _RATIONAL.fullmatch(s)):
-        try:
-            return Fraction(s)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise InputError(f"bad rational {s!r}: {exc}") from None
-    raise InputError(f'bad rational {s!r:.40}: expected a string "p/q" or "p", or an integer')
+    if type(s) is int:
+        return Fraction(s)
+    m = _RATIONAL.fullmatch(s) if isinstance(s, str) else None
+    if m is None:
+        raise InputError(f'bad rational {s!r:.40}: expected a string "p/q" or "p", or an integer')
+    p, q = m.groups()
+    try:
+        return Fraction(int(p), int(q)) if q else Fraction(int(p))
+    except (ValueError, ZeroDivisionError) as exc:
+        raise InputError(f"bad rational {s!r}: {exc}") from None
 
 
 def _list(x, what: str) -> list:
@@ -94,6 +104,8 @@ def fan_to_json(fan: MarkedFan, weight: Optional[MinkowskiWeight] = None) -> dic
 def fan_from_json(data) -> tuple[MarkedFan, Optional[MinkowskiWeight]]:
     try:
         ambient = _int(data["ambient_dim"], "ambient_dim")
+        if ambient > MAX_AMBIENT_DIM:
+            raise InputError(f"ambient_dim {ambient} exceeds the limit of {MAX_AMBIENT_DIM}")
         rays = tuple(tuple(str_to_rat(x) for x in _list(u, "a ray")) for u in _list(data["rays"], "rays"))
         cones = tuple(sorted(
             _cone([_int(i, "a ray index") for i in _list(c, "a cone")], "a cone")

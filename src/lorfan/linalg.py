@@ -55,8 +55,8 @@ def over_lcd(values) -> tuple[list[int], int]:
 
 
 def fractions(nums, den: int) -> Vec:
-    """The vector nums / den as Fractions."""
-    return tuple(Fraction(v, den) for v in nums)
+    """The vector nums / den as Fractions, with `ZERO` at every zero entry."""
+    return tuple(Fraction(v, den) if v else ZERO for v in nums)
 
 
 def pivot(rows: list[list[int]], dens: list[int], row: int, col: int) -> None:

@@ -603,6 +603,40 @@ def fraction_quotient(fan: MarkedFan, cone):
     return pivots, tuple(map(tuple, particulars)), tuple(annihilators)
 
 
+def elimination_quotient(fan: MarkedFan, cone) -> Optional[Quotient]:
+    """The int quotient record of any cone from one elimination of [marks |
+    identity], or None when the marks are dependent: the route
+    `fan._quotient` takes for every cone but a ray, whose closed form it
+    checks field by field."""
+    n, k = fan.ambient_dim, len(cone)
+    rows, dens = [], []
+    for r, i in enumerate(cone):
+        nums, d = fan.int_marks[i]
+        row = [*nums, *(0,) * k]
+        row[n + r] = d
+        rows.append(row)
+        dens.append(d)
+    pivots = linalg.eliminate(rows, dens)
+    if len(pivots) != k or (pivots and pivots[-1] >= n):
+        return None
+    den = math.lcm(*dens)
+    scales = [den // d for d in dens]
+    particulars = [[0] * n for _ in range(k)]
+    for row, s, p in zip(rows, scales, pivots):
+        for r in range(k):
+            particulars[r][p] = row[n + r] * s
+    annihilators = []
+    for j in range(n):
+        if j in pivots:
+            continue
+        a = [0] * n
+        a[j] = den
+        for row, s, p in zip(rows, scales, pivots):
+            a[p] -= row[j] * s
+        annihilators.append(tuple(a))
+    return Quotient(pivots, den, tuple(map(tuple, particulars)), tuple(annihilators))
+
+
 def fraction_neighborhood(fan: MarkedFan, cone, rays):
     """(images, coords) of the given rays' marks under the Fraction quotient
     record of the cone: its annihilators and its particular functionals."""

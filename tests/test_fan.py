@@ -329,15 +329,34 @@ _TRIANGLE_RAYS = (vec([1, 0]), vec([0, 1]), vec([-1, -1]))
             PreconditionError,
             "maximal cones must be sorted tuples without repeats",
         ),
+        (
+            lambda: MarkedFan(2, _TRIANGLE_RAYS, ([0, 1],)),
+            PreconditionError,
+            "maximal cones must be sorted tuples without repeats",
+        ),
+        (
+            lambda: MarkedFan(2, _TRIANGLE_RAYS, ((1, 1),)),
+            PreconditionError,
+            "maximal cones must be sorted tuples without repeats",
+        ),
         (lambda: MarkedFan(2, _TRIANGLE_RAYS, ((0, 1), (0, 1))), PreconditionError, "duplicate maximal cone"),
         (lambda: MarkedFan(2, _TRIANGLE_RAYS, ((0, 3),)), PreconditionError, "cone refers to a missing ray"),
+        (lambda: MarkedFan(2, _TRIANGLE_RAYS, ((-1, 0),)), PreconditionError, "cone refers to a missing ray"),
         (
             lambda: MarkedFan(2, (vec([1, 0, 0]),), ((0,),)),
             DimensionError,
             "ray mark has wrong ambient dimension",
         ),
     ],
-    ids=["unsorted-cone", "duplicate-cone", "missing-ray", "mark-of-wrong-dimension"],
+    ids=[
+        "unsorted-cone",
+        "list-cone",
+        "repeating-cone",
+        "duplicate-cone",
+        "missing-ray",
+        "negative-ray-index",
+        "mark-of-wrong-dimension",
+    ],
 )
 def test_fan_refusals(call, error, message):
     """Each refusal raises its exception type with its message."""

@@ -13,10 +13,10 @@ import pytest
 
 from lorfan import fan as fan_module
 from lorfan.errors import BalancingError, PreconditionError
-from lorfan.fan import MarkedFan, validate
+from lorfan.fan import MarkedFan, star, stellar_subdivide, validate
 from lorfan.fixtures import triangle_fan
 from lorfan.linalg import fractions, over_lcd, vec
-from lorfan.matroids import bergman_fan, uniform_matroid
+from lorfan.matroids import bergman_fan, complete_graph_matroid, uniform_matroid
 from lorfan.weights import (
     MinkowskiWeight,
     _act,
@@ -40,6 +40,7 @@ from helpers import (
     cone_coordinates,
     dependent_marks_fan,
     dot,
+    elimination_quotient,
     fraction_action_at,
     fraction_excess,
     fraction_mark_sum,
@@ -50,8 +51,10 @@ from helpers import (
     particulars,
     random_fan,
     rescaled_random,
+    rescale_marking,
     rescaled_tropical,
     sequential_acted_weights,
+    stellar_points,
     zero_divisor_balancing,
 )
 
@@ -299,3 +302,76 @@ def test_validate_eliminates_each_maximal_cone_once(name, monkeypatch):
     report = validate(fan)
     assert report.valid and report.fan_condition_route == "regular"
     assert calls == [len(c) for c in fan.maximal_cones]
+
+
+# the stock fixtures and the Bergman ladder up to M(K5), each as given and
+# rescaled ray by ray
+RECORD_LADDER = {
+    **TROPICAL_FANS,
+    "U(4,6)": lambda: bergman_fan(uniform_matroid(4, 6)),
+    "M(K5)": lambda: bergman_fan(complete_graph_matroid(5)),
+}
+
+
+def _record_fan(name, kind):
+    tf = RECORD_LADDER[name]()
+    if kind is not None:
+        tf = rescale_marking(tf, SCALES[kind](random.Random(f"{name}/{kind}"), len(tf.fan.rays)))
+    return tf.fan
+
+
+def _fields(q):
+    return q.pivots, q.den, q.particular_rows, q.annihilator_rows
+
+
+def _check_records(fan):
+    """Every cone's record equals the elimination's field by field, and the
+    fan's int marks are over_lcd of its Fraction rays.  Returns the sizes of
+    the cones compared."""
+    assert fan.int_marks == tuple((tuple(nums), d) for nums, d in map(over_lcd, fan.rays))
+    sizes = set()
+    for tau in fan.all_cones():
+        assert _fields(fan.quotient(tau)) == _fields(elimination_quotient(fan, tau))
+        sizes.add(len(tau))
+    return sizes
+
+
+@pytest.mark.parametrize("kind", [None, *SCALES])
+@pytest.mark.parametrize("name", list(RECORD_LADDER))
+def test_ray_records_and_inherited_int_marks_match_the_elimination(name, kind):
+    """On the fan, every ray star and every stellar subdivision at
+    `helpers.stellar_points` inside the support: each cone's record equals
+    the elimination's, the closed form on every ray among them, and each
+    derived fan's `int_marks`, handed over from its parent's records, equal
+    over_lcd of its Fraction rays."""
+    fan = _record_fan(name, kind)
+    sizes = _check_records(fan)
+    for r in range(len(fan.rays)):
+        sd = star(fan, (r,))
+        assert "int_marks" in vars(sd.fan)
+        sizes |= _check_records(sd.fan)
+    for v in stellar_points(fan, random.Random(name)):
+        try:
+            fine = stellar_subdivide(fan, v).fan
+        except PreconditionError:
+            continue
+        assert "int_marks" in vars(fine)
+        sizes |= _check_records(fine)
+    assert 1 in sizes or fan.dimension == 0
+
+
+def test_ray_records_of_random_marks_match_the_elimination():
+    """Seeded random marks in R^1 to R^5 with zero, negative and rational
+    leading entries and entries sharing factors with their denominator."""
+    rng = random.Random(29)
+    leads = set()
+    for _ in range(400):
+        n = rng.randint(1, 5)
+        u = [Fraction(rng.choice((0, 0, rng.randint(-12, 12))), rng.choice((1, 1, 2, 3, 4, 6))) for _ in range(n)]
+        if not any(u):
+            continue
+        fan = MarkedFan(n, (tuple(u),), ((0,),))
+        lead = next(x for x in u if x)
+        leads.add((lead < 0, lead.denominator > 1, u[0] == 0))
+        assert _fields(fan.quotient((0,))) == _fields(elimination_quotient(fan, (0,)))
+    assert leads == set(itertools.product((False, True), repeat=3))

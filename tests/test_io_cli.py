@@ -1,6 +1,7 @@
 import json
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -625,6 +626,28 @@ def test_negative_ambient_dimension_refused(tmp_path, capsys):
     assert code == 3
     assert out == ""
     assert "ambient dimension must be nonnegative" in err
+
+
+def test_ambient_dim_past_the_limit_refused_before_any_allocation(tmp_path, capsys):
+    """A 57-byte fan in R^(10**9) is refused with exit 2 while its
+    ambient_dim is read, before any ray, cone or record is made; the limit
+    itself is accepted."""
+    fan = {"ambient_dim": 10**9, "rays": [], "maximal_cones": [[]]}
+    tracemalloc.start()
+    try:
+        with pytest.raises(InputError):
+            io.fan_from_json(fan)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+    message = "input error: ambient_dim 1000000000 exceeds the limit of 1024\n"
+    assert run(capsys, "validate", "--fan", write(tmp_path, "fan.json", fan)) == (2, "", message)
+    fan["ambient_dim"] = io.MAX_AMBIENT_DIM + 1
+    with pytest.raises(InputError, match="ambient_dim 1025 exceeds the limit of 1024"):
+        io.fan_from_json(fan)
+    fan["ambient_dim"] = io.MAX_AMBIENT_DIM
+    assert io.fan_from_json(fan)[0].ambient_dim == 1024
 
 
 def test_two_weight_keys_on_one_cone_refused(tmp_path, capsys):
