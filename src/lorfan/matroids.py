@@ -6,6 +6,13 @@ closure of S takes one pass over the bases: e outside S lies outside cl(S)
 exactly when some basis B with |B & S| = rank(S) contains e, so cl(S) is the
 ground set minus the union of B - S over those bases.
 
+Each matroid keeps one record of its cocircuits (`Matroid._cocircuits`):
+every cocircuit is a fundamental cocircuit C*(B, e) = {f : B - e + f is a
+basis} of some basis B and e in B, so one swap set per (B, e)
+finds them all.  The exchange check scans the bases once per distinct
+cocircuit, and the flats are closed as intersections of the hyperplanes,
+the complements of the cocircuits, that contain a set.
+
 The Bergman fan lives in the quotient of coordinate space by the all-ones
 line, realized by deleting the coordinate of element 0.  Rays are proper
 nonempty flats marked by the image of their indicator vector; maximal cones
@@ -77,28 +84,62 @@ class Matroid:
         return self.closure(())
 
     @cached_property
+    def _cocircuits(self) -> dict[int, tuple[int, int]]:
+        """Each distinct swap set {f : B - e + f is a basis}, mapped to the
+        first (B, e) giving it, in basis-mask order and then element order.
+
+        For a matroid the swap sets are exactly the cocircuits.  A swap set
+        holds e, since B - e + e = B, and no other element of B, since the
+        bases share one size.
+        """
+        index = set(self._basis_masks)
+        bits = [1 << f for f in range(self.n)]
+        out = {}
+        for b in self._basis_masks:
+            outside = [bit for bit in bits if not b & bit]
+            for e in _elements(b):
+                rest = b & ~(1 << e)
+                swaps = 1 << e
+                for bit in outside:
+                    if rest | bit in index:
+                        swaps |= bit
+                out.setdefault(swaps, (b, e))
+        return out
+
+    @cached_property
     def _flats(self) -> tuple[tuple[int, int], ...]:
         """(rank, mask) of every flat, ordered by (rank, sorted set).
 
-        A search up from the loops: the flats covering F are cl(F + e) for e
-        outside F, and they partition the ground set minus F, so each element
-        outside F seeds at most one closure.
+        A search up from the loops, one rank at a time.  cl(S) is the
+        intersection of the hyperplanes containing S (the ground set if there
+        are none), so each flat F carries the hyperplanes containing it and
+        cl(F + e) intersects those that hold e.  The flats covering F
+        partition the ground set minus F, so each element outside F seeds at
+        most one closure.
         """
         ground = (1 << self.n) - 1
-        start = self._closure(0)
-        seen = {start}
-        frontier = [start]
-        while frontier:
-            f = frontier.pop()
-            rest = ground & ~f
-            while rest:
-                low = rest & -rest
-                g = self._closure(f | low)
-                rest &= ~g
-                if g not in seen:
-                    seen.add(g)
-                    frontier.append(g)
-        return tuple(sorted(((self._rank(f), f) for f in seen), key=lambda rf: (rf[0], _elements(rf[1]))))
+        hyperplanes = [ground & ~c for c in self._cocircuits]
+        loops = ground
+        for h in hyperplanes:
+            loops &= h
+        level = {loops: hyperplanes}
+        out = []
+        for k in range(self.rank + 1):
+            out.extend(sorted(((k, f) for f in level), key=lambda rf: _elements(rf[1])))
+            above = {}
+            for f, over in level.items():
+                rest = ground & ~f
+                while rest:
+                    e = (rest & -rest).bit_length() - 1
+                    g, through = ground, []
+                    for h in over:
+                        if h >> e & 1:
+                            g &= h
+                            through.append(h)
+                    rest &= ~g
+                    above.setdefault(g, through)
+            level = above
+        return tuple(out)
 
     @cached_property
     def _proper_flats(self) -> tuple[tuple[int, int], ...]:
@@ -118,8 +159,6 @@ def matroid_from_bases(n: int, bases) -> Matroid:
 
     Loops are counted from the union of the bases before any n-bit mask is
     built, so a huge n with few bases is refused in time linear in the input.
-    The exchange check reads a swap table: for a basis B1 and e in B1, every
-    basis without e must meet {f not in B1 : B1 - e + f is a basis}.
     """
     if n < 0:
         raise PreconditionError("a matroid needs a ground set of size n >= 0")
@@ -137,19 +176,21 @@ def matroid_from_bases(n: int, bases) -> Matroid:
         first = list(itertools.islice((e for e in range(n) if e not in used), _LOOPS_SHOWN))
         raise PreconditionError(f"matroid has {count} loops, the first {len(first)}: {first}")
     m = Matroid(n=n, bases=base_set)
-    masks = m._basis_masks
-    index = set(masks)
-    for b1 in masks:
-        for e in _elements(b1):
-            rest = b1 & ~(1 << e)
-            # holds e itself too, which no basis tested against it contains
-            swaps = _mask(f for f in range(n) if rest | 1 << f in index)
-            for b2 in masks:
-                if not b2 >> e & 1 and not b2 & swaps:
-                    raise PreconditionError(
-                        f"exchange axiom fails for {list(_elements(b1))}, {list(_elements(b2))} at {e}"
-                    )
+    _check_exchange(m)
     return m
+
+
+def _check_exchange(m: Matroid) -> None:
+    """For a basis B1 and e in B1, every basis B2 without e must meet the
+    swap set of (B1, e).  The swap set holds e, so the scan of B2 depends on
+    the swap set alone and runs once per distinct one, for its first (B1, e):
+    the first failure is the one a scan per (B1, e) would meet first."""
+    for swaps, (b1, e) in m._cocircuits.items():
+        for b2 in m._basis_masks:
+            if not b2 & swaps:
+                raise PreconditionError(
+                    f"exchange axiom fails for {list(_elements(b1))}, {list(_elements(b2))} at {e}"
+                )
 
 
 def uniform_matroid(r: int, n: int) -> Matroid:
@@ -166,6 +207,9 @@ def graphic_matroid(edges) -> Matroid:
     nv = len(vertices)
     index = {v: i for i, v in enumerate(vertices)}
     ends = [tuple(index[x] for x in e) for e in edges]
+    parts = len(components(range(nv), ends))
+    if parts != 1:
+        raise PreconditionError(f"graphic matroids need a connected graph; this one has {parts} components")
     # nv - 1 edges joining all nv vertices form a spanning tree
     trees = [
         subset

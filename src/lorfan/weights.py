@@ -341,17 +341,28 @@ def transport_weight(coarse: TropicalFan, fine: MarkedFan, containment: dict) ->
 
 
 def pullback_divisor(coarse: MarkedFan, z: Divisor, fine: MarkedFan) -> Divisor:
-    """Evaluate the coarse piecewise linear function at the fine ray marks:
-    each mark, made int once, is read in the quotient record of the first
-    coarse maximal cone that contains it, as `stellar_subdivide` reads its
-    point."""
+    """Evaluate the coarse piecewise linear function at the fine ray marks.
+
+    A fine mark equal to the mark of a ray of some coarse maximal cone takes
+    z at that ray, as every ray a stellar subdivision keeps does.  Any other
+    mark is read in the quotient record of the first coarse maximal cone
+    that contains it, as `stellar_subdivide` reads its point."""
     if len(z) != len(coarse.rays):
         raise DimensionError("divisor has one value per ray")
     if fine.ambient_dim != coarse.ambient_dim:
         raise DimensionError("refinement lives in a different ambient space")
+    rays = {}
+    for c in coarse.maximal_cones:
+        for i in c:
+            rays.setdefault(coarse.int_marks[i], i)
     zn, zd = over_lcd(z)
     out = []
-    for nums, d in fine.int_marks:
+    for mark in fine.int_marks:
+        i = rays.get(mark)
+        if i is not None:
+            out.append(Fraction(z[i]))
+            continue
+        nums, d = mark
         for c in coarse.maximal_cones:
             q = coarse.quotient(c)
             if q.in_span(nums):

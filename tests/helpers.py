@@ -11,14 +11,15 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
+from unittest import mock
 
-from lorfan import convexity, fixtures, linalg, lorentzian, lp
+from lorfan import convexity, fixtures, linalg, lorentzian, lp, matroids
 from lorfan.errors import BalancingError, DimensionError, InternalError, PreconditionError
 from lorfan.fan import MarkedFan, Neighborhood, Quotient, StellarSubdivision, _neighborhood, cone_key, star
 from lorfan.linalg import ONE, ZERO, Inertia, fractions, is_symmetric, mat, over_lcd, vec
 from lorfan.lorentzian import AFReport, SampleCheckReport, StarSampleRecord, is_log_concave, is_unimodal
 from lorfan.lp import FeasibilityCertificate, StrictFeasibility
-from lorfan.matroids import bergman_fan, complete_graph_matroid, fano_matroid, uniform_matroid
+from lorfan.matroids import Matroid, _elements, _mask, bergman_fan, complete_graph_matroid, fano_matroid, uniform_matroid
 from lorfan.weights import (
     MinkowskiWeight,
     TropicalFan,
@@ -1613,3 +1614,49 @@ def frozenset_matroid_from_bases(n: int, bases) -> FrozensetMatroid:
     if m.loops():
         raise PreconditionError(f"matroid has loops: {sorted(m.loops())}")
     return m
+
+
+# ---------------------------------------------------------------------------
+# basis scans: the oracles for the cocircuit record of the bitmask matroids
+
+
+def swap_table_check(m: Matroid) -> None:
+    """The exchange check with one scan of the bases per basis B1 and e in
+    B1: every basis without e must meet {f : B1 - e + f is a basis}."""
+    masks = m._basis_masks
+    index = set(masks)
+    for b1 in masks:
+        for e in _elements(b1):
+            rest = b1 & ~(1 << e)
+            swaps = _mask(f for f in range(m.n) if rest | 1 << f in index)
+            for b2 in masks:
+                if not b2 >> e & 1 and not b2 & swaps:
+                    raise PreconditionError(
+                        f"exchange axiom fails for {list(_elements(b1))}, {list(_elements(b2))} at {e}"
+                    )
+
+
+def swap_table_matroid_from_bases(n: int, bases) -> Matroid:
+    """`matroid_from_bases` with `swap_table_check` as its exchange check."""
+    with mock.patch.object(matroids, "_check_exchange", swap_table_check):
+        return matroids.matroid_from_bases(n, bases)
+
+
+def closure_search_flats(m: Matroid) -> tuple:
+    """(rank, mask) of every flat, ordered by (rank, sorted set): a search up
+    from the loops that closes F + e by the basis scan `Matroid._closure`,
+    one element per covering flat, and ranks each flat by `Matroid._rank`."""
+    ground = (1 << m.n) - 1
+    start = m._closure(0)
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        f = frontier.pop()
+        rest = ground & ~f
+        while rest:
+            g = m._closure(f | rest & -rest)
+            rest &= ~g
+            if g not in seen:
+                seen.add(g)
+                frontier.append(g)
+    return tuple(sorted(((m._rank(f), f) for f in seen), key=lambda rf: (rf[0], _elements(rf[1]))))

@@ -757,6 +757,12 @@ _BARE_TRIANGLE = io.fan_to_json(triangle_fan().fan)
         ),
         ({"m": {"n": 2, "bases": []}}, ["bergman", "--matroid", "@m"], 3, "precondition failure: a matroid needs at least one basis"),
         ({"m": {"n": 2, "bases": [[0, 5]]}}, ["bergman", "--matroid", "@m"], 3, "precondition failure: basis element out of range"),
+        (
+            {"m": {"n": 4, "bases": [[0, 1], [2, 3]]}},
+            ["bergman", "--matroid", "@m"],
+            3,
+            "precondition failure: exchange axiom fails for [0, 1], [2, 3] at 0",
+        ),
     ],
     ids=[
         "balance-without-weights",
@@ -779,6 +785,7 @@ _BARE_TRIANGLE = io.fan_to_json(triangle_fan().fan)
         "bergman-of-rank-zero",
         "bergman-without-bases",
         "bergman-element-out-of-range",
+        "bergman-exchange-axiom-fails",
     ],
 )
 def test_cli_refusals(tmp_path, capsys, files, argv, code, message):

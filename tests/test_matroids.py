@@ -9,6 +9,7 @@ from lorfan.fan import validate
 from lorfan.lorentzian import is_lorentzian
 from lorfan.matroids import (
     Matroid,
+    _check_exchange,
     bergman_fan,
     complete_graph_matroid,
     fano_matroid,
@@ -18,7 +19,13 @@ from lorfan.matroids import (
 )
 from lorfan.weights import check_balancing
 
-from helpers import FrozensetMatroid, frozenset_matroid_from_bases
+from helpers import (
+    FrozensetMatroid,
+    closure_search_flats,
+    frozenset_matroid_from_bases,
+    swap_table_check,
+    swap_table_matroid_from_bases,
+)
 
 
 def spanning_trees_brute(k):
@@ -61,7 +68,7 @@ def test_complete_graph_matroid_is_spanning_trees():
 
 
 def test_exchange_violation_rejected():
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match=r"^exchange axiom fails for \[0, 1\], \[2, 3\] at 0$"):
         matroid_from_bases(4, [(0, 1), (2, 3)])
 
 
@@ -124,6 +131,21 @@ def test_bergman_star_inertias_have_one_positive():
     cert = is_lorentzian(tf)
     for record in cert.star_records:
         assert record.inertia.p == 1
+
+
+@pytest.mark.parametrize(
+    "edges, message",
+    [
+        ([(0, 1), (2, 3)], "graphic matroids need a connected graph; this one has 2 components"),
+        ([(0, 1), (1, 2), (0, 2), (3, 4), (5, 6)], "graphic matroids need a connected graph; this one has 3 components"),
+        ([], "graphic matroids need a connected graph; this one has 0 components"),
+        ([(0, 1), (1, 1)], r"matroid has 1 loops, the first 1: \[1\]"),
+    ],
+    ids=["two-components", "three-components", "no-edges", "self-loop"],
+)
+def test_graphic_matroid_refusals(edges, message):
+    with pytest.raises(PreconditionError, match=message):
+        graphic_matroid(edges)
 
 
 def test_graphic_matroid_triangle_is_uniform():
@@ -219,3 +241,58 @@ def test_loop_refusal_names_the_count_and_the_first_loops():
 def test_negative_ground_set_refused():
     with pytest.raises(PreconditionError):
         matroid_from_bases(-1, [()])
+
+
+# ---------------------------------------------------------------------------
+# the cocircuit record against the basis-scan oracles
+
+
+def _refusal(call):
+    try:
+        call()
+    except PreconditionError as exc:
+        return str(exc)
+    return None
+
+
+def _check_cocircuits(m: Matroid):
+    """flats() equals the closure search, and each cocircuit's complement is
+    a flat of rank r - 1 in it."""
+    oracle = closure_search_flats(m)
+    assert m._flats == oracle
+    ground = (1 << m.n) - 1
+    ranks = {f: k for k, f in oracle}
+    assert all(ranks.get(ground & ~c) == m.rank - 1 for c in m._cocircuits)
+
+
+@given(base_families())
+@settings(max_examples=300, deadline=None)
+def test_cocircuit_record_matches_the_basis_scans(family):
+    n, bases, is_matroid = family
+    assert _refusal(lambda: matroid_from_bases(n, bases)) == _refusal(lambda: swap_table_matroid_from_bases(n, bases))
+    base_set = frozenset(frozenset(b) for b in bases)
+    if len({len(b) for b in base_set}) == 1:
+        # the check alone, also past a loop refusal
+        fast = _refusal(lambda: _check_exchange(Matroid(n, base_set)))
+        assert fast == _refusal(lambda: swap_table_check(Matroid(n, base_set)))
+        if is_matroid:
+            assert fast is None
+            _check_cocircuits(Matroid(n, base_set))
+
+
+@pytest.mark.parametrize(
+    "build, cocircuits",
+    [
+        (lambda: complete_graph_matroid(4), 7),
+        (lambda: complete_graph_matroid(5), 15),
+        (fano_matroid, 7),
+        (lambda: uniform_matroid(4, 6), 20),
+        (lambda: complete_graph_matroid(6), 31),
+        (lambda: uniform_matroid(4, 7), 35),
+    ],
+    ids=["M(K4)", "M(K5)", "Fano", "U(4,6)", "M(K6)", "U(4,7)"],
+)
+def test_cocircuit_record_of_the_named_matroids(build, cocircuits):
+    m = build()
+    assert len(m._cocircuits) == cocircuits
+    _check_cocircuits(m)

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from lorfan.errors import BalancingError, DimensionError, PreconditionError
-from lorfan.fan import MarkedFan, star, stellar_subdivide
+from lorfan.fan import MarkedFan, Quotient, star, stellar_subdivide
 from lorfan.fixtures import (
     coordinate_skeleton_fan,
     line_fan,
@@ -499,12 +499,28 @@ def test_transport_and_pullback_match_fraction_oracles(name, kind):
             assert pullback_divisor(tf.fan, z, fine) == fraction_pullback_divisor(tf.fan, z, fine)
 
 
+def test_pullback_reads_kept_rays_by_mark(monkeypatch):
+    """On the U(4,6) wall subdivision every kept ray takes z at its coarse
+    ray, so only the new ray is read in a coarse quotient record."""
+    tf = bergman_fan(uniform_matroid(4, 6))
+    res = stellar_subdivide(tf.fan, vec([-1, -2, -2, -2, -2]))
+    z = rand_divisor(random.Random("pullback/U(4,6)"), tf.fan)
+    expected = fraction_pullback_divisor(tf.fan, z, res.fan)
+    assert all(expected[new] == z[old] for old, new in res.ray_map.items())
+    calls = []
+    in_span = Quotient.in_span
+    monkeypatch.setattr(Quotient, "in_span", lambda q, nums: calls.append(nums) or in_span(q, nums))
+    assert pullback_divisor(tf.fan, z, res.fan) == expected
+    assert calls == [res.fan.int_marks[res.new_ray][0]]
+
+
 # ---------------------------------------------------------------------------
 # refusals
 
 
 _ONES = (Fraction(1),) * 3
 _OFF_SKELETON = MarkedFan(3, (vec([1, 1, 1]), vec([1, 0, 0])), ((0, 1),))
+_ONE_RAY_IN_NO_CONE = MarkedFan(3, (vec([1, 0, 0]), vec([0, 1, 0])), ((0,),))
 
 
 @pytest.mark.parametrize(
@@ -532,6 +548,11 @@ _OFF_SKELETON = MarkedFan(3, (vec([1, 1, 1]), vec([1, 0, 0])), ((0, 1),))
         ),
         (
             lambda: pullback_divisor(coordinate_skeleton_fan().fan, _ONES * 2, _OFF_SKELETON),
+            PreconditionError,
+            "fine ray lies outside the coarse support",
+        ),
+        (
+            lambda: pullback_divisor(_ONE_RAY_IN_NO_CONE, _ONES[:2], MarkedFan(3, (vec([0, 1, 0]),), ((0,),))),
             PreconditionError,
             "fine ray lies outside the coarse support",
         ),
@@ -587,6 +608,7 @@ _OFF_SKELETON = MarkedFan(3, (vec([1, 1, 1]), vec([1, 0, 0])), ((0, 1),))
         "push-divisor-of-wrong-length",
         "pullback-divisor-of-wrong-length",
         "pullback-ray-outside-the-support",
+        "pullback-ray-on-a-coarse-ray-in-no-cone",
         "pullback-to-a-smaller-ambient-space",
         "pullback-to-a-larger-ambient-space",
         "transport-to-another-ambient-space",
