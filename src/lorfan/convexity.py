@@ -10,10 +10,9 @@ vanishing on the cone), so every program is small and equality-free.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import ConvexityError, InternalError, PreconditionError
 from .fan import Cone, MarkedFan, candidate_divisor
@@ -29,15 +28,13 @@ ROUTE_CANDIDATE = "candidate"
 ROUTE_JOINT_LP = "joint_lp"
 
 
-@dataclass(frozen=True)
-class ConeWitness:
+class ConeWitness(NamedTuple):
     cone: Cone
     functional: Optional[Vec]
     satisfied: bool
 
 
-@dataclass(frozen=True)
-class ConvexityCertificate:
+class ConvexityCertificate(NamedTuple):
     divisor: tuple
     strict_requested: bool
     verdict: str

@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 from operator import mul
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .errors import DimensionError, InternalError, PreconditionError
 from .linalg import Mat, Vec, ZERO, eliminate, fractions, over_lcd, vec
@@ -34,8 +34,7 @@ Point = tuple[tuple[int, ...], int]
 RegularRecord = tuple[Point, ...]
 
 
-@dataclass(frozen=True)
-class Quotient:
+class Quotient(NamedTuple):
     """Coordinates for the quotient by the span of one cone.
 
     Row reduction of the cone's marks picks the pivot columns; the quotient
@@ -159,8 +158,7 @@ def _quotient(fan: MarkedFan, cone: Cone) -> Optional[Quotient]:
     return Quotient(pivots, den, tuple(map(tuple, particulars)), tuple(annihilators))
 
 
-@dataclass(frozen=True)
-class Neighborhood:
+class Neighborhood(NamedTuple):
     """Rays around one cone, read in the cone's quotient record.
 
     `image_rows[e]` holds the numerators of the mark of `rays[e]` under the
@@ -379,8 +377,7 @@ ROUTE_REGULAR = "regular"
 ROUTE_PAIRS = "pairs"
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     simplicial: bool
     pure: bool
     fan_condition: bool
@@ -665,8 +662,7 @@ def require_fan(fan: MarkedFan, message: str) -> None:
 # star fans
 
 
-@dataclass(frozen=True)
-class StarData:
+class StarData(NamedTuple):
     """Quotient of a fan by the span of one of its cones.
 
     The quotient coordinates are those of the apex's quotient record on the
@@ -713,8 +709,7 @@ def star(fan: MarkedFan, apex: Cone) -> StarData:
 # pinch detection
 
 
-@dataclass(frozen=True)
-class PinchReport:
+class PinchReport(NamedTuple):
     unpinched: bool
     pinched_at: tuple[Cone, ...]
 
@@ -765,8 +760,7 @@ def is_unpinched(fan: MarkedFan) -> PinchReport:
 # stellar subdivision
 
 
-@dataclass(frozen=True)
-class StellarSubdivision:
+class StellarSubdivision(NamedTuple):
     fan: MarkedFan
     containment: dict
     ray_map: dict

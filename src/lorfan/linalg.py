@@ -15,10 +15,9 @@ Sylvester's law of inertia.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .errors import DimensionError
 
@@ -152,8 +151,7 @@ def det(A: Mat) -> Fraction:
     return Fraction(num, den)
 
 
-@dataclass(frozen=True)
-class Inertia:
+class Inertia(NamedTuple):
     """Eigenvalue sign counts (positive, negative, zero) of a symmetric matrix."""
 
     p: int

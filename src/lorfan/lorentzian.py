@@ -11,9 +11,8 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .convexity import is_strictly_convex, require_convex, strictly_convex_witness
 from .errors import InternalError, PreconditionError
@@ -99,15 +98,13 @@ def _forms_polynomial(forms) -> Polynomial:
 # the decision procedure
 
 
-@dataclass(frozen=True)
-class StarInertiaRecord:
+class StarInertiaRecord(NamedTuple):
     cone: Cone
     inertia: Inertia
     matrix: Mat
 
 
-@dataclass(frozen=True)
-class LorentzianCertificate:
+class LorentzianCertificate(NamedTuple):
     verdict: bool
     quasiprojective: bool
     witness: Optional[Divisor]
@@ -175,8 +172,7 @@ def is_unimodal(seq: Sequence[Fraction]) -> bool:
 # AF reports
 
 
-@dataclass(frozen=True)
-class AFReport:
+class AFReport(NamedTuple):
     divisors: tuple[Divisor, Divisor]
     auxiliary: tuple[Divisor, ...]
     af_gap: Fraction
@@ -264,15 +260,13 @@ def sample_strictly_convex(fan: MarkedFan, witness: Divisor, rng: random.Random)
     raise InternalError("sampling failed to produce a strictly convex divisor")
 
 
-@dataclass(frozen=True)
-class StarSampleRecord:
+class StarSampleRecord(NamedTuple):
     cone: Cone
     positive_counts: tuple[int, ...]
     top_degrees_positive: bool
 
 
-@dataclass(frozen=True)
-class SampleCheckReport:
+class SampleCheckReport(NamedTuple):
     seed: int
     samples: int
     records: tuple[StarSampleRecord, ...]

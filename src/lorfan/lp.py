@@ -32,10 +32,9 @@ strictly; it is checked before the solver returns, and so is the point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import DimensionError, InternalError
 from .linalg import Vec, fractions, over_lcd, pivot
@@ -109,8 +108,7 @@ def _run_phase(T, den, basis, nfree):
         basis[leave] = enter
 
 
-@dataclass(frozen=True)
-class FeasibilityCertificate:
+class FeasibilityCertificate(NamedTuple):
     """Farkas witness that no point meets every row strictly.
 
     Validity: the multipliers are nonnegative and sum to one with the cap's,
@@ -144,8 +142,7 @@ def verify_certificate(cert: FeasibilityCertificate, rows: Sequence[LinearRow], 
     return not any(combo) and total <= 0
 
 
-@dataclass(frozen=True)
-class StrictFeasibility:
+class StrictFeasibility(NamedTuple):
     """The optimum of the max-slack program: a point x with a.x + t* <= b on
     every row, t* itself, and when t* <= 0 the certificate that no point meets
     the rows strictly.  t* >= 0 means x meets every row weakly."""

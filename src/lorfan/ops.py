@@ -5,9 +5,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .convexity import require_convex
 from .errors import PreconditionError
@@ -120,8 +119,7 @@ def is_complete(fan: MarkedFan) -> bool:
     return len(components(fan.maximal_cones, walls)) == 1
 
 
-@dataclass(frozen=True)
-class MixedVolumeResult:
+class MixedVolumeResult(NamedTuple):
     """Mixed degree of polytope divisors on a complete fan with unit weight.
 
     The Euclidean value applies the convention fixed by the planar triangle

@@ -52,7 +52,7 @@ def weight(degree: int, values: dict) -> MinkowskiWeight:
 
 def constant_weight(fan: MarkedFan) -> MinkowskiWeight:
     d = fan.dimension
-    return MinkowskiWeight(d, {c: ONE for c in fan.cones(d)})
+    return MinkowskiWeight(d, {c: ONE for c in fan.maximal_cones if len(c) == d})
 
 
 @dataclass(frozen=True)
@@ -66,8 +66,8 @@ class TropicalFan:
         d = self.fan.dimension
         if self.weight.degree != d:
             raise PreconditionError("tropical weight must have top degree")
-        for c in self.fan.cones(d):
-            if self.weight[c] <= 0:
+        for c in self.fan.maximal_cones:
+            if len(c) == d and self.weight[c] <= 0:
                 raise PreconditionError(f"weight must be positive; cone {c} fails")
 
     @property

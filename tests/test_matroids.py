@@ -225,6 +225,13 @@ def test_bitmask_matroids_match_the_oracle_on_the_named_matroids():
             assert m.rank_of(f) == slow.rank_of(f)
 
 
+def test_bergman_fan_leaves_the_face_index_unbuilt():
+    """The unit weight and its positivity check read the maximal cones, so
+    building the Bergman fan of M(K5) lists no faces."""
+    fan = bergman_fan(complete_graph_matroid(5)).fan
+    assert "incident" not in vars(fan) and "_cones_by_dim" not in vars(fan)
+
+
 def test_flats_are_computed_once_per_matroid():
     m = complete_graph_matroid(4)
     assert m._flats is m._flats

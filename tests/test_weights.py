@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from lorfan.errors import BalancingError, DimensionError, PreconditionError
-from lorfan.fan import MarkedFan, Quotient, star, stellar_subdivide
+from lorfan.fan import MarkedFan, Quotient, StellarSubdivision, star, stellar_subdivide
 from lorfan.fixtures import (
     coordinate_skeleton_fan,
     line_fan,
@@ -24,6 +24,7 @@ from lorfan.weights import (
     TropicalFan,
     acted_weights,
     check_balancing,
+    constant_weight,
     divisor_action,
     indicator_divisor,
     mixed_degree,
@@ -38,6 +39,7 @@ from lorfan.weights import (
 )
 
 from helpers import (
+    NON_PURE_FANS,
     fraction_pullback_divisor,
     fraction_transport_weight,
     linear_divisor,
@@ -489,7 +491,8 @@ def test_transport_and_pullback_match_fraction_oracles(name, kind):
     refinements = [(tf.fan, {c: c for c in tf.fan.maximal_cones})]
     for v in stellar_points(tf.fan, random.Random(name)):
         res = outcome(lambda: stellar_subdivide(tf.fan, v))
-        if not isinstance(res, tuple):  # the origin and points off the support are refused
+        # the origin and points off the support are refused
+        if isinstance(res, StellarSubdivision):
             refinements.append((res.fan, res.containment))
     assert len(refinements) > 1 or tf.dimension == 0
     for fine, containment in refinements:
@@ -624,3 +627,17 @@ def test_weights_refusals(call, error, message):
     """Each refusal raises its exception type with its message."""
     assert outcome(call) == (error, message)
 
+
+@pytest.mark.parametrize("name", list(NON_PURE_FANS))
+def test_non_pure_fan_refuses_nonpositive_top_weight(name):
+    """The unit weight lies on the top maximal cones only, and a zero or
+    negative value on one of them is refused."""
+    fan = NON_PURE_FANS[name]()
+    top = [c for c in fan.maximal_cones if len(c) == fan.dimension]
+    assert constant_weight(fan).values == dict.fromkeys(top, 1)
+    for value in (0, -1):
+        values = {**dict.fromkeys(top, Fraction(1)), top[-1]: Fraction(value)}
+        assert outcome(lambda: TropicalFan(fan, MinkowskiWeight(fan.dimension, values))) == (
+            PreconditionError,
+            f"weight must be positive; cone {top[-1]} fails",
+        )
