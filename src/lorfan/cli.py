@@ -1,11 +1,17 @@
 """Command-line interface.
 
+Each command builds the JSON report it prints from its verdict's record;
+`io` owns the data formats the reports embed (rationals, cone keys, fans
+with weights) and the formats of every input file.
+
 Exit codes: 0 verdict computed (even a negative one), 2 input error,
 3 precondition failure, 4 internal invariant breach or any other unexpected
 error.  The one exception is `validate`, which exits 3 when the fan fails
 validation, per the documented contract.  `degree`, `lorentzian`, `af`,
 `act`, `modify`, `mixedvol` and `volpoly` exit 3 on input that fails
-validate; `balance` reports on any weighted cone set.  Randomized
+validate; `balance` reports on any weighted cone set.  `bergman`, `product`
+and `modify` exit 2 before they build a fan whose ambient_dim would pass
+`io.MAX_AMBIENT_DIM`, so every fan lorfan prints reads back.  Randomized
 subcommands require an explicit --seed.
 
 `main` builds the subparser of the command that argv names, and all of
@@ -56,10 +62,18 @@ def _parse_point(text):
     return tuple(io.str_to_rat(p) for p in text.split(","))
 
 
+def _rats(row):
+    return [io.rat_to_str(x) for x in row]
+
+
+def _keys(cones):
+    return [io.cone_to_key(c) for c in cones]
+
+
 def cmd_validate(args):
     fan, _ = _load_fan(args.fan)
     report = validate(fan)
-    _emit(args, io.validation_to_json(report))
+    _emit(args, {**report._asdict(), "valid": report.valid})
     return EXIT_OK if report.valid else EXIT_PRECONDITION
 
 
@@ -70,7 +84,7 @@ def cmd_balance(args):
     failing = check_balancing(fan, weight)
     _emit(args, {
         "balanced": not failing,
-        "failing_cones": [io.cone_to_key(c) for c in failing],
+        "failing_cones": _keys(failing),
     })
     return EXIT_OK
 
@@ -88,7 +102,15 @@ def cmd_convexity(args):
     fan, _ = _load_fan(args.fan)
     z = io.divisor_from_json(io.load_json_file(args.divisor))
     cert = classify_convexity(fan, z, strict=args.strict)
-    _emit(args, io.convexity_to_json(cert))
+    _emit(args, {
+        "verdict": cert.verdict,
+        "strict_requested": cert.strict_requested,
+        "failing_cones": _keys(cert.failing),
+        "witnesses": {
+            io.cone_to_key(w.cone): None if w.functional is None else _rats(w.functional)
+            for w in cert.witnesses
+        },
+    })
     return EXIT_OK
 
 
@@ -99,11 +121,38 @@ def cmd_lorentzian(args):
         raise InputError("--samples requires an explicit --seed")
     tf = _load_tropical(args.fan)
     cert = is_lorentzian(tf)
-    payload = io.lorentzian_to_json(cert)
+    payload = {
+        "verdict": "yes" if cert.verdict else "no",
+        "marking": [_rats(u) for u in cert.marking],
+        "quasiprojective": cert.quasiprojective,
+        "witness": None if cert.witness is None else _rats(cert.witness),
+        "witness_route": cert.witness_route,
+        "pinches": {
+            "unpinched": cert.pinch_report.unpinched,
+            "pinched_at": _keys(cert.pinch_report.pinched_at),
+        },
+        "stars": {
+            io.cone_to_key(r.cone): {
+                "inertia": list(r.inertia.astuple()),
+                "matrix": [_rats(row) for row in r.matrix],
+            }
+            for r in cert.star_records
+        },
+    }
     if args.samples:
-        payload["sampling"] = io.samples_to_json(
-            definition_sample_check(tf, cert.witness, samples=args.samples, seed=args.seed)
-        )
+        report = definition_sample_check(tf, cert.witness, samples=args.samples, seed=args.seed)
+        payload["sampling"] = {
+            "seed": report.seed,
+            "samples": report.samples,
+            "all_lorentzian_signs": report.all_lorentzian_signs,
+            "stars": {
+                io.cone_to_key(r.cone): {
+                    "positive_counts": list(r.positive_counts),
+                    "top_degrees_positive": r.top_degrees_positive,
+                }
+                for r in report.records
+            },
+        }
     _emit(args, payload)
     return EXIT_OK
 
@@ -114,12 +163,20 @@ def cmd_af(args):
     d2 = io.divisor_from_json(io.load_json_file(args.d2))
     aux = io.divisors_from_json(io.load_json_file(args.aux)) if args.aux else []
     report = af_report(tf, d1, d2, aux)
-    _emit(args, io.af_to_json(report))
+    _emit(args, {
+        "af_gap": io.rat_to_str(report.af_gap),
+        "sequence": _rats(report.sequence),
+        "log_concave": report.log_concave,
+        "unimodal": report.unimodal,
+        "divisors": [_rats(z) for z in report.divisors],
+        "auxiliary": [_rats(z) for z in report.auxiliary],
+    })
     return EXIT_OK
 
 
 def cmd_bergman(args):
     matroid = io.matroid_from_json(io.load_json_file(args.matroid))
+    io.require_ambient_dim(matroid.n - 1)
     tf = bergman_fan(matroid)
     _emit(args, io.tropical_to_json(tf))
     return EXIT_OK
@@ -128,6 +185,7 @@ def cmd_bergman(args):
 def cmd_product(args):
     tf1 = _load_tropical(args.fan)
     tf2 = _load_tropical(args.fan2)
+    io.require_ambient_dim(tf1.fan.ambient_dim + tf2.fan.ambient_dim)
     _emit(args, io.tropical_to_json(product_tropical(tf1, tf2)))
     return EXIT_OK
 
@@ -140,7 +198,7 @@ def cmd_star(args):
         weight = star_weight(TropicalFan(fan, weight), apex, sd).weight
     payload = io.fan_to_json(sd.fan, weight)
     payload["lift"] = list(sd.lift)
-    payload["projection"] = [[io.rat_to_str(x) for x in row] for row in sd.projection]
+    payload["projection"] = [_rats(row) for row in sd.projection]
     _emit(args, payload)
     return EXIT_OK
 
@@ -154,12 +212,17 @@ def cmd_stellar(args):
         transported = transport_weight(
             TropicalFan(fan, weight), result.fan, result.containment
         ).weight
-    _emit(args, io.stellar_to_json(result, transported))
+    payload = io.fan_to_json(result.fan, transported)
+    payload["containment"] = {io.cone_to_key(c): io.cone_to_key(p) for c, p in result.containment.items()}
+    payload["ray_map"] = {str(old): new for old, new in result.ray_map.items()}
+    payload["new_ray"] = result.new_ray
+    _emit(args, payload)
     return EXIT_OK
 
 
 def cmd_modify(args):
     tf = _load_tropical(args.fan)
+    io.require_ambient_dim(tf.fan.ambient_dim + 1)
     z = io.divisor_from_json(io.load_json_file(args.divisor))
     _emit(args, io.tropical_to_json(tropical_modification(tf, z)))
     return EXIT_OK
@@ -179,7 +242,12 @@ def cmd_mixedvol(args):
         if other.rays != fan.rays or other.maximal_cones != fan.maximal_cones:
             raise PreconditionError("polytopes must share one normal fan")
     result = polytope_bridge(fan, [rhs for _, rhs in polytopes])
-    _emit(args, io.mixedvol_to_json(result))
+    _emit(args, {
+        "degree": io.rat_to_str(result.degree),
+        "dimension": result.dimension,
+        "euclidean_value": io.rat_to_str(result.euclidean_value),
+        "convention": result.convention,
+    })
     return EXIT_OK
 
 
@@ -189,14 +257,14 @@ def cmd_volpoly(args):
     if tf.dimension == 2:
         matrix = quadratic_form(tf.fan, tf.weight)
         payload = {
-            "matrix": [[io.rat_to_str(x) for x in row] for row in matrix],
+            "matrix": [_rats(row) for row in matrix],
             "inertia": list(inertia(matrix).astuple()),
         }
         polynomial = _forms_polynomial([((), matrix)])
     else:
         payload = {"matrix": None, "inertia": None}
         polynomial = volume_polynomial(tf)
-    payload["polynomial"] = io.polynomial_to_json(polynomial)
+    payload["polynomial"] = {",".join(map(str, e)): io.rat_to_str(c) for e, c in polynomial.items()}
     _emit(args, payload)
     return EXIT_OK
 

@@ -1,9 +1,11 @@
-"""JSON formats for fans, weights, divisors, matroids, and reports.
+"""JSON formats for the data lorfan reads and writes: rationals, cone keys,
+fans with their weights, divisors, matroids and polytopes.
 
 Rationals travel as strings "p/q" ("p" when the denominator is one); cone
 keys are comma-joined ascending ray indices.  Serialization is canonical:
 lowest terms, sorted keys, stable orderings, so emitted files round-trip to
-equal objects.
+equal objects.  The reports of the commands are not formats of this module:
+each command in `cli` builds its own from these pieces.
 """
 
 from __future__ import annotations
@@ -13,18 +15,23 @@ import re
 from fractions import Fraction
 from typing import Optional
 
-from .convexity import ConvexityCertificate
 from .errors import InputError
-from .fan import MarkedFan, PinchReport, StellarSubdivision, ValidationReport, cone_key
-from .lorentzian import AFReport, LorentzianCertificate, SampleCheckReport
+from .fan import MarkedFan, cone_key
 from .matroids import Matroid, matroid_from_bases
-from .ops import MixedVolumeResult
 from .weights import Divisor, MinkowskiWeight, TropicalFan
 
 
 # the largest ambient_dim a fan file may give: the origin's quotient record
 # alone is an ambient_dim x ambient_dim identity
 MAX_AMBIENT_DIM = 1024
+
+
+def require_ambient_dim(dim: int) -> int:
+    """dim, refused past MAX_AMBIENT_DIM: also for a fan that a command is
+    about to write, so that lorfan can read back every fan it prints."""
+    if dim > MAX_AMBIENT_DIM:
+        raise InputError(f"ambient_dim {dim} exceeds the limit of {MAX_AMBIENT_DIM}")
+    return dim
 
 
 def rat_to_str(x: Fraction) -> str:
@@ -103,9 +110,7 @@ def fan_to_json(fan: MarkedFan, weight: Optional[MinkowskiWeight] = None) -> dic
 
 def fan_from_json(data) -> tuple[MarkedFan, Optional[MinkowskiWeight]]:
     try:
-        ambient = _int(data["ambient_dim"], "ambient_dim")
-        if ambient > MAX_AMBIENT_DIM:
-            raise InputError(f"ambient_dim {ambient} exceeds the limit of {MAX_AMBIENT_DIM}")
+        ambient = require_ambient_dim(_int(data["ambient_dim"], "ambient_dim"))
         rays = tuple(tuple(str_to_rat(x) for x in _list(u, "a ray")) for u in _list(data["rays"], "rays"))
         cones = tuple(sorted(
             _cone([_int(i, "a ray index") for i in _list(c, "a cone")], "a cone")
@@ -188,115 +193,6 @@ def polytope_from_json(data) -> tuple[MarkedFan, tuple[Fraction, ...]]:
     except (KeyError, TypeError) as exc:
         raise InputError(f"malformed polytope: {exc}") from None
     return fan, rhs
-
-
-# ---------------------------------------------------------------------------
-# report serialization
-
-
-def validation_to_json(report: ValidationReport) -> dict:
-    return {
-        "valid": report.valid,
-        "simplicial": report.simplicial,
-        "pure": report.pure,
-        "fan_condition": report.fan_condition,
-        "fan_condition_route": report.fan_condition_route,
-        "all_rays_used": report.all_rays_used,
-        "failures": list(report.failures),
-    }
-
-
-def pinch_to_json(report: PinchReport) -> dict:
-    return {
-        "unpinched": report.unpinched,
-        "pinched_at": [cone_to_key(c) for c in report.pinched_at],
-    }
-
-
-def convexity_to_json(cert: ConvexityCertificate) -> dict:
-    return {
-        "verdict": cert.verdict,
-        "strict_requested": cert.strict_requested,
-        "failing_cones": [cone_to_key(c) for c in cert.failing],
-        "witnesses": {
-            cone_to_key(w.cone): (
-                [rat_to_str(x) for x in w.functional] if w.functional is not None else None
-            )
-            for w in cert.witnesses
-        },
-    }
-
-
-def lorentzian_to_json(cert: LorentzianCertificate) -> dict:
-    return {
-        "verdict": "yes" if cert.verdict else "no",
-        "marking": [[rat_to_str(x) for x in u] for u in cert.marking],
-        "quasiprojective": cert.quasiprojective,
-        "witness": (
-            [rat_to_str(v) for v in cert.witness] if cert.witness is not None else None
-        ),
-        "witness_route": cert.witness_route,
-        "pinches": pinch_to_json(cert.pinch_report),
-        "stars": {
-            cone_to_key(r.cone): {
-                "inertia": list(r.inertia.astuple()),
-                "matrix": [[rat_to_str(x) for x in row] for row in r.matrix],
-            }
-            for r in cert.star_records
-        },
-    }
-
-
-def af_to_json(report: AFReport) -> dict:
-    return {
-        "af_gap": rat_to_str(report.af_gap),
-        "sequence": [rat_to_str(v) for v in report.sequence],
-        "log_concave": report.log_concave,
-        "unimodal": report.unimodal,
-        "divisors": [[rat_to_str(v) for v in z] for z in report.divisors],
-        "auxiliary": [[rat_to_str(v) for v in z] for z in report.auxiliary],
-    }
-
-
-def samples_to_json(report: SampleCheckReport) -> dict:
-    return {
-        "seed": report.seed,
-        "samples": report.samples,
-        "all_lorentzian_signs": report.all_lorentzian_signs,
-        "stars": {
-            cone_to_key(r.cone): {
-                "positive_counts": list(r.positive_counts),
-                "top_degrees_positive": r.top_degrees_positive,
-            }
-            for r in report.records
-        },
-    }
-
-
-def mixedvol_to_json(result: MixedVolumeResult) -> dict:
-    return {
-        "degree": rat_to_str(result.degree),
-        "dimension": result.dimension,
-        "euclidean_value": rat_to_str(result.euclidean_value),
-        "convention": result.convention,
-    }
-
-
-def stellar_to_json(result: StellarSubdivision, weight: Optional[MinkowskiWeight]) -> dict:
-    out = fan_to_json(result.fan, weight)
-    out["containment"] = {
-        cone_to_key(c): cone_to_key(parent) for c, parent in sorted(result.containment.items())
-    }
-    out["ray_map"] = {str(old): new for old, new in sorted(result.ray_map.items())}
-    out["new_ray"] = result.new_ray
-    return out
-
-
-def polynomial_to_json(poly: dict) -> dict:
-    return {
-        ",".join(str(e) for e in expo): rat_to_str(coeff)
-        for expo, coeff in sorted(poly.items())
-    }
 
 
 def dumps(obj) -> str:

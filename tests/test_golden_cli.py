@@ -2,9 +2,10 @@
 
 Every case runs one `lorfan` command through `cli.main` on input files stored
 under `tests/golden/inputs/` and compares what it prints, byte for byte, with
-`tests/golden/<case>.json`.  The reports include the per-cone witnesses, the
-strictly convex witness and the star records, so any change to a cone index,
-a quotient convention or an LP row order shows up here.
+`tests/golden/<case>.json`, and its exit code with the one the case expects
+(0, or 3 for `validate` on a non-fan).  The reports include the per-cone
+witnesses, the strictly convex witness and the star records, so any change
+to a cone index, a quotient convention or an LP row order shows up here.
 
 To compare every stored report with a fresh run, without pytest, run from the
 repository root:
@@ -96,6 +97,18 @@ WALL = ("u46",)
 # fans read off a stored `lorfan stellar` report, whose subdivision defeats
 # the candidate divisor: `validate` decides them by the pairs route
 SUBDIVIDED = {"u35_stellar": "stellar-u35"}
+# cone sets that are not fans, from `helpers`, each with a `lorfan validate`
+# case that exits 3: overlapping cones found by the pairs route, dependent
+# marks (route null), a ray in no cone, and maximal cones of two dimensions
+NON_FANS = {
+    "double_cover": "triangle_double_cover",
+    "dependent_marks": "dependent_marks_fan",
+    "unused_ray": "unused_ray_fan",
+    "non_pure_plane": "non_pure_plane",
+}
+# complete fans with a `lorfan mixedvol` case: one polytope per dimension,
+# whose right-hand sides are the fan's divisors of these names
+MIXEDVOL = {"triangle": ("c", "c2"), "triangle_x_line": ("c", "c2", "c")}
 
 
 def _cases():
@@ -168,10 +181,19 @@ def _cases():
     for f in SUBDIVIDED:
         cases.append((f"validate-{f}", ["validate", "--fan", f"@{f}"]))
         cases.append((f"lorentzian-{f}", ["lorentzian", "--fan", f"@{f}"]))
+    for f in NON_FANS:
+        cases.append((f"validate-{f}", ["validate", "--fan", f"@{f}"]))
+    for f, names in MIXEDVOL.items():
+        argv = ["mixedvol"]
+        for z in names:
+            argv += ["--polytope", f"@{f}-polytope-{z}"]
+        cases.append((f"mixedvol-{f}", argv))
     return cases
 
 
-CASES = _cases()
+# the exit code of each case: 0, but 3 for `validate` on a non-fan
+EXIT = {f"validate-{f}": 3 for f in NON_FANS}
+CASES = [(name, argv, EXIT.get(name, 0)) for name, argv in _cases()]
 
 
 def _resolve(argv):
@@ -193,9 +215,9 @@ def _report(argv):
     return code, out.getvalue()
 
 
-def test_golden_report(name, argv):
+def test_golden_report(name, argv, exit_code):
     code, out = _report(argv)
-    assert code == 0
+    assert code == exit_code
     assert out == (GOLDEN / f"{name}.json").read_text()
 
 
@@ -240,7 +262,7 @@ def test_emitted_witnesses_recheck(fan_name, z_name, strict):
         assert None not in report["witnesses"].values()
 
 
-LORENTZIAN_CASES = [(name, argv[2][1:]) for name, argv in CASES if argv[0] == "lorentzian"]
+LORENTZIAN_CASES = [(name, argv[2][1:]) for name, argv, _ in CASES if argv[0] == "lorentzian"]
 
 
 def test_stored_lorentzian_witnesses_recheck(name, fan_name):
@@ -260,7 +282,7 @@ def test_stored_lorentzian_witnesses_recheck(name, fan_name):
 
 # (argument names, cases, ids) of each parametrized test
 PARAMETERS = {
-    "test_golden_report": ("name,argv", CASES, [name for name, _ in CASES]),
+    "test_golden_report": ("name,argv,exit_code", CASES, [name for name, _, _ in CASES]),
     "test_emitted_witnesses_recheck": (
         "fan_name,z_name,strict",
         WITNESS_CASES,
@@ -285,9 +307,9 @@ def pytest_generate_tests(metafunc):
 def check() -> int:
     """Run every case and compare its report with the stored one: 0 when all
     match, else 1 after naming the first case that differs."""
-    for name, argv in CASES:
+    for name, argv, exit_code in CASES:
         code, out = _report(argv)
-        if code != 0 or out != (GOLDEN / f"{name}.json").read_text():
+        if code != exit_code or out != (GOLDEN / f"{name}.json").read_text():
             print(f"golden report {name} differs (exit code {code})")
             return 1
     print(f"{len(CASES)} golden reports match")
@@ -358,6 +380,8 @@ def write_inputs() -> None:
     write_rescaled_inputs()
     write_subdivided_inputs()
     write_product_inputs()
+    write_non_fan_inputs()
+    write_mixedvol_inputs()
 
 
 def _write_point(name: str, fan, cone) -> None:
@@ -414,6 +438,27 @@ def write_product_inputs() -> None:
         _write(INPUTS / f"{f}.json", lio.tropical_to_json(product_tropical(*factors)))
 
 
+def write_non_fan_inputs() -> None:
+    """Each NON_FANS cone set, without weights."""
+    import helpers
+    from lorfan import io as lio
+
+    for f, make in NON_FANS.items():
+        _write(INPUTS / f"{f}.json", lio.fan_to_json(getattr(helpers, make)()))
+
+
+def write_mixedvol_inputs() -> None:
+    """Each MIXEDVOL fan's polytopes: its stored fan, without weights, and
+    the values of one of its stored divisors as right-hand sides."""
+    from lorfan import io as lio
+
+    for f, names in MIXEDVOL.items():
+        fan, _ = lio.fan_from_json(json.loads((INPUTS / f"{f}.json").read_text()))
+        for z in set(names):
+            rhs = json.loads((INPUTS / f"{f}-{z}.json").read_text())["values"]
+            _write(INPUTS / f"{f}-polytope-{z}.json", {"fan": lio.fan_to_json(fan), "rhs": rhs})
+
+
 def write_rescaled_inputs() -> None:
     """Each RESCALED fan with its divisors: the unscaled fan's `c`, `c2`,
     degree and aux divisors, each rescaled by the same scales; its stellar
@@ -436,10 +481,10 @@ def write_rescaled_inputs() -> None:
 
 def regenerate() -> None:
     write_inputs()
-    for name, argv in CASES:
+    for name, argv, exit_code in CASES:
         code, out = _report(argv)
-        if code != 0:
-            raise SystemExit(f"{name}: exit code {code}")
+        if code != exit_code:
+            raise SystemExit(f"{name}: exit code {code}, expected {exit_code}")
         (GOLDEN / f"{name}.json").write_text(out)
     print(f"wrote {len(CASES)} reports to {GOLDEN}")
 

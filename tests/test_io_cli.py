@@ -650,6 +650,42 @@ def test_ambient_dim_past_the_limit_refused_before_any_allocation(tmp_path, caps
     assert io.fan_from_json(fan)[0].ambient_dim == 1024
 
 
+def _origin_json(ambient_dim):
+    return {"ambient_dim": ambient_dim, "rays": [], "maximal_cones": [[]], "weights": {"": "1"}}
+
+
+@pytest.mark.parametrize(
+    "files, argv, ambient_dim",
+    [
+        ({"m": {"n": 1026, "bases": [[i] for i in range(1026)]}}, ["bergman", "--matroid", "@m"], 1025),
+        ({"a": _origin_json(600), "b": _origin_json(500)}, ["product", "--fan", "@a", "--fan2", "@b"], 1100),
+        ({"a": _origin_json(1024), "d": {"values": []}}, ["modify", "--fan", "@a", "--divisor", "@d"], 1025),
+    ],
+    ids=["bergman", "product", "modify"],
+)
+def test_output_fan_past_the_ambient_limit_refused(tmp_path, capsys, files, argv, ambient_dim):
+    """A command whose fan would not read back is refused with exit 2 before
+    it builds the fan: `bergman` on a loopless matroid on n elements writes
+    R^(n-1), `product` the sum of its factors' dimensions and `modify` one
+    more than its fan's."""
+    paths = {k: write(tmp_path, f"{k}.json", v) for k, v in files.items()}
+    argv = [paths[a[1:]] if a.startswith("@") else a for a in argv]
+    message = f"input error: ambient_dim {ambient_dim} exceeds the limit of {io.MAX_AMBIENT_DIM}\n"
+    assert run(capsys, *argv) == (2, "", message)
+
+
+def test_output_fan_at_the_ambient_limit_reads_back(tmp_path, capsys):
+    """The product of origin fans in R^600 and R^424 lies in R^1024, which
+    `validate` reads."""
+    fans = [write(tmp_path, f"{n}.json", _origin_json(n)) for n in (600, 424)]
+    code, out, _ = run(capsys, "product", "--fan", fans[0], "--fan2", fans[1])
+    assert code == 0
+    assert json.loads(out)["ambient_dim"] == io.MAX_AMBIENT_DIM
+    product = tmp_path / "product.json"
+    product.write_text(out)
+    assert run(capsys, "validate", "--fan", str(product))[0] == 0
+
+
 def test_two_weight_keys_on_one_cone_refused(tmp_path, capsys):
     fan = _fan_json(weights={"0,1": "1", "1,0": "2", "0,2": "1", "1,2": "1"})
     code, out, err = run(capsys, "balance", "--fan", write(tmp_path, "fan.json", fan))
