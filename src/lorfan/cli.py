@@ -176,7 +176,6 @@ def cmd_af(args):
 
 def cmd_bergman(args):
     matroid = io.matroid_from_json(io.load_json_file(args.matroid))
-    io.require_ambient_dim(matroid.n - 1)
     tf = bergman_fan(matroid)
     _emit(args, io.tropical_to_json(tf))
     return EXIT_OK

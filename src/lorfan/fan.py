@@ -238,7 +238,7 @@ class MarkedFan:
     annihilator point, or None) are computed on first use and kept on the
     instance, so they are shared by every computation on the fan and freed
     with it.  A star or stellar fan gets its `int_marks` from its parent's
-    records instead.
+    records instead, and a stellar fan the records of the cones it keeps.
     """
 
     ambient_dim: int
@@ -776,7 +776,8 @@ def stellar_subdivide(fan: MarkedFan, v: Vec) -> StellarSubdivision:
     (cone - r) + v for each ray r where v's coordinate is positive: a
     simplicial cone's coordinates are unique, so these are exactly its
     facets that miss v.  v lies outside the support when no cone splits.
-    The refined fan's `int_marks` are the parent's and v's.
+    The refined fan's `int_marks` are the parent's and v's, and each kept
+    cone's quotient record is the parent's.
 
     Returns the refined fan together with the map from new maximal cones to
     the parent maximal cones containing them, and the reindexing of surviving
@@ -810,6 +811,8 @@ def stellar_subdivide(fan: MarkedFan, v: Vec) -> StellarSubdivision:
         maximal_cones=tuple(sorted(containment)),
     )
     refined.__dict__["int_marks"] = tuple(fan.int_marks[i] for i in used_old) + ((tuple(nums), d),)
+    # a kept cone's marks are the parent's, in order, so its record is too
+    refined._quotients.update((tuple(ray_map[i] for i in c), fan.quotient(c)) for c, joins, _ in specs if not joins)
     return StellarSubdivision(fan=refined, containment=containment, ray_map=ray_map, new_ray=new_ray)
 
 

@@ -17,7 +17,7 @@ from typing import Optional
 
 from .errors import InputError
 from .fan import MarkedFan, cone_key
-from .matroids import Matroid, matroid_from_bases
+from . import matroids
 from .weights import Divisor, MinkowskiWeight, TropicalFan
 
 
@@ -109,9 +109,21 @@ def fan_to_json(fan: MarkedFan, weight: Optional[MinkowskiWeight] = None) -> dic
 
 
 def fan_from_json(data) -> tuple[MarkedFan, Optional[MinkowskiWeight]]:
+    # `str_to_rat` of each distinct string, once; only strings are keys, since
+    # True, 1.0 and 1 are equal keys and two of them must be refused
+    parsed = {}
+
+    def rat(x) -> Fraction:
+        if type(x) is not str:
+            return str_to_rat(x)
+        q = parsed.get(x)
+        if q is None:
+            q = parsed[x] = str_to_rat(x)
+        return q
+
     try:
         ambient = require_ambient_dim(_int(data["ambient_dim"], "ambient_dim"))
-        rays = tuple(tuple(str_to_rat(x) for x in _list(u, "a ray")) for u in _list(data["rays"], "rays"))
+        rays = tuple(tuple(rat(x) for x in _list(u, "a ray")) for u in _list(data["rays"], "rays"))
         cones = tuple(sorted(
             _cone([_int(i, "a ray index") for i in _list(c, "a cone")], "a cone")
             for c in _list(data["maximal_cones"], "maximal_cones")
@@ -124,13 +136,15 @@ def fan_from_json(data) -> tuple[MarkedFan, Optional[MinkowskiWeight]]:
         if not isinstance(data["weights"], dict):
             raise InputError("weights must be a JSON object from cone keys to rationals")
         values = {}
+        maximal = set(cones)
         for k, v in data["weights"].items():
             cone = key_to_cone(k)
-            if cone not in fan.incident:
+            # a top weight names maximal cones only, and leaves the face index unbuilt
+            if cone not in maximal and cone not in fan.incident:
                 raise InputError(f"weight key {k!r:.40} names no cone of the fan")
             if cone in values:
                 raise InputError(f"two weight keys name the cone {cone_to_key(cone)!r:.40}")
-            values[cone] = str_to_rat(v)
+            values[cone] = rat(v)
         if values:
             degrees = {len(c) for c in values}
             if len(degrees) != 1:
@@ -171,7 +185,10 @@ def divisors_from_json(data) -> list[Divisor]:
     return [divisor_from_json(data)]
 
 
-def matroid_from_json(data) -> Matroid:
+def matroid_from_json(data) -> matroids.Matroid:
+    """The matroid of a file, whose Bergman fan lives in R^(n - 1): n - 1 past
+    MAX_AMBIENT_DIM is refused after the loop check and before the exchange
+    check, which is quadratic in the number of bases."""
     try:
         n = _int(data["n"], "n")
         bases = [
@@ -183,7 +200,10 @@ def matroid_from_json(data) -> Matroid:
     for b in bases:
         if len(set(b)) != len(b):
             raise InputError(f"a basis repeats an element: {list(b)!r:.40}")
-    return matroid_from_bases(n, bases)
+    m = matroids.loopless_matroid(n, bases)
+    require_ambient_dim(n - 1)
+    matroids._check_exchange(m)
+    return m
 
 
 def polytope_from_json(data) -> tuple[MarkedFan, tuple[Fraction, ...]]:

@@ -155,7 +155,16 @@ class Matroid:
 
 
 def matroid_from_bases(n: int, bases) -> Matroid:
-    """Validate the exchange axiom exhaustively and reject loops.
+    """Reject loops (`loopless_matroid`), then validate the exchange axiom
+    exhaustively."""
+    m = loopless_matroid(n, bases)
+    _check_exchange(m)
+    return m
+
+
+def loopless_matroid(n: int, bases) -> Matroid:
+    """The Matroid on the bases after every check of `matroid_from_bases` but
+    the exchange axiom's.
 
     Loops are counted from the union of the bases before any n-bit mask is
     built, so a huge n with few bases is refused in time linear in the input.
@@ -175,9 +184,7 @@ def matroid_from_bases(n: int, bases) -> Matroid:
         count = n - len(used)
         first = list(itertools.islice((e for e in range(n) if e not in used), _LOOPS_SHOWN))
         raise PreconditionError(f"matroid has {count} loops, the first {len(first)}: {first}")
-    m = Matroid(n=n, bases=base_set)
-    _check_exchange(m)
-    return m
+    return Matroid(n=n, bases=base_set)
 
 
 def _check_exchange(m: Matroid) -> None:

@@ -307,7 +307,9 @@ def transport_weight(coarse: TropicalFan, fine: MarkedFan, containment: dict) ->
     `containment[c]` divided by the absolute determinant of its marks
     expressed in that cone's mark basis; this is the unique scaling that
     keeps the result balanced and leaves mixed degrees of pulled-back
-    divisors unchanged.  Each mark is read on ints in the coarse cone's
+    divisors unchanged.  A fine cone whose int marks are those of its coarse
+    cone, in order, as a stellar subdivision's kept cones are, takes that
+    cone's weight.  Any other reads each mark on ints in the coarse cone's
     quotient record, so the coordinates of mark i are numerators over
     q.den * d_i and the ratio is an int determinant over their product.
     """
@@ -324,6 +326,10 @@ def transport_weight(coarse: TropicalFan, fine: MarkedFan, containment: dict) ->
         parent = cone_key(containment[c])
         if parent not in maximal:
             raise PreconditionError(f"fine cone {c} maps to {parent}, not a maximal cone of the coarse fan")
+        if [fine.int_marks[i] for i in c] == [cfan.int_marks[j] for j in parent]:
+            # a kept cone: its marks are the coarse cone's, in order, so the ratio is one
+            values[c] = coarse.weight[parent]
+            continue
         q = cfan.quotient(parent)
         columns, scale = [], 1
         for i in c:

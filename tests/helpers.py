@@ -354,7 +354,7 @@ def fraction_transport_weight(coarse: TropicalFan, fine: MarkedFan) -> TropicalF
     cfan = coarse.fan
     values = {}
     for c in fine.maximal_cones:
-        bary = vec([sum(col, ZERO) for col in zip(*(fine.rays[i] for i in c))])
+        bary = vec([sum((fine.rays[i][j] for i in c), ZERO) for j in range(fine.ambient_dim)])
         parent = next((p for p in cfan.maximal_cones if cone_contains(cfan, p, bary)), None)
         if parent is None:
             raise PreconditionError(f"fine cone {c} lies outside the coarse support")

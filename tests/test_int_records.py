@@ -12,6 +12,7 @@ from fractions import Fraction
 import pytest
 
 from lorfan import fan as fan_module
+from lorfan import weights as weights_module
 from lorfan.errors import BalancingError, PreconditionError
 from lorfan.fan import MarkedFan, star, stellar_subdivide, validate
 from lorfan.fixtures import triangle_fan
@@ -27,6 +28,7 @@ from lorfan.weights import (
     divisor_action,
     mixed_degrees,
     quadratic_form,
+    transport_weight,
 )
 
 from helpers import (
@@ -46,6 +48,7 @@ from helpers import (
     fraction_mark_sum,
     fraction_neighborhood,
     fraction_quotient,
+    fraction_transport_weight,
     neighborhood_coords,
     outcome,
     particulars,
@@ -358,6 +361,46 @@ def test_ray_records_and_inherited_int_marks_match_the_elimination(name, kind):
         assert "int_marks" in vars(fine)
         sizes |= _check_records(fine)
     assert 1 in sizes or fan.dimension == 0
+
+
+def test_subdivision_chain_reuses_kept_records_and_weights(monkeypatch):
+    """A seeded chain of stellar subdivisions of M(K5), the weight
+    transported at each step.  Each kept cone starts with its parent's
+    record, equal to the elimination's, and keeps its parent's weight; so a
+    step eliminates only the cones the step before added, and takes a
+    determinant only for the cones it adds."""
+    counts = {"eliminate": 0, "det": 0}
+
+    def counted(name, f):
+        def wrapper(*args):
+            counts[name] += 1
+            return f(*args)
+        return wrapper
+
+    monkeypatch.setattr(fan_module, "eliminate", counted("eliminate", fan_module.eliminate))
+    monkeypatch.setattr(weights_module, "det", counted("det", weights_module.det))
+    rng = random.Random(33)
+    tf = bergman_fan(complete_graph_matroid(5))
+    coarse_added = tf.fan.maximal_cones  # a fresh fan holds no record
+    for _ in range(12):
+        coarse = tf
+        c = rng.choice(coarse.fan.maximal_cones)
+        face = rng.sample(c, rng.randint(2, len(c)))
+        scales = [rng.randint(1, 3) for _ in face]
+        v = vec([sum(a * x for a, x in zip(scales, col)) for col in zip(*(coarse.fan.rays[i] for i in face))])
+        counts.update(eliminate=0, det=0)
+        res = stellar_subdivide(coarse.fan, v)
+        fine = res.fan
+        kept = {c for c in fine.maximal_cones if res.new_ray not in c}
+        assert set(fine._quotients) == kept
+        tf = transport_weight(coarse, fine, res.containment)
+        added = tuple(c for c in fine.maximal_cones if c not in kept)
+        assert counts == {"eliminate": len(coarse_added), "det": len(added)}
+        for c in kept:
+            assert _fields(fine.quotient(c)) == _fields(elimination_quotient(fine, c))
+            assert tf.weight[c] == coarse.weight[res.containment[c]]
+        assert tf.weight.values == fraction_transport_weight(coarse, fine).weight.values
+        coarse_added = added
 
 
 def test_ray_records_of_random_marks_match_the_elimination():

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from lorfan import cli, io, lorentzian
+from lorfan import cli, io, lorentzian, matroids
 from lorfan import fan as fan_module
 from lorfan.cli import main
 from lorfan.errors import InputError, InternalError
@@ -22,7 +22,7 @@ from lorfan.fixtures import (
 )
 from lorfan.linalg import ONE
 from lorfan.matroids import bergman_fan, complete_graph_matroid
-from lorfan.weights import MinkowskiWeight, TropicalFan, quadratic_form
+from lorfan.weights import MinkowskiWeight, TropicalFan, divisor_action, quadratic_form
 
 from helpers import triangle_double_cover
 
@@ -450,6 +450,22 @@ def test_matroid_loops_refused_before_any_n_bit_work(tmp_path, capsys):
     assert "999999 loops" in err and "[1, 2, 3, 4, 5]" in err
 
 
+def test_matroid_past_the_ambient_limit_refused_before_the_exchange_check(tmp_path, capsys, monkeypatch):
+    """A rank-one matroid on 3000 elements has no loop, and its Bergman fan
+    would live in R^2999: the refusal comes before the exchange check, which
+    is quadratic in the number of bases."""
+
+    def exchange_check(m):
+        raise AssertionError("the exchange check ran")
+
+    monkeypatch.setattr(matroids, "_check_exchange", exchange_check)
+    m_file = write(tmp_path, "m.json", {"n": 3000, "bases": [[e] for e in range(3000)]})
+    code, out, err = run(capsys, "bergman", "--matroid", m_file)
+    assert code == 2
+    assert out == ""
+    assert err == "input error: ambient_dim 2999 exceeds the limit of 1024\n"
+
+
 @pytest.mark.parametrize("where", ["ambient_dim", "ray", "cone", "weight", "divisor", "matroid"])
 def test_booleans_rejected(tmp_path, capsys, where):
     fan = _fan_json()
@@ -472,6 +488,27 @@ def test_booleans_rejected(tmp_path, capsys, where):
         div_file = write(tmp_path, "d.json", divisor)
         code, _, _ = run(capsys, "convexity", "--fan", fan_file, "--divisor", div_file)
     assert code == 2
+
+
+@pytest.mark.parametrize("where", ["ray", "weight"])
+@pytest.mark.parametrize("bad", [True, False, 1.0, None, [1]], ids=["true", "false", "1.0", "null", "list"])
+def test_non_string_rationals_refused_after_equal_ones(tmp_path, capsys, where, bad):
+    """A file parses each distinct rational string once, keyed on the string
+    alone: a value equal to an earlier 1, "1", 0 or "0" as a Python key is
+    still refused with its own message."""
+    fan = _fan_json()
+    fan["rays"][:2] = [[1, "0"], [0, "1"]]
+    fan["weights"].update({"0,1": 0, "0,2": "0"} if bad is False else {"0,1": 1, "0,2": "1"})
+    if where == "ray":
+        fan["rays"][2][0] = bad
+    else:
+        fan["weights"]["1,2"] = bad
+    with pytest.raises(InputError):
+        io.fan_from_json(json.loads(io.dumps(fan)))
+    code, out, err = run(capsys, "validate", "--fan", write(tmp_path, "fan.json", fan))
+    assert code == 2
+    assert out == ""
+    assert err == f'input error: bad rational {bad!r}: expected a string "p/q" or "p", or an integer\n'
 
 
 def test_exponent_and_decimal_rationals_refused():
@@ -618,6 +655,26 @@ def test_weight_key_naming_no_cone_refused(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert "'7,9' names no cone of the fan" in err
+
+
+def test_top_weight_file_leaves_the_face_index_unbuilt():
+    """The keys of a top weight are maximal cones, so reading a Bergman fan
+    and validating it lists no faces."""
+    blob = json.loads(io.dumps(io.tropical_to_json(bergman_fan(complete_graph_matroid(5)))))
+    fan, weight = io.fan_from_json(blob)
+    assert fan_module.validate(fan).valid
+    assert weight.degree == fan.dimension
+    assert "incident" not in vars(fan) and "_cones_by_dim" not in vars(fan)
+
+
+def test_weight_on_lower_faces_read_through_the_face_index():
+    """An acted weight lives on the rays of the triangle fan, which are not
+    maximal cones: the file reads back equal."""
+    tf = triangle_fan()
+    acted = divisor_action(tf.fan, tf.weight, (ONE, ONE, 2 * ONE))
+    fan, weight = io.fan_from_json(json.loads(io.dumps(io.fan_to_json(tf.fan, acted))))
+    assert weight == acted and weight.degree == 1
+    assert "incident" in vars(fan)
 
 
 def test_negative_ambient_dimension_refused(tmp_path, capsys):
