@@ -21,6 +21,7 @@ from .lp import strict_feasible
 from .fan import (
     MarkedFan,
     StarData,
+    is_complete,
     is_unpinched,
     point_fan,
     product_fan,
@@ -65,7 +66,6 @@ from .matroids import (
 from .ops import (
     MixedVolumeResult,
     act_divisor_fan,
-    is_complete,
     polytope_bridge,
     product_tropical,
     tropical_modification,

@@ -374,6 +374,7 @@ def candidate_divisor(fan: MarkedFan) -> tuple[Fraction, ...]:
 
 # how validate decided the fan condition (None when not simplicial)
 ROUTE_REGULAR = "regular"
+ROUTE_WALLS = "walls"
 ROUTE_PAIRS = "pairs"
 
 
@@ -602,16 +603,102 @@ def _regular(fan: MarkedFan, z, kept) -> Optional[RegularRecord]:
     return tuple(points)
 
 
-def _failures(fan: MarkedFan) -> Iterator[tuple[str, str]]:
-    """`validate`'s failures in report order, each after the report field it
-    makes false, found one at a time: a gate stops at the first."""
-    simplicial = True
+def is_complete(fan: MarkedFan) -> bool:
+    """Whether a simplicial fan covers its ambient space, read off its walls
+    (its cones of dimension d - 1): the fan is d-dimensional in R^d, every
+    wall lies in exactly two maximal cones, and the maximal cones form one
+    class when the two at each wall are joined.
+
+    This is exact on fans that pass `validate`.  There the two cones at a
+    wall have disjoint interiors, so they lie on opposite sides of its
+    hyperplane, and the number of maximal cones containing a point off the
+    walls' hyperplanes is the same everywhere (the argument in `validate`'s
+    docstring).  Disjoint interiors make it at most 1, and points inside a
+    cone make it at least 1, so the cones cover R^d.  On other input the
+    wall counts prove nothing: the double cover of the triangle fan passes
+    them and covers the plane twice.  They are the first test of
+    `validate`'s walls route.
+    """
+    d = fan.dimension
+    if d == 0:
+        return fan.ambient_dim == 0
+    if d != fan.ambient_dim:
+        return False
+    walls = [fan.incident[w] for w in fan.cones(d - 1)]
+    if any(len(cones) != 2 for cones in walls):
+        return False
+    return len(components(fan.maximal_cones, walls)) == 1
+
+
+def _wall_normals(fan: MarkedFan) -> Optional[list[tuple[int, ...]]]:
+    """One int normal per wall tau = sigma1 - eta1 = sigma2 - eta2, in
+    `cones` order, or None unless every wall separates its two cones: the
+    particular functional of eta1 in sigma1's quotient record, which
+    vanishes on tau and is one at u_eta1, must be negative at u_eta2.  The
+    caller has checked `is_complete` on a pure fan of n-ray cones in R^n."""
+    normals = []
+    for tau in fan.cones(fan.ambient_dim - 1):
+        sigma1, sigma2 = fan.incident[tau]
+        normal = fan.quotient(sigma1).particular_rows[next(r for r, i in enumerate(sigma1) if i not in tau)]
+        eta2 = next(i for i in sigma2 if i not in tau)
+        if sum(map(mul, normal, fan.int_marks[eta2][0])) >= 0:
+            return None
+        normals.append(normal)
+    return normals
+
+
+def _generic_point(normals) -> list[int]:
+    """p = (1, t, ..., t^(n-1)) for t = 2 + the largest |entry| of the int
+    normals: p lies on none of their hyperplanes, since normal . p is an int
+    polynomial in t, not zero, and by Cauchy's bound each of its roots has
+    |root| <= 1 + that largest entry (its leading coefficient is at least
+    1 in absolute value)."""
+    t = 2 + max(abs(x) for normal in normals for x in normal)
+    return [t**j for j in range(len(normals[0]))]
+
+
+def _covered_once(fan: MarkedFan) -> bool:
+    """The walls route: whether a pure fan of n-ray cones in R^n, n >= 1,
+    that passes `is_complete` has a normal per wall (`_wall_normals`) and
+    `_generic_point` of those normals in the interior of exactly one maximal
+    cone; False decides nothing.  The point's coordinates in each cone come
+    from the cone's quotient record, and none is zero, since each facet of a
+    maximal cone is a wall whose hyperplane misses the point."""
+    n = fan.ambient_dim
+    if n < 1 or any(len(c) != n for c in fan.maximal_cones) or not is_complete(fan):
+        return False
+    normals = _wall_normals(fan)
+    if normals is None:
+        return False
+    p = _generic_point(normals)
+    covering = 0
+    for sigma in fan.maximal_cones:
+        coords = fan.quotient(sigma).coordinates(p)
+        if not all(coords):
+            raise InternalError("the generic point lies on a wall's hyperplane")
+        covering += min(coords) > 0
+    return covering == 1
+
+
+def _fan_route(fan: MarkedFan) -> str:
+    """The route that decides the fan condition on a simplicial fan: the
+    first of the regular and the walls route that proves it, else pairs."""
+    if fan.regular(candidate_divisor(fan)):
+        return ROUTE_REGULAR
+    if _covered_once(fan):
+        return ROUTE_WALLS
+    return ROUTE_PAIRS
+
+
+def _shape_failures(fan: MarkedFan) -> Iterator[tuple[str, str]]:
+    """`validate`'s failures before the fan condition's, in report order,
+    each after the report field it makes false, found one at a time: a gate
+    stops at the first."""
     # the elimination that decides simpliciality keeps the cone's quotient record
     for c in fan.maximal_cones:
         try:
             fan.quotient(c)
         except PreconditionError:
-            simplicial = False
             yield "simplicial", f"cone {c} has linearly dependent marks"
 
     d = fan.dimension
@@ -622,23 +709,65 @@ def _failures(fan: MarkedFan) -> Iterator[tuple[str, str]]:
     if used != set(range(len(fan.rays))):
         yield "all_rays_used", "some rays belong to no maximal cone"
 
-    if simplicial and not fan.regular(candidate_divisor(fan)):
-        for c1, c2 in itertools.combinations(fan.maximal_cones, 2):
-            if not _meet_in_shared_face(fan, c1, c2):
-                yield "fan_condition", f"cones {c1} and {c2} overlap beyond their shared face"
+
+def _overlaps(fan: MarkedFan) -> Iterator[str]:
+    """The pairs route's failures, one pair LP at a time."""
+    for c1, c2 in itertools.combinations(fan.maximal_cones, 2):
+        if not _meet_in_shared_face(fan, c1, c2):
+            yield f"cones {c1} and {c2} overlap beyond their shared face"
 
 
 def validate(fan: MarkedFan) -> ValidationReport:
     """Structural report: simpliciality, purity, ray usage, and the fan
-    condition, decided with the candidate divisor as height function (per
-    maximal cone, free points and then LPs on the rays their functionals
-    violate, until one passes every ray), or, when that fails, by one
-    separating-functional LP per pair of maximal cones."""
-    failures = list(_failures(fan))
+    condition, which a simplicial fan decides by the first of three routes
+    that proves it, named in the report.
+
+    - "regular": the candidate divisor is a height function (per maximal
+      cone, free points and then LPs on the rays their functionals violate,
+      until one passes every ray; the lemma in `_regular`'s docstring).
+    - "walls", on a pure fan of n-ray cones in R^n, n >= 1, by exact sign
+      tests and no LP: (a) every wall lies in exactly two maximal cones
+      (`is_complete`); (b) at each wall tau = sigma1 - eta1 = sigma2 - eta2,
+      the functional vanishing on tau and one at u_eta1 is negative at
+      u_eta2, so the two cones lie on opposite sides of tau's hyperplane;
+      (c) the point p = (1, t, ..., t^(n-1)), with t two more than the
+      largest |entry| of those functionals' int rows, lies in exactly one
+      maximal cone.  By Cauchy's root bound p lies on no wall's hyperplane.
+      This is the pseudomanifold characterization of triangulations with
+      one point covered once (De Loera, Rambau and Santos, Triangulations,
+      2010) in its fan form: a finite set of full-dimensional simplicial
+      cones in R^n with (a), (b) and (c) is a complete fan.  Let c(x) count
+      the cones containing x, at points x off every wall's hyperplane.  It
+      is locally constant there, and it does not change across a
+      hyperplane H at a point x on no other: a cone with x on its boundary
+      has x in the relative interior of one facet on H (two facets of a
+      simplicial cone span different hyperplanes), that facet is a wall,
+      and its two cones lie on opposite sides of H, so crossing H leaves
+      one cone and enters one.  Such crossings join any two points off the
+      hyperplanes, since two hyperplanes meet in codimension two (for
+      n = 1, (a) and (b) give two rays of opposite signs).  So c = c(p) = 1:
+      the cones cover R^n and their interiors are disjoint.  In the star
+      of a cone G, whose walls are the images of the walls through G, (a)
+      and (b) hold too, so its count is a constant, at least 1; near a
+      point of G's relative interior the cones through G cover with that
+      count, so it is 1, and they cover a neighborhood of the point.  For
+      x in two cones A and D, let G_A and G_D be
+      the faces of A and D that hold x in their relative interiors: each
+      cone through G_D meets the cones through G_A in an open set near x,
+      so it is one of them, and the other way round; hence D contains G_A,
+      G_A = G_D, and A and D meet in the cone on their shared rays.
+    - "pairs": one separating-functional LP per pair of maximal cones
+      (`_meet_in_shared_face`), which decides every simplicial fan and
+      names each pair that overlaps.
+
+    A failed route decides nothing, so every refusal comes from the pairs
+    route."""
+    failures = list(_shape_failures(fan))
+    simplicial = all(field != "simplicial" for field, _ in failures)
+    route = _fan_route(fan) if simplicial else None
+    if route == ROUTE_PAIRS:
+        failures += (("fan_condition", message) for message in _overlaps(fan))
     failed = {field for field, _ in failures}
-    route = None
-    if "simplicial" not in failed:
-        route = ROUTE_REGULAR if fan.regular(candidate_divisor(fan)) else ROUTE_PAIRS
     return ValidationReport(
         simplicial="simplicial" not in failed,
         pure="pure" not in failed,
@@ -653,9 +782,11 @@ def require_fan(fan: MarkedFan, message: str) -> None:
     """The gate of every operation whose mathematics assumes a fan: raise
     PreconditionError with the message and `validate`'s first failure, found
     without looking for the others."""
-    failure = next(_failures(fan), None)
+    failure = next((failure for _, failure in _shape_failures(fan)), None)
+    if failure is None and _fan_route(fan) == ROUTE_PAIRS:
+        failure = next(_overlaps(fan), None)
     if failure is not None:
-        raise PreconditionError(f"{message}: {failure[1]}")
+        raise PreconditionError(f"{message}: {failure}")
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from typing import NamedTuple, Sequence
 
 from .convexity import require_convex
 from .errors import PreconditionError
-from .fan import MarkedFan, components, cone_key, product_fan, require_fan
+from .fan import MarkedFan, cone_key, is_complete, product_fan, require_fan
 from .linalg import ZERO, ONE
 from .weights import (
     Divisor,
@@ -99,24 +99,6 @@ def tropical_modification(tf: TropicalFan, z: Divisor) -> TropicalFan:
 
 # ---------------------------------------------------------------------------
 # complete fans and polytopes
-
-
-def is_complete(fan: MarkedFan) -> bool:
-    """Two-sided codimension-one incidence plus facet-connectivity.
-
-    Exact and sufficient for pure simplicial fans at desk scale: a fan whose
-    walls all bound two maximal cones and whose maximal cones form one class
-    when those around each wall are joined covers the whole space.
-    """
-    d = fan.dimension
-    if d == 0:
-        return fan.ambient_dim == 0
-    if d != fan.ambient_dim:
-        return False
-    walls = [fan.incident[w] for w in fan.cones(d - 1)]
-    if any(len(cones) != 2 for cones in walls):
-        return False
-    return len(components(fan.maximal_cones, walls)) == 1
 
 
 class MixedVolumeResult(NamedTuple):

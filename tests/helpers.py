@@ -15,7 +15,17 @@ from unittest import mock
 
 from lorfan import convexity, fixtures, linalg, lorentzian, lp, matroids
 from lorfan.errors import BalancingError, DimensionError, InternalError, PreconditionError
-from lorfan.fan import MarkedFan, Neighborhood, Quotient, StellarSubdivision, _neighborhood, cone_key, star
+from lorfan.fan import (
+    MarkedFan,
+    Neighborhood,
+    Quotient,
+    StellarSubdivision,
+    _neighborhood,
+    cone_key,
+    product_fan,
+    star,
+    stellar_subdivide,
+)
 from lorfan.linalg import ONE, ZERO, Inertia, fractions, is_symmetric, mat, over_lcd, vec
 from lorfan.lorentzian import AFReport, SampleCheckReport, StarSampleRecord, is_log_concave, is_unimodal
 from lorfan.lp import FeasibilityCertificate, StrictFeasibility
@@ -1027,6 +1037,82 @@ def triangle_double_cover() -> MarkedFan:
     rays = tuple(vec(u) for u in ((1, 0), (0, 1), (-1, -1))) * 2
     cones = ((0, 1), (1, 5), (3, 5), (3, 4), (2, 4), (0, 2))
     return MarkedFan(ambient_dim=2, rays=rays, maximal_cones=tuple(sorted(cones)))
+
+
+# ---------------------------------------------------------------------------
+# complete fans beyond the stock ones
+
+
+def twisted_prism_times_line() -> MarkedFan:
+    """The twisted prism times the line fan: complete in R^4, 16 cones."""
+    return product_fan(fixtures.twisted_prism_fan().fan, fixtures.line_fan().fan)
+
+
+def stellar_twisted_prism(seed: int) -> MarkedFan:
+    """The twisted prism starred in turn at two nonzero int points of
+    [-3, 3]^3 drawn from random.Random(seed); the fan is complete, so both
+    lie in its support, and the result is complete too."""
+    rng = random.Random(seed)
+    fan = fixtures.twisted_prism_fan().fan
+    for _ in range(2):
+        v = [0, 0, 0]
+        while not any(v):
+            v = [rng.randint(-3, 3) for _ in range(3)]
+        fan = stellar_subdivide(fan, vec(v)).fan
+    return fan
+
+
+def face_fan_points(rng: random.Random, count: int, d: int) -> list:
+    """count int points uniform in [-12, 12]^d, then 12 e_i for each i and
+    (-12, ..., -12), whose simplex holds the origin in its interior."""
+    points = [tuple(rng.randint(-12, 12) for _ in range(d)) for _ in range(count)]
+    points += [tuple(12 * (i == j) for j in range(d)) for i in range(d)]
+    return points + [(-12,) * d]
+
+
+def exact_facets(points, simplices) -> Optional[list]:
+    """The facets that scipy's hull gives, as sorted point-index tuples, when
+    each is exact: every other point and the origin lie strictly on one
+    side of its hyperplane, by the sign of an exact determinant; else
+    None."""
+    origin = (0,) * len(points[0])
+    facets = []
+    for simplex in simplices:
+        facet = tuple(sorted(int(i) for i in simplex))
+        base = points[facet[0]]
+        edges = [[x - y for x, y in zip(points[i], base)] for i in facet[1:]]
+        others = [q for i, q in enumerate(points) if i not in facet] + [origin]
+        dets = [fraction_det(edges + [[x - y for x, y in zip(q, base)]]) for q in others]
+        if 0 in dets or len({v > 0 for v in dets}) != 1:
+            return None
+        facets.append(facet)
+    return facets
+
+
+def random_face_fan(seed: int, count: int = 12, d: int = 3) -> TropicalFan:
+    """The face fan of the hull of face_fan_points drawn from
+    random.Random(seed).  scipy.spatial.ConvexHull finds the facets in
+    floats, so each is checked exactly (`exact_facets`), and a draw that
+    fails the check is replaced by the generator's next draw, whatever
+    lorfan would say of it.  The rays are the hull's vertices in point
+    order, the maximal cones its facets, and a cone sigma has weight
+    L / |det u_sigma|, L the lcm of the determinants, as the twisted prism
+    has it.  The origin is interior, so the fan is complete and is the
+    normal fan of the polar polytope."""
+    from scipy.spatial import ConvexHull
+
+    rng = random.Random(seed)
+    facets = None
+    while facets is None:
+        points = face_fan_points(rng, count, d)
+        facets = exact_facets(points, ConvexHull(points).simplices)
+    vertices = sorted(set().union(*facets))
+    index = {v: i for i, v in enumerate(vertices)}
+    cones = tuple(sorted(tuple(index[v] for v in facet) for facet in facets))
+    fan = MarkedFan(d, tuple(vec(points[v]) for v in vertices), cones)
+    dets = {c: abs(fraction_det([fan.rays[i] for i in c])) for c in cones}
+    scale = math.lcm(*(int(v) for v in dets.values()))
+    return TropicalFan(fan, MinkowskiWeight(d, {c: Fraction(scale) / v for c, v in dets.items()}))
 
 
 # the fixture set on which every fast route is compared with its oracle

@@ -2,11 +2,12 @@
 
 validate decides the fan condition by the regular route (the candidate
 divisor as a height function: per maximal cone, free points and then LPs,
-its rows generated from the rays each point violates) and falls back to one
-separating LP per pair of maximal cones; both are compared with an overlap
-oracle that solves for a common point of two cones directly, and the
-regular route with the oracle that solves each cone's program on all its
-rows at once.
+its rows generated from the rays each point violates), then on complete
+fans by the walls route (exact sign tests at the walls and one generic
+point), and falls back to one separating LP per pair of maximal cones; the
+pairs are compared with an overlap oracle that solves for a common point of
+two cones directly, the other routes with the pairs, and the regular route
+with the oracle that solves each cone's program on all its rows at once.
 """
 
 import functools
@@ -25,7 +26,18 @@ from lorfan import fan as fan_module
 from lorfan import fixtures
 from lorfan.convexity import ROUTE_JOINT_LP, classify_convexity, spanning_rays, strictly_convex_witness
 from lorfan.errors import InternalError, PreconditionError
-from lorfan.fan import MarkedFan, ROUTE_PAIRS, ROUTE_REGULAR, _meet_in_shared_face, _regular, candidate_divisor, require_fan, validate
+from lorfan.fan import (
+    MarkedFan,
+    ROUTE_PAIRS,
+    ROUTE_REGULAR,
+    ROUTE_WALLS,
+    _covered_once,
+    _meet_in_shared_face,
+    _regular,
+    candidate_divisor,
+    require_fan,
+    validate,
+)
 from lorfan.io import fan_from_json
 from lorfan.linalg import ZERO, fractions, over_lcd, vec
 from lorfan.lp import StrictFeasibility
@@ -52,7 +64,8 @@ from helpers import (
 )
 
 FANS = {**STOCK_FANS, **BERGMAN_FANS, "double_cover": triangle_double_cover}
-# valid fans that no height function fits, so the pairs route decides them
+# valid fans that no height function fits; complete, so the walls route
+# decides them
 NOT_REGULAR = {"twisted_prism"}
 
 
@@ -80,21 +93,23 @@ def test_pair_test_matches_overlap_oracle_on_random_fans():
 
 
 def _check_routes(fan):
-    """validate's verdict is the pair LPs' verdict, the regular route is
-    sound, and the report names the route that decided; returns the route."""
+    """validate's verdict is the pair LPs' verdict, the regular and the
+    walls route are sound, and the report names the first route that
+    proves the fan condition, else pairs; returns the route."""
     pairs = not any(_pair_verdicts(fan, _separated))
     regular = _regular(fan, candidate_divisor(fan), {}) is not None
+    walls = _covered_once(fan)
     report = validate(fan)
     assert report.fan_condition == pairs
-    assert pairs or not regular
-    assert report.fan_condition_route == (ROUTE_REGULAR if regular else ROUTE_PAIRS)
+    assert pairs or not (regular or walls)
+    assert report.fan_condition_route == (ROUTE_REGULAR if regular else ROUTE_WALLS if walls else ROUTE_PAIRS)
     return report.fan_condition_route
 
 
 @pytest.mark.parametrize("name", sorted(FANS))
 def test_validate_matches_pair_verdict(name):
     route = _check_routes(FANS[name]())
-    expected = ROUTE_PAIRS if name in NOT_REGULAR | {"double_cover"} else ROUTE_REGULAR
+    expected = ROUTE_WALLS if name in NOT_REGULAR else ROUTE_PAIRS if name == "double_cover" else ROUTE_REGULAR
     assert route == expected
 
 
@@ -173,6 +188,15 @@ def test_validate_lp_calls_per_route(monkeypatch):
     assert fan.maximal_cones[0] == (0, 1)
     assert sizes[:2] == [2, 2]
     assert len(sizes) == 1 + math.comb(len(fan.maximal_cones), 2) == 16
+    # the twisted prism: c_F fails at its first cone (0, 1, 2) by 1 LP (the
+    # relaxation step skips rows with zero image), and then the walls route
+    # proves the fan condition with no LP, where the pairs route solved 28
+    sizes.clear()
+    fan = fixtures.twisted_prism_fan().fan
+    report = validate(fan)
+    assert report.valid and report.fan_condition_route == ROUTE_WALLS
+    assert fan.maximal_cones[0] == (0, 1, 2)
+    assert len(sizes) == 1
     # on the Bergman ladder the particular functional passes at all 30
     # maximal cones of U(3,6), at none of the 21 of Fano and at 60 of the
     # 180 of M(K5); at each other cone the relaxation step, over the rows of
