@@ -49,7 +49,8 @@ class Quotient(NamedTuple):
     divides `den` and every numerator of the record, though a single row
     need not be in lowest terms.  `annihilators` makes the Fraction matrix on
     each access.  The methods take a point nums / d as the int numerators of
-    its entries over any positive d, and give numerators over den * d.
+    its entries over any positive d, and give numerators over den * d.  A
+    ray's record is a `RayQuotient`, with the same fields and methods.
     """
 
     pivots: tuple[int, ...]
@@ -90,6 +91,8 @@ class Quotient(NamedTuple):
         form for exactly one w.
         """
         phi = [0] * (len(self.pivots) + len(self.annihilator_rows))
+        if len(nums) > len(phi):
+            raise InternalError("more coefficients than particular and annihilator rows")
         for coeff, row in zip(nums, itertools.chain(self.particular_rows, self.annihilator_rows)):
             if coeff:
                 for j, x in enumerate(row):
@@ -98,31 +101,75 @@ class Quotient(NamedTuple):
         return phi, d * self.den
 
 
-def _ray_quotient(nums, d: int) -> Quotient:
-    """The record of one ray's span in closed form, field by field what the
-    elimination of [nums | d] over d gives: the pivot is the first nonzero
-    numerator a, the row divided by g = gcd(d, *nums) and by a's sign is over
-    den = |a| / g, the particular functional is d / a on the pivot, and
-    annihilator j is e_j - (nums[j] / a) e_pivot."""
-    n = len(nums)
+class RayQuotient(NamedTuple):
+    """A ray's quotient record in closed form, from its mark nums / d with
+    first nonzero numerator a and g = gcd(d, *nums) signed like a: the pivot
+    is a's column, den = a / g, the particular functional is `scale` = d / g
+    at the pivot, and annihilator j at x is den * x_j - mark[j] * x_pivot for
+    `mark` = nums / g.  The methods are `Quotient`'s in O(n), with the same
+    ints; the dense rows, those of the elimination, are made on each access.
+    """
+
+    pivot: int
+    den: int
+    scale: int
+    mark: tuple[int, ...]
+
+    @property
+    def pivots(self) -> tuple[int, ...]:
+        return (self.pivot,)
+
+    @property
+    def particular_rows(self) -> IntRows:
+        return (tuple(self.scale if j == self.pivot else 0 for j in range(len(self.mark))),)
+
+    @property
+    def annihilator_rows(self) -> IntRows:
+        c, den, n = self.pivot, self.den, len(self.mark)
+        return tuple(
+            tuple(den if i == j else -x if i == c else 0 for i in range(n)) for j, x in enumerate(self.mark) if j != c
+        )
+
+    annihilators = Quotient.annihilators
+
+    @property
+    def codim(self) -> int:
+        return len(self.mark) - 1
+
+    def project(self, nums) -> list[int]:
+        xc, den = nums[self.pivot], self.den
+        image = [den * x - m * xc for x, m in zip(nums, self.mark)]
+        del image[self.pivot]
+        return image
+
+    def in_span(self, nums) -> bool:
+        xc, den = nums[self.pivot], self.den
+        return all(den * x == m * xc for x, m in zip(nums, self.mark))
+
+    def coordinates(self, nums) -> list[int]:
+        return [self.scale * nums[self.pivot]]
+
+    def functional(self, nums, d: int) -> tuple[list[int], int]:
+        c, n = self.pivot, len(self.mark)
+        if len(nums) > n:
+            raise InternalError("more coefficients than particular and annihilator rows")
+        w = nums[1:]
+        phi = [self.den * x for x in w] + [0] * (n - 1 - len(w))
+        lead = nums[0] * self.scale if nums else 0
+        phi.insert(c, lead - sum(map(mul, w, self.mark[:c] + self.mark[c + 1:])))
+        return phi, d * self.den
+
+
+def _ray_quotient(nums, d: int) -> RayQuotient:
     c = next(j for j, x in enumerate(nums) if x)
     g = gcd(d, *nums)
     if nums[c] < 0:
         g = -g
-    den = nums[c] // g
-    particular = [0] * n
-    particular[c] = d // g
-    annihilators = []
-    for j, x in enumerate(nums):
-        if j != c:
-            row = [0] * n
-            row[j], row[c] = den, -(x // g)
-            annihilators.append(tuple(row))
-    return Quotient((c,), den, (tuple(particular),), tuple(annihilators))
+    return RayQuotient(c, nums[c] // g, d // g, tuple(x // g for x in nums))
 
 
-def _quotient(fan: MarkedFan, cone: Cone) -> Optional[Quotient]:
-    """A ray's record from `_ray_quotient`; for any other cone, one
+def _quotient(fan: MarkedFan, cone: Cone) -> Optional[Quotient | RayQuotient]:
+    """A ray's closed-form record (`RayQuotient`); for any other cone, one
     elimination of [marks | identity], or None when the marks are dependent:
     the left block becomes the reduced echelon form of the marks, and the
     right block inverts the marks on the pivot columns, which gives the
@@ -305,10 +352,10 @@ class MarkedFan:
         return tuple((tuple(nums), d) for nums, d in map(over_lcd, self.rays))
 
     @cached_property
-    def _quotients(self) -> dict[Cone, Quotient]:
+    def _quotients(self) -> dict[Cone, Quotient | RayQuotient]:
         return {}
 
-    def quotient(self, cone: Cone) -> Quotient:
+    def quotient(self, cone: Cone) -> Quotient | RayQuotient:
         """The quotient record of a cone's span, computed on first use."""
         q = self._quotients.get(cone)
         if q is None:
@@ -811,6 +858,12 @@ class StarData(NamedTuple):
 
 
 def star(fan: MarkedFan, apex: Cone) -> StarData:
+    """The star of a cone: the fan in R^n / span(apex) of the images of the
+    maximal cones containing the apex, less the apex's rays.  The star rays
+    are the neighborhood rays (`MarkedFan.neighborhood`), in ray order, each
+    marked by its image under the apex's annihilators; the empty apex gives
+    the fan itself.  Raises PreconditionError when the apex is not a cone,
+    or a neighborhood ray lies in its span."""
     apex = cone_key(apex)
     if apex not in fan.incident:
         raise PreconditionError(f"{apex} is not a cone of the fan")

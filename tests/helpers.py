@@ -617,8 +617,8 @@ def fraction_quotient(fan: MarkedFan, cone):
 def elimination_quotient(fan: MarkedFan, cone) -> Optional[Quotient]:
     """The int quotient record of any cone from one elimination of [marks |
     identity], or None when the marks are dependent: the route
-    `fan._quotient` takes for every cone but a ray, whose closed form it
-    checks field by field."""
+    `fan._quotient` takes for every cone but a ray, whose closed form
+    (`fan.RayQuotient`) it checks field by field and method by method."""
     n, k = fan.ambient_dim, len(cone)
     rows, dens = [], []
     for r, i in enumerate(cone):

@@ -7,17 +7,18 @@ import itertools
 import math
 import random
 import re
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
 from lorfan import fan as fan_module
 from lorfan import weights as weights_module
-from lorfan.errors import BalancingError, PreconditionError
+from lorfan.errors import BalancingError, InternalError, PreconditionError
 from lorfan.fan import MarkedFan, star, stellar_subdivide, validate
 from lorfan.fixtures import triangle_fan
 from lorfan.linalg import fractions, over_lcd, vec
-from lorfan.matroids import bergman_fan, complete_graph_matroid, uniform_matroid
+from lorfan.matroids import _flat_mark, bergman_fan, complete_graph_matroid, uniform_matroid
 from lorfan.weights import (
     MinkowskiWeight,
     _act,
@@ -25,6 +26,7 @@ from lorfan.weights import (
     _mark_sum,
     acted_weights,
     check_balancing,
+    constant_weight,
     divisor_action,
     mixed_degrees,
     quadratic_form,
@@ -346,13 +348,21 @@ def test_ray_records_and_inherited_int_marks_match_the_elimination(name, kind):
     `helpers.stellar_points` inside the support: each cone's record equals
     the elimination's, the closed form on every ray among them, and each
     derived fan's `int_marks`, handed over from its parent's records, equal
-    over_lcd of its Fraction rays."""
+    over_lcd of its Fraction rays.  At each ray the neighborhood record and
+    the star, its projection included, are those that the elimination's
+    record of the ray gives."""
     fan = _record_fan(name, kind)
     sizes = _check_records(fan)
+    oracle = MarkedFan(fan.ambient_dim, fan.rays, fan.maximal_cones)
     for r in range(len(fan.rays)):
         sd = star(fan, (r,))
         assert "int_marks" in vars(sd.fan)
         sizes |= _check_records(sd.fan)
+        oracle._quotients[(r,)] = elimination_quotient(oracle, (r,))
+        expected = star(oracle, (r,))
+        assert fan.neighborhood((r,)) == oracle.neighborhood((r,))
+        assert sd.projection == expected.projection == oracle.quotient((r,)).annihilators
+        assert (sd.fan, sd.fan.int_marks, sd.lift) == (expected.fan, expected.fan.int_marks, expected.lift)
     for v in stellar_points(fan, random.Random(name)):
         try:
             fine = stellar_subdivide(fan, v).fan
@@ -405,9 +415,13 @@ def test_subdivision_chain_reuses_kept_records_and_weights(monkeypatch):
 
 def test_ray_records_of_random_marks_match_the_elimination():
     """Seeded random marks in R^1 to R^5 with zero, negative and rational
-    leading entries and entries sharing factors with their denominator."""
+    leading entries, entries sharing factors with their denominator, and the
+    pivot at the last column (in R^1 the codim is 0).  The closed-form
+    record equals the elimination's through its dense views, field by
+    field, and method by method at a random point and at points of the
+    span; `functional` with w omitted, partial and full."""
     rng = random.Random(29)
-    leads = set()
+    leads, pivots = set(), set()
     for _ in range(400):
         n = rng.randint(1, 5)
         u = [Fraction(rng.choice((0, 0, rng.randint(-12, 12))), rng.choice((1, 1, 2, 3, 4, 6))) for _ in range(n)]
@@ -416,5 +430,68 @@ def test_ray_records_of_random_marks_match_the_elimination():
         fan = MarkedFan(n, (tuple(u),), ((0,),))
         lead = next(x for x in u if x)
         leads.add((lead < 0, lead.denominator > 1, u[0] == 0))
-        assert _fields(fan.quotient((0,))) == _fields(elimination_quotient(fan, (0,)))
+        q, expected = fan.quotient((0,)), elimination_quotient(fan, (0,))
+        assert type(q) is fan_module.RayQuotient
+        assert _fields(q) == _fields(expected)
+        assert (q.annihilators, q.codim) == (expected.annihilators, expected.codim)
+        pivots.add((n, q.pivot == n - 1))
+        nums = fan.int_marks[0][0]
+        for x in ([rng.randint(-7, 7) for _ in range(n)], [3 * v for v in nums], [-v for v in nums]):
+            assert q.project(x) == expected.project(x)
+            assert q.in_span(x) is expected.in_span(x)
+            assert q.coordinates(x) == expected.coordinates(x)
+        assert q.in_span(nums)
+        for k in range(n + 1):
+            coefficients, d = [rng.randint(-7, 7) for _ in range(k)], rng.randint(1, 5)
+            assert q.functional(coefficients, d) == expected.functional(coefficients, d)
     assert leads == set(itertools.product((False, True), repeat=3))
+    assert {(1, True), (5, True), (5, False)} <= pivots
+
+
+def test_functional_refuses_more_coefficients_than_rows():
+    """Both record kinds refuse more than k + codim coefficients, rather than
+    drop the extra ones."""
+    fan = triangle_fan().fan
+    for cone in ((0,), (0, 1), ()):
+        q = fan.quotient(cone)
+        full = [1] * (len(q.pivots) + q.codim)
+        q.functional(full, 1)
+        with pytest.raises(InternalError, match="more coefficients"):
+            q.functional(full + [1], 1)
+    assert type(fan.quotient((0,))) is fan_module.RayQuotient
+    assert type(fan.quotient((0, 1))) is fan_module.Quotient
+
+
+def _u3_bergman_fan(n):
+    """The Bergman fan of U(3,n) from its flats, the singletons and the pairs,
+    each pair's ray spanning a cone with each of its singletons' rays, in
+    `bergman_fan`'s order; `uniform_matroid(3, 50)` alone checks its 19 600
+    bases for over a second."""
+    flats = [1 << i for i in range(n)] + [1 << i | 1 << j for i, j in itertools.combinations(range(n), 2)]
+    index = {f: k for k, f in enumerate(flats)}
+    cones = sorted((index[1 << a], index[1 << i | 1 << j]) for i, j in itertools.combinations(range(n), 2) for a in (i, j))
+    return MarkedFan(n - 1, tuple(_flat_mark(n, f) for f in flats), tuple(cones))
+
+
+def test_ray_records_stay_linear_in_the_ambient_dimension():
+    """A scale guard: on the Bergman fan of U(3,50), 1275 rays in R^49,
+    `check_balancing` reads a record at every ray and `star` builds one at
+    every ray.  Under `tracemalloc`, dense records of 48 rows of 49 ints
+    took 28 MB for the first; closed-form ones take some 1 MB, and the
+    stars 4 MB for the neighborhood records that the fan keeps."""
+    assert _u3_bergman_fan(7) == bergman_fan(uniform_matroid(3, 7)).fan
+    fan = _u3_bergman_fan(50)
+    w = constant_weight(fan)
+    fan.cofaces, fan.int_marks
+    tracemalloc.start()
+    try:
+        assert check_balancing(fan, w) == ()
+        balancing = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        for r in range(len(fan.rays)):
+            star(fan, (r,))
+        stars = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(fan._quotients) == len(fan.rays) == 1275
+    assert balancing < 4_000_000 and stars < 10_000_000
