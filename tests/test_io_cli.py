@@ -162,6 +162,21 @@ def test_cli_bergman_and_balance(tmp_path, capsys):
     assert json.loads(out)["balanced"]
 
 
+def test_cli_balance_refuses_a_face_on_dependent_marks(tmp_path, capsys):
+    """The 2-face {0, 1} of the first cone has parallel marks: balancing
+    there is undefined, and the refusal names that face."""
+    fan_file = write(tmp_path, "dependent.json", {
+        "ambient_dim": 3,
+        "rays": [["1", "0", "0"], ["2", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
+        "maximal_cones": [[0, 1, 2], [1, 2, 3]],
+        "weights": {"0,1,2": "1", "1,2,3": "1"},
+    })
+    code, out, err = run(capsys, "balance", "--fan", fan_file)
+    assert code == 3
+    assert out == ""
+    assert "cone (0, 1) has dependent marks" in err
+
+
 def test_cli_product_star_stellar(tmp_path, capsys):
     t_file = write(tmp_path, "t.json", io.tropical_to_json(triangle_fan()))
     l_file = write(tmp_path, "l.json", io.tropical_to_json(line_fan()))
