@@ -123,7 +123,7 @@ def cmd_lorentzian(args):
     cert = is_lorentzian(tf)
     payload = {
         "verdict": "yes" if cert.verdict else "no",
-        "marking": [_rats(u) for u in cert.marking],
+        "marking": [io.mark_to_json(mark) for mark in cert.marking],
         "quasiprojective": cert.quasiprojective,
         "witness": None if cert.witness is None else _rats(cert.witness),
         "witness_route": cert.witness_route,
@@ -238,7 +238,7 @@ def cmd_mixedvol(args):
     polytopes = [io.polytope_from_json(io.load_json_file(p)) for p in args.polytope]
     fan = polytopes[0][0]
     for other, _ in polytopes[1:]:
-        if other.rays != fan.rays or other.maximal_cones != fan.maximal_cones:
+        if other.int_marks != fan.int_marks or other.maximal_cones != fan.maximal_cones:
             raise PreconditionError("polytopes must share one normal fan")
     result = polytope_bridge(fan, [rhs for _, rhs in polytopes])
     _emit(args, {

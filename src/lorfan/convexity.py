@@ -81,7 +81,7 @@ def classify_convexity(fan: MarkedFan, z, strict: bool = False) -> ConvexityCert
     One max-slack program per cone decides both levels, so a failed strict
     test still tells convex from not convex at all.
     """
-    if len(z) != len(fan.rays):
+    if len(z) != len(fan.int_marks):
         raise PreconditionError("divisor has one value per ray")
     witnesses = []
     failing = []
@@ -165,7 +165,7 @@ def _cut_loop(fan: MarkedFan):
     route).  A cut's master row is sum lam_eta times the joint program's
     row at (tau, eta), on the z columns."""
     pinned = set(spanning_rays(fan))
-    column = {i: k for k, i in enumerate(i for i in range(len(fan.rays)) if i not in pinned)}
+    column = {i: k for k, i in enumerate(i for i in range(len(fan.int_marks)) if i not in pinned)}
     hoods = [h for h in map(fan.neighborhood, fan.all_cones()) if h.rays]
     z, route, master, cuts, rows = candidate_divisor(fan), ROUTE_CANDIDATE, None, [], []
     while True:
@@ -190,7 +190,7 @@ def _cut_loop(fan: MarkedFan):
         if not master.feasible:
             return None, route, cuts, master
         values = iter(master.point)
-        z = tuple(ZERO if i in pinned else next(values) for i in range(len(fan.rays)))
+        z = tuple(ZERO if i in pinned else next(values) for i in range(len(fan.int_marks)))
 
 
 def find_strictly_convex(fan: MarkedFan) -> Optional[tuple]:

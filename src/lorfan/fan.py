@@ -8,7 +8,6 @@ on a subset of its rays, so no other cones need to be stored.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
@@ -16,7 +15,7 @@ from operator import mul
 from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .errors import DimensionError, InternalError, PreconditionError
-from .linalg import Mat, Vec, ZERO, eliminate, fractions, over_lcd, vec
+from .linalg import Mat, Vec, eliminate, fractions, over_lcd, vec
 from .lp import LinearRow, strict_feasible
 
 Cone = tuple[int, ...]
@@ -143,8 +142,7 @@ class RayQuotient(NamedTuple):
         return image
 
     def in_span(self, nums) -> bool:
-        xc, den = nums[self.pivot], self.den
-        return all(den * x == m * xc for x, m in zip(nums, self.mark))
+        return parallel(nums, self.mark, self.pivot)
 
     def coordinates(self, nums) -> list[int]:
         return [self.scale * nums[self.pivot]]
@@ -158,6 +156,13 @@ class RayQuotient(NamedTuple):
         lead = nums[0] * self.scale if nums else 0
         phi.insert(c, lead - sum(map(mul, w, self.mark[:c] + self.mark[c + 1:])))
         return phi, d * self.den
+
+
+def parallel(x, u, c: int) -> bool:
+    """Whether the int vector x is a multiple of u, whose first nonzero
+    entry is at c: x_j * u_c == u_j * x_c at every j."""
+    a, t = u[c], x[c]
+    return all(a * v == m * t for v, m in zip(x, u))
 
 
 def _ray_quotient(nums, d: int) -> RayQuotient:
@@ -214,8 +219,8 @@ class Neighborhood(NamedTuple):
     functionals at that mark, so the functional matching z on the cone takes
     sum(z[cone[r]] * coords[e][r]) there, k products for a k-cone.  Both are
     over the positive denominator `dens[e]`, and the three are in lowest
-    terms together.  `images` makes the star's Fraction marks on each
-    access; `rows(z)` makes int max-slack rows.  The record of
+    terms together; `star` reduces each image with its denominator to the
+    star ray's int mark.  `rows(z)` makes int max-slack rows.  The record of
     `MarkedFan.neighborhood` runs over the neighborhood rays; `_regular`
     builds others, over the rays each iterate of a maximal cone's
     cutting-plane loop adds, and `validate` over the rays two cones do not
@@ -227,10 +232,6 @@ class Neighborhood(NamedTuple):
     image_rows: IntRows
     coord_rows: IntRows
     dens: tuple[int, ...]
-
-    @property
-    def images(self) -> tuple[Vec, ...]:
-        return tuple(map(fractions, self.image_rows, self.dens))
 
     def rows(self, z) -> list[LinearRow]:
         """One int max-slack row phi(u_eta) + t <= z_eta per ray, over the
@@ -273,44 +274,100 @@ def _neighborhood(fan: MarkedFan, cone: Cone, rays: tuple[int, ...]) -> Neighbor
     return Neighborhood(cone, rays, tuple(images), tuple(coords), tuple(dens))
 
 
-@dataclass(frozen=True)
+# a ray mark as its int numerators over their least common positive
+# denominator
+Mark = tuple[tuple[int, ...], int]
+
+
+def int_mark(values) -> Mark:
+    """A mark given by rationals (Fractions or ints) as a `Mark`."""
+    nums, d = over_lcd(values)
+    return tuple(nums), d
+
+
 class MarkedFan:
     """A simplicial fan: ray marks and maximal cones as sorted ray-index tuples.
 
-    The cone index (`cones`, `incident`, `cofaces`), the marks as ints
-    (`int_marks`), the per-cone quotient records (`quotient`), the per-cone
-    neighborhood records (`neighborhood`: the neighborhood rays' images
-    under the cone's annihilators and particular functionals) and
-    `_regular`'s record per divisor (kept by `regular`: each maximal cone's
-    annihilator point, or None) are computed on first use and kept on the
-    instance, so they are shared by every computation on the fan and freed
-    with it.  A star or stellar fan gets its `int_marks` from its parent's
-    records instead, and a stellar fan the records of the cones it keeps.
+    The marks are held as ints (`int_marks`, one `Mark` per ray), and every
+    kernel reads them; `rays`, the Fraction marks, is made on first read.
+    `MarkedFan(ambient_dim, rays, maximal_cones)` takes Fraction (or int)
+    marks and `MarkedFan.from_int_marks` takes `Mark`s; both validate the
+    same, and fans built either way with equal marks compare and hash equal.
+
+    The cone index (`cones`, `incident`, `cofaces`), the per-cone quotient
+    records (`quotient`), the per-cone neighborhood records (`neighborhood`:
+    the neighborhood rays' images under the cone's annihilators and
+    particular functionals) and `_regular`'s record per divisor (kept by
+    `regular`: each maximal cone's annihilator point, or None) are computed
+    on first use and kept on the instance, so they are shared by every
+    computation on the fan and freed with it.  Star, stellar, product,
+    Bergman and parsed fans are built from int marks, and a stellar fan
+    starts with the records of the cones it keeps.  A fan is immutable.
     """
 
     ambient_dim: int
-    rays: tuple[Vec, ...]
+    int_marks: tuple[Mark, ...]
     maximal_cones: tuple[Cone, ...]
 
-    def __post_init__(self):
-        if self.ambient_dim < 0:
+    def __init__(self, ambient_dim: int, rays: Iterable[Vec], maximal_cones: tuple[Cone, ...]):
+        rays = tuple(rays)
+        self._build(ambient_dim, tuple(map(int_mark, rays)), maximal_cones)
+        self.__dict__["rays"] = rays
+
+    @classmethod
+    def from_int_marks(cls, ambient_dim: int, int_marks: tuple[Mark, ...], maximal_cones: tuple[Cone, ...]) -> MarkedFan:
+        """The fan on marks given as ints, each in lowest terms: its
+        denominator is the least common positive one of its entries."""
+        fan = object.__new__(cls)
+        fan._build(ambient_dim, int_marks, maximal_cones)
+        return fan
+
+    def _build(self, ambient_dim: int, int_marks: tuple[Mark, ...], maximal_cones: tuple[Cone, ...]) -> None:
+        if ambient_dim < 0:
             raise DimensionError("ambient dimension must be nonnegative")
-        for u in self.rays:
-            if len(u) != self.ambient_dim:
+        for nums, _ in int_marks:
+            if len(nums) != ambient_dim:
                 raise DimensionError("ray mark has wrong ambient dimension")
-            if not any(u):
+            if not any(nums):
                 raise PreconditionError("ray marks must be nonzero")
         seen = set()
-        for c in self.maximal_cones:
+        for c in maximal_cones:
             if type(c) is not tuple or any(a >= b for a, b in zip(c, c[1:])):
                 raise PreconditionError("maximal cones must be sorted tuples without repeats")
             if c in seen:
                 raise PreconditionError("duplicate maximal cone")
             seen.add(c)
-            if c and (c[0] < 0 or c[-1] >= len(self.rays)):
+            if c and (c[0] < 0 or c[-1] >= len(int_marks)):
                 raise PreconditionError("cone refers to a missing ray")
-        if not self.maximal_cones:
+        if not maximal_cones:
             raise PreconditionError("a fan needs at least one maximal cone (possibly the origin)")
+        self.__dict__.update(ambient_dim=ambient_dim, int_marks=int_marks, maximal_cones=maximal_cones)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}: a fan is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}: a fan is immutable")
+
+    def _key(self) -> tuple:
+        return self.ambient_dim, self.int_marks, self.maximal_cones
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return (f"MarkedFan.from_int_marks(ambient_dim={self.ambient_dim!r}, "
+                f"int_marks={self.int_marks!r}, maximal_cones={self.maximal_cones!r})")
+
+    @cached_property
+    def rays(self) -> tuple[Vec, ...]:
+        """The marks as Fractions, made on first read."""
+        return tuple(fractions(nums, d) for nums, d in self.int_marks)
 
     @cached_property
     def dimension(self) -> int:
@@ -346,12 +403,6 @@ class MarkedFan:
         return {face: tuple(up) for face, up in out.items()}
 
     @cached_property
-    def int_marks(self) -> tuple[tuple[tuple[int, ...], int], ...]:
-        """Each ray mark as its int numerators over their least common
-        positive denominator."""
-        return tuple((tuple(nums), d) for nums, d in map(over_lcd, self.rays))
-
-    @cached_property
     def _quotients(self) -> dict[Cone, Quotient | RayQuotient]:
         return {}
 
@@ -385,7 +436,7 @@ class MarkedFan:
         first use; the record, or None, is kept per divisor, and the
         records kept before are `_regular`'s `kept`."""
         z = tuple(z)
-        if len(z) != len(self.rays):
+        if len(z) != len(self.int_marks):
             raise PreconditionError("divisor has one value per ray")
         if z not in self._regulars:
             self._regulars[z] = _regular(self, z, self._regulars)
@@ -411,7 +462,7 @@ def candidate_divisor(fan: MarkedFan) -> tuple[Fraction, ...]:
     u.  On a Bergman fan this is c_F = |F|(|E| - |F|), which lies in the
     ample cone (Adiprasito-Huh-Katz, arXiv:1511.02888); elsewhere it is a
     guess that every caller checks exactly."""
-    counts = (sum(1 for x in u if x) for u in fan.rays)
+    counts = (sum(1 for x in nums if x) for nums, _ in fan.int_marks)
     return tuple(Fraction(k * (fan.ambient_dim + 1 - k)) for k in counts)
 
 
@@ -753,7 +804,7 @@ def _shape_failures(fan: MarkedFan) -> Iterator[tuple[str, str]]:
         yield "pure", "maximal cones do not all have the same dimension"
 
     used = set(itertools.chain.from_iterable(fan.maximal_cones))
-    if used != set(range(len(fan.rays))):
+    if used != set(range(len(fan.int_marks))):
         yield "all_rays_used", "some rays belong to no maximal cone"
 
 
@@ -868,7 +919,7 @@ def star(fan: MarkedFan, apex: Cone) -> StarData:
     if apex not in fan.incident:
         raise PreconditionError(f"{apex} is not a cone of the fan")
     if not apex:
-        return StarData(parent=fan, apex=apex, fan=fan, lift=tuple(range(len(fan.rays))))
+        return StarData(parent=fan, apex=apex, fan=fan, lift=tuple(range(len(fan.int_marks))))
     hood = fan.neighborhood(apex)
     marks = []
     for parent_ray, image, d in zip(hood.rays, hood.image_rows, hood.dens):
@@ -879,13 +930,7 @@ def star(fan: MarkedFan, apex: Cone) -> StarData:
     # hood.rays ascend, so each cone's star indices do too
     index_of = {parent: i for i, parent in enumerate(hood.rays)}
     star_cones = {tuple(index_of[i] for i in c if i not in apex) for c in fan.incident[apex]}
-    quotient = MarkedFan(
-        ambient_dim=fan.ambient_dim - len(apex),
-        rays=hood.images,
-        maximal_cones=tuple(sorted(star_cones)),
-    )
-    # the cached property, as over_lcd would make it from the rays
-    quotient.__dict__["int_marks"] = tuple(marks)
+    quotient = MarkedFan.from_int_marks(fan.ambient_dim - len(apex), tuple(marks), tuple(sorted(star_cones)))
     return StarData(parent=fan, apex=apex, fan=quotient, lift=hood.rays)
 
 
@@ -972,7 +1017,7 @@ def stellar_subdivide(fan: MarkedFan, v: Vec) -> StellarSubdivision:
         raise DimensionError("subdivision point has wrong dimension")
     if all(x == 0 for x in v):
         raise PreconditionError("cannot subdivide at the origin")
-    nums, d = over_lcd(v)
+    mark = nums, _ = int_mark(v)
     specs = []  # (parent rays of a new cone, whether v joins them, parent cone)
     for c in fan.maximal_cones:
         q = fan.quotient(c)
@@ -989,12 +1034,11 @@ def stellar_subdivide(fan: MarkedFan, v: Vec) -> StellarSubdivision:
     new_ray = len(used_old)
     # ray_map keeps the order and the new ray comes last, so each cone is sorted
     containment = {tuple(ray_map[i] for i in kept) + (new_ray,) * joins: c for kept, joins, c in specs}
-    refined = MarkedFan(
-        ambient_dim=fan.ambient_dim,
-        rays=tuple(fan.rays[i] for i in used_old) + (v,),
-        maximal_cones=tuple(sorted(containment)),
+    refined = MarkedFan.from_int_marks(
+        fan.ambient_dim,
+        tuple(fan.int_marks[i] for i in used_old) + (mark,),
+        tuple(sorted(containment)),
     )
-    refined.__dict__["int_marks"] = tuple(fan.int_marks[i] for i in used_old) + ((tuple(nums), d),)
     # a kept cone's marks are the parent's, in order, so its record is too
     refined._quotients.update((tuple(ray_map[i] for i in c), fan.quotient(c)) for c, joins, _ in specs if not joins)
     return StellarSubdivision(fan=refined, containment=containment, ray_map=ray_map, new_ray=new_ray)
@@ -1007,18 +1051,14 @@ def stellar_subdivide(fan: MarkedFan, v: Vec) -> StellarSubdivision:
 def product_fan(f1: MarkedFan, f2: MarkedFan) -> MarkedFan:
     """Pairwise products of cones; rays of the factors embed block-diagonally."""
     n1, n2 = f1.ambient_dim, f2.ambient_dim
-    rays = [tuple(u) + (ZERO,) * n2 for u in f1.rays]
-    rays += [(ZERO,) * n1 + tuple(u) for u in f2.rays]
-    offset = len(f1.rays)
+    marks = [(nums + (0,) * n2, d) for nums, d in f1.int_marks]
+    marks += [((0,) * n1 + nums, d) for nums, d in f2.int_marks]
+    offset = len(f1.int_marks)
     cones = []
     for c1 in f1.maximal_cones:
         for c2 in f2.maximal_cones:
             cones.append(cone_key(list(c1) + [offset + i for i in c2]))
-    return MarkedFan(
-        ambient_dim=n1 + n2,
-        rays=tuple(rays),
-        maximal_cones=tuple(sorted(set(cones))),
-    )
+    return MarkedFan.from_int_marks(n1 + n2, tuple(marks), tuple(sorted(set(cones))))
 
 
 def point_fan(ambient_dim: int = 0) -> MarkedFan:

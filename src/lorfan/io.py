@@ -13,10 +13,11 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
+from math import gcd
 from typing import Optional
 
 from .errors import InputError
-from .fan import MarkedFan, cone_key
+from .fan import Mark, MarkedFan, cone_key, int_mark
 from . import matroids
 from .weights import Divisor, MinkowskiWeight, TropicalFan
 
@@ -36,6 +37,18 @@ def require_ambient_dim(dim: int) -> int:
 
 def rat_to_str(x: Fraction) -> str:
     return str(x) if type(x) is Fraction else str(Fraction(x))
+
+
+def mark_to_json(mark: Mark) -> list[str]:
+    """An int mark nums / d as `rat_to_str` strings, made without Fractions."""
+    nums, d = mark
+    if d == 1:
+        return [str(x) for x in nums]
+    out = []
+    for x in nums:
+        g = gcd(x, d)
+        out.append(str(x // g) if g == d else f"{x // g}/{d // g}")
+    return out
 
 
 _RATIONAL = re.compile(r"\s*([+-]?[0-9]+)(?:/([0-9]+))?\s*")
@@ -98,7 +111,7 @@ def key_to_cone(key: str):
 def fan_to_json(fan: MarkedFan, weight: Optional[MinkowskiWeight] = None) -> dict:
     out = {
         "ambient_dim": fan.ambient_dim,
-        "rays": [[rat_to_str(x) for x in u] for u in fan.rays],
+        "rays": [mark_to_json(mark) for mark in fan.int_marks],
         "maximal_cones": [list(c) for c in fan.maximal_cones],
     }
     if weight is not None:
@@ -123,14 +136,14 @@ def fan_from_json(data) -> tuple[MarkedFan, Optional[MinkowskiWeight]]:
 
     try:
         ambient = require_ambient_dim(_int(data["ambient_dim"], "ambient_dim"))
-        rays = tuple(tuple(rat(x) for x in _list(u, "a ray")) for u in _list(data["rays"], "rays"))
+        marks = tuple(int_mark([rat(x) for x in _list(u, "a ray")]) for u in _list(data["rays"], "rays"))
         cones = tuple(sorted(
             _cone([_int(i, "a ray index") for i in _list(c, "a cone")], "a cone")
             for c in _list(data["maximal_cones"], "maximal_cones")
         ))
     except (KeyError, TypeError) as exc:
         raise InputError(f"malformed fan: {exc}") from None
-    fan = MarkedFan(ambient_dim=ambient, rays=rays, maximal_cones=cones)
+    fan = MarkedFan.from_int_marks(ambient, marks, cones)
     weight = None
     if "weights" in data and data["weights"] is not None:
         if not isinstance(data["weights"], dict):

@@ -55,7 +55,7 @@ def volume_polynomial(tf: TropicalFan) -> Polynomial:
     d = fan.dimension
     if d > 4:
         raise PreconditionError("volume polynomials are supported up to dimension four")
-    nrays = len(fan.rays)
+    nrays = len(fan.int_marks)
     if d == 0:
         return {(): w[()]}
     indicators = [indicator_divisor(fan, i) for i in range(nrays)]
@@ -111,7 +111,8 @@ class LorentzianCertificate(NamedTuple):
     witness_route: str  # the route strictly_convex_witness reports
     pinch_report: PinchReport
     star_records: tuple[StarInertiaRecord, ...]
-    # inertia records depend on the marks, so the certificate pins them down
+    # inertia records depend on the marks, so the certificate pins them
+    # down, as the fan's int marks
     marking: tuple = ()
 
 
@@ -144,7 +145,7 @@ def is_lorentzian(tf: TropicalFan) -> LorentzianCertificate:
         witness_route=route,
         pinch_report=pinch,
         star_records=tuple(records),
-        marking=fan.rays,
+        marking=fan.int_marks,
     )
 
 
@@ -203,7 +204,7 @@ def af_report(
     aux = tuple(aux)
     index = {}
     for z in (d1, d2, *aux):
-        if len(z) != len(fan.rays):
+        if len(z) != len(fan.int_marks):
             raise PreconditionError("divisor has one value per ray")
         index.setdefault(tuple(z), len(index))
     require_fan(fan, "AF reports need a fan")
@@ -244,13 +245,13 @@ def sample_strictly_convex(fan: MarkedFan, witness: Divisor, rng: random.Random)
     classify_convexity's exact verdict, so the draws are those of a
     classify_convexity pass per draw.
     """
-    if len(witness) != len(fan.rays):
+    if len(witness) != len(fan.int_marks):
         raise PreconditionError("divisor has one value per ray")
     if not witness:
         return ()
     scale = Fraction(rng.randint(1, 4))
     base = tuple(scale * v for v in witness)
-    bump = tuple(Fraction(rng.randint(0, 12), 4) for _ in range(len(fan.rays)))
+    bump = tuple(Fraction(rng.randint(0, 12), 4) for _ in range(len(fan.int_marks)))
     eps = ONE
     for _ in range(_MAX_HALVINGS):
         candidate = tuple(b + eps * p for b, p in zip(base, bump))

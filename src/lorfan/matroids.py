@@ -28,7 +28,6 @@ from functools import cached_property
 
 from .errors import PreconditionError
 from .fan import MarkedFan, components
-from .linalg import ZERO, ONE
 from .weights import MinkowskiWeight, TropicalFan, constant_weight
 
 # how many loops a refusal names
@@ -246,13 +245,11 @@ def fano_matroid() -> Matroid:
     return matroid_from_bases(7, bases)
 
 
-_COORD = {-1: -ONE, 0: ZERO, 1: ONE}
-
-
-def _flat_mark(n: int, flat: int) -> tuple:
-    """Image of the indicator vector after deleting coordinate 0 of the quotient."""
+def _flat_mark(n: int, flat: int) -> tuple[int, ...]:
+    """Image of the indicator vector after deleting coordinate 0 of the
+    quotient, as ints."""
     first = flat & 1
-    return tuple(_COORD[(flat >> i & 1) - first] for i in range(1, n))
+    return tuple((flat >> i & 1) - first for i in range(1, n))
 
 
 def bergman_fan(m: Matroid) -> TropicalFan:
@@ -266,7 +263,7 @@ def bergman_fan(m: Matroid) -> TropicalFan:
     if r < 1:
         raise PreconditionError("Bergman fans require rank at least one")
     if r == 1:
-        fan = MarkedFan(ambient_dim=m.n - 1, rays=(), maximal_cones=((),))
+        fan = MarkedFan.from_int_marks(m.n - 1, (), ((),))
         return TropicalFan(fan, MinkowskiWeight(0, {(): Fraction(1)}))
     flats = m._proper_flats
     by_rank = {}
@@ -286,9 +283,5 @@ def bergman_fan(m: Matroid) -> TropicalFan:
 
     for i in by_rank.get(1, ()):
         extend([i])
-    fan = MarkedFan(
-        ambient_dim=m.n - 1,
-        rays=tuple(_flat_mark(m.n, f) for _, f in flats),
-        maximal_cones=tuple(sorted(chains)),
-    )
+    fan = MarkedFan.from_int_marks(m.n - 1, tuple((_flat_mark(m.n, f), 1) for _, f in flats), tuple(sorted(chains)))
     return TropicalFan(fan, constant_weight(fan))

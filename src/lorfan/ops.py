@@ -11,7 +11,6 @@ from typing import NamedTuple, Sequence
 from .convexity import require_convex
 from .errors import PreconditionError
 from .fan import MarkedFan, cone_key, is_complete, product_fan, require_fan
-from .linalg import ZERO, ONE
 from .weights import (
     Divisor,
     MinkowskiWeight,
@@ -26,7 +25,7 @@ from .weights import (
 def product_tropical(tf1: TropicalFan, tf2: TropicalFan) -> TropicalFan:
     """Product fan with the product weight on pairwise cone products."""
     fan = product_fan(tf1.fan, tf2.fan)
-    offset = len(tf1.fan.rays)
+    offset = len(tf1.fan.int_marks)
     values = {}
     for c1, v1 in tf1.weight.values.items():
         for c2, v2 in tf2.weight.values.items():
@@ -48,10 +47,10 @@ def act_divisor_fan(tf: TropicalFan, z: Divisor) -> TropicalFan:
     skeleton_cones = tuple(sorted(fan.cones(d - 1)))
     used = sorted(set(itertools.chain.from_iterable(skeleton_cones)))
     remap = {old: i for i, old in enumerate(used)}
-    skeleton = MarkedFan(
-        ambient_dim=fan.ambient_dim,
-        rays=tuple(fan.rays[i] for i in used),
-        maximal_cones=tuple(cone_key(remap[i] for i in c) for c in skeleton_cones),
+    skeleton = MarkedFan.from_int_marks(
+        fan.ambient_dim,
+        tuple(fan.int_marks[i] for i in used),
+        tuple(cone_key(remap[i] for i in c) for c in skeleton_cones),
     )
     values = {
         cone_key(remap[i] for i in c): v for c, v in acted.values.items()
@@ -75,10 +74,13 @@ def tropical_modification(tf: TropicalFan, z: Divisor) -> TropicalFan:
     require_convex(fan, z, True, "tropical modification requires a strictly convex divisor")
     acted = divisor_action(fan, tf.weight, z)
 
-    nrays = len(fan.rays)
-    rays = [tuple(u) + (Fraction(z[i]),) for i, u in enumerate(fan.rays)]
-    down = nrays
-    rays.append((ZERO,) * fan.ambient_dim + (-ONE,))
+    # each lifted mark (u, z(u)) over the least common denominator of u's and z(u)'s
+    marks = []
+    for (nums, den), v in zip(fan.int_marks, map(Fraction, z)):
+        m = math.lcm(den, v.denominator)
+        marks.append((tuple(x * (m // den) for x in nums) + (v.numerator * (m // v.denominator),), m))
+    down = len(marks)
+    marks.append(((0,) * fan.ambient_dim + (-1,), 1))
 
     values = {}
     cones = []
@@ -89,11 +91,7 @@ def tropical_modification(tf: TropicalFan, z: Divisor) -> TropicalFan:
         c = cone_key(list(tau) + [down])
         cones.append(c)
         values[c] = acted[tau]
-    lifted = MarkedFan(
-        ambient_dim=fan.ambient_dim + 1,
-        rays=tuple(rays),
-        maximal_cones=tuple(sorted(cones)),
-    )
+    lifted = MarkedFan.from_int_marks(fan.ambient_dim + 1, tuple(marks), tuple(sorted(cones)))
     return TropicalFan(lifted, MinkowskiWeight(d, values))
 
 
@@ -132,7 +130,7 @@ def polytope_bridge(fan: MarkedFan, rhs_list: Sequence[Sequence[Fraction]]) -> M
         raise PreconditionError("the unit weight does not balance on this fan")
     divisors = [tuple(Fraction(v) for v in rhs) for rhs in rhs_list]
     for z in divisors:
-        if len(z) != len(fan.rays):
+        if len(z) != len(fan.int_marks):
             raise PreconditionError("one right-hand side per ray required")
     degree = mixed_degree(fan, unit, divisors)
     return MixedVolumeResult(

@@ -15,14 +15,14 @@ from operator import mul
 from typing import Iterable, Optional, Sequence
 
 from .errors import BalancingError, DimensionError, PreconditionError
-from .fan import Cone, MarkedFan, StarData, cone_key, star
+from .fan import Cone, MarkedFan, StarData, cone_key, parallel, star
 from .linalg import Mat, ZERO, ONE, det, over_lcd
 
 Divisor = tuple[Fraction, ...]
 
 
 def indicator_divisor(fan: MarkedFan, ray: int) -> Divisor:
-    return tuple(ONE if i == ray else ZERO for i in range(len(fan.rays)))
+    return tuple(ONE if i == ray else ZERO for i in range(len(fan.int_marks)))
 
 
 @dataclass(frozen=True)
@@ -142,9 +142,31 @@ def _act(fan: MarkedFan, w: MinkowskiWeight, z: Divisor, marks) -> MinkowskiWeig
     return MinkowskiWeight(w.degree - 1, out)
 
 
+def _in_span(fan: MarkedFan, tau: Cone, total) -> bool:
+    """Whether the int point `total` lies in span(tau), with no record of
+    tau below dimension three.  At the origin the point is zero.  At a ray
+    it is parallel to the ray's int mark.  At a 2-cone (a, b), the closed-form
+    record of ray a projects the point and b's mark along a, and the point
+    lies in the span exactly when its image is parallel to b's, which is
+    nonzero unless the two marks are dependent.  A larger cone reads its
+    quotient record."""
+    if not tau:
+        return not any(total)
+    if len(tau) > 2:
+        return fan.quotient(tau).in_span(total)
+    u = fan.int_marks[tau[-1]][0]
+    if len(tau) == 2:
+        q = fan.quotient(tau[:1])
+        u, total = q.project(u), q.project(total)
+        if not any(u):
+            raise PreconditionError(f"cone {tau} has dependent marks")
+    return parallel(total, u, next(j for j, x in enumerate(u) if x))
+
+
 def check_balancing(fan: MarkedFan, w: MinkowskiWeight) -> tuple[Cone, ...]:
     """Cones of dimension degree-1 where balancing fails, those whose mark
-    sum leaves their span; empty means balanced."""
+    sum leaves their span (`_in_span`); empty means balanced.  Raises
+    PreconditionError at the first such cone on dependent marks."""
     k = w.degree
     if k == 0:
         return ()
@@ -153,7 +175,7 @@ def check_balancing(fan: MarkedFan, w: MinkowskiWeight) -> tuple[Cone, ...]:
     failing = []
     for tau in fan.cones(k - 1):
         ws, _ = over_lcd([w[sigma] for sigma, _ in fan.cofaces[tau]])
-        if not fan.quotient(tau).in_span(_mark_sum(fan, ws, tau)[0]):
+        if not _in_span(fan, tau, _mark_sum(fan, ws, tau)[0]):
             failing.append(tau)
     return tuple(failing)
 
@@ -187,7 +209,7 @@ def star_forms(fan: MarkedFan, w: MinkowskiWeight):
             raise BalancingError(f"weight is unbalanced at cone {sigma}")
     values = w.values  # the pass has read every value
     for tau in fan.cones(w.degree - 2):
-        rays = [eta for _, eta in fan.cofaces[tau]] if tau else range(len(fan.rays))
+        rays = [eta for _, eta in fan.cofaces[tau]] if tau else range(len(fan.int_marks))
         row_of = {eta: i for i, eta in enumerate(rays)}
         entries = [[ZERO] * len(rays) for _ in rays]
         for sigma, eta in fan.cofaces[tau]:
@@ -253,7 +275,7 @@ def acted_weights(
                 prefix, z = seq[: k - 1], divisors[seq[k - 1]]
                 if partial[prefix].degree < 1:
                     raise PreconditionError("divisor action needs a weight of degree at least one")
-                if len(z) != len(fan.rays):
+                if len(z) != len(fan.int_marks):
                     raise DimensionError("divisor has one value per ray")
                 if prefix in marks:
                     rows = marks[prefix]
@@ -289,7 +311,7 @@ def push_divisor_to_star(sd: StarData, z: Divisor) -> Divisor:
     on the neighborhood rays, from the apex's neighborhood record.
     """
     fan = sd.parent
-    if len(z) != len(fan.rays):
+    if len(z) != len(fan.int_marks):
         raise DimensionError("divisor has one value per ray")
     if not sd.apex:
         return tuple(Fraction(v) for v in z)
@@ -353,7 +375,7 @@ def pullback_divisor(coarse: MarkedFan, z: Divisor, fine: MarkedFan) -> Divisor:
     z at that ray, as every ray a stellar subdivision keeps does.  Any other
     mark is read in the quotient record of the first coarse maximal cone
     that contains it, as `stellar_subdivide` reads its point."""
-    if len(z) != len(coarse.rays):
+    if len(z) != len(coarse.int_marks):
         raise DimensionError("divisor has one value per ray")
     if fine.ambient_dim != coarse.ambient_dim:
         raise DimensionError("refinement lives in a different ambient space")

@@ -33,6 +33,7 @@ from lorfan.matroids import Matroid, _elements, _mask, bergman_fan, complete_gra
 from lorfan.weights import (
     MinkowskiWeight,
     TropicalFan,
+    _mark_sum,
     divisor_action,
     indicator_divisor,
     mixed_degree,
@@ -86,6 +87,12 @@ def rank(A) -> int:
 def particulars(q: Quotient):
     """The quotient record's particular functionals as Fraction rows."""
     return tuple(fractions(row, q.den) for row in q.particular_rows)
+
+
+def neighborhood_images(hood: Neighborhood):
+    """Each neighborhood ray's image under the annihilators, as Fraction
+    vectors: the star's marks."""
+    return tuple(map(fractions, hood.image_rows, hood.dens))
 
 
 def neighborhood_coords(hood: Neighborhood):
@@ -1632,6 +1639,24 @@ def zero_divisor_balancing(fan: MarkedFan, w: MinkowskiWeight):
     return tuple(failing)
 
 
+def record_check_balancing(fan: MarkedFan, w: MinkowskiWeight):
+    """check_balancing with every span test read in the cone's quotient
+    record, `fan.quotient(tau).in_span`, which raises PreconditionError on
+    a cone of dependent marks: the oracle of the span tests at the origin,
+    the rays and the 2-cones, which build no record of the cone."""
+    k = w.degree
+    if k == 0:
+        return ()
+    for sigma in fan.cones(k):
+        w[sigma]
+    failing = []
+    for tau in fan.cones(k - 1):
+        ws, _ = over_lcd([w[sigma] for sigma, _ in fan.cofaces[tau]])
+        if not fan.quotient(tau).in_span(_mark_sum(fan, ws, tau)[0]):
+            failing.append(tau)
+    return tuple(failing)
+
+
 # ---------------------------------------------------------------------------
 # the quadratic form of a degree-two weight, one divisor action per ray
 
@@ -1746,3 +1771,56 @@ def closure_search_flats(m: Matroid) -> tuple:
                 seen.add(g)
                 frontier.append(g)
     return tuple(sorted(((m._rank(f), f) for f in seen), key=lambda rf: (rf[0], _elements(rf[1]))))
+
+
+# ---------------------------------------------------------------------------
+# the Möbius function of the lattice of flats: the oracle for the mixed
+# degrees of the matroid divisors alpha and beta
+
+
+def reduced_characteristic_coefficients(m: Matroid) -> list:
+    """The unsigned coefficients mu^0, ..., mu^(r-1) of the reduced
+    characteristic polynomial chi(t) / (t - 1) of a loopless matroid of rank
+    r, from its bases alone: the rank of every subset of the ground set is
+    its largest meet with a basis, a flat is a subset that every further
+    element raises in rank, and chi(t) = sum over flats F of
+    mu(empty, F) t^(r - rank F), with the Möbius function summed up the
+    lattice.  The signs of chi(t) / (t - 1) alternate; the remainder is 0."""
+    n = m.n
+    bases = [_mask(b) for b in m.bases]
+    rank = [max((s & b).bit_count() for b in bases) for s in range(1 << n)]
+    r = rank[-1]
+    flats = sorted(
+        (rank[s], s) for s in range(1 << n)
+        if all(rank[s | 1 << e] > rank[s] for e in range(n) if not s >> e & 1)
+    )
+    assert flats[0] == (0, 0), "a loopless matroid's bottom flat is empty"
+    mu = {}
+    for _, f in flats:
+        mu[f] = 1 if f == 0 else -sum(v for g, v in mu.items() if g & f == g)
+    chi = [0] * (r + 1)  # chi[j] is the coefficient of t^j
+    for k, f in flats:
+        chi[r - k] += mu[f]
+    reduced = [0] * r  # dividing by t - 1, from the top coefficient down
+    carry = 0
+    for j in range(r, 0, -1):
+        carry += chi[j]
+        reduced[j - 1] = carry
+    assert carry + chi[0] == 0, "t = 1 is a root of the characteristic polynomial"
+    coefficients = [reduced[r - 1 - k] for k in range(r)]
+    assert all((-1) ** k * c > 0 for k, c in enumerate(coefficients))
+    return [abs(c) for c in coefficients]
+
+
+def bergman_ray_flats(fan: MarkedFan) -> list:
+    """The proper flat of each ray of a Bergman fan, read off its mark: the
+    indicator vector of F less its coordinate 0, without coordinate 0, has
+    an entry -1 exactly when 0 lies in F."""
+    flats = []
+    for nums, d in fan.int_marks:
+        assert d == 1
+        if -1 in nums:
+            flats.append(frozenset({0} | {j + 1 for j, x in enumerate(nums) if x == 0}))
+        else:
+            flats.append(frozenset(j + 1 for j, x in enumerate(nums) if x == 1))
+    return flats

@@ -4,6 +4,7 @@ stock fixtures, the Bergman fans of the benchmark ladder, the random fans,
 rescaled markings whose marks leave the integers, and non-pure fans."""
 
 import itertools
+import json
 import math
 import random
 import re
@@ -12,13 +13,17 @@ from fractions import Fraction
 
 import pytest
 
+from lorfan import cli, io
 from lorfan import fan as fan_module
 from lorfan import weights as weights_module
-from lorfan.errors import BalancingError, InternalError, PreconditionError
-from lorfan.fan import MarkedFan, star, stellar_subdivide, validate
+from lorfan.convexity import find_strictly_convex
+from lorfan.errors import BalancingError, DimensionError, InternalError, PreconditionError
+from lorfan.fan import MarkedFan, is_unpinched, star, stellar_subdivide, validate
 from lorfan.fixtures import triangle_fan
 from lorfan.linalg import fractions, over_lcd, vec
-from lorfan.matroids import _flat_mark, bergman_fan, complete_graph_matroid, uniform_matroid
+from lorfan.lorentzian import is_lorentzian
+from lorfan.matroids import _flat_mark, bergman_fan, complete_graph_matroid, fano_matroid, uniform_matroid
+from lorfan.ops import act_divisor_fan, product_tropical, tropical_modification
 from lorfan.weights import (
     MinkowskiWeight,
     _act,
@@ -30,6 +35,7 @@ from lorfan.weights import (
     divisor_action,
     mixed_degrees,
     quadratic_form,
+    star_weight,
     transport_weight,
 )
 
@@ -52,6 +58,7 @@ from helpers import (
     fraction_quotient,
     fraction_transport_weight,
     neighborhood_coords,
+    neighborhood_images,
     outcome,
     particulars,
     random_fan,
@@ -120,7 +127,7 @@ def test_records_match_fraction_oracle(name):
             assert cone_coordinates(fan, tau, u) == (coords if inside else None)
             assert cone_contains(fan, tau, u) == (inside and min(coords, default=0) >= 0)
         hood = fan.neighborhood(tau)
-        assert (hood.images, neighborhood_coords(hood)) == fraction_neighborhood(fan, tau, hood.rays)
+        assert (neighborhood_images(hood), neighborhood_coords(hood)) == fraction_neighborhood(fan, tau, hood.rays)
         for image, coords, d in zip(hood.image_rows, hood.coord_rows, hood.dens):
             assert d > 0 and math.gcd(d, *image, *coords) == 1
         assert hood.excess(z) == fraction_excess(fan, tau, hood.rays, z)
@@ -495,3 +502,146 @@ def test_ray_records_stay_linear_in_the_ambient_dimension():
         tracemalloc.stop()
     assert len(fan._quotients) == len(fan.rays) == 1275
     assert balancing < 4_000_000 and stars < 10_000_000
+
+
+# ---------------------------------------------------------------------------
+# fans built on int marks
+
+
+def _bergman_rays(m):
+    """The Bergman fan's Fraction marks from its flats: the indicator vector
+    less its coordinate 0, without coordinate 0."""
+    return tuple(vec([(f >> i & 1) - (f & 1) for i in range(1, m.n)]) for _, f in m._proper_flats)
+
+
+def _parsed():
+    tf = rescaled_tropical("U(3,5)", "rational")
+    data = json.loads(io.dumps(io.tropical_to_json(tf)))
+    marks = tuple(tuple(Fraction(x) for x in u) for u in data["rays"])
+    return io.tropical_from_json(data), marks
+
+
+def _star():
+    tf = rescaled_tropical("M(K4)", "mixed")
+    sd = star(tf.fan, (3,))
+    images, _ = fraction_neighborhood(tf.fan, (3,), sd.lift)
+    return star_weight(tf, (3,), sd), images
+
+
+def _stellar():
+    coarse = rescaled_tropical("U(3,5)", "mixed")
+    c = coarse.fan.maximal_cones[4]
+    v = vec([2 * x + y for x, y in zip(*(coarse.fan.rays[i] for i in c))])
+    res = stellar_subdivide(coarse.fan, v)
+    kept = sorted(res.ray_map, key=res.ray_map.get)
+    return transport_weight(coarse, res.fan, res.containment), tuple(coarse.fan.rays[i] for i in kept) + (v,)
+
+
+def _product():
+    t, l = TROPICAL_FANS["triangle"](), rescale_marking(TROPICAL_FANS["line"](), [Fraction(2, 3), 3])
+    marks = [u + (Fraction(0),) for u in t.fan.rays] + [(Fraction(0),) * 2 + u for u in l.fan.rays]
+    return product_tropical(t, l), tuple(marks)
+
+
+def _bergman():
+    m = fano_matroid()
+    return bergman_fan(m), _bergman_rays(m)
+
+
+def _modified():
+    tf = rescaled_tropical("U(3,5)", "rational")
+    z = find_strictly_convex(tf.fan)
+    marks = tuple(u + (v,) for u, v in zip(tf.fan.rays, z)) + (vec([0, 0, 0, 0, -1]),)
+    return tropical_modification(tf, z), marks
+
+
+def _skeleton():
+    tf = TROPICAL_FANS["skeleton"]()
+    z = find_strictly_convex(tf.fan)
+    acted = act_divisor_fan(tf, z)
+    return acted, tuple(tf.fan.rays)
+
+
+INT_MARKED = {
+    "parsed": _parsed,
+    "star": _star,
+    "stellar": _stellar,
+    "product": _product,
+    "Bergman": _bergman,
+    "modification": _modified,
+    "skeleton": _skeleton,
+}
+
+
+@pytest.mark.parametrize("kind", sorted(INT_MARKED))
+def test_int_marked_fans_make_fractions_only_when_read(kind):
+    """Parsed, star, stellar, product, Bergman and `ops` fans are built on
+    int marks: `validate`, `check_balancing`, `is_unpinched` and a
+    `lorentzian` report, its marking included, make no Fraction mark.  Read,
+    `rays` equals the Fraction marks of the old construction, and the fan
+    built from those compares and hashes equal."""
+    tf, marks = INT_MARKED[kind]()
+    fan = tf.fan
+    assert validate(fan).valid
+    assert check_balancing(fan, tf.weight) == ()
+    is_unpinched(fan)
+    cert = is_lorentzian(tf)
+    marking = [io.mark_to_json(mark) for mark in cert.marking]
+    assert "rays" not in vars(fan)
+    assert fan.rays == marks and all(type(x) is Fraction for u in fan.rays for x in u)
+    assert marking == [[io.rat_to_str(x) for x in u] for u in marks]
+    built = MarkedFan(fan.ambient_dim, marks, fan.maximal_cones)
+    assert built == fan and hash(built) == hash(fan) and {fan: kind}[built] == kind
+    assert built.int_marks == fan.int_marks
+
+
+def test_int_and_fraction_constructors_agree():
+    """`MarkedFan.from_int_marks` and the Fraction constructor validate alike,
+    give equal fans on equal marks and unequal ones on scaled marks, and
+    both fans are immutable."""
+    rays = (vec([1, Fraction(1, 2)]), vec([0, 1]), vec([-1, Fraction(-3, 2)]))
+    marks = (((2, 1), 2), ((0, 1), 1), ((-2, -3), 2))
+    cones = ((0, 1), (0, 2), (1, 2))
+    a, b = MarkedFan(2, rays, cones), MarkedFan.from_int_marks(2, marks, cones)
+    assert a == b and hash(a) == hash(b) and a.int_marks == marks and b.rays == rays
+    assert MarkedFan.from_int_marks(2, (((4, 2), 2),) + marks[1:], cones) != a
+    assert MarkedFan(2, (vec([2, 1]),) + rays[1:], cones) != a
+    assert a != rays and MarkedFan(3, tuple(u + (0,) for u in rays), cones) != a
+    for build, bad in [
+        (lambda: MarkedFan(2, (vec([1, 0, 0]),), ((0,),)), "ray mark has wrong ambient dimension"),
+        (lambda: MarkedFan.from_int_marks(2, (((1, 0, 0), 1),), ((0,),)), "ray mark has wrong ambient dimension"),
+        (lambda: MarkedFan(2, (vec([0, 0]),), ((0,),)), "ray marks must be nonzero"),
+        (lambda: MarkedFan.from_int_marks(2, (((0, 0), 1),), ((0,),)), "ray marks must be nonzero"),
+        (lambda: MarkedFan.from_int_marks(2, marks, ((0, 3),)), "cone refers to a missing ray"),
+        (lambda: MarkedFan.from_int_marks(-1, (), ((),)), "ambient dimension must be nonnegative"),
+    ]:
+        with pytest.raises((DimensionError, PreconditionError), match=re.escape(bad)):
+            build()
+    for fan in (a, b):
+        with pytest.raises(AttributeError):
+            fan.int_marks = marks
+        with pytest.raises(AttributeError):
+            del fan.maximal_cones
+
+
+def test_cli_reports_make_no_fraction_marks(tmp_path, monkeypatch, capsys):
+    """The fans `lorentzian`, `validate` and `balance` parse hold no Fraction
+    mark when the report is written; the marking prints from the ints."""
+    parsed = []
+    original = io.fan_from_json
+
+    def recording(data):
+        fan, w = original(data)
+        parsed.append(fan)
+        return fan, w
+
+    monkeypatch.setattr(io, "fan_from_json", recording)
+    tf = rescaled_tropical("M(K4)", "rational")
+    path = tmp_path / "fan.json"
+    path.write_text(io.dumps(io.tropical_to_json(tf)))
+    for command in ("lorentzian", "validate", "balance"):
+        assert cli.main([command, "--fan", str(path)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert "rays" not in vars(parsed[-1])
+    assert report["balanced"] is True
+    assert len(parsed) == 3

@@ -17,12 +17,14 @@ from lorfan.matroids import (
     matroid_from_bases,
     uniform_matroid,
 )
-from lorfan.weights import check_balancing
+from lorfan.weights import check_balancing, mixed_degrees
 
 from helpers import (
     FrozensetMatroid,
+    bergman_ray_flats,
     closure_search_flats,
     frozenset_matroid_from_bases,
+    reduced_characteristic_coefficients,
     swap_table_check,
     swap_table_matroid_from_bases,
 )
@@ -303,3 +305,34 @@ def test_cocircuit_record_of_the_named_matroids(build, cocircuits):
     m = build()
     assert len(m._cocircuits) == cocircuits
     _check_cocircuits(m)
+
+
+CHARACTERISTIC = {
+    "U(3,5)": lambda: uniform_matroid(3, 5),
+    "U(4,6)": lambda: uniform_matroid(4, 6),
+    "M(K4)": lambda: complete_graph_matroid(4),
+    "Fano": fano_matroid,
+    "M(K5)": lambda: complete_graph_matroid(5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHARACTERISTIC))
+def test_alpha_beta_degrees_are_the_reduced_characteristic_polynomial(name):
+    """On the Bergman fan of a loopless matroid of rank r, with alpha(F) =
+    [e in F] and beta = 1 - alpha at the ray of each proper flat F,
+    deg(alpha^(r-1-k) beta^k) is the k-th unsigned coefficient of the
+    reduced characteristic polynomial (Huh and Katz, Math. Ann. 354, 2012;
+    Adiprasito, Huh and Katz, Ann. of Math. 188, 2018), for every element
+    e; here e = 0 and the last element, against the Möbius function of the
+    lattice of flats."""
+    m = CHARACTERISTIC[name]()
+    tf = bergman_fan(m)
+    mu = reduced_characteristic_coefficients(m)
+    r = len(mu)
+    assert tf.dimension == r - 1 and mu[0] == 1
+    flats = bergman_ray_flats(tf.fan)
+    for e in (0, m.n - 1):
+        alpha = tuple(Fraction(e in f) for f in flats)
+        beta = tuple(1 - a for a in alpha)
+        sequences = [(0,) * (r - 1 - k) + (1,) * k for k in range(r)]
+        assert mixed_degrees(tf.fan, tf.weight, [alpha, beta], sequences) == mu, (name, e)

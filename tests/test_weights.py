@@ -16,12 +16,14 @@ from lorfan.fixtures import (
     twisted_prism_fan,
     two_disjoint_triangles,
 )
-from lorfan.linalg import vec
+from lorfan.linalg import over_lcd, vec
 from lorfan.matroids import bergman_fan, complete_graph_matroid, fano_matroid, uniform_matroid
 from lorfan.ops import product_tropical
 from lorfan.weights import (
     MinkowskiWeight,
     TropicalFan,
+    _in_span,
+    _mark_sum,
     acted_weights,
     check_balancing,
     constant_weight,
@@ -45,6 +47,7 @@ from helpers import (
     linear_divisor,
     outcome,
     random_fans,
+    record_check_balancing,
     rescale_divisor,
     rescale_marking,
     SCALES,
@@ -111,6 +114,76 @@ def test_check_balancing_matches_zero_divisor_action():
         assert found == zero_divisor_balancing(fan, w)
         failing += bool(found)
     assert 0 < failing < len(cases)
+
+
+# the ladder: the stock and small Bergman fans, U(4,6) and M(K5), each also
+# with rescaled marks that leave the integers
+SPAN_LADDER = {**TROPICAL_LADDER, "M(K5)": lambda: bergman_fan(complete_graph_matroid(5))}
+
+
+def _span_cases():
+    """(name, fan, weight) for the span tests: the ladder, its rescaled
+    copies and the 4-dim triangle x triangle, whose walls are 3-cones, every
+    ray star of the Bergman fans, and the random fans, each
+    with its balanced (or unit) weight and with a seeded perturbation."""
+    rng = random.Random("span tests")
+    tropical = [(name, SPAN_LADDER[name]()) for name in SPAN_LADDER]
+    tropical.append(("triangle x triangle", product_tropical(triangle_fan(), triangle_fan())))
+    tropical += [
+        (f"{name}-{kind}", rescaled_tropical(name, kind)) for name in TROPICAL_LADDER for kind in SCALES
+    ]
+    for name in ("M(K4)", "Fano", "U(3,5)", "U(4,6)", "M(K5)"):
+        tf = SPAN_LADDER[name]()
+        tropical += [(f"{name} star {ray}", star_weight(tf, (ray,))) for ray in range(len(tf.fan.int_marks))]
+    cases = []
+    for name, tf in tropical:
+        cases += [(name, tf.fan, tf.weight), (f"{name} perturbed", tf.fan, _perturbed(rng, tf.weight))]
+    for seed, fan in enumerate(random_fans()):
+        unit = MinkowskiWeight(fan.dimension, {c: Fraction(1) for c in fan.cones(fan.dimension)})
+        cases += [(f"random-{seed}", fan, unit), (f"random-{seed} perturbed", fan, _perturbed(rng, unit))]
+    return cases
+
+
+def test_span_tests_match_the_record_oracle():
+    """At every codimension-one cone tau of every case, `_in_span` (no record
+    of tau at the origin, a ray or a 2-cone) agrees with tau's quotient
+    record, read on a copy of the fan, at the mark sum and at a seeded point
+    of span(tau); and `check_balancing` with `record_check_balancing`."""
+    rng = random.Random("span points")
+    seen = {}
+    for name, fan, w in _span_cases():
+        oracle = MarkedFan.from_int_marks(fan.ambient_dim, fan.int_marks, fan.maximal_cones)
+        assert check_balancing(fan, w) == record_check_balancing(oracle, w), name
+        for tau in fan.cones(w.degree - 1) if w.degree else ():
+            ws, _ = over_lcd([w[sigma] for sigma, _ in fan.cofaces[tau]])
+            total, _ = _mark_sum(fan, ws, tau)
+            # a seeded int combination of tau's mark numerators
+            coeffs = [rng.randint(-3, 3) for _ in tau]
+            inside = [sum(c * fan.int_marks[i][0][j] for c, i in zip(coeffs, tau)) for j in range(fan.ambient_dim)]
+            for point in (total, inside):
+                expected = oracle.quotient(tau).in_span(point)
+                assert _in_span(fan, tau, point) is expected, (name, tau, point)
+                seen[len(tau), expected] = seen.get((len(tau), expected), 0) + 1
+    # every size of cone the shortcut covers, in and out of the span, and a larger one
+    assert {(k, v) for k in (0, 1, 2) for v in (True, False)} <= set(seen)
+    assert (3, True) in seen
+
+
+def test_span_tests_refuse_dependent_marks_like_the_record():
+    """A 2-face on parallel marks raises the record's refusal, at the same
+    cone; a 3-cone on dependent marks still reads the record."""
+    rays = (vec([1, 0, 0]), vec([2, 0, 0]), vec([0, 1, 0]), vec([0, 0, 1]))
+    fan = MarkedFan(3, rays, ((0, 1, 2), (1, 2, 3)))
+    w = constant_weight(fan)
+    message = re.escape("cone (0, 1) has dependent marks")
+    assert outcome(lambda: record_check_balancing(fan, w)) == (PreconditionError, "cone (0, 1) has dependent marks")
+    with pytest.raises(PreconditionError, match=message):
+        check_balancing(fan, w)
+    with pytest.raises(PreconditionError, match=message):
+        _in_span(fan, (0, 1), [1, 0, 0])
+    flat = MarkedFan(3, (vec([1, 0, 0]), vec([0, 1, 0]), vec([1, 1, 0]), vec([0, 0, 1])), ((0, 1, 2, 3),))
+    with pytest.raises(PreconditionError, match=re.escape("cone (0, 1, 2) has dependent marks")):
+        _in_span(flat, (0, 1, 2), [1, 0, 0])
 
 
 def test_check_balancing_missing_value():
