@@ -21,6 +21,7 @@ from .lp import strict_feasible
 from .fan import (
     MarkedFan,
     StarData,
+    int_mark,
     is_complete,
     is_unpinched,
     point_fan,

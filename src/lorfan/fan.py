@@ -8,6 +8,7 @@ on a subset of its rays, so no other cones need to be stored.
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
@@ -285,14 +286,14 @@ def int_mark(values) -> Mark:
     return tuple(nums), d
 
 
+@dataclass(frozen=True)
 class MarkedFan:
     """A simplicial fan: ray marks and maximal cones as sorted ray-index tuples.
 
-    The marks are held as ints (`int_marks`, one `Mark` per ray), and every
-    kernel reads them; `rays`, the Fraction marks, is made on first read.
-    `MarkedFan(ambient_dim, rays, maximal_cones)` takes Fraction (or int)
-    marks and `MarkedFan.from_int_marks` takes `Mark`s; both validate the
-    same, and fans built either way with equal marks compare and hash equal.
+    The marks are ints (`int_marks`, one `Mark` per ray: numerators over
+    their least common positive denominator, in lowest terms), and every
+    kernel reads them.  `int_mark` turns rationals into a `Mark`; `rays`,
+    the Fraction marks, is made on first read.
 
     The cone index (`cones`, `incident`, `cofaces`), the per-cone quotient
     records (`quotient`), the per-cone neighborhood records (`neighborhood`:
@@ -300,69 +301,37 @@ class MarkedFan:
     particular functionals) and `_regular`'s record per divisor (kept by
     `regular`: each maximal cone's annihilator point, or None) are computed
     on first use and kept on the instance, so they are shared by every
-    computation on the fan and freed with it.  Star, stellar, product,
-    Bergman and parsed fans are built from int marks, and a stellar fan
-    starts with the records of the cones it keeps.  A fan is immutable.
+    computation on the fan and freed with it.  A stellar fan starts with the
+    records of the cones it keeps.
     """
 
     ambient_dim: int
     int_marks: tuple[Mark, ...]
     maximal_cones: tuple[Cone, ...]
 
-    def __init__(self, ambient_dim: int, rays: Iterable[Vec], maximal_cones: tuple[Cone, ...]):
-        rays = tuple(rays)
-        self._build(ambient_dim, tuple(map(int_mark, rays)), maximal_cones)
-        self.__dict__["rays"] = rays
-
-    @classmethod
-    def from_int_marks(cls, ambient_dim: int, int_marks: tuple[Mark, ...], maximal_cones: tuple[Cone, ...]) -> MarkedFan:
-        """The fan on marks given as ints, each in lowest terms: its
-        denominator is the least common positive one of its entries."""
-        fan = object.__new__(cls)
-        fan._build(ambient_dim, int_marks, maximal_cones)
-        return fan
-
-    def _build(self, ambient_dim: int, int_marks: tuple[Mark, ...], maximal_cones: tuple[Cone, ...]) -> None:
-        if ambient_dim < 0:
+    def __post_init__(self):
+        if self.ambient_dim < 0:
             raise DimensionError("ambient dimension must be nonnegative")
-        for nums, _ in int_marks:
-            if len(nums) != ambient_dim:
+        for nums, d in self.int_marks:
+            if len(nums) != self.ambient_dim:
                 raise DimensionError("ray mark has wrong ambient dimension")
             if not any(nums):
                 raise PreconditionError("ray marks must be nonzero")
+            if d < 1:
+                raise PreconditionError("ray mark denominators must be positive")
+            if gcd(d, *nums) != 1:
+                raise PreconditionError("ray marks must be in lowest terms")
         seen = set()
-        for c in maximal_cones:
+        for c in self.maximal_cones:
             if type(c) is not tuple or any(a >= b for a, b in zip(c, c[1:])):
                 raise PreconditionError("maximal cones must be sorted tuples without repeats")
             if c in seen:
                 raise PreconditionError("duplicate maximal cone")
             seen.add(c)
-            if c and (c[0] < 0 or c[-1] >= len(int_marks)):
+            if c and (c[0] < 0 or c[-1] >= len(self.int_marks)):
                 raise PreconditionError("cone refers to a missing ray")
-        if not maximal_cones:
+        if not self.maximal_cones:
             raise PreconditionError("a fan needs at least one maximal cone (possibly the origin)")
-        self.__dict__.update(ambient_dim=ambient_dim, int_marks=int_marks, maximal_cones=maximal_cones)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}: a fan is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}: a fan is immutable")
-
-    def _key(self) -> tuple:
-        return self.ambient_dim, self.int_marks, self.maximal_cones
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __repr__(self):
-        return (f"MarkedFan.from_int_marks(ambient_dim={self.ambient_dim!r}, "
-                f"int_marks={self.int_marks!r}, maximal_cones={self.maximal_cones!r})")
 
     @cached_property
     def rays(self) -> tuple[Vec, ...]:
@@ -930,7 +899,7 @@ def star(fan: MarkedFan, apex: Cone) -> StarData:
     # hood.rays ascend, so each cone's star indices do too
     index_of = {parent: i for i, parent in enumerate(hood.rays)}
     star_cones = {tuple(index_of[i] for i in c if i not in apex) for c in fan.incident[apex]}
-    quotient = MarkedFan.from_int_marks(fan.ambient_dim - len(apex), tuple(marks), tuple(sorted(star_cones)))
+    quotient = MarkedFan(fan.ambient_dim - len(apex), tuple(marks), tuple(sorted(star_cones)))
     return StarData(parent=fan, apex=apex, fan=quotient, lift=hood.rays)
 
 
@@ -1034,7 +1003,7 @@ def stellar_subdivide(fan: MarkedFan, v: Vec) -> StellarSubdivision:
     new_ray = len(used_old)
     # ray_map keeps the order and the new ray comes last, so each cone is sorted
     containment = {tuple(ray_map[i] for i in kept) + (new_ray,) * joins: c for kept, joins, c in specs}
-    refined = MarkedFan.from_int_marks(
+    refined = MarkedFan(
         fan.ambient_dim,
         tuple(fan.int_marks[i] for i in used_old) + (mark,),
         tuple(sorted(containment)),
@@ -1058,9 +1027,9 @@ def product_fan(f1: MarkedFan, f2: MarkedFan) -> MarkedFan:
     for c1 in f1.maximal_cones:
         for c2 in f2.maximal_cones:
             cones.append(cone_key(list(c1) + [offset + i for i in c2]))
-    return MarkedFan.from_int_marks(n1 + n2, tuple(marks), tuple(sorted(set(cones))))
+    return MarkedFan(n1 + n2, tuple(marks), tuple(sorted(set(cones))))
 
 
 def point_fan(ambient_dim: int = 0) -> MarkedFan:
     """The fan consisting of the origin alone."""
-    return MarkedFan(ambient_dim=ambient_dim, rays=(), maximal_cones=((),))
+    return MarkedFan(ambient_dim, (), ((),))

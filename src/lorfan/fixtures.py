@@ -10,25 +10,13 @@ from .weights import MinkowskiWeight, TropicalFan, constant_weight
 
 def triangle_fan() -> TropicalFan:
     """Complete fan in the plane with rays e1, e2, -e1-e2 and unit weight."""
-    fan = MarkedFan(
-        ambient_dim=2,
-        rays=(
-            (Fraction(1), Fraction(0)),
-            (Fraction(0), Fraction(1)),
-            (Fraction(-1), Fraction(-1)),
-        ),
-        maximal_cones=((0, 1), (0, 2), (1, 2)),
-    )
+    fan = MarkedFan(2, (((1, 0), 1), ((0, 1), 1), ((-1, -1), 1)), ((0, 1), (0, 2), (1, 2)))
     return TropicalFan(fan, constant_weight(fan))
 
 
 def line_fan() -> TropicalFan:
     """The two opposite rays of a line."""
-    fan = MarkedFan(
-        ambient_dim=1,
-        rays=((Fraction(1),), (Fraction(-1),)),
-        maximal_cones=((0,), (1,)),
-    )
+    fan = MarkedFan(1, (((1,), 1), ((-1,), 1)), ((0,), (1,)))
     return TropicalFan(fan, constant_weight(fan))
 
 
@@ -38,12 +26,12 @@ def coordinate_skeleton_fan() -> TropicalFan:
     Six rays along the signed axes and the twelve quadrant cones of the three
     coordinate planes, with unit weight.
     """
-    rays = []
+    marks = []
     for axis in range(3):
         for sign in (1, -1):
-            u = [Fraction(0)] * 3
-            u[axis] = Fraction(sign)
-            rays.append(tuple(u))
+            u = [0] * 3
+            u[axis] = sign
+            marks.append((tuple(u), 1))
     # ray index: 2*axis + (0 if +, 1 if -)
     cones = []
     for a in range(3):
@@ -51,7 +39,7 @@ def coordinate_skeleton_fan() -> TropicalFan:
             for sa in (0, 1):
                 for sb in (0, 1):
                     cones.append(tuple(sorted((2 * a + sa, 2 * b + sb))))
-    fan = MarkedFan(ambient_dim=3, rays=tuple(rays), maximal_cones=tuple(sorted(cones)))
+    fan = MarkedFan(3, tuple(marks), tuple(sorted(cones)))
     return TropicalFan(fan, constant_weight(fan))
 
 
@@ -67,18 +55,16 @@ def two_disjoint_triangles() -> TropicalFan:
 
     Quasiprojective but pinched at the origin, hence not Lorentzian.
     """
-    z = Fraction(0)
-    o = Fraction(1)
     rays = (
-        (o, z, z, z),
-        (z, o, z, z),
-        (-o, -o, z, z),
-        (z, z, o, z),
-        (z, z, z, o),
-        (z, z, -o, -o),
+        (1, 0, 0, 0),
+        (0, 1, 0, 0),
+        (-1, -1, 0, 0),
+        (0, 0, 1, 0),
+        (0, 0, 0, 1),
+        (0, 0, -1, -1),
     )
     cones = ((0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5))
-    fan = MarkedFan(ambient_dim=4, rays=rays, maximal_cones=cones)
+    fan = MarkedFan(4, tuple((u, 1) for u in rays), cones)
     return TropicalFan(fan, constant_weight(fan))
 
 
@@ -88,16 +74,14 @@ def spindle_fan() -> TropicalFan:
     The volume form of this fan factors into two independent linear forms, so
     it has exactly one positive and one negative eigenvalue.
     """
-    z = Fraction(0)
-    o = Fraction(1)
     rays = (
-        (z, z, o),        # axis up
-        (z, z, -o),       # axis down
-        (o, z, o),        # leg 1
-        (-o, z, z),       # leg 2
+        (0, 0, 1),        # axis up
+        (0, 0, -1),       # axis down
+        (1, 0, 1),        # leg 1
+        (-1, 0, 0),       # leg 2
     )
     cones = ((0, 2), (1, 2), (0, 3), (1, 3))
-    fan = MarkedFan(ambient_dim=3, rays=rays, maximal_cones=cones)
+    fan = MarkedFan(3, tuple((u, 1) for u in rays), cones)
     return TropicalFan(fan, constant_weight(fan))
 
 
@@ -120,12 +104,12 @@ def twisted_prism_fan() -> TropicalFan:
 
     top = [(1, 0, 1), (0, 1, 1), (-1, -1, 1)]
     bottom = [(1, 0, -1), (0, 1, -1), (-1, -1, -1)]
-    rays = tuple(tuple(Fraction(x) for x in v) for v in top + bottom)
+    rays = top + bottom
     cones = [(0, 1, 2), (3, 4, 5)]
     for i, j in ((0, 1), (1, 2), (2, 0)):
         cones.append(tuple(sorted((i, j, 3 + j))))
         cones.append(tuple(sorted((i, 3 + j, 3 + i))))
-    fan = MarkedFan(ambient_dim=3, rays=rays, maximal_cones=tuple(sorted(cones)))
+    fan = MarkedFan(3, tuple((u, 1) for u in rays), tuple(sorted(cones)))
     vols = {c: abs(det(mat([rays[i] for i in c]))) for c in fan.maximal_cones}
     scale = math.lcm(*(v.numerator for v in vols.values()))
     weight = MinkowskiWeight(3, {c: Fraction(scale) / v for c, v in vols.items()})

@@ -143,7 +143,7 @@ def fan_from_json(data) -> tuple[MarkedFan, Optional[MinkowskiWeight]]:
         ))
     except (KeyError, TypeError) as exc:
         raise InputError(f"malformed fan: {exc}") from None
-    fan = MarkedFan.from_int_marks(ambient, marks, cones)
+    fan = MarkedFan(ambient, marks, cones)
     weight = None
     if "weights" in data and data["weights"] is not None:
         if not isinstance(data["weights"], dict):

@@ -27,7 +27,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .errors import PreconditionError
-from .fan import MarkedFan, components
+from .fan import MarkedFan, components, point_fan
 from .weights import MinkowskiWeight, TropicalFan, constant_weight
 
 # how many loops a refusal names
@@ -263,8 +263,7 @@ def bergman_fan(m: Matroid) -> TropicalFan:
     if r < 1:
         raise PreconditionError("Bergman fans require rank at least one")
     if r == 1:
-        fan = MarkedFan.from_int_marks(m.n - 1, (), ((),))
-        return TropicalFan(fan, MinkowskiWeight(0, {(): Fraction(1)}))
+        return TropicalFan(point_fan(m.n - 1), MinkowskiWeight(0, {(): Fraction(1)}))
     flats = m._proper_flats
     by_rank = {}
     for i, (k, _) in enumerate(flats):
@@ -283,5 +282,5 @@ def bergman_fan(m: Matroid) -> TropicalFan:
 
     for i in by_rank.get(1, ()):
         extend([i])
-    fan = MarkedFan.from_int_marks(m.n - 1, tuple((_flat_mark(m.n, f), 1) for _, f in flats), tuple(sorted(chains)))
+    fan = MarkedFan(m.n - 1, tuple((_flat_mark(m.n, f), 1) for _, f in flats), tuple(sorted(chains)))
     return TropicalFan(fan, constant_weight(fan))

@@ -47,7 +47,7 @@ def act_divisor_fan(tf: TropicalFan, z: Divisor) -> TropicalFan:
     skeleton_cones = tuple(sorted(fan.cones(d - 1)))
     used = sorted(set(itertools.chain.from_iterable(skeleton_cones)))
     remap = {old: i for i, old in enumerate(used)}
-    skeleton = MarkedFan.from_int_marks(
+    skeleton = MarkedFan(
         fan.ambient_dim,
         tuple(fan.int_marks[i] for i in used),
         tuple(cone_key(remap[i] for i in c) for c in skeleton_cones),
@@ -91,7 +91,7 @@ def tropical_modification(tf: TropicalFan, z: Divisor) -> TropicalFan:
         c = cone_key(list(tau) + [down])
         cones.append(c)
         values[c] = acted[tau]
-    lifted = MarkedFan.from_int_marks(fan.ambient_dim + 1, tuple(marks), tuple(sorted(cones)))
+    lifted = MarkedFan(fan.ambient_dim + 1, tuple(marks), tuple(sorted(cones)))
     return TropicalFan(lifted, MinkowskiWeight(d, values))
 
 

@@ -22,6 +22,7 @@ from lorfan.fan import (
     StellarSubdivision,
     _neighborhood,
     cone_key,
+    int_mark,
     product_fan,
     star,
     stellar_subdivide,
@@ -42,6 +43,12 @@ from lorfan.weights import (
     quadratic_form,
     star_weight,
 )
+
+
+def fraction_fan(ambient_dim: int, rays, maximal_cones) -> MarkedFan:
+    """The fan on marks given as rationals (Fractions or ints), each made a
+    `Mark` by `int_mark`."""
+    return MarkedFan(ambient_dim, tuple(map(int_mark, rays)), maximal_cones)
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +172,7 @@ def random_balanced_2fan(rng: random.Random, m: int = None) -> TropicalFan:
         dets[tuple(sorted((i, (i + 1) % m)))] = a[0] * b[1] - a[1] * b[0]
     scale = math.lcm(*(d.numerator for d in dets.values()))
     values = {c: Fraction(scale) / d for c, d in dets.items()}
-    fan = MarkedFan(ambient_dim=2, rays=rays, maximal_cones=tuple(sorted(set(cones))))
+    fan = fraction_fan(ambient_dim=2, rays=rays, maximal_cones=tuple(sorted(set(cones))))
     return TropicalFan(fan, MinkowskiWeight(2, values))
 
 
@@ -184,7 +191,7 @@ def smooth_complete_2fan(rng: random.Random, steps: int):
     m = len(dirs)
     rays = tuple((Fraction(x), Fraction(y)) for x, y in dirs)
     cones = tuple(sorted(tuple(sorted((i, (i + 1) % m))) for i in range(m)))
-    fan = MarkedFan(ambient_dim=2, rays=rays, maximal_cones=cones)
+    fan = fraction_fan(ambient_dim=2, rays=rays, maximal_cones=cones)
     unit = MinkowskiWeight(2, {c: Fraction(1) for c in cones})
     from lorfan.weights import check_balancing
 
@@ -344,7 +351,7 @@ def facet_stellar_subdivide(fan: MarkedFan, v) -> StellarSubdivision:
     containment = {}
     for spec, parent in specs:
         containment[cone_key(ray_map[i] if i != new else new_ray for i in spec)] = parent
-    refined = MarkedFan(fan.ambient_dim, tuple(fan.rays[i] for i in used_old) + (v,), tuple(sorted(containment)))
+    refined = fraction_fan(fan.ambient_dim, tuple(fan.rays[i] for i in used_old) + (v,), tuple(sorted(containment)))
     return StellarSubdivision(fan=refined, containment=containment, ray_map=ray_map, new_ray=new_ray)
 
 
@@ -737,13 +744,13 @@ def outcome(call):
 
 def non_pure_plane() -> MarkedFan:
     """A quadrant and a lone ray in R^2."""
-    return MarkedFan(2, (vec([1, 0]), vec([0, 1]), vec([-1, -1])), ((0, 1), (2,)))
+    return fraction_fan(2, (vec([1, 0]), vec([0, 1]), vec([-1, -1])), ((0, 1), (2,)))
 
 
 def non_pure_space() -> MarkedFan:
     """Two 3-cones and a 2-cone on rays of its own in R^3."""
     rays = tuple(vec(u) for u in ((1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1), (1, 2, 0), (0, -1, 2)))
-    return MarkedFan(3, rays, ((0, 1, 2), (0, 1, 3), (4, 5)))
+    return fraction_fan(3, rays, ((0, 1, 2), (0, 1, 3), (4, 5)))
 
 
 # fans with maximal cones of two dimensions: the first maximal cone over some
@@ -753,19 +760,19 @@ NON_PURE_FANS = {"plane": non_pure_plane, "space": non_pure_space}
 
 def dependent_marks_fan() -> MarkedFan:
     """Two 2-cones in R^2, the first on the parallel marks e1 and 2 e1."""
-    return MarkedFan(2, (vec([1, 0]), vec([2, 0]), vec([0, 1])), ((0, 1), (0, 2)))
+    return fraction_fan(2, (vec([1, 0]), vec([2, 0]), vec([0, 1])), ((0, 1), (0, 2)))
 
 
 def unused_ray_fan() -> MarkedFan:
     """The triangle fan with a fourth ray, (1, 1), in none of its cones."""
     rays = (vec([1, 0]), vec([0, 1]), vec([-1, -1]), vec([1, 1]))
-    return MarkedFan(2, rays, ((0, 1), (0, 2), (1, 2)))
+    return fraction_fan(2, rays, ((0, 1), (0, 2), (1, 2)))
 
 
 def rescale_fan(fan: MarkedFan, scale) -> MarkedFan:
     """The fan with each ray's mark multiplied by its scale."""
     rays = tuple(tuple(Fraction(s) * x for x in u) for s, u in zip(scale, fan.rays))
-    return MarkedFan(fan.ambient_dim, rays, fan.maximal_cones)
+    return fraction_fan(fan.ambient_dim, rays, fan.maximal_cones)
 
 
 # ---------------------------------------------------------------------------
@@ -1043,7 +1050,7 @@ def triangle_double_cover() -> MarkedFan:
     overlap, so this is not a fan; wall counts cannot tell."""
     rays = tuple(vec(u) for u in ((1, 0), (0, 1), (-1, -1))) * 2
     cones = ((0, 1), (1, 5), (3, 5), (3, 4), (2, 4), (0, 2))
-    return MarkedFan(ambient_dim=2, rays=rays, maximal_cones=tuple(sorted(cones)))
+    return fraction_fan(ambient_dim=2, rays=rays, maximal_cones=tuple(sorted(cones)))
 
 
 # ---------------------------------------------------------------------------
@@ -1116,10 +1123,32 @@ def random_face_fan(seed: int, count: int = 12, d: int = 3) -> TropicalFan:
     vertices = sorted(set().union(*facets))
     index = {v: i for i, v in enumerate(vertices)}
     cones = tuple(sorted(tuple(index[v] for v in facet) for facet in facets))
-    fan = MarkedFan(d, tuple(vec(points[v]) for v in vertices), cones)
+    fan = fraction_fan(d, tuple(vec(points[v]) for v in vertices), cones)
     dets = {c: abs(fraction_det([fan.rays[i] for i in c])) for c in cones}
     scale = math.lcm(*(int(v) for v in dets.values()))
     return TropicalFan(fan, MinkowskiWeight(d, {c: Fraction(scale) / v for c, v in dets.items()}))
+
+
+def face_fan_double_cover(seed: int, count: int = 12, d: int = 3) -> MarkedFan:
+    """The maximal cones of `random_face_fan(seed, count, d)` together with
+    the new cones of the face fan of the hull of its vertices less one, over
+    the one ray list: the first vertex whose removal leaves a hull that
+    `exact_facets` accepts, with the origin strictly inside.  The new cones
+    cover the removed vertex's star a second time, so this is not a fan."""
+    from scipy.spatial import ConvexHull
+
+    fan = random_face_fan(seed, count, d).fan
+    points = [nums for nums, _ in fan.int_marks]
+    for v in range(len(points)):
+        kept = [i for i in range(len(points)) if i != v]
+        rest = [points[i] for i in kept]
+        facets = exact_facets(rest, ConvexHull(rest).simplices)
+        if facets is not None:
+            break
+    else:
+        raise AssertionError("no vertex leaves the origin inside the hull of the others")
+    new = {tuple(kept[i] for i in facet) for facet in facets} - set(fan.maximal_cones)
+    return MarkedFan(d, fan.int_marks, tuple(sorted(set(fan.maximal_cones) | new)))
 
 
 # the fixture set on which every fast route is compared with its oracle
@@ -1170,7 +1199,7 @@ def random_simplicial_fan(rng: random.Random, n: int) -> MarkedFan:
                     rays.append(u)
                 cone.append(rays.index(u))
         cones.add(tuple(sorted(cone)))
-    return MarkedFan(ambient_dim=n, rays=tuple(rays), maximal_cones=tuple(sorted(cones)))
+    return fraction_fan(ambient_dim=n, rays=tuple(rays), maximal_cones=tuple(sorted(cones)))
 
 
 # the stock fixtures and small Bergman fans with their weights, and copies

@@ -31,6 +31,7 @@ from helpers import (
     SCALES,
     STOCK_FANS,
     facet_stellar_subdivide,
+    fraction_fan,
     in_support,
     mat_vec,
     minimal_containing_cone,
@@ -49,7 +50,7 @@ def test_validate_triangle_fan():
 
 
 def test_validate_overlapping_cones():
-    fan = MarkedFan(
+    fan = fraction_fan(
         ambient_dim=2,
         rays=(vec([1, 0]), vec([0, 1]), vec([1, 1]), vec([1, -1])),
         maximal_cones=((0, 1), (2, 3)),
@@ -60,7 +61,7 @@ def test_validate_overlapping_cones():
 
 
 def test_validate_dependent_marks():
-    fan = MarkedFan(
+    fan = fraction_fan(
         ambient_dim=2,
         rays=(vec([1, 0]), vec([2, 0])),
         maximal_cones=((0, 1),),
@@ -70,14 +71,14 @@ def test_validate_dependent_marks():
 
 
 def test_validate_reports_purity_and_ray_usage():
-    fan = MarkedFan(
+    fan = fraction_fan(
         ambient_dim=2,
         rays=(vec([1, 0]), vec([0, 1]), vec([-1, 0])),
         maximal_cones=((0, 1), (2,)),
     )
     report = validate(fan)
     assert not report.pure
-    fan2 = MarkedFan(
+    fan2 = fraction_fan(
         ambient_dim=2,
         rays=(vec([1, 0]), vec([0, 1]), vec([-1, 0])),
         maximal_cones=((0, 1),),
@@ -163,7 +164,7 @@ def non_pure_fan() -> MarkedFan:
     lone ray -e3: pinched at the origin, where the lone ray is cut off, and
     at -e1, where the 2-cone meets the second 3-cone in that ray alone."""
     rays = tuple(vec(u) for u in ((1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, 0, 0), (0, -1, 0), (0, 0, -1)))
-    return MarkedFan(ambient_dim=3, rays=rays, maximal_cones=((0, 1, 2), (1, 2, 3), (3, 4), (5,)))
+    return fraction_fan(ambient_dim=3, rays=rays, maximal_cones=((0, 1, 2), (1, 2, 3), (3, 4), (5,)))
 
 
 def test_components_joins_groups():
@@ -325,25 +326,25 @@ _TRIANGLE_RAYS = (vec([1, 0]), vec([0, 1]), vec([-1, -1]))
     "call, error, message",
     [
         (
-            lambda: MarkedFan(2, _TRIANGLE_RAYS, ((1, 0),)),
+            lambda: fraction_fan(2, _TRIANGLE_RAYS, ((1, 0),)),
             PreconditionError,
             "maximal cones must be sorted tuples without repeats",
         ),
         (
-            lambda: MarkedFan(2, _TRIANGLE_RAYS, ([0, 1],)),
+            lambda: fraction_fan(2, _TRIANGLE_RAYS, ([0, 1],)),
             PreconditionError,
             "maximal cones must be sorted tuples without repeats",
         ),
         (
-            lambda: MarkedFan(2, _TRIANGLE_RAYS, ((1, 1),)),
+            lambda: fraction_fan(2, _TRIANGLE_RAYS, ((1, 1),)),
             PreconditionError,
             "maximal cones must be sorted tuples without repeats",
         ),
-        (lambda: MarkedFan(2, _TRIANGLE_RAYS, ((0, 1), (0, 1))), PreconditionError, "duplicate maximal cone"),
-        (lambda: MarkedFan(2, _TRIANGLE_RAYS, ((0, 3),)), PreconditionError, "cone refers to a missing ray"),
-        (lambda: MarkedFan(2, _TRIANGLE_RAYS, ((-1, 0),)), PreconditionError, "cone refers to a missing ray"),
+        (lambda: fraction_fan(2, _TRIANGLE_RAYS, ((0, 1), (0, 1))), PreconditionError, "duplicate maximal cone"),
+        (lambda: fraction_fan(2, _TRIANGLE_RAYS, ((0, 3),)), PreconditionError, "cone refers to a missing ray"),
+        (lambda: fraction_fan(2, _TRIANGLE_RAYS, ((-1, 0),)), PreconditionError, "cone refers to a missing ray"),
         (
-            lambda: MarkedFan(2, (vec([1, 0, 0]),), ((0,),)),
+            lambda: fraction_fan(2, (vec([1, 0, 0]),), ((0,),)),
             DimensionError,
             "ray mark has wrong ambient dimension",
         ),

@@ -51,6 +51,7 @@ from helpers import (
     STOCK_FANS,
     TROPICAL_FANS,
     dependent_marks_fan,
+    fraction_fan,
     fraction_relax,
     full_row_regular,
     greedy_spanning_rays,
@@ -255,7 +256,7 @@ def two_sheets() -> MarkedFan:
     """cone(e1, e2) and cone((1, 1, 1), e3) in R^3, which meet at the
     origin alone."""
     rays = tuple(vec(u) for u in ((1, 0, 0), (0, 1, 0), (1, 1, 1), (0, 0, 1)))
-    return MarkedFan(ambient_dim=3, rays=rays, maximal_cones=((0, 1), (2, 3)))
+    return fraction_fan(ambient_dim=3, rays=rays, maximal_cones=((0, 1), (2, 3)))
 
 
 # on two_sheets: at the first cone the particular functional x + y is not
@@ -532,7 +533,7 @@ def test_validate_mk6_solves_no_lp(monkeypatch):
 
 
 def test_validate_reports_no_route_without_simpliciality():
-    fan = fan_module.MarkedFan(
+    fan = fraction_fan(
         ambient_dim=2,
         rays=tuple(fixtures.triangle_fan().fan.rays),
         maximal_cones=((0, 1, 2),),
@@ -572,7 +573,7 @@ def _random_int_fan(rng: random.Random, n: int, count: int) -> MarkedFan:
         u = tuple(rng.randint(-3, 3) for _ in range(n))
         if any(u):
             rays.add(u)
-    return MarkedFan(ambient_dim=n, rays=tuple(map(vec, sorted(rays))), maximal_cones=((0,),))
+    return fraction_fan(ambient_dim=n, rays=tuple(map(vec, sorted(rays))), maximal_cones=((0,),))
 
 
 def _packed_matches_scan(fan, z, rng: random.Random, trials: int) -> set:
@@ -669,7 +670,7 @@ def test_zero_divisor_record_is_not_shifted(monkeypatch):
     """On a fan with one maximal cone the zero divisor is vacuously regular;
     its record has norm 0, so the next divisor is not shifted from it (lam
     would divide by zero) and is proved by its particular functional."""
-    fan = MarkedFan(ambient_dim=2, rays=(vec((1, 0)), vec((0, 1))), maximal_cones=((0, 1),))
+    fan = fraction_fan(ambient_dim=2, rays=(vec((1, 0)), vec((0, 1))), maximal_cones=((0, 1),))
     sizes = _lp_sizes(monkeypatch)
     assert fan.regular((ZERO, ZERO))
     assert fan.regular((Fraction(1), Fraction(2)))

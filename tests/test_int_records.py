@@ -53,6 +53,7 @@ from helpers import (
     elimination_quotient,
     fraction_action_at,
     fraction_excess,
+    fraction_fan,
     fraction_mark_sum,
     fraction_neighborhood,
     fraction_quotient,
@@ -284,7 +285,7 @@ def test_partial_weight_raises_cone_by_cone():
 def test_dependent_marks_are_refused_by_the_one_elimination():
     """validate decides simpliciality from the quotient record's
     elimination; a cone on dependent marks has no record."""
-    fan = MarkedFan(
+    fan = fraction_fan(
         ambient_dim=2,
         rays=((Fraction(1), Fraction(0)), (Fraction(2), Fraction(0)), (Fraction(0), Fraction(1))),
         maximal_cones=((0, 1), (0, 2)),
@@ -360,7 +361,7 @@ def test_ray_records_and_inherited_int_marks_match_the_elimination(name, kind):
     record of the ray gives."""
     fan = _record_fan(name, kind)
     sizes = _check_records(fan)
-    oracle = MarkedFan(fan.ambient_dim, fan.rays, fan.maximal_cones)
+    oracle = MarkedFan(fan.ambient_dim, fan.int_marks, fan.maximal_cones)
     for r in range(len(fan.rays)):
         sd = star(fan, (r,))
         assert "int_marks" in vars(sd.fan)
@@ -434,7 +435,7 @@ def test_ray_records_of_random_marks_match_the_elimination():
         u = [Fraction(rng.choice((0, 0, rng.randint(-12, 12))), rng.choice((1, 1, 2, 3, 4, 6))) for _ in range(n)]
         if not any(u):
             continue
-        fan = MarkedFan(n, (tuple(u),), ((0,),))
+        fan = fraction_fan(n, (tuple(u),), ((0,),))
         lead = next(x for x in u if x)
         leads.add((lead < 0, lead.denominator > 1, u[0] == 0))
         q, expected = fan.quotient((0,)), elimination_quotient(fan, (0,))
@@ -477,7 +478,7 @@ def _u3_bergman_fan(n):
     flats = [1 << i for i in range(n)] + [1 << i | 1 << j for i, j in itertools.combinations(range(n), 2)]
     index = {f: k for k, f in enumerate(flats)}
     cones = sorted((index[1 << a], index[1 << i | 1 << j]) for i, j in itertools.combinations(range(n), 2) for a in (i, j))
-    return MarkedFan(n - 1, tuple(_flat_mark(n, f) for f in flats), tuple(cones))
+    return MarkedFan(n - 1, tuple((_flat_mark(n, f), 1) for f in flats), tuple(cones))
 
 
 def test_ray_records_stay_linear_in_the_ambient_dimension():
@@ -590,30 +591,32 @@ def test_int_marked_fans_make_fractions_only_when_read(kind):
     assert "rays" not in vars(fan)
     assert fan.rays == marks and all(type(x) is Fraction for u in fan.rays for x in u)
     assert marking == [[io.rat_to_str(x) for x in u] for u in marks]
-    built = MarkedFan(fan.ambient_dim, marks, fan.maximal_cones)
+    built = fraction_fan(fan.ambient_dim, marks, fan.maximal_cones)
     assert built == fan and hash(built) == hash(fan) and {fan: kind}[built] == kind
     assert built.int_marks == fan.int_marks
 
 
 def test_int_and_fraction_constructors_agree():
-    """`MarkedFan.from_int_marks` and the Fraction constructor validate alike,
-    give equal fans on equal marks and unequal ones on scaled marks, and
-    both fans are immutable."""
+    """The constructor on int marks and `int_mark` of the Fraction marks
+    validate alike and give equal fans on equal marks and unequal ones on
+    scaled marks; a mark not in lowest terms is refused; the fan is
+    immutable."""
     rays = (vec([1, Fraction(1, 2)]), vec([0, 1]), vec([-1, Fraction(-3, 2)]))
     marks = (((2, 1), 2), ((0, 1), 1), ((-2, -3), 2))
     cones = ((0, 1), (0, 2), (1, 2))
-    a, b = MarkedFan(2, rays, cones), MarkedFan.from_int_marks(2, marks, cones)
+    a, b = fraction_fan(2, rays, cones), MarkedFan(2, marks, cones)
     assert a == b and hash(a) == hash(b) and a.int_marks == marks and b.rays == rays
-    assert MarkedFan.from_int_marks(2, (((4, 2), 2),) + marks[1:], cones) != a
-    assert MarkedFan(2, (vec([2, 1]),) + rays[1:], cones) != a
-    assert a != rays and MarkedFan(3, tuple(u + (0,) for u in rays), cones) != a
+    with pytest.raises(PreconditionError, match=re.escape("ray marks must be in lowest terms")):
+        MarkedFan(2, (((4, 2), 2),) + marks[1:], cones)
+    assert fraction_fan(2, (vec([2, 1]),) + rays[1:], cones) != a
+    assert a != rays and fraction_fan(3, tuple(u + (0,) for u in rays), cones) != a
     for build, bad in [
-        (lambda: MarkedFan(2, (vec([1, 0, 0]),), ((0,),)), "ray mark has wrong ambient dimension"),
-        (lambda: MarkedFan.from_int_marks(2, (((1, 0, 0), 1),), ((0,),)), "ray mark has wrong ambient dimension"),
-        (lambda: MarkedFan(2, (vec([0, 0]),), ((0,),)), "ray marks must be nonzero"),
-        (lambda: MarkedFan.from_int_marks(2, (((0, 0), 1),), ((0,),)), "ray marks must be nonzero"),
-        (lambda: MarkedFan.from_int_marks(2, marks, ((0, 3),)), "cone refers to a missing ray"),
-        (lambda: MarkedFan.from_int_marks(-1, (), ((),)), "ambient dimension must be nonnegative"),
+        (lambda: fraction_fan(2, (vec([1, 0, 0]),), ((0,),)), "ray mark has wrong ambient dimension"),
+        (lambda: MarkedFan(2, (((1, 0, 0), 1),), ((0,),)), "ray mark has wrong ambient dimension"),
+        (lambda: fraction_fan(2, (vec([0, 0]),), ((0,),)), "ray marks must be nonzero"),
+        (lambda: MarkedFan(2, (((0, 0), 1),), ((0,),)), "ray marks must be nonzero"),
+        (lambda: MarkedFan(2, marks, ((0, 3),)), "cone refers to a missing ray"),
+        (lambda: MarkedFan(-1, (), ((),)), "ambient dimension must be nonnegative"),
     ]:
         with pytest.raises((DimensionError, PreconditionError), match=re.escape(bad)):
             build()
@@ -622,6 +625,29 @@ def test_int_and_fraction_constructors_agree():
             fan.int_marks = marks
         with pytest.raises(AttributeError):
             del fan.maximal_cones
+
+
+@pytest.mark.parametrize(
+    "mark, bad",
+    [
+        (((1, 1), -1), "ray mark denominators must be positive"),
+        (((-1, -1), 0), "ray mark denominators must be positive"),
+        (((-2, -2), 2), "ray marks must be in lowest terms"),
+        (((-3, -3), 3), "ray marks must be in lowest terms"),
+    ],
+)
+def test_malformed_int_marks_are_refused_at_construction(mark, bad):
+    """The triangle with its third mark -e1 - e2 written over a denominator
+    below 1, or not in lowest terms, is refused by the constructor, before
+    `validate` builds any LP row from it; written in lowest terms it is the
+    stock triangle."""
+    marks = (((1, 0), 1), ((0, 1), 1))
+    cones = ((0, 1), (0, 2), (1, 2))
+    with pytest.raises(PreconditionError, match=re.escape(bad)):
+        MarkedFan(2, marks + (mark,), cones)
+    fan = MarkedFan(2, marks + (((-1, -1), 1),), cones)
+    assert fan == triangle_fan().fan and validate(fan).valid
+    assert eval(repr(fan), {"MarkedFan": MarkedFan}) == fan
 
 
 def test_cli_reports_make_no_fraction_marks(tmp_path, monkeypatch, capsys):

@@ -26,6 +26,7 @@ from helpers import (
     SCALES,
     TROPICAL_FANS,
     classify_af_report,
+    fraction_fan,
     hessian_of_quadratic,
     indicator_pairing_form,
     indicator_volume_polynomial,
@@ -534,8 +535,6 @@ def test_twisted_prism_is_not_quasiprojective():
     assert not cert.quasiprojective
     assert cert.witness_route == ROUTE_JOINT_LP
     # breaking the cyclic symmetry on one quad face restores a witness
-    from lorfan.fan import MarkedFan
-
     rays = tf.fan.rays
     cones = [(0, 1, 2), (3, 4, 5)]
     for k, (i, j) in enumerate(((0, 1), (1, 2), (2, 0))):
@@ -545,7 +544,7 @@ def test_twisted_prism_is_not_quasiprojective():
         else:
             cones.append(tuple(sorted((i, j, 3 + i))))
             cones.append(tuple(sorted((j, 3 + j, 3 + i))))
-    untwisted = MarkedFan(3, rays, tuple(sorted(cones)))
+    untwisted = fraction_fan(3, rays, tuple(sorted(cones)))
     assert find_strictly_convex(untwisted) is not None
 
 

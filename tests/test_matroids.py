@@ -2,7 +2,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from lorfan.errors import PreconditionError
 from lorfan.fan import validate
@@ -316,16 +316,9 @@ CHARACTERISTIC = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(CHARACTERISTIC))
-def test_alpha_beta_degrees_are_the_reduced_characteristic_polynomial(name):
-    """On the Bergman fan of a loopless matroid of rank r, with alpha(F) =
-    [e in F] and beta = 1 - alpha at the ray of each proper flat F,
-    deg(alpha^(r-1-k) beta^k) is the k-th unsigned coefficient of the
-    reduced characteristic polynomial (Huh and Katz, Math. Ann. 354, 2012;
-    Adiprasito, Huh and Katz, Ann. of Math. 188, 2018), for every element
-    e; here e = 0 and the last element, against the Möbius function of the
-    lattice of flats."""
-    m = CHARACTERISTIC[name]()
+def _check_alpha_beta_degrees(m: Matroid, label) -> None:
+    """deg(alpha^(r-1-k) beta^k) on the Bergman fan of m equals mu^k, for
+    alpha at e = 0 and at the last element."""
     tf = bergman_fan(m)
     mu = reduced_characteristic_coefficients(m)
     r = len(mu)
@@ -335,4 +328,34 @@ def test_alpha_beta_degrees_are_the_reduced_characteristic_polynomial(name):
         alpha = tuple(Fraction(e in f) for f in flats)
         beta = tuple(1 - a for a in alpha)
         sequences = [(0,) * (r - 1 - k) + (1,) * k for k in range(r)]
-        assert mixed_degrees(tf.fan, tf.weight, [alpha, beta], sequences) == mu, (name, e)
+        assert mixed_degrees(tf.fan, tf.weight, [alpha, beta], sequences) == mu, (label, e)
+
+
+@pytest.mark.parametrize("name", sorted(CHARACTERISTIC))
+def test_alpha_beta_degrees_are_the_reduced_characteristic_polynomial(name):
+    """On the Bergman fan of a loopless matroid of rank r, with alpha(F) =
+    [e in F] and beta = 1 - alpha at the ray of each proper flat F,
+    deg(alpha^(r-1-k) beta^k) is the k-th unsigned coefficient of the
+    reduced characteristic polynomial (Huh and Katz, Math. Ann. 354, 2012;
+    Adiprasito, Huh and Katz, Ann. of Math. 188, 2018), for every element
+    e; here e = 0 and the last element, against the Möbius function of the
+    lattice of flats."""
+    _check_alpha_beta_degrees(CHARACTERISTIC[name](), name)
+
+
+@given(base_families())
+@example((4, list(itertools.combinations(range(4), 2)), True))
+@example((3, [(0, 2), (1, 2)], True))
+@settings(max_examples=300, deadline=None)
+def test_alpha_beta_degrees_match_the_characteristic_polynomial_on_random_matroids(family):
+    """The same identity on every drawn family that is a loopless matroid of
+    rank at least two: GF(2) column matroids on up to six elements, parallel
+    elements included, and the examples U(2,4) and U(2,3) with two of its
+    elements parallel."""
+    n, bases, _ = family
+    try:
+        m = matroid_from_bases(n, bases)
+    except PreconditionError:
+        return
+    if not m.loops() and m.rank >= 2:
+        _check_alpha_beta_degrees(m, bases)

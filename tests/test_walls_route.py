@@ -10,10 +10,12 @@ the controls it declines and the pairs route names the overlaps.
 
 import functools
 import itertools
+import json
 import random
 
 import pytest
 
+from lorfan import cli, io
 from lorfan import fan as fan_module
 from lorfan import fixtures
 from lorfan.fan import (
@@ -36,7 +38,9 @@ from lorfan.weights import check_balancing
 from helpers import (
     cone_contains,
     exact_facets,
+    face_fan_double_cover,
     face_fan_points,
+    fraction_fan,
     random_face_fan,
     rank,
     stellar_twisted_prism,
@@ -100,7 +104,7 @@ def test_face_fans_are_lorentzian(seed):
     assert check_balancing(tf.fan, tf.weight) == ()
     cert = is_lorentzian(tf)
     assert cert.verdict and cert.quasiprojective
-    fresh = MarkedFan(tf.fan.ambient_dim, tf.fan.rays, tf.fan.maximal_cones)
+    fresh = MarkedFan(tf.fan.ambient_dim, tf.fan.int_marks, tf.fan.maximal_cones)
     assert fresh.regular(cert.witness)
 
 
@@ -123,14 +127,14 @@ def folded_fan() -> MarkedFan:
     """cone(e1, e2), cone(e2, (1, 1)) and cone(e1, (1, 1)): each ray lies in
     two cones, but at e1 and at e2 both cones lie on the same side."""
     rays = (vec([1, 0]), vec([0, 1]), vec([1, 1]))
-    return MarkedFan(2, rays, ((0, 1), (0, 2), (1, 2)))
+    return fraction_fan(2, rays, ((0, 1), (0, 2), (1, 2)))
 
 
 def three_cone_wall() -> MarkedFan:
     """The triangle fan with cone(e1, (1, -1)) added: the wall e1 lies in
     three cones, and the new cone lies inside cone(e1, -e1 - e2)."""
     rays = (vec([1, 0]), vec([0, 1]), vec([-1, -1]), vec([1, -1]))
-    return MarkedFan(2, rays, ((0, 1), (0, 2), (0, 3), (1, 2)))
+    return fraction_fan(2, rays, ((0, 1), (0, 2), (0, 3), (1, 2)))
 
 
 def test_double_cover_is_covered_twice():
@@ -162,6 +166,25 @@ def test_controls_reach_the_pairs_route(build, overlaps):
     assert report.fan_condition_route == ROUTE_PAIRS and not report.fan_condition
     assert _overlapping_pairs(fan) == overlaps
     assert report.failures == tuple(f"cones {c1} and {c2} overlap beyond their shared face" for c1, c2 in overlaps)
+
+
+@pytest.mark.parametrize("seed", FACE_FAN_SEEDS)
+def test_face_fan_double_cover_is_refused(seed, tmp_path, capsys):
+    """A face fan with the new cones of the hull of its vertices less one
+    covers that vertex's star twice: the walls route declines, the pairs
+    route names the overlaps, and `lorfan validate` exits 3."""
+    fan = face_fan_double_cover(seed)
+    assert not _covered_once(fan)
+    report = validate(fan)
+    assert report.simplicial and report.pure and report.all_rays_used
+    assert report.fan_condition_route == ROUTE_PAIRS and not report.fan_condition
+    overlaps = _overlapping_pairs(fan)
+    assert overlaps and report.failures == tuple(f"cones {c1} and {c2} overlap beyond their shared face" for c1, c2 in overlaps)
+    path = tmp_path / "fan.json"
+    path.write_text(io.dumps(io.fan_to_json(fan)))
+    assert cli.main(["validate", "--fan", str(path)]) == 3
+    out = json.loads(capsys.readouterr().out)
+    assert out["fan_condition"] is False and out["valid"] is False
 
 
 # ---------------------------------------------------------------------------

@@ -42,6 +42,7 @@ from lorfan.weights import (
 
 from helpers import (
     NON_PURE_FANS,
+    fraction_fan,
     fraction_pullback_divisor,
     fraction_transport_weight,
     linear_divisor,
@@ -152,7 +153,7 @@ def test_span_tests_match_the_record_oracle():
     rng = random.Random("span points")
     seen = {}
     for name, fan, w in _span_cases():
-        oracle = MarkedFan.from_int_marks(fan.ambient_dim, fan.int_marks, fan.maximal_cones)
+        oracle = MarkedFan(fan.ambient_dim, fan.int_marks, fan.maximal_cones)
         assert check_balancing(fan, w) == record_check_balancing(oracle, w), name
         for tau in fan.cones(w.degree - 1) if w.degree else ():
             ws, _ = over_lcd([w[sigma] for sigma, _ in fan.cofaces[tau]])
@@ -173,7 +174,7 @@ def test_span_tests_refuse_dependent_marks_like_the_record():
     """A 2-face on parallel marks raises the record's refusal, at the same
     cone; a 3-cone on dependent marks still reads the record."""
     rays = (vec([1, 0, 0]), vec([2, 0, 0]), vec([0, 1, 0]), vec([0, 0, 1]))
-    fan = MarkedFan(3, rays, ((0, 1, 2), (1, 2, 3)))
+    fan = fraction_fan(3, rays, ((0, 1, 2), (1, 2, 3)))
     w = constant_weight(fan)
     message = re.escape("cone (0, 1) has dependent marks")
     assert outcome(lambda: record_check_balancing(fan, w)) == (PreconditionError, "cone (0, 1) has dependent marks")
@@ -181,7 +182,7 @@ def test_span_tests_refuse_dependent_marks_like_the_record():
         check_balancing(fan, w)
     with pytest.raises(PreconditionError, match=message):
         _in_span(fan, (0, 1), [1, 0, 0])
-    flat = MarkedFan(3, (vec([1, 0, 0]), vec([0, 1, 0]), vec([1, 1, 0]), vec([0, 0, 1])), ((0, 1, 2, 3),))
+    flat = fraction_fan(3, (vec([1, 0, 0]), vec([0, 1, 0]), vec([1, 1, 0]), vec([0, 0, 1])), ((0, 1, 2, 3),))
     with pytest.raises(PreconditionError, match=re.escape("cone (0, 1, 2) has dependent marks")):
         _in_span(flat, (0, 1, 2), [1, 0, 0])
 
@@ -489,7 +490,7 @@ def test_transport_doubled_mark():
     # the rescaling equivalence; anything else breaks balancing
     tf = triangle_fan()
     res = stellar_subdivide(tf.fan, vec([1, 1]))
-    doubled = MarkedFan(
+    doubled = fraction_fan(
         ambient_dim=2,
         rays=tuple(
             vec([2 * x for x in u]) if i == res.new_ray else u
@@ -508,7 +509,7 @@ def test_transport_refuses_dependent_fine_marks():
     # the fine cone on (1, 0) and (2, 0) has determinant zero; it once
     # raised a bare ZeroDivisionError
     tf = triangle_fan()
-    fine = MarkedFan(
+    fine = fraction_fan(
         ambient_dim=2,
         rays=tf.fan.rays + (vec([2, 0]),),
         maximal_cones=tuple(sorted(tf.fan.maximal_cones + ((0, 3),))),
@@ -595,8 +596,8 @@ def test_pullback_reads_kept_rays_by_mark(monkeypatch):
 
 
 _ONES = (Fraction(1),) * 3
-_OFF_SKELETON = MarkedFan(3, (vec([1, 1, 1]), vec([1, 0, 0])), ((0, 1),))
-_ONE_RAY_IN_NO_CONE = MarkedFan(3, (vec([1, 0, 0]), vec([0, 1, 0])), ((0,),))
+_OFF_SKELETON = fraction_fan(3, (vec([1, 1, 1]), vec([1, 0, 0])), ((0, 1),))
+_ONE_RAY_IN_NO_CONE = fraction_fan(3, (vec([1, 0, 0]), vec([0, 1, 0])), ((0,),))
 
 
 @pytest.mark.parametrize(
@@ -628,7 +629,7 @@ _ONE_RAY_IN_NO_CONE = MarkedFan(3, (vec([1, 0, 0]), vec([0, 1, 0])), ((0,),))
             "fine ray lies outside the coarse support",
         ),
         (
-            lambda: pullback_divisor(_ONE_RAY_IN_NO_CONE, _ONES[:2], MarkedFan(3, (vec([0, 1, 0]),), ((0,),))),
+            lambda: pullback_divisor(_ONE_RAY_IN_NO_CONE, _ONES[:2], fraction_fan(3, (vec([0, 1, 0]),), ((0,),))),
             PreconditionError,
             "fine ray lies outside the coarse support",
         ),
@@ -638,7 +639,7 @@ _ONE_RAY_IN_NO_CONE = MarkedFan(3, (vec([1, 0, 0]), vec([0, 1, 0])), ((0,),))
             "refinement lives in a different ambient space",
         ),
         (
-            lambda: pullback_divisor(triangle_fan().fan, _ONES, MarkedFan(3, (vec([1, 0, 5]),), ((0,),))),
+            lambda: pullback_divisor(triangle_fan().fan, _ONES, fraction_fan(3, (vec([1, 0, 5]),), ((0,),))),
             DimensionError,
             "refinement lives in a different ambient space",
         ),
@@ -648,7 +649,7 @@ _ONE_RAY_IN_NO_CONE = MarkedFan(3, (vec([1, 0, 0]), vec([0, 1, 0])), ((0,),))
             "refinement lives in a different ambient space",
         ),
         (
-            lambda: transport_weight(triangle_fan(), MarkedFan(2, (vec([1, 0]),), ((0,),)), {(0,): (0, 1)}),
+            lambda: transport_weight(triangle_fan(), fraction_fan(2, (vec([1, 0]),), ((0,),)), {(0,): (0, 1)}),
             PreconditionError,
             "refinement must have the same dimension",
         ),
